@@ -1,34 +1,46 @@
 """EXP-GATEWAY — concurrent users through the async gateway runtime.
 
-The tentpole refactor replaces blocking-thread-per-operation concurrency
-with an asyncio event-loop core behind the unchanged sync API.  This
-benchmark measures what that buys under the paper's deployment shape:
-many simulated clients (64 / 256 / 1024) driving the §5.2 workload mix
+Many simulated clients (64 / 256 / 1024) drive the §5.2 workload mix
 over the 40 ms one-way gateway→cloud WAN link, three ways:
 
-* **threadpool** — the pre-refactor model: plain sync ``Entities``
-  behind a ``ThreadPoolExecutor()`` with Python's default sizing
-  (``min(32, cores + 4)``).  Every in-flight operation pins a worker
-  thread for its full WAN round trips, so throughput is capped at
-  ``workers / latency`` no matter how many clients arrive.
-* **sync_facade** — the same blocking callers, but through
+* **threadpool** — plain sync ``Entities`` behind a
+  ``ThreadPoolExecutor()`` with Python's default sizing
+  (``min(32, cores + 4)``, 5-6 workers on the testbed).  Every
+  in-flight operation pins a worker thread for its full WAN round
+  trips, so throughput is capped at ``workers / latency`` no matter how
+  many clients arrive.
+* **sync_facade** — the same blocking callers through
   :class:`~repro.gateway.runtime.SyncGateway`: each call is admitted
-  onto the shared event loop, where the modelled WAN sleeps overlap.
+  on the gateway's event loop and runs on one of its
+  ``max_in_flight + 4`` worker threads (``max_in_flight = clients``
+  here).
 * **async_native** — coroutine clients submitting straight into
-  :class:`~repro.gateway.runtime.AsyncGatewayRuntime`; no
-  thread-per-client anywhere.
+  :class:`~repro.gateway.runtime.AsyncGatewayRuntime`; same workers,
+  no thread per *client*.
 
 All three modes run the identical pipeline (batched writes, fan-out,
-prefetch, precomputed crypto kernels), so the measured difference is
-purely the concurrency model.  Every runtime-mode operation carries a
-deadline; the run asserts none expired (no starvation under load).
+prefetch, precomputed crypto kernels) and, below the entity façade, the
+identical code: one synchronous engine over one synchronous transport
+stack.  What differs is the number of workers that may sit in a WAN
+wait at once (5-6 vs ``clients + 4``) and the admission in front of
+them — the benchmark measures worker count and admission, not a
+different wire path.  Every client issues about one operation
+(``operations == clients``), so each scale is a burst: latency
+percentiles mostly reflect how the burst was released (1024 client
+threads start over ~1 s, 1024 coroutines at once).  Every runtime-mode
+operation carries a deadline; the run asserts none expired (no
+starvation under load).
 
 Timed searches and aggregates target a pre-seeded corpus while timed
 inserts use a disjoint patient cohort: Mitra's update protocol bumps its
 gateway-side counter before the batched index entry reaches the cloud,
 so a concurrent search on the *same* keyword would observe a gap.
 Keyword-disjoint reads and writes keep the mix race-free without
-serialising it.
+serialising it.  Only ``subject`` is disjoint, though: a timed search
+on ``status`` or ``code`` also returns whichever timed inserts of the
+same burst have landed, so documents fetched and decrypted per search
+— and with them ops/s — depend on how fast inserts land.  Two builds
+are not doing equal work here (EXPERIMENTS.md, EXP-ONEPATH).
 
 Results land in ``BENCH_gateway.json`` at the repo root.  Run standalone
 with ``python benchmarks/bench_gateway.py --smoke`` for the reduced CI

@@ -9,6 +9,8 @@ keys, tactics or ciphertexts.
 
 from __future__ import annotations
 
+import asyncio
+
 from repro.core.executor import SchemaExecutor
 from repro.core.query import AggregateQuery, Eq, Predicate, Range
 from repro.crypto.encoding import Value
@@ -147,98 +149,105 @@ class Entities:
 class AsyncEntities:
     """The coroutine flavour of :class:`Entities`.
 
-    Same operations, same results, awaitable: each method delegates to
-    the executor's async path, which keeps gateway-local crypto on
-    worker threads and awaits the wire natively so one event loop can
-    interleave many concurrent operations.  Obtain instances from the
-    async gateway runtime — the two façades share the executor, plan
-    cache and write pipeline, so sync and async callers may be mixed
-    freely on one application.
+    Same operations, same results, awaitable: every coroutine is one
+    ``asyncio.to_thread`` hop over the :class:`Entities` method of the
+    same name, so there is a single execution path (the synchronous
+    plan engine over the synchronous transport stack) and the event
+    loop only interleaves whole operations.  ``to_thread`` copies the
+    caller's context, so the cache principal, batch scope,
+    op-verification scope and shard-timing sinks follow the operation
+    onto its worker.  The façades share the executor, plan cache and
+    write pipeline, so sync and async callers may be mixed freely on
+    one application.
     """
 
     def __init__(self, executor: SchemaExecutor):
-        self._executor = executor
+        self._sync = Entities(executor)
 
     @property
     def schema_name(self) -> str:
-        return self._executor.schema.name
+        return self._sync.schema_name
 
     # -- CRUD -----------------------------------------------------------------
 
     async def insert(self, document: dict[str, Value]) -> str:
-        return await self._executor.insert_async(document)
+        return await asyncio.to_thread(self._sync.insert, document)
 
     async def insert_many(
         self, documents: list[dict[str, Value]]
     ) -> list[str]:
-        return await self._executor.insert_many_async(documents)
+        return await asyncio.to_thread(self._sync.insert_many, documents)
 
     async def get(self, doc_id: str) -> dict[str, Value]:
-        return await self._executor.get_async(doc_id)
+        return await asyncio.to_thread(self._sync.get, doc_id)
 
     async def update(self, doc_id: str,
                      changes: dict[str, Value]) -> None:
-        await self._executor.update_async(doc_id, changes)
+        await asyncio.to_thread(self._sync.update, doc_id, changes)
 
     async def delete(self, doc_id: str) -> bool:
-        return await self._executor.delete_async(doc_id)
+        return await asyncio.to_thread(self._sync.delete, doc_id)
 
     # -- search ------------------------------------------------------------------
 
     async def find(self, predicate: Predicate | None = None,
                    verify: bool | None = None,
                    limit: int | None = None) -> list[dict[str, Value]]:
-        return await self._executor.find_async(
-            predicate, verify=verify, limit=limit
-        )
+        return await asyncio.to_thread(self._sync.find, predicate,
+                                       verify=verify, limit=limit)
 
     async def find_one(self,
                        predicate: Predicate) -> dict[str, Value] | None:
-        results = await self._executor.find_async(predicate, limit=1)
-        return results[0] if results else None
+        return await asyncio.to_thread(self._sync.find_one, predicate)
 
     async def find_ids(self,
                        predicate: Predicate | None = None) -> set[str]:
-        return await self._executor.find_ids_async(predicate)
+        return await asyncio.to_thread(self._sync.find_ids, predicate)
 
     async def count(self, predicate: Predicate | None = None) -> int:
-        return await self._executor.count_async(predicate)
+        return await asyncio.to_thread(self._sync.count, predicate)
 
     # -- aggregates ----------------------------------------------------------------
 
     async def aggregate(self, query: AggregateQuery) -> Value:
-        return await self._executor.aggregate_async(query)
+        return await asyncio.to_thread(self._sync.aggregate, query)
 
     async def average(self, field: str,
                       where: Predicate | None = None) -> Value:
-        return await self.aggregate(
-            AggregateQuery(Aggregate.AVG, field, where)
-        )
+        return await asyncio.to_thread(self._sync.average, field, where)
 
     async def sum(self, field: str,
                   where: Predicate | None = None) -> Value:
-        return await self.aggregate(
-            AggregateQuery(Aggregate.SUM, field, where)
-        )
+        return await asyncio.to_thread(self._sync.sum, field, where)
 
     async def min(self, field: str,
                   where: Predicate | None = None) -> Value:
-        return await self.aggregate(
-            AggregateQuery(Aggregate.MIN, field, where)
-        )
+        return await asyncio.to_thread(self._sync.min, field, where)
 
     async def max(self, field: str,
                   where: Predicate | None = None) -> Value:
-        return await self.aggregate(
-            AggregateQuery(Aggregate.MAX, field, where)
-        )
+        return await asyncio.to_thread(self._sync.max, field, where)
 
     async def find_sorted(self, field: str, limit: int | None = None,
                           descending: bool = False
                           ) -> list[dict[str, Value]]:
-        return await self._executor.find_sorted_async(
-            field, limit=limit, descending=descending
-        )
+        return await asyncio.to_thread(self._sync.find_sorted, field,
+                                       limit=limit,
+                                       descending=descending)
+
+    async def text_search(self, query: str, limit: int = 10,
+                          require_all: bool = False
+                          ) -> list[dict[str, Value]]:
+        return await asyncio.to_thread(self._sync.text_search, query,
+                                       limit=limit,
+                                       require_all=require_all)
+
+    # -- query planning -----------------------------------------------------------
+
+    async def explain(self, predicate: Predicate | None = None,
+                      **kwargs) -> str:
+        return await asyncio.to_thread(self._sync.explain, predicate,
+                                       **kwargs)
 
     # -- convenience predicates -------------------------------------------------------
 

@@ -26,7 +26,6 @@ plus the planner-era knobs (``fetch_chunk``, ``plan_cache``,
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -364,81 +363,6 @@ class SchemaExecutor:
                     descending: bool = False) -> list[dict[str, Value]]:
         """Documents ordered by a range-annotated field (ORDER BY)."""
         return self.planner.find_sorted(field, limit, descending)
-
-    # -- async façade -------------------------------------------------------------------------
-    #
-    # One coroutine per sync operation, delegating to the planner's
-    # async entry points.  Results are byte-identical to the sync path;
-    # gateway-local work (crypto, planning) runs on worker threads via
-    # ``asyncio.to_thread`` while the wire waits are native awaits, so a
-    # single event loop interleaves many operations' network gaps.
-
-    async def insert_async(self, document: dict[str, Value]) -> str:
-        return (await self.planner.insert_bulk_async([document]))[0]
-
-    async def insert_many_async(
-        self, documents: list[dict[str, Value]]
-    ) -> list[str]:
-        return await self.planner.insert_bulk_async(documents)
-
-    async def get_async(self, doc_id: str) -> dict[str, Value]:
-        scope = self.cache_read_scope()
-        if scope is not None:
-            from repro.cache.tier import MISS, NEGATIVE
-
-            # Hit validation may force a ledger re-sync over the wire;
-            # keep it off the event loop.
-            hit = await asyncio.to_thread(scope.lookup, doc_id)
-            if hit is NEGATIVE:
-                raise DocumentNotFound(
-                    f"document {doc_id!r} not found"
-                )
-            if hit is not MISS:
-                return hit
-        try:
-            stored = await self.runtime.transport.call_async(
-                self.runtime.documents_service, "get", doc_id=doc_id
-            )
-            document = await asyncio.to_thread(
-                self._decrypt_stored, stored
-            )
-        except (DocumentNotFound, RemoteError) as error:
-            if scope is not None and _is_not_found(error):
-                scope.store_negative(doc_id)
-            raise
-        if scope is not None:
-            scope.store(doc_id, document)
-        return document
-
-    async def update_async(self, doc_id: str,
-                           changes: dict[str, Value]) -> None:
-        await self.planner.update_async(doc_id, changes)
-
-    async def delete_async(self, doc_id: str) -> bool:
-        return await self.planner.delete_async(doc_id)
-
-    async def find_async(self, predicate: Predicate | None = None,
-                         verify: bool | None = None,
-                         limit: int | None = None
-                         ) -> list[dict[str, Value]]:
-        return await self.planner.find_async(predicate, verify, limit)
-
-    async def find_ids_async(self, predicate: Predicate | None = None,
-                             verify: bool | None = None) -> set[str]:
-        return await self.planner.find_ids_async(predicate, verify)
-
-    async def count_async(self, predicate: Predicate | None = None) -> int:
-        return await self.planner.count_async(predicate)
-
-    async def aggregate_async(self, query: AggregateQuery) -> Value:
-        return await self.planner.aggregate_async(query)
-
-    async def find_sorted_async(self, field: str,
-                                limit: int | None = None,
-                                descending: bool = False
-                                ) -> list[dict[str, Value]]:
-        return await self.planner.find_sorted_async(field, limit,
-                                                    descending)
 
     # -- EXPLAIN ------------------------------------------------------------------------------
 

@@ -25,7 +25,6 @@ Two deliberate fixes over the seed:
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from concurrent.futures import Future
@@ -306,19 +305,19 @@ class PlanEngine:
         documents: list[dict[str, Value]] = []
         pending: Future | None = None
         try:
-            if pool is not None and chunks:
-                pending = pool.submit(fetch, chunks[0])
             for index, chunk in enumerate(chunks):
-                if pending is not None:
-                    stored = pending.result()
-                    # Overlap the next wire fetch with this chunk's
-                    # decryption and verification.
-                    pending = (
-                        pool.submit(fetch, chunks[index + 1])
-                        if index + 1 < len(chunks) else None
-                    )
-                else:
-                    stored = fetch(chunk)
+                # The first chunk has nothing to overlap with, so it is
+                # fetched inline: a pool hop there would only cap
+                # concurrent finds at the pool's worker count.
+                stored = (pending.result() if pending is not None
+                          else fetch(chunk))
+                # Overlap the next wire fetch with this chunk's
+                # decryption and verification.
+                pending = (
+                    pool.submit(fetch, chunks[index + 1])
+                    if pool is not None and index + 1 < len(chunks)
+                    else None
+                )
                 for item in stored:
                     if item.get("schema") != x.schema.name:
                         continue
@@ -535,264 +534,6 @@ class PlanEngine:
                 # current; deleted ones were skipped by get_many above.
                 return value
         return None
-
-    # -- async read path ---------------------------------------------------------
-    #
-    # The same plan IR executed with event-loop concurrency: CNF literal
-    # fan-out and chunk prefetch become asyncio tasks instead of pool
-    # futures, and blocking leaf work (tactic crypto, wire calls through
-    # sync-only layers) rides ``asyncio.to_thread`` — which copies the
-    # operation's context, so batch scopes and shard-timing sinks follow.
-    # Node order, merge order and verification are byte-identical to the
-    # sync path.
-
-    async def find_async(self, plan: ir.Plan, run: Run,
-                         limit: int | None) -> list[dict[str, Value]]:
-        return await self._docs_async(plan.root, run, limit)
-
-    async def find_ids_async(self, plan: ir.Plan, run: Run) -> set[str]:
-        return await self.eval_ids_async(plan.root, run)
-
-    async def count_async(self, plan: ir.Plan, run: Run) -> int:
-        root = plan.root
-        if isinstance(root, ir.StoreCount):
-            return await asyncio.to_thread(self.count, plan, run)
-        if isinstance(root, ir.Count):
-            source = root.source
-            if isinstance(source, (ir.Decrypt, ir.Verify, ir.FetchDocs)):
-                return len(await self._docs_async(source, run, None))
-            return len(await self.eval_ids_async(source, run))
-        raise QueryError(f"count plan bottoms out at {root.kind}")
-
-    async def aggregate_async(self, plan: ir.Plan, run: Run) -> Value:
-        root = plan.root
-        if isinstance(root, (ir.Extreme, ir.CloudAggregate)):
-            # Both stream candidates sequentially; one worker hop keeps
-            # the loop free without changing the scan order.
-            return await asyncio.to_thread(self.aggregate, plan, run)
-        return await self.count_async(plan, run)
-
-    async def eval_ids_async(self, node: ir.PlanNode,
-                             run: Run) -> set[str]:
-        if isinstance(node, ir.SetOp):
-            if node.op == "union":
-                union: set[str] = set()
-                for part in node.parts:
-                    union |= await self.eval_ids_async(part, run)
-                return union
-            if node.op == "diff":
-                base = await self.eval_ids_async(node.parts[0], run)
-                return base - await self.eval_ids_async(node.parts[1],
-                                                        run)
-            return await self._intersect_ids_async(node.parts, run)
-        if isinstance(node, ir.ProjectIds):
-            return {
-                document["_id"]
-                for document in await self._docs_async(node.source, run,
-                                                       None)
-            }
-        # Leaf nodes (AllIds / IndexLookup / BoolQuery) are one blocking
-        # tactic round each: run them off-loop.
-        return await asyncio.to_thread(self.eval_ids, node, run)
-
-    async def _intersect_ids_async(self, parts: tuple[ir.PlanNode, ...],
-                                   run: Run) -> set[str]:
-        """Async :meth:`_intersect_ids`: literal fan-out as loop tasks.
-
-        Boolean clauses still resolve serially first; the remaining
-        literals launch concurrently as tasks whenever more than one is
-        in play (the event loop *is* the fan-out — no worker-count
-        gate), otherwise the serial short-circuit path runs.  The
-        ordered intersection produces the same set either way.
-        """
-        serial_upto = 0
-        for part in parts:
-            if not isinstance(part, ir.BoolQuery):
-                break
-            serial_upto += 1
-        result: set[str] | None = None
-        for part in parts[:serial_upto]:
-            ids = await asyncio.to_thread(self.eval_ids, part, run)
-            result = ids if result is None else result & ids
-        rest = parts[serial_upto:]
-
-        def leaf_nodes(part: ir.PlanNode) -> tuple[ir.PlanNode, ...]:
-            if isinstance(part, ir.SetOp) and part.op == "union":
-                return part.parts
-            return (part,)
-
-        literal_count = sum(len(leaf_nodes(part)) for part in rest)
-        if literal_count > 1:
-            tasks = [
-                [asyncio.ensure_future(self.eval_ids_async(leaf, run))
-                 for leaf in leaf_nodes(part)]
-                for part in rest
-            ]
-            for part_tasks in tasks:
-                union: set[str] = set()
-                for task in part_tasks:
-                    union |= await task
-                result = union if result is None else result & union
-            return result if result is not None else set()
-
-        for part in rest:
-            if result is not None and not result:
-                return set()
-            ids = await self.eval_ids_async(part, run)
-            result = ids if result is None else result & ids
-        return result if result is not None else set()
-
-    async def _docs_async(self, node: ir.PlanNode, run: Run,
-                          limit: int | None) -> list[dict[str, Value]]:
-        verify = False
-        has_limit = False
-        while True:
-            if isinstance(node, ir.Limit):
-                has_limit = True
-                node = node.source
-            elif isinstance(node, ir.Verify):
-                verify = True
-                node = node.source
-            elif isinstance(node, ir.Decrypt):
-                node = node.source
-            else:
-                break
-        if not isinstance(node, ir.FetchDocs):
-            raise QueryError(
-                f"document pipeline bottoms out at {node.kind}"
-            )
-        if not has_limit:
-            limit = None
-        if node.ordered:
-            return await asyncio.to_thread(self._ordered_docs, node, run,
-                                           limit)
-        scope = self._x.cache_read_scope()
-        if scope is not None:
-            candidate_ids = sorted(
-                await self.eval_ids_async(node.source, run)
-            )
-            chunk_size = self._chunk_size(node, limit)
-            # The cached loop blocks on validation and miss fetches;
-            # one worker hop keeps the event loop free.
-            return await asyncio.to_thread(
-                self._cached_fetch, scope, candidate_ids, chunk_size,
-                run, limit, verify,
-            )
-        return await self._fetched_docs_async(node, run, limit, verify)
-
-    async def _fetched_docs_async(
-        self, node: ir.FetchDocs, run: Run, limit: int | None,
-        verify: bool,
-    ) -> list[dict[str, Value]]:
-        """Chunked get_many where the prefetch is an asyncio task.
-
-        Chunk N+1's wire fetch runs as a task while chunk N decrypts and
-        verifies on a worker thread; the pending task is cancelled (or
-        awaited out when already running) on every exit path, early
-        ``limit`` returns included — the same no-orphaned-fetch contract
-        as the sync loop.
-        """
-        x = self._x
-        candidate_ids = sorted(await self.eval_ids_async(node.source,
-                                                         run))
-        chunk_size = self._chunk_size(node, limit)
-        chunks = [
-            candidate_ids[offset:offset + chunk_size]
-            for offset in range(0, len(candidate_ids), chunk_size)
-        ]
-
-        def fetch(chunk: list[str]) -> list[dict]:
-            return self._timed_docs(
-                "get_many", "FetchDocs", "get_many", doc_ids=chunk
-            )
-
-        def process(stored: list[dict]) -> list[dict[str, Value]]:
-            kept: list[dict[str, Value]] = []
-            for item in stored:
-                if item.get("schema") != x.schema.name:
-                    continue
-                document = x._decrypt_stored(item)
-                if verify and run.predicate is not None and (
-                    not evaluate_plain(run.predicate, document)
-                ):
-                    continue
-                kept.append(document)
-            return kept
-
-        documents: list[dict[str, Value]] = []
-        pending: asyncio.Task | None = None
-        try:
-            if x.pipeline.prefetch and chunks:
-                pending = asyncio.ensure_future(
-                    asyncio.to_thread(fetch, chunks[0])
-                )
-            for index, chunk in enumerate(chunks):
-                if pending is not None:
-                    stored = await pending
-                    pending = (
-                        asyncio.ensure_future(
-                            asyncio.to_thread(fetch, chunks[index + 1])
-                        )
-                        if index + 1 < len(chunks) else None
-                    )
-                else:
-                    stored = await asyncio.to_thread(fetch, chunk)
-                for document in await asyncio.to_thread(process, stored):
-                    documents.append(document)
-                    if limit is not None and len(documents) >= limit:
-                        return documents
-            return documents
-        finally:
-            if pending is not None:
-                pending.cancel()
-                try:
-                    await pending
-                except asyncio.CancelledError:
-                    pass
-                except Exception:
-                    pass  # the result is discarded either way
-
-    # -- async write path --------------------------------------------------------
-
-    async def insert_bulk_async(self, plan: ir.Plan,
-                                documents: list[dict[str, Value]]
-                                ) -> list[str]:
-        """Bulk insert with the wire flush awaited on the event loop.
-
-        Crypto and frame collection run off-loop under an outer
-        collection scope (the inner scope the sync path opens joins it,
-        so nothing ships from the worker); the drained frame then
-        crosses the wire via :meth:`BatchCollector.ship_async`, where
-        the WAN wait holds a loop task instead of a thread.  Without a
-        collector the whole sync path runs on a worker unchanged.
-        """
-        x = self._x
-        collector = x._collector
-        if collector is None:
-            return await asyncio.to_thread(self.insert_bulk, plan,
-                                           documents)
-
-        def prepare() -> tuple[list[str], list]:
-            with collector.collect():
-                doc_ids = self.insert_bulk(plan, documents)
-                frame = collector.drain_pending()
-            return doc_ids, frame
-
-        doc_ids, frame = await asyncio.to_thread(prepare)
-        if frame:
-            await collector.ship_async(frame)
-            # The write is only now durable on the cloud: re-invalidate
-            # so a read that raced the in-flight frame cannot have
-            # re-cached the pre-write version.
-            self._note_local_write(doc_ids)
-        return doc_ids
-
-    async def update_async(self, plan: ir.Plan, doc_id: str,
-                           changes: dict[str, Value]) -> None:
-        await asyncio.to_thread(self.update, plan, doc_id, changes)
-
-    async def delete_async(self, plan: ir.Plan, doc_id: str) -> bool:
-        return await asyncio.to_thread(self.delete, plan, doc_id)
 
     # -- write entry points ----------------------------------------------------
 

@@ -229,30 +229,6 @@ class QueryPlanner:
                           plaintext)
         return result
 
-    async def _cached_read_async(self, key: Any, extra: Any,
-                                 plaintext: bool, execute):
-        import asyncio
-
-        tier = self._x.runtime.cache_tier
-        if tier is None or tier.results is None:
-            return await execute()
-        schema = self._x.schema.name
-        # Hit validation may force a ledger re-sync over the wire.
-        hit = await asyncio.to_thread(
-            tier.result_lookup, schema, key, extra, plaintext
-        )
-        from repro.cache.tier import MISS
-
-        if hit is not MISS:
-            self.stats.bump("result_hits")
-            return hit
-        self.stats.bump("result_misses")
-        fill_token = tier.result_fill_token(schema)
-        result = await execute()
-        tier.result_store(schema, key, extra, result, fill_token,
-                          plaintext)
-        return result
-
     # -- operations ------------------------------------------------------------
 
     def find(self, predicate: Predicate | None, verify: bool | None,
@@ -361,140 +337,6 @@ class QueryPlanner:
         )
         self.stats.bump("executions")
         return self.engine.delete(plan, doc_id)
-
-    # -- async operations --------------------------------------------------------
-    #
-    # The same compile/cache/execute pipeline with the engine's async
-    # execution path.  Cache keys are identical to the sync entry
-    # points, so both paths share one plan per shape and a plan warmed
-    # by either is a hit for the other.
-
-    async def find_async(self, predicate: Predicate | None,
-                         verify: bool | None,
-                         limit: int | None) -> list[dict[str, Value]]:
-        verify = self._x.verify_results if verify is None else verify
-        parameterized, values, shape = parameterize(predicate)
-        key = ("find", shape, verify, limit is not None)
-        plan = self._plan(
-            key,
-            lambda: self.compiler.compile_find(
-                parameterized, verify, limit is not None, len(values)
-            ),
-        )
-
-        async def execute() -> list[dict[str, Value]]:
-            self.stats.bump("executions")
-            return await self.engine.find_async(
-                plan, Run(values, predicate), limit
-            )
-
-        return await self._cached_read_async(key, (limit, values), True,
-                                             execute)
-
-    async def find_ids_async(self, predicate: Predicate | None,
-                             verify: bool | None) -> set[str]:
-        verify = self._x.verify_results if verify is None else verify
-        parameterized, values, shape = parameterize(predicate)
-        key = ("find_ids", shape, verify)
-        plan = self._plan(
-            key,
-            lambda: self.compiler.compile_find_ids(
-                parameterized, verify, len(values)
-            ),
-        )
-
-        async def execute() -> set[str]:
-            self.stats.bump("executions")
-            return await self.engine.find_ids_async(
-                plan, Run(values, predicate)
-            )
-
-        return await self._cached_read_async(key, (values,), False,
-                                             execute)
-
-    async def count_async(self, predicate: Predicate | None) -> int:
-        parameterized, values, shape = parameterize(predicate)
-        key = ("count", shape)
-        plan = self._plan(
-            key,
-            lambda: self.compiler.compile_count(parameterized,
-                                                len(values)),
-        )
-
-        async def execute() -> int:
-            self.stats.bump("executions")
-            return await self.engine.count_async(
-                plan, Run(values, predicate)
-            )
-
-        return await self._cached_read_async(key, (values,), False,
-                                             execute)
-
-    async def aggregate_async(self, query: AggregateQuery) -> Value:
-        parameterized, values, shape = parameterize(query.where)
-        key = ("aggregate", query.function.value, query.field, shape)
-        plan = self._plan(
-            key,
-            lambda: self.compiler.compile_aggregate(
-                query.function.value, query.field, parameterized,
-                len(values),
-            ),
-        )
-
-        async def execute() -> Value:
-            self.stats.bump("executions")
-            return await self.engine.aggregate_async(
-                plan, Run(values, query.where)
-            )
-
-        return await self._cached_read_async(key, (values,), True,
-                                             execute)
-
-    async def find_sorted_async(self, field: str, limit: int | None,
-                                descending: bool
-                                ) -> list[dict[str, Value]]:
-        key = ("find_sorted", field, descending, limit is not None)
-        plan = self._plan(
-            key,
-            lambda: self.compiler.compile_find_sorted(
-                field, descending, limit is not None
-            ),
-        )
-
-        async def execute() -> list[dict[str, Value]]:
-            self.stats.bump("executions")
-            return await self.engine.find_async(plan, Run([], None),
-                                                limit)
-
-        return await self._cached_read_async(key, (limit,), True,
-                                             execute)
-
-    async def insert_bulk_async(
-        self, documents: list[dict[str, Value]]
-    ) -> list[str]:
-        plan = self._plan(
-            ("write", "insert"),
-            lambda: self.compiler.compile_write("insert"),
-        )
-        self.stats.bump("executions")
-        return await self.engine.insert_bulk_async(plan, documents)
-
-    async def update_async(self, doc_id: str,
-                           changes: dict[str, Value]) -> None:
-        plan = self._plan(
-            ("write", "update"),
-            lambda: self.compiler.compile_write("update"),
-        )
-        self.stats.bump("executions")
-        await self.engine.update_async(plan, doc_id, changes)
-
-    async def delete_async(self, doc_id: str) -> bool:
-        plan = self._plan(
-            ("write", "delete"),
-            lambda: self.compiler.compile_write("delete"),
-        )
-        self.stats.bump("executions")
-        return await self.engine.delete_async(plan, doc_id)
 
     # -- EXPLAIN ---------------------------------------------------------------
 

@@ -1,18 +1,27 @@
-"""Async gateway runtime: the event-loop concurrency core.
+"""Async gateway runtime: admission, bounds and deadlines on one loop.
 
-The gateway used to spend a blocked OS thread per concurrent operation.
-This module replaces that with one long-lived event loop: operations are
-admitted through the service tier (rate limit, audit), bounded by an
-in-flight semaphore, cancelled at their deadline, and executed as
-asyncio tasks over the transports' native async paths.  Gateway-local
-crypto still runs on worker threads (``asyncio.to_thread``); only the
-wire waits are interleaved, which is where the concurrency was dying.
+There is a single execution path: the synchronous plan engine over the
+synchronous transport stack.  The event loop does not execute
+operations — each admitted operation is one ``asyncio.to_thread`` hop
+(see :class:`repro.core.entities.AsyncEntities`) onto the runtime's own
+worker pool of ``max_in_flight + 4`` threads.  What the loop owns is
+everything *around* the operation: admission through the service tier
+(rate limit, pending bound), the in-flight semaphore, the deadline
+timer, the audit record and per-operation context isolation.
 
 Isolation comes from ``contextvars``: every admitted operation runs as
-its own asyncio task, and task creation snapshots the context, so one
-operation's batch scopes and shard timings (both ContextVar-held since
-this refactor) can never bleed into another — including operations that
-were cancelled mid-scope at their deadline.
+its own asyncio task, task creation snapshots the context and
+``to_thread`` copies it onto the worker, so one operation's cache
+principal, batch scope, op-verification scope and shard timings (all
+ContextVar-held) can never bleed into another.
+
+A deadline *abandons* the worker, it does not interrupt it: the caller
+gets :class:`~repro.errors.DeadlineExceeded` on time and the in-flight
+slot is released, while the worker runs its operation to the end (a
+blocking round trip cannot be cancelled mid-wire).  An expired write
+may therefore still land; ``close`` joins the worker pool before the
+replicated-write barrier so that it has landed, or failed, by the time
+shutdown returns.
 
 :class:`SyncGateway` is the blocking façade: the exact ``Entities``
 method surface, each call submitted to the loop and joined.  Existing
@@ -26,7 +35,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Awaitable, Callable, TYPE_CHECKING
 
 from repro.errors import (
@@ -97,17 +106,17 @@ class AsyncGatewayRuntime:
       once (an ``asyncio.Semaphore`` on the loop); everything else
       queues as an admitted-but-waiting task.
     * **Deadlines** — ``deadline_s`` (per call, with a runtime default)
-      cancels the operation's task via ``asyncio.wait_for`` and raises
-      :class:`~repro.errors.DeadlineExceeded`.  Replicated quorum
-      writes detach their pending legs before cancellation unwinds, so
-      durability is never silently dropped.
+      bounds the caller's wait via ``asyncio.wait_for`` and raises
+      :class:`~repro.errors.DeadlineExceeded`; the worker is abandoned,
+      not interrupted, and finishes its operation in the background.
     * **Audit** — every terminal outcome (``ok``, ``error``,
       ``expired``, ``rate_limited``, ``rejected``) is recorded with the
       principal, operation, touched fields and latency.
 
     The loop thread starts lazily on first submit and is a daemon;
-    ``close`` drains in-flight operations, runs the replicated-write
-    durability barrier, and only then stops the loop.
+    ``close`` drains in-flight operations, joins the workers of expired
+    ones, runs the replicated-write durability barrier, and only then
+    stops the loop.
     """
 
     def __init__(self, blinder: "DataBlinder", *,
@@ -123,6 +132,7 @@ class AsyncGatewayRuntime:
         self.stats = RuntimeStats()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
+        self._workers: ThreadPoolExecutor | None = None
         self._semaphore: asyncio.Semaphore | None = None
         self._lock = threading.Lock()
         self._pending = 0
@@ -137,15 +147,14 @@ class AsyncGatewayRuntime:
             if self._loop is not None:
                 return self._loop
             loop = asyncio.new_event_loop()
-            # The default executor serves every to_thread hop of every
-            # in-flight operation; size it so CPU-side work (crypto,
-            # planning) cannot deadlock behind the wire waits.
-            from concurrent.futures import ThreadPoolExecutor
-
-            loop.set_default_executor(ThreadPoolExecutor(
+            # The default executor serves the to_thread hop of every
+            # in-flight operation, plus headroom for the workers of
+            # operations abandoned at their deadline.
+            self._workers = ThreadPoolExecutor(
                 max_workers=self.max_in_flight + 4,
                 thread_name_prefix="gateway-op",
-            ))
+            )
+            loop.set_default_executor(self._workers)
             started = threading.Event()
 
             def run() -> None:
@@ -235,11 +244,12 @@ class AsyncGatewayRuntime:
                       deadline_s: float | None, start: float) -> Any:
         outcome, detail = "ok", ""
         # Materialised before task creation so the operation task's
-        # context snapshot carries the same scope dict: the verifying
-        # transport writes its outcome there, and we can still read it
-        # here after a cancellation unwound the task.  The cache
-        # principal rides the same snapshot — per-principal cache
-        # scoping falls out of task-context isolation.
+        # context snapshot (and the worker's copy of it) carries the
+        # same scope dict: the verifying transport writes its outcome
+        # there, and we can still read it here after a deadline
+        # abandoned the worker.  The cache principal rides the same
+        # snapshot — per-principal cache scoping falls out of
+        # task-context isolation.
         set_principal(principal)
         scope = begin_op_scope()
         try:
@@ -307,12 +317,15 @@ class AsyncGatewayRuntime:
         return self.blinder.runtime.drain_async_writes(timeout)
 
     def close(self, timeout: float = 30.0) -> None:
-        """Ordered shutdown: refuse → drain ops → drain writes → stop.
+        """Ordered shutdown: refuse → drain ops → join workers → drain
+        writes → stop.
 
         New submissions are refused first, in-flight operations get
-        ``timeout`` seconds to finish, the replicated-write barrier
-        runs, and only then does the loop stop — so nothing durable is
-        lost to an abrupt teardown.
+        ``timeout`` seconds to finish, the worker pool is joined (an
+        operation that expired at its deadline left ``_pending`` while
+        its abandoned worker may still be writing), the
+        replicated-write barrier runs, and only then does the loop
+        stop — so nothing durable is lost to an abrupt teardown.
         """
         with self._lock:
             if self._closed:
@@ -325,6 +338,14 @@ class AsyncGatewayRuntime:
                 if self._pending == 0:
                     break
             time.sleep(0.005)
+        if self._workers is not None:
+            # ``shutdown`` has no timeout of its own; bound the join.
+            joiner = threading.Thread(
+                target=self._workers.shutdown, name="gateway-join",
+                daemon=True,
+            )
+            joiner.start()
+            joiner.join(max(0.001, deadline - time.monotonic()))
         remaining = max(0.001, deadline - time.monotonic())
         self.blinder.runtime.drain_async_writes(remaining)
         if loop is not None:
@@ -461,6 +482,37 @@ class SyncEntities:
             lambda: self._async.find_sorted(field, limit=limit,
                                             descending=descending),
         )
+
+    def text_search(self, query: str, limit: int = 10,
+                    require_all: bool = False) -> list[dict]:
+        return self._call(
+            "text_search", [],
+            lambda: self._async.text_search(query, limit=limit,
+                                            require_all=require_all),
+        )
+
+    # -- query planning ------------------------------------------------------------
+
+    def explain(self, predicate: "Predicate | None" = None,
+                **kwargs) -> str:
+        return self._call(
+            "explain", _predicate_fields(predicate),
+            lambda: self._async.explain(predicate, **kwargs),
+        )
+
+    # -- convenience predicates ----------------------------------------------------
+
+    @staticmethod
+    def eq(field: str, value: Any) -> "Predicate":
+        from repro.core.query import Eq
+
+        return Eq(field, value)
+
+    @staticmethod
+    def between(field: str, low: Any, high: Any) -> "Predicate":
+        from repro.core.query import Range
+
+        return Range(field, low, high)
 
 
 class SyncGateway:

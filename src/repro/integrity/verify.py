@@ -34,7 +34,6 @@ write the gateway remembered.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from contextvars import ContextVar
 from typing import Any, Sequence
@@ -121,7 +120,7 @@ class VerifyingTransport(Transport):
     def mark_dirty(self) -> None:
         self._dirty = True
 
-    # -- sync call path ------------------------------------------------------
+    # -- call path -----------------------------------------------------------
 
     def call(self, service: str, method: str, **kwargs: Any) -> Any:
         return self.call_request(Request(service, method, kwargs))
@@ -155,48 +154,6 @@ class VerifyingTransport(Transport):
                     error_message=str(exc),
                 )
         return checked
-
-    # -- async call path -----------------------------------------------------
-
-    async def call_request_async(self, request: Request) -> Any:
-        if self._should_verify(request.service, request.method):
-            rewritten = self._rewrite(request)
-            result = await self._inner.call_request_async(rewritten)
-            # The ledger refresh inside _check may itself hit the wire;
-            # keep it off the event loop.
-            return await asyncio.to_thread(
-                self._check, request.method, result
-            )
-        result = await self._inner.call_request_async(request)
-        self._after_passthrough(request.method)
-        return result
-
-    async def call_batch_async(
-        self, requests: Sequence[Request]
-    ) -> list[Response]:
-        rewritten, verified_slots = self._rewrite_batch(requests)
-        responses = await self._inner.call_batch_async(rewritten)
-        if not verified_slots:
-            return responses
-
-        def check_all() -> list[Response]:
-            checked: list[Response] = list(responses)
-            for index in verified_slots:
-                response = responses[index]
-                if not response.ok:
-                    continue
-                try:
-                    checked[index] = Response(ok=True, result=self._check(
-                        requests[index].method, response.result
-                    ))
-                except IntegrityError as exc:
-                    checked[index] = Response(
-                        ok=False, error_type=type(exc).__name__,
-                        error_message=str(exc),
-                    )
-            return checked
-
-        return await asyncio.to_thread(check_all)
 
     # -- rewrite / verify core -----------------------------------------------
 

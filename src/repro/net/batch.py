@@ -43,7 +43,6 @@ batches via :class:`repro.net.coalesce.FrameCoalescer`.
 
 from __future__ import annotations
 
-import asyncio
 import contextvars
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -288,31 +287,6 @@ class BatchCollector(Transport):
     def call_batch(self, requests: Sequence[Request]) -> list[Response]:
         return self._inner.call_batch(requests)
 
-    async def call_request_async(self, request: Request) -> Any:
-        """Async mirror of :meth:`call_request` over the inner async path.
-
-        The scope is read from the calling task's context, so concurrent
-        operations — each running as its own task or in its own copied
-        context — keep independent queues exactly like threads do.
-        """
-        scope = self._scope()
-        if scope is None:
-            return await self._inner.call_request_async(request)
-        if self._defers(request.service, request.method):
-            scope.pending.append(request)
-            return None
-        if not scope.pending:
-            return await self._inner.call_request_async(request)
-        scope.pending.append(request)
-        pending, scope.pending = scope.pending, []
-        responses = await self._ship_async(pending)
-        return responses[-1].result
-
-    async def call_batch_async(
-        self, requests: Sequence[Request]
-    ) -> list[Response]:
-        return await self._inner.call_batch_async(requests)
-
     def flush(self) -> None:
         """Ship any queued writes of the calling context's scope now."""
         scope = self._scope()
@@ -348,32 +322,11 @@ class BatchCollector(Transport):
         """
         return self._ship(list(requests))
 
-    async def ship_async(
-        self, requests: Sequence[Request]
-    ) -> list[Response]:
-        """Async :meth:`ship`: the wire wait is held by the event loop."""
-        return await self._ship_async(list(requests))
-
     def _ship(self, pending: list[Request]) -> list[Response]:
         if self._coalescer is not None:
             responses = self._coalescer.submit(pending).result()
         else:
             responses = self._inner.call_batch(pending)
-        return self._unwrap_first_failure(responses)
-
-    async def _ship_async(self, pending: list[Request]) -> list[Response]:
-        if self._coalescer is not None:
-            responses = await asyncio.wrap_future(
-                self._coalescer.submit(pending)
-            )
-        else:
-            responses = await self._inner.call_batch_async(pending)
-        return self._unwrap_first_failure(responses)
-
-    @staticmethod
-    def _unwrap_first_failure(
-        responses: list[Response],
-    ) -> list[Response]:
         for response in responses:
             if not response.ok:
                 response.unwrap()  # raises RemoteError for the first failure

@@ -76,8 +76,7 @@ class FrameCoalescer:
 
         Returns a future resolving to this frame's responses (in its own
         request order) once the combined batch it rode in completes.
-        Callable from any thread; async callers wrap the future with
-        :func:`asyncio.wrap_future`.
+        Callable from any thread.
         """
         future: concurrent.futures.Future = concurrent.futures.Future()
         with self._lock:

@@ -10,7 +10,6 @@ metrics of the tactic abstraction model (Fig. 1).
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from dataclasses import dataclass, field
@@ -131,18 +130,6 @@ class NetworkModel:
         delay = self.one_way_delay(nbytes)
         if delay > 0 and self.sleep:
             time.sleep(delay)
-        return delay
-
-    async def apply_async(self, nbytes: int) -> float:
-        """Like :meth:`apply`, but yields the event loop while sleeping.
-
-        The async transport paths charge the link with this so a single
-        loop thread can hold thousands of in-flight WAN waits instead of
-        parking one pool thread per direction.
-        """
-        delay = self.one_way_delay(nbytes)
-        if delay > 0 and self.sleep:
-            await asyncio.sleep(delay)
         return delay
 
 

@@ -30,14 +30,13 @@ deadline raises :class:`repro.errors.DeadlineExceeded`.
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import random
 import secrets
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import (
     CircuitOpenError,
@@ -298,53 +297,6 @@ class ResilientTransport(Transport):
                 return result
         raise RetryExhausted(attempts, last) from last
 
-    async def _execute_async(
-        self, operation: Callable[[], Awaitable[Any]], label: str
-    ) -> Any:
-        """The same retry loop with loop-yielding backoff sleeps.
-
-        Classification, breaker bookkeeping and key reuse are identical
-        to :meth:`_execute`; only the waits differ — ``asyncio.sleep``
-        instead of parking a thread, so hundreds of operations can back
-        off concurrently on one loop.
-        """
-        policy = self.policy
-        start = self._clock()
-        last: Exception | None = None
-        attempts = 0
-        for attempt in range(1, policy.max_attempts + 1):
-            if not self.breaker.allow():
-                raise CircuitOpenError(
-                    f"circuit open for endpoint; rejecting {label}"
-                )
-            attempts = attempt
-            try:
-                result = await operation()
-            except RemoteError:
-                self.breaker.record_success()
-                raise
-            except (TransportError, OSError) as exc:
-                self.breaker.record_failure()
-                last = exc
-                if attempt >= policy.max_attempts:
-                    break
-                delay = policy.backoff(attempt, self._rng)
-                if policy.deadline is not None and (
-                    self._clock() - start + delay > policy.deadline
-                ):
-                    raise DeadlineExceeded(
-                        f"{label}: deadline of {policy.deadline}s would "
-                        f"elapse before retry {attempt + 1} ({exc})"
-                    ) from exc
-                if policy.sleep and delay > 0:
-                    await asyncio.sleep(delay)
-                with self._lock:
-                    self._retries += 1
-            else:
-                self.breaker.record_success()
-                return result
-        raise RetryExhausted(attempts, last) from last
-
     # -- Transport interface -----------------------------------------------
 
     def call(self, service: str, method: str, **kwargs: Any) -> Any:
@@ -364,24 +316,6 @@ class ResilientTransport(Transport):
         label = f"batch[{len(keyed)}]"
         return self._execute(
             lambda: self._inner.call_batch(keyed), label
-        )
-
-    async def call_request_async(self, request: Request) -> Any:
-        request = self._keyed(request)
-        label = f"{request.service}.{request.method}"
-        return await self._execute_async(
-            lambda: self._inner.call_request_async(request), label
-        )
-
-    async def call_batch_async(
-        self, requests: Sequence[Request]
-    ) -> list[Response]:
-        if not requests:
-            return []
-        keyed = [self._keyed(request) for request in requests]
-        label = f"batch[{len(keyed)}]"
-        return await self._execute_async(
-            lambda: self._inner.call_batch_async(keyed), label
         )
 
     def stats(self) -> NetworkStats:

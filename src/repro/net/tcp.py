@@ -12,7 +12,6 @@ cloud zone as an actual separate process.
 
 from __future__ import annotations
 
-import asyncio
 import socket
 import socketserver
 import struct
@@ -121,15 +120,6 @@ class TcpTransport(Transport):
         self._local = threading.local()
         self._meter = TrafficMeter()
         self._closed = False
-        # Native-async connections, pooled per event loop the way the
-        # blocking path pools per thread.  The wire protocol is strictly
-        # request/reply per connection, so each concurrent in-flight
-        # call checks a stream pair out of the loop's free list (opening
-        # a new connection when the list is empty) and returns it after
-        # the reply — N concurrent tasks ride N sockets, never one.
-        self._async_pool: dict[
-            int, list[tuple[asyncio.StreamReader, asyncio.StreamWriter]]
-        ] = {}
 
     def _connection(self) -> socket.socket:
         sock = getattr(self._local, "sock", None)
@@ -176,80 +166,6 @@ class TcpTransport(Transport):
         self._meter.record_receive(len(reply))
         return reply
 
-    # -- native async client path -------------------------------------------------
-
-    async def call_request_async(self, request: Request) -> Any:
-        reply = await self._roundtrip_async(encode(request.to_payload()))
-        return Response.from_payload(decode(reply)).unwrap()
-
-    async def call_batch_async(
-        self, requests: Sequence[Request]
-    ) -> list[Response]:
-        if not requests:
-            return []
-        frame = encode(batch_request_payload(list(requests)))
-        reply = await self._roundtrip_async(frame)
-        return responses_from_batch(decode(reply))
-
-    async def _checkout(
-        self,
-    ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        pool = self._async_pool.setdefault(
-            id(asyncio.get_running_loop()), []
-        )
-        if pool:
-            return pool.pop()
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(*self._address), self._timeout
-        )
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return reader, writer
-
-    def _checkin(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter) -> None:
-        self._async_pool.setdefault(
-            id(asyncio.get_running_loop()), []
-        ).append((reader, writer))
-
-    async def _roundtrip_async(self, frame: bytes) -> bytes:
-        if self._closed:
-            raise TransportError("transport is closed")
-        if len(frame) > MAX_FRAME:
-            raise TransportError("frame exceeds maximum size")
-        # Same transparent reconnect-once contract as the blocking path:
-        # a pooled stream may have died between calls, and no reply has
-        # been consumed yet when the send/receive fails.
-        for attempt in (1, 2):
-            reader, writer = await self._checkout()
-            try:
-                writer.write(_HEADER.pack(len(frame)) + frame)
-                await writer.drain()
-                header = await asyncio.wait_for(
-                    reader.readexactly(_HEADER.size), self._timeout
-                )
-                (length,) = _HEADER.unpack(header)
-                if length > MAX_FRAME:
-                    raise TransportError(
-                        "incoming frame exceeds maximum size"
-                    )
-                reply = await asyncio.wait_for(
-                    reader.readexactly(length), self._timeout
-                )
-                self._checkin(reader, writer)
-                break
-            except (OSError, EOFError, asyncio.IncompleteReadError,
-                    asyncio.TimeoutError, TransportError) as exc:
-                writer.close()
-                if attempt == 2:
-                    raise TransportError(
-                        f"rpc transport failure: {exc}"
-                    ) from exc
-        self._meter.record_send(len(frame))
-        self._meter.record_receive(len(reply))
-        return reply
-
     def _drop_connection(self) -> None:
         sock = getattr(self._local, "sock", None)
         if sock is not None:
@@ -268,10 +184,3 @@ class TcpTransport(Transport):
         if sock is not None:
             sock.close()
             self._local.sock = None
-        for conns in self._async_pool.values():
-            for _, writer in conns:
-                try:
-                    writer.close()
-                except RuntimeError:
-                    pass  # the owning loop is already gone
-        self._async_pool.clear()

@@ -10,7 +10,6 @@ implement :class:`Transport`.
 
 from __future__ import annotations
 
-import asyncio
 from abc import ABC, abstractmethod
 from typing import Any, Sequence
 
@@ -76,34 +75,6 @@ class Transport(ABC):
                     error_message=str(exc),
                 ))
         return responses
-
-    # -- async call path ---------------------------------------------------------
-
-    async def call_async(self, service: str, method: str,
-                         **kwargs: Any) -> Any:
-        """Async variant of :meth:`call`.
-
-        The default adapter funnels through :meth:`call_request_async`,
-        so a transport only needs to override one async entry point.
-        """
-        return await self.call_request_async(Request(service, method, kwargs))
-
-    async def call_request_async(self, request: Request) -> Any:
-        """Async variant of :meth:`call_request`.
-
-        The default runs the blocking implementation on a worker thread
-        (``asyncio.to_thread``), which copies the caller's
-        ``contextvars`` context — batch scopes and shard-timing sinks
-        follow the operation onto the worker.  Transports with a native
-        event-loop wire path override this so WAN waits hold no thread.
-        """
-        return await asyncio.to_thread(self.call_request, request)
-
-    async def call_batch_async(
-        self, requests: Sequence[Request]
-    ) -> list[Response]:
-        """Async variant of :meth:`call_batch` (same to-thread default)."""
-        return await asyncio.to_thread(self.call_batch, list(requests))
 
     @abstractmethod
     def stats(self) -> NetworkStats:
@@ -205,46 +176,6 @@ class InProcTransport(Transport):
 
         reply = encode(batch_response_payload(responses))
         delay_down = self._network.apply(len(reply))
-        self._meter.record_receive(len(reply), delay_down)
-        return responses_from_batch(decode(reply))
-
-    async def call_request_async(self, request: Request) -> Any:
-        """Native async single call: latency waits yield the event loop.
-
-        Dispatch itself (tactic/server CPU work) still runs on a worker
-        thread so the loop never blocks, but both simulated link
-        directions are ``asyncio.sleep`` charges — the point where one
-        loop thread multiplexes thousands of in-flight WAN waits.
-        """
-        frame = encode(request.to_payload())
-        delay_up = await self._network.apply_async(len(frame))
-        self._meter.record_send(len(frame), delay_up)
-
-        response = await asyncio.to_thread(
-            self._host.dispatch, Request.from_payload(decode(frame))
-        )
-
-        reply = encode(response.to_payload())
-        delay_down = await self._network.apply_async(len(reply))
-        self._meter.record_receive(len(reply), delay_down)
-        return Response.from_payload(decode(reply)).unwrap()
-
-    async def call_batch_async(
-        self, requests: Sequence[Request]
-    ) -> list[Response]:
-        """Native async batch frame: one loop-yielding charge per direction."""
-        if not requests:
-            return []
-        frame = encode(batch_request_payload(list(requests)))
-        delay_up = await self._network.apply_async(len(frame))
-        self._meter.record_send(len(frame), delay_up)
-
-        responses = await asyncio.to_thread(
-            self._host.dispatch_batch, requests_from_batch(decode(frame))
-        )
-
-        reply = encode(batch_response_payload(responses))
-        delay_down = await self._network.apply_async(len(reply))
         self._meter.record_receive(len(reply), delay_down)
         return responses_from_batch(decode(reply))
 

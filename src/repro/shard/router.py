@@ -45,8 +45,6 @@ shape-keyed plan cache when the epoch moves.
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
 import contextvars
 import functools
 import threading
@@ -594,195 +592,6 @@ class ShardedTransport(Transport):
                 self._replica_errors += 1
                 self._async_failures += 1
 
-    # -- native async chain delivery ---------------------------------------------
-
-    async def _deliver_async(self, name: str, payload: Any,
-                             is_batch: bool, state: dict,
-                             after: tuple[Future, ...] = ()
-                             ) -> tuple[str, Any, float, Exception | None]:
-        """Async mirror of :meth:`_deliver`: one delivery leg as a task.
-
-        Same pre-ack/post-ack contract and bounded backoff, but the
-        retries back off with ``asyncio.sleep`` and the node call rides
-        the node transport's async path — fan-out holds loop tasks, not
-        pool threads.  The ``after`` ordering barrier (this node's
-        still-detached earlier legs) is awaited, not blocked on, and a
-        barrier leg's own failure is irrelevant here — only its
-        completion order matters.
-        """
-        if after:
-            await asyncio.gather(
-                *(asyncio.wrap_future(leg) for leg in after),
-                return_exceptions=True,
-            )
-        attempts = 0
-        while True:
-            node = self._nodes.get(name)
-            started = time.perf_counter()
-            try:
-                if node is None:
-                    raise TransportError(
-                        f"shard node {name!r} left the topology"
-                    )
-                if is_batch:
-                    result = await node.call_batch_async(list(payload))
-                else:
-                    result = await node.call_request_async(payload)
-                return name, result, time.perf_counter() - started, None
-            except TransportError as exc:
-                elapsed = time.perf_counter() - started
-                retryable = (not isinstance(exc, RemoteError)
-                             and node is not None)
-                if (not retryable or not state.get("acked")
-                        or attempts >= self.config.async_write_retries):
-                    return name, None, elapsed, exc
-                attempts += 1
-                with self._lock:
-                    self._async_retries += 1
-                backoff = (self.config.async_write_backoff_s
-                           * (2 ** (attempts - 1)))
-                if backoff > 0:
-                    await asyncio.sleep(backoff)
-
-    def _chain_launch_async(self, owners: Sequence[str], payload: Any,
-                            is_batch: bool) -> dict:
-        """Start one write's replica deliveries as loop tasks."""
-        state: dict = {"acked": False}
-        tasks: dict[asyncio.Task, int] = {}
-        with self._lock:
-            barriers = {
-                name: tuple(self._async_by_node.get(name, ()))
-                for name in owners
-            }
-        for position, name in enumerate(owners):
-            task = asyncio.ensure_future(
-                self._deliver_async(name, payload, is_batch, state,
-                                    barriers[name])
-            )
-            tasks[task] = position
-        return {"state": state, "futures": tasks,
-                "owners": tuple(owners)}
-
-    async def _chain_gather_async(self, launch: dict) -> tuple[Any, list]:
-        """Async :meth:`_chain_gather`: identical quorum semantics.
-
-        If the surrounding operation is cancelled (deadline), the
-        still-running legs are detached to the background first so an
-        in-flight replicated write is never silently abandoned — the
-        durability barrier (:meth:`drain_async_writes`) still sees it.
-        """
-        state: dict = launch["state"]
-        tasks: dict[asyncio.Task, int] = launch["futures"]
-        quorum = min(self._write_quorum(), len(tasks))
-        legacy = self.config.write_quorum <= 0
-        successes: dict[int, Any] = {}
-        rows: list[tuple[str, float]] = []
-        failure: Exception | None = None
-        abort: Exception | None = None
-        pending = set(tasks)
-        try:
-            while pending:
-                done, pending = await asyncio.wait(
-                    pending, return_when=asyncio.FIRST_COMPLETED
-                )
-                for task in done:
-                    position = tasks[task]
-                    name, value, seconds, error = task.result()
-                    rows.append((name, seconds))
-                    if error is None:
-                        successes[position] = value
-                        continue
-                    if position == 0:
-                        if isinstance(error, CircuitOpenError):
-                            failure = error
-                            with self._lock:
-                                self._failovers += 1
-                        else:
-                            abort = error
-                    else:
-                        failure = error
-                        with self._lock:
-                            self._replica_errors += 1
-                if abort is not None:
-                    break
-                if not legacy and len(successes) >= quorum:
-                    break
-        except asyncio.CancelledError:
-            if pending:
-                self._detach_async_tasks(pending, state, tasks,
-                                         launch["owners"])
-            raise
-        if pending:
-            self._detach_async_tasks(pending, state, tasks,
-                                     launch["owners"])
-        if abort is not None:
-            raise abort
-        if not successes:
-            assert failure is not None
-            raise failure
-        if not legacy and len(successes) < quorum:
-            assert failure is not None
-            raise failure
-        return successes[min(successes)], rows
-
-    def _detach_async_tasks(self, tasks: Iterable[asyncio.Task],
-                            state: dict,
-                            positions: dict[asyncio.Task, int],
-                            owners: Sequence[str]) -> None:
-        """Background the unfinished legs of an acked write.
-
-        Each loop task is bridged to a ``concurrent.futures.Future``
-        proxy registered in ``_async_writes`` (and, per node, in
-        ``_async_by_node`` so later writes order behind it), so the
-        existing *sync* durability barrier (:meth:`drain_async_writes`,
-        called from any thread) waits async-delivered replicas out
-        exactly like pool-delivered ones.
-        """
-        state["acked"] = True
-        for task in tasks:
-            name = owners[positions[task]]
-            proxy: Future = concurrent.futures.Future()
-            with self._lock:
-                self._async_writes.add(proxy)
-                self._async_by_node.setdefault(name, set()).add(proxy)
-            proxy.add_done_callback(
-                functools.partial(self._async_done, name=name)
-            )
-
-            def _bridge(finished: asyncio.Task, proxy: Future = proxy
-                        ) -> None:
-                if finished.cancelled():
-                    proxy.set_exception(
-                        TransportError("replica delivery cancelled")
-                    )
-                elif finished.exception() is not None:
-                    proxy.set_exception(finished.exception())
-                else:
-                    proxy.set_result(finished.result())
-
-            task.add_done_callback(_bridge)
-
-    async def _gather_scatter_async(
-        self, launches: Sequence[tuple[Any, dict]]
-    ) -> list[tuple[Any, Any]]:
-        """Async mirror of :meth:`_gather_scatter` (drain-all-then-raise)."""
-        rows: list[tuple[str, float]] = []
-        first_error: Exception | None = None
-        gathered: list[tuple[Any, Any]] = []
-        for tag, launch in launches:
-            try:
-                value, chain_rows = await self._chain_gather_async(launch)
-            except TransportError as exc:
-                if first_error is None:
-                    first_error = exc
-                continue
-            rows.extend(chain_rows)
-            gathered.append((tag, value))
-        self._record_parallel_timings(rows)
-        if first_error is not None:
-            raise first_error
-        return gathered
-
     def _gather_scatter(
         self, launches: Sequence[tuple[Any, dict]]
     ) -> list[tuple[Any, Any]]:
@@ -1026,8 +835,7 @@ class ShardedTransport(Transport):
         ``(slot, positions)`` mapping the piece's returned ids back into
         the original document order; ``loose`` lists the slots that need
         the full router; ``splits`` records each split slot's document
-        count.  Shared by the sync and async scatter paths so both route
-        byte-identically.
+        count.
         """
         grouped: dict[tuple[str, ...], tuple[list, list[Request]]] = {}
         loose: list[int] = []
@@ -1146,104 +954,6 @@ class ShardedTransport(Transport):
                 continue
             responses[index] = response
         self._record_parallel_timings(rows)
-        if first_error is not None:
-            raise first_error
-
-    async def call_batch_async(
-        self, requests: Sequence[Request]
-    ) -> list[Response]:
-        """Native async batch scatter: event-loop fan-out, same routing.
-
-        Slot grouping, idem derivation, quorum semantics and merge order
-        all reuse the sync path's helpers, so the two paths produce
-        byte-identical cloud state; only the concurrency substrate
-        differs (loop tasks instead of scatter-pool threads).
-        """
-        _, forward, order = self._topology()
-        if len(order) == 1 and forward is None:
-            name = order[0]
-            started = time.perf_counter()
-            try:
-                return await self._nodes[name].call_batch_async(
-                    list(requests)
-                )
-            finally:
-                self._record_timing(name,
-                                    time.perf_counter() - started)
-
-        responses: list[Response | None] = [None] * len(requests)
-        grouped, loose, splits = self._group_slots(requests)
-        assign, finish_splits = self._split_merger(responses, splits)
-        if grouped:
-            # Launch every per-chain sub-batch before gathering any —
-            # the same one-round-trip shape as the sync scatter.
-            launches = [
-                (tags,
-                 self._chain_launch_async(chain, subrequests,
-                                          is_batch=True))
-                for chain, (tags, subrequests) in grouped.items()
-            ]
-            with self._lock:
-                self._scatters += 1
-            for tags, answered in await self._gather_scatter_async(
-                launches
-            ):
-                for tag, response in zip(tags, answered):
-                    assign(tag, response)
-        finish_splits()
-        if loose:
-            await self._dispatch_loose_async(requests, loose, responses)
-        missing = [i for i, r in enumerate(responses) if r is None]
-        if missing:
-            raise TransportError(
-                f"sharded batch lost responses for slots {missing}"
-            )
-        return responses
-
-    async def _dispatch_loose_async(
-        self, requests: Sequence[Request], loose: Sequence[int],
-        responses: list[Response | None],
-    ) -> None:
-        """Async loose-slot dispatch with the sync path's ordering rules.
-
-        Each slot runs the full (blocking) router on a worker thread;
-        read-only slots fan out concurrently, mutating or
-        forwarding-epoch slots stay strictly sequential.  ``to_thread``
-        copies this operation's context, so shard timings land in the
-        operation's own sink.
-        """
-        _, forward, _ = self._topology()
-        concurrent_ok = (
-            len(loose) > 1 and forward is None
-            and not any(self._mutating_slot(requests[i]) for i in loose)
-        )
-        self._timings()  # materialise the context-shared timing sink
-        if not concurrent_ok:
-            for index in loose:
-                responses[index] = (await asyncio.to_thread(
-                    Transport.call_batch, self, [requests[index]]
-                ))[0]
-            return
-
-        async def one(index: int) -> tuple[int, Response | None,
-                                           Exception | None]:
-            try:
-                answered = await asyncio.to_thread(
-                    Transport.call_batch, self, [requests[index]]
-                )
-                return index, answered[0], None
-            except TransportError as exc:
-                return index, None, exc
-
-        first_error: Exception | None = None
-        for index, response, error in await asyncio.gather(
-            *(one(index) for index in loose)
-        ):
-            if error is not None:
-                if first_error is None:
-                    first_error = error
-                continue
-            responses[index] = response
         if first_error is not None:
             raise first_error
 

@@ -55,14 +55,6 @@ class CountingTransport(Transport):
         self._note()
         return self.inner.call_batch(requests)
 
-    async def call_request_async(self, request):
-        self._note()
-        return await self.inner.call_request_async(request)
-
-    async def call_batch_async(self, requests):
-        self._note()
-        return await self.inner.call_batch_async(requests)
-
     def stats(self):
         return self.inner.stats()
 

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from repro.analysis.snapshot import zone_fingerprint
 from repro.cloud.server import CloudZone
 from repro.core.middleware import DataBlinder
 from repro.core.query import Eq
@@ -21,16 +22,17 @@ from repro.errors import (
 )
 from repro.gateway.frontdoor import AuditLog, FrontDoor, RateLimiter
 from repro.gateway.runtime import AsyncGatewayRuntime
+from repro.net.latency import NetworkModel
 from repro.net.transport import InProcTransport
 from repro.tactics import register_builtin_tactics
 
 
-def build_blinder(name="rtapp"):
-    registry = TacticRegistry()
-    register_builtin_tactics(registry)
-    cloud = CloudZone(registry)
-    blinder = DataBlinder(name, InProcTransport(cloud.host),
-                          registry=registry)
+def build_blinder(name="rtapp", transport=None, registry=None):
+    if transport is None:
+        registry = TacticRegistry()
+        register_builtin_tactics(registry)
+        transport = InProcTransport(CloudZone(registry).host)
+    blinder = DataBlinder(name, transport, registry=registry)
     schema = Schema.define(
         "obs",
         status=("string", FieldAnnotation.parse("C3", "I,EQ,BL")),
@@ -232,6 +234,35 @@ class TestShutdown:
 
     def test_close_before_first_submit(self, blinder):
         AsyncGatewayRuntime(blinder).close()
+
+    def test_close_joins_the_worker_of_an_expired_write(self):
+        """A deadline abandons the worker, which keeps writing: ordered
+        shutdown must wait it out, or the store changes after close()."""
+        registry = TacticRegistry()
+        register_builtin_tactics(registry)
+        cloud = CloudZone(registry)
+        network = NetworkModel(sleep=False)
+        blinder = build_blinder(transport=InProcTransport(cloud.host,
+                                                          network),
+                                registry=registry)
+        doc_id = blinder.entities("obs").insert(
+            {"status": "final", "value": 1.0, "note": "n"}
+        )
+        network.one_way_latency_ms, network.sleep = 50.0, True
+        runtime = AsyncGatewayRuntime(blinder)
+        aentities = runtime.entities("obs")
+        future = runtime.submit(
+            lambda: aentities.update(doc_id, {"status": "amended"}),
+            op="update", deadline_s=0.05,
+        )
+        with pytest.raises(DeadlineExceeded):
+            future.result(10)
+        runtime.close(timeout=30.0)
+        settled = zone_fingerprint(cloud, "rtapp")
+        time.sleep(1.0)
+        assert zone_fingerprint(cloud, "rtapp") == settled
+        network.sleep = False
+        assert blinder.entities("obs").get(doc_id)["status"] == "amended"
 
 
 class TestSyncFacade:

@@ -1,5 +1,5 @@
-"""Sync/async equivalence: the event-loop execution paths must be
-byte-identical to the thread-blocking ones.
+"""Sync/async equivalence: operations admitted through the gateway's
+event loop must be byte-identical to the thread-blocking ones.
 
 Two sweeps:
 
@@ -11,28 +11,40 @@ Two sweeps:
   exactly, under both the baseline pipeline and the all-optimisations
   pipeline.
 
-* **Write equivalence** — a recorded post-batching request stream is
-  replayed into fresh identical shard clusters once through the
-  router's sync scatter and once through its native asyncio scatter:
-  per-zone :func:`~repro.analysis.snapshot.zone_fingerprint` digests
-  must be byte-identical, including under replication with write
-  quorums (the detached async legs must land the same bytes).
+* **Write equivalence** — a write workload runs through the gateway
+  runtime over a sharded cluster while every state-changing frame that
+  reaches the router is recorded; the recording is then replayed by
+  plain blocking router calls into a fresh identical cluster: per-zone
+  :func:`~repro.analysis.snapshot.zone_fingerprint` digests must be
+  byte-identical, including under replication with write quorums (the
+  detached legs must land the same bytes).  The last case turns every
+  layer on and keeps 32 operations of two principals in flight at
+  once, which is where a scope that failed to follow an operation onto
+  its worker would show.
 """
 
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
 from repro.analysis.snapshot import zone_fingerprint
+from repro.cache import CacheConfig
 from repro.cloud.cluster import CloudCluster
 from repro.cloud.server import CloudZone
 from repro.core.middleware import DataBlinder
 from repro.core.query import AggregateQuery, And, Eq, Not, Or, Range
 from repro.core.registry import TacticRegistry
 from repro.core.schema import FieldAnnotation, Schema
+from repro.crypto.kernels.config import CryptoConfig
+from repro.gateway.frontdoor import AuditLog, FrontDoor
+from repro.gateway.runtime import SyncGateway
+from repro.integrity import IntegrityConfig
 from repro.net.batch import PipelineConfig
+from repro.net.resilience import ResilienceConfig
+from repro.net.rpc import Request
 from repro.net.transport import InProcTransport, Transport
 from repro.shard.config import ShardConfig
 from repro.shard.router import ShardedTransport
@@ -42,13 +54,14 @@ from repro.tactics import register_builtin_tactics
 APP = "asyncequiv"
 
 
-def build(pipeline=None):
+def fresh_registry():
     registry = TacticRegistry()
     register_builtin_tactics(registry)
-    cloud = CloudZone(registry)
-    blinder = DataBlinder(APP, InProcTransport(cloud.host),
-                          registry=registry, pipeline=pipeline)
-    schema = Schema.define(
+    return registry
+
+
+def obs_schema():
+    return Schema.define(
         "obs",
         status=("string", FieldAnnotation.parse("C3", "I,EQ,BL")),
         kind=("string", FieldAnnotation.parse("C3", "I,EQ,BL")),
@@ -58,9 +71,10 @@ def build(pipeline=None):
         value=("float", FieldAnnotation.parse("C4", "I,EQ", "sum,avg")),
         note="string",
     )
-    blinder.register_schema(schema)
-    entities = blinder.entities("obs")
-    entities.insert_many([
+
+
+def corpus():
+    return [
         {
             "status": ["final", "draft", "amended"][i % 3],
             "kind": ["hr", "bp"][i % 2],
@@ -70,7 +84,17 @@ def build(pipeline=None):
             "note": f"note {i}",
         }
         for i in range(36)
-    ])
+    ]
+
+
+def build(pipeline=None):
+    registry = fresh_registry()
+    cloud = CloudZone(registry)
+    blinder = DataBlinder(APP, InProcTransport(cloud.host),
+                          registry=registry, pipeline=pipeline)
+    blinder.register_schema(obs_schema())
+    entities = blinder.entities("obs")
+    entities.insert_many(corpus())
     return blinder, entities
 
 
@@ -203,32 +227,43 @@ class TestReadEquivalence:
         assert entities.count(Eq("status", "async")) == 1
 
 
-def fresh_registry():
-    registry = TacticRegistry()
-    register_builtin_tactics(registry)
-    return registry
-
-
 class RecordingTransport(Transport):
-    """Logs every frame crossing the gateway/cloud boundary, in order."""
+    """Logs every state-changing frame that reaches the router.
+
+    A mutating frame holds the lock across the inner call, so log order
+    *is* application order however many gateway operations are in
+    flight; reads pass through unlogged and unserialised (they change
+    nothing the fingerprint covers).
+    """
 
     def __init__(self, inner):
         self._inner = inner
+        self._lock = threading.Lock()
         self.log = []
 
     def call(self, service, method, **kwargs):
-        from repro.net.rpc import Request
-
         return self.call_request(Request(service, method, kwargs))
 
     def call_request(self, request):
-        self.log.append(("call", request))
-        return self._inner.call_request(request)
+        if not ShardedTransport._mutating_slot(request):
+            return self._inner.call_request(request)
+        with self._lock:
+            self.log.append(("call", request))
+            return self._inner.call_request(request)
 
     def call_batch(self, requests):
         requests = list(requests)
-        self.log.append(("batch", requests))
-        return self._inner.call_batch(requests)
+        if not any(map(ShardedTransport._mutating_slot, requests)):
+            return self._inner.call_batch(requests)
+        with self._lock:
+            self.log.append(("batch", requests))
+            return self._inner.call_batch(requests)
+
+    def call_labeled(self, service, method, **kwargs):
+        return self._inner.call_labeled(service, method, **kwargs)
+
+    def drain_async_writes(self, timeout=None):
+        return self._inner.drain_async_writes(timeout)
 
     def stats(self):
         return self._inner.stats()
@@ -237,85 +272,181 @@ class RecordingTransport(Transport):
         self._inner.close()
 
 
-@pytest.fixture(scope="module")
-def recorded_stream():
-    """One write workload's post-batching stream, recorded once."""
-    registry = fresh_registry()
-    zone = CloudZone(registry)
-    recorder = RecordingTransport(InProcTransport(zone.host))
-    blinder = DataBlinder(APP, recorder, registry=registry,
-                          pipeline=PipelineConfig(batch_writes=True))
-    schema = Schema.define(
-        "obs",
-        status=("string", FieldAnnotation.parse("C3", "I,EQ,BL")),
-        effective=("int", FieldAnnotation.parse("C5", "I,EQ,RG",
-                                                "min,max")),
-        note="string",
-    )
-    blinder.register_schema(schema)
-    entities = blinder.entities("obs")
-    ids = entities.insert_many([
-        {"status": ["final", "draft"][i % 2], "effective": i,
-         "note": f"n{i}"}
-        for i in range(10)
-    ])
-    entities.update(ids[2], {"status": "amended"})
-    entities.delete(ids[7])
-    zone.close()
-    assert any(kind == "batch" for kind, _ in recorder.log)
-    return recorder.log
+def fingerprints(cluster):
+    return {
+        name: zone_fingerprint(cluster.zone(name), APP)
+        for name in cluster.names()
+    }
 
 
-def replay(log, shards, config, mode):
-    """Replay the stream sync or async; digest every zone."""
+def through_gateway(shards, config, pipeline, workload):
+    """Run ``workload`` through the gateway runtime over a fresh
+    sharded cluster; digest every zone and hand back the recording."""
     registry = fresh_registry()
     cluster = CloudCluster(shards, registry=registry)
+    recorder = RecordingTransport(
+        ShardedTransport(cluster.nodes(), config)
+    )
+    try:
+        blinder = DataBlinder(APP, recorder, registry=registry,
+                              verify_results=False, pipeline=pipeline,
+                              resilience=ResilienceConfig())
+        blinder.register_schema(obs_schema())
+        runtime = blinder.async_runtime(front=FrontDoor(audit=AuditLog()))
+        try:
+            workload(blinder, runtime)
+        finally:
+            # Ordered shutdown joins the workers and the detached
+            # quorum legs before the zones are digested.
+            runtime.close()
+        assert recorder.drain_async_writes(30.0) == 0
+        return fingerprints(cluster), recorder.log
+    finally:
+        recorder.close()
+        cluster.close()
+
+
+def replay(log, shards, config):
+    """Replay a recording by blocking router calls; digest every zone."""
+    cluster = CloudCluster(shards, registry=fresh_registry())
     router = ShardedTransport(cluster.nodes(), config)
     try:
-        if mode == "sync":
-            for kind, payload in log:
-                if kind == "batch":
-                    router.call_batch(list(payload))
-                else:
-                    router.call_request(payload)
-            router.drain_async_writes(timeout=30.0)
-        else:
-            async def drive():
-                for kind, payload in log:
-                    if kind == "batch":
-                        await router.call_batch_async(list(payload))
-                    else:
-                        await router.call_request_async(payload)
-                # Drain while the loop (and its detached delivery
-                # tasks) is still alive: the ordered-shutdown contract.
-                await asyncio.to_thread(router.drain_async_writes, 30.0)
-
-            asyncio.run(drive())
+        for kind, payload in log:
+            if kind == "batch":
+                router.call_batch(list(payload))
+            else:
+                router.call_request(payload)
+        router.drain_async_writes(timeout=30.0)
         assert router.async_write_failures() == 0
-        return {
-            name: zone_fingerprint(cluster.zone(name), APP)
-            for name in cluster.names()
-        }
+        return fingerprints(cluster)
     finally:
         router.close()
         cluster.close()
 
 
-#: (shards, replication, write_quorum)
-SHARD_CASES = [(1, 1, 0), (4, 1, 0), (4, 2, 0), (4, 2, 1), (3, 3, 2)]
+def sequential_writes(blinder, runtime):
+    """Bulk insert, update and delete, one gateway operation at a time."""
+    entities = SyncGateway(runtime, principal="writer").entities("obs")
+    ids = entities.insert_many(corpus()[:10])
+    entities.update(ids[2], {"status": "amended"})
+    assert entities.delete(ids[7])
+
+
+ALL_LAYERS = PipelineConfig(
+    batch_writes=True, fanout_workers=4, prefetch=True,
+    crypto=CryptoConfig(precompute=True), sharding=ShardConfig(),
+    integrity=IntegrityConfig(), cache=CacheConfig(),
+)
+
+PATIENTS = [f"p{i}" for i in range(5)]
+
+
+def concurrent_mix(blinder, runtime):
+    """32 operations of two principals, 16 in flight at once: 5 inserts
+    and 3 aggregates each, then 5 two-clause CNF finds and 3 aggregates
+    each.
+
+    Both principals ask the *same* questions and no principal repeats
+    one, so any result-cache hit would be a cross-principal one; the
+    finds of one principal touch disjoint documents, so each has to
+    fetch (and verify) its own.  Inserted documents match none of the
+    read predicates, which keeps every read independent of how the
+    operations interleave.  Finds wait for the inserts because a proven
+    fetch that overlaps a write is a known integrity false alarm
+    (benchmarks/e2e/README.md, finding 3) — not this suite's subject.
+    """
+    blinder.entities("obs").insert_many(corpus())
+    finds = [
+        ("find", And([Eq("patient", patient),
+                      Or([Eq("status", "final"),
+                          Eq("status", "draft")])]))
+        for patient in PATIENTS
+    ]
+    aggregates = [
+        ("aggregate", AggregateQuery(function, "value", where))
+        for function in (Aggregate.SUM, Aggregate.AVG)
+        for where in (Eq("status", "final"), Eq("status", "draft"),
+                      Eq("kind", "hr"))
+    ]
+    inserts = [
+        ("insert", {"status": "async", "kind": "new", "patient": "px",
+                    "effective": 60 + i, "value": 9.5,
+                    "note": f"fresh {i}"})
+        for i in range(5)
+    ]
+    aentities = runtime.entities("obs")
+    submitted, results = [], []
+    for wave in (inserts + aggregates[:3], finds + aggregates[3:]):
+        futures = [
+            (principal, op, argument, runtime.submit(
+                lambda op=op, argument=argument:
+                    getattr(aentities, op)(argument),
+                principal=principal, op=op,
+            ))
+            for principal in ("alice", "bob") for op, argument in wave
+        ]
+        results += [future.result(60) for *_, future in futures]
+        submitted += futures
+    assert len(submitted) == 32
+    assert runtime.stats.snapshot()["peak_in_flight"] > 1
+
+    # No cross-principal cache hit: every gateway read missed, and the
+    # entries it left are keyed by the principal that submitted it.
+    assert blinder.planner_stats("obs")["result_hits"] == 0
+    by_principal = {}
+    for _, principal, digest in blinder.runtime.cache_tier.results.keys():
+        by_principal.setdefault(principal, set()).add(digest)
+    assert set(by_principal) == {"alice", "bob"}
+    assert by_principal["alice"] == by_principal["bob"]
+    assert len(by_principal["alice"]) == len(finds + aggregates)
+
+    # Results equal the blocking replay of the same reads.
+    entities = blinder.entities("obs")
+    for (_, op, argument, _), result in zip(submitted, results):
+        if op == "insert":
+            assert entities.get(result) == {**argument, "_id": result}
+        else:
+            assert result == getattr(entities, op)(argument)
+            assert result not in (None, [])
+
+    # Every audit record carries its own verification outcome: only a
+    # find fetches (proven) documents.
+    records = runtime.front.audit.records()
+    assert len(records) == 32
+    for record in records:
+        assert record.outcome == "ok"
+        assert record.verification == (
+            "verified" if record.op == "find" else "unverified"
+        ), record
+
+
+#: (shards, replication, write_quorum, pipeline, workload)
+BATCHED = PipelineConfig(batch_writes=True)
+WRITE_CASES = [
+    (1, 1, 0, BATCHED, sequential_writes),
+    (4, 1, 0, BATCHED, sequential_writes),
+    (4, 2, 0, BATCHED, sequential_writes),
+    (4, 2, 1, BATCHED, sequential_writes),
+    (3, 3, 2, BATCHED, sequential_writes),
+    (4, 1, 0, ALL_LAYERS, concurrent_mix),
+]
 
 
 class TestWriteFingerprintEquivalence:
-    @pytest.mark.parametrize("shards,replication,quorum", SHARD_CASES)
+    @pytest.mark.parametrize(
+        "shards,replication,quorum,pipeline,workload", WRITE_CASES,
+        ids=lambda value: getattr(value, "__name__", None),
+    )
     def test_async_scatter_lands_identical_bytes(
-        self, recorded_stream, shards, replication, quorum
+        self, shards, replication, quorum, pipeline, workload
     ):
         config = ShardConfig(replication=replication,
                              write_quorum=quorum)
-        baseline = replay(recorded_stream, shards, config, "sync")
-        via_async = replay(recorded_stream, shards, config, "async")
-        assert via_async == baseline
+        via_gateway, log = through_gateway(shards, config, pipeline,
+                                           workload)
+        assert any(kind == "batch" for kind, _ in log)
+        assert replay(log, shards, config) == via_gateway
         if replication < shards:
             # Full replication makes every zone identical; otherwise
             # the corpus must actually have spread across the ring.
-            assert len(set(baseline.values())) > 1
+            assert len(set(via_gateway.values())) > 1

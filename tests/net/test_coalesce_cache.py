@@ -52,16 +52,6 @@ class FetchRecorder(Transport):
             self._note(request.method, request.kwargs)
         return self.inner.call_batch(requests)
 
-    async def call_request_async(self, request):
-        self._note(request.method, request.kwargs)
-        return await self.inner.call_request_async(request)
-
-    async def call_batch_async(self, requests):
-        requests = list(requests)
-        for request in requests:
-            self._note(request.method, request.kwargs)
-        return await self.inner.call_batch_async(requests)
-
     def stats(self):
         return self.inner.stats()
 

@@ -2,14 +2,11 @@
 
 The durability barrier for quorum-acked replicated writes must be safe
 to call from several threads at once, honest about its timeout, and
-correct while new quorum writes keep detaching legs behind its back —
-including legs detached by the *async* scatter path, which bridges
-asyncio tasks into the same barrier.
+correct while new quorum writes keep detaching legs behind its back.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 
@@ -196,34 +193,5 @@ class TestDrainRacingNewWrites:
             assert router.async_write_failures() == 0
             total = sum(node.received() for node in nodes.values())
             assert total == 40 * 2  # every leg of every write landed
-        finally:
-            router.close()
-
-
-class TestAsyncScatterFeedsTheSameBarrier:
-    def test_async_quorum_writes_detach_into_sync_drain(self):
-        nodes, router = build()
-        try:
-            doc_ids = docs_owned_by(router, "zone-0", 8)
-            slow_everyone_but(nodes, "zone-0", 0.05)
-
-            async def main():
-                responses = await router.call_batch_async(
-                    [insert_doc(d) for d in doc_ids]
-                )
-                assert all(r.ok for r in responses)
-                # Quorum acked with replica legs still in flight as
-                # loop tasks, bridged to concurrent.futures proxies.
-                assert router.pending_async_writes() > 0
-                # The *sync* barrier joins them from a worker thread
-                # while the loop lives — exactly the ordered-shutdown
-                # contract (drain before stopping the loop).
-                await asyncio.to_thread(router.drain_async_writes, 5.0)
-
-            asyncio.run(main())
-            assert router.pending_async_writes() == 0
-            assert router.async_write_failures() == 0
-            total = sum(node.received() for node in nodes.values())
-            assert total == 8 * 2
         finally:
             router.close()
