@@ -2,7 +2,7 @@
 
 The tentpole subsystem splits the untrusted zone across N nodes behind a
 consistent-hash ring; single-key operations route to one shard while
-searches scatter/gather.  Three measurements:
+searches scatter/gather.  Four measurements:
 
 * **Insert/search throughput at 1/2/4/8 shards** on the paper's 40 ms
   one-way WAN model (writes batched; searches fan out in parallel).
@@ -11,6 +11,12 @@ searches scatter/gather.  Three measurements:
   N sequential ones.
 * **Sequential vs parallel scatter at 8 shards** — the fan-out is what
   keeps search latency off the N·RTT cliff; this quantifies the cliff.
+* **Keyed scatters at 1/4/8 shards** — the two legs above time
+  ``find_ids`` only, which never fetches a document.  A *fetching*
+  ``find`` and a filtered ``average`` add the keyed half of the read
+  path (``get_many`` / ``aggregate(doc_ids=...)`` sliced per owner); a
+  router that walks the owners one by one pays one round trip per
+  shard there and the rate falls to ~0.2x by 8 shards.
 * **Node-join downtime** — a reader hammers the ring while
   ``Resharder.add_node`` streams keys to a fresh node; downtime is the
   number of failed reads (must be zero) plus the worst observed stall.
@@ -43,6 +49,11 @@ SHARD_COUNTS = (1, 2, 4, 8)
 INSERTS = int(os.environ.get("DATABLINDER_SHARD_BENCH_DOCS", "10"))
 SEARCHES = int(os.environ.get("DATABLINDER_SHARD_BENCH_SEARCHES", "6"))
 SEED = 2019
+#: Keyed-scatter leg: enough documents that a match set spans 8 shards,
+#: and the share of the 1-shard rate that 8 shards must keep.
+KEYED_SCATTER_SHARDS = (1, 4, 8)
+KEYED_SCATTER_DOCS = 32
+KEYED_SCATTER_FLOOR = 0.6
 
 PIPELINE = PipelineConfig(batch_writes=True)
 
@@ -61,10 +72,11 @@ def observation_documents(count, seed=SEED):
 
 def deploy(registry, shards, parallel_fanout=True, latency_ms=0.0,
            sleep=False, application="bench-shard", replication=1,
-           write_quorum=0):
+           write_quorum=0, network=None):
     cluster = CloudCluster(
         shards, registry=registry,
-        network=NetworkModel(one_way_latency_ms=latency_ms, sleep=sleep),
+        network=network or NetworkModel(one_way_latency_ms=latency_ms,
+                                        sleep=sleep),
     )
     router = ShardedTransport(
         cluster.nodes(),
@@ -148,6 +160,56 @@ def test_parallel_fanout_beats_sequential_scatter(registry):
           f"{results['sequential']:.2f} -> {results['parallel']:.2f} "
           f"searches/s ({speedup:.1f}x)")
     assert speedup >= 2.0
+
+
+def test_keyed_scatter_scaling(registry):
+    """A fetching ``find`` and a filtered ``average`` at 1/4/8 shards:
+    the per-owner slices travel together, so spreading the matches over
+    8 shards must not cost 8 round trips."""
+    docs = observation_documents(max(INSERTS, KEYED_SCATTER_DOCS))
+    where = Eq("status", "final")
+    scaling = {}
+    for shards in KEYED_SCATTER_SHARDS:
+        network = NetworkModel(one_way_latency_ms=WAN_ONE_WAY_MS,
+                               sleep=False)
+        cluster, _, entities = deploy(
+            registry, shards, network=network,
+            application=f"bench-shard-keyed-{shards}",
+        )
+        for document in docs:  # seeded off the clock, without the WAN
+            entities.insert(dict(document))
+        network.sleep = True
+        matched = len(entities.find(where))  # warm the plan cache
+        rates = {}
+        for label, operation in (
+            ("find", lambda: entities.find(where)),
+            ("average", lambda: entities.average("value", where)),
+        ):
+            start = time.perf_counter()
+            for _ in range(SEARCHES):
+                operation()
+            rates[f"{label}_ops_per_s"] = (
+                SEARCHES / (time.perf_counter() - start)
+            )
+        scaling[str(shards)] = {"matched_documents": matched, **rates}
+        print(f"\nEXP-SHARD keyed scatter, {shards} shard(s), "
+              f"{matched} matches: find {rates['find_ops_per_s']:.2f} "
+              f"ops/s, filtered average "
+              f"{rates['average_ops_per_s']:.2f} ops/s")
+        cluster.close()
+    ratios = {
+        label: (scaling["8"][f"{label}_ops_per_s"]
+                / scaling["1"][f"{label}_ops_per_s"])
+        for label in ("find", "average")
+    }
+    RESULTS["keyed_scatter"] = {
+        "scaling": scaling,
+        "find_ratio_8_vs_1": ratios["find"],
+        "average_ratio_8_vs_1": ratios["average"],
+    }
+    assert matched > 8  # the fetch had shards to span
+    assert ratios["find"] >= KEYED_SCATTER_FLOOR
+    assert ratios["average"] >= KEYED_SCATTER_FLOOR
 
 
 def test_insert_scaling_flat_or_rising(registry):

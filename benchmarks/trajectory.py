@@ -91,6 +91,18 @@ def rows() -> list[tuple[str, str, str, str, str]]:
             _fmt(fanout["parallel_search_ops_per_s"], " ops/s"),
             f"{fanout['speedup']:.1f}x searches at 8 shards",
         ))
+        keyed = data.get("keyed_scatter")
+        if keyed:
+            scaling = keyed["scaling"]
+            out.append((
+                "sharded zone: overlapped keyed scatter (get_many, "
+                "filtered aggregate)", "bench_sharding.py",
+                _fmt(scaling["1"]["find_ops_per_s"], " ops/s, 1 shard"),
+                _fmt(scaling["8"]["find_ops_per_s"], " ops/s, 8 shards"),
+                f"fetching find keeps {keyed['find_ratio_8_vs_1']:.2f}x "
+                "of its 1-shard rate at 8 shards (filtered average "
+                f"{keyed['average_ratio_8_vs_1']:.2f}x)",
+            ))
 
     data = _load("BENCH_gateway.json")
     if data:

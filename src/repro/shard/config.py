@@ -29,7 +29,10 @@ class ShardConfig:
     #: True; False keeps every fan-out sequential (the comparison
     #: baseline and the deterministic-ordering debug mode).
     parallel_fanout: bool = True
-    #: Upper bound on concurrent scatter workers.
+    #: Concurrent scatter legs **per node**: the router's leg pool holds
+    #: ``fanout_workers x len(nodes)`` threads (spawned on demand,
+    #: resized when membership changes), so the gateway's admission
+    #: bound — not this pool — limits how many operations scatter at once.
     fanout_workers: int = 8
     #: Replica acks required before a replicated write returns.
     #:

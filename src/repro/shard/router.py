@@ -11,14 +11,20 @@ every tactic protocol above it) stays oblivious to the topology:
 * **Scatter/gather operations** — Sophos search, boolean BIEX queries,
   range scans, ``count``, ``all_ids`` — broadcast to every node and the
   router merges per tactic semantics (set union, elementwise
-  first-non-None for Mitra address slots, homomorphic ``combine`` for
-  Paillier/ElGamal partials, an order-merge for OPE/ORE scans).
+  first-non-None for Mitra address slots, an order-merge for OPE/ORE
+  scans; Paillier/ElGamal partials go back to the gateway tactic, which
+  folds them under the public key it holds).
+* **Keyed scatters** — ``get_many``/``get_many_proven`` and a filtered
+  ``aggregate`` carry many ``doc_ids``: the router slices them per ring
+  owner and sends the slices together (:meth:`_keyed_scatter`), so a
+  fetch or an aggregate spanning K shards costs one round trip, not K.
 * **Pinned services** — BIEX two-level / ZMF (whose cross-anchor tag
   dedup needs all pairs on one node) and unknown tactics — live whole on
   ``replication`` ring-chosen nodes and move only via the generic
   namespace dump/load protocol during node removal.
 
-Reads fail over along the replica chain on an open circuit breaker
+Reads fail over along the replica chain on an open circuit breaker,
+keyed scatters on any link failure of a slice's node
 (reusing the PR 2 resilience machinery *below* the router: wrap each
 per-node transport in a :class:`~repro.net.resilience.ResilientTransport`
 to get per-shard breakers).  During an online reshard the router keeps
@@ -57,7 +63,12 @@ from concurrent.futures import (
 )
 from typing import Any, Iterable, Sequence
 
-from repro.errors import CircuitOpenError, RemoteError, TransportError
+from repro.errors import (
+    CircuitOpenError,
+    RemoteError,
+    TransportError,
+    UnsupportedOperation,
+)
 from repro.net.latency import NetworkStats, roll_up
 from repro.net.rpc import Request, Response
 from repro.net.transport import Transport
@@ -80,8 +91,9 @@ PINNED = frozenset({"biex-2lev", "biex-zmf"})
 #: Order-revealing tactics: ``ordered_range`` scatters are rewritten to
 #: ``ordered_range_keyed`` so the router can merge by ciphertext order.
 ORDERED = frozenset({"ope", "ore"})
-#: Aggregating tactics: partial aggregates merge through a cloud-side
-#: ``combine`` call (the router never touches the homomorphic math).
+#: Aggregating tactics: the per-shard partials return to the gateway
+#: tactic's ``resolve_aggregate``, which folds them (the router never
+#: touches the homomorphic math, and no shard sees another's partial).
 AGGREGATE = frozenset({"paillier", "elgamal"})
 
 #: Cloud-tactic methods that mutate index state (routed as writes).
@@ -227,8 +239,8 @@ class ShardedTransport(Transport):
             return replication
         return quorum
 
-    def _parallel_writes(self) -> bool:
-        """Whether this thread may fan a write out on the scatter pool."""
+    def _may_fan_out(self) -> bool:
+        """Whether this thread may put legs on the scatter pool."""
         return self.config.parallel_fanout and not _on_scatter_thread()
 
     # -- membership (driven by repro.shard.rebalance.Resharder) ----------------
@@ -247,6 +259,7 @@ class ShardedTransport(Transport):
             self._forward = HashRing.from_spec(self._ring.spec())
             self._nodes[name] = transport
             self._order.append(name)
+            self._retire_pool()
             ring = HashRing.from_spec(self._ring.spec())
             ring.add(name)
             self._ring = ring
@@ -277,6 +290,7 @@ class ShardedTransport(Transport):
             self._nodes.pop(name, None)
             if name in self._order:
                 self._order.remove(name)
+            self._retire_pool()
             self._epoch += 1
 
     # -- timing / stats --------------------------------------------------------
@@ -390,10 +404,8 @@ class ShardedTransport(Transport):
     def close(self) -> None:
         self.drain_async_writes(timeout=5.0)
         with self._lock:
-            pool, self._pool = self._pool, None
+            self._retire_pool()
             nodes = list(self._nodes.values())
-        if pool is not None:
-            pool.shutdown(wait=False)
         for transport in nodes:
             transport.close()
 
@@ -417,13 +429,54 @@ class ShardedTransport(Transport):
             self._record_timing(name, time.perf_counter() - started)
 
     def _scatter_pool(self) -> ThreadPoolExecutor:
+        """The leg pool: ``fanout_workers`` legs per node, threads
+        spawned on demand."""
         with self._lock:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
-                    max_workers=max(2, self.config.fanout_workers),
+                    max_workers=max(2, self.config.fanout_workers
+                                    * len(self._nodes)),
                     thread_name_prefix=_SCATTER_THREAD_PREFIX,
                 )
             return self._pool
+
+    def _submit(self, job, *args: Any) -> Future:
+        # Under the lock, so a submit never meets a pool that a
+        # membership change is retiring.
+        with self._lock:
+            return self._scatter_pool().submit(job, *args)
+
+    def _retire_pool(self) -> None:
+        """Membership changed or the router closed (caller holds the
+        lock): the next submit builds a pool of the current size; legs
+        already queued still run."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=False)
+
+    def _overlap(self, one, items: Sequence) -> list:
+        """``one(item)`` per item, results in item order: together on
+        the scatter pool — the first on the calling thread, so an N-way
+        scatter borrows N-1 workers — or one after another when fan-out
+        is off or the caller is a scatter worker itself.  ``one`` must
+        report failures in its return value, not raise them."""
+        with self._lock:
+            self._scatters += 1
+        if len(items) < 2 or not self._may_fan_out():
+            return [one(item) for item in items]
+        futures = [self._submit(one, item) for item in items[1:]]
+        return [one(items[0]), *(future.result() for future in futures)]
+
+    def _leg(self, name: str, request: Request
+             ) -> tuple[str, Any, float, Exception | None]:
+        """One scatter leg: ``(node, result, seconds, link error)``."""
+        node = self._nodes[name]
+        started = time.perf_counter()
+        try:
+            result = node.call_request(request)
+            return name, result, time.perf_counter() - started, None
+        except TransportError as exc:
+            return name, None, time.perf_counter() - started, exc
 
     # -- replicated chain delivery ---------------------------------------------
 
@@ -483,7 +536,6 @@ class ShardedTransport(Transport):
     def _chain_launch(self, owners: Sequence[str], payload: Any,
                       is_batch: bool) -> dict:
         """Start one write's replica deliveries concurrently."""
-        pool = self._scatter_pool()
         state: dict = {"acked": False}
         futures: dict[Future, int] = {}
         with self._lock:
@@ -492,8 +544,8 @@ class ShardedTransport(Transport):
                 for name in owners
             }
         for position, name in enumerate(owners):
-            future = pool.submit(self._deliver, name, payload, is_batch,
-                                 state, barriers[name])
+            future = self._submit(self._deliver, name, payload, is_batch,
+                                  state, barriers[name])
             futures[future] = position
         return {"state": state, "futures": futures,
                 "owners": tuple(owners)}
@@ -622,7 +674,7 @@ class ShardedTransport(Transport):
 
     def _chain_write(self, owners: Sequence[str], request: Request) -> Any:
         """Deliver one write to its owner chain (parallel when allowed)."""
-        if len(owners) > 1 and self._parallel_writes():
+        if len(owners) > 1 and self._may_fan_out():
             value, rows = self._chain_gather(
                 self._chain_launch(owners, request, is_batch=False)
             )
@@ -685,23 +737,7 @@ class ShardedTransport(Transport):
         if skip_broken is None:
             skip_broken = self._replication() > 1
 
-        def one(name: str) -> tuple[str, Any, float, Exception | None]:
-            node = self._nodes[name]
-            started = time.perf_counter()
-            try:
-                result = node.call_request(request)
-                return name, result, time.perf_counter() - started, None
-            except TransportError as exc:
-                return name, None, time.perf_counter() - started, exc
-
-        if (self.config.parallel_fanout and len(targets) > 1
-                and not _on_scatter_thread()):
-            rows = list(self._scatter_pool().map(one, targets))
-        else:
-            rows = [one(name) for name in targets]
-
-        with self._lock:
-            self._scatters += 1
+        rows = self._overlap(lambda name: self._leg(name, request), targets)
         gathered: list[tuple[str, Any]] = []
         last_error: Exception | None = None
         for name, result, seconds, error in rows:
@@ -731,6 +767,60 @@ class ShardedTransport(Transport):
                     self._failovers += 1
         assert last is not None
         raise last
+
+    def _keyed_scatter(self, request: Request, doc_ids: Iterable[str],
+                       missed=None, chain_of=None) -> list[Any]:
+        """A multi-key read in one overlapped round trip per attempt.
+
+        ``doc_ids`` are sliced by ``chain_of(doc_id)[attempt]`` — the
+        nodes that may answer for a key, best first; the ring owners
+        unless given — and the slices of ``request`` travel together
+        (:meth:`_overlap`); their results come back in node order.  A
+        slice that hits a link failure (a :class:`TransportError` that
+        is no :class:`RemoteError`) moves to each key's next candidate
+        and counts a failover, as do the keys ``missed(ids, result)``
+        reports unanswered; a :class:`RemoteError` propagates, and so
+        does any failure of the last attempt.
+        """
+        if chain_of is None:
+            chain_of = functools.partial(self._topology()[0].owners,
+                                         count=self._replication())
+        chains = {doc_id: chain_of(doc_id) for doc_id in doc_ids}
+        attempts = max(map(len, chains.values()), default=0)
+        remaining = list(chains)
+        parts: list[Any] = []
+        for attempt in range(attempts):
+            groups: dict[str, list[str]] = {}
+            for doc_id in remaining:
+                if attempt < len(chains[doc_id]):
+                    groups.setdefault(chains[doc_id][attempt],
+                                      []).append(doc_id)
+            if not groups:
+                break
+            rows = self._overlap(
+                lambda name: self._leg(name, Request(
+                    request.service, request.method,
+                    {**request.kwargs, "doc_ids": groups[name]},
+                )),
+                sorted(groups),
+            )
+            self._record_parallel_timings(
+                (name, seconds) for name, _, seconds, _ in rows
+            )
+            remaining = []
+            for name, result, _, error in rows:
+                if error is None:
+                    parts.append(result)
+                    if missed is not None:
+                        remaining.extend(missed(groups[name], result))
+                elif (isinstance(error, RemoteError)
+                        or attempt + 1 == attempts):
+                    raise error
+                else:
+                    with self._lock:
+                        self._failovers += 1
+                    remaining.extend(groups[name])
+        return parts
 
     def _routed_write(self, key: str | bytes, request: Request) -> Any:
         """Deliver a write to its key's owner chain (see
@@ -787,7 +877,7 @@ class ShardedTransport(Transport):
         grouped, loose, splits = self._group_slots(requests)
         assign, finish_splits = self._split_merger(responses, splits)
 
-        parallel = self._parallel_writes() and (
+        parallel = self._may_fan_out() and (
             len(grouped) > 1
             or any(len(chain) > 1 for chain in grouped)
         )
@@ -917,7 +1007,7 @@ class ShardedTransport(Transport):
         """
         _, forward, _ = self._topology()
         concurrent = (
-            self._parallel_writes() and len(loose) > 1
+            self._may_fan_out() and len(loose) > 1
             and forward is None
             and not any(self._mutating_slot(requests[i]) for i in loose)
         )
@@ -945,8 +1035,9 @@ class ShardedTransport(Transport):
 
         rows: list[tuple[str, float]] = []
         first_error: Exception | None = None
-        for index, response, timing_rows, error in \
-                self._scatter_pool().map(one, loose):
+        futures = [self._submit(one, index) for index in loose]
+        for index, response, timing_rows, error in (
+                future.result() for future in futures):
             rows.extend(timing_rows)
             if error is not None:
                 if first_error is None:
@@ -1179,7 +1270,7 @@ class ShardedTransport(Transport):
                          Request(request.service, "insert_many",
                                  {**request.kwargs, "documents": docs},
                                  idem=idem)))
-        if self._parallel_writes() and (
+        if self._may_fan_out() and (
             len(subs) > 1 or any(len(c) > 1 for _, c, _ in subs)
         ):
             launches = [
@@ -1230,53 +1321,24 @@ class ShardedTransport(Transport):
 
     def _docs_get_many(self, request: Request) -> list[dict]:
         requested = list(request.kwargs.get("doc_ids") or [])
-        ring, forward, _ = self._topology()
-        replication = self._replication()
         found: dict[str, dict] = {}
-        missing: list[str] = []
-        seen: set[str] = set()
-        for doc_id in requested:
-            if doc_id not in seen:
-                seen.add(doc_id)
-                missing.append(doc_id)
-        for attempt in range(replication):
-            if not missing:
-                break
-            groups: dict[str, list[str]] = {}
-            for doc_id in missing:
-                owners = ring.owners(doc_id, replication)
-                if attempt < len(owners):
-                    groups.setdefault(owners[attempt], []).append(doc_id)
-            deferred: list[str] = []
-            for name in sorted(groups):
-                ids = groups[name]
-                sub = Request(request.service, request.method,
-                              {**request.kwargs, "doc_ids": ids})
-                try:
-                    stored = self._timed_call(name, sub)
-                except TransportError:
-                    if attempt + 1 < replication:
-                        with self._lock:
-                            self._failovers += 1
-                        deferred.extend(ids)
-                        continue
-                    raise
-                for item in stored:
-                    found[item["_id"]] = item
-                deferred.extend(i for i in ids if i not in found)
-            missing = deferred
-        if missing and forward is not None:
-            groups = {}
-            for doc_id in missing:
+
+        def missed(ids: list[str], stored: list[dict]) -> list[str]:
+            found.update((item["_id"], item) for item in stored)
+            return [doc_id for doc_id in ids if doc_id not in found]
+
+        self._keyed_scatter(request, requested, missed)
+        if self.forwarding_active():
+            # Mid-migration: what the new owners miss may still sit on
+            # the previous owner — one more overlapped leg.
+            def previous(doc_id: str) -> list[str]:
                 prev = self._prev_owner(doc_id)
-                if prev is not None:
-                    groups.setdefault(prev, []).append(doc_id)
-            for name in sorted(groups):
-                sub = Request(request.service, request.method,
-                              {**request.kwargs,
-                               "doc_ids": groups[name]})
-                for item in self._timed_call(name, sub):
-                    found[item["_id"]] = item
+                return [] if prev is None else [prev]
+
+            self._keyed_scatter(
+                request, [i for i in requested if i not in found],
+                missed, previous,
+            )
         return [found[i] for i in requested if i in found]
 
     def _docs_count(self, request: Request) -> int:
@@ -1481,47 +1543,20 @@ class ShardedTransport(Transport):
             return ids[:limit]
         return ids
 
-    def _aggregate(self, request: Request) -> Any:
-        service, kwargs = request.service, request.kwargs
-        doc_ids = kwargs.get("doc_ids")
-        ring, _, _ = self._topology()
-        replication = self._replication()
-        parts: list[Any] = []
-        if doc_ids is None:
-            for _, part in self._broadcast(request):
-                parts.append(part)
+    def _aggregate(self, request: Request) -> list[dict]:
+        """The per-shard partials, in node order; the gateway tactic's
+        ``resolve_aggregate`` folds them (an empty shard's partial is
+        the identity with ``count`` 0)."""
+        doc_ids = request.kwargs.get("doc_ids")
+        if doc_ids is not None:
+            replies = self._keyed_scatter(request, doc_ids)
+        elif self._replication() > 1:
+            # A caller's mistake, not a link failure: nothing above the
+            # router may retry it or count it against a breaker.
+            raise UnsupportedOperation(
+                "an aggregate without doc_ids would count every "
+                "replica's copy; name the documents"
+            )
         else:
-            remaining = list(dict.fromkeys(doc_ids))
-            for attempt in range(replication):
-                if not remaining:
-                    break
-                groups: dict[str, list[str]] = {}
-                for doc_id in remaining:
-                    owners = ring.owners(doc_id, replication)
-                    if attempt < len(owners):
-                        groups.setdefault(owners[attempt],
-                                          []).append(doc_id)
-                deferred: list[str] = []
-                for name in sorted(groups):
-                    ids = groups[name]
-                    sub = Request(service, request.method,
-                                  {**kwargs, "doc_ids": ids})
-                    try:
-                        parts.append(self._timed_call(name, sub))
-                    except CircuitOpenError:
-                        if attempt + 1 < replication:
-                            with self._lock:
-                                self._failovers += 1
-                            deferred.extend(ids)
-                            continue
-                        raise
-                remaining = deferred
-        live = [part for part in parts
-                if part and part.get("count", 0) > 0]
-        if not live:
-            return parts[0] if parts else None
-        if len(live) == 1:
-            return live[0]
-        combine = Request(service, "combine", {"parts": live})
-        ring, _, order = self._topology()
-        return self._attempt_chain(order, combine)
+            replies = [reply for _, reply in self._broadcast(request)]
+        return [part for reply in replies for part in reply]

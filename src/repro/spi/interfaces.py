@@ -132,10 +132,14 @@ class GatewayRangeQuery(ABC):
 
 
 class GatewayAggFunctionResolution(ABC):
-    """Decrypt/post-process an aggregate computed blind by the cloud."""
+    """Decrypt/post-process an aggregate computed blind by the cloud.
+
+    ``raw`` is the list of partial aggregates, one per shard that
+    answered (a single zone gives one); the tactic folds them under its
+    public key before decrypting.  ``count`` is their total."""
 
     @abstractmethod
-    def resolve_aggregate(self, function: str, raw: Any,
+    def resolve_aggregate(self, function: str, raw: list[Any],
                           count: int) -> Value:
         ...
 
@@ -196,10 +200,13 @@ class CloudRangeQuery(ABC):
 
 
 class CloudAggFunction(ABC):
-    """Evaluate an aggregate over ciphertexts without decrypting."""
+    """Evaluate an aggregate over ciphertexts without decrypting.
+
+    Returns a list of one partial; a shard router concatenates the
+    lists of its nodes into the ``raw`` of ``resolve_aggregate``."""
 
     @abstractmethod
-    def aggregate(self, **payload: Any) -> Any:
+    def aggregate(self, **payload: Any) -> list[Any]:
         ...
 
 

@@ -113,21 +113,28 @@ class ElGamalGateway(
 
     def aggregate(self, function: str,
                   doc_ids: list[str] | None = None) -> Value:
-        raw = self.ctx.call("aggregate", doc_ids=doc_ids)
-        return self.resolve_aggregate(function, raw, raw["count"])
+        parts = self.ctx.call("aggregate", doc_ids=doc_ids)
+        return self.resolve_aggregate(
+            function, parts, sum(part["count"] for part in parts)
+        )
 
-    def resolve_aggregate(self, function: str, raw: Any,
+    def resolve_aggregate(self, function: str, raw: list[dict],
                           count: int) -> Value:
+        """``raw`` holds one partial per shard, folded component-wise."""
         if function == "count":
             return count
         if function != "product":
             raise TacticError(f"ElGamal cannot resolve aggregate {function!r}")
         if count == 0:
             return None
-        ciphertext = elgamal.ElGamalCiphertext(
-            self._private.public, raw["c1"], raw["c2"]
+        public = self._private.public
+        c1, c2 = 1, 1
+        for part in raw:
+            c1 = c1 * part["c1"] % public.p
+            c2 = c2 * part["c2"] % public.p
+        return elgamal.decrypt(
+            self._private, elgamal.ElGamalCiphertext(public, c1, c2)
         )
-        return elgamal.decrypt(self._private, ciphertext)
 
 
 class ElGamalCloud(
@@ -152,7 +159,7 @@ class ElGamalCloud(
         return (int.from_bytes(blob[:self._element_bytes], "big"),
                 int.from_bytes(blob[self._element_bytes:], "big"))
 
-    def aggregate(self, doc_ids: list[str] | None = None) -> dict:
+    def aggregate(self, doc_ids: list[str] | None = None) -> list[dict]:
         if doc_ids is None:
             selected = [
                 self._decode(blob)
@@ -170,19 +177,8 @@ class ElGamalCloud(
         for c1, c2 in selected:
             product_c1 = product_c1 * c1 % p
             product_c2 = product_c2 * c2 % p
-        return {"c1": product_c1, "c2": product_c2, "count": len(selected)}
-
-    def combine(self, parts: list[dict]) -> dict:
-        """Merge per-shard partial aggregates component-wise."""
-        p = self._public.p
-        product_c1, product_c2, count = 1, 1, 0
-        for part in parts:
-            if not part or part.get("count", 0) == 0:
-                continue
-            product_c1 = product_c1 * part["c1"] % p
-            product_c2 = product_c2 * part["c2"] % p
-            count += part["count"]
-        return {"c1": product_c1, "c2": product_c2, "count": count}
+        return [{"c1": product_c1, "c2": product_c2,
+                 "count": len(selected)}]
 
     # -- shard migration SPI (doc-keyed) ---------------------------------------
 

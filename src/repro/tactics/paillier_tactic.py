@@ -134,17 +134,25 @@ class PaillierGateway(
     def aggregate(self, function: str,
                   doc_ids: list[str] | None = None) -> Value:
         """Run the full protocol: blind cloud evaluation + resolution."""
-        raw = self.ctx.call("aggregate", doc_ids=doc_ids)
-        return self.resolve_aggregate(function, raw, raw["count"])
+        parts = self.ctx.call("aggregate", doc_ids=doc_ids)
+        return self.resolve_aggregate(
+            function, parts, sum(part["count"] for part in parts)
+        )
 
-    def resolve_aggregate(self, function: str, raw: Any,
+    def resolve_aggregate(self, function: str, raw: list[dict],
                           count: int) -> Value:
+        """``raw`` holds one partial per shard: E(a)·E(b) = E(a+b)."""
         if function == "count":
             return count
         if count == 0:
             return None
-        encrypted_sum = paillier.Ciphertext(self._private.public, raw["ct"])
-        decoded_sum = paillier.decrypt(self._private, encrypted_sum)
+        public = self._private.public
+        product = 1
+        for part in raw:
+            product = product * part["ct"] % public.n_squared
+        decoded_sum = paillier.decrypt(
+            self._private, paillier.Ciphertext(public, product)
+        )
         if function == "sum":
             return self._codec.decode(decoded_sum)
         if function == "avg":
@@ -177,11 +185,13 @@ class PaillierCloud(
         blob = self.ctx.kv.map_get(self._map_name, doc_id.encode())
         return None if blob is None else int.from_bytes(blob, "big")
 
-    def aggregate(self, doc_ids: list[str] | None = None) -> dict:
+    def aggregate(self, doc_ids: list[str] | None = None) -> list[dict]:
         """Homomorphically sum the selected values.
 
         ``doc_ids`` of None aggregates everything stored; unknown ids are
         skipped (they may have been deleted from the document store).
+        The reply is a list of partials — one from a single zone — so a
+        shard router can concatenate its nodes' replies.
         """
         if doc_ids is None:
             selected = [
@@ -198,18 +208,7 @@ class PaillierCloud(
         product = 1
         for ciphertext in selected:
             product = product * ciphertext % n_squared
-        return {"ct": product, "count": len(selected)}
-
-    def combine(self, parts: list[dict]) -> dict:
-        """Merge per-shard partial aggregates: E(a)·E(b) = E(a+b)."""
-        n_squared = self._public.n_squared
-        product, count = 1, 0
-        for part in parts:
-            if not part or part.get("count", 0) == 0:
-                continue
-            product = product * part["ct"] % n_squared
-            count += part["count"]
-        return {"ct": product, "count": count}
+        return [{"ct": product, "count": len(selected)}]
 
     # -- shard migration SPI (doc-keyed) ---------------------------------------
 

@@ -94,7 +94,7 @@ class TestPaillierTactic:
 
     def test_unsupported_aggregate(self, paillier_gw):
         with pytest.raises(TacticError):
-            paillier_gw.resolve_aggregate("median", {"ct": 1}, 3)
+            paillier_gw.resolve_aggregate("median", [{"ct": 1}], 3)
 
     def test_cloud_never_sees_plaintext_sums(self, paillier_gw, harness):
         """The cloud multiplies ciphertexts blind: its stored values are
@@ -137,4 +137,4 @@ class TestElGamalTactic:
 
     def test_unsupported_aggregate(self, elgamal_gw):
         with pytest.raises(TacticError):
-            elgamal_gw.resolve_aggregate("sum", {"c1": 1, "c2": 1}, 2)
+            elgamal_gw.resolve_aggregate("sum", [{"c1": 1, "c2": 1}], 2)
