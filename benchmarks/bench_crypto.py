@@ -1,5 +1,5 @@
-"""EXP-CRYPTO — gateway crypto kernels: batched tactic SPI, process-pool
-offload and fixed-base modexp precomputation.
+"""EXP-CRYPTO — gateway crypto kernels: batched tactic SPI and
+fixed-base modexp precomputation.
 
 Three measurements, written to ``BENCH_crypto.json``:
 
@@ -9,11 +9,11 @@ Three measurements, written to ``BENCH_crypto.json``:
   >= 5x more encryptions per second from precomputation alone.
 * **Bulk-insert throughput grid** — the §5.2 benchmark observation
   schema (8 tactic instances) ingested through ``insert_many`` under
-  the kernel config grid (defaults / precompute-only / 1 worker /
-  N workers).  Claim: the kernelised write path lands >= 3x the
+  the defaults and under ``CryptoConfig(precompute=True)``, the config
+  that ships.  Claim: the kernelised write path lands >= 3x the
   baseline document rate.  The speedup is *algorithmic* (fixed-base
   masks, OPE split-node memoisation, DET/blind-index dedup), so it
-  holds on a single-core runner where the pool adds no parallelism.
+  holds on a single-core runner.
 * **Paillier aggregate throughput** — homomorphic sum + CRT-assisted
   decryption over the ingested corpus, per config.
 
@@ -44,11 +44,10 @@ SEED = 2019
 DOCS = int(os.environ.get("DATABLINDER_CRYPTO_BENCH_DOCS", "48"))
 ENCRYPTIONS = int(os.environ.get("DATABLINDER_CRYPTO_BENCH_ENC", "24"))
 AGGREGATES = int(os.environ.get("DATABLINDER_CRYPTO_BENCH_AGG", "5"))
-POOL_WORKERS = int(os.environ.get("DATABLINDER_CRYPTO_BENCH_WORKERS", "4"))
-#: Minimum pooled-vs-baseline insert speedup.  The full profile asserts
-#: the EXP-CRYPTO claim (3x); the CI smoke lowers it — a 16-document
-#: workload on a single-core runner cannot amortise pool dispatch, and
-#: the smoke's job is validating the plumbing, not the perf claim.
+#: Minimum precompute-vs-baseline insert speedup.  The full profile
+#: asserts the EXP-CRYPTO claim (3x); the CI smoke lowers it — its job
+#: on a 16-document workload is validating the plumbing, not the perf
+#: claim.
 SPEEDUP_FLOOR = float(
     os.environ.get("DATABLINDER_CRYPTO_BENCH_FLOOR", "3.0")
 )
@@ -57,10 +56,6 @@ SPEEDUP_FLOOR = float(
 CONFIG_GRID: dict[str, CryptoConfig | None] = {
     "baseline": None,
     "precompute": CryptoConfig(precompute=True),
-    "pool1+precompute": CryptoConfig(workers=1, precompute=True),
-    f"pool{POOL_WORKERS}+precompute": CryptoConfig(
-        workers=POOL_WORKERS, precompute=True
-    ),
 }
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_crypto.json"
@@ -80,9 +75,7 @@ def test_fixed_base_paillier_encrypt_speedup():
         paillier.encrypt(public, i)
     cold_rate = ENCRYPTIONS / (time.perf_counter() - started)
 
-    fixed = paillier.FixedBaseObfuscator(
-        public, window_bits=CryptoConfig().window_bits
-    )
+    fixed = paillier.FixedBaseObfuscator(public)
     fixed.mask()  # table built in the constructor; one warm call
     started = time.perf_counter()
     ciphertexts = [fixed.encrypt(i) for i in range(ENCRYPTIONS)]
@@ -130,24 +123,10 @@ def deploy(crypto, application):
 
 
 def measure_config(name, crypto, documents):
-    from repro.crypto.kernels import workers
-
     blinder, entities = deploy(crypto, f"bench-crypto-{name}")
     # Warm up outside the timed window: tactic setup (keypair
-    # re-derivation, fixed-base table builds) and — for pooled configs —
-    # the forkserver spawn plus the per-worker package import and
-    # fixed-base table build are one-time service-startup costs, not
-    # per-document ones.  warm() is the same call a long-lived gateway
-    # makes at boot.
-    kernels = blinder.runtime.kernels
-    if kernels.config.workers > 0:
-        keypair = blinder.runtime.keystore.paillier_keypair(
-            "observation.value", "paillier", 1024
-        )
-        kernels.warm(
-            workers.paillier_masks, keypair.public.n, 1,
-            kernels.config.window_bits if kernels.config.precompute else 0,
-        )
+    # re-derivation, fixed-base table builds) is a one-time
+    # service-startup cost, not a per-document one.
     entities.insert_many([dict(d) for d in documents[:2]])
 
     started = time.perf_counter()
@@ -179,25 +158,21 @@ def test_insert_many_kernel_speedup():
               f"   paillier-agg {aggregate_rate:6.1f} ops/s")
 
     baseline = grid["baseline"]["insert_docs_per_s"]
-    pooled = grid[f"pool{POOL_WORKERS}+precompute"]["insert_docs_per_s"]
-    speedup = pooled / baseline
+    precompute = grid["precompute"]["insert_docs_per_s"]
+    speedup = precompute / baseline
     RESULTS["insert_many"] = {
         "docs": DOCS,
         "grid": grid,
-        "speedup_pooled_vs_baseline": speedup,
-        "speedup_precompute_vs_baseline": (
-            grid["precompute"]["insert_docs_per_s"] / baseline
-        ),
+        "speedup_precompute_vs_baseline": speedup,
     }
-    print(f"EXP-CRYPTO insert_many: {baseline:.1f} -> {pooled:.1f} docs/s "
-          f"({speedup:.1f}x with {POOL_WORKERS} workers + precompute)")
+    print(f"EXP-CRYPTO insert_many: {baseline:.1f} -> {precompute:.1f} "
+          f"docs/s ({speedup:.1f}x with precompute)")
     assert speedup >= SPEEDUP_FLOOR
 
     RESULTS["config"] = {
         "docs": DOCS,
         "encryptions": ENCRYPTIONS,
         "aggregates": AGGREGATES,
-        "pool_workers": POOL_WORKERS,
     }
     RESULTS_PATH.write_text(json.dumps(RESULTS, indent=2) + "\n")
     print(f"results written to {RESULTS_PATH}")
@@ -211,7 +186,6 @@ def main(argv: list[str]) -> int:
         os.environ.setdefault("DATABLINDER_CRYPTO_BENCH_DOCS", "16")
         os.environ.setdefault("DATABLINDER_CRYPTO_BENCH_ENC", "6")
         os.environ.setdefault("DATABLINDER_CRYPTO_BENCH_AGG", "3")
-        os.environ.setdefault("DATABLINDER_CRYPTO_BENCH_WORKERS", "2")
         os.environ.setdefault("DATABLINDER_CRYPTO_BENCH_FLOOR", "1.2")
     return pytest.main(["-q", "-s", __file__])
 

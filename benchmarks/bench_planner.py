@@ -7,8 +7,8 @@ execute.  Three measurements quantify what that buys (and costs):
   (values vary per query) against the shape-keyed plan cache; the steady
   state should hit on every query after the first of each shape.
 * **Compile overhead** — wall time of parameterize + compile + optimize
-  for a mixed CNF find, i.e. the one-off price of a cache miss and the
-  per-query price of running with ``plan_cache=False``.
+  for a mixed CNF find (the compiler called directly), i.e. the one-off
+  price of a cache miss.
 * **Adaptive vs static tactic selection** — the §5.2 motivation for
   cost-based routing: the statically selected eq tactic's cloud service
   is degraded with the 40 ms one-way WAN model (every other service
@@ -31,7 +31,7 @@ from repro.core.query import And, Eq, Range
 from repro.core.schema import FieldAnnotation, Schema
 from repro.net.batch import PipelineConfig
 from repro.net.latency import NetworkModel
-from repro.net.transport import InProcTransport, Transport
+from repro.net.transport import InProcTransport, TransportLayer
 
 #: The paper's gateway->public-cloud link, applied (adaptive benchmark
 #: only) to the degraded tactic's services.
@@ -70,26 +70,23 @@ def corpus():
     ]
 
 
-class DegradedService(Transport):
+class DegradedService(TransportLayer):
     """Charges the WAN latency model only on one tactic's services."""
 
     def __init__(self, inner, tactic,
                  network=NetworkModel(one_way_latency_ms=WAN_ONE_WAY_MS,
                                       sleep=True)):
-        self.inner = inner
+        super().__init__(inner)
         self.tactic = tactic
         self.network = network
 
-    def call(self, service, method, **kwargs):
-        if service.rsplit("/", 1)[-1] == self.tactic:
-            self.network.apply(0)
-            result = self.inner.call(service, method, **kwargs)
-            self.network.apply(0)
-            return result
-        return self.inner.call(service, method, **kwargs)
-
-    def stats(self):
-        return self.inner.stats()
+    def call_request(self, request):
+        if request.service.rsplit("/", 1)[-1] != self.tactic:
+            return self.inner.call_request(request)
+        self.network.apply(0)
+        result = self.inner.call_request(request)
+        self.network.apply(0)
+        return result
 
 
 def deploy(registry, pipeline=None, degrade_tactic=None,
@@ -176,9 +173,7 @@ def adaptive_vs_static_seconds(registry, adaptive):
     probe, _ = deploy(registry, application="bench-plan-probe")
     plan = probe._executor("obs").plans["subject"]
     primary = plan.roles["eq"]
-    pipeline = PipelineConfig(
-        adaptive_selection=adaptive, adaptive_warmup=2
-    )
+    pipeline = PipelineConfig(adaptive_selection=adaptive)
     blinder, entities = deploy(
         registry, pipeline, degrade_tactic=primary,
         application="bench-plan-adapt" if adaptive else "bench-plan-stat",

@@ -74,7 +74,7 @@ def rows() -> list[tuple[str, str, str, str, str]]:
     if data:
         grid = data["insert_many"]["grid"]
         out.append((
-            "crypto kernels: precompute + process pool",
+            "crypto kernels: precompute",
             "bench_crypto.py",
             _fmt(grid["baseline"]["insert_docs_per_s"], " docs/s"),
             _fmt(grid["precompute"]["insert_docs_per_s"], " docs/s"),

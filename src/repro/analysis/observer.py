@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
-from repro.net.latency import NetworkStats
-from repro.net.transport import Transport
+from repro.net.rpc import Request, Response
+from repro.net.transport import Transport, TransportLayer
 
 
 def _artifacts(value: Any) -> set[bytes]:
@@ -101,33 +101,36 @@ class TranscriptAnalysis:
         return collisions
 
 
-class ObservedTransport(Transport):
-    """A wiretap: forwards calls, records the transcript."""
+class ObservedTransport(TransportLayer):
+    """A wiretap: records the transcript, forwards requests and batch
+    frames unchanged (one :class:`ObservedCall` per sub-call)."""
 
     def __init__(self, inner: Transport):
-        self._inner = inner
+        super().__init__(inner)
         self.transcript = TranscriptAnalysis()
         self._lock = threading.Lock()
         self._sequence = 0
 
-    def call(self, service: str, method: str, **kwargs: Any) -> Any:
+    def _observe(self, request: Request) -> None:
         with self._lock:
             self._sequence += 1
             self.transcript.calls.append(ObservedCall(
                 sequence=self._sequence,
-                service=service,
-                method=method,
-                artifacts=frozenset(_artifacts(kwargs)),
+                service=request.service,
+                method=request.method,
+                artifacts=frozenset(_artifacts(request.kwargs)),
             ))
-        return self._inner.call(service, method, **kwargs)
+
+    def call_request(self, request: Request) -> Any:
+        self._observe(request)
+        return self._inner.call_request(request)
+
+    def call_batch(self, requests: Sequence[Request]) -> list[Response]:
+        for request in requests:
+            self._observe(request)
+        return self._inner.call_batch(requests)
 
     @property
     def last_sequence(self) -> int:
         with self._lock:
             return self._sequence
-
-    def stats(self) -> NetworkStats:
-        return self._inner.stats()
-
-    def close(self) -> None:
-        self._inner.close()

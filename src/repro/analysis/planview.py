@@ -63,7 +63,8 @@ def render_plan(plan: ir.Plan, planner: "QueryPlanner",
         f" params={plan.param_count},"
         f" est {cost.estimate_ms(plan.root):.2f} ms)"
     )
-    lines = [header]
+    stack = planner.engine._x.runtime.stack()
+    lines = [header, "  Stack: " + " > ".join(stack)]
     for node, depth in ir.walk(plan.root):
         detail = node.detail()
         label = node.kind + (f"({detail})" if detail else "")

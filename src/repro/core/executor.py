@@ -20,7 +20,7 @@ When a :class:`repro.net.batch.PipelineConfig` enables them, the
 latency optimisations rewire the hot paths without changing results:
 write batching, CNF literal fan-out, chunked fetch with prefetch — all
 executed node-by-node by the plan engine with the seed semantics —
-plus the planner-era knobs (``fetch_chunk``, ``plan_cache``,
+plus the planner-era knobs (``fetch_chunk``,
 ``adaptive_selection``).
 """
 

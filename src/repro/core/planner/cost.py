@@ -19,6 +19,9 @@ from repro.core.planner import ir
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.executor import SchemaExecutor
 
+#: Observations each candidate tactic gets before the optimizer starts
+#: exploiting the latency EWMAs.
+ADAPTIVE_WARMUP = 2
 #: Synthetic per-rank latency unit for tactics never observed yet; only
 #: the *ordering* matters before real observations arrive.
 _PRIOR_UNIT_MS = 1.0
@@ -83,12 +86,11 @@ class CostModel:
         if len(candidates) == 1:
             return candidates[0]
         scope = self.scope(field)
-        warmup = max(1, self._executor.pipeline.adaptive_warmup)
         observations = [
             self._observatory.observations(scope, operation, name)
             for name in candidates
         ]
-        if min(observations) < warmup:
+        if min(observations) < ADAPTIVE_WARMUP:
             return candidates[observations.index(min(observations))]
         return min(
             candidates,

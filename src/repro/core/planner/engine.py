@@ -600,9 +600,8 @@ class PlanEngine:
         """Field-major bulk insert through the tactic batch SPI.
 
         Phase 1 (crypto): validate and split every document, *begin*
-        every field's index batch — pooled big-int batches start
-        progressing immediately while the inline fields (DET dedup, OPE
-        memo walks) compute — and seal the document bodies.  Phase 2
+        every field's index batch (DET dedup, OPE memo walks, Paillier
+        encryption) and seal the document bodies.  Phase 2
         (wire): finish each batch into one write-batch frame and flush.
         The two phases land in separate ``Crypto:insert`` /
         ``Wire:insert`` stat rows, with per-kernel breakdown rows drained
@@ -646,8 +645,8 @@ class PlanEngine:
     ) -> tuple[list[str], list[Any],
                list[tuple[str, list[bytes]]], list[dict]]:
         """Crypto phase of one bulk-insert chunk: validate and split the
-        documents, begin every field's index batch (pooled big-int work
-        starts progressing immediately) and seal the bodies."""
+        documents, begin every field's index batch and seal the
+        bodies."""
         x = self._x
         prepared: list[tuple[str, dict[str, Value], dict[str, Value]]] = []
         for document in documents:

@@ -158,9 +158,6 @@ class QueryPlanner:
         self.stats.bump("invalidations")
 
     def _plan(self, key: Any, build) -> Plan:
-        if not self._x.pipeline.plan_cache:
-            self.stats.bump("compiles")
-            return self.optimizer.optimize(build())
         self._check_topology()
         with self._lock:
             cached = self._cache.get(key)

@@ -1,25 +1,22 @@
-"""Gateway crypto kernels: batched, pooled, precomputed crypto.
+"""Gateway crypto kernels: batched, deduplicated, precomputed crypto.
 
 Public surface:
 
 * :class:`~repro.crypto.kernels.config.CryptoConfig` — the
   ``PipelineConfig.crypto`` knob set (defaults keep everything off).
 * :class:`~repro.crypto.kernels.executor.CryptoExecutor` — the shared
-  dispatcher (process pool, sanitizer, dedup/LRU maps, kernel timings).
+  dispatcher (dedup/LRU maps, kernel timings).
 * :class:`~repro.crypto.kernels.modexp.FixedBaseTable` — windowed
   fixed-base modexp precomputation.
 
-``repro.crypto.kernels.workers`` holds the process-pool kernel
-functions; it is imported lazily by call sites (and by the forkserver
-workers), never here, so ``paillier.py`` can import the table type
-without a cycle.
+Every kernel runs inline in the gateway process, so no key material
+ever leaves it.
 """
 
-from repro.crypto.kernels.config import CryptoConfig, resolve_crypto
+from repro.crypto.kernels.config import CryptoConfig
 from repro.crypto.kernels.executor import (
     CryptoExecutor,
     LruCache,
-    ensure_plain_args,
     inline_executor,
 )
 from repro.crypto.kernels.modexp import FixedBaseTable
@@ -29,7 +26,5 @@ __all__ = [
     "CryptoExecutor",
     "FixedBaseTable",
     "LruCache",
-    "ensure_plain_args",
     "inline_executor",
-    "resolve_crypto",
 ]

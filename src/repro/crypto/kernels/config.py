@@ -1,10 +1,9 @@
 """Configuration of the gateway crypto kernel layer.
 
 The kernel layer is the CPU-side twin of the RPC batching pipeline: it
-turns per-value crypto calls into batch operations and decides *where*
-each batch runs — inline on the calling thread (cheap symmetric work),
-or on a shared process pool (big-int modular exponentiation, which the
-GIL serialises when run on threads).
+turns per-value crypto calls into batch operations that run inline on
+the calling thread — one computation per distinct deterministic value,
+fixed-base tables for the big-int exponentiations.
 
 The all-defaults :class:`CryptoConfig` keeps every kernel off:
 ``active`` is False, the tactic batch SPI falls back to its sequential
@@ -13,62 +12,22 @@ per-value loops, and ciphertexts are byte-identical to the seed.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, replace
-
-#: Environment override forcing the process pool on (worker count).  The
-#: CI matrix uses it to run the whole suite through the multiprocessing
-#: path and surface pickling/forkserver flakes that a defaults-only run
-#: would never reach.
-FORCE_POOL_ENV = "DATABLINDER_CRYPTO_FORCE_POOL"
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class CryptoConfig:
-    """Knobs of the gateway crypto kernels.
+    """Knobs of the gateway crypto kernels."""
 
-    ``workers`` and ``precompute`` are independent: a 1-core gateway
-    gets its speedup from precomputation alone, a multi-core gateway
-    adds the pool so mask pregeneration overlaps the inline symmetric
-    work.
-    """
-
-    #: Process-pool workers for big-int kernels (Paillier obfuscator
-    #: masks, ElGamal randomness pairs).  0 keeps all crypto inline.
-    workers: int = 0
     #: Fixed-base windowed modexp tables (Paillier ``r^n`` masks, the
     #: ElGamal ``g``/``h`` bases) plus the OPE split-node memo.
     precompute: bool = False
-    #: Window width of the fixed-base tables.  6 bits ≈ 171 modmuls per
-    #: 1024-bit exponentiation (vs ~1200 for the built-in sliding-window
-    #: pow) at ~2.8 MB of table per 2048-bit modulus; measured ~6x on
-    #: Paillier mask generation.
-    window_bits: int = 6
     #: Per-field LRU size for deterministic token/ciphertext caches
     #: (DET seals, blind-index tags, OPE/ORE codes) and the OPE node
     #: memo.  Only consulted while the kernels are active.
     cache_size: int = 4096
-    #: Smallest batch worth a process-pool round trip; smaller batches
-    #: stay inline to dodge the submission overhead.
-    min_submit: int = 4
 
     @property
     def active(self) -> bool:
         """Whether any kernel behaviour differs from the seed loops."""
-        return self.workers > 0 or self.precompute
-
-
-def resolve_crypto(config: CryptoConfig | None) -> CryptoConfig:
-    """Apply environment overrides to a (possibly absent) config."""
-    resolved = config or CryptoConfig()
-    forced = os.environ.get(FORCE_POOL_ENV)
-    if forced:
-        try:
-            workers = int(forced)
-        except ValueError:
-            raise ValueError(
-                f"{FORCE_POOL_ENV} must be an integer, got {forced!r}"
-            ) from None
-        if workers > 0 and workers != resolved.workers:
-            resolved = replace(resolved, workers=workers)
-    return resolved
+        return self.precompute

@@ -1,62 +1,31 @@
 """CryptoExecutor: the shared dispatcher of the gateway crypto kernels.
 
 One executor per :class:`~repro.gateway.service.GatewayRuntime`, handed
-to every tactic through its context.  It provides the three services the
+to every tactic through its context.  It provides the two services the
 batch SPI builds on:
 
-* **Process-pool offload** for big-int kernels.  Python big-int modexp
-  holds the GIL, so threads cannot parallelise it; the pool uses the
-  ``forkserver`` start method (fork is unsafe under the runtime's daemon
-  threads) and is shared module-wide per worker count, so many runtimes
-  in one process reuse the same workers.
-* **A plain-argument sanitizer**: everything submitted to the pool must
-  be built from int/str/float/bool/None.  Key *objects* (Paillier or
-  ElGamal private keys, HSM handles) and even raw key bytes are rejected
-  at the submission boundary, so no private material can ever be pickled
-  into a worker — the kernels only ever ship public parameters and
-  counts.  Every submission is mirrored into :attr:`audit` so tests can
-  assert that invariant against real traffic.
 * **Dedup/LRU mapping** for deterministic per-value crypto (DET seals,
   blind-index tags, OPE/ORE codes): one computation per distinct value,
   results remembered across batches in a per-field LRU.
+* **Kernel timings**: tactics :meth:`~CryptoExecutor.record` what their
+  batch kernels cost, and the plan engine drains the sink into the
+  ``Crypto:*`` rows of ``explain()``.
 
-With an inactive config every helper degrades to the exact sequential
-loop of the seed, computing ``fn(value)`` per element in order.
+Every kernel runs inline on the calling thread, so key material never
+leaves the gateway process.  With an inactive config every helper
+degrades to the exact sequential loop of the seed, computing
+``fn(value)`` per element in order.
 """
 
 from __future__ import annotations
 
-import atexit
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from repro.crypto.kernels.config import CryptoConfig
 from repro.errors import CryptoError
-
-#: Types a pool submission may be built from.  Deliberately excludes
-#: ``bytes``: symmetric keys, tokens and ciphertext blobs all live in
-#: bytes, and the big-int kernels need none of them.
-_PLAIN_TYPES = (int, float, str, bool, type(None))
-
-
-def ensure_plain_args(args: Sequence[Any]) -> None:
-    """Reject any pool argument that is not plain public data."""
-    stack = list(args)
-    while stack:
-        item = stack.pop()
-        if isinstance(item, _PLAIN_TYPES):
-            continue
-        if isinstance(item, (tuple, list)):
-            stack.extend(item)
-            continue
-        raise CryptoError(
-            "crypto kernel arguments must be plain int/str/float/bool "
-            f"values, got {type(item).__name__} — key material and key "
-            "objects never cross the process boundary"
-        )
 
 
 class LruCache:
@@ -95,87 +64,11 @@ class LruCache:
             return len(self._entries)
 
 
-class _Resolved:
-    """A completed inline 'future' so callers need one result() shape."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value: Any):
-        self._value = value
-
-    def result(self) -> Any:
-        return self._value
-
-
-class _FallbackFuture:
-    """A pool future that recomputes inline if the pool dies.
-
-    Kernels are pure functions of plain public arguments, so an inline
-    recompute is always a correct substitute for a lost worker result —
-    e.g. a pool broken because the hosting script lacked the
-    multiprocessing ``__main__`` guard, or had its workers killed.
-    """
-
-    __slots__ = ("_future", "_fn", "_args", "_executor")
-
-    def __init__(self, future: Future, fn: Callable[..., Any],
-                 args: tuple, executor: "CryptoExecutor"):
-        self._future = future
-        self._fn = fn
-        self._args = args
-        self._executor = executor
-
-    def result(self) -> Any:
-        try:
-            return self._future.result()
-        except BrokenExecutor:
-            started = time.perf_counter()
-            value = self._fn(*self._args)
-            self._executor.record(f"{self._fn.__name__}:pool-fallback",
-                                  time.perf_counter() - started)
-            return value
-
-
-# -- shared process pools ------------------------------------------------------
-
-_POOLS: dict[int, ProcessPoolExecutor] = {}
-_POOLS_LOCK = threading.Lock()
-
-
-def _shared_pool(workers: int) -> ProcessPoolExecutor:
-    with _POOLS_LOCK:
-        pool = _POOLS.get(workers)
-        if pool is None:
-            import multiprocessing
-
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("forkserver"),
-            )
-            _POOLS[workers] = pool
-        return pool
-
-
-def _shutdown_pools() -> None:
-    with _POOLS_LOCK:
-        pools = list(_POOLS.values())
-        _POOLS.clear()
-    for pool in pools:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-atexit.register(_shutdown_pools)
-
-
 class CryptoExecutor:
     """Kernel dispatcher bound to one runtime's :class:`CryptoConfig`."""
 
     def __init__(self, config: CryptoConfig | None = None):
         self.config = config or CryptoConfig()
-        #: Mirror of every pool submission: ``(kernel name, args)``.
-        #: Bounded; consumed by the forkserver-safety test.
-        self.audit: list[tuple[str, tuple]] = []
-        self._audit_limit = 512
         self._timings: list[tuple[str, float]] = []
         self._lock = threading.Lock()
         #: Cache-tier token level: when enabled, :meth:`cache` and
@@ -185,85 +78,6 @@ class CryptoExecutor:
         self.token_caching = False
         self._token_cache_capacity = 0
         self._token_caches: list[LruCache] = []
-
-    # -- process-pool offload --------------------------------------------------
-
-    def submit(self, fn: Callable[..., Any], *args: Any):
-        """Run a big-int kernel, pooled when configured.
-
-        Returns a future-shaped object; ``result()`` yields the kernel
-        output.  Arguments are sanitised *before* anything reaches the
-        pool — submitting key objects or key bytes raises.
-        """
-        ensure_plain_args(args)
-        with self._lock:
-            if len(self.audit) < self._audit_limit:
-                self.audit.append((getattr(fn, "__name__", repr(fn)), args))
-        if self.config.workers < 1:
-            started = time.perf_counter()
-            value = fn(*args)
-            self.record(fn.__name__, time.perf_counter() - started)
-            return _Resolved(value)
-        started = time.perf_counter()
-        try:
-            future = _shared_pool(self.config.workers).submit(fn, *args)
-        except RuntimeError:
-            # Python's safe-import rule: a script without an
-            # ``if __name__ == "__main__"`` guard cannot spawn workers
-            # while its main module is still importing.  Degrade to
-            # inline computation rather than crash the write path.
-            value = fn(*args)
-            self.record(f"{fn.__name__}:pool-fallback",
-                        time.perf_counter() - started)
-            return _Resolved(value)
-        future.add_done_callback(
-            lambda f: self.record(fn.__name__,
-                                  time.perf_counter() - started)
-        )
-        return _FallbackFuture(future, fn, args, self)
-
-    def warm(self, fn: Callable[..., Any] | None = None,
-             *args: Any) -> None:
-        """Pay the pool's one-time costs up front (no-op when inline).
-
-        A worker's first task is charged an interpreter spawn plus the
-        package import, and the first batch against a given key builds
-        that worker's fixed-base table.  A service calls this at
-        startup — optionally with a real kernel invocation such as
-        ``(paillier_masks, n, 1, window_bits)`` so the per-key tables
-        warm too — instead of taxing the first live batch.  One task per
-        worker is submitted concurrently, so every worker comes up.
-        """
-        if self.config.workers < 1:
-            return
-        if fn is None:
-            from repro.crypto.kernels.workers import paillier_masks
-
-            fn, args = paillier_masks, (35, 1)
-        ensure_plain_args(args)
-        try:
-            pool = _shared_pool(self.config.workers)
-            futures = [
-                pool.submit(fn, *args) for _ in range(self.config.workers)
-            ]
-            for future in futures:
-                future.result()
-        except RuntimeError:  # includes BrokenExecutor
-            # Can't spawn (safe-import rule) or pool already broken —
-            # nothing to warm; live submissions fall back inline.
-            return
-
-    def submit_batch(self, fn: Callable[..., Any], count: int,
-                     *args: Any) -> "Future | _Resolved | None":
-        """Submit when the batch is pool-worthy, else signal inline.
-
-        Returns ``None`` for batches below ``min_submit`` or with the
-        pool off — the caller then runs its sequential fallback, which
-        for small batches is cheaper than a pool round trip.
-        """
-        if self.config.workers < 1 or count < self.config.min_submit:
-            return None
-        return self.submit(fn, *args)
 
     # -- deterministic-value mapping -------------------------------------------
 
@@ -336,15 +150,16 @@ class CryptoExecutor:
                 outputs[cache_key] = output
                 if cache is not None:
                     cache.put(cache_key, output)
-        if self.config.active:
-            # Token-caching-only mode skips the timing sink: nothing
-            # drains it outside the kernelised write paths.
-            self.record("dedup_map", time.perf_counter() - started)
+        self.record("dedup_map", time.perf_counter() - started)
         return [outputs[cache_key] for cache_key in keys]
 
     # -- timing ----------------------------------------------------------------
 
     def record(self, name: str, seconds: float) -> None:
+        """Book one kernel timing (dropped while the kernels are
+        inactive: only the kernelised write paths drain the sink)."""
+        if not self.config.active:
+            return
         with self._lock:
             self._timings.append((name, seconds))
 

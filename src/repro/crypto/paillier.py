@@ -186,13 +186,13 @@ class FixedBaseObfuscator:
     it is opt-in via ``CryptoConfig.precompute`` and never the default.
     """
 
-    def __init__(self, public: PaillierPublicKey, window_bits: int = 5,
+    def __init__(self, public: PaillierPublicKey,
                  randbelow: RandBelow | None = None):
         self._public = public
         self._randbelow = randbelow or secrets.randbelow
         beta = obfuscator(public, randbelow)
         self._table = FixedBaseTable(
-            beta, public.n_squared, public.n.bit_length(), window_bits
+            beta, public.n_squared, public.n.bit_length()
         )
 
     def mask(self) -> int:

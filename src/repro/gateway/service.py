@@ -13,8 +13,9 @@ from __future__ import annotations
 import threading
 from typing import Any
 
-from repro.crypto.kernels.config import resolve_crypto
+from repro.crypto.kernels.config import CryptoConfig
 from repro.crypto.kernels.executor import CryptoExecutor
+from repro.integrity.verify import VerifyingTransport
 from repro.keys.keystore import KeyStore
 from repro.net.batch import BatchCollector, PipelineConfig
 from repro.net.resilience import ResilienceConfig, wrap_resilient
@@ -38,40 +39,20 @@ class GatewayRuntime:
             registry = default_registry()
         self.application = application
         self.pipeline = pipeline or PipelineConfig()
-        #: The resolved crypto kernel config (env overrides applied) and
-        #: the one executor every tactic context of this runtime shares
-        #: — batch submissions from different fields keep the same
-        #: process pool and timing sink.
-        self.crypto = resolve_crypto(self.pipeline.crypto)
+        #: The crypto kernel config and the one executor every tactic
+        #: context of this runtime shares (one dedup/LRU namespace, one
+        #: timing sink).
+        self.crypto = self.pipeline.crypto or CryptoConfig()
         self.kernels = CryptoExecutor(self.crypto)
-        # Resilience wraps *below* the batch collector: collected write
-        # batches are then retried whole, with their idempotency-keyed
-        # sub-requests making the re-delivery safe.
-        transport = wrap_resilient(transport, resilience)
-        #: The integrity verifier sits between resilience (below) and
-        #: the batch collector (above): batched write frames flow
-        #: through it to mark the freshness ledger dirty, and proven
-        #: reads ride the retried/fault-tolerant path underneath.
-        self.verifier = None
-        if self.pipeline.integrity is not None:
-            from repro.integrity.verify import VerifyingTransport
-
-            transport = VerifyingTransport(
-                transport, application, self.pipeline.integrity
-            )
-            self.verifier = transport
-        if self.pipeline.batch_writes and not isinstance(
-            transport, BatchCollector
-        ):
-            # Every tactic context and the executor share this wrapper,
-            # so one collection scope coalesces a whole operation's cloud
-            # writes.  Outside a scope it is a transparent pass-through.
-            transport = BatchCollector(
-                transport,
-                coalesce_window_ms=self.pipeline.coalesce_window_ms,
-                coalesce_max_slots=self.pipeline.coalesce_max_slots,
-            )
+        for enabled, build in self._layers(resilience):
+            if enabled:
+                transport = build(transport)
         self.transport = transport
+        #: The integrity verifier layer, when configured.
+        self.verifier = next(
+            (layer for layer in self._walk()
+             if isinstance(layer, VerifyingTransport)), None,
+        )
         self.registry = registry
         self.keystore = keystore or KeyStore(application)
         self.local_kv = local_kv or KeyValueStore()
@@ -106,6 +87,45 @@ class GatewayRuntime:
                 "admin", "enable_integrity", application=application
             )
 
+    def _layers(self, resilience: ResilienceConfig | None):
+        """The gateway's transport layers as ``(enabled, build)`` rows,
+        innermost first.  The order is security-relevant:
+
+        * retries sit *below* the verifier, so proven reads ride the
+          fault-tolerant path and collected write batches are retried
+          whole (their idempotency-keyed sub-requests make the
+          re-delivery safe);
+        * the verifier sits *below* the batch collector, so it sees
+          write frames as shipped and marks the freshness ledger dirty;
+        * the batch collector is on top: every tactic context and the
+          executor share it, so one collection scope coalesces a whole
+          operation's cloud writes (outside a scope it is a transparent
+          pass-through).
+
+        The cache tier is not a transport layer: it sits above the whole
+        stack, so cached plaintext never crosses one.
+        """
+        pipeline = self.pipeline
+        return (
+            (resilience is not None,
+             lambda inner: wrap_resilient(inner, resilience)),
+            (pipeline.integrity is not None,
+             lambda inner: VerifyingTransport(inner, self.application,
+                                              pipeline.integrity)),
+            (pipeline.batch_writes, BatchCollector),
+        )
+
+    def _walk(self):
+        """Every transport of the stack, top-down, following ``inner``."""
+        transport = self.transport
+        while transport is not None:
+            yield transport
+            transport = getattr(transport, "inner", None)
+
+    def stack(self) -> list[str]:
+        """Layer names of the transport stack, top-down."""
+        return [type(layer).__name__ for layer in self._walk()]
+
     def schema_registered(self, schema) -> None:
         """Activate integrity verification per protection class.
 
@@ -120,7 +140,7 @@ class GatewayRuntime:
             self.cache_tier.register_schema(schema)
         if self.verifier is None or self.verifier.active:
             return
-        config = self.pipeline.integrity
+        config = self.verifier.config
         for spec in schema.sensitive_fields():
             if config.covers_class(int(spec.annotation.protection_class)):
                 self.verifier.activate()

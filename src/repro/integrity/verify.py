@@ -45,7 +45,7 @@ from repro.integrity.watermark import FreshnessLedger
 from repro.net import message
 from repro.net.latency import NetworkStats
 from repro.net.rpc import Request, Response
-from repro.net.transport import Transport
+from repro.net.transport import Transport, TransportLayer
 
 #: Methods that mutate untrusted-zone state (any service): passing one
 #: through the transport marks the freshness ledger dirty.
@@ -88,12 +88,14 @@ def _note_outcome(outcome: str) -> None:
         scope[VERIFICATION_KEY] = outcome
 
 
-class VerifyingTransport(Transport):
+class VerifyingTransport(TransportLayer):
     """Transport wrapper enforcing the configured integrity mode."""
+
+    label = "integrity"
 
     def __init__(self, inner: Transport, application: str,
                  config: IntegrityConfig):
-        self._inner = inner
+        super().__init__(inner)
         self.application = application
         self.config = config
         self._docs_service = f"docs/{application}"
@@ -121,9 +123,6 @@ class VerifyingTransport(Transport):
         self._dirty = True
 
     # -- call path -----------------------------------------------------------
-
-    def call(self, service: str, method: str, **kwargs: Any) -> Any:
-        return self.call_request(Request(service, method, kwargs))
 
     def call_request(self, request: Request) -> Any:
         if self._should_verify(request.service, request.method):
@@ -336,41 +335,11 @@ class VerifyingTransport(Transport):
             },
         }
 
-    # -- stats / delegation --------------------------------------------------
+    # -- stats -----------------------------------------------------------------
 
-    def _own_stats(self) -> NetworkStats:
+    def own_stats(self) -> NetworkStats:
         with self._stats_lock:
             return NetworkStats(
                 integrity_failures=self._integrity_failures,
                 stale_detected=self._stale_detected,
             )
-
-    def stats(self) -> NetworkStats:
-        return self._inner.stats().merge(self._own_stats())
-
-    def labeled_stats(self) -> dict[str, NetworkStats]:
-        inner = dict(self._inner.labeled_stats())
-        own = self._own_stats()
-        if len(inner) == 1:
-            label, stats = next(iter(inner.items()))
-            return {label: stats.merge(own)}
-        inner["integrity"] = inner.get(
-            "integrity", NetworkStats()
-        ).merge(own)
-        return inner
-
-    def call_labeled(self, service: str, method: str,
-                     **kwargs: Any) -> dict[str, Any]:
-        return self._inner.call_labeled(service, method, **kwargs)
-
-    def topology_epoch(self) -> int:
-        return self._inner.topology_epoch()
-
-    def drain_shard_timings(self) -> list[tuple[str, float]]:
-        return self._inner.drain_shard_timings()
-
-    def drain_async_writes(self, timeout: float | None = None) -> int:
-        return self._inner.drain_async_writes(timeout)
-
-    def close(self) -> None:
-        self._inner.close()

@@ -22,7 +22,12 @@ from repro.net.resilience import (
 )
 from repro.net.rpc import Request, Response, ServiceHost
 from repro.net.tcp import TcpRpcServer, TcpTransport
-from repro.net.transport import DirectTransport, InProcTransport, Transport
+from repro.net.transport import (
+    DirectTransport,
+    InProcTransport,
+    Transport,
+    TransportLayer,
+)
 
 __all__ = [
     "BatchCollector",
@@ -48,5 +53,6 @@ __all__ = [
     "TcpTransport",
     "TrafficMeter",
     "Transport",
+    "TransportLayer",
     "wrap_resilient",
 ]

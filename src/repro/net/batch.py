@@ -34,11 +34,6 @@ lands on the same pool thread (the latent bug of the earlier
 thread-local scopes).  Outside a scope the collector is a transparent
 pass-through, which keeps the unbatched baseline behaviour byte-for-byte
 identical.
-
-With a *coalesce window* configured
-(:attr:`PipelineConfig.coalesce_window_ms`), prepared frames from
-different concurrent operations additionally merge into shared wire
-batches via :class:`repro.net.coalesce.FrameCoalescer`.
 """
 
 from __future__ import annotations
@@ -48,9 +43,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
-from repro.net.latency import NetworkStats
 from repro.net.rpc import Request, Response
-from repro.net.transport import Transport
+from repro.net.transport import Transport, TransportLayer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.config import CacheConfig
@@ -90,21 +84,14 @@ class PipelineConfig:
     #: compiler then always binds the statically selected tactic, and the
     #: write path feeds only the primary indexes (seed behaviour).
     adaptive_selection: bool = False
-    #: How many observations each candidate tactic gets before the
-    #: optimizer starts exploiting the latency EWMAs.
-    adaptive_warmup: int = 2
-    #: Cache optimized plans keyed by (schema, operation, predicate
-    #: shape).  Pure gateway-side memoisation — results and wire traffic
-    #: are unchanged — so it defaults on; disable to measure compile cost.
-    plan_cache: bool = True
     #: Shard the untrusted zone: when set (and the deployment hands the
     #: middleware a *list* of named per-node transports), documents and
     #: secure indexes partition across N cloud nodes behind a
     #: :class:`repro.shard.router.ShardedTransport`.  ``None`` keeps the
     #: seed single-zone wiring byte-for-byte.
     sharding: "ShardConfig | None" = None
-    #: Gateway crypto kernels: batched tactic SPI, process-pool offload
-    #: of big-int work and fixed-base modexp precomputation
+    #: Gateway crypto kernels: batched tactic SPI, dedup/LRU token maps
+    #: and fixed-base modexp precomputation
     #: (:class:`repro.crypto.kernels.config.CryptoConfig`).  ``None``
     #: (or an all-defaults config) keeps every per-value crypto call on
     #: the seed's sequential inline path.
@@ -116,17 +103,6 @@ class PipelineConfig:
     #: chunk order).  Requires ``batch_writes`` and active ``crypto``
     #: kernels; 0 keeps the single crypto-then-wire pass.
     write_chunk: int = 0
-    #: Cross-operation frame coalescing: prepared batch frames from
-    #: *different* concurrent operations wait up to this many
-    #: milliseconds in a flush window and ship together as one wire
-    #: batch (:mod:`repro.net.coalesce`).  Trades a bounded queueing
-    #: delay for a multiplicative cut in WAN round trips under
-    #: concurrent load.  0 keeps one wire batch per operation —
-    #: byte-identical to the pre-coalescing behaviour.
-    coalesce_window_ms: float = 0.0
-    #: Slot budget of one coalesced wire batch: the window closes early
-    #: once the combined batch holds this many sub-requests.
-    coalesce_max_slots: int = 256
     #: Integrity & freshness verification
     #: (:class:`repro.integrity.config.IntegrityConfig`): Merkle state
     #: roots on the cloud, a freshness ledger at the gateway, and either
@@ -141,6 +117,22 @@ class PipelineConfig:
     #: freshness ledger's per-shard root/seq stamps.  ``None`` keeps the
     #: seed read path byte-for-byte (no tier object, no extra state).
     cache: "CacheConfig | None" = None
+
+    @classmethod
+    def production(cls) -> "PipelineConfig":
+        """The all-layers-on composition ``bench_e2e`` measures: crypto
+        kernels, write batching, fan-out + prefetch, a sharded zone,
+        proof-on-fetch integrity and the cache tier."""
+        from repro.cache.config import CacheConfig
+        from repro.crypto.kernels.config import CryptoConfig
+        from repro.integrity.config import IntegrityConfig
+        from repro.shard.config import ShardConfig
+
+        return cls(
+            batch_writes=True, fanout_workers=4, prefetch=True,
+            crypto=CryptoConfig(precompute=True), sharding=ShardConfig(),
+            integrity=IntegrityConfig(), cache=CacheConfig(),
+        )
 
 
 #: Methods whose results gateway callers ignore: index maintenance on
@@ -173,14 +165,12 @@ class _Scope:
         self.pending: list[Request] = []
 
 
-class BatchCollector(Transport):
+class BatchCollector(TransportLayer):
     """Transport wrapper that batches deferrable writes per scope."""
 
     def __init__(self, inner: Transport,
-                 deferrable: frozenset[str] = DEFERRABLE_METHODS,
-                 coalesce_window_ms: float = 0.0,
-                 coalesce_max_slots: int = 256):
-        self._inner = inner
+                 deferrable: frozenset[str] = DEFERRABLE_METHODS):
+        super().__init__(inner)
         self._deferrable = deferrable
         # Context-local scope slot.  Per-instance so two collectors in
         # one process never share scopes; the default makes every fresh
@@ -189,23 +179,6 @@ class BatchCollector(Transport):
             contextvars.ContextVar(f"batch_scope_{id(self):x}",
                                    default=None)
         )
-        self._coalescer = None
-        if coalesce_window_ms > 0:
-            from repro.net.coalesce import FrameCoalescer
-
-            self._coalescer = FrameCoalescer(
-                inner, window_s=coalesce_window_ms / 1000.0,
-                max_slots=coalesce_max_slots,
-            )
-
-    @property
-    def inner(self) -> Transport:
-        return self._inner
-
-    @property
-    def coalescer(self):
-        """The cross-operation frame coalescer, when configured."""
-        return self._coalescer
 
     # -- scope management --------------------------------------------------------
 
@@ -263,9 +236,6 @@ class BatchCollector(Transport):
 
     # -- Transport interface ------------------------------------------------------
 
-    def call(self, service: str, method: str, **kwargs: Any) -> Any:
-        return self.call_request(Request(service, method, kwargs))
-
     def call_request(self, request: Request) -> Any:
         scope = self._scope()
         if scope is None:
@@ -283,9 +253,6 @@ class BatchCollector(Transport):
         pending, scope.pending = scope.pending, []
         responses = self._ship(pending)
         return responses[-1].result
-
-    def call_batch(self, requests: Sequence[Request]) -> list[Response]:
-        return self._inner.call_batch(requests)
 
     def flush(self) -> None:
         """Ship any queued writes of the calling context's scope now."""
@@ -323,35 +290,8 @@ class BatchCollector(Transport):
         return self._ship(list(requests))
 
     def _ship(self, pending: list[Request]) -> list[Response]:
-        if self._coalescer is not None:
-            responses = self._coalescer.submit(pending).result()
-        else:
-            responses = self._inner.call_batch(pending)
+        responses = self._inner.call_batch(pending)
         for response in responses:
             if not response.ok:
                 response.unwrap()  # raises RemoteError for the first failure
         return responses
-
-    def stats(self) -> NetworkStats:
-        return self._inner.stats()
-
-    def labeled_stats(self) -> dict[str, NetworkStats]:
-        return self._inner.labeled_stats()
-
-    def call_labeled(self, service: str, method: str,
-                     **kwargs: Any) -> dict[str, Any]:
-        return self._inner.call_labeled(service, method, **kwargs)
-
-    def topology_epoch(self) -> int:
-        return self._inner.topology_epoch()
-
-    def drain_shard_timings(self) -> list[tuple[str, float]]:
-        return self._inner.drain_shard_timings()
-
-    def drain_async_writes(self, timeout: float | None = None) -> int:
-        return self._inner.drain_async_writes(timeout)
-
-    def close(self) -> None:
-        if self._coalescer is not None:
-            self._coalescer.close()
-        self._inner.close()

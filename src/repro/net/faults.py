@@ -54,7 +54,7 @@ from typing import Any, Sequence
 from repro.errors import TransportFault
 from repro.net.latency import NetworkStats
 from repro.net.rpc import Request, Response
-from repro.net.transport import Transport
+from repro.net.transport import Transport, TransportLayer
 
 FAULT_KINDS = ("drop", "corrupt", "disconnect", "duplicate", "delay",
                "tamper", "rollback")
@@ -121,7 +121,7 @@ class FaultEvent:
                 "target": self.target}
 
 
-class FaultInjectingTransport(Transport):
+class FaultInjectingTransport(TransportLayer):
     """Deterministic (seeded) chaos wrapper around any transport.
 
     Faults are injected client-side around the inner transport, which
@@ -130,11 +130,18 @@ class FaultInjectingTransport(Transport):
     then loses the reply, a ``duplicate`` performs the inner dispatch
     twice.  Works identically over :class:`~repro.net.transport.InProcTransport`
     and :class:`~repro.net.tcp.TcpTransport`.
+
+    Labeled broadcasts (integrity state reports) bypass fault
+    injection: the chaos schedules target the data path, and a dropped
+    report would only retry — the detection experiments tamper with
+    fetched state, not with the report channel.
     """
+
+    label = "faults"
 
     def __init__(self, inner: Transport, plan: FaultPlan,
                  seed: int = 0):
-        self._inner = inner
+        super().__init__(inner)
         self._plan = plan
         self._seed = seed
         self._rng = random.Random(seed)
@@ -145,10 +152,6 @@ class FaultInjectingTransport(Transport):
         #: ``rollback`` fault replays once the stored document changed.
         self._captures: dict[str, Any] = {}
         self._lock = threading.Lock()
-
-    @property
-    def inner(self) -> Transport:
-        return self._inner
 
     @property
     def seed(self) -> int:
@@ -308,9 +311,6 @@ class FaultInjectingTransport(Transport):
 
     # -- Transport interface -----------------------------------------------
 
-    def call(self, service: str, method: str, **kwargs: Any) -> Any:
-        return self.call_request(Request(service, method, kwargs))
-
     def call_request(self, request: Request) -> Any:
         target = f"{request.service}.{request.method}"
         seq, kind = self._next_fault("call", target)
@@ -407,43 +407,9 @@ class FaultInjectingTransport(Transport):
             return responses
         return self._dispatch_batch(requests)
 
-    def stats(self) -> NetworkStats:
+    def own_stats(self) -> NetworkStats:
         with self._lock:
-            own = NetworkStats(
+            return NetworkStats(
                 simulated_delay_seconds=self._injected_delay,
                 faults_injected=len(self._events),
             )
-        return self._inner.stats().merge(own)
-
-    def labeled_stats(self) -> dict[str, NetworkStats]:
-        labeled = dict(self._inner.labeled_stats())
-        with self._lock:
-            own = NetworkStats(
-                simulated_delay_seconds=self._injected_delay,
-                faults_injected=len(self._events),
-            )
-        if len(labeled) == 1:
-            label, stats = next(iter(labeled.items()))
-            return {label: stats.merge(own)}
-        labeled["faults"] = own
-        return labeled
-
-    def call_labeled(self, service: str, method: str,
-                     **kwargs: Any) -> dict[str, Any]:
-        # Labeled broadcasts (integrity state reports) bypass fault
-        # injection: the chaos schedules target the data path, and a
-        # dropped report would only retry — the detection experiments
-        # tamper with fetched state, not with the report channel.
-        return self._inner.call_labeled(service, method, **kwargs)
-
-    def topology_epoch(self) -> int:
-        return self._inner.topology_epoch()
-
-    def drain_shard_timings(self) -> list[tuple[str, float]]:
-        return self._inner.drain_shard_timings()
-
-    def drain_async_writes(self, timeout: float | None = None) -> int:
-        return self._inner.drain_async_writes(timeout)
-
-    def close(self) -> None:
-        self._inner.close()

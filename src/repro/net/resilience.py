@@ -47,7 +47,7 @@ from repro.errors import (
 )
 from repro.net.latency import NetworkStats
 from repro.net.rpc import Request, Response
-from repro.net.transport import Transport
+from repro.net.transport import Transport, TransportLayer
 
 #: RPC method names that mutate cloud state.  These get idempotency keys
 #: so a retried (or network-duplicated) delivery is applied at most
@@ -206,7 +206,7 @@ class ResilienceConfig:
     dedup_window: int = 1024
 
 
-class ResilientTransport(Transport):
+class ResilientTransport(TransportLayer):
     """Retry/timeout/backoff + circuit-breaker wrapper for one endpoint.
 
     Wrap each *provider* transport (below any
@@ -216,13 +216,15 @@ class ResilientTransport(Transport):
     sub-requests make the re-delivery safe.
     """
 
+    label = "resilience"
+
     def __init__(self, inner: Transport,
                  policy: RetryPolicy | None = None,
                  breaker: BreakerConfig | CircuitBreaker | None = None,
                  seed: int | None = None,
                  clock: Callable[[], float] = time.monotonic,
                  sleep_fn: Callable[[float], None] = time.sleep):
-        self._inner = inner
+        super().__init__(inner)
         self.policy = policy or RetryPolicy()
         self.breaker = (breaker if isinstance(breaker, CircuitBreaker)
                         else CircuitBreaker(breaker, clock))
@@ -233,10 +235,6 @@ class ResilientTransport(Transport):
         self._lock = threading.Lock()
         self._key_prefix = secrets.token_hex(6)
         self._key_counter = itertools.count(1)
-
-    @property
-    def inner(self) -> Transport:
-        return self._inner
 
     # -- idempotency keys --------------------------------------------------
 
@@ -299,9 +297,6 @@ class ResilientTransport(Transport):
 
     # -- Transport interface -----------------------------------------------
 
-    def call(self, service: str, method: str, **kwargs: Any) -> Any:
-        return self.call_request(Request(service, method, kwargs))
-
     def call_request(self, request: Request) -> Any:
         request = self._keyed(request)
         label = f"{request.service}.{request.method}"
@@ -318,39 +313,10 @@ class ResilientTransport(Transport):
             lambda: self._inner.call_batch(keyed), label
         )
 
-    def stats(self) -> NetworkStats:
+    def own_stats(self) -> NetworkStats:
         with self._lock:
-            own = NetworkStats(retries=self._retries,
-                               breaker_opens=self.breaker.opens)
-        return self._inner.stats().merge(own)
-
-    def labeled_stats(self) -> dict[str, NetworkStats]:
-        labeled = dict(self._inner.labeled_stats())
-        with self._lock:
-            own = NetworkStats(retries=self._retries,
-                               breaker_opens=self.breaker.opens)
-        if len(labeled) == 1:
-            # One endpoint below: fold our counters into its line.
-            label, stats = next(iter(labeled.items()))
-            return {label: stats.merge(own)}
-        labeled["resilience"] = own
-        return labeled
-
-    def call_labeled(self, service: str, method: str,
-                     **kwargs: Any) -> dict[str, Any]:
-        return self._inner.call_labeled(service, method, **kwargs)
-
-    def topology_epoch(self) -> int:
-        return self._inner.topology_epoch()
-
-    def drain_shard_timings(self) -> list[tuple[str, float]]:
-        return self._inner.drain_shard_timings()
-
-    def drain_async_writes(self, timeout: float | None = None) -> int:
-        return self._inner.drain_async_writes(timeout)
-
-    def close(self) -> None:
-        self._inner.close()
+            return NetworkStats(retries=self._retries,
+                                breaker_opens=self.breaker.opens)
 
 
 def wrap_resilient(transport: Transport,

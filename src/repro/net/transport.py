@@ -133,6 +133,78 @@ class Transport(ABC):
         """Release any underlying resources (default: none)."""
 
 
+class TransportLayer(Transport):
+    """A transport that wraps exactly one ``inner`` transport.
+
+    The base of every wrapper in the gateway stack (batch collector,
+    verifier, resilience, fault injection, wiretap).  Everything is
+    delegated inward by default, so a subclass overrides only the hooks
+    it changes and a new cross-cutting hook is one method here instead
+    of an edit to every wrapper.  A layer that keeps counters reports
+    them from :meth:`own_stats` under its :attr:`label`; the merge into
+    the inner report is implemented once, below.
+    """
+
+    #: Line this layer's own counters get in :meth:`labeled_stats` when
+    #: several endpoints sit below it.
+    label = "layer"
+
+    def __init__(self, inner: Transport):
+        self._inner = inner
+
+    @property
+    def inner(self) -> Transport:
+        return self._inner
+
+    def call(self, service: str, method: str, **kwargs: Any) -> Any:
+        return self.call_request(Request(service, method, kwargs))
+
+    def call_request(self, request: Request) -> Any:
+        return self._inner.call_request(request)
+
+    def call_batch(self, requests: Sequence[Request]) -> list[Response]:
+        return self._inner.call_batch(requests)
+
+    def own_stats(self) -> NetworkStats | None:
+        """Counters this layer itself accumulated (None: it keeps none)."""
+        return None
+
+    def stats(self) -> NetworkStats:
+        own = self.own_stats()
+        stats = self._inner.stats()
+        return stats if own is None else stats.merge(own)
+
+    def labeled_stats(self) -> dict[str, NetworkStats]:
+        labeled = dict(self._inner.labeled_stats())
+        own = self.own_stats()
+        if own is None:
+            return labeled
+        if len(labeled) == 1:
+            # One endpoint below: fold our counters into its line.
+            (label, stats), = labeled.items()
+            return {label: stats.merge(own)}
+        labeled[self.label] = labeled.get(
+            self.label, NetworkStats()
+        ).merge(own)
+        return labeled
+
+    def call_labeled(self, service: str, method: str,
+                     **kwargs: Any) -> dict[str, Any]:
+        return self._inner.call_labeled(service, method, **kwargs)
+
+    def topology_epoch(self) -> int:
+        return self._inner.topology_epoch()
+
+    def drain_shard_timings(self) -> list[tuple[str, float]]:
+        return self._inner.drain_shard_timings()
+
+    def drain_async_writes(self, timeout: float | None = None) -> int:
+        return self._inner.drain_async_writes(timeout)
+
+    def close(self) -> None:
+        self._inner.close()
+
+
 class InProcTransport(Transport):
     """Gateway->cloud channel within one process.
 

@@ -10,11 +10,12 @@ construction.  This module adds the pieces nearly every tactic needs:
   ``tokens_many`` / ``index_many``): default implementations loop over
   the per-value protocol methods, so every tactic is batch-callable,
   while the hot tactics override them with vectorised kernels
-  (dedup/LRU token maps, pooled big-int batches, fixed-base tables).
+  (dedup/LRU token maps, fixed-base tables).
   ``index_many_begin`` splits a batch insertion into a *begin* phase
-  (crypto: compute or submit) and a *finish* callable (network: emit the
-  index RPCs), which is what lets the plan engine overlap kernel
-  execution with batched network flushes.
+  (all the crypto) and a *finish* callable (network: emit the index
+  RPCs), which is what lets the plan engine book crypto and wire time
+  separately and overlap one chunk's crypto with the previous chunk's
+  batch frame in flight.
 * :class:`IdCipher` — encryption of document identifiers stored inside
   secure indexes (AEAD, so index values are IND-CPA blobs).
 * :func:`canonical_term` — the ``field=value`` keyword encoding used by
@@ -91,13 +92,11 @@ class GatewayTactic:
     ) -> Callable[[], None]:
         """Start a batch insertion; the returned callable completes it.
 
-        The *begin* phase performs (or submits to the process pool) the
-        plaintext-dependent crypto; calling the returned *finish* emits
-        the index RPCs.  The engine begins every field of a bulk write
-        first — pooled batches then progress in the background while
-        inline fields compute — and finishes them in order into one
-        batch-collector scope.  The default keeps the seed per-entry
-        protocol loop, entirely in finish.
+        The *begin* phase performs the plaintext-dependent crypto;
+        calling the returned *finish* emits the index RPCs.  The engine
+        begins every field of a bulk write first and finishes them in
+        order into one batch-collector scope.  The default keeps the
+        seed per-entry protocol loop, entirely in finish.
         """
         def finish() -> None:
             for doc_id, value in entries:

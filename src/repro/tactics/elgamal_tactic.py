@@ -13,11 +13,11 @@ aggregation, e.g. compounding factors).
 from __future__ import annotations
 
 import secrets
+import time
 from typing import Any
 
 from repro.crypto import elgamal
 from repro.crypto.encoding import Value
-from repro.crypto.kernels import workers
 from repro.crypto.kernels.modexp import FixedBaseTable
 from repro.errors import TacticError
 from repro.spi import interfaces as spi
@@ -43,15 +43,12 @@ class ElGamalGateway(
         # exponentiations of an encryption then run windowed.  Exact —
         # unlike the Paillier β-trade, r still ranges over the whole
         # exponent group.
-        crypto = self.crypto
         self._tables: tuple[FixedBaseTable, FixedBaseTable] | None = None
-        if crypto.precompute:
+        if self.crypto.precompute:
             q = (public.p - 1) // 2
             self._tables = (
-                FixedBaseTable(public.g, public.p, q.bit_length(),
-                               crypto.window_bits),
-                FixedBaseTable(public.h, public.p, q.bit_length(),
-                               crypto.window_bits),
+                FixedBaseTable(public.g, public.p, q.bit_length()),
+                FixedBaseTable(public.h, public.p, q.bit_length()),
             )
         self.ctx.call("setup", p=public.p, g=public.g, h=public.h)
 
@@ -83,28 +80,16 @@ class ElGamalGateway(
     # -- batch SPI ----------------------------------------------------------------
 
     def index_many_begin(self, entries: list[tuple[str, Value]]):
-        """Begin: submit the randomness batch ``(g^r, h^r)`` to the pool
-        (only the public ``p, g, h`` and the count cross the boundary).
-        Finish: one modmul folds each message in, then the insert RPCs."""
-        public = self._private.public
+        """Begin: validate and encrypt every value (booked as the
+        ``elgamal_encrypt`` kernel).  Finish: emit the insert RPCs."""
         for _, value in entries:
             self._validate(value)
-        crypto = self.crypto
-        future = self.kernels.submit_batch(
-            workers.elgamal_randoms, len(entries),
-            public.p, public.g, public.h, len(entries),
-            crypto.window_bits if crypto.precompute else 0,
-        )
+        started = time.perf_counter()
+        ciphertexts = [self._encrypt(value) for _, value in entries]
+        self.kernels.record("elgamal_encrypt",
+                            time.perf_counter() - started)
 
         def finish() -> None:
-            if future is None:
-                ciphertexts = [self._encrypt(value) for _, value in entries]
-            else:
-                ciphertexts = [
-                    elgamal.encrypt_with_randomness(public, value, g_r, h_r)
-                    for (_, value), (g_r, h_r) in zip(entries,
-                                                      future.result())
-                ]
             for (doc_id, _), ciphertext in zip(entries, ciphertexts):
                 self.ctx.call("insert", doc_id=doc_id,
                               c1=ciphertext.c1, c2=ciphertext.c2)

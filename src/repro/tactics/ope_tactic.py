@@ -73,9 +73,7 @@ class OpeGateway(
         self.ctx.call("insert", doc_id=doc_id, ciphertext=self._encode(value))
 
     # -- batch SPI ----------------------------------------------------------------
-    # OPE stays gateway-inline (the sampler needs scipy, which must not
-    # be imported into pool workers); its batch win is dedup + the node
-    # memo above, both exact.
+    # OPE's batch win is dedup + the node memo above, both exact.
 
     def token(self, value: Value) -> int:
         return self._encode(value)

@@ -17,11 +17,11 @@ Insertion, AggFunctionResolution // Setup, Insertion, AggFunction.
 from __future__ import annotations
 
 import os
+import time
 from typing import Any
 
 from repro.crypto import paillier
 from repro.crypto.encoding import Value
-from repro.crypto.kernels import workers
 from repro.errors import TacticError
 from repro.spi import interfaces as spi
 from repro.tactics.base import CloudTactic, GatewayTactic, export_ring
@@ -60,11 +60,9 @@ class PaillierGateway(
         #: Fixed-base mask generation (CryptoConfig.precompute): one cold
         #: mask β at setup, fresh masks as β^k through a windowed table —
         #: ~7x fewer modmuls than a cold r^n exponentiation.
-        crypto = self.crypto
         self._fixed_base = (
-            paillier.FixedBaseObfuscator(self._private.public,
-                                         crypto.window_bits)
-            if crypto.precompute else None
+            paillier.FixedBaseObfuscator(self._private.public)
+            if self.crypto.precompute else None
         )
         #: Masks (r^n mod n^2) precompute on a background thread, so the
         #: write path usually pays one modmul instead of a 2048-bit
@@ -102,27 +100,16 @@ class PaillierGateway(
     # -- batch SPI ----------------------------------------------------------------
 
     def index_many_begin(self, entries: list[tuple[str, Value]]):
-        """Begin: encode plaintexts and submit the mask batch to the
-        process pool (only ``n``, the count and the window width cross
-        the boundary).  Finish: fold each plaintext in with one modmul
-        and emit the insert RPCs."""
-        public = self._private.public
-        encoded = [self._encode(value) for _, value in entries]
-        crypto = self.crypto
-        future = self.kernels.submit_batch(
-            workers.paillier_masks, len(entries),
-            public.n, len(entries),
-            crypto.window_bits if crypto.precompute else 0,
-        )
+        """Begin: encode and encrypt every plaintext (booked as the
+        ``paillier_encrypt`` kernel).  Finish: emit the insert RPCs."""
+        started = time.perf_counter()
+        ciphertexts = [
+            self._encrypt(self._encode(value)) for _, value in entries
+        ]
+        self.kernels.record("paillier_encrypt",
+                            time.perf_counter() - started)
 
         def finish() -> None:
-            if future is None:
-                ciphertexts = [self._encrypt(message) for message in encoded]
-            else:
-                ciphertexts = [
-                    paillier.encrypt_with_mask(public, message, mask)
-                    for message, mask in zip(encoded, future.result())
-                ]
             for (doc_id, _), ciphertext in zip(entries, ciphertexts):
                 self.ctx.call("insert", doc_id=doc_id,
                               ciphertext=ciphertext.value)

@@ -52,9 +52,8 @@ class RndGateway(
         self.ctx.call("insert", doc_id=doc_id, blob=self.seal(value))
 
     def index_many_begin(self, entries: list[tuple[str, Value]]):
-        # Probabilistic seals cannot dedup, but hoisting them into the
-        # begin phase lets the engine overlap this AEAD loop with pooled
-        # big-int batches of other fields before any RPC is emitted.
+        # Probabilistic seals cannot dedup; sealing in the begin phase
+        # keeps all crypto ahead of the first emitted RPC.
         blobs = self.seal_many([value for _, value in entries])
 
         def finish() -> None:

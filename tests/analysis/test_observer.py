@@ -3,9 +3,17 @@
 import pytest
 
 from repro.analysis.observer import ObservedTransport
+from repro.cloud.cluster import CloudCluster
 from repro.cloud.server import CloudZone
+from repro.core.middleware import DataBlinder
+from repro.core.schema import FieldAnnotation, Schema
 from repro.gateway.service import GatewayRuntime
+from repro.net.batch import PipelineConfig
+from repro.net.resilience import ResilienceConfig
 from repro.net.transport import InProcTransport
+from repro.shard.config import ShardConfig
+from repro.shard.rebalance import Resharder
+from repro.shard.router import ShardedTransport
 
 
 @pytest.fixture()
@@ -105,3 +113,48 @@ class TestTranscriptMechanics:
         det = runtime.tactic("d.f", "det")
         det.insert("d1", "v")
         assert transport.stats().messages_sent > 0
+
+
+class TestWiretapOverShardedZone:
+    """The wiretap is a transparent layer: it records, it never changes
+    what crosses the wire or hides the router's hooks."""
+
+    def test_forwards_frames_and_hooks_unchanged(self, registry):
+        cluster = CloudCluster(4, registry=registry)
+        router = ShardedTransport(cluster.nodes(), ShardConfig())
+        observed = ObservedTransport(router)
+        blinder = DataBlinder(
+            "obsapp", observed, registry=registry,
+            pipeline=PipelineConfig(batch_writes=True),
+            resilience=ResilienceConfig(),
+        )
+        blinder.register_schema(Schema.define(
+            "rec",
+            status=("string", FieldAnnotation.parse("C4", "I,EQ")),
+            note="string",
+        ))
+        Resharder(router).add_node(*cluster.add_zone("zone-4"))
+
+        assert observed.topology_epoch() == router.topology_epoch() > 0
+        shard_labels = {label for label in router.labeled_stats()
+                        if label.startswith("shard:")}
+        assert len(shard_labels) == 5
+        assert shard_labels <= set(observed.labeled_stats())
+        assert set(observed.call_labeled("admin", "list_services")) == shard_labels
+
+        frames = []
+        call_batch = router.call_batch
+        router.call_batch = lambda requests: (
+            frames.append(list(requests)) or call_batch(requests)
+        )
+        before = observed.last_sequence
+        blinder.entities("rec").insert({"status": "a", "note": "n"})
+        (frame,) = frames  # the batched insert crossed as one frame ...
+        assert len(frame) > 1
+        assert all(request.idem for request in frame)  # ... keys intact
+        # ... and the transcript still lists every sub-call.
+        seen = observed.transcript.calls[before:]
+        assert [(call.service, call.method) for call in seen] == [
+            (request.service, request.method) for request in frame
+        ]
+        cluster.close()

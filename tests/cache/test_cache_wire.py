@@ -1,10 +1,9 @@
-"""Cache tier × frame coalescing: a cache-hit slot never re-ships.
+"""Cache tier × the wire: a cache-hit slot never ships.
 
-The coalescer merges concurrently prepared frames into one wire batch;
-the cache tier serves hits above the whole transport stack.  These
-tests pin the interaction down: when an operation's fetch set is
-partially cached, the frame it contributes holds only the miss slots —
-a hit is never double-dispatched, alone or inside a coalesced batch.
+The cache tier serves hits above the whole transport stack.  These
+tests pin the interaction down at the wire: when an operation's fetch
+set is partially cached, the frame it ships holds only the miss slots —
+a hit is never dispatched, alone or next to a concurrent miss.
 """
 
 from __future__ import annotations
@@ -19,15 +18,15 @@ from repro.core.registry import TacticRegistry
 from repro.core.schema import FieldAnnotation, Schema
 from repro.gateway.runtime import SyncGateway
 from repro.net.batch import PipelineConfig
-from repro.net.transport import InProcTransport, Transport
+from repro.net.transport import InProcTransport, TransportLayer
 from repro.tactics import register_builtin_tactics
 
 
-class FetchRecorder(Transport):
+class FetchRecorder(TransportLayer):
     """Records every document id the wire is asked to deliver."""
 
     def __init__(self, inner):
-        self.inner = inner
+        super().__init__(inner)
         self.lock = threading.Lock()
         self.fetched: list[str] = []
 
@@ -38,22 +37,14 @@ class FetchRecorder(Transport):
             elif method == "get_many":
                 self.fetched.extend(kwargs["doc_ids"])
 
-    def call(self, service, method, **kwargs):
-        self._note(method, kwargs)
-        return self.inner.call(service, method, **kwargs)
-
     def call_request(self, request):
         self._note(request.method, request.kwargs)
         return self.inner.call_request(request)
 
     def call_batch(self, requests):
-        requests = list(requests)
         for request in requests:
             self._note(request.method, request.kwargs)
         return self.inner.call_batch(requests)
-
-    def stats(self):
-        return self.inner.stats()
 
     def reset(self):
         with self.lock:
@@ -66,11 +57,8 @@ def deploy():
     cloud = CloudZone(registry)
     recorder = FetchRecorder(InProcTransport(cloud.host))
     blinder = DataBlinder(
-        "coalcache", recorder, registry=registry,
-        pipeline=PipelineConfig(
-            batch_writes=True, coalesce_window_ms=2.0,
-            cache=CacheConfig(),
-        ),
+        "cachewire", recorder, registry=registry,
+        pipeline=PipelineConfig(batch_writes=True, cache=CacheConfig()),
     )
     schema = Schema.define(
         "rec",
@@ -81,7 +69,7 @@ def deploy():
     return blinder, recorder
 
 
-class TestCoalescedCachedReads:
+class TestCacheWire:
     def test_partial_hit_fetch_ships_only_the_misses(self):
         blinder, recorder = deploy()
         entities = blinder.entities("rec")
@@ -100,8 +88,8 @@ class TestCoalescedCachedReads:
         assert len(fetched) == len(set(fetched))
 
     def test_concurrent_hit_and_miss_do_not_double_dispatch(self):
-        """One coalesce window, two concurrent gets: the cached slot
-        contributes nothing to the wire; only the miss ships."""
+        """Two concurrent gets: the cached slot contributes nothing to
+        the wire; only the miss ships."""
         blinder, recorder = deploy()
         runtime = blinder.async_runtime()
         try:

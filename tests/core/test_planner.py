@@ -11,6 +11,7 @@ from repro.core.middleware import DataBlinder
 from repro.core.planner import walk
 from repro.core.planner import ir
 from repro.core.planner.compile import parameterize
+from repro.core.planner.cost import ADAPTIVE_WARMUP
 from repro.core.query import And, Eq, Not, Or, Range
 from repro.core.registry import TacticRegistry
 from repro.core.schema import FieldAnnotation, Schema
@@ -133,14 +134,6 @@ class TestPlanCache:
         after = blinder.planner_stats("rec")
         assert after["cache_hits"] == before["cache_hits"]
         assert after["cache_misses"] - before["cache_misses"] == 3
-
-    def test_cache_disabled_compiles_every_time(self):
-        blinder, entities = deploy(PipelineConfig(plan_cache=False))
-        before = blinder.planner_stats("rec")["compiles"]
-        entities.find(Eq("status", "draft"))
-        entities.find(Eq("status", "active"))
-        after = blinder.planner_stats("rec")["compiles"]
-        assert after - before == 2
 
     def test_migrate_schema_invalidates(self):
         blinder, entities = deploy(n_docs=8)
@@ -428,8 +421,7 @@ class TestAdaptiveSelection:
         alternatives = plan.alternatives["eq"]
 
         transport = DelayTactic(InProcTransport(cloud.host), primary)
-        pipeline = PipelineConfig(adaptive_selection=True,
-                                  adaptive_warmup=1)
+        pipeline = PipelineConfig(adaptive_selection=True)
         blinder = DataBlinder("plannertest", transport, registry=registry,
                               pipeline=pipeline)
         blinder.register_schema(make_schema())
@@ -438,8 +430,8 @@ class TestAdaptiveSelection:
 
         expected = entities.find_ids(Eq("subject", "s1"))
         assert len(expected) == 3  # i in {1, 5, 9}
-        # Warmup explores each candidate once, then the EWMAs take over.
-        for _ in range(2 + len(alternatives)):
+        # Warmup explores every candidate, then the EWMAs take over.
+        for _ in range(ADAPTIVE_WARMUP * (1 + len(alternatives)) + 2):
             got = entities.find_ids(Eq("subject", "s1"))
             assert got == expected  # alternatives are dual-indexed
         chosen = blinder.planner_stats("rec")["chosen"]["subject.eq"]

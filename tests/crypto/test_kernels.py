@@ -1,28 +1,15 @@
 """Unit tests for the gateway crypto kernel layer.
 
-Covers the three kernel building blocks in isolation — the fixed-base
-windowed modexp table, the executor (sanitizer, LRU, dedup mapping,
-inline/pool dispatch) and the worker kernel functions — plus the
-pool-safety invariant: nothing but plain public integers ever crosses
-the process boundary.
+Covers the kernel building blocks in isolation: the fixed-base windowed
+modexp table and the executor (LRU, dedup mapping, kernel timings).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.crypto import elgamal, paillier
-from repro.crypto.kernels import workers
-from repro.crypto.kernels.config import (
-    FORCE_POOL_ENV,
-    CryptoConfig,
-    resolve_crypto,
-)
-from repro.crypto.kernels.executor import (
-    CryptoExecutor,
-    LruCache,
-    ensure_plain_args,
-)
+from repro.crypto.kernels.config import CryptoConfig
+from repro.crypto.kernels.executor import CryptoExecutor, LruCache
 from repro.crypto.kernels.modexp import FixedBaseTable
 from repro.errors import CryptoError
 
@@ -48,28 +35,6 @@ class TestFixedBaseTable:
         assert table.memory_bytes > 0
 
 
-class TestSanitizer:
-    def test_accepts_plain_and_nested_plain(self):
-        ensure_plain_args((1, "x", 2.5, True, None, (1, 2, [3, "y"])))
-
-    @pytest.mark.parametrize("poison", [
-        b"\x00" * 16,                       # raw key bytes
-        object(),                           # arbitrary object
-        {"n": 5},                           # mappings never ship
-        (1, 2, (3, b"secret")),             # nested bytes
-    ])
-    def test_rejects_non_plain(self, poison):
-        with pytest.raises(CryptoError):
-            ensure_plain_args((poison,))
-
-    def test_rejects_key_objects(self):
-        key = paillier.generate_keypair(128)
-        with pytest.raises(CryptoError):
-            ensure_plain_args((key,))
-        with pytest.raises(CryptoError):
-            ensure_plain_args((key.public,))
-
-
 class TestLruCache:
     def test_evicts_least_recently_used(self):
         cache = LruCache(2)
@@ -92,43 +57,14 @@ class TestLruCache:
 
 
 class TestCryptoConfig:
-    def test_defaults_are_inactive(self, monkeypatch):
-        monkeypatch.delenv(FORCE_POOL_ENV, raising=False)
-        config = CryptoConfig()
-        assert not config.active
-        assert resolve_crypto(None) == config
+    def test_defaults_are_inactive(self):
+        assert not CryptoConfig().active
 
-    def test_workers_or_precompute_activate(self):
-        assert CryptoConfig(workers=2).active
+    def test_precompute_activates(self):
         assert CryptoConfig(precompute=True).active
-
-    def test_force_pool_env_overrides(self, monkeypatch):
-        monkeypatch.setenv(FORCE_POOL_ENV, "3")
-        assert resolve_crypto(CryptoConfig()).workers == 3
-        assert resolve_crypto(CryptoConfig(workers=1)).workers == 3
-        monkeypatch.delenv(FORCE_POOL_ENV)
-        assert resolve_crypto(CryptoConfig(workers=1)).workers == 1
 
 
 class TestCryptoExecutor:
-    def test_inline_submit_runs_and_audits(self):
-        executor = CryptoExecutor(CryptoConfig())
-        future = executor.submit(workers.paillier_masks, 35, 2)
-        masks = future.result()
-        assert len(masks) == 2
-        assert executor.audit == [("paillier_masks", (35, 2))]
-
-    def test_submit_rejects_key_material(self):
-        executor = CryptoExecutor(CryptoConfig())
-        with pytest.raises(CryptoError):
-            executor.submit(workers.paillier_masks, b"\x01" * 16, 1)
-
-    def test_submit_batch_inline_and_small_batches_return_none(self):
-        executor = CryptoExecutor(CryptoConfig(min_submit=4))
-        assert executor.submit_batch(workers.paillier_masks, 8, 35, 8) is None
-        pooled = CryptoExecutor(CryptoConfig(workers=1, min_submit=4))
-        assert pooled.submit_batch(workers.paillier_masks, 3, 35, 3) is None
-
     def test_cache_only_when_active(self):
         assert CryptoExecutor(CryptoConfig()).cache() is None
         active = CryptoExecutor(CryptoConfig(precompute=True, cache_size=8))
@@ -170,93 +106,15 @@ class TestCryptoExecutor:
         assert out == [-5, -6, -5]
         assert batches == [[5, 6]]
 
-    def test_submit_falls_back_inline_when_pool_cannot_spawn(self,
-                                                             monkeypatch):
-        """The safe-import rule (no __main__ guard) must not crash the
-        write path: submit computes inline instead."""
-        from repro.crypto.kernels import executor as executor_module
-
-        def no_pool(workers):
-            raise RuntimeError("bootstrapping phase")
-
-        monkeypatch.setattr(executor_module, "_shared_pool", no_pool)
-        executor = CryptoExecutor(CryptoConfig(workers=2))
-        assert len(executor.submit(workers.paillier_masks, 35, 2)
-                   .result()) == 2
-        names = [name for name, _ in executor.drain_timings()]
-        assert names == ["paillier_masks:pool-fallback"]
-        executor.warm()  # must swallow the same spawn failure
-
-    def test_result_falls_back_inline_when_pool_breaks(self):
-        from concurrent.futures import BrokenExecutor, Future
-
-        from repro.crypto.kernels.executor import _FallbackFuture
-
-        broken: Future = Future()
-        broken.set_exception(BrokenExecutor("worker died"))
-        executor = CryptoExecutor(CryptoConfig(workers=1))
-        wrapped = _FallbackFuture(broken, workers.paillier_masks,
-                                  (35, 3), executor)
-        assert len(wrapped.result()) == 3
-
-    def test_warm_inline_is_noop_and_sanitizes_before_spawning(self):
-        CryptoExecutor(CryptoConfig()).warm()  # no pool: returns at once
-        pooled = CryptoExecutor(CryptoConfig(workers=1))
-        with pytest.raises(CryptoError):  # raises before any pool spawn
-            pooled.warm(workers.paillier_masks, b"\x01" * 16, 1)
-
     def test_timings_drain(self):
-        executor = CryptoExecutor(CryptoConfig())
-        executor.submit(workers.paillier_masks, 35, 1).result()
-        names = [name for name, _ in executor.drain_timings()]
-        assert names == ["paillier_masks"]
+        executor = CryptoExecutor(CryptoConfig(precompute=True))
+        executor.record("paillier_encrypt", 0.25)
+        assert executor.drain_timings() == [("paillier_encrypt", 0.25)]
         assert executor.drain_timings() == []
 
-
-class TestWorkerKernels:
-    def test_paillier_masks_encrypt_correctly(self):
-        private = paillier.generate_keypair(128)
-        public = private.public
-        for window_bits in (0, 4):
-            masks = workers.paillier_masks(public.n, 3, window_bits)
-            assert len(masks) == 3
-            for i, mask in enumerate(masks):
-                ciphertext = paillier.encrypt_with_mask(public, 40 + i, mask)
-                assert paillier.decrypt(private, ciphertext) == 40 + i
-
-    def test_elgamal_randoms_encrypt_correctly(self):
-        private = elgamal.generate_keypair(128)
-        public = private.public
-        for window_bits in (0, 4):
-            pairs = workers.elgamal_randoms(public.p, public.g, public.h,
-                                            3, window_bits)
-            assert len(pairs) == 3
-            for i, (g_r, h_r) in enumerate(pairs):
-                ciphertext = elgamal.encrypt_with_randomness(
-                    public, 7 + i, g_r, h_r
-                )
-                assert elgamal.decrypt(private, ciphertext) == 7 + i
-
-
-class TestProcessPool:
-    """One real forkserver round trip, plus the safety invariant."""
-
-    def test_pooled_batch_round_trip_and_plain_only_audit(self):
-        private = paillier.generate_keypair(128)
-        public = private.public
-        executor = CryptoExecutor(CryptoConfig(workers=1, min_submit=1))
-        future = executor.submit_batch(workers.paillier_masks, 4,
-                                       public.n, 4, 4)
-        assert future is not None
-        masks = future.result()
-        assert len(masks) == 4
-        for mask in masks:
-            ciphertext = paillier.encrypt_with_mask(public, -9, mask)
-            assert paillier.decrypt(private, ciphertext) == -9
-        # The audit mirror holds exactly what was pickled to the pool:
-        # plain ints only, and none of them private key material.
-        secrets_set = {private.lam, private.mu, private.p, private.q}
-        for name, args in executor.audit:
-            assert name == "paillier_masks"
-            ensure_plain_args(args)
-            assert not (set(args) & secrets_set)
+    def test_inactive_executor_keeps_no_timings(self):
+        """Nothing drains the sink outside the kernelised write paths,
+        so an inactive executor must not grow it."""
+        executor = CryptoExecutor(CryptoConfig())
+        executor.record("paillier_encrypt", 0.25)
+        assert executor.drain_timings() == []

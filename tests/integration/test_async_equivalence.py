@@ -31,21 +31,17 @@ import threading
 import pytest
 
 from repro.analysis.snapshot import zone_fingerprint
-from repro.cache import CacheConfig
 from repro.cloud.cluster import CloudCluster
 from repro.cloud.server import CloudZone
 from repro.core.middleware import DataBlinder
 from repro.core.query import AggregateQuery, And, Eq, Not, Or, Range
 from repro.core.registry import TacticRegistry
 from repro.core.schema import FieldAnnotation, Schema
-from repro.crypto.kernels.config import CryptoConfig
 from repro.gateway.frontdoor import AuditLog, FrontDoor
 from repro.gateway.runtime import SyncGateway
-from repro.integrity import IntegrityConfig
 from repro.net.batch import PipelineConfig
 from repro.net.resilience import ResilienceConfig
-from repro.net.rpc import Request
-from repro.net.transport import InProcTransport, Transport
+from repro.net.transport import InProcTransport, TransportLayer
 from repro.shard.config import ShardConfig
 from repro.shard.router import ShardedTransport
 from repro.spi.descriptors import Aggregate
@@ -227,7 +223,7 @@ class TestReadEquivalence:
         assert entities.count(Eq("status", "async")) == 1
 
 
-class RecordingTransport(Transport):
+class RecordingTransport(TransportLayer):
     """Logs every state-changing frame that reaches the router.
 
     A mutating frame holds the lock across the inner call, so log order
@@ -237,12 +233,9 @@ class RecordingTransport(Transport):
     """
 
     def __init__(self, inner):
-        self._inner = inner
+        super().__init__(inner)
         self._lock = threading.Lock()
         self.log = []
-
-    def call(self, service, method, **kwargs):
-        return self.call_request(Request(service, method, kwargs))
 
     def call_request(self, request):
         if not ShardedTransport._mutating_slot(request):
@@ -258,19 +251,6 @@ class RecordingTransport(Transport):
         with self._lock:
             self.log.append(("batch", requests))
             return self._inner.call_batch(requests)
-
-    def call_labeled(self, service, method, **kwargs):
-        return self._inner.call_labeled(service, method, **kwargs)
-
-    def drain_async_writes(self, timeout=None):
-        return self._inner.drain_async_writes(timeout)
-
-    def stats(self):
-        return self._inner.stats()
-
-    def close(self):
-        self._inner.close()
-
 
 def fingerprints(cluster):
     return {
@@ -332,11 +312,7 @@ def sequential_writes(blinder, runtime):
     assert entities.delete(ids[7])
 
 
-ALL_LAYERS = PipelineConfig(
-    batch_writes=True, fanout_workers=4, prefetch=True,
-    crypto=CryptoConfig(precompute=True), sharding=ShardConfig(),
-    integrity=IntegrityConfig(), cache=CacheConfig(),
-)
+ALL_LAYERS = PipelineConfig.production()
 
 PATIENTS = [f"p{i}" for i in range(5)]
 

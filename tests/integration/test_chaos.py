@@ -40,7 +40,7 @@ from repro.net.resilience import (
 )
 from repro.net.rpc import Request
 from repro.net.tcp import TcpRpcServer, TcpTransport
-from repro.net.transport import InProcTransport, Transport
+from repro.net.transport import InProcTransport, Transport, TransportLayer
 from repro.tactics import register_builtin_tactics
 
 APP = "chaosapp"
@@ -261,15 +261,12 @@ class TestMultiCloudFailoverEndToEnd:
         assert transport.stats().failovers > 0
 
 
-class RecordingTransport(Transport):
+class RecordingTransport(TransportLayer):
     """Captures every request the resilience layer puts on the wire."""
 
     def __init__(self, inner: Transport):
-        self._inner = inner
+        super().__init__(inner)
         self.requests: list[Request] = []
-
-    def call(self, service, method, **kwargs):
-        return self.call_request(Request(service, method, kwargs))
 
     def call_request(self, request):
         self.requests.append(request)
@@ -278,9 +275,6 @@ class RecordingTransport(Transport):
     def call_batch(self, requests):
         self.requests.extend(requests)
         return self._inner.call_batch(requests)
-
-    def stats(self):
-        return self._inner.stats()
 
 
 _EXACTLY_ONCE: tuple | None = None

@@ -22,7 +22,7 @@ from repro.core.middleware import DataBlinder
 from repro.core.query import AggregateQuery, And, Eq, Range
 from repro.core.registry import TacticRegistry
 from repro.core.schema import FieldAnnotation, Schema
-from repro.crypto.kernels.config import FORCE_POOL_ENV, CryptoConfig
+from repro.crypto.kernels.config import CryptoConfig
 from repro.keys.keystore import KeyStore
 from repro.net.batch import PipelineConfig
 from repro.net.transport import InProcTransport
@@ -33,8 +33,6 @@ BATCH_SIZES = [1, 7, 64]
 
 KERNEL_CONFIGS = [
     pytest.param(CryptoConfig(precompute=True), id="inline-precompute"),
-    pytest.param(CryptoConfig(workers=1, precompute=True, min_submit=4),
-                 id="pooled"),
 ]
 
 
@@ -160,29 +158,6 @@ class TestRandomizedTactics:
             product *= value
         assert kern.aggregate("product") == product
 
-    def test_pool_audit_carries_only_public_ints(self, registry):
-        """Forkserver safety against real tactic traffic: everything
-        submitted to the pool is plain public data."""
-        from repro.crypto.kernels.executor import ensure_plain_args
-
-        config = CryptoConfig(workers=1, precompute=True, min_submit=4)
-        keystore = KeyStore("equiv")
-        runtime, _ = build_runtime(registry, keystore, config)
-        for tactic in ("paillier", "elgamal"):
-            runtime.tactic("obs.field", tactic).index_many(
-                entries_for(tactic, 8)
-            )
-        assert runtime.kernels.audit, "expected pooled submissions"
-        paillier_key = keystore.paillier_keypair("obs.field", "paillier",
-                                                 1024)
-        elgamal_key = keystore.elgamal_keypair("obs.field", "elgamal", 256)
-        secrets_set = {paillier_key.lam, paillier_key.mu, paillier_key.p,
-                       paillier_key.q, elgamal_key.x}
-        for _, args in runtime.kernels.audit:
-            ensure_plain_args(args)
-            flat = [item for item in args if isinstance(item, int)]
-            assert not (set(flat) & secrets_set)
-
 
 SCHEMA_FIELDS = dict(
     status=("string", FieldAnnotation.parse("C3", "I,EQ,BL")),
@@ -225,16 +200,8 @@ class TestDeploymentEquivalence:
 
     @pytest.fixture(scope="class")
     def deployments(self):
-        # Shield the baseline from the CI matrix's forced-pool override:
-        # this class asserts *defaults* behaviour (no crypto/wire rows),
-        # which the override would deliberately change.
-        with pytest.MonkeyPatch.context() as patcher:
-            patcher.delenv(FORCE_POOL_ENV, raising=False)
-            baseline = build_deployment(None)
-            kernel = build_deployment(
-                CryptoConfig(workers=1, precompute=True, min_submit=4)
-            )
-        return baseline, kernel
+        return (build_deployment(None),
+                build_deployment(CryptoConfig(precompute=True)))
 
     @pytest.mark.parametrize("predicate", [
         Eq("status", "final"),
@@ -274,6 +241,12 @@ class TestDeploymentEquivalence:
         assert "observed crypto/wire split" in rendered
         assert "Crypto:insert" in rendered
         assert "Wire:insert" in rendered
+        # The Paillier work is a kernel row of its own, and it is booked
+        # inside the crypto phase, not after it.
+        timings = kernel.planner_stats("obs")["node_timings"]
+        assert timings["Crypto:paillier_encrypt"]["calls"] >= 1
+        assert (timings["Crypto:insert"]["seconds"]
+                >= timings["Crypto:paillier_encrypt"]["seconds"])
         # The defaults run the seed loop and record no split rows.
         assert "crypto/wire split" not in baseline.explain(
             "obs", operation="insert"

@@ -5,6 +5,7 @@ byte.  ``LegacyReadPath`` is a verbatim port of the seed's monolithic
 
 import pytest
 
+from repro.cloud.cluster import CloudCluster
 from repro.cloud.server import CloudZone
 from repro.core.legacy import LegacyReadPath
 from repro.core.middleware import DataBlinder
@@ -20,9 +21,12 @@ from repro.tactics import register_builtin_tactics
 def build(pipeline=None):
     registry = TacticRegistry()
     register_builtin_tactics(registry)
-    cloud = CloudZone(registry)
-    blinder = DataBlinder("equiv", InProcTransport(cloud.host),
-                          registry=registry, pipeline=pipeline)
+    if pipeline is not None and pipeline.sharding is not None:
+        transport = CloudCluster(4, registry=registry).nodes()
+    else:
+        transport = InProcTransport(CloudZone(registry).host)
+    blinder = DataBlinder("equiv", transport, registry=registry,
+                          pipeline=pipeline)
     schema = Schema.define(
         "obs",
         status=("string", FieldAnnotation.parse("C3", "I,EQ,BL")),
@@ -79,6 +83,7 @@ def doc_key(doc):
                        prefetch=True, fetch_chunk=7),
         id="pipelined",
     ),
+    pytest.param(PipelineConfig.production(), id="production"),
 ])
 def deployment(request):
     return build(request.param)

@@ -36,7 +36,7 @@ from repro.net.resilience import (
     wrap_resilient,
 )
 from repro.net.rpc import Request, Response
-from repro.net.transport import InProcTransport, Transport
+from repro.net.transport import InProcTransport, Transport, TransportLayer
 from repro.shard.config import ShardConfig
 from repro.shard.router import ShardedTransport
 from repro.tactics import register_builtin_tactics
@@ -77,15 +77,12 @@ def make_doc(i: int) -> dict:
     }
 
 
-class RecordingTransport(Transport):
+class RecordingTransport(TransportLayer):
     """Logs every frame crossing the gateway/cloud boundary, in order."""
 
     def __init__(self, inner: Transport):
-        self._inner = inner
+        super().__init__(inner)
         self.log: list[tuple[str, object]] = []
-
-    def call(self, service, method, **kwargs):
-        return self.call_request(Request(service, method, kwargs))
 
     def call_request(self, request: Request):
         self.log.append(("call", request))
@@ -95,24 +92,6 @@ class RecordingTransport(Transport):
         requests = list(requests)
         self.log.append(("batch", requests))
         return self._inner.call_batch(requests)
-
-    def stats(self):
-        return self._inner.stats()
-
-    def labeled_stats(self):
-        return self._inner.labeled_stats()
-
-    def topology_epoch(self):
-        return self._inner.topology_epoch()
-
-    def drain_shard_timings(self):
-        return self._inner.drain_shard_timings()
-
-    def drain_async_writes(self, timeout=None):
-        return self._inner.drain_async_writes(timeout)
-
-    def close(self):
-        self._inner.close()
 
 
 def run_write_workload(blinder: DataBlinder) -> None:

@@ -1,0 +1,141 @@
+"""The TransportLayer contract, once for every wrapper in the stack.
+
+A layer overrides the hooks it changes and inherits the rest; these
+tests pin what "the rest" means: every delegated hook reaches the inner
+transport with its arguments and hands its value back, own counters
+merge into the inner labelled report by one rule, and ``close`` closes
+the inner exactly once.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.analysis.observer import ObservedTransport
+from repro.integrity.config import IntegrityConfig
+from repro.integrity.verify import VerifyingTransport
+from repro.net.batch import BatchCollector
+from repro.net.faults import FaultInjectingTransport, FaultPlan
+from repro.net.latency import NetworkStats
+from repro.net.resilience import ResilientTransport
+from repro.net.rpc import Request, Response
+from repro.net.transport import Transport, TransportLayer
+
+
+class StubInner(Transport):
+    """Records every hook invocation and answers with marked values."""
+
+    def __init__(self, labels=("endpoint",)):
+        self.calls: list[tuple] = []
+        self.labels = labels
+
+    def call(self, service, method, **kwargs):
+        raise AssertionError("layers forward requests, not bare calls")
+
+    def call_request(self, request):
+        self.calls.append(("call_request", request))
+        return "reply"
+
+    def call_batch(self, requests):
+        self.calls.append(("call_batch", list(requests)))
+        return [Response(ok=True, result=index)
+                for index, _ in enumerate(requests)]
+
+    def stats(self):
+        return NetworkStats(messages_sent=7)
+
+    def labeled_stats(self):
+        return {label: NetworkStats(messages_sent=7)
+                for label in self.labels}
+
+    def call_labeled(self, service, method, **kwargs):
+        self.calls.append(("call_labeled", service, method, kwargs))
+        return {label: "report" for label in self.labels}
+
+    def topology_epoch(self):
+        return 41
+
+    def drain_shard_timings(self):
+        return [("shard:a", 0.5)]
+
+    def drain_async_writes(self, timeout=None):
+        self.calls.append(("drain_async_writes", timeout))
+        return 3
+
+    def close(self):
+        self.calls.append(("close",))
+
+
+LAYERS = {
+    "BatchCollector": BatchCollector,
+    "VerifyingTransport": lambda inner: VerifyingTransport(
+        inner, "app", IntegrityConfig()),
+    "ResilientTransport": ResilientTransport,
+    "FaultInjectingTransport": lambda inner: FaultInjectingTransport(
+        inner, FaultPlan()),
+    "ObservedTransport": ObservedTransport,
+}
+
+
+@pytest.fixture(params=sorted(LAYERS))
+def build(request):
+    return LAYERS[request.param]
+
+
+class TestLayerContract:
+    def test_is_a_layer_reachable_through_inner(self, build):
+        inner = StubInner()
+        layer = build(inner)
+        assert isinstance(layer, TransportLayer)
+        assert layer.inner is inner
+
+    def test_requests_and_frames_reach_the_inner(self, build):
+        inner = StubInner()
+        layer = build(inner)
+        assert layer.call("docs/app", "count") == "reply"
+        (kind, request), = inner.calls
+        assert (kind, request.service, request.method) == (
+            "call_request", "docs/app", "count")
+        frame = [Request("docs/app", "count", {}),
+                 Request("docs/app", "all_ids", {})]
+        responses = layer.call_batch(frame)
+        assert [response.result for response in responses] == [0, 1]
+        assert inner.calls[-1] == ("call_batch", frame)
+
+    def test_state_hooks_delegate_with_arguments(self, build):
+        inner = StubInner()
+        layer = build(inner)
+        assert layer.topology_epoch() == 41
+        assert layer.drain_shard_timings() == [("shard:a", 0.5)]
+        assert layer.drain_async_writes(2.5) == 3
+        assert layer.call_labeled("integrity/app", "report", since=4) == {
+            "endpoint": "report"}
+        assert inner.calls == [
+            ("drain_async_writes", 2.5),
+            ("call_labeled", "integrity/app", "report", {"since": 4}),
+        ]
+
+    def test_close_closes_the_inner_once(self, build):
+        inner = StubInner()
+        build(inner).close()
+        assert inner.calls == [("close",)]
+
+    def test_own_stats_fold_into_a_single_endpoint_line(self, build):
+        layer = build(StubInner())
+        own = layer.own_stats() or NetworkStats()
+        expected = NetworkStats(messages_sent=7).merge(own)
+        assert layer.stats() == expected
+        assert layer.labeled_stats() == {"endpoint": expected}
+
+    def test_own_stats_get_their_own_label_over_many_endpoints(self, build):
+        layer = build(StubInner(labels=("shard:a", "shard:b")))
+        labeled = layer.labeled_stats()
+        assert labeled["shard:a"] == labeled["shard:b"] == NetworkStats(
+            messages_sent=7)
+        own = layer.own_stats()
+        if own is None:
+            assert set(labeled) == {"shard:a", "shard:b"}
+        else:
+            assert labeled[layer.label] == own
+            assert set(labeled) == {"shard:a", "shard:b",
+                                    layer.label}
