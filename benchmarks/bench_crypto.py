@@ -1,12 +1,17 @@
 """EXP-CRYPTO — gateway crypto kernels: batched tactic SPI and
 fixed-base modexp precomputation.
 
-Three measurements, written to ``BENCH_crypto.json``:
+Four measurements, written to ``BENCH_crypto.json``:
 
 * **Paillier encryption micro-benchmark** — one cold ``r^n mod n²``
   exponentiation per ciphertext (the seed path) against the fixed-base
-  windowed table (``CryptoConfig.precompute``).  The headline claim:
+  windowed tables (``CryptoConfig.precompute``).  The headline claim:
   >= 5x more encryptions per second from precomputation alone.
+* **Paillier kernels on the factors** — per-operation medians over
+  ``KERNEL_OPS`` paired operations: §7 decryption (mod p², q²) against
+  the textbook ``L(c^λ mod n²)·μ``, and a fixed-base mask against a
+  cold ``r^n mod n²``.  The floors are asserted on the median of the
+  per-pair ratios, not on one run's rates.
 * **Bulk-insert throughput grid** — the §5.2 benchmark observation
   schema (8 tactic instances) ingested through ``insert_many`` under
   the defaults and under ``CryptoConfig(precompute=True)``, the config
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -44,6 +50,11 @@ SEED = 2019
 DOCS = int(os.environ.get("DATABLINDER_CRYPTO_BENCH_DOCS", "48"))
 ENCRYPTIONS = int(os.environ.get("DATABLINDER_CRYPTO_BENCH_ENC", "24"))
 AGGREGATES = int(os.environ.get("DATABLINDER_CRYPTO_BENCH_AGG", "5"))
+#: Paired operations behind each kernel-row median; deliberately not
+#: shrunk by ``--smoke`` (a 6-sample median is a single-run swing).
+KERNEL_OPS = 50
+DECRYPT_FLOOR = 1.6   # §7 decrypt vs textbook; measured ~2.2x
+MASK_FLOOR = 8.0      # fixed-base mask vs cold r^n; measured ~17x
 #: Minimum precompute-vs-baseline insert speedup.  The full profile
 #: asserts the EXP-CRYPTO claim (3x); the CI smoke lowers it — its job
 #: on a 16-document workload is validating the plumbing, not the perf
@@ -75,8 +86,8 @@ def test_fixed_base_paillier_encrypt_speedup():
         paillier.encrypt(public, i)
     cold_rate = ENCRYPTIONS / (time.perf_counter() - started)
 
-    fixed = paillier.FixedBaseObfuscator(public)
-    fixed.mask()  # table built in the constructor; one warm call
+    fixed = paillier.FixedBaseObfuscator(private)
+    fixed.mask()  # tables built in the constructor; one warm call
     started = time.perf_counter()
     ciphertexts = [fixed.encrypt(i) for i in range(ENCRYPTIONS)]
     fixed_rate = ENCRYPTIONS / (time.perf_counter() - started)
@@ -95,6 +106,68 @@ def test_fixed_base_paillier_encrypt_speedup():
           f"{fixed_rate:.1f} ops/s ({speedup:.1f}x, table "
           f"{fixed.memory_bytes / 1e6:.1f} MB)")
     assert speedup >= 5.0
+
+
+# -- Paillier kernels on the factors ------------------------------------------
+
+
+def textbook_decrypt(private, ciphertext):
+    """Paillier'99 §4 — the reference the §7 kernel must match."""
+    public = private.public
+    u = pow(ciphertext.value, private.lam, public.n_squared)
+    return paillier._unembed_signed(
+        public, (u - 1) // public.n * private.mu % public.n
+    )
+
+
+def paired(reference, kernel, inputs, same_output):
+    """Time both callables on each input, back to back; returns the two
+    per-operation medians (ms) and the median per-pair ratio."""
+    ref_ms, kernel_ms = [], []
+    for value in inputs:
+        started = time.perf_counter()
+        expected = reference(value)
+        middle = time.perf_counter()
+        actual = kernel(value)
+        kernel_ms.append((time.perf_counter() - middle) * 1e3)
+        ref_ms.append((middle - started) * 1e3)
+        assert not same_output or actual == expected
+    ratio = statistics.median(r / k for r, k in zip(ref_ms, kernel_ms))
+    return statistics.median(ref_ms), statistics.median(kernel_ms), ratio
+
+
+def test_crt_kernels_beat_full_width():
+    """Decrypt and mask generation modulo p², q² against modulo n²."""
+    private = paillier.generate_keypair(1024)
+    public = private.public
+    fixed = paillier.FixedBaseObfuscator(private)
+    fixed.mask()  # tables and per-key constants built; one warm call
+
+    ciphertexts = [fixed.encrypt(i * 977 - 20000) for i in range(KERNEL_OPS)]
+    textbook_ms, crt_ms, decrypt_ratio = paired(
+        lambda c: textbook_decrypt(private, c),
+        lambda c: paillier.decrypt(private, c),
+        ciphertexts, same_output=True,
+    )
+    cold_ms, mask_ms, mask_ratio = paired(
+        lambda _: paillier.obfuscator(public), lambda _: fixed.mask(),
+        range(KERNEL_OPS), same_output=False,  # independent coins
+    )
+    RESULTS["paillier_kernels"] = {
+        "operations": KERNEL_OPS,
+        "decrypt": {"textbook_ms": textbook_ms, "crt_ms": crt_ms,
+                    "paired_ratio": decrypt_ratio},
+        "mask": {"cold_ms": cold_ms, "fixed_base_ms": mask_ms,
+                 "paired_ratio": mask_ratio},
+    }
+    print(f"EXP-CRYPTO Paillier decrypt: textbook {textbook_ms:.2f} ms -> "
+          f"CRT {crt_ms:.2f} ms ({decrypt_ratio:.1f}x, median of "
+          f"{KERNEL_OPS} pairs)")
+    print(f"EXP-CRYPTO Paillier mask:    cold {cold_ms:.2f} ms -> "
+          f"fixed-base {mask_ms:.2f} ms ({mask_ratio:.1f}x, median of "
+          f"{KERNEL_OPS} pairs)")
+    assert decrypt_ratio >= DECRYPT_FLOOR
+    assert mask_ratio >= MASK_FLOOR
 
 
 # -- bulk insert + aggregate grid ---------------------------------------------

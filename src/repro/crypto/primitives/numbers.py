@@ -8,6 +8,7 @@ ElGamal (:mod:`repro.crypto.elgamal`) implementations.
 
 from __future__ import annotations
 
+import math
 import secrets
 from typing import Callable
 
@@ -44,10 +45,10 @@ def invmod(a: int, n: int) -> int:
 
     Raises :class:`CryptoError` when ``gcd(a, n) != 1``.
     """
-    g, x, _ = egcd(a % n, n)
-    if g != 1:
-        raise CryptoError(f"{a} is not invertible modulo {n}")
-    return x % n
+    try:
+        return pow(a, -1, n)
+    except ValueError:
+        raise CryptoError(f"{a} is not invertible modulo {n}") from None
 
 
 def crt_pair(r1: int, n1: int, r2: int, n2: int) -> int:
@@ -61,9 +62,7 @@ def crt_pair(r1: int, n1: int, r2: int, n2: int) -> int:
     return (r1 * n2 * m1 + r2 * n1 * m2) % (n1 * n2)
 
 
-def lcm(a: int, b: int) -> int:
-    g, _, _ = egcd(a, b)
-    return a // g * b
+lcm = math.lcm
 
 
 def is_probable_prime(n: int, rounds: int = 40,

@@ -15,6 +15,7 @@ Default modulus size is configurable; tests use small moduli for speed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.crypto.primitives.hmac_prf import hash_bytes, prg
 from repro.crypto.primitives.numbers import (
@@ -65,15 +66,19 @@ class RsaPrivateKey:
     def byte_length(self) -> int:
         return (self.n.bit_length() + 7) // 8
 
+    @cached_property
+    def _crt(self) -> tuple[int, int, int]:
+        """``(d mod p-1, d mod q-1, q^-1 mod p)``, once per key."""
+        return (self.d % (self.p - 1), self.d % (self.q - 1),
+                invmod(self.q, self.p))
+
     def invert(self, y: int) -> int:
         """Inverse trapdoor permutation with CRT speedup."""
         if not 0 <= y < self.n:
             raise CryptoError("permutation input out of range")
-        dp = self.d % (self.p - 1)
-        dq = self.d % (self.q - 1)
+        dp, dq, q_inv = self._crt
         mp = pow(y % self.p, dp, self.p)
         mq = pow(y % self.q, dq, self.q)
-        q_inv = invmod(self.q, self.p)
         h = (q_inv * (mp - mq)) % self.p
         return mq + h * self.q
 

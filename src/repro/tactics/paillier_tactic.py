@@ -58,10 +58,11 @@ class PaillierGateway(
                 f"got {raw_size!r}"
             ) from None
         #: Fixed-base mask generation (CryptoConfig.precompute): one cold
-        #: mask β at setup, fresh masks as β^k through a windowed table —
-        #: ~7x fewer modmuls than a cold r^n exponentiation.
+        #: mask β at setup, fresh masks as β^k through windowed tables
+        #: mod p² and q² — ~7x fewer modmuls than a cold r^n
+        #: exponentiation, each at half the width.
         self._fixed_base = (
-            paillier.FixedBaseObfuscator(self._private.public)
+            paillier.FixedBaseObfuscator(self._private)
             if self.crypto.precompute else None
         )
         #: Masks (r^n mod n^2) precompute on a background thread, so the
