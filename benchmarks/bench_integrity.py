@@ -18,6 +18,12 @@ costs ~0 on the hot path, and integrity never adds or changes stored
 zone state (reads leave the fingerprint untouched; all three zones are
 structurally identical).
 
+A second block, ``merkle``, gates the cloud-side tree upkeep itself:
+the cost of one leaf update plus ``root()`` (and of one ``proof()``) on
+a live tree against rebuilding a tree from the same leaf set, as the
+median of paired trials — a ratio of two timings taken back to back,
+so machine load moves both sides together.
+
 Results land in ``BENCH_integrity.json`` at the repo root.  Run
 standalone with ``python benchmarks/bench_integrity.py --smoke`` for
 the reduced CI profile.
@@ -38,6 +44,7 @@ from repro.core.middleware import DataBlinder
 from repro.core.query import Eq
 from repro.fhir.model import observation_schema
 from repro.integrity import MODE_AUDIT, MODE_FETCH, IntegrityConfig
+from repro.integrity.merkle import MerkleTree, leaf_key, verify_inclusion
 from repro.net.batch import PipelineConfig
 from repro.net.latency import NetworkModel
 from repro.net.transport import InProcTransport
@@ -52,6 +59,13 @@ TIMED_OPS = int(os.environ.get("DATABLINDER_INTEGRITY_BENCH_OPS", "40"))
 #: Acceptance ceilings (percent throughput loss vs the "off" baseline).
 FETCH_OVERHEAD_CEILING = 25.0
 AUDIT_OVERHEAD_CEILING = 10.0
+
+#: Merkle upkeep gate: paired trials per size, and the floor on the
+#: median (from-scratch build) / (one update + root()) ratio at each
+#: leaf count.  Measured ~60x / ~470x; the rebuild-on-read tree this
+#: replaced sat at ~1x by construction.
+MERKLE_TRIALS = 50
+MERKLE_FLOORS = {1_000: 10.0, 10_000: 50.0}
 
 APP = "bench-integrity"
 
@@ -157,6 +171,88 @@ def run_mode(registry, mode: str) -> dict:
     return row
 
 
+def write_results(blocks: dict) -> None:
+    """Replace the named top-level blocks of ``BENCH_integrity.json``,
+    keeping the ones the other test wrote."""
+    results = (json.loads(RESULTS_PATH.read_text())
+               if RESULTS_PATH.exists() else {})
+    results.update(blocks)
+    RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n")
+
+
+def _merkle_items(n: int) -> list[tuple[bytes, bytes]]:
+    return [(leaf_key(b"d", f"doc{i}".encode()), f"body{i}".encode())
+            for i in range(n)]
+
+
+def _build(items) -> MerkleTree:
+    tree = MerkleTree()
+    for key, value in items:
+        tree.update(key, value)
+    tree.root()
+    return tree
+
+
+def run_merkle(n: int, trials: int) -> dict:
+    """Paired trials at ``n`` leaves: rewrite one leaf on a live tree
+    and read the root, prove that leaf, then build a second tree from
+    the same leaf set — all three must agree."""
+    items = _merkle_items(n)
+    live = _build(items)
+    update_ms, proof_ms, build_ms, ratios, steps = [], [], [], [], []
+    for trial in range(trials):
+        index = (trial * 7919) % n
+        key, value = items[index][0], f"rewrite{trial}".encode()
+        items[index] = (key, value)
+
+        t0 = time.perf_counter()
+        live.update(key, value)
+        root = live.root()
+        t1 = time.perf_counter()
+        proof = live.proof(key)
+        t2 = time.perf_counter()
+        rebuilt = _build(items)
+        t3 = time.perf_counter()
+
+        assert rebuilt.root() == root
+        assert verify_inclusion(root, key, value, proof)
+        update_ms.append((t1 - t0) * 1000.0)
+        proof_ms.append((t2 - t1) * 1000.0)
+        build_ms.append((t3 - t2) * 1000.0)
+        ratios.append((t3 - t2) / (t1 - t0))
+        steps.append(len(proof))
+    quartiles = statistics.quantiles(ratios, n=4)
+    return {
+        "leaves": n,
+        "trials": trials,
+        "update_root_ms": round(statistics.median(update_ms), 4),
+        "proof_ms": round(statistics.median(proof_ms), 4),
+        "build_ms": round(statistics.median(build_ms), 2),
+        "build_over_update_root": round(statistics.median(ratios), 1),
+        "ratio_iqr": [round(quartiles[0], 1), round(quartiles[2], 1)],
+        "proof_steps_max": max(steps),
+    }
+
+
+def test_merkle_upkeep():
+    print(f"\nEXP-MERKLE tree upkeep, median of {MERKLE_TRIALS} paired "
+          f"trials")
+    rows = {}
+    for n, floor in MERKLE_FLOORS.items():
+        row = rows[str(n)] = run_merkle(n, MERKLE_TRIALS)
+        print(f"  {n:>6} leaves  update+root {row['update_root_ms']:.3f} ms"
+              f"   proof {row['proof_ms']:.3f} ms"
+              f"   build {row['build_ms']:.1f} ms"
+              f"   ratio {row['build_over_update_root']:.0f}x"
+              f" (floor {floor:.0f}x)")
+    write_results({"merkle": rows})
+    for n, floor in MERKLE_FLOORS.items():
+        row = rows[str(n)]
+        assert row["build_over_update_root"] >= floor, row
+        # ceil(log2 n) + 2 steps at most.
+        assert row["proof_steps_max"] <= (n - 1).bit_length() + 2, row
+
+
 def test_integrity_overhead(registry):
     print(f"\nEXP-INTEGRITY find workload on "
           f"{WAN_ONE_WAY_MS:.0f} ms one-way WAN "
@@ -179,7 +275,7 @@ def test_integrity_overhead(registry):
     print(f"  overhead vs off: fetch {overhead['fetch']:+.1f}%  "
           f"audit {overhead['audit']:+.1f}%")
 
-    RESULTS_PATH.write_text(json.dumps({
+    write_results({
         "config": {
             "wan_one_way_ms": WAN_ONE_WAY_MS,
             "seed_docs": SEED_DOCS,
@@ -190,7 +286,7 @@ def test_integrity_overhead(registry):
         },
         "modes": rows,
         "overhead_pct": overhead,
-    }, indent=2) + "\n")
+    })
     print(f"results written to {RESULTS_PATH}")
 
     # Same answers, same zone shape, zero spurious detections.

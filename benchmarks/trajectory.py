@@ -129,6 +129,19 @@ def rows() -> list[tuple[str, str, str, str, str]]:
             "detection",
         ))
 
+        merkle = data.get("merkle")
+        if merkle:
+            top = merkle[max(merkle, key=int)]
+            out.append((
+                "integrity: O(log n) Merkle upkeep (update + root)",
+                "bench_integrity.py",
+                _fmt(top["build_ms"], " ms rebuild"),
+                f"{top['update_root_ms']:.3f} ms",
+                f"{top['build_over_update_root']:.0f}x at "
+                f"{top['leaves']} leaves (median of {top['trials']} "
+                f"paired trials), proof {top['proof_ms']:.3f} ms",
+            ))
+
     data = _load("BENCH_cache.json")
     if data:
         hot = data["hot_read"]

@@ -91,15 +91,11 @@ class DocumentService:
         """Bulk proven fetch; unknown ids are skipped like get_many."""
         if self._integrity is None:
             raise TransportError("integrity is not enabled for this zone")
-        envelopes = []
         with self._store._lock:  # noqa: SLF001 - fetch+prove atomically
-            for doc_id in doc_ids:
-                if self._store.contains(doc_id):
-                    document = self._store.get(doc_id)
-                    envelopes.append(
-                        self._integrity.prove_document(doc_id, document)
-                    )
-        return envelopes
+            return self._integrity.prove_documents([
+                (doc_id, self._store.get(doc_id))
+                for doc_id in doc_ids if self._store.contains(doc_id)
+            ])
 
     def replace(self, document: Document) -> None:
         self._store.replace(document)

@@ -210,9 +210,13 @@ class QueryPlanner:
     def _cached_read(self, key: Any, extra: Any, plaintext: bool,
                      execute):
         tier = self._x.runtime.cache_tier
-        if tier is None or tier.results is None:
-            return execute()
         schema = self._x.schema.name
+        # A plaintext result on a schema the tier does not admit is never
+        # stored, so don't pay a ledger re-sync for its fill token.
+        if tier is None or tier.results is None or (
+            plaintext and not tier.admits_plaintext(schema)
+        ):
+            return execute()
         hit = tier.result_lookup(schema, key, extra, plaintext)
         from repro.cache.tier import MISS
 

@@ -29,6 +29,7 @@ reported at write time and refusing regressions later.
 from __future__ import annotations
 
 import threading
+from collections import defaultdict
 from typing import Any
 
 from repro.integrity.merkle import MerkleTree, leaf_key
@@ -56,9 +57,20 @@ def tree_for_key(key: bytes) -> str:
     return "kv"
 
 
+def _doc_key(doc_id: Any) -> bytes:
+    return leaf_key(b"d", str(doc_id).encode())
+
+
 def _doc_leaf(document: dict) -> tuple[bytes, bytes]:
-    doc_id = str(document["_id"])
-    return leaf_key(b"d", doc_id.encode()), message.encode(document)
+    return _doc_key(document["_id"]), message.encode(document)
+
+
+def _entry(tree: MerkleTree) -> dict:
+    return {
+        "root": tree.root(),
+        "digest": f"{tree.digest():064x}",
+        "leaves": len(tree),
+    }
 
 
 class IntegrityTracker:
@@ -69,6 +81,10 @@ class IntegrityTracker:
         self._documents = documents
         self._lock = threading.RLock()
         self._trees: dict[str, MerkleTree] = {}
+        # report() entries, re-derived only for the trees named in
+        # _touched (every tree handed out by _tree since the last report).
+        self._entries: dict[str, dict] = {}
+        self._touched: set[str] = set()
         self._counters: dict[bytes, int] = {}
         # Seed the sequence from the WAL append watermarks so a restart
         # from persisted state resumes at (not below) the sequence the
@@ -81,6 +97,7 @@ class IntegrityTracker:
     # -- initial build -------------------------------------------------------
 
     def _tree(self, name: str) -> MerkleTree:
+        self._touched.add(name)
         tree = self._trees.get(name)
         if tree is None:
             tree = self._trees[name] = MerkleTree()
@@ -88,13 +105,18 @@ class IntegrityTracker:
 
     def _rebuild_from_state(self) -> None:
         with self._lock:
-            self._trees = {"docs": MerkleTree()}
-            self._counters = {}
+            self._reset_trees(MerkleTree())
             _build_kv_trees(self._kv, self._tree, self._counters)
             docs_tree = self._trees["docs"]
             for document in self._documents.iter_documents():
                 key, value = _doc_leaf(document)
                 docs_tree.update(key, value)
+
+    def _reset_trees(self, docs: MerkleTree) -> None:
+        self._trees = {"docs": docs}
+        self._entries = {}
+        self._touched = {"docs"}
+        self._counters = {}
 
     # -- mutation observers --------------------------------------------------
 
@@ -140,9 +162,7 @@ class IntegrityTracker:
                 self._counters[name] = value
                 self._set_counter_leaf(name, value)
             elif op == "flush":
-                docs = self._trees.get("docs") or MerkleTree()
-                self._trees = {"docs": docs}
-                self._counters = {}
+                self._reset_trees(self._trees["docs"])
             self._seq += 1
 
     def _set_counter_leaf(self, name: bytes, value: int) -> None:
@@ -165,9 +185,7 @@ class IntegrityTracker:
                 key, value = _doc_leaf(record["doc"])
                 self._tree("docs").update(key, value)
             elif op == "delete":
-                self._tree("docs").remove(
-                    leaf_key(b"d", str(record["id"]).encode())
-                )
+                self._tree("docs").remove(_doc_key(record["id"]))
             self._seq += 1
 
     # -- reports -------------------------------------------------------------
@@ -180,16 +198,13 @@ class IntegrityTracker:
     def report(self) -> dict:
         """Incremental (root, digest) per tree plus the seq watermark."""
         with self._lock:
+            for name in self._touched:
+                self._entries[name] = _entry(self._trees[name])
+            self._touched.clear()
             return {
                 "seq": self._seq,
-                "trees": {
-                    name: {
-                        "root": tree.root(),
-                        "digest": f"{tree.digest():064x}",
-                        "leaves": len(tree),
-                    }
-                    for name, tree in self._trees.items()
-                },
+                "trees": {name: dict(entry)
+                          for name, entry in self._entries.items()},
             }
 
     def audit_report(self) -> dict:
@@ -202,16 +217,9 @@ class IntegrityTracker:
         matching the gateway ledger — but this recomputation diverges,
         which is exactly what the audit pass compares.
         """
-        trees: dict[str, MerkleTree] = {"docs": MerkleTree()}
-
-        def tree(name: str) -> MerkleTree:
-            found = trees.get(name)
-            if found is None:
-                found = trees[name] = MerkleTree()
-            return found
-
-        _build_kv_trees(self._kv, tree, {})
+        trees: dict[str, MerkleTree] = defaultdict(MerkleTree)
         docs_tree = trees["docs"]
+        _build_kv_trees(self._kv, trees.__getitem__, {})
         for document in self._documents.iter_documents():
             key, value = _doc_leaf(document)
             docs_tree.update(key, value)
@@ -219,35 +227,36 @@ class IntegrityTracker:
             seq = self._seq
         return {
             "seq": seq,
-            "trees": {
-                name: {
-                    "root": t.root(),
-                    "digest": f"{t.digest():064x}",
-                    "leaves": len(t),
-                }
-                for name, t in trees.items()
-            },
+            "trees": {name: _entry(t) for name, t in trees.items()},
         }
 
     # -- proofs --------------------------------------------------------------
 
-    def prove_document(self, doc_id: str, document: dict) -> dict:
-        """Proof envelope for one fetched document.
+    def prove_documents(self, fetched: list[tuple[str, dict]]) -> list[dict]:
+        """Proof envelopes for ``(doc_id, document)`` fetches, all
+        against one root.
 
         Callers must hold the document store's lock across fetch +
-        prove (see ``DocumentService.get_proven``) so the proof is
-        computed against the same tree state the body was read from.
+        prove (see ``DocumentService.get_many_proven``) so the proofs
+        are computed against the same tree state the bodies were read
+        from.
         """
         with self._lock:
-            tree = self._tree("docs")
-            key, _ = _doc_leaf(document)
-            return {
-                "_id": doc_id,
-                "document": document,
-                "proof": tree.proof(key),
-                "root": tree.root(),
-                "seq": self._seq,
-            }
+            tree = self._trees["docs"]
+            root, seq = tree.root(), self._seq
+            return [
+                {
+                    "_id": doc_id,
+                    "document": document,
+                    "proof": tree.proof(_doc_key(document["_id"])),
+                    "root": root,
+                    "seq": seq,
+                }
+                for doc_id, document in fetched
+            ]
+
+    def prove_document(self, doc_id: str, document: dict) -> dict:
+        return self.prove_documents([(doc_id, document)])[0]
 
 
 def _build_kv_trees(kv: KeyValueStore, tree, counters: dict) -> None:

@@ -15,6 +15,7 @@ from repro.cloud.server import CloudZone
 from repro.core.middleware import DataBlinder
 from repro.core.query import Eq
 from repro.core.registry import TacticRegistry
+from repro.core.schema import FieldAnnotation, Schema
 from repro.integrity import IntegrityConfig
 from repro.keys.hsm import SimulatedHsm
 from repro.keys.keystore import KeyStore
@@ -112,3 +113,80 @@ class TestCrossGatewayCoherence:
         # A validated hit is a single ledger re-sync, not a scatter:
         # strictly fewer wire rounds than the cold execution.
         assert 1 <= warm < cold
+
+
+class ReportCountingTransport(CountingTransport):
+    """Also counts the ledger re-syncs (``integrity/<app>.report``)."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.reports = 0
+
+    def _note_requests(self, pairs) -> None:
+        with self._lock:
+            self.reports += sum(
+                1 for service, method in pairs
+                if service == f"integrity/{APP}" and method == "report"
+            )
+
+    def call(self, service, method, **kwargs):
+        self._note_requests([(service, method)])
+        return super().call(service, method, **kwargs)
+
+    def call_request(self, request):
+        self._note_requests([(request.service, request.method)])
+        return super().call_request(request)
+
+    def call_batch(self, requests):
+        self._note_requests([(r.service, r.method) for r in requests])
+        return super().call_batch(requests)
+
+
+def secret_obs_schema() -> Schema:
+    """``obs`` plus one C1 field: below the cache's admission floor."""
+    return Schema.define(
+        "obs",
+        performer=("string", FieldAnnotation.parse("C1", "I")),
+        status=("string", FieldAnnotation.parse("C4", "I,EQ")),
+        value=("float", FieldAnnotation.parse("C4", "I,EQ", "sum,avg")),
+    )
+
+
+class TestUncacheableReadsSkipTheResultCache:
+    """A plaintext result on a non-admitted schema is never stored, so
+    reading it must not buy a fill token (one ledger re-sync) first."""
+
+    def reports_for_aggregate_after_insert(self, schema, extra,
+                                           cache) -> int:
+        registry = TacticRegistry()
+        register_builtin_tactics(registry)
+        transport = ReportCountingTransport(
+            InProcTransport(CloudZone(registry).host)
+        )
+        blinder = DataBlinder(
+            APP, transport, registry=registry,
+            pipeline=PipelineConfig(
+                integrity=IntegrityConfig(),
+                cache=CacheConfig() if cache else None,
+            ),
+        )
+        blinder.register_schema(schema)
+        entities = blinder.entities("obs")
+        entities.insert({"status": "final", "value": 2.0, **extra})
+        entities.insert({"status": "final", "value": 4.0, **extra})
+        before = transport.reports
+        assert entities.average("value") == 3.0
+        return transport.reports - before
+
+    def test_non_admitted_schema_pays_no_extra_resync(self):
+        secret = {"performer": "dr"}
+        cached = self.reports_for_aggregate_after_insert(
+            secret_obs_schema(), secret, cache=True)
+        uncached = self.reports_for_aggregate_after_insert(
+            secret_obs_schema(), secret, cache=False)
+        assert cached == uncached == 0
+
+    def test_admitted_schema_still_stamps_its_fill(self):
+        admitted = {"patient": "p", "effective": 1, "note": "n"}
+        assert self.reports_for_aggregate_after_insert(
+            obs_schema(), admitted, cache=True) == 1

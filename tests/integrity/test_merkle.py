@@ -3,8 +3,16 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.integrity.merkle import (
     DIGEST_MOD,
@@ -155,3 +163,208 @@ class TestLeafKeys:
         assert leaf_key(b"m", b"a\x00b", b"c") != leaf_key(b"m", b"a",
                                                            b"b\x00c")
         assert leaf_key(b"s", b"x") != leaf_key(b"d", b"x")
+
+
+# -- history independence and incremental upkeep --------------------------------
+
+#: Leaf counts on both sides of every depth change a small tree meets
+#: (d = max(0, n.bit_length() - 4): 15|16, 31|32, 1023|1024) plus the
+#: degenerate sizes.
+BOUNDARY_SIZES = [0, 1, 2, 8, 9, 15, 16, 17, 31, 32, 33, 1023, 1024, 1025]
+
+
+def item(i: int, version: int = 0) -> tuple[bytes, bytes]:
+    return leaf_key(b"d", f"doc{i}".encode()), f"body{i}.{version}".encode()
+
+
+def fresh(items, seed: int = 0) -> MerkleTree:
+    """A new tree fed ``items`` in a seeded random order, hashed once."""
+    ordered = sorted(items)
+    random.Random(seed).shuffle(ordered)
+    tree = MerkleTree()
+    for key, value in ordered:
+        tree.update(key, value)
+    return tree
+
+
+def proof_bound(n: int) -> int:
+    return (n - 1).bit_length() + 2  # ceil(log2 n) + 2
+
+
+def assert_equals_fresh(tree: MerkleTree, model: dict[bytes, bytes]):
+    reference = fresh(model.items(), seed=len(model))
+    assert len(tree) == len(model)
+    assert tree.digest() == reference.digest()
+    assert tree.root() == reference.root()
+
+
+def assert_all_prove(tree: MerkleTree, model: dict[bytes, bytes]):
+    root = tree.root()
+    for key, value in model.items():
+        proof = tree.proof(key)
+        assert proof is not None
+        assert len(proof) <= proof_bound(len(model))
+        assert verify_inclusion(root, key, value, proof)
+        assert not verify_inclusion(root, key, value + b"!", proof)
+
+
+class TestBucketBoundaries:
+    @pytest.mark.parametrize("n", BOUNDARY_SIZES)
+    def test_grown_leaf_by_leaf_equals_fresh_build(self, n):
+        """Reading the root between single-leaf mutations walks the
+        incremental path (and the re-bucket at each power of two); the
+        result must be the root of a one-shot build in another order."""
+        tree, model = MerkleTree(), {}
+        for i in range(n):
+            key, value = item(i)
+            tree.update(key, value)
+            model[key] = value
+            if n <= 40 or i >= n - 3:
+                tree.root()
+        assert_equals_fresh(tree, model)
+        assert_all_prove(tree, model)
+
+    @pytest.mark.parametrize("n", [n for n in BOUNDARY_SIZES if n])
+    def test_changed_and_removed_leaves_stop_proving(self, n):
+        model = dict(item(i) for i in range(n))
+        tree = fresh(model.items())
+        key, old_value = item(n // 2)
+        old_root, old_proof = tree.root(), tree.proof(key)
+
+        tree.update(key, b"rewritten")
+        model[key] = b"rewritten"
+        assert tree.root() != old_root
+        assert not verify_inclusion(tree.root(), key, old_value, old_proof)
+        assert not verify_inclusion(tree.root(), key, old_value,
+                                    tree.proof(key))
+        assert_equals_fresh(tree, model)
+        assert_all_prove(tree, model)
+
+        assert tree.remove(key)
+        del model[key]
+        assert tree.proof(key) is None
+        assert not verify_inclusion(tree.root(), key, b"rewritten",
+                                    old_proof)
+        assert_equals_fresh(tree, model)
+        assert_all_prove(tree, model)
+
+    @pytest.mark.parametrize("high,low", [(17, 15), (33, 30), (1025, 1022)])
+    def test_shrinking_back_across_a_boundary(self, high, low):
+        model = dict(item(i) for i in range(high))
+        tree = fresh(model.items())
+        tree.root()
+        for i in range(high - 1, low - 1, -1):
+            key, _ = item(i)
+            assert tree.remove(key)
+            del model[key]
+            assert_equals_fresh(tree, model)
+        assert_all_prove(tree, model)
+        # ... and growing again lands on the first root.
+        for i in range(low, high):
+            key, value = item(i)
+            tree.update(key, value)
+            model[key] = value
+            tree.root()
+        assert_equals_fresh(tree, model)
+
+    def test_mutations_between_reads_touch_many_buckets(self):
+        model = dict(item(i) for i in range(300))
+        tree = fresh(model.items())
+        tree.root()
+        for i in range(0, 300, 7):
+            key, value = item(i, version=1)
+            tree.update(key, value)
+            model[key] = value
+        for i in range(3, 300, 11):
+            key, _ = item(i)
+            tree.remove(key)
+            model.pop(key, None)
+        assert_equals_fresh(tree, model)
+        assert_all_prove(tree, model)
+
+    def test_rewriting_the_same_value_changes_nothing(self):
+        tree = filled(20)
+        root, digest = tree.root(), tree.digest()
+        tree.update(leaf_key(b"d", b"doc3"), b"body3")
+        assert (tree.root(), tree.digest()) == (root, digest)
+
+
+class MerkleMachine(RuleBasedStateMachine):
+    """Any interleaving of update / remove / clear / root / proof ends
+    at the state of a fresh tree over the surviving leaves.
+
+    Keys come from a 72-element universe so runs cross the 15|16, 31|32
+    and 63|64 depth changes in both directions.
+    """
+
+    indices = st.integers(min_value=0, max_value=71)
+
+    def __init__(self):
+        super().__init__()
+        self.tree = MerkleTree()
+        self.model: dict[bytes, bytes] = {}
+        self.dead: dict[bytes, tuple[bytes, list]] = {}
+
+    def _forget(self, key: bytes) -> None:
+        """Remember a live leaf's last proof before it changes."""
+        if key in self.model:
+            self.dead[key] = (self.model[key], self.tree.proof(key))
+
+    @rule(i=indices, version=st.integers(0, 3))
+    def update(self, i, version):
+        key, value = item(i, version)
+        if self.model.get(key) != value:
+            self._forget(key)
+        self.tree.update(key, value)
+        self.model[key] = value
+
+    @rule(first=indices, count=st.integers(1, 40))
+    def load_run(self, first, count):
+        """A burst with no read in between (bulk load / migration)."""
+        for i in range(first, min(first + count, 72)):
+            key, value = item(i, 0)
+            self.dead.pop(key, None)
+            self.tree.update(key, value)
+            self.model[key] = value
+
+    @rule(i=indices)
+    def remove(self, i):
+        key, _ = item(i)
+        self._forget(key)
+        assert self.tree.remove(key) == (key in self.model)
+        self.model.pop(key, None)
+
+    @rule(first=indices, count=st.integers(1, 40))
+    def drop_run(self, first, count):
+        for i in range(first, min(first + count, 72)):
+            key, _ = item(i)
+            self.dead.pop(key, None)
+            self.tree.remove(key)
+            self.model.pop(key, None)
+
+    @precondition(lambda self: self.model)
+    @rule()
+    def clear(self):
+        self.tree.clear()
+        self.model.clear()
+        self.dead.clear()
+
+    @invariant()
+    def matches_a_fresh_tree(self):
+        assert_equals_fresh(self.tree, self.model)
+
+    @invariant()
+    def live_leaves_prove_dead_ones_do_not(self):
+        assert_all_prove(self.tree, self.model)
+        root = self.tree.root()
+        for key, (value, proof) in self.dead.items():
+            if self.model.get(key) != value:
+                assert not verify_inclusion(root, key, value, proof)
+                assert not verify_inclusion(root, key, value,
+                                            self.tree.proof(key))
+
+
+TestMerkleMachine = MerkleMachine.TestCase
+TestMerkleMachine.settings = settings(
+    max_examples=30, stateful_step_count=25, deadline=None,
+)

@@ -3,14 +3,18 @@ counter canonicalisation, WAL seq seeding, and the tactic SPI digest."""
 
 from __future__ import annotations
 
+from hypothesis import given, settings, strategies as st
+
 from repro.cloud.server import CloudZone
 from repro.core.middleware import DataBlinder
 from repro.core.query import Eq
 from repro.core.registry import TacticRegistry
 from repro.fhir.model import observation_schema
 from repro.integrity import IntegrityConfig
+from repro.integrity.merkle import verify_inclusion
 from repro.integrity.tracker import (
     IntegrityTracker,
+    _doc_leaf,
     digest_of_namespace_dump,
     tree_for_key,
 )
@@ -95,6 +99,131 @@ class TestIncrementalVsRecomputed:
         kv, documents = cloud.application_stores(APP)
         rebuilt = IntegrityTracker(kv, documents)
         assert rebuilt.report()["trees"] == original.report()["trees"]
+
+
+#: Two tactic namespaces plus the catch-all, so scripts spread over
+#: several trees and ``move`` has somewhere to relocate a namespace to.
+_NAMES = st.sampled_from([
+    b"tactic/a/f/t/" + suffix for suffix in (b"x", b"y", b"z")
+] + [b"tactic/a/g/u/x", b"tactic/a/g/u/y", b"plain/x", b"plain/y"])
+_SMALL = st.binary(min_size=1, max_size=2)
+_DOC_IDS = st.sampled_from([f"d{i}" for i in range(20)])
+
+_SCRIPT = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), _NAMES, _SMALL),
+        st.tuples(st.just("del"), _NAMES),
+        st.tuples(st.just("mput"), _NAMES, _SMALL, _SMALL),
+        st.tuples(st.just("mdel"), _NAMES, _SMALL),
+        st.tuples(st.just("sadd"), _NAMES, _SMALL),
+        st.tuples(st.just("srem"), _NAMES, _SMALL),
+        st.tuples(st.just("incr"), _NAMES, st.integers(-2, 2)),
+        st.tuples(st.just("cset"), _NAMES, st.integers(0, 2)),
+        st.tuples(st.just("doc"), _DOC_IDS, st.integers(0, 3)),
+        st.tuples(st.just("undoc"), _DOC_IDS),
+        st.tuples(st.just("move")),
+        st.tuples(st.just("flush")),
+        st.tuples(st.just("report")),
+    ),
+    max_size=60,
+)
+
+
+def _apply(kv: KeyValueStore, documents: DocumentStore, step: tuple) -> None:
+    op, args = step[0], step[1:]
+    if op == "put":
+        kv.put(*args)
+    elif op == "del":
+        kv.delete(*args)
+    elif op == "mput":
+        kv.map_put(*args)
+    elif op == "mdel":
+        kv.map_delete(*args)
+    elif op == "sadd":
+        kv.set_add(*args)
+    elif op == "srem":
+        kv.set_remove(*args)
+    elif op == "incr":
+        kv.counter_increment(*args)
+    elif op == "cset":
+        kv.counter_set(*args)
+    elif op == "doc":
+        doc_id, version = args
+        document = {"_id": doc_id, "body": f"v{version}"}
+        if documents.contains(doc_id):
+            documents.replace(document)
+        else:
+            documents.insert(document)
+    elif op == "undoc":
+        documents.delete(*args)
+    elif op == "move":
+        # What resharding does to a tactic namespace: dump, drop
+        # (counters reset to 0, not deleted), load it back.
+        dump = kv.namespace_dump(b"tactic/a/f/t/")
+        kv.namespace_drop(b"tactic/a/f/t/")
+        kv.namespace_load(dump)
+    elif op == "flush":
+        kv.flush_all()
+
+
+def _occupied(report: dict) -> dict:
+    """A live tracker keeps reporting a tree it has emptied; a raw-state
+    scan never meets it.  Compare the trees that hold something."""
+    return {
+        "seq": report["seq"],
+        "trees": {name: entry for name, entry in report["trees"].items()
+                  if entry["leaves"] or name == "docs"},
+    }
+
+
+class TestRandomMutationScripts:
+    @given(script=_SCRIPT)
+    @settings(max_examples=40, deadline=None)
+    def test_report_never_drifts_from_the_raw_stores(self, script):
+        """Incremental roots (and the entries ``report()`` caches
+        between calls) equal the roots recomputed from raw state, and
+        a tracker rebuilt from the same stores agrees."""
+        kv, documents = KeyValueStore(), DocumentStore()
+        tracker = IntegrityTracker(kv, documents)
+        for step in script:
+            if step[0] == "report":
+                assert _occupied(tracker.report()) == tracker.audit_report()
+            else:
+                _apply(kv, documents, step)
+        live = tracker.report()
+        assert live == tracker.report()
+        assert _occupied(live) == tracker.audit_report()
+        rebuilt = IntegrityTracker(kv, documents).report()
+        assert rebuilt["trees"] == _occupied(live)["trees"]
+
+    def test_returned_reports_are_not_aliased_to_the_cache(self):
+        kv, documents = KeyValueStore(), DocumentStore()
+        tracker = IntegrityTracker(kv, documents)
+        kv.put(b"k", b"v")
+        first = tracker.report()
+        first["trees"]["kv"]["root"] = "clobbered"
+        assert tracker.report()["trees"]["kv"]["root"] != "clobbered"
+
+
+class TestProveDocuments:
+    def test_one_root_and_seq_for_the_whole_batch(self):
+        kv, documents = KeyValueStore(), DocumentStore()
+        tracker = IntegrityTracker(kv, documents)
+        stored = [{"_id": f"d{i}", "body": "x" * i} for i in range(40)]
+        for document in stored:
+            documents.insert(document)
+        envelopes = tracker.prove_documents(
+            [(document["_id"], document) for document in stored]
+        )
+        root = tracker.report()["trees"]["docs"]["root"]
+        assert [e["_id"] for e in envelopes] == [d["_id"] for d in stored]
+        for envelope, document in zip(envelopes, stored):
+            assert envelope == tracker.prove_document(document["_id"],
+                                                      document)
+            assert (envelope["root"], envelope["seq"]) == (root, tracker.seq)
+            key, value = _doc_leaf(document)
+            assert verify_inclusion(root, key, value, envelope["proof"])
+        assert tracker.prove_documents([]) == []
 
 
 class TestTacticStateDigest:
