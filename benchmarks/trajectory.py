@@ -59,15 +59,13 @@ def rows() -> list[tuple[str, str, str, str, str]]:
 
     data = _load("BENCH_planner.json")
     if data:
-        adaptive = data["adaptive_vs_static"]
         cache = data["plan_cache"]
         out.append((
-            "query planner: plan cache + adaptive routing",
-            "bench_planner.py",
-            _fmt(1000 * adaptive["static_mean_s"], " ms/query"),
-            _fmt(1000 * adaptive["adaptive_mean_s"], " ms/query"),
-            f"{adaptive['speedup']:.0f}x around a degraded tactic; "
-            f"{100 * cache['hit_rate']:.0f}% plan-cache hits",
+            "query planner: shape-keyed plan cache", "bench_planner.py",
+            _fmt(data["compile_overhead_us"]["mean"], " us/compile"),
+            f"{cache['misses']} compiles / {cache['queries']} queries",
+            f"{100 * cache['hit_rate']:.0f}% plan-cache hits over "
+            f"{cache['shapes']} shapes",
         ))
 
     data = _load("BENCH_crypto.json")

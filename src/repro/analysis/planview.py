@@ -1,8 +1,8 @@
 """EXPLAIN rendering: a query plan with per-node cost and leakage.
 
 ``DataBlinder.explain`` compiles an operation to plan IR and renders it
-here as an indented node tree.  Each node line carries the optimizer's
-cost estimate (descriptor priors blended with observed latency EWMAs —
+here as an indented node tree.  Each node line carries the cost model's
+estimate (descriptor priors blended with observed latency EWMAs —
 ``~`` marks a value backed by real observations) and, for nodes that
 touch an encrypted index, the leakage level the serving tactic admits —
 making the query-time half of the leakage budget visible per plan, not
@@ -151,12 +151,11 @@ def _integrity_footer(planner: "QueryPlanner") -> list[str]:
     config = verifier.config
     if not verifier.active:
         return [f"  Integrity: {config.mode} configured, inactive "
-                f"(no registered field at class <= C{config.min_class})"]
+                "(no registered sensitive field)"]
     if config.mode == "fetch":
         surcharge = planner.cost_model.verify_surcharge_ms()
         return [f"  Integrity: proof-on-fetch active "
-                f"(fields at class <= C{config.min_class}; "
-                f"+{surcharge:.2f} ms/fetch)"]
+                f"(+{surcharge:.2f} ms/fetch)"]
     return ["  Integrity: audit-pass active "
             "(verification runs off the query path)"]
 

@@ -10,17 +10,33 @@ protection class are never cached in plaintext, regardless of knobs.
 The all-defaults ``PipelineConfig`` carries ``cache=None``, which keeps
 the seed read path byte-for-byte: no tier is constructed, no extra
 state, no wire changes.  Constructing a :class:`CacheConfig` turns the
-three levels on individually.
+three levels on individually; their sizes and time-to-lives are the
+constants below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Result cache capacity (entries).
+RESULT_CAPACITY = 512
+#: Result entry time-to-live in seconds.  The TTL is the only coherence
+#: bound for *cross-gateway* writes when integrity is not configured —
+#: with a FreshnessLedger the stamp check supersedes it.
+RESULT_TTL_S = 30.0
+#: Document cache capacity (entries).
+DOCUMENT_CAPACITY = 2048
+#: Document entry time-to-live in seconds.
+DOCUMENT_TTL_S = 30.0
+#: Approximate plaintext budget of the document cache in bytes
+#: (capacity bounds it too).
+DOCUMENT_MAX_BYTES = 16 * 1024 * 1024
+
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Knobs of the three-level gateway read cache.
+    """Switches and admission policy of the three-level gateway read
+    cache.
 
     All three levels are *correctness-transparent*: a cached answer is
     only served while its coherence token (topology epoch, key epoch,
@@ -33,34 +49,19 @@ class CacheConfig:
     #: HSM-OPRF tokens, OPE/ORE codes) per tactic instance, keyed by
     #: plaintext under the instance's key epoch.  Saves crypto-kernel
     #: work and HSM round trips; token bytes on the wire are unchanged
-    #: (the memoised functions are deterministic).
+    #: (the memoised functions are deterministic).  Each instance's LRU
+    #: holds ``crypto.kernels.config.TOKEN_CACHE_CAPACITY`` entries.
     tokens: bool = True
-    #: Per-tactic-instance token cache capacity (entries).
-    token_capacity: int = 4096
     #: Level 2 — cache whole query results keyed by compiled plan shape
     #: + parameter values + principal, validated against the coherence
     #: token on every hit.  A repeat query becomes a single
     #: ledger-validation check instead of a scatter/gather.
     results: bool = True
-    #: Result cache capacity (entries).
-    result_capacity: int = 512
-    #: Result entry time-to-live in seconds; 0 disables expiry.  The
-    #: TTL is the only coherence bound for *cross-gateway* writes when
-    #: integrity is not configured — with a FreshnessLedger the stamp
-    #: check supersedes it.
-    result_ttl_s: float = 30.0
     #: Level 3 — cache decrypted documents by id (bounded LRU with TTL
     #: and size accounting), invalidated by local writes
     #: (read-your-writes) and by ledger root/seq advance for
     #: cross-gateway writes.
     documents: bool = True
-    #: Document cache capacity (entries).
-    document_capacity: int = 2048
-    #: Document entry time-to-live in seconds; 0 disables expiry.
-    document_ttl_s: float = 30.0
-    #: Approximate plaintext budget of the document cache in bytes;
-    #: 0 disables size-based eviction (capacity still bounds it).
-    document_max_bytes: int = 16 * 1024 * 1024
     #: Remember DocumentNotFound outcomes so repeated misses for the
     #: same id short-circuit at the gateway.  Negative entries obey the
     #: same coherence token and are dropped when the id is inserted

@@ -59,7 +59,14 @@ import threading
 from contextvars import ContextVar
 from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.cache.config import CacheConfig
+from repro.cache.config import (
+    DOCUMENT_CAPACITY,
+    DOCUMENT_MAX_BYTES,
+    DOCUMENT_TTL_S,
+    RESULT_CAPACITY,
+    RESULT_TTL_S,
+    CacheConfig,
+)
 from repro.cache.lru import TtlLruCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -116,15 +123,12 @@ class GatewayCacheTier:
         self.config = config
         self.runtime = runtime
         self.documents: TtlLruCache | None = (
-            TtlLruCache(
-                config.document_capacity,
-                ttl_s=config.document_ttl_s,
-                max_bytes=config.document_max_bytes,
-            )
+            TtlLruCache(DOCUMENT_CAPACITY, ttl_s=DOCUMENT_TTL_S,
+                        max_bytes=DOCUMENT_MAX_BYTES)
             if config.documents else None
         )
         self.results: TtlLruCache | None = (
-            TtlLruCache(config.result_capacity, ttl_s=config.result_ttl_s)
+            TtlLruCache(RESULT_CAPACITY, ttl_s=RESULT_TTL_S)
             if config.results else None
         )
         self._write_versions: dict[str, int] = {}

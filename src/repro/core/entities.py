@@ -10,11 +10,16 @@ keys, tactics or ciphertexts.
 from __future__ import annotations
 
 import asyncio
+import functools
+import inspect
+from typing import TYPE_CHECKING
 
-from repro.core.executor import SchemaExecutor
 from repro.core.query import AggregateQuery, Eq, Predicate, Range
 from repro.crypto.encoding import Value
 from repro.spi.descriptors import Aggregate
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.executor import SchemaExecutor
 
 
 class Entities:
@@ -146,19 +151,30 @@ class Entities:
         return Range(field, low, high)
 
 
+def _awaitable(method):
+    """The coroutine twin of one :class:`Entities` method: same name,
+    signature and result, one ``asyncio.to_thread`` hop."""
+
+    @functools.wraps(method)
+    async def hop(self, *args, **kwargs):
+        return await asyncio.to_thread(method, self._sync, *args, **kwargs)
+
+    return hop
+
+
 class AsyncEntities:
     """The coroutine flavour of :class:`Entities`.
 
     Same operations, same results, awaitable: every coroutine is one
     ``asyncio.to_thread`` hop over the :class:`Entities` method of the
-    same name, so there is a single execution path (the synchronous
-    plan engine over the synchronous transport stack) and the event
-    loop only interleaves whole operations.  ``to_thread`` copies the
-    caller's context, so the cache principal, batch scope,
-    op-verification scope and shard-timing sinks follow the operation
-    onto its worker.  The façades share the executor, plan cache and
-    write pipeline, so sync and async callers may be mixed freely on
-    one application.
+    same name (generated from it below), so there is a single execution
+    path (the synchronous plan engine over the synchronous transport
+    stack) and the event loop only interleaves whole operations.
+    ``to_thread`` copies the caller's context, so the cache principal,
+    batch scope, op-verification scope and shard-timing sinks follow the
+    operation onto its worker.  The façades share the executor, plan
+    cache and write pipeline, so sync and async callers may be mixed
+    freely on one application.
     """
 
     def __init__(self, executor: SchemaExecutor):
@@ -168,93 +184,10 @@ class AsyncEntities:
     def schema_name(self) -> str:
         return self._sync.schema_name
 
-    # -- CRUD -----------------------------------------------------------------
+    eq = staticmethod(Entities.eq)
+    between = staticmethod(Entities.between)
 
-    async def insert(self, document: dict[str, Value]) -> str:
-        return await asyncio.to_thread(self._sync.insert, document)
 
-    async def insert_many(
-        self, documents: list[dict[str, Value]]
-    ) -> list[str]:
-        return await asyncio.to_thread(self._sync.insert_many, documents)
-
-    async def get(self, doc_id: str) -> dict[str, Value]:
-        return await asyncio.to_thread(self._sync.get, doc_id)
-
-    async def update(self, doc_id: str,
-                     changes: dict[str, Value]) -> None:
-        await asyncio.to_thread(self._sync.update, doc_id, changes)
-
-    async def delete(self, doc_id: str) -> bool:
-        return await asyncio.to_thread(self._sync.delete, doc_id)
-
-    # -- search ------------------------------------------------------------------
-
-    async def find(self, predicate: Predicate | None = None,
-                   verify: bool | None = None,
-                   limit: int | None = None) -> list[dict[str, Value]]:
-        return await asyncio.to_thread(self._sync.find, predicate,
-                                       verify=verify, limit=limit)
-
-    async def find_one(self,
-                       predicate: Predicate) -> dict[str, Value] | None:
-        return await asyncio.to_thread(self._sync.find_one, predicate)
-
-    async def find_ids(self,
-                       predicate: Predicate | None = None) -> set[str]:
-        return await asyncio.to_thread(self._sync.find_ids, predicate)
-
-    async def count(self, predicate: Predicate | None = None) -> int:
-        return await asyncio.to_thread(self._sync.count, predicate)
-
-    # -- aggregates ----------------------------------------------------------------
-
-    async def aggregate(self, query: AggregateQuery) -> Value:
-        return await asyncio.to_thread(self._sync.aggregate, query)
-
-    async def average(self, field: str,
-                      where: Predicate | None = None) -> Value:
-        return await asyncio.to_thread(self._sync.average, field, where)
-
-    async def sum(self, field: str,
-                  where: Predicate | None = None) -> Value:
-        return await asyncio.to_thread(self._sync.sum, field, where)
-
-    async def min(self, field: str,
-                  where: Predicate | None = None) -> Value:
-        return await asyncio.to_thread(self._sync.min, field, where)
-
-    async def max(self, field: str,
-                  where: Predicate | None = None) -> Value:
-        return await asyncio.to_thread(self._sync.max, field, where)
-
-    async def find_sorted(self, field: str, limit: int | None = None,
-                          descending: bool = False
-                          ) -> list[dict[str, Value]]:
-        return await asyncio.to_thread(self._sync.find_sorted, field,
-                                       limit=limit,
-                                       descending=descending)
-
-    async def text_search(self, query: str, limit: int = 10,
-                          require_all: bool = False
-                          ) -> list[dict[str, Value]]:
-        return await asyncio.to_thread(self._sync.text_search, query,
-                                       limit=limit,
-                                       require_all=require_all)
-
-    # -- query planning -----------------------------------------------------------
-
-    async def explain(self, predicate: Predicate | None = None,
-                      **kwargs) -> str:
-        return await asyncio.to_thread(self._sync.explain, predicate,
-                                       **kwargs)
-
-    # -- convenience predicates -------------------------------------------------------
-
-    @staticmethod
-    def eq(field: str, value: Value) -> Eq:
-        return Eq(field, value)
-
-    @staticmethod
-    def between(field: str, low: Value, high: Value) -> Range:
-        return Range(field, low, high)
+for _name, _method in vars(Entities).items():
+    if not _name.startswith("_") and inspect.isfunction(_method):
+        setattr(AsyncEntities, _name, _awaitable(_method))

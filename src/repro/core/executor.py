@@ -5,8 +5,8 @@ persistence logic" (§4.1).  Since the planner refactor it is a thin
 façade: it binds a schema's field plans to live tactic instances, owns
 the body cipher and the write-batch/fan-out plumbing, and delegates
 every operation to its :class:`repro.core.planner.QueryPlanner`, which
-compiles the operation to plan IR, optimizes it against the cost model,
-caches it by predicate shape, and executes it on the plan engine.
+compiles the operation to plan IR, caches it by predicate shape, and
+executes it on the plan engine.
 
 Verification still makes the whole pipeline sound under the
 approximations the tactics are allowed: BIEX-ZMF false positives, stale
@@ -19,9 +19,7 @@ cannot change (the decrypt-free ``count`` path).
 When a :class:`repro.net.batch.PipelineConfig` enables them, the
 latency optimisations rewire the hot paths without changing results:
 write batching, CNF literal fan-out, chunked fetch with prefetch — all
-executed node-by-node by the plan engine with the seed semantics —
-plus the planner-era knobs (``fetch_chunk``,
-``adaptive_selection``).
+executed node-by-node by the plan engine with the seed semantics.
 """
 
 from __future__ import annotations
@@ -55,10 +53,6 @@ def _is_not_found(error: Exception) -> bool:
     return (isinstance(error, RemoteError)
             and error.remote_type == "DocumentNotFound")
 
-#: Lookup roles whose alternatives are dual-indexed for adaptive
-#: selection (aggregate and store roles always stay on the primary).
-ADAPTIVE_ROLES = ("eq", "range")
-
 
 class SchemaExecutor:
     """All persistence logic for one (application, schema) binding."""
@@ -86,7 +80,6 @@ class SchemaExecutor:
             runtime.keystore.derive(f"{schema.name}._body", "core", "aead")
         )
         self._instances: dict[str, dict[str, Any]] = {}
-        self._alternatives: dict[tuple[str, str, str], Any] = {}
         self._bool_instance: BiexGateway | None = None
         self._load_instances()
         self.planner = QueryPlanner(self)
@@ -113,17 +106,6 @@ class SchemaExecutor:
                 if isinstance(instance, BiexGateway):
                     self._bool_instance = instance
             self._instances[field] = by_role
-            if self.pipeline.adaptive_selection:
-                # Dual-index the recorded runner-ups so the optimizer may
-                # route lookups to them (never BIEX — selection excludes
-                # shared-instance tactics from alternatives).
-                for role in ADAPTIVE_ROLES:
-                    for name in plan.alternatives.get(role, ()):
-                        self._alternatives[(field, role, name)] = (
-                            self.runtime.tactic(
-                                f"{self.schema.name}.{field}", name
-                            )
-                        )
 
     def _role_instance(self, field: str, role: str) -> Any | None:
         return self._instances.get(field, {}).get(role)
@@ -139,9 +121,8 @@ class SchemaExecutor:
                         tactic: str) -> Any:
         """The instance serving one plan-IR lookup node.
 
-        The statically selected tactic resolves to its wired role
-        instance (identity matters for the shared boolean instance);
-        an adaptive alternative resolves to its dual-indexed instance.
+        The selected tactic resolves to its wired role instance
+        (identity matters for the shared boolean instance).
         """
         if role is not None:
             primary = self._instances.get(field, {}).get(role)
@@ -149,41 +130,17 @@ class SchemaExecutor:
                 self.plans[field].roles.get(role) == tactic
             ):
                 return primary
-            alternative = self._alternatives.get((field, role, tactic))
-            if alternative is not None:
-                return alternative
         return self.runtime.tactic(f"{self.schema.name}.{field}", tactic)
 
     def _field_instances(self, field: str) -> list[Any]:
-        """Distinct *primary* tactic instances bound to a field."""
+        """Distinct tactic instances bound to a field — the set every
+        write feeds."""
         seen: list[Any] = []
         for role in sorted(self._instances.get(field, {})):
             instance = self._instances[field][role]
             if all(instance is not s for s in seen):
                 seen.append(instance)
         return seen
-
-    def write_instances(self, field: str) -> list[Any]:
-        """Distinct instances a write must feed: the primaries, plus the
-        dual-indexed alternatives under adaptive selection."""
-        seen = self._field_instances(field)
-        for (alt_field, _, _), instance in sorted(
-            self._alternatives.items(), key=lambda item: item[0]
-        ):
-            if alt_field == field and all(
-                instance is not s for s in seen
-            ):
-                seen.append(instance)
-        return seen
-
-    def write_tactic_names(self, field: str) -> list[str]:
-        """Distinct tactic names the write path feeds for a field."""
-        plan = self.plans[field]
-        names = list(plan.tactic_names)
-        for (alt_field, role, name) in sorted(self._alternatives):
-            if alt_field == field and name not in names:
-                names.append(name)
-        return names
 
     # -- pipelining helpers --------------------------------------------------------
 
@@ -199,11 +156,10 @@ class SchemaExecutor:
         return self._collector.collect()
 
     def _pool(self) -> ThreadPoolExecutor | None:
-        """Bounded worker pool for read/write-side fan-out (lazy, shared)."""
+        """Bounded worker pool for read-side fan-out (lazy, shared)."""
         workers = max(
             self.pipeline.fanout_workers,
             2 if self.pipeline.prefetch else 0,
-            2 if self.pipeline.write_chunk > 0 else 0,
         )
         if workers < 2:
             return None

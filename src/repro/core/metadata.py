@@ -29,9 +29,6 @@ def _plan_to_dict(plan: FieldPlan) -> dict:
         },
         "roles": dict(plan.roles),
         "reasons": dict(plan.reasons),
-        "alternatives": {
-            role: list(names) for role, names in plan.alternatives.items()
-        },
     }
 
 
@@ -46,10 +43,6 @@ def _plan_from_dict(data: dict) -> FieldPlan:
         annotation=annotation,
         roles=dict(data["roles"]),
         reasons=dict(data.get("reasons", {})),
-        alternatives={
-            role: tuple(names)
-            for role, names in data.get("alternatives", {}).items()
-        },
     )
 
 

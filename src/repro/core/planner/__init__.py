@@ -1,10 +1,9 @@
-"""Query planner: compile -> optimize -> execute over the plan IR.
+"""Query planner: compile -> execute over the plan IR.
 
-The paper models data access as runtime-adaptive: tactics declare
-leakage profiles *and* performance metrics (§3.1), and the middleware
-picks among admissible tactics per operation (§3.3).  This package makes
-that adaptivity real by splitting the old monolithic executor into three
-layers:
+Tactic selection is the paper's: per field annotation, once, at schema
+registration (§3.3, :mod:`repro.core.selection`).  This package takes
+the selected tactics as given and splits the old monolithic executor
+into three layers:
 
 * :mod:`repro.core.planner.ir` — the immutable plan IR: a DAG of
   operator nodes (``IndexLookup``, ``BoolQuery``, ``SetOp``,
@@ -14,11 +13,9 @@ layers:
 * :mod:`repro.core.planner.compile` — the compiler from the public
   operations (``find``, ``find_ids``, ``count``, ``aggregate``,
   ``find_sorted`` and the write paths) to plan IR.
-* :mod:`repro.core.planner.optimize` — the cost-based optimizer: node
-  cost estimation from the SPI performance descriptors blended with the
-  runtime's observed latency EWMAs, cheapest-first reordering of
-  intersections, and adaptive tactic selection among a field plan's
-  ``alternatives``.
+* :mod:`repro.core.planner.cost` — node cost estimation for
+  ``explain()``: the SPI performance descriptors blended with the
+  runtime's observed latency EWMAs.
 * :mod:`repro.core.planner.engine` — the execution engine over the
   existing batch/fan-out/prefetch machinery, recording per-node timings
   back into the cost observatory.

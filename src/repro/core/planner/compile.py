@@ -347,7 +347,7 @@ class PlanCompiler:
     def compile_write(self, op: str) -> ir.Plan:
         x = self._x
         fields = tuple(
-            (field, tuple(x.write_tactic_names(field)))
+            (field, tuple(x.plans[field].tactic_names))
             for field in sorted(x.plans)
         )
         maintain = ir.IndexMaintain(op, fields)

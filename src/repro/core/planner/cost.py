@@ -1,13 +1,11 @@
-"""The optimizer's cost model: SPI priors blended with observed EWMAs.
+"""The planner's cost model: SPI priors blended with observed EWMAs.
 
 Every tactic descriptor carries static *performance metrics* (Fig. 1):
 a selection rank, protocol rounds per query, asymptotic notes.  Those
-priors order tactics before any traffic flows; once the engine has
-executed plan nodes, the runtime's :class:`~repro.spi.metrics.CostObservatory`
+priors stand in before any traffic flows; once the engine has executed
+plan nodes, the runtime's :class:`~repro.spi.metrics.CostObservatory`
 holds per-(scope, operation, tactic) latency EWMAs that override the
-priors.  ``choose`` implements the adaptive selection loop: a bounded
-round-robin warmup so every candidate gets observed, then exploitation
-of the cheapest EWMA.
+priors.  The estimates feed ``explain()``; nothing routes on them.
 """
 
 from __future__ import annotations
@@ -19,9 +17,6 @@ from repro.core.planner import ir
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.executor import SchemaExecutor
 
-#: Observations each candidate tactic gets before the optimizer starts
-#: exploiting the latency EWMAs.
-ADAPTIVE_WARMUP = 2
 #: Synthetic per-rank latency unit for tactics never observed yet; only
 #: the *ordering* matters before real observations arrive.
 _PRIOR_UNIT_MS = 1.0
@@ -71,34 +66,7 @@ class CostModel:
         observed = self.observed_ms(scope, operation, tactic)
         return self.prior_ms(tactic) if observed is None else observed
 
-    # -- adaptive tactic selection -------------------------------------------
-
-    def choose(self, field: str, role: str, operation: str,
-               candidates: list[str]) -> str:
-        """Pick among admissible tactics for one lookup role.
-
-        Candidates are ``[primary, *alternatives]`` in static preference
-        order.  During warmup each candidate is explored round-robin
-        (fewest observations first, ties broken by static order); after
-        warmup the lowest observed EWMA wins, falling back to descriptor
-        priors for anything still unobserved.
-        """
-        if len(candidates) == 1:
-            return candidates[0]
-        scope = self.scope(field)
-        observations = [
-            self._observatory.observations(scope, operation, name)
-            for name in candidates
-        ]
-        if min(observations) < ADAPTIVE_WARMUP:
-            return candidates[observations.index(min(observations))]
-        return min(
-            candidates,
-            key=lambda name: (self.lookup_ms(scope, operation, name),
-                              candidates.index(name)),
-        )
-
-    # -- node estimates (EXPLAIN and intersect reordering) --------------------
+    # -- node estimates (EXPLAIN) ----------------------------------------------
 
     def estimate_ms(self, node: ir.PlanNode) -> float:
         """Estimated latency contribution of one node's subtree."""

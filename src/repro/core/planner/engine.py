@@ -9,18 +9,13 @@ optional next-chunk prefetch, and write pipelines run inside one batch
 collection scope.
 
 The engine additionally records a latency observation per executed node
-into the runtime's :class:`~repro.spi.metrics.CostObservatory` — the
-feedback half of cost-based adaptive selection — and per-node-kind
+into the runtime's :class:`~repro.spi.metrics.CostObservatory` — what
+``explain()`` prints beside the descriptor priors — and per-node-kind
 timings into the planner's stats.
 
-Two deliberate fixes over the seed:
-
-* an early ``limit`` return no longer leaks the pending prefetch future
-  — it is cancelled, or drained when already running, on every exit
-  path;
-* all fetch chunk sizes resolve through the single
-  ``PipelineConfig.fetch_chunk`` knob (0 keeps the per-operation legacy
-  defaults).
+One deliberate fix over the seed: an early ``limit`` return no longer
+leaks the pending prefetch future — it is cancelled, or drained when
+already running, on every exit path.
 """
 
 from __future__ import annotations
@@ -167,8 +162,6 @@ class PlanEngine:
             f"{x.schema.name}.{node.field}", node.op, node.tactic,
             time.perf_counter() - started, "IndexLookup",
         )
-        self._stats.record_choice(node.field, node.role or node.op,
-                                  node.tactic)
         return set(ids)
 
     def _bool_ids(self, node: ir.BoolQuery, run: Run) -> set[str]:
@@ -242,8 +235,6 @@ class PlanEngine:
     # -- the document pipeline -------------------------------------------------
 
     def _chunk_size(self, node: ir.FetchDocs, limit: int | None) -> int:
-        if self._x.pipeline.fetch_chunk > 0:
-            return self._x.pipeline.fetch_chunk
         if not node.ordered and limit is not None:
             # Seed `find` rule: a small limit keeps the transfer small.
             return max(limit * 2, 16)
@@ -505,9 +496,7 @@ class PlanEngine:
             f"{x.schema.name}.{node.field}", "ordered", node.tactic,
             time.perf_counter() - started, "Extreme",
         )
-        batch = (
-            x.pipeline.fetch_chunk if x.pipeline.fetch_chunk > 0 else 16
-        )
+        batch = 16
         offset = 0
         while offset < len(ordered):
             chunk = ordered[offset:offset + batch]
@@ -571,7 +560,7 @@ class PlanEngine:
                 for field, value in sensitive.items():
                     if value is None:
                         continue
-                    for instance in x.write_instances(field):
+                    for instance in x._field_instances(field):
                         if instance is x._bool_instance:
                             bool_terms.append(instance.term(field, value))
                         elif isinstance(instance, GatewayInsertion):
@@ -614,40 +603,6 @@ class PlanEngine:
         """
         x = self._x
         started = time.perf_counter()
-        chunk = x.pipeline.write_chunk
-        if (chunk > 0 and len(documents) > chunk
-                and x._collector is not None
-                and not x._collector.in_scope()
-                and x._pool() is not None):
-            return self._insert_bulk_pipelined(documents, started)
-        doc_ids, finishers, doc_bool_terms, stored = \
-            self._prepare_insert_chunk(documents)
-        crypto_elapsed = time.perf_counter() - started
-
-        wire_started = time.perf_counter()
-        with x._write_batch():
-            self._finish_insert_chunk(finishers, doc_bool_terms, stored)
-        wire_elapsed = time.perf_counter() - wire_started
-
-        self._stats.record_node("Crypto:insert", crypto_elapsed)
-        self._stats.record_node("Wire:insert", wire_elapsed)
-        for name, seconds in x.runtime.kernels.drain_timings():
-            self._stats.record_node(f"Crypto:{name}", seconds)
-        self._stats.record_node(
-            "WritePipeline:insert", time.perf_counter() - started
-        )
-        self._drain_shard_timings()
-        self._note_local_write(doc_ids)
-        return doc_ids
-
-    def _prepare_insert_chunk(
-        self, documents: list[dict[str, Value]]
-    ) -> tuple[list[str], list[Any],
-               list[tuple[str, list[bytes]]], list[dict]]:
-        """Crypto phase of one bulk-insert chunk: validate and split the
-        documents, begin every field's index batch and seal the
-        bodies."""
-        x = self._x
         prepared: list[tuple[str, dict[str, Value], dict[str, Value]]] = []
         for document in documents:
             x.schema.validate(document)
@@ -666,7 +621,7 @@ class PlanEngine:
         finishers = []
         bool_fields: set[str] = set()
         for field, entries in field_entries.items():
-            for instance in x.write_instances(field):
+            for instance in x._field_instances(field):
                 if instance is x._bool_instance:
                     bool_fields.add(field)
                 elif isinstance(instance, GatewayInsertion):
@@ -690,88 +645,27 @@ class PlanEngine:
             }
             for doc_id, sensitive, plain in prepared
         ]
-        return ([doc_id for doc_id, _, _ in prepared], finishers,
-                doc_bool_terms, stored)
+        crypto_elapsed = time.perf_counter() - started
 
-    def _finish_insert_chunk(self, finishers: list[Any],
-                             doc_bool_terms: list[tuple[str, list[bytes]]],
-                             stored: list[dict]) -> None:
-        """Emit one prepared chunk's RPCs (inside a write-batch scope)."""
-        x = self._x
-        for finish in finishers:
-            finish()
-        for doc_id, terms in doc_bool_terms:
-            x._bool_instance.insert_terms(doc_id, terms)
-        if stored:
-            x.runtime.docs("insert_many", documents=stored)
+        wire_started = time.perf_counter()
+        with x._write_batch():
+            for finish in finishers:
+                finish()
+            for doc_id, terms in doc_bool_terms:
+                x._bool_instance.insert_terms(doc_id, terms)
+            if stored:
+                x.runtime.docs("insert_many", documents=stored)
+        wire_elapsed = time.perf_counter() - wire_started
 
-    def _insert_bulk_pipelined(self, documents: list[dict[str, Value]],
-                               started: float) -> list[str]:
-        """Chunked bulk insert with crypto/wire overlap.
-
-        Chunk N's batch frame crosses the wire on the fan-out pool (and,
-        sharded, scatters per shard there) while the main thread runs
-        chunk N+1's crypto kernels *and* finishers — finishers mutate
-        gateway-side tactic state (Sophos counters, SSE tokens), so they
-        stay on this thread; only the drained frame travels to the pool.
-        At most one frame is airborne: the previous ship is reaped
-        before the next is submitted, keeping per-shard write order
-        exactly chunk order.  ``Crypto:insert`` and ``Wire:insert`` both
-        approach the operation's wall clock when the pipeline is
-        balanced — their sum exceeding ``WritePipeline:insert`` is the
-        visible signature of the overlap in ``explain()``.
-        """
-        x = self._x
-        collector = x._collector
-        pool = x._pool()
-        chunk_size = x.pipeline.write_chunk
-        crypto_total = 0.0
-        wire_total = 0.0
-        doc_ids: list[str] = []
-        inflight = None
-
-        def ship(frame: list) -> tuple[float, list[tuple[str, float]]]:
-            shipped = time.perf_counter()
-            collector.ship(frame)
-            return (time.perf_counter() - shipped,
-                    collector.drain_shard_timings())
-
-        def reap(future) -> None:
-            nonlocal wire_total
-            elapsed, rows = future.result()
-            wire_total += elapsed
-            for name, seconds in rows:
-                self._stats.record_node(f"Shard:{name}", seconds)
-
-        try:
-            for offset in range(0, len(documents), chunk_size):
-                chunk = documents[offset:offset + chunk_size]
-                crypto_started = time.perf_counter()
-                ids, finishers, doc_bool_terms, stored = \
-                    self._prepare_insert_chunk(chunk)
-                with collector.collect():
-                    self._finish_insert_chunk(finishers, doc_bool_terms,
-                                              stored)
-                    frame = collector.drain_pending()
-                crypto_total += time.perf_counter() - crypto_started
-                doc_ids.extend(ids)
-                if inflight is not None:
-                    reap(inflight)
-                    inflight = None
-                if frame:
-                    inflight = pool.submit(ship, frame)
-        finally:
-            if inflight is not None:
-                reap(inflight)
-
-        self._stats.record_node("Crypto:insert", crypto_total)
-        self._stats.record_node("Wire:insert", wire_total)
+        self._stats.record_node("Crypto:insert", crypto_elapsed)
+        self._stats.record_node("Wire:insert", wire_elapsed)
         for name, seconds in x.runtime.kernels.drain_timings():
             self._stats.record_node(f"Crypto:{name}", seconds)
         self._stats.record_node(
             "WritePipeline:insert", time.perf_counter() - started
         )
         self._drain_shard_timings()
+        doc_ids = [doc_id for doc_id, _, _ in prepared]
         self._note_local_write(doc_ids)
         return doc_ids
 
@@ -809,7 +703,7 @@ class PlanEngine:
             new_value = new_sensitive.get(field)
             if old_value == new_value:
                 continue
-            for instance in x.write_instances(field):
+            for instance in x._field_instances(field):
                 if instance is x._bool_instance:
                     bool_changed = True
                 elif isinstance(instance, GatewayUpdate) and (
@@ -856,7 +750,7 @@ class PlanEngine:
                 for field, value in old_sensitive.items():
                     if value is None:
                         continue
-                    for instance in x.write_instances(field):
+                    for instance in x._field_instances(field):
                         if instance is x._bool_instance:
                             continue
                         if isinstance(instance, GatewayDeletion):

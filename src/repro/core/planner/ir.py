@@ -143,9 +143,9 @@ class OrderedScan(PlanNode):
 class FetchDocs(PlanNode):
     """Chunked ``get_many`` of the source's candidate ids.
 
-    ``chunk_default`` is the node's legacy chunk size; the engine
-    resolves the effective size against ``PipelineConfig.fetch_chunk``
-    (the single knob) and the runtime ``limit``.
+    ``chunk_default`` is the node's chunk size; an unordered fetch under
+    a runtime ``limit`` uses ``max(2 * limit, 16)`` instead, so a small
+    limit keeps the transfer small.
     """
 
     source: PlanNode
@@ -273,9 +273,8 @@ class ReadDoc(PlanNode):
 class IndexMaintain(PlanNode):
     """Per-field tactic index maintenance for one write operation.
 
-    ``fields`` maps each sensitive field to the tactic instances its
-    entries land in — under adaptive selection this includes the
-    dual-indexed alternatives.
+    ``fields`` maps each sensitive field to the tactics its entries
+    land in.
     """
 
     op: str  # "insert" | "update" | "delete"
@@ -317,7 +316,7 @@ class WritePipeline(PlanNode):
 
 @dataclass(frozen=True)
 class Plan:
-    """One compiled (and possibly optimized) operation."""
+    """One compiled operation."""
 
     operation: str
     schema: str

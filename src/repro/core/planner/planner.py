@@ -1,7 +1,7 @@
-"""QueryPlanner: the compile -> optimize -> execute façade.
+"""QueryPlanner: the compile -> execute façade.
 
 One planner per :class:`~repro.core.executor.SchemaExecutor`.  It owns
-the plan cache — optimized plans keyed by ``(operation, predicate
+the plan cache — compiled plans keyed by ``(operation, predicate
 shape, flags)``, where the shape comes from
 :func:`~repro.core.planner.compile.parameterize` — and the
 :class:`PlannerStats` counters the acceptance tests and
@@ -21,7 +21,6 @@ from repro.core.planner.compile import PlanCompiler, parameterize
 from repro.core.planner.cost import CostModel
 from repro.core.planner.engine import PlanEngine, Run
 from repro.core.planner.ir import Plan
-from repro.core.planner.optimize import PlanOptimizer
 from repro.core.query import AggregateQuery, Predicate
 from repro.crypto.encoding import Value
 
@@ -49,8 +48,6 @@ class PlannerStats:
         self.result_misses = 0
         #: node-kind (e.g. ``"IndexLookup:det"``) -> [calls, seconds]
         self.node_timings: dict[str, list] = {}
-        #: ``"<field>.<role>"`` -> tactic chosen at the last execution.
-        self.chosen: dict[str, str] = {}
 
     def bump(self, counter: str, amount: int = 1) -> None:
         with self._lock:
@@ -61,10 +58,6 @@ class PlannerStats:
             entry = self.node_timings.setdefault(kind, [0, 0.0])
             entry[0] += 1
             entry[1] += seconds
-
-    def record_choice(self, field: str, role: str, tactic: str) -> None:
-        with self._lock:
-            self.chosen[f"{field}.{role}"] = tactic
 
     def snapshot(self) -> dict[str, Any]:
         with self._lock:
@@ -83,7 +76,6 @@ class PlannerStats:
                         self.node_timings.items()
                     )
                 },
-                "chosen": dict(self.chosen),
             }
 
     def render(self) -> str:
@@ -115,10 +107,6 @@ class PlannerStats:
                     f"    {kind:<24}{cost['calls']:>7} calls"
                     f"{mean_ms:>10.2f} ms mean"
                 )
-        if snap["chosen"]:
-            lines.append("  lookup tactics (last execution):")
-            for key in sorted(snap["chosen"]):
-                lines.append(f"    {key} -> {snap['chosen'][key]}")
         return "\n".join(lines)
 
 
@@ -129,7 +117,6 @@ class QueryPlanner:
         self._x = executor
         self.cost_model = CostModel(executor)
         self.compiler = PlanCompiler(executor)
-        self.optimizer = PlanOptimizer(executor, self.cost_model)
         self.stats = PlannerStats()
         self.engine = PlanEngine(executor, self.stats)
         self._cache: dict[Any, Plan] = {}
@@ -143,8 +130,7 @@ class QueryPlanner:
 
         Plans are shape-keyed, not topology-keyed: a plan compiled
         against a 2-node ring is structurally valid on 3 nodes, but its
-        cost estimates and adaptive selections are stale — and tests
-        want a crisp signal that membership changes were noticed.
+        cost estimates are stale — and tests want a crisp signal that membership changes were noticed.
         """
         epoch = self._x.runtime.topology_epoch()
         if epoch == self._epoch:
@@ -163,18 +149,10 @@ class QueryPlanner:
             cached = self._cache.get(key)
         if cached is not None:
             self.stats.bump("cache_hits")
-            if self._x.pipeline.adaptive_selection:
-                # A cache hit still tracks drifting latencies: re-run the
-                # (cheap) selection rewrite against current EWMAs.
-                refreshed = self.optimizer.reselect(cached)
-                if refreshed is not cached:
-                    with self._lock:
-                        self._cache[key] = refreshed
-                return refreshed
             return cached
         self.stats.bump("cache_misses")
         self.stats.bump("compiles")
-        plan = self.optimizer.optimize(build())
+        plan = build()
         with self._lock:
             self._cache[key] = plan
         return plan
@@ -348,7 +326,7 @@ class QueryPlanner:
                      field: str | None = None,
                      function: str | None = None,
                      descending: bool = False) -> Plan:
-        """Compile + optimize without executing, caching, or counting.
+        """Compile without executing, caching, or counting.
 
         EXPLAIN deliberately bypasses the cache in both directions: it
         never warms it (a later query still records its true miss) and
@@ -385,7 +363,7 @@ class QueryPlanner:
             plan = self.compiler.compile_write(operation)
         else:
             raise ValueError(f"cannot explain operation {operation!r}")
-        return self.optimizer.optimize(plan)
+        return plan
 
     def _operation_key(self, operation: str = "find",
                        predicate: Predicate | None = None,

@@ -22,19 +22,13 @@ back to BIEX-2Lev because DET's *equalities* leakage exceeds C3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.registry import TacticRegistry
 from repro.core.schema import FieldAnnotation
 from repro.errors import SelectionError
 from repro.spi.descriptors import Aggregate, Operation, TacticDescriptor
 from repro.spi.leakage import ProtectionClass, weakest_link
-from repro.tactics.biex import BiexGateway
-
-#: Cap on runner-up tactics recorded per role.  Every alternative must be
-#: dual-indexed on the write path before the optimizer may route queries
-#: to it, so the list stays short by design.
-ALTERNATIVES_PER_ROLE = 2
 
 
 @dataclass(frozen=True)
@@ -47,12 +41,6 @@ class FieldPlan:
     roles: dict[str, str]
     #: Reason strings per selected tactic (the 'Reason' column of §5.1).
     reasons: dict[str, str]
-    #: role -> runner-up tactic names (same admissibility filters as the
-    #: primary, same preference order, capped).  These are the *choices*
-    #: the query optimizer's cost-based selection picks among at runtime
-    #: when ``PipelineConfig.adaptive_selection`` is enabled; with it
-    #: disabled they are inert documentation of what else was admissible.
-    alternatives: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     @property
     def tactic_names(self) -> list[str]:
@@ -84,7 +72,6 @@ class TacticSelector:
                    annotation: FieldAnnotation) -> FieldPlan:
         roles: dict[str, str] = {}
         reasons: dict[str, str] = {}
-        alternatives: dict[str, tuple[str, ...]] = {}
 
         admissible = self._admissible(annotation.protection_class)
         if not admissible:
@@ -112,31 +99,24 @@ class TacticSelector:
             ).supports(Operation.EQUALITY):
                 roles["eq"] = bool_choice
             else:
-                eq_candidates = [d for d in admissible
-                                 if d.supports(Operation.EQUALITY)]
                 chosen = self._best(
-                    eq_candidates, field_name, Operation.EQUALITY,
+                    [d for d in admissible
+                     if d.supports(Operation.EQUALITY)],
+                    field_name, Operation.EQUALITY,
                 )
                 roles["eq"] = chosen.name
                 reasons.setdefault(
                     chosen.name,
                     self._class_reason(chosen),
                 )
-                runners = self._runners_up(eq_candidates, chosen.name)
-                if runners:
-                    alternatives["eq"] = runners
 
         if annotation.requires(Operation.RANGE):
-            range_candidates = [d for d in admissible
-                                if d.supports(Operation.RANGE)]
             chosen = self._best(
-                range_candidates, field_name, Operation.RANGE,
+                [d for d in admissible if d.supports(Operation.RANGE)],
+                field_name, Operation.RANGE,
             )
             roles["range"] = chosen.name
             reasons.setdefault(chosen.name, "range queries")
-            runners = self._runners_up(range_candidates, chosen.name)
-            if runners:
-                alternatives["range"] = runners
 
         for aggregate in sorted(annotation.aggregates, key=lambda a: a.value):
             if aggregate in (Aggregate.MIN, Aggregate.MAX):
@@ -171,8 +151,7 @@ class TacticSelector:
             roles["store"] = chosen.name
             reasons[chosen.name] = self._class_reason(chosen)
 
-        plan = FieldPlan(field_name, annotation, roles, reasons,
-                         alternatives)
+        plan = FieldPlan(field_name, annotation, roles, reasons)
         self._check_weakest_link(plan)
         return plan
 
@@ -212,34 +191,6 @@ class TacticSelector:
             candidates,
             key=lambda d: (-int(d.protection_class), d.performance.rank),
         )
-
-    def _runners_up(self, candidates: list[TacticDescriptor],
-                    chosen_name: str) -> tuple[str, ...]:
-        """Admissible runner-up tactics for one role, preference order.
-
-        Tactics served through the schema-wide shared boolean instance
-        (BIEX variants) are excluded — swapping a per-literal lookup onto
-        the cross-field instance is not a like-for-like substitution —
-        and a boolean-served primary admits no alternatives at all.
-        """
-        if issubclass(self._registry.get(chosen_name).gateway_cls,
-                      BiexGateway):
-            return ()
-        ranked = sorted(
-            [c for c in candidates if c.protection_class is not None],
-            key=lambda d: (-int(d.protection_class), d.performance.rank),
-        )
-        names: list[str] = []
-        for descriptor in ranked:
-            if descriptor.name == chosen_name:
-                continue
-            if issubclass(self._registry.get(descriptor.name).gateway_cls,
-                          BiexGateway):
-                continue
-            names.append(descriptor.name)
-            if len(names) >= ALTERNATIVES_PER_ROLE:
-                break
-        return tuple(names)
 
     def _best_aggregate(self, candidates: list[TacticDescriptor],
                         field_name: str,

@@ -15,17 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+#: Per-field LRU size for deterministic token/ciphertext caches (DET
+#: seals, blind-index tags, OPE/ORE codes) and the OPE node memo.
+TOKEN_CACHE_CAPACITY = 4096
+
+
 @dataclass(frozen=True)
 class CryptoConfig:
-    """Knobs of the gateway crypto kernels."""
+    """The gateway crypto kernels' one switch."""
 
     #: Fixed-base windowed modexp tables (Paillier ``r^n`` masks, the
-    #: ElGamal ``g``/``h`` bases) plus the OPE split-node memo.
+    #: ElGamal ``g``/``h`` bases), the OPE split-node memo and the
+    #: per-field token LRUs.
     precompute: bool = False
-    #: Per-field LRU size for deterministic token/ciphertext caches
-    #: (DET seals, blind-index tags, OPE/ORE codes) and the OPE node
-    #: memo.  Only consulted while the kernels are active.
-    cache_size: int = 4096
 
     @property
     def active(self) -> bool:

@@ -24,7 +24,7 @@ import time
 from collections import OrderedDict
 from typing import Any, Callable, Iterable
 
-from repro.crypto.kernels.config import CryptoConfig
+from repro.crypto.kernels.config import TOKEN_CACHE_CAPACITY, CryptoConfig
 from repro.errors import CryptoError
 
 
@@ -76,29 +76,24 @@ class CryptoExecutor:
         #: the kernels themselves are inactive (results are identical —
         #: the memoised functions are pure per key epoch).
         self.token_caching = False
-        self._token_cache_capacity = 0
         self._token_caches: list[LruCache] = []
 
     # -- deterministic-value mapping -------------------------------------------
 
-    def enable_token_caching(self, capacity: int) -> None:
+    def enable_token_caching(self) -> None:
         """Turn the cache tier's token level on (idempotent).
 
         Must run before tactic instances are built — they capture their
         token caches at ``setup()`` time.
         """
         self.token_caching = True
-        self._token_cache_capacity = max(1, int(capacity))
 
     def cache(self) -> LruCache | None:
         """A per-call-site LRU, or None while the kernels are inactive
         and the token-cache level is off."""
-        if self.config.active:
-            cache = LruCache(self.config.cache_size)
-        elif self.token_caching:
-            cache = LruCache(self._token_cache_capacity)
-        else:
+        if not self.config.active and not self.token_caching:
             return None
+        cache = LruCache(TOKEN_CACHE_CAPACITY)
         with self._lock:
             self._token_caches.append(cache)
         return cache

@@ -23,9 +23,7 @@ as the textbook formulas; the per-key constants live on
 from __future__ import annotations
 
 import math
-import queue
 import secrets
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -189,7 +187,7 @@ def encrypt_with_mask(public: PaillierPublicKey, message: int,
 
     With ``g = n + 1``, ``g^m = 1 + m*n (mod n^2)``, so given
     ``mask = r^n mod n^2`` the ciphertext costs one modular
-    multiplication — the whole point of :class:`ObfuscatorPool`.
+    multiplication; :class:`FixedBaseObfuscator` makes the mask cheap.
     """
     m = _embed_signed(public, message)
     n_sq = public.n_squared
@@ -250,83 +248,6 @@ class FixedBaseObfuscator:
     @property
     def memory_bytes(self) -> int:
         return self._table_p.memory_bytes + self._table_q.memory_bytes
-
-
-class ObfuscatorPool:
-    """Background precomputation of encryption masks ``r^n mod n^2``.
-
-    Paillier encryption splits into a plaintext-independent modular
-    exponentiation (the obfuscator) and one modmul.  The pool runs the
-    exponentiations on a daemon thread while the gateway is busy with
-    other per-field crypto, so the aggregate write path usually finds a
-    mask ready and pays only the modmul.  When the queue is empty the
-    mask is computed inline — the pool never changes the ciphertext
-    distribution, only when the work happens.
-
-    An optional ``source`` callable replaces the cold per-mask
-    exponentiation (the crypto kernel layer plugs a
-    :class:`FixedBaseObfuscator` in here, making refills ~15x cheaper).
-    """
-
-    def __init__(self, public: PaillierPublicKey, size: int = 8,
-                 randbelow: RandBelow | None = None,
-                 source=None):
-        if size < 1:
-            raise CryptoError("obfuscator pool size must be positive")
-        self._public = public
-        self._randbelow = randbelow
-        self._source = source or (
-            lambda: obfuscator(self._public, self._randbelow)
-        )
-        self._queue: queue.Queue[int] = queue.Queue(maxsize=size)
-        self._thread: threading.Thread | None = None
-        self._stopped = False
-        self._lock = threading.Lock()
-
-    # -- background refill -------------------------------------------------------
-
-    def _ensure_thread(self) -> None:
-        if self._thread is not None or self._stopped:
-            return
-        with self._lock:
-            if self._thread is None and not self._stopped:
-                thread = threading.Thread(
-                    target=self._refill, daemon=True,
-                    name="paillier-obfuscator",
-                )
-                self._thread = thread
-                thread.start()
-
-    def _refill(self) -> None:
-        while not self._stopped:
-            mask = self._source()
-            while not self._stopped:
-                try:
-                    self._queue.put(mask, timeout=0.2)
-                    break
-                except queue.Full:
-                    continue
-
-    # -- consumption ----------------------------------------------------------------
-
-    def mask(self) -> int:
-        """A fresh mask: precomputed when available, inline otherwise."""
-        self._ensure_thread()
-        try:
-            return self._queue.get_nowait()
-        except queue.Empty:
-            return self._source()
-
-    def encrypt(self, message: int) -> Ciphertext:
-        """Encrypt with a pooled mask — one modmul on the hot path."""
-        return encrypt_with_mask(self._public, message, self.mask())
-
-    def available(self) -> int:
-        return self._queue.qsize()
-
-    def close(self) -> None:
-        """Stop the refill thread (idempotent; masks left queued drain)."""
-        self._stopped = True
 
 
 def decrypt(private: PaillierPrivateKey, ciphertext: Ciphertext) -> int:

@@ -33,6 +33,8 @@ callers.
 from __future__ import annotations
 
 import asyncio
+import functools
+import inspect
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -45,13 +47,13 @@ from repro.errors import (
     RateLimitExceeded,
 )
 from repro.cache.tier import set_principal
+from repro.core.entities import AsyncEntities, Entities
 from repro.gateway.frontdoor import FrontDoor
 from repro.integrity.verify import begin_op_scope, op_verification
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.entities import AsyncEntities
     from repro.core.middleware import DataBlinder
-    from repro.core.query import AggregateQuery, Predicate
+    from repro.core.query import Predicate
 
 
 class RuntimeStats:
@@ -295,8 +297,6 @@ class AsyncGatewayRuntime:
         admission/deadline/audit treatment, go through :meth:`submit`
         or the :class:`SyncGateway` façade.
         """
-        from repro.core.entities import AsyncEntities
-
         return AsyncEntities(self.blinder._executor(schema_name))
 
     def run(self, coroutine: Awaitable[Any], *,
@@ -365,12 +365,70 @@ def _predicate_fields(predicate: Predicate | None) -> list[str]:
     return sorted(predicate.fields()) if predicate is not None else []
 
 
+def _document_fields(*documents: dict) -> list[str]:
+    return sorted({k for document in documents for k in document
+                   if k != "_id"})
+
+
+def _aggregate_fields(field: str, where: "Predicate | None") -> list[str]:
+    return sorted({field} | set(_predicate_fields(where)))
+
+
+#: Audited as the ``aggregate`` they build.
+_AGGREGATE_HELPERS = ("average", "sum", "min", "max")
+
+#: ``Entities`` operation -> the field names its audit record carries,
+#: worked out from the call's bound arguments.
+_AUDITED_FIELDS: dict[str, Callable[[dict], list[str]]] = {
+    "insert": lambda a: _document_fields(a["document"]),
+    "insert_many": lambda a: _document_fields(*a["documents"]),
+    "get": lambda a: [],
+    "update": lambda a: sorted(a["changes"]),
+    "delete": lambda a: [],
+    "find": lambda a: _predicate_fields(a["predicate"]),
+    "find_one": lambda a: _predicate_fields(a["predicate"]),
+    "find_ids": lambda a: _predicate_fields(a["predicate"]),
+    "count": lambda a: _predicate_fields(a["predicate"]),
+    "aggregate": lambda a: _aggregate_fields(a["query"].field,
+                                             a["query"].where),
+    "find_sorted": lambda a: [a["field"]],
+    "text_search": lambda a: [],
+    "explain": lambda a: _predicate_fields(a["predicate"]),
+    **dict.fromkeys(
+        _AGGREGATE_HELPERS,
+        lambda a: _aggregate_fields(a["field"], a["where"]),
+    ),
+}
+
+
+def _audited(name: str, method: Callable) -> Callable:
+    """The blocking twin of one ``Entities`` method: same signature,
+    submitted to the loop as one audited operation and joined."""
+    signature = inspect.signature(method)
+    fields_of = _AUDITED_FIELDS[name]
+    op = "aggregate" if name in _AGGREGATE_HELPERS else name
+
+    @functools.wraps(method)
+    def call(self, *args, **kwargs):
+        bound = signature.bind(self, *args, **kwargs)
+        bound.apply_defaults()
+        return self._runtime.submit(
+            lambda: getattr(self._async, name)(*args, **kwargs),
+            principal=self._principal, op=op,
+            fields=fields_of(bound.arguments),
+            deadline_s=self._deadline_s,
+        ).result()
+
+    return call
+
+
 class SyncEntities:
     """Blocking ``Entities`` surface routed through the async runtime.
 
     Byte-identical results to :class:`repro.core.entities.Entities` on
     the same executor — every call is one admitted, deadline-bounded,
-    audited operation on the loop.
+    audited operation on the loop.  The methods are generated from the
+    ``Entities`` methods named in :data:`_AUDITED_FIELDS`.
     """
 
     def __init__(self, runtime: AsyncGatewayRuntime, schema_name: str,
@@ -385,134 +443,12 @@ class SyncEntities:
     def schema_name(self) -> str:
         return self._async.schema_name
 
-    def _call(self, op: str, fields: list[str],
-              make: Callable[[], Awaitable[Any]]) -> Any:
-        return self._runtime.submit(
-            make, principal=self._principal, op=op, fields=fields,
-            deadline_s=self._deadline_s,
-        ).result()
+    eq = staticmethod(Entities.eq)
+    between = staticmethod(Entities.between)
 
-    # -- CRUD -----------------------------------------------------------------
 
-    def insert(self, document: dict) -> str:
-        fields = sorted(k for k in document if k != "_id")
-        return self._call("insert", fields,
-                          lambda: self._async.insert(document))
-
-    def insert_many(self, documents: list[dict]) -> list[str]:
-        fields = sorted({
-            k for document in documents for k in document if k != "_id"
-        })
-        return self._call("insert_many", fields,
-                          lambda: self._async.insert_many(documents))
-
-    def get(self, doc_id: str) -> dict:
-        return self._call("get", [], lambda: self._async.get(doc_id))
-
-    def update(self, doc_id: str, changes: dict) -> None:
-        return self._call("update", sorted(changes),
-                          lambda: self._async.update(doc_id, changes))
-
-    def delete(self, doc_id: str) -> bool:
-        return self._call("delete", [],
-                          lambda: self._async.delete(doc_id))
-
-    # -- search -----------------------------------------------------------------
-
-    def find(self, predicate: Predicate | None = None,
-             verify: bool | None = None,
-             limit: int | None = None) -> list[dict]:
-        return self._call(
-            "find", _predicate_fields(predicate),
-            lambda: self._async.find(predicate, verify=verify,
-                                     limit=limit),
-        )
-
-    def find_one(self, predicate: Predicate) -> dict | None:
-        return self._call(
-            "find_one", _predicate_fields(predicate),
-            lambda: self._async.find_one(predicate),
-        )
-
-    def find_ids(self, predicate: Predicate | None = None) -> set[str]:
-        return self._call(
-            "find_ids", _predicate_fields(predicate),
-            lambda: self._async.find_ids(predicate),
-        )
-
-    def count(self, predicate: Predicate | None = None) -> int:
-        return self._call(
-            "count", _predicate_fields(predicate),
-            lambda: self._async.count(predicate),
-        )
-
-    # -- aggregates --------------------------------------------------------------
-
-    def aggregate(self, query: AggregateQuery) -> Any:
-        fields = sorted({query.field}
-                        | set(_predicate_fields(query.where)))
-        return self._call("aggregate", fields,
-                          lambda: self._async.aggregate(query))
-
-    def _aggregate_query(self, function: str, field: str,
-                         where: "Predicate | None") -> Any:
-        from repro.core.query import AggregateQuery
-        from repro.spi.descriptors import Aggregate
-
-        return self.aggregate(
-            AggregateQuery(Aggregate(function), field, where)
-        )
-
-    def average(self, field: str, where: "Predicate | None" = None) -> Any:
-        return self._aggregate_query("avg", field, where)
-
-    def sum(self, field: str, where: "Predicate | None" = None) -> Any:
-        return self._aggregate_query("sum", field, where)
-
-    def min(self, field: str, where: "Predicate | None" = None) -> Any:
-        return self._aggregate_query("min", field, where)
-
-    def max(self, field: str, where: "Predicate | None" = None) -> Any:
-        return self._aggregate_query("max", field, where)
-
-    def find_sorted(self, field: str, limit: int | None = None,
-                    descending: bool = False) -> list[dict]:
-        return self._call(
-            "find_sorted", [field],
-            lambda: self._async.find_sorted(field, limit=limit,
-                                            descending=descending),
-        )
-
-    def text_search(self, query: str, limit: int = 10,
-                    require_all: bool = False) -> list[dict]:
-        return self._call(
-            "text_search", [],
-            lambda: self._async.text_search(query, limit=limit,
-                                            require_all=require_all),
-        )
-
-    # -- query planning ------------------------------------------------------------
-
-    def explain(self, predicate: "Predicate | None" = None,
-                **kwargs) -> str:
-        return self._call(
-            "explain", _predicate_fields(predicate),
-            lambda: self._async.explain(predicate, **kwargs),
-        )
-
-    # -- convenience predicates ----------------------------------------------------
-
-    @staticmethod
-    def eq(field: str, value: Any) -> "Predicate":
-        from repro.core.query import Eq
-
-        return Eq(field, value)
-
-    @staticmethod
-    def between(field: str, low: Any, high: Any) -> "Predicate":
-        from repro.core.query import Range
-
-        return Range(field, low, high)
+for _name in _AUDITED_FIELDS:
+    setattr(SyncEntities, _name, _audited(_name, getattr(Entities, _name)))
 
 
 class SyncGateway:

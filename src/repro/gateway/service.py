@@ -68,12 +68,10 @@ class GatewayRuntime:
             if self.pipeline.cache.tokens:
                 # Before any tactic is built: instances capture their
                 # token caches at setup() time.
-                self.kernels.enable_token_caching(
-                    self.pipeline.cache.token_capacity
-                )
+                self.kernels.enable_token_caching()
         self.metrics = TacticMetrics()
         #: Observed per-(scope, operation, tactic) latency EWMAs feeding
-        #: the query optimizer's cost model.  Runtime-owned (not
+        #: the query planner's cost model.  Runtime-owned (not
         #: executor-owned) so observations survive plan-cache
         #: invalidations and schema migrations.
         self.cost = CostObservatory()
@@ -127,24 +125,19 @@ class GatewayRuntime:
         return [type(layer).__name__ for layer in self._walk()]
 
     def schema_registered(self, schema) -> None:
-        """Activate integrity verification per protection class.
+        """Activate integrity verification on the first schema with a
+        sensitive field.
 
-        Called on every schema registration: once any registered field
-        carries a protection class the integrity config covers
-        (``min_class`` or stronger), the verifier switches on for the
-        whole application.  Schemas outside the covered classes leave
-        the read path at seed speed.  The cache tier records the
-        schema's leakage-admission verdict here too.
+        Called on every schema registration: the verifier then switches
+        on for the whole application; a deployment of plain schemas
+        only leaves the read path at seed speed.  The cache tier
+        records the schema's leakage-admission verdict here too.
         """
         if self.cache_tier is not None:
             self.cache_tier.register_schema(schema)
-        if self.verifier is None or self.verifier.active:
-            return
-        config = self.verifier.config
-        for spec in schema.sensitive_fields():
-            if config.covers_class(int(spec.annotation.protection_class)):
-                self.verifier.activate()
-                return
+        if (self.verifier is not None and not self.verifier.active
+                and schema.sensitive_fields()):
+            self.verifier.activate()
 
     @property
     def documents_service(self) -> str:

@@ -26,32 +26,19 @@ class IntegrityConfig:
       cost); a background/periodic sweep recomputes state roots on the
       cloud and compares them against the ledger.
 
-    ``min_class`` selects *who* gets verification, per protection class
-    (C1 strongest): verification activates once a registered schema
-    carries a field of class ``min_class`` or stronger.  The default 5
-    activates for any annotated schema; ``min_class=2`` would reserve
-    proof-on-fetch overhead for C1/C2 data while C3+ applications run
-    at seed speed.
+    Verification activates once a registered schema carries a sensitive
+    field, and every mutation that passes the gateway marks the ledger
+    dirty so the next verified read re-syncs shard watermarks first.
 
     ``history`` bounds the retired-root memory per (shard, tree) used
-    to distinguish rollback from tampering; ``refresh_on_write`` marks
-    the ledger dirty whenever a mutation passes the gateway so the next
-    verified read re-syncs shard watermarks first.
+    to distinguish rollback from tampering.
     """
 
     mode: str = MODE_FETCH
-    min_class: int = 5
     history: int = 64
-    refresh_on_write: bool = True
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(
                 f"integrity mode must be one of {_MODES}, got {self.mode!r}"
             )
-        if not 1 <= int(self.min_class) <= 5:
-            raise ValueError("min_class must be a protection class 1..5")
-
-    def covers_class(self, protection_class: int) -> bool:
-        """Whether a field of ``protection_class`` activates verification."""
-        return int(protection_class) <= int(self.min_class)

@@ -108,7 +108,7 @@ class VerifyingTransport(TransportLayer):
         self._integrity_failures = 0
         self._stale_detected = 0
 
-    # -- activation (per protection class) ----------------------------------
+    # -- activation ----------------------------------------------------------
 
     @property
     def active(self) -> bool:
@@ -116,7 +116,7 @@ class VerifyingTransport(TransportLayer):
 
     def activate(self) -> None:
         """Turn verification on — called when a registered schema
-        carries a field whose protection class the config covers."""
+        carries a sensitive field."""
         self._active = True
 
     def mark_dirty(self) -> None:
@@ -185,7 +185,7 @@ class VerifyingTransport(TransportLayer):
         return rewritten, verified_slots
 
     def _after_passthrough(self, method: str) -> None:
-        if method in _MUTATING_METHODS and self.config.refresh_on_write:
+        if method in _MUTATING_METHODS:
             self._dirty = True
 
     def _check(self, original_method: str, result: Any) -> Any:

@@ -41,7 +41,7 @@ from __future__ import annotations
 import contextvars
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.net.rpc import Request, Response
 from repro.net.transport import Transport, TransportLayer
@@ -71,19 +71,6 @@ class PipelineConfig:
     #: Prefetch the next ``get_many`` chunk while the previous one is
     #: being decrypted and verified.
     prefetch: bool = False
-    #: Candidate-fetch chunk size used by the plan engine's ``FetchDocs``
-    #: node.  0 keeps the per-operation legacy defaults (64 for ``find``,
-    #: ``max(2*limit, 16)`` under a limit, 16 for min/max streaming, 32
-    #: for ordered scans); any positive value overrides them all — the
-    #: single knob for the whole read path.
-    fetch_chunk: int = 0
-    #: Cost-based adaptive tactic selection: when a field plan admits
-    #: alternative tactics for a role, the optimizer explores them during
-    #: a short warmup and then routes each ``IndexLookup`` to the tactic
-    #: with the lowest observed latency EWMA.  Off by default — the plan
-    #: compiler then always binds the statically selected tactic, and the
-    #: write path feeds only the primary indexes (seed behaviour).
-    adaptive_selection: bool = False
     #: Shard the untrusted zone: when set (and the deployment hands the
     #: middleware a *list* of named per-node transports), documents and
     #: secure indexes partition across N cloud nodes behind a
@@ -96,13 +83,6 @@ class PipelineConfig:
     #: (or an all-defaults config) keeps every per-value crypto call on
     #: the seed's sequential inline path.
     crypto: "CryptoConfig | None" = None
-    #: Pipelined bulk writes: split ``insert_many`` into chunks of this
-    #: many documents and overlap chunk N+1's crypto-kernel work with
-    #: chunk N's batch frame in flight (the frame ships on the fan-out
-    #: pool; at most one is airborne, so per-shard write order stays
-    #: chunk order).  Requires ``batch_writes`` and active ``crypto``
-    #: kernels; 0 keeps the single crypto-then-wire pass.
-    write_chunk: int = 0
     #: Integrity & freshness verification
     #: (:class:`repro.integrity.config.IntegrityConfig`): Merkle state
     #: roots on the cloud, a freshness ledger at the gateway, and either
@@ -260,34 +240,6 @@ class BatchCollector(TransportLayer):
         if scope is not None and scope.pending:
             pending, scope.pending = scope.pending, []
             self._ship(pending)
-
-    def in_scope(self) -> bool:
-        """Whether the calling context has an open collection scope."""
-        return self._scope() is not None
-
-    def drain_pending(self) -> list[Request]:
-        """Take over the calling context's queued writes without shipping.
-
-        The write pipeline uses this to close a scope empty and hand the
-        frame to a worker thread — crypto for the next chunk then runs
-        while this frame crosses the wire via :meth:`ship`.
-        """
-        scope = self._scope()
-        if scope is None or not scope.pending:
-            return []
-        pending, scope.pending = scope.pending, []
-        return pending
-
-    def ship(self, requests: Sequence[Request]) -> list[Response]:
-        """Ship one prepared frame now (callable from any thread).
-
-        The inner transport receives the whole frame in a single
-        :meth:`~repro.net.transport.Transport.call_batch` — a sharded
-        router may split and scatter it per shard — and the first failed
-        sub-call re-raises after the batch ran, exactly like a scope
-        flush.
-        """
-        return self._ship(list(requests))
 
     def _ship(self, pending: list[Request]) -> list[Response]:
         responses = self._inner.call_batch(pending)

@@ -47,11 +47,3 @@ class ShardConfig:
     #:   failure — the resilience layer above redelivers, and the
     #:   idempotency keys keep the redelivery at-most-once per host.
     write_quorum: int = 0
-    #: Bounded retries for a post-ack (asynchronous) replica delivery
-    #: that hit a link failure or an open breaker.
-    async_write_retries: int = 4
-    #: Base backoff between asynchronous replica retries (doubles per
-    #: attempt).
-    async_write_backoff_s: float = 0.005
-    #: Documents / index entries moved per chunk during resharding.
-    rebalance_chunk: int = 64

@@ -6,7 +6,7 @@ The protocol keeps reads correct at every instant of a migration:
    router's forwarding table and (for a join) replays the provisioning
    log so the new node hosts every service before any key moves.
 2. Documents stream source -> target in chunks of
-   ``ShardConfig.rebalance_chunk``: each chunk is **imported before it
+   :data:`REBALANCE_CHUNK`: each chunk is **imported before it
    is deleted**, so a concurrent read finds the document on the new
    owner (after import) or through the forwarding table on the old owner
    (before it).  ``count`` may transiently over-count the in-flight
@@ -63,6 +63,10 @@ class MigrationReport:
         return sum(self.index_entries_moved.values())
 
 
+#: Documents / index entries moved per chunk during resharding.
+REBALANCE_CHUNK = 64
+
+
 def _chunks(items: list, size: int) -> Iterable[list]:
     for offset in range(0, len(items), size):
         yield items[offset:offset + size]
@@ -72,9 +76,9 @@ class Resharder:
     """Drives online node join/leave against a :class:`ShardedTransport`."""
 
     def __init__(self, router: ShardedTransport,
-                 chunk_size: int | None = None):
+                 chunk_size: int = REBALANCE_CHUNK):
         self._router = router
-        self._chunk = chunk_size or router.config.rebalance_chunk
+        self._chunk = chunk_size
         if self._chunk < 1:
             raise TransportError("rebalance chunk must be >= 1")
 

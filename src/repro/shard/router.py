@@ -61,7 +61,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import (
     CircuitOpenError,
@@ -95,6 +95,12 @@ ORDERED = frozenset({"ope", "ore"})
 #: tactic's ``resolve_aggregate``, which folds them (the router never
 #: touches the homomorphic math, and no shard sees another's partial).
 AGGREGATE = frozenset({"paillier", "elgamal"})
+
+#: Bounded retries for a post-ack (asynchronous) replica delivery that
+#: hit a link failure or an open breaker, and the base backoff between
+#: them (doubles per attempt).
+ASYNC_WRITE_RETRIES = 4
+ASYNC_WRITE_BACKOFF_S = 0.005
 
 #: Cloud-tactic methods that mutate index state (routed as writes).
 MUTATING_TACTIC_METHODS = frozenset({
@@ -523,15 +529,12 @@ class ShardedTransport(Transport):
                 retryable = (not isinstance(exc, RemoteError)
                              and node is not None)
                 if (not retryable or not state.get("acked")
-                        or attempts >= self.config.async_write_retries):
+                        or attempts >= ASYNC_WRITE_RETRIES):
                     return name, None, elapsed, exc
                 attempts += 1
                 with self._lock:
                     self._async_retries += 1
-                backoff = (self.config.async_write_backoff_s
-                           * (2 ** (attempts - 1)))
-                if backoff > 0:
-                    time.sleep(backoff)
+                time.sleep(ASYNC_WRITE_BACKOFF_S * (2 ** (attempts - 1)))
 
     def _chain_launch(self, owners: Sequence[str], payload: Any,
                       is_batch: bool) -> dict:
@@ -1290,33 +1293,54 @@ class ShardedTransport(Transport):
                     ids[slot] = doc_id
         return [doc_id for doc_id in ids if doc_id is not None]
 
-    def _docs_get(self, request: Request) -> Any:
-        doc_id = request.kwargs["doc_id"]
+    def _forwarded(self, doc_id: str, request: Request,
+                   deliver: Callable[[str, Request], Any]) -> Any:
+        """One keyed document call that stays correct mid-migration.
+
+        The current owner answers first; while a forwarding table is up,
+        a ``DocumentNotFound`` there falls to the previous owner, and a
+        miss *there* re-probes the current owner once: the resharder
+        imports before it evicts, so a document that moved between the
+        first two probes is on its new owner by the third, and new →
+        old → new misses only what no node holds.
+        """
+        forwarding = self.forwarding_active()
         try:
-            return self._routed_read(doc_id, request)
+            return deliver(doc_id, request)
         except RemoteError as exc:
-            prev = self._prev_owner(doc_id)
-            if prev is None or exc.remote_type != "DocumentNotFound":
+            if exc.remote_type != "DocumentNotFound" or not (
+                forwarding or self.forwarding_active()
+            ):
                 raise
-            return self._timed_call(prev, request)
+        prev = self._prev_owner(doc_id)
+        if prev is not None:
+            try:
+                return self._timed_call(prev, request)
+            except RemoteError as exc:
+                if exc.remote_type != "DocumentNotFound":
+                    raise
+        return deliver(doc_id, request)
+
+    def _docs_get(self, request: Request) -> Any:
+        return self._forwarded(request.kwargs["doc_id"], request,
+                               self._routed_read)
 
     def _docs_replace(self, request: Request) -> Any:
-        doc_id = self._doc_key(request.kwargs)
-        try:
-            return self._routed_write(doc_id, request)
-        except RemoteError as exc:
-            prev = self._prev_owner(doc_id)
-            if prev is None or exc.remote_type != "DocumentNotFound":
-                raise
-            return self._timed_call(prev, request)
+        return self._forwarded(self._doc_key(request.kwargs), request,
+                               self._routed_write)
 
     def _docs_delete(self, request: Request) -> bool:
         doc_id = request.kwargs["doc_id"]
+        forwarding = self.forwarding_active()
         existed = bool(self._routed_write(doc_id, request))
-        if not existed:
+        if not existed and (forwarding or self.forwarding_active()):
+            # Same new → old → new walk as :meth:`_forwarded`; a miss
+            # is ``False`` here, not an error.
             prev = self._prev_owner(doc_id)
             if prev is not None:
                 existed = bool(self._timed_call(prev, request))
+            if not existed:
+                existed = bool(self._routed_write(doc_id, request))
         return existed
 
     def _docs_get_many(self, request: Request) -> list[dict]:
@@ -1327,17 +1351,21 @@ class ShardedTransport(Transport):
             found.update((item["_id"], item) for item in stored)
             return [doc_id for doc_id in ids if doc_id not in found]
 
+        forwarding = self.forwarding_active()
         self._keyed_scatter(request, requested, missed)
-        if self.forwarding_active():
+        if forwarding or self.forwarding_active():
             # Mid-migration: what the new owners miss may still sit on
-            # the previous owner — one more overlapped leg.
-            def previous(doc_id: str) -> list[str]:
-                prev = self._prev_owner(doc_id)
-                return [] if prev is None else [prev]
-
+            # the previous owner — one more overlapped leg — and what
+            # moved between those two legs is on its new owner by now
+            # (import-before-evict), so they get the last word.
+            missing = [i for i in requested if i not in found]
+            prev = {i: self._prev_owner(i) for i in missing}
             self._keyed_scatter(
-                request, [i for i in requested if i not in found],
-                missed, previous,
+                request, [i for i in missing if prev[i] is not None],
+                missed, lambda doc_id: [prev[doc_id]],
+            )
+            self._keyed_scatter(
+                request, [i for i in missing if i not in found], missed,
             )
         return [found[i] for i in requested if i in found]
 

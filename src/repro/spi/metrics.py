@@ -72,9 +72,9 @@ class InstanceMetrics:
 class LatencyEwma:
     """Exponentially weighted moving average of one cost signal.
 
-    ``alpha`` weights the newest observation; the planner's optimizer
-    reads ``mean_seconds`` as the *observed* half of its cost model (the
-    static half comes from the SPI performance descriptors).
+    ``alpha`` weights the newest observation; the planner's cost model
+    reads ``mean_seconds`` as its *observed* half (the static half comes
+    from the SPI performance descriptors).
     """
 
     alpha: float = 0.25
@@ -122,10 +122,6 @@ class CostObservatory:
                tactic: str) -> LatencyEwma | None:
         with self._lock:
             return self._ewmas.get((scope, operation, tactic))
-
-    def observations(self, scope: str, operation: str, tactic: str) -> int:
-        ewma = self.lookup(scope, operation, tactic)
-        return ewma.observations if ewma is not None else 0
 
     def snapshot(self) -> dict[tuple[str, str, str], tuple[int, float]]:
         with self._lock:

@@ -25,6 +25,7 @@ import bisect
 from typing import Any
 
 from repro.crypto.encoding import Value, encode_value, value_to_ordered_int
+from repro.crypto.kernels.config import TOKEN_CACHE_CAPACITY
 from repro.crypto.ope import Ope
 from repro.errors import TacticError
 from repro.spi import interfaces as spi
@@ -54,7 +55,7 @@ class OpeGateway(
             self.ctx.derive_key("ope"),
             domain_bits=DOMAIN_BITS,
             range_bits=RANGE_BITS,
-            cache_nodes=crypto.cache_size if crypto.active else 0,
+            cache_nodes=TOKEN_CACHE_CAPACITY if crypto.active else 0,
         )
         self._code_cache = self.kernels.cache()
         self.ctx.call("setup")

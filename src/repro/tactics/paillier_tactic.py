@@ -16,7 +16,6 @@ Insertion, AggFunctionResolution // Setup, Insertion, AggFunction.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Any
 
@@ -28,10 +27,6 @@ from repro.tactics.base import CloudTactic, GatewayTactic, export_ring
 
 KEY_BITS = 1024
 FIXED_POINT_SCALE = 6
-#: Obfuscator masks precomputed in the background per gateway instance;
-#: set DATABLINDER_PAILLIER_POOL=0 to force inline mask computation.
-OBFUSCATOR_POOL_ENV = "DATABLINDER_PAILLIER_POOL"
-DEFAULT_OBFUSCATOR_POOL = 8
 
 
 class PaillierGateway(
@@ -47,35 +42,14 @@ class PaillierGateway(
             self.ctx.field, self.ctx.tactic, KEY_BITS
         )
         self._codec = paillier.FixedPointCodec(FIXED_POINT_SCALE)
-        raw_size = os.environ.get(
-            OBFUSCATOR_POOL_ENV, str(DEFAULT_OBFUSCATOR_POOL)
-        )
-        try:
-            pool_size = int(raw_size)
-        except ValueError:
-            raise TacticError(
-                f"{OBFUSCATOR_POOL_ENV} must be an integer, "
-                f"got {raw_size!r}"
-            ) from None
         #: Fixed-base mask generation (CryptoConfig.precompute): one cold
         #: mask β at setup, fresh masks as β^k through windowed tables
         #: mod p² and q² — ~7x fewer modmuls than a cold r^n
-        #: exponentiation, each at half the width.
+        #: exponentiation, each at half the width.  Masks are always
+        #: computed inline, on the thread that encrypts.
         self._fixed_base = (
             paillier.FixedBaseObfuscator(self._private)
             if self.crypto.precompute else None
-        )
-        #: Masks (r^n mod n^2) precompute on a background thread, so the
-        #: write path usually pays one modmul instead of a 2048-bit
-        #: modular exponentiation.  The fixed-base generator, when
-        #: enabled, becomes the pool's refill source.
-        self._obfuscators = (
-            paillier.ObfuscatorPool(
-                self._private.public, size=pool_size,
-                source=(self._fixed_base.mask
-                        if self._fixed_base is not None else None),
-            )
-            if pool_size > 0 else None
         )
         self.ctx.call("setup", n=self._private.public.n)
 
@@ -88,8 +62,6 @@ class PaillierGateway(
         return self._codec.encode(value)
 
     def _encrypt(self, encoded: int) -> paillier.Ciphertext:
-        if self._obfuscators is not None:
-            return self._obfuscators.encrypt(encoded)
         if self._fixed_base is not None:
             return self._fixed_base.encrypt(encoded)
         return paillier.encrypt(self._private.public, encoded)

@@ -11,7 +11,6 @@ from repro.core.middleware import DataBlinder
 from repro.core.planner import walk
 from repro.core.planner import ir
 from repro.core.planner.compile import parameterize
-from repro.core.planner.cost import ADAPTIVE_WARMUP
 from repro.core.query import And, Eq, Not, Or, Range
 from repro.core.registry import TacticRegistry
 from repro.core.schema import FieldAnnotation, Schema
@@ -283,6 +282,9 @@ class TestDecryptFreeCount:
 
 
 class TestFetchChunkKnob:
+    """Chunk sizes are the IR's per-node rules (no setting overrides
+    them): 64 for ``find``, 32 for ordered scans, 16 for min/max."""
+
     def _get_many_calls(self, pipeline, action):
         wrapper = {}
 
@@ -298,31 +300,17 @@ class TestFetchChunkKnob:
 
     def test_find_respects_override(self):
         unlimited = lambda e: e.find(Eq("code", "a"))  # 20 matches
-        assert self._get_many_calls(None, unlimited) == 1  # legacy 64
-        assert self._get_many_calls(
-            PipelineConfig(fetch_chunk=5), unlimited
-        ) == 4
+        assert self._get_many_calls(None, unlimited) == 1  # chunk 64
 
     def test_find_sorted_respects_override(self):
         sweep = lambda e: e.find_sorted("when")  # 40 docs
-        assert self._get_many_calls(None, sweep) == 2  # legacy 32
-        assert self._get_many_calls(
-            PipelineConfig(fetch_chunk=8), sweep
-        ) == 5
+        assert self._get_many_calls(None, sweep) == 2  # chunk 32
 
     def test_extreme_respects_override(self):
-        # min() touches only the head of the order index: one chunk,
-        # whose size is the knob (legacy 16).
-        wrapper = {}
-
-        def wrap(inner):
-            wrapper["t"] = CountingTransport(inner)
-            return wrapper["t"]
-
-        _, entities = deploy(PipelineConfig(fetch_chunk=4), n_docs=40,
-                             transport_wrap=wrap)
-        assert entities.min("when") == 0
-        assert wrapper["t"].method_calls("get_many") >= 1
+        # min() touches only the head of the order index: one chunk
+        # of 16.
+        head = lambda e: e.min("when")
+        assert self._get_many_calls(None, head) == 1
 
 
 class SlowGetMany(Transport):
@@ -376,75 +364,9 @@ class TestPrefetchDrain:
         assert slow.total == settled  # and nothing fires later either
 
     def test_prefetch_still_overlaps_and_is_correct(self):
-        _, entities = deploy(PipelineConfig(prefetch=True,
-                                            fetch_chunk=8), n_docs=40)
-        docs = entities.find(Range("when", 0, 39))
-        assert {d["when"] for d in docs} == set(range(40))
-
-
-class DelayTactic(Transport):
-    """Penalises every call to one tactic's cloud services."""
-
-    def __init__(self, inner, tactic, delay=0.02):
-        self.inner = inner
-        self.tactic = tactic
-        self.delay = delay
-
-    def call(self, service, method, **kwargs):
-        if service.rsplit("/", 1)[-1] == self.tactic:
-            time.sleep(self.delay)
-        return self.inner.call(service, method, **kwargs)
-
-    def stats(self):
-        return self.inner.stats()
-
-
-class TestAdaptiveSelection:
-    def test_alternatives_are_recorded_per_role(self):
-        blinder, _ = deploy(n_docs=0)
-        plan = blinder._executor("rec").plans["subject"]
-        assert plan.alternatives.get("eq"), (
-            "C2 equality field should admit runner-up tactics"
-        )
-
-    def test_cost_based_selection_switches_off_slow_primary(self):
-        registry = TacticRegistry()
-        register_builtin_tactics(registry)
-        cloud = CloudZone(registry)
-        probe = DataBlinder(
-            "probe", InProcTransport(CloudZone(registry).host),
-            registry=registry,
-        )
-        probe.register_schema(make_schema())
-        plan = probe._executor("rec").plans["subject"]
-        primary = plan.roles["eq"]
-        alternatives = plan.alternatives["eq"]
-
-        transport = DelayTactic(InProcTransport(cloud.host), primary)
-        pipeline = PipelineConfig(adaptive_selection=True)
-        blinder = DataBlinder("plannertest", transport, registry=registry,
-                              pipeline=pipeline)
-        blinder.register_schema(make_schema())
-        entities = blinder.entities("rec")
-        entities.insert_many(make_docs(12))
-
-        expected = entities.find_ids(Eq("subject", "s1"))
-        assert len(expected) == 3  # i in {1, 5, 9}
-        # Warmup explores every candidate, then the EWMAs take over.
-        for _ in range(ADAPTIVE_WARMUP * (1 + len(alternatives)) + 2):
-            got = entities.find_ids(Eq("subject", "s1"))
-            assert got == expected  # alternatives are dual-indexed
-        chosen = blinder.planner_stats("rec")["chosen"]["subject.eq"]
-        assert chosen in alternatives
-        assert chosen != primary
-
-    def test_adaptive_off_never_leaves_primary(self):
-        blinder, entities = deploy(n_docs=12)
-        primary = blinder._executor("rec").plans["subject"].roles["eq"]
-        for _ in range(4):
-            entities.find(Eq("subject", "s1"))
-        chosen = blinder.planner_stats("rec")["chosen"]["subject.eq"]
-        assert chosen == primary
+        _, entities = deploy(PipelineConfig(prefetch=True), n_docs=80)
+        docs = entities.find(Range("when", 0, 79))
+        assert {d["when"] for d in docs} == set(range(80))
 
 
 class TestPlannerReport:

@@ -1,16 +1,12 @@
-"""Pipelined bulk writes (``PipelineConfig.write_chunk``): the chunked
-crypto/wire overlap must answer every query identically to the
-single-pass kernelised path, and its explain rows must show the
-overlap (``Crypto:insert + Wire:insert > WritePipeline:insert``)."""
+"""Kernelised bulk writes: one crypto pass, then one wire pass, booked
+as ``Crypto:insert`` / ``Wire:insert`` rows inside
+``WritePipeline:insert`` — unsharded and over a sharded zone."""
 
 from __future__ import annotations
-
-import pytest
 
 from repro.cloud.cluster import CloudCluster
 from repro.cloud.server import CloudZone
 from repro.core.middleware import DataBlinder
-from repro.core.query import And, Eq, Range
 from repro.core.registry import TacticRegistry
 from repro.crypto.kernels.config import CryptoConfig
 from repro.fhir.model import observation_schema
@@ -22,7 +18,7 @@ from repro.shard.router import ShardedTransport
 from repro.tactics import register_builtin_tactics
 
 APP = "pipeapp"
-DOCS = 14  # crosses three chunk boundaries at write_chunk=4
+DOCS = 14
 
 
 def fresh_registry() -> TacticRegistry:
@@ -46,11 +42,10 @@ def make_doc(i: int) -> dict:
     }
 
 
-def pipeline(write_chunk: int = 0) -> PipelineConfig:
+def pipeline() -> PipelineConfig:
     return PipelineConfig(
         batch_writes=True,
         crypto=CryptoConfig(precompute=True),
-        write_chunk=write_chunk,
     )
 
 
@@ -71,77 +66,11 @@ def deploy(config: PipelineConfig, shards: int = 0,
     return blinder, blinder.entities("observation"), closer
 
 
-def query_results(observations) -> dict:
-    def identifiers(doc_ids) -> list[int]:
-        return sorted(observations.get(d)["identifier"] for d in doc_ids)
-
-    return {
-        "count": observations.count(),
-        "eq": identifiers(observations.find_ids(Eq("status", "final"))),
-        "bool": identifiers(observations.find_ids(
-            And([Eq("status", "final"), Eq("code", "glucose")])
-        )),
-        "range": identifiers(observations.find_ids(
-            Range("effective", 1002, 1010)
-        )),
-        "avg": observations.average("value"),
-        "sorted": [
-            doc["identifier"]
-            for doc in observations.find_sorted("effective",
-                                                descending=True, limit=5)
-        ],
-    }
-
-
 def insert_timings(blinder) -> dict[str, list]:
     return blinder._executor("observation").planner.stats.node_timings
 
 
-class TestChunkedEquivalence:
-    @pytest.mark.parametrize("write_chunk", [1, 4, 5])
-    def test_chunked_matches_single_pass(self, write_chunk):
-        base_blinder, base, base_closer = deploy(pipeline())
-        pipe_blinder, piped, pipe_closer = deploy(pipeline(write_chunk))
-        try:
-            documents = [make_doc(i) for i in range(DOCS)]
-            base_ids = base.insert_many([dict(d) for d in documents])
-            pipe_ids = piped.insert_many([dict(d) for d in documents])
-            assert len(base_ids) == len(pipe_ids) == DOCS
-            assert query_results(piped) == query_results(base)
-        finally:
-            base_closer.close()
-            pipe_closer.close()
-
-    def test_small_batch_keeps_single_pass(self):
-        # len(documents) <= write_chunk: no pipelining, one frame.
-        blinder, observations, closer = deploy(pipeline(write_chunk=32))
-        try:
-            observations.insert_many([make_doc(i) for i in range(4)])
-            assert observations.count() == 4
-        finally:
-            closer.close()
-
-
 class TestOverlapSignature:
-    def test_crypto_and_wire_rows_overlap(self):
-        # A slept 5 ms link makes every flush long enough that chunk
-        # N+1's crypto demonstrably runs while chunk N's frame flies.
-        blinder, observations, closer = deploy(
-            pipeline(write_chunk=4), latency_ms=5.0
-        )
-        try:
-            observations.insert_many([make_doc(i) for i in range(DOCS)])
-            timings = insert_timings(blinder)
-            crypto = timings["Crypto:insert"][1]
-            wire = timings["Wire:insert"][1]
-            total = timings["WritePipeline:insert"][1]
-            assert crypto > 0 and wire > 0
-            # The overlap signature: phases sum to more than the wall
-            # clock.  The single-pass path can never exhibit this.
-            assert crypto + wire > total
-        finally:
-            closer.close()
-
     def test_single_pass_phases_fit_inside_wall_clock(self):
         blinder, observations, closer = deploy(
             pipeline(), latency_ms=5.0
@@ -157,10 +86,8 @@ class TestOverlapSignature:
 
 
 class TestShardedPipeline:
-    def test_chunked_insert_over_shards(self):
-        blinder, observations, closer = deploy(
-            pipeline(write_chunk=4), shards=4
-        )
+    def test_insert_over_shards(self):
+        blinder, observations, closer = deploy(pipeline(), shards=4)
         try:
             documents = [make_doc(i) for i in range(DOCS)]
             ids = observations.insert_many(
@@ -171,7 +98,7 @@ class TestShardedPipeline:
             assert sorted(
                 observations.get(d)["identifier"] for d in ids
             ) == list(range(DOCS))
-            # Pool-thread frame flushes still attribute per-shard time.
+            # The frame's scatter attributes per-shard time.
             timings = insert_timings(blinder)
             assert any(kind.startswith("Shard:") for kind in timings)
         finally:

@@ -67,7 +67,7 @@ class TestCryptoConfig:
 class TestCryptoExecutor:
     def test_cache_only_when_active(self):
         assert CryptoExecutor(CryptoConfig()).cache() is None
-        active = CryptoExecutor(CryptoConfig(precompute=True, cache_size=8))
+        active = CryptoExecutor(CryptoConfig(precompute=True))
         assert active.cache() is not None
 
     def test_dedup_map_inactive_calls_per_element(self):

@@ -174,16 +174,9 @@ class TestDecryptEquivalence:
         assert crt.h_q * -key.p % key.q == 1
 
 
-class TestPoolOverFixedBase:
+class TestFixedBaseEncrypt:
     def test_round_trips_and_stays_probabilistic(self, key):
         fixed = paillier.FixedBaseObfuscator(key)
-        pool = paillier.ObfuscatorPool(key.public, size=2,
-                                       source=fixed.mask)
-        try:
-            for message in (0, 42, -17, key.public.max_plaintext):
-                assert paillier.decrypt(key, pool.encrypt(message)) == (
-                    message
-                )
-            assert len({pool.encrypt(5).value for _ in range(6)}) == 6
-        finally:
-            pool.close()
+        for message in (0, 42, -17, key.public.max_plaintext):
+            assert paillier.decrypt(key, fixed.encrypt(message)) == message
+        assert len({fixed.encrypt(5).value for _ in range(6)}) == 6

@@ -1,12 +1,9 @@
-"""Obfuscator precomputation for Paillier encryption."""
-
-import time
+"""Obfuscator masks for Paillier encryption."""
 
 import pytest
 
 from repro.crypto import paillier
 from repro.crypto.primitives.random import DeterministicRandom
-from repro.errors import CryptoError
 
 PAILLIER_BITS = 256
 
@@ -38,48 +35,3 @@ class TestObfuscator:
             key.public, 12, paillier.obfuscator(key.public)
         )
         assert paillier.decrypt(key, ea + eb) == 42
-
-
-class TestObfuscatorPool:
-    def test_rejects_non_positive_size(self, key):
-        with pytest.raises(CryptoError):
-            paillier.ObfuscatorPool(key.public, size=0)
-
-    def test_roundtrip_signed(self, key):
-        pool = paillier.ObfuscatorPool(key.public, size=2)
-        try:
-            for message in (0, 42, -17, 123456):
-                assert paillier.decrypt(key, pool.encrypt(message)) == (
-                    message
-                )
-        finally:
-            pool.close()
-
-    def test_encryption_is_probabilistic(self, key):
-        pool = paillier.ObfuscatorPool(key.public, size=4)
-        try:
-            values = {pool.encrypt(5).value for _ in range(6)}
-            assert len(values) == 6
-        finally:
-            pool.close()
-
-    def test_background_refill(self, key):
-        pool = paillier.ObfuscatorPool(key.public, size=4)
-        try:
-            pool.mask()  # first consumption starts the refill thread
-            deadline = time.monotonic() + 5.0
-            while pool.available() < 4 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert pool.available() == 4
-        finally:
-            pool.close()
-
-    def test_empty_pool_computes_inline(self, key):
-        pool = paillier.ObfuscatorPool(key.public, size=1)
-        pool.close()  # refill never runs: every mask is inline
-        assert paillier.decrypt(key, pool.encrypt(7)) == 7
-
-    def test_close_is_idempotent(self, key):
-        pool = paillier.ObfuscatorPool(key.public, size=1)
-        pool.close()
-        pool.close()

@@ -12,7 +12,7 @@ import pytest
 from repro.analysis.snapshot import zone_fingerprint
 from repro.cloud.server import CloudZone
 from repro.core.middleware import DataBlinder
-from repro.core.query import Eq
+from repro.core.query import AggregateQuery, Eq
 from repro.core.registry import TacticRegistry
 from repro.core.schema import FieldAnnotation, Schema
 from repro.errors import (
@@ -24,6 +24,7 @@ from repro.gateway.frontdoor import AuditLog, FrontDoor, RateLimiter
 from repro.gateway.runtime import AsyncGatewayRuntime
 from repro.net.latency import NetworkModel
 from repro.net.transport import InProcTransport
+from repro.spi.descriptors import Aggregate
 from repro.tactics import register_builtin_tactics
 
 
@@ -313,6 +314,73 @@ class TestSyncFacade:
             ("carol", "count", ["status"]),
         ]
         assert runtime.stats.snapshot()["completed"] == 2
+
+    def test_every_operation_audits_its_op_and_fields(self, blinder):
+        """The (op, fields) an audit record carries, per façade method —
+        recorded at the commit before ``SyncEntities`` became
+        table-driven and pinned here."""
+        blinder.register_schema(Schema.define(
+            "aud",
+            status=("string", FieldAnnotation.parse("C3", "I,EQ,BL")),
+            when=("int", FieldAnnotation.parse("C5", "I,EQ,RG",
+                                               "min,max")),
+            value=("float", FieldAnnotation.parse("C4", "I,EQ",
+                                                  "sum,avg")),
+            note="string",
+        ))
+        audit = AuditLog()
+        blinder.async_runtime(front=FrontDoor(audit=audit))
+        gateway = blinder.sync_gateway(principal="dora")
+        aud = gateway.entities("aud")
+        final = Eq("status", "final")
+        try:
+            doc_id = aud.insert({"_id": "d0", "status": "final",
+                                 "when": 1, "value": 1.0, "note": "a"})
+            aud.insert_many([
+                {"status": "draft", "when": 2, "value": 2.0},
+                {"status": "final", "note": "b", "when": 3, "value": 3.0},
+            ])
+            aud.get(doc_id)
+            aud.update(doc_id, {"value": 4.0, "note": "c"})
+            aud.find(final, limit=1)
+            aud.find()
+            aud.find_one(final)
+            aud.find_ids(final)
+            aud.count()
+            aud.aggregate(AggregateQuery(Aggregate.SUM, "value", final))
+            aud.average("value", where=final)
+            aud.sum("value")
+            aud.min("when", final)
+            aud.max("when")
+            aud.find_sorted("when", limit=2, descending=True)
+            aud.text_search("b")
+            aud.explain(final, limit=3)
+            aud.explain(operation="count")
+            aud.delete(doc_id)
+        finally:
+            gateway.close()
+        assert [(e.op, e.fields) for e in audit.records()] == [
+            ("insert", ["note", "status", "value", "when"]),
+            ("insert_many", ["note", "status", "value", "when"]),
+            ("get", []),
+            ("update", ["note", "value"]),
+            ("find", ["status"]),
+            ("find", []),
+            ("find_one", ["status"]),
+            ("find_ids", ["status"]),
+            ("count", []),
+            ("aggregate", ["status", "value"]),
+            ("aggregate", ["status", "value"]),
+            ("aggregate", ["value"]),
+            ("aggregate", ["status", "when"]),
+            ("aggregate", ["when"]),
+            ("find_sorted", ["when"]),
+            ("text_search", []),
+            ("explain", ["status"]),
+            ("explain", []),
+            ("delete", []),
+        ]
+        assert audit.outcomes() == {"ok": 19}
 
     def test_concurrent_facade_callers_share_the_loop(self, blinder):
         gateway = blinder.sync_gateway()

@@ -115,7 +115,7 @@ PIPELINES = [
     pytest.param(None, id="baseline"),
     pytest.param(
         PipelineConfig(batch_writes=True, fanout_workers=4,
-                       prefetch=True, fetch_chunk=8),
+                       prefetch=True),
         id="optimised",
     ),
 ]

@@ -32,12 +32,11 @@ from repro.net.message import encode
 from repro.net.transport import InProcTransport, TransportLayer
 from repro.spi.descriptors import Aggregate
 from repro.tactics import register_builtin_tactics
-from repro.tactics.paillier_tactic import OBFUSCATOR_POOL_ENV
 
 APP = "wire"
 
 #: Recorded at the commit before the mod-p²/mod-q² kernels landed (seeded
-#: HSM, seeded mask coins, pool off): SHA-256 over the twelve shipped
+#: HSM, seeded mask coins, masks inline): SHA-256 over the twelve shipped
 #: ciphertext integers, and the zone digest after they are stored.
 WIRE_FINGERPRINT = (
     "e0e44e4b2c4708213951d8d3be63783280933e517a4cef70bb99eb13e9d8bc17"
@@ -66,9 +65,7 @@ class RequestLog(TransportLayer):
 
 @pytest.fixture
 def deployment(monkeypatch):
-    """A precompute-mode deployment whose every Paillier coin is seeded
-    (the pool's refill thread would interleave the mask order)."""
-    monkeypatch.setenv(OBFUSCATOR_POOL_ENV, "0")
+    """A precompute-mode deployment whose every Paillier coin is seeded."""
     monkeypatch.setattr(paillier, "FixedBaseObfuscator", functools.partial(
         paillier.FixedBaseObfuscator,
         randbelow=DeterministicRandom(b"wire-identity/masks").randbelow,

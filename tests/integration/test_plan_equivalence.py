@@ -80,7 +80,7 @@ def doc_key(doc):
     pytest.param(None, id="defaults"),
     pytest.param(
         PipelineConfig(batch_writes=True, fanout_workers=4,
-                       prefetch=True, fetch_chunk=7),
+                       prefetch=True),
         id="pipelined",
     ),
     pytest.param(PipelineConfig.production(), id="production"),

@@ -21,9 +21,10 @@ from repro.net.resilience import (
     RetryPolicy,
 )
 from repro.net.rpc import Request
-from repro.net.transport import Transport
+from repro.net.transport import Transport, TransportLayer
 from repro.shard.config import ShardConfig
 from repro.shard.rebalance import Resharder
+from repro.shard.ring import HashRing
 from repro.shard.router import ShardedTransport
 from repro.tactics import register_builtin_tactics
 
@@ -77,6 +78,77 @@ def verify_workload(observations, ids_by_identifier: dict[int, str]):
         observations.get(d)["identifier"]
         for d in observations.find_ids(Range("effective", lo, hi))
     ) == [i for i in identifiers if lo <= 1000 + i <= hi]
+
+
+class MoveOnProbe(TransportLayer):
+    """The joiner's link.  Once armed, right after the joiner answers
+    its next ``method`` call it does what the resharder does to one
+    document: import at the new owner, then evict at the old — so the
+    move lands *between* a router's probe of the new owner and its
+    probe of the forwarding-table owner."""
+
+    def __init__(self, inner, method):
+        super().__init__(inner)
+        self.method = method
+        self.pending = None
+
+    def arm(self, service, doc_id, source):
+        self.pending = (service, doc_id, source)
+
+    def call_request(self, request):
+        armed = self.pending is not None and request.method == self.method
+        try:
+            return self._inner.call_request(request)
+        finally:
+            if armed:
+                service, doc_id, source = self.pending
+                self.pending = None
+                stored = source.call(service, "get_many", doc_ids=[doc_id])
+                self._inner.call(service, "insert_many", documents=stored)
+                source.call(service, "delete", doc_id=doc_id)
+
+
+class TestReadsRacingTheMove:
+    @pytest.mark.parametrize("method",
+                             ["get", "get_many", "replace", "delete"])
+    def test_move_between_the_two_probes_is_not_a_miss(self, method):
+        cluster, router, blinder = deploy(3)
+        observations = blinder.entities("observation")
+        ids = [observations.insert(make_doc(i)) for i in range(40)]
+        service = f"docs/{APP}"
+        old_nodes = router.node_names()
+        name, transport = cluster.add_zone("zone-3")
+        joiner = MoveOnProbe(transport, method)
+        router.begin_join(name, joiner)
+        try:
+            ring = HashRing.from_spec(router.ring_spec())
+            doc_id = next(d for d in ids if ring.owner(d) == name)
+            source = next(
+                router.node_transport(node) for node in old_nodes
+                if doc_id in router.node_transport(node).call(
+                    service, "all_ids")
+            )
+            stored = source.call(service, "get", doc_id=doc_id)
+            joiner.arm(service, doc_id, source)
+            if method == "get":
+                assert router.call(service, "get",
+                                   doc_id=doc_id) == stored
+            elif method == "get_many":
+                assert stored in router.call(
+                    service, "get_many", doc_ids=ids[:8] + [doc_id])
+            elif method == "replace":
+                changed = {**stored, "plain": {"touched": True}}
+                router.call(service, "replace", document=changed)
+                assert transport.call(service, "get",
+                                      doc_id=doc_id) == changed
+            else:
+                assert router.call(service, "delete", doc_id=doc_id)
+                assert doc_id not in transport.call(service, "all_ids")
+            assert joiner.pending is None  # the move was interposed
+            assert doc_id not in source.call(service, "all_ids")
+        finally:
+            router.finish_migration()
+            cluster.close()
 
 
 class TestNodeJoin:

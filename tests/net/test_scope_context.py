@@ -80,10 +80,10 @@ class TestScopeIsContextLocal:
                 scope_cm.__enter__()  # cancelled before __exit__
                 orphans.append(scope_cm)
                 collector.call(SERVICE, "insert", doc_id="a")
-                assert collector.in_scope()
+                assert collector._scope() is not None
 
             def op_b():
-                assert not collector.in_scope()
+                assert collector._scope() is None
                 collector.call(SERVICE, "insert", doc_id="b")
 
             run_as_operation(pool, op_a)

@@ -213,7 +213,7 @@ class TestWriteQuorum:
 
     def test_post_ack_replica_retries_until_delivered(self):
         nodes, router = build(3, ShardConfig(
-            replication=2, write_quorum=1, async_write_backoff_s=0.001
+            replication=2, write_quorum=1
         ))
         key, (primary, replica) = self._chain_for(router)
         nodes[replica].delay = 0.05  # ack happens before it first fails
