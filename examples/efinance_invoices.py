@@ -106,6 +106,22 @@ def main() -> None:
     print("\nPer-tactic runtime cost of this session:")
     print(blinder.metrics_report())
 
+    # The same numbers, and every other layer's, as one JSON-able
+    # snapshot (``metrics_text()`` is its Prometheus exposition).
+    snapshot = blinder.metrics_snapshot()
+    print("\nOne metrics snapshot, sections:",
+          ", ".join(sorted(snapshot)))
+    heaviest = max(snapshot["net"]["wire"], key=lambda row: row["bytes_sent"])
+    print(f"  heaviest wire cell: {heaviest['service']}.{heaviest['method']}"
+          f" — {heaviest['slots']} slots in {heaviest['frames']} frames,"
+          f" {heaviest['bytes_sent']:,} B sent")
+    plan = snapshot["planner"]["invoice"]
+    print(f"  planner: {plan['executions']} executions,"
+          f" {plan['cache_hits']} plan-cache hits;"
+          f" token caches: {snapshot['tokens']['hits']} hits")
+    print("  exposition:",
+          len(blinder.metrics_text().splitlines()), "lines")
+
 
 if __name__ == "__main__":
     main()

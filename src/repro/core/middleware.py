@@ -83,6 +83,10 @@ class DataBlinder:
         self._executors: dict[str, SchemaExecutor] = {}
         self._async_runtime = None
         self._lock = threading.RLock()
+        self.runtime.obs.collect("planner", lambda: {
+            name: executor.planner.stats.snapshot()
+            for name, executor in list(self._executors.items())
+        }, ("schema",))
 
     @property
     def application(self) -> str:
@@ -252,6 +256,16 @@ class DataBlinder:
     def metrics_report(self) -> str:
         """Per-tactic runtime cost report (Fig. 1 performance metrics)."""
         return self.runtime.metrics.render()
+
+    def metrics_snapshot(self) -> dict:
+        """Every layer's counters as one JSON-able dict: ``net`` (per
+        endpoint, per service/method), ``tactics``, ``planner``, ``cost``,
+        ``cache``, ``tokens``, ``integrity``, ``shard``, ``admission``."""
+        return self.runtime.obs.snapshot()
+
+    def metrics_text(self) -> str:
+        """The same numbers as Prometheus text exposition."""
+        return self.runtime.obs.text()
 
     def integrity_audit(self) -> dict:
         """Run one integrity audit pass against the untrusted zone.

@@ -132,6 +132,7 @@ class AsyncGatewayRuntime:
         self.default_deadline_s = default_deadline_s
         self.front = front or FrontDoor()
         self.stats = RuntimeStats()
+        blinder.runtime.obs.collect("admission", self.stats.snapshot)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._workers: ThreadPoolExecutor | None = None
@@ -310,6 +311,13 @@ class AsyncGatewayRuntime:
             fields=fields, deadline_s=deadline_s,
         ).result(timeout)
 
+    def metrics_snapshot(self) -> dict:
+        """``DataBlinder.metrics_snapshot`` (with ``admission``)."""
+        return self.blinder.metrics_snapshot()
+
+    def metrics_text(self) -> str:
+        return self.blinder.metrics_text()
+
     # -- shutdown ---------------------------------------------------------------
 
     def drain(self, timeout: float | None = None) -> int:
@@ -475,6 +483,12 @@ class SyncGateway:
             deadline_s=(deadline_s if deadline_s is not None
                         else self.deadline_s),
         )
+
+    def metrics_snapshot(self) -> dict:
+        return self.runtime.metrics_snapshot()
+
+    def metrics_text(self) -> str:
+        return self.runtime.metrics_text()
 
     def close(self) -> None:
         self.runtime.close()

@@ -20,6 +20,8 @@ from repro.keys.keystore import KeyStore
 from repro.net.batch import BatchCollector, PipelineConfig
 from repro.net.resilience import ResilienceConfig, wrap_resilient
 from repro.net.transport import Transport
+from repro.obs import Registry
+from repro.obs.collect import attach
 from repro.spi.context import GatewayTacticContext
 from repro.spi.metrics import CostObservatory, TacticMetrics
 from repro.stores.kv import KeyValueStore
@@ -69,7 +71,10 @@ class GatewayRuntime:
                 # Before any tactic is built: instances capture their
                 # token caches at setup() time.
                 self.kernels.enable_token_caching()
-        self.metrics = TacticMetrics()
+        #: The telemetry registry: tactic metrics count on it at the
+        #: source, every other layer's counters are collected on read.
+        self.obs = Registry()
+        self.metrics = TacticMetrics(self.obs, self.transport.wire_cells)
         #: Observed per-(scope, operation, tactic) latency EWMAs feeding
         #: the query planner's cost model.  Runtime-owned (not
         #: executor-owned) so observations survive plan-cache
@@ -77,6 +82,7 @@ class GatewayRuntime:
         self.cost = CostObservatory()
         self._instances: dict[tuple[str, str], Any] = {}
         self._lock = threading.RLock()
+        attach(self)
         self.transport.call(
             "admin", "provision_application", application=application
         )

@@ -10,9 +10,10 @@ metrics of the tactic abstraction model (Fig. 1).
 
 from __future__ import annotations
 
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from repro.obs.wire import WireMeter
 
 
 @dataclass
@@ -133,35 +134,15 @@ class NetworkModel:
         return delay
 
 
-class TrafficMeter:
-    """Thread-safe accumulator of :class:`NetworkStats`."""
+class TrafficMeter(WireMeter):
+    """Thread-safe accumulator of :class:`NetworkStats`.
 
-    def __init__(self) -> None:
-        self._stats = NetworkStats()
-        self._lock = threading.Lock()
-
-    def record_send(self, nbytes: int, delay: float = 0.0) -> None:
-        with self._lock:
-            self._stats.messages_sent += 1
-            self._stats.bytes_sent += nbytes
-            self._stats.simulated_delay_seconds += delay
-
-    def record_receive(self, nbytes: int, delay: float = 0.0) -> None:
-        with self._lock:
-            self._stats.messages_received += 1
-            self._stats.bytes_received += nbytes
-            self._stats.simulated_delay_seconds += delay
+    The counting — frame totals plus the per-``(service, method)`` wire
+    cells, attributed where the frame is encoded — is
+    :class:`repro.obs.wire.WireMeter`; this adds the report shape the
+    transport stack merges.  Nothing diffs two snapshots around a call
+    to learn what it cost: ``cells()`` already knows.
+    """
 
     def snapshot(self) -> NetworkStats:
-        with self._lock:
-            return NetworkStats(
-                self._stats.messages_sent,
-                self._stats.messages_received,
-                self._stats.bytes_sent,
-                self._stats.bytes_received,
-                self._stats.simulated_delay_seconds,
-            )
-
-    def reset(self) -> None:
-        with self._lock:
-            self._stats = NetworkStats()
+        return NetworkStats(*self.totals())

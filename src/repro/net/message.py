@@ -10,7 +10,7 @@ message sizes for the network performance metrics) and the TCP transport
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Iterable
 
 from repro.errors import TransportError
 
@@ -47,14 +47,31 @@ def _from_wire(obj: Any) -> Any:
     return obj
 
 
+#: The canonical form: compact separators, sorted keys, ASCII-only (so
+#: an encoded item's length in characters is its length in bytes).
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+
 def encode(payload: Any) -> bytes:
     """Serialize a payload to canonical wire bytes."""
     try:
-        return json.dumps(
-            _to_wire(payload), separators=(",", ":"), sort_keys=True
-        ).encode("utf-8")
+        return _ENCODER.encode(_to_wire(payload)).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise TransportError(f"cannot encode payload: {exc}") from exc
+
+
+def encode_items(key: str, payloads: Iterable[Any]
+                 ) -> tuple[bytes, list[int]]:
+    """``encode({key: [*payloads]})`` assembled from the encodings of
+    its items, plus each item's size on the wire — the codec is
+    compositional, so the frame is byte-identical and per-item
+    accounting costs no second encoding."""
+    try:
+        items = [_ENCODER.encode(_to_wire(payload)) for payload in payloads]
+    except (TypeError, ValueError) as exc:
+        raise TransportError(f"cannot encode payload: {exc}") from exc
+    frame = "{%s:[%s]}" % (_ENCODER.encode(key), ",".join(items))
+    return frame.encode("utf-8"), [len(item) for item in items]
 
 
 def decode(data: bytes) -> Any:

@@ -187,6 +187,11 @@ class MultiCloudTransport(Transport):
             )
         return labeled
 
+    def wire_cells(self) -> dict[str, dict]:
+        return {f"provider{index}:{label}": cells
+                for index, transport in enumerate(self._providers())
+                for label, cells in transport.wire_cells().items()}
+
     def call_labeled(self, service: str, method: str,
                      **kwargs: Any) -> dict[str, Any]:
         """Labeled broadcast, routed to the service's primary provider.

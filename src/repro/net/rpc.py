@@ -29,9 +29,10 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 from repro.errors import DataBlinderError, RemoteError, TransportError
+from repro.net.message import encode_items
 
 #: Key marking a wire payload as a batch frame rather than a single call.
 BATCH_KEY = "batch"
@@ -111,6 +112,13 @@ def responses_from_batch(payload: dict[str, Any]) -> list[Response]:
     if not isinstance(items, list):
         raise TransportError("malformed batch response frame")
     return [Response.from_payload(item) for item in items]
+
+
+def encode_batch(items: "Sequence[Request] | Sequence[Response]"
+                 ) -> tuple[bytes, list[int]]:
+    """The batch frame of ``items`` — byte for byte
+    ``encode(batch_*_payload(items))`` — and the size of each slot."""
+    return encode_items(BATCH_KEY, [item.to_payload() for item in items])
 
 
 def is_batch_payload(payload: Any) -> bool:

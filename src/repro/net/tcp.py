@@ -26,8 +26,7 @@ from repro.net.rpc import (
     Request,
     Response,
     ServiceHost,
-    batch_request_payload,
-    batch_response_payload,
+    encode_batch,
     is_batch_payload,
     requests_from_batch,
     responses_from_batch,
@@ -80,7 +79,7 @@ class _RpcHandler(socketserver.BaseRequestHandler):
                     responses = host.dispatch_batch(
                         requests_from_batch(payload)
                     )
-                    reply = encode(batch_response_payload(responses))
+                    reply, _ = encode_batch(responses)
                 else:
                     response = host.dispatch(Request.from_payload(payload))
                     reply = encode(response.to_payload())
@@ -133,18 +132,27 @@ class TcpTransport(Transport):
         return self.call_request(Request(service, method, kwargs))
 
     def call_request(self, request: Request) -> Any:
-        reply = self._roundtrip(encode(request.to_payload()))
+        frame = encode(request.to_payload())
+        reply = self._roundtrip(frame, (request,), (len(frame),))
+        self._meter.record_receive(len(reply), 0.0, (request,),
+                                   (len(reply),))
         return Response.from_payload(decode(reply)).unwrap()
 
     def call_batch(self, requests: Sequence[Request]) -> list[Response]:
         """Ship the whole batch as one frame over the pooled socket."""
         if not requests:
             return []
-        frame = encode(batch_request_payload(list(requests)))
-        reply = self._roundtrip(frame)
-        return responses_from_batch(decode(reply))
+        frame, sizes = encode_batch(requests)
+        reply = self._roundtrip(frame, requests, sizes)
+        responses = responses_from_batch(decode(reply))
+        # The reply arrives as one frame; its slot sizes are recovered
+        # by re-encoding the (small, mostly ``null``) write replies.
+        self._meter.record_receive(len(reply), 0.0, requests,
+                                   encode_batch(responses)[1])
+        return responses
 
-    def _roundtrip(self, frame: bytes) -> bytes:
+    def _roundtrip(self, frame: bytes, requests: Sequence[Request],
+                   sizes: Sequence[int]) -> bytes:
         if self._closed:
             raise TransportError("transport is closed")
         # One transparent reconnect: a pooled connection may have died
@@ -154,17 +162,16 @@ class TcpTransport(Transport):
             sock = self._connection()
             try:
                 send_frame(sock, frame)
-                reply = recv_frame(sock)
-                break
+                # Counted when written: a frame whose reply is lost
+                # still crossed the wire.
+                self._meter.record_send(len(frame), 0.0, requests, sizes)
+                return recv_frame(sock)
             except (OSError, TransportError) as exc:
                 self._drop_connection()
                 if attempt == 2:
                     raise TransportError(
                         f"rpc transport failure: {exc}"
                     ) from exc
-        self._meter.record_send(len(frame))
-        self._meter.record_receive(len(reply))
-        return reply
 
     def _drop_connection(self) -> None:
         sock = getattr(self._local, "sock", None)
@@ -177,6 +184,9 @@ class TcpTransport(Transport):
 
     def stats(self) -> NetworkStats:
         return self._meter.snapshot()
+
+    def wire_cells(self) -> dict:
+        return {"endpoint": self._meter.cells()}
 
     def close(self) -> None:
         self._closed = True

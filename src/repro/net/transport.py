@@ -20,11 +20,11 @@ from repro.net.rpc import (
     Request,
     Response,
     ServiceHost,
-    batch_request_payload,
-    batch_response_payload,
+    encode_batch,
     requests_from_batch,
     responses_from_batch,
 )
+from repro.obs.wire import Key, WireCell
 
 
 class Transport(ABC):
@@ -91,6 +91,12 @@ class Transport(ABC):
         """
         return {"endpoint": self.stats()}
 
+    def wire_cells(self) -> dict[str, dict[Key, WireCell]]:
+        """Per-``(service, method)`` wire cells, keyed by the endpoint
+        labels of :meth:`labeled_stats`.  The transports that encode
+        frames count them at the source; wrappers delegate inward."""
+        return {}
+
     def call_labeled(self, service: str, method: str,
                      **kwargs: Any) -> dict[str, Any]:
         """Invoke ``service.method`` on every labelled endpoint and
@@ -142,7 +148,9 @@ class TransportLayer(Transport):
     it changes and a new cross-cutting hook is one method here instead
     of an edit to every wrapper.  A layer that keeps counters reports
     them from :meth:`own_stats` under its :attr:`label`; the merge into
-    the inner report is implemented once, below.
+    the inner report is implemented once, below.  :meth:`stats` and
+    :meth:`labeled_stats` walk the whole stack: they are reports for an
+    operator or a test, never a probe on an operation's path.
     """
 
     #: Line this layer's own counters get in :meth:`labeled_stats` when
@@ -188,6 +196,9 @@ class TransportLayer(Transport):
         ).merge(own)
         return labeled
 
+    def wire_cells(self) -> dict[str, dict[Key, WireCell]]:
+        return self._inner.wire_cells()
+
     def call_labeled(self, service: str, method: str,
                      **kwargs: Any) -> dict[str, Any]:
         return self._inner.call_labeled(service, method, **kwargs)
@@ -218,6 +229,7 @@ class InProcTransport(Transport):
         self._host = host
         self._network = network or NetworkModel(sleep=False)
         self._meter = TrafficMeter()
+        self._dedup_base = 0
 
     def call(self, service: str, method: str, **kwargs: Any) -> Any:
         return self.call_request(Request(service, method, kwargs))
@@ -225,30 +237,32 @@ class InProcTransport(Transport):
     def call_request(self, request: Request) -> Any:
         frame = encode(request.to_payload())
         delay_up = self._network.apply(len(frame))
-        self._meter.record_send(len(frame), delay_up)
+        self._meter.record_send(len(frame), delay_up,
+                                (request,), (len(frame),))
 
         response = self._host.dispatch(Request.from_payload(decode(frame)))
 
         reply = encode(response.to_payload())
         delay_down = self._network.apply(len(reply))
-        self._meter.record_receive(len(reply), delay_down)
+        self._meter.record_receive(len(reply), delay_down,
+                                   (request,), (len(reply),))
         return Response.from_payload(decode(reply)).unwrap()
 
     def call_batch(self, requests: Sequence[Request]) -> list[Response]:
         """N requests in one wire frame: one latency charge per direction."""
         if not requests:
             return []
-        frame = encode(batch_request_payload(list(requests)))
+        frame, sizes = encode_batch(requests)
         delay_up = self._network.apply(len(frame))
-        self._meter.record_send(len(frame), delay_up)
+        self._meter.record_send(len(frame), delay_up, requests, sizes)
 
         responses = self._host.dispatch_batch(
             requests_from_batch(decode(frame))
         )
 
-        reply = encode(batch_response_payload(responses))
+        reply, sizes = encode_batch(responses)
         delay_down = self._network.apply(len(reply))
-        self._meter.record_receive(len(reply), delay_down)
+        self._meter.record_receive(len(reply), delay_down, requests, sizes)
         return responses_from_batch(decode(reply))
 
     def stats(self) -> NetworkStats:
@@ -257,11 +271,16 @@ class InProcTransport(Transport):
         # evictions into the endpoint's counters so the labelled report
         # surfaces an undersized dedup window next to the retries that
         # depend on it.
-        stats.dedup_evictions += self._host.dedup_stats()["evictions"]
+        stats.dedup_evictions += (self._host.dedup_stats()["evictions"]
+                                  - self._dedup_base)
         return stats
+
+    def wire_cells(self) -> dict[str, dict[Key, WireCell]]:
+        return {"endpoint": self._meter.cells()}
 
     def reset_stats(self) -> None:
         self._meter.reset()
+        self._dedup_base = self._host.dedup_stats()["evictions"]
 
 
 class DirectTransport(Transport):
@@ -280,7 +299,7 @@ class DirectTransport(Transport):
 
     def call_request(self, request: Request) -> Any:
         response = self._host.dispatch(request)
-        self._meter.record_send(0)
+        self._meter.record_send(0, 0.0, (request,), (0,))
         self._meter.record_receive(0)
         return response.unwrap()
 
@@ -288,9 +307,12 @@ class DirectTransport(Transport):
         if not requests:
             return []
         responses = self._host.dispatch_batch(list(requests))
-        self._meter.record_send(0)
+        self._meter.record_send(0, 0.0, requests, [0] * len(requests))
         self._meter.record_receive(0)
         return responses
 
     def stats(self) -> NetworkStats:
         return self._meter.snapshot()
+
+    def wire_cells(self) -> dict[str, dict[Key, WireCell]]:
+        return {"endpoint": self._meter.cells()}

@@ -72,6 +72,7 @@ from repro.errors import (
 from repro.net.latency import NetworkStats, roll_up
 from repro.net.rpc import Request, Response
 from repro.net.transport import Transport
+from repro.obs.wire import merged
 from repro.shard.config import ShardConfig
 from repro.shard.ring import HashRing
 
@@ -349,6 +350,12 @@ class ShardedTransport(Transport):
             labeled[f"shard:{name}"] = roll_up(transport.labeled_stats())
         labeled["router"] = own
         return labeled
+
+    def wire_cells(self) -> dict[str, dict]:
+        with self._lock:
+            nodes = list(self._nodes.items())
+        return {f"shard:{name}": merged(transport.wire_cells().values())
+                for name, transport in nodes}
 
     def call_labeled(self, service: str, method: str,
                      **kwargs: Any) -> dict[str, Any]:

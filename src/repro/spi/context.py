@@ -57,21 +57,20 @@ class GatewayTacticContext:
     def call(self, method: str, **kwargs: Any) -> Any:
         """Invoke the cloud-side counterpart of this tactic.
 
-        When a metrics sink is attached, the protocol round is accounted:
-        wall time plus the bytes the transport moved in each direction.
+        With a metrics sink attached the call is counted and the time
+        the gateway blocked in it is timed — one ``perf_counter`` pair,
+        no transport snapshot.  What the call put on the wire is counted
+        where its frame is encoded (the transport's wire cells, keyed by
+        this context's service) and joined in by the sink on read, so it
+        is right for a deferred call that rides a later batch frame.
         """
+        service = self.service
         if self.metrics is None:
-            return self.transport.call(self.service, method, **kwargs)
-        before = self.transport.stats()
+            return self.transport.call(service, method, **kwargs)
         start = time.perf_counter()
-        result = self.transport.call(self.service, method, **kwargs)
-        elapsed = time.perf_counter() - start
-        after = self.transport.stats()
-        self.metrics.record_call(
-            self.service, method, elapsed,
-            after.bytes_sent - before.bytes_sent,
-            after.bytes_received - before.bytes_received,
-        )
+        result = self.transport.call(service, method, **kwargs)
+        self.metrics.record_call(service, method,
+                                 time.perf_counter() - start)
         return result
 
     def derive_key(self, purpose: str, length: int = 32) -> bytes:

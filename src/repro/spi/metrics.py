@@ -3,10 +3,12 @@
 The tactic abstraction model attaches *performance metrics* to every
 operation: algorithmic cost, network cost (data sent/received between
 clients and providers) and storage overhead.  This module reifies the
-measurement side: a :class:`TacticMetrics` recorder is injected into each
-gateway tactic context, and every cloud call made through the context is
-accounted — per tactic instance, per operation — with wall time, round
-count and wire bytes.
+measurement side, and nothing in it diffs snapshots: the gateway tactic
+context counts its calls and the seconds it blocked, the transports that
+encode frames count every service's slots, frames and bytes
+(:mod:`repro.obs.wire`), and :class:`TacticMetrics` is the *view* that
+joins the two on read — per tactic instance, per operation — so it is
+also right for a call deferred into a batch frame or split over shards.
 
 ``DataBlinder.metrics_report()`` renders the aggregate, which is how an
 operator sees where a deployment spends its budget (e.g. the Paillier
@@ -16,12 +18,20 @@ dominance the paper observed).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import Callable
+
+from repro.obs.registry import Registry
+from repro.obs.wire import Key, merged
 
 
 @dataclass
 class OperationCost:
-    """Accumulated cost of one (tactic instance, method) pair."""
+    """Accumulated cost of one (tactic instance, method) pair: SPI
+    ``calls`` and the ``seconds`` the gateway blocked in them (a call
+    deferred into a batch returns at once), ``rounds`` = leg frames that
+    carried at least one of its slots, and its slot bytes on every leg
+    (batch framing excluded)."""
 
     calls: int = 0
     rounds: int = 0
@@ -29,13 +39,12 @@ class OperationCost:
     bytes_sent: int = 0
     bytes_received: int = 0
 
-    def record(self, seconds: float, bytes_sent: int,
-               bytes_received: int) -> None:
-        self.calls += 1
-        self.rounds += 1
-        self.seconds += seconds
-        self.bytes_sent += bytes_sent
-        self.bytes_received += bytes_received
+    def add(self, other: "OperationCost", sign: int = 1) -> None:
+        self.calls += sign * other.calls
+        self.rounds += sign * other.rounds
+        self.seconds += sign * other.seconds
+        self.bytes_sent += sign * other.bytes_sent
+        self.bytes_received += sign * other.bytes_received
 
     @property
     def mean_ms(self) -> float:
@@ -48,11 +57,6 @@ class InstanceMetrics:
 
     service: str
     operations: dict[str, OperationCost] = field(default_factory=dict)
-
-    def cost(self, method: str) -> OperationCost:
-        if method not in self.operations:
-            self.operations[method] = OperationCost()
-        return self.operations[method]
 
     @property
     def total_seconds(self) -> float:
@@ -132,31 +136,57 @@ class CostObservatory:
 
 
 class TacticMetrics:
-    """Thread-safe per-deployment metrics registry."""
+    """Per-deployment view: calls and blocked seconds counted at the
+    source on the metrics registry, joined on read with the transport
+    stack's wire cells (``cells``, its ``wire_cells`` hook).  Only
+    services that recorded a call are tactic instances; the document,
+    integrity and admin services stay in the cells."""
 
-    def __init__(self) -> None:
-        self._instances: dict[str, InstanceMetrics] = {}
-        self._lock = threading.Lock()
+    def __init__(self, registry: Registry | None = None,
+                 cells: Callable[[], dict] = dict) -> None:
+        self._blocked = (registry or Registry()).histogram(
+            "tactic_blocked_seconds",
+            "Seconds a gateway tactic half blocked per SPI call",
+            ("service", "method"))
+        self._cells = cells
+        self._base: dict[Key, OperationCost] = {}
 
-    def record_call(self, service: str, method: str, seconds: float,
-                    bytes_sent: int, bytes_received: int) -> None:
-        with self._lock:
-            instance = self._instances.get(service)
-            if instance is None:
-                instance = InstanceMetrics(service)
-                self._instances[service] = instance
-            instance.cost(method).record(seconds, bytes_sent,
-                                         bytes_received)
+    def record_call(self, service: str, method: str,
+                    seconds: float) -> None:
+        self._blocked.observe((service, method), seconds)
+
+    def _totals(self) -> dict[Key, OperationCost]:
+        totals = {key: OperationCost(calls=slot[0], seconds=slot[1])
+                  for key, slot in self._blocked.series().items()}
+        services = {service for service, _ in totals}
+        for key, cell in merged(self._cells().values()).items():
+            if key[0] in services:
+                totals.setdefault(key, OperationCost()).add(OperationCost(
+                    0, cell.frames, 0.0, cell.bytes_sent,
+                    cell.bytes_received))
+        return totals
 
     def instances(self) -> list[InstanceMetrics]:
-        with self._lock:
-            return [self._instances[k] for k in sorted(self._instances)]
+        """The join, as a delta from the last :meth:`reset`."""
+        instances: dict[str, InstanceMetrics] = {}
+        for (service, method), cost in sorted(self._totals().items()):
+            cost.add(self._base.get((service, method), OperationCost()), -1)
+            if cost != OperationCost():
+                instances.setdefault(
+                    service, InstanceMetrics(service)
+                ).operations[method] = cost
+        return list(instances.values())
 
     def reset(self) -> None:
-        with self._lock:
-            self._instances.clear()
+        self._base = self._totals()
 
     # -- reporting -----------------------------------------------------------
+
+    def snapshot(self) -> dict[str, dict[str, dict]]:
+        return {instance.service: {
+            method: asdict(cost)
+            for method, cost in instance.operations.items()
+        } for instance in self.instances()}
 
     def by_tactic(self) -> dict[str, OperationCost]:
         """Aggregate costs keyed by tactic name (last service segment)."""
@@ -165,15 +195,11 @@ class TacticMetrics:
             tactic = instance.service.rsplit("/", 1)[-1]
             total = aggregated.setdefault(tactic, OperationCost())
             for cost in instance.operations.values():
-                total.calls += cost.calls
-                total.rounds += cost.rounds
-                total.seconds += cost.seconds
-                total.bytes_sent += cost.bytes_sent
-                total.bytes_received += cost.bytes_received
+                total.add(cost)
         return aggregated
 
     def render(self) -> str:
-        header = (f"{'tactic':<12}{'calls':>8}{'time s':>10}"
+        header = (f"{'tactic':<12}{'calls':>8}{'rounds':>8}{'time s':>10}"
                   f"{'mean ms':>10}{'sent B':>12}{'recv B':>12}")
         lines = ["Per-tactic runtime cost (Fig. 1 performance metrics)",
                  header, "-" * len(header)]
@@ -182,8 +208,8 @@ class TacticMetrics:
                              key=lambda t: -by_tactic[t].seconds):
             cost = by_tactic[tactic]
             lines.append(
-                f"{tactic:<12}{cost.calls:>8}{cost.seconds:>10.3f}"
-                f"{cost.mean_ms:>10.2f}{cost.bytes_sent:>12,}"
-                f"{cost.bytes_received:>12,}"
+                f"{tactic:<12}{cost.calls:>8}{cost.rounds:>8}"
+                f"{cost.seconds:>10.3f}{cost.mean_ms:>10.2f}"
+                f"{cost.bytes_sent:>12,}{cost.bytes_received:>12,}"
             )
         return "\n".join(lines)

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cloud.cluster import CloudCluster
 from repro.cloud.server import CloudZone
 from repro.core.middleware import DataBlinder
 from repro.core.registry import TacticRegistry
+from repro.fhir.generator import MedicalDataGenerator
+from repro.fhir.model import benchmark_observation_schema
+from repro.net.batch import PipelineConfig
+from repro.net.resilience import ResilienceConfig
 from repro.net.transport import InProcTransport
 from repro.spi.context import CloudTacticContext, GatewayTacticContext
 from repro.tactics import register_builtin_tactics
@@ -57,3 +62,44 @@ class TacticHarness:
 @pytest.fixture()
 def harness(cloud, transport, registry) -> TacticHarness:
     return TacticHarness(cloud, transport, registry)
+
+
+class Production:
+    """The all-layers-on production profile over a 4-node in-process
+    cluster, with the paper's benchmark observation schema."""
+
+    def __init__(self, registry):
+        resilience = ResilienceConfig()
+        self.cluster = CloudCluster(4, registry=registry,
+                                    resilience=resilience)
+        self.blinder = DataBlinder(
+            "obsapp", self.cluster.nodes(), registry=registry,
+            verify_results=False, pipeline=PipelineConfig.production(),
+            resilience=resilience,
+        )
+        self.schema = benchmark_observation_schema()
+        self.blinder.register_schema(self.schema)
+        self.entities = self.blinder.entities(self.schema.name)
+        self._generator = MedicalDataGenerator(11)
+
+    @property
+    def transport(self):
+        return self.blinder.runtime.transport
+
+    def documents(self, count: int) -> list[dict]:
+        return [observation.to_document()
+                for observation in self._generator.observations(count)]
+
+    def legs(self):
+        return [transport for _, transport in self.cluster.nodes()]
+
+    def close(self) -> None:
+        self.transport.close()
+        self.cluster.close()
+
+
+@pytest.fixture()
+def production(registry):
+    deployment = Production(registry)
+    yield deployment
+    deployment.close()
