@@ -2,7 +2,7 @@
 
 The tentpole subsystem splits the untrusted zone across N nodes behind a
 consistent-hash ring; single-key operations route to one shard while
-searches scatter/gather.  Four measurements:
+searches scatter/gather.  Five measurements:
 
 * **Insert/search throughput at 1/2/4/8 shards** on the paper's 40 ms
   one-way WAN model (writes batched; searches fan out in parallel).
@@ -17,6 +17,11 @@ searches scatter/gather.  Four measurements:
   path (``get_many`` / ``aggregate(doc_ids=...)`` sliced per owner); a
   router that walks the owners one by one pays one round trip per
   shard there and the rate falls to ~0.2x by 8 shards.
+* **Replication cost** — ``replication=2`` against ``replication=1``
+  at 4 shards, both on the parallel router and the same link, 50 timed
+  inserts per leg in 5 alternating rounds (median and IQR): a write
+  waits for every reachable replica, and the replica leg shares the
+  primary's round trip, so the second copy must cost under 10 %.
 * **Node-join downtime** — a reader hammers the ring while
   ``Resharder.add_node`` streams keys to a fresh node; downtime is the
   number of failed reads (must be zero) plus the worst observed stall.
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import threading
 import time
 from pathlib import Path
@@ -54,6 +60,9 @@ SEED = 2019
 KEYED_SCATTER_SHARDS = (1, 4, 8)
 KEYED_SCATTER_DOCS = 32
 KEYED_SCATTER_FLOOR = 0.6
+#: Replication-cost leg: timed inserts per leg, in alternating rounds.
+REPLICATION_INSERTS = 50
+REPLICATION_ROUNDS = 5
 
 PIPELINE = PipelineConfig(batch_writes=True)
 
@@ -72,7 +81,7 @@ def observation_documents(count, seed=SEED):
 
 def deploy(registry, shards, parallel_fanout=True, latency_ms=0.0,
            sleep=False, application="bench-shard", replication=1,
-           write_quorum=0, network=None):
+           network=None):
     cluster = CloudCluster(
         shards, registry=registry,
         network=network or NetworkModel(one_way_latency_ms=latency_ms,
@@ -81,7 +90,7 @@ def deploy(registry, shards, parallel_fanout=True, latency_ms=0.0,
     router = ShardedTransport(
         cluster.nodes(),
         ShardConfig(parallel_fanout=parallel_fanout, fanout_workers=8,
-                    replication=replication, write_quorum=write_quorum),
+                    replication=replication),
     )
     blinder = DataBlinder(application, router, registry=registry,
                           verify_results=False, pipeline=PIPELINE)
@@ -240,42 +249,58 @@ def test_insert_scaling_flat_or_rising(registry):
     assert eight >= 0.9 * one
 
 
-def test_quorum_replicated_insert_throughput(registry):
-    """replication=2 with write_quorum=1 acks a parallel chain's first
-    confirmed replica, so doubling durability must not cost the client
-    more than the unreplicated sequential baseline."""
-    docs = observation_documents(INSERTS)
+def test_replication_cost(registry):
+    """replication=2 against replication=1, equal work on both sides:
+    the same parallel router, the same 40 ms link, alternating rounds of
+    the same documents.  The replica leg rides the scatter the primary
+    leg already pays for, so waiting for every replica must keep at
+    least 0.9x of the unreplicated insert rate."""
+    per_round = max(INSERTS, REPLICATION_INSERTS // REPLICATION_ROUNDS)
+    docs = observation_documents(per_round * REPLICATION_ROUNDS)
     legs = {
-        "replication1_sequential": dict(
-            replication=1, write_quorum=0, parallel_fanout=False,
-        ),
-        "replication2_quorum1_parallel": dict(
-            replication=2, write_quorum=1, parallel_fanout=True,
-        ),
-    }
-    results = {}
-    for label, shard_kwargs in legs.items():
-        cluster, router, entities = deploy(
+        replication: deploy(
             registry, 4, latency_ms=WAN_ONE_WAY_MS, sleep=True,
-            application=f"bench-shard-quorum-{label}", **shard_kwargs,
+            application=f"bench-shard-replication-{replication}",
+            replication=replication,
         )
-        start = time.perf_counter()
-        for document in docs:
-            entities.insert(dict(document))
-        results[label] = len(docs) / (time.perf_counter() - start)
-        router.drain_async_writes()
-        cluster.close()
-    baseline = results["replication1_sequential"]
-    quorum = results["replication2_quorum1_parallel"]
-    RESULTS["quorum_writes"] = {
-        "replication1_sequential_insert_ops_per_s": baseline,
-        "replication2_quorum1_parallel_insert_ops_per_s": quorum,
-        "speedup": quorum / baseline,
+        for replication in (1, 2)
     }
-    print(f"\nEXP-SHARD quorum writes at 4 shards: replication=1 "
-          f"sequential {baseline:.2f} ops/s vs replication=2 quorum=1 "
-          f"parallel {quorum:.2f} ops/s ({quorum / baseline:.2f}x)")
-    assert quorum >= baseline
+    rates: dict[int, list[float]] = {1: [], 2: []}
+    for round_index in range(REPLICATION_ROUNDS):
+        batch = docs[round_index * per_round:(round_index + 1) * per_round]
+        for replication, (_, _, entities) in legs.items():
+            start = time.perf_counter()
+            for document in batch:
+                entities.insert(dict(document))
+            rates[replication].append(
+                per_round / (time.perf_counter() - start)
+            )
+    for cluster, _, _ in legs.values():
+        cluster.close()
+
+    def summary(values):
+        q1, median, q3 = statistics.quantiles(values, n=4)
+        return {"median_insert_ops_per_s": median,
+                "iqr_insert_ops_per_s": q3 - q1,
+                "rounds_insert_ops_per_s": values}
+
+    one, two = summary(rates[1]), summary(rates[2])
+    ratio = (two["median_insert_ops_per_s"]
+             / one["median_insert_ops_per_s"])
+    RESULTS["replication_cost"] = {
+        "inserts_per_leg": per_round * REPLICATION_ROUNDS,
+        "rounds": REPLICATION_ROUNDS,
+        "replication1": one,
+        "replication2": two,
+        "ratio": ratio,
+    }
+    print(f"\nEXP-SHARD replication cost at 4 shards, "
+          f"{per_round * REPLICATION_ROUNDS} inserts per leg: "
+          f"replication=1 {one['median_insert_ops_per_s']:.2f} ops/s "
+          f"(IQR {one['iqr_insert_ops_per_s']:.2f}) vs replication=2 "
+          f"{two['median_insert_ops_per_s']:.2f} ops/s "
+          f"(IQR {two['iqr_insert_ops_per_s']:.2f}): {ratio:.2f}x")
+    assert ratio >= 0.9
 
 
 def test_node_join_downtime(registry):

@@ -111,6 +111,19 @@ def rows() -> list[tuple[str, str, str, str, str]]:
                 "of its 1-shard rate at 8 shards (filtered average "
                 f"{keyed['average_ratio_8_vs_1']:.2f}x)",
             ))
+        cost = data.get("replication_cost")
+        if cost:
+            out.append((
+                "sharded zone: a write waits for every replica",
+                "bench_sharding.py",
+                _fmt(cost["replication1"]["median_insert_ops_per_s"],
+                     " ops/s, replication=1"),
+                _fmt(cost["replication2"]["median_insert_ops_per_s"],
+                     " ops/s, replication=2"),
+                f"{cost['ratio']:.2f}x median of {cost['rounds']} "
+                f"alternating rounds, {cost['inserts_per_leg']} inserts "
+                "per leg (gate 0.90x)",
+            ))
 
     data = _load("BENCH_gateway.json")
     if data:

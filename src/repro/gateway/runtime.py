@@ -19,9 +19,8 @@ A deadline *abandons* the worker, it does not interrupt it: the caller
 gets :class:`~repro.errors.DeadlineExceeded` on time and the in-flight
 slot is released, while the worker runs its operation to the end (a
 blocking round trip cannot be cancelled mid-wire).  An expired write
-may therefore still land; ``close`` joins the worker pool before the
-replicated-write barrier so that it has landed, or failed, by the time
-shutdown returns.
+may therefore still land; ``close`` joins the worker pool so that it
+has landed, or failed, by the time shutdown returns.
 
 :class:`SyncGateway` is the blocking façade: the exact ``Entities``
 method surface, each call submitted to the loop and joined.  Existing
@@ -117,8 +116,7 @@ class AsyncGatewayRuntime:
 
     The loop thread starts lazily on first submit and is a daemon;
     ``close`` drains in-flight operations, joins the workers of expired
-    ones, runs the replicated-write durability barrier, and only then
-    stops the loop.
+    ones, and only then stops the loop.
     """
 
     def __init__(self, blinder: "DataBlinder", *,
@@ -321,19 +319,28 @@ class AsyncGatewayRuntime:
     # -- shutdown ---------------------------------------------------------------
 
     def drain(self, timeout: float | None = None) -> int:
-        """Durability barrier: join detached replicated-write legs."""
-        return self.blinder.runtime.drain_async_writes(timeout)
+        """Wait until no admitted operation is pending (a returned
+        write is already on every reachable replica, so there is
+        nothing else to wait for); returns the operations still
+        pending when ``timeout`` ran out."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            with self._lock:
+                pending = self._pending
+            if not pending or (deadline is not None
+                               and time.monotonic() >= deadline):
+                return pending
+            time.sleep(0.005)
 
     def close(self, timeout: float = 30.0) -> None:
-        """Ordered shutdown: refuse → drain ops → join workers → drain
-        writes → stop.
+        """Ordered shutdown: refuse → drain ops → join workers → stop.
 
         New submissions are refused first, in-flight operations get
         ``timeout`` seconds to finish, the worker pool is joined (an
         operation that expired at its deadline left ``_pending`` while
-        its abandoned worker may still be writing), the
-        replicated-write barrier runs, and only then does the loop
-        stop — so nothing durable is lost to an abrupt teardown.
+        its abandoned worker may still be writing), and only then does
+        the loop stop — so nothing durable is lost to an abrupt
+        teardown.
         """
         with self._lock:
             if self._closed:
@@ -341,11 +348,7 @@ class AsyncGatewayRuntime:
             self._closed = True
             loop, thread = self._loop, self._thread
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                if self._pending == 0:
-                    break
-            time.sleep(0.005)
+        self.drain(timeout)
         if self._workers is not None:
             # ``shutdown`` has no timeout of its own; bound the join.
             joiner = threading.Thread(
@@ -354,8 +357,6 @@ class AsyncGatewayRuntime:
             )
             joiner.start()
             joiner.join(max(0.001, deadline - time.monotonic()))
-        remaining = max(0.001, deadline - time.monotonic())
-        self.blinder.runtime.drain_async_writes(remaining)
         if loop is not None:
             loop.call_soon_threadsafe(loop.stop)
             if thread is not None:

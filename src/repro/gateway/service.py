@@ -161,10 +161,6 @@ class GatewayRuntime:
         """Per-shard timings accumulated by this thread's calls."""
         return self.transport.drain_shard_timings()
 
-    def drain_async_writes(self, timeout: float | None = None) -> int:
-        """Durability barrier for quorum-acked replicated writes."""
-        return self.transport.drain_async_writes(timeout)
-
     @property
     def batch_collector(self) -> BatchCollector | None:
         """The write-batching wrapper, when batching is configured."""

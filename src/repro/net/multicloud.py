@@ -220,12 +220,6 @@ class MultiCloudTransport(Transport):
             timings.extend(transport.drain_shard_timings())
         return timings
 
-    def drain_async_writes(self, timeout: float | None = None) -> int:
-        return sum(
-            transport.drain_async_writes(timeout)
-            for transport in self._providers()
-        )
-
     def close(self) -> None:
         for transport in self._providers():
             transport.close()

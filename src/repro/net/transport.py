@@ -124,17 +124,6 @@ class Transport(ABC):
         since the last drain (empty for non-sharded transports)."""
         return []
 
-    def drain_async_writes(self, timeout: float | None = None) -> int:
-        """Wait out replica writes acked before full delivery.
-
-        The sharded router's write quorum returns control while the
-        remaining replicas complete in the background; this is the
-        durability barrier before fingerprinting state, migrating keys
-        or shutting down.  Non-replicating transports have nothing in
-        flight and return 0.  Wrappers delegate inward.
-        """
-        return 0
-
     def close(self) -> None:
         """Release any underlying resources (default: none)."""
 
@@ -208,9 +197,6 @@ class TransportLayer(Transport):
 
     def drain_shard_timings(self) -> list[tuple[str, float]]:
         return self._inner.drain_shard_timings()
-
-    def drain_async_writes(self, timeout: float | None = None) -> int:
-        return self._inner.drain_async_writes(timeout)
 
     def close(self) -> None:
         self._inner.close()

@@ -69,9 +69,10 @@ def attach(runtime: Any) -> None:
     if verifier is not None:
         obs.collect("integrity", lambda: _integrity(verifier))
     router = next((layer for layer in runtime._walk()
-                   if hasattr(layer, "async_write_failures")), None)
+                   if hasattr(layer, "scatter_count")), None)
     if router is not None:
         obs.collect("shard", lambda: {
-            "async_write_failures": router.async_write_failures(),
-            "pending_async_writes": router.pending_async_writes(),
+            "failovers": router.failover_count(),
+            "replica_errors": router.replica_error_count(),
+            "scatters": router.scatter_count(),
             "topology_epoch": router.topology_epoch()})

@@ -22,8 +22,11 @@ class ShardConfig:
     vnodes: int = 64
     #: Seed of the ring's hash function; part of the shared ring spec.
     seed: int = 0
-    #: Copies of every routed write (1 = no replication).  Reads fail
-    #: over to replicas when the owner's circuit is open.
+    #: Copies of every routed write (1 = no replication).  A write
+    #: returns once every reachable replica has answered and succeeds
+    #: if the best-placed delivery did (replica failures are swallowed
+    #: and counted); reads fail over to replicas when the owner's
+    #: circuit is open.
     replication: int = 1
     #: Scatter broadcasts and write fan-outs run on a thread pool when
     #: True; False keeps every fan-out sequential (the comparison
@@ -34,16 +37,3 @@ class ShardConfig:
     #: resized when membership changes), so the gateway's admission
     #: bound — not this pool — limits how many operations scatter at once.
     fanout_workers: int = 8
-    #: Replica acks required before a replicated write returns.
-    #:
-    #: * ``0`` (the default) keeps the legacy synchronous semantics:
-    #:   every replica delivery completes before the write returns, and
-    #:   the write succeeds if at least the best-placed delivery did
-    #:   (replica failures are swallowed and counted).
-    #: * ``1..replication`` acks after that many replicas confirmed; the
-    #:   remainder completes asynchronously with breaker-aware bounded
-    #:   retries (:meth:`~repro.shard.router.ShardedTransport.drain_async_writes`
-    #:   waits them out).  Fewer than the requested acks is a write
-    #:   failure — the resilience layer above redelivers, and the
-    #:   idempotency keys keep the redelivery at-most-once per host.
-    write_quorum: int = 0

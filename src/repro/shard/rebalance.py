@@ -94,9 +94,6 @@ class Resharder:
                  ) -> MigrationReport:
         """Admit ``name`` and stream its keys over, reads staying live."""
         self._require_unreplicated()
-        # Durability barrier: no write may still be in flight from a
-        # quorum ack while its keys migrate out from under it.
-        self._router.drain_async_writes()
         report = MigrationReport(node=name)
         started = time.perf_counter()
         before = self._cluster_digests()
@@ -128,7 +125,6 @@ class Resharder:
     def remove_node(self, name: str) -> MigrationReport:
         """Drain ``name`` completely, then drop it from the topology."""
         self._require_unreplicated()
-        self._router.drain_async_writes()
         report = MigrationReport(node=name)
         started = time.perf_counter()
         before = self._cluster_digests()

@@ -32,18 +32,23 @@ the previous ring as a *forwarding table*: reads that miss on the new
 owner fall back to the previous owner, so a migration in flight never
 makes a document or index entry unreachable.
 
-**Writes fan out in parallel.**  A batch frame splits into per-owner
-(chain) sub-batches that scatter concurrently on the same pool the
-search gather uses, so a write touching K shards costs one round trip
-instead of K.  Replicated writes deliver to every chain member
-concurrently; :attr:`~repro.shard.config.ShardConfig.write_quorum` acks
-after W confirmed replicas and completes the remainder asynchronously
-(bounded breaker-aware retries — the idempotency keys minted above the
-router keep redeliveries at-most-once per host).  Per-shard enqueue
-order is preserved: slots sharing an owner chain travel in one frame in
-slot order, and while a migration's forwarding table is active the
-loose slots (which include every document write) run sequentially so
-forwarding-epoch writes stay ordered per shard.
+**One write path.**  :meth:`ShardedTransport._chain_route` is the only
+place a write's owner chain is derived, and a routed single write is a
+batch of one: :meth:`ShardedTransport._route_writes` groups the slots
+per owner chain and :meth:`ShardedTransport._write_chains` sends every
+(chain, member) leg of the call in one :meth:`ShardedTransport._overlap`
+scatter — the primitive the reads use — so a write touching K shards
+(or R replicas) costs one round trip, not K.  Per chain the best-placed
+success is the answer, an open breaker on the primary fails over to the
+replicas, any other primary error aborts the write (the resilience
+layer above redelivers; the idempotency keys minted above the router
+keep redeliveries at-most-once per host), and replica errors are
+swallowed and counted — a write returns once every reachable replica
+has answered.  Per-shard enqueue order is preserved: slots sharing an
+owner chain travel in one frame in slot order, and while a migration's
+forwarding table is active the loose slots (which include every
+document write) run sequentially so forwarding-epoch writes stay
+ordered per shard.
 
 Membership changes bump ``topology_epoch`` — the planner drops its
 shape-keyed plan cache when the epoch moves.
@@ -55,12 +60,7 @@ import contextvars
 import functools
 import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import (
@@ -97,12 +97,6 @@ ORDERED = frozenset({"ope", "ore"})
 #: touches the homomorphic math, and no shard sees another's partial).
 AGGREGATE = frozenset({"paillier", "elgamal"})
 
-#: Bounded retries for a post-ack (asynchronous) replica delivery that
-#: hit a link failure or an open breaker, and the base backoff between
-#: them (doubles per attempt).
-ASYNC_WRITE_RETRIES = 4
-ASYNC_WRITE_BACKOFF_S = 0.005
-
 #: Cloud-tactic methods that mutate index state (routed as writes).
 MUTATING_TACTIC_METHODS = frozenset({
     "insert", "update", "delete", "add", "remove", "upsert",
@@ -135,6 +129,16 @@ def _freeze(value: Any) -> Any:
             (key, _freeze(item)) for key, item in value.items()
         ))
     return value
+
+
+def _first_seen(results: Iterable[tuple[str, Any]]) -> list:
+    """The per-shard lists of a gather, concatenated in node order with
+    every repeat (a replica's copy) dropped."""
+    merged: dict[Any, Any] = {}
+    for _, part in results:
+        for item in part or []:
+            merged.setdefault(_freeze(item), item)
+    return list(merged.values())
 
 
 class ShardedTransport(Transport):
@@ -172,15 +176,6 @@ class ShardedTransport(Transport):
         self._failovers = 0
         self._replica_errors = 0
         self._scatters = 0
-        #: Post-ack replica deliveries still in flight (quorum writes).
-        self._async_writes: set[Future] = set()
-        #: The same in-flight legs keyed by node: a later write's leg to
-        #: a node waits these out first, so two writes to one key can
-        #: never land on a replica in inverted order (see
-        #: :meth:`_chain_launch`).
-        self._async_by_node: dict[str, set[Future]] = {}
-        self._async_retries = 0
-        self._async_failures = 0
         #: Provisioning calls replayed onto every joining node.
         self._provision_log: list[Request] = []
         self._applications: list[str] = []
@@ -237,14 +232,6 @@ class ShardedTransport(Transport):
 
     def _replication(self) -> int:
         return max(1, min(self.config.replication, len(self._order)))
-
-    def _write_quorum(self) -> int:
-        """Acks required before a replicated write returns (clamped)."""
-        replication = self._replication()
-        quorum = self.config.write_quorum
-        if quorum <= 0 or quorum > replication:
-            return replication
-        return quorum
 
     def _may_fan_out(self) -> bool:
         """Whether this thread may put legs on the scatter pool."""
@@ -374,48 +361,15 @@ class ShardedTransport(Transport):
         with self._lock:
             return self._scatters
 
+    def failover_count(self) -> int:
+        with self._lock:
+            return self._failovers
+
     def replica_error_count(self) -> int:
         with self._lock:
             return self._replica_errors
 
-    def async_write_failures(self) -> int:
-        """Post-ack replica deliveries that exhausted their retries."""
-        with self._lock:
-            return self._async_failures
-
-    def pending_async_writes(self) -> int:
-        with self._lock:
-            return len(self._async_writes)
-
-    def drain_async_writes(self, timeout: float | None = None) -> int:
-        """Wait out post-ack replica deliveries still in flight.
-
-        Returns the number of deliveries waited for.  Call before
-        fingerprinting state, migrating keys, or closing: with
-        ``write_quorum < replication`` a write returns before its
-        slowest replicas and this is the durability barrier.
-        """
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
-        seen: set[Future] = set()
-        while True:
-            with self._lock:
-                pending = [f for f in self._async_writes
-                           if f not in seen]
-            if not pending:
-                return len(seen)
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return len(seen)
-            done, _ = wait(pending, timeout=remaining)
-            if not done:
-                return len(seen)
-            seen.update(done)
-
     def close(self) -> None:
-        self.drain_async_writes(timeout=5.0)
         with self._lock:
             self._retire_pool()
             nodes = list(self._nodes.values())
@@ -480,256 +434,69 @@ class ShardedTransport(Transport):
         futures = [self._submit(one, item) for item in items[1:]]
         return [one(items[0]), *(future.result() for future in futures)]
 
-    def _leg(self, name: str, request: Request
+    def _leg(self, name: str, payload: Any, framed: bool = False
              ) -> tuple[str, Any, float, Exception | None]:
-        """One scatter leg: ``(node, result, seconds, link error)``."""
+        """One scatter leg — a request, or a batch frame of them when
+        ``framed``: ``(node, result, seconds, link error)``."""
         node = self._nodes[name]
         started = time.perf_counter()
         try:
-            result = node.call_request(request)
+            result = (node.call_batch(list(payload)) if framed
+                      else node.call_request(payload))
             return name, result, time.perf_counter() - started, None
         except TransportError as exc:
             return name, None, time.perf_counter() - started, exc
 
-    # -- replicated chain delivery ---------------------------------------------
+    # -- chain delivery ----------------------------------------------------------
 
-    def _deliver(self, name: str, payload: Any, is_batch: bool,
-                 state: dict, after: tuple[Future, ...] = ()
-                 ) -> tuple[str, Any, float, Exception | None]:
-        """One delivery leg, run on the scatter pool (leaf job: never
-        submits nested work).
+    def _write_chains(self, groups: Sequence[tuple[tuple[str, ...], Any]],
+                      framed: bool) -> list[Any]:
+        """Deliver each ``(owner chain, payload)`` group to every member
+        of its chain — all legs of the call in one :meth:`_overlap`
+        scatter — and return the groups' results in order.
 
-        ``after`` holds this node's still-detached legs from earlier
-        acked writes: they are waited out (success or failure — only
-        ordering matters) before this leg delivers, so a quorum-acked
-        write to a key can never be overtaken on a replica by a later
-        write to the same key.  Every ``after`` future was submitted
-        strictly earlier than this leg, so the pool's FIFO queue keeps
-        the wait deadlock-free.  The wait happens before the timing
-        clock starts — barrier time is not delivery time.
-
-        Before the caller acked (``state["acked"]`` unset) a failure
-        reports immediately — the caller decides failover semantics.
-        After the ack the leg is an asynchronous replica completion and
-        retries itself with bounded backoff (an open breaker or a lost
-        frame is worth re-attempting once the window passed); the
-        request's idempotency key makes every redelivery at-most-once.
+        Per chain the best-placed (lowest position) success is the
+        result.  An open breaker on the primary fails over to the
+        replicas and is counted; any other primary error aborts the
+        write — the resilience layer above owns that redelivery —
+        while replica errors are swallowed and counted.  Every leg has
+        answered before the first failed chain's error re-raises, and
+        each node's wall clock lands in the timing sink once.
         """
-        if after:
-            wait(after)
-        attempts = 0
-        while True:
-            node = self._nodes.get(name)
-            started = time.perf_counter()
-            try:
-                if node is None:
-                    raise TransportError(
-                        f"shard node {name!r} left the topology"
-                    )
-                if is_batch:
-                    result = node.call_batch(list(payload))
-                else:
-                    result = node.call_request(payload)
-                return name, result, time.perf_counter() - started, None
-            except TransportError as exc:
-                elapsed = time.perf_counter() - started
-                retryable = (not isinstance(exc, RemoteError)
-                             and node is not None)
-                if (not retryable or not state.get("acked")
-                        or attempts >= ASYNC_WRITE_RETRIES):
-                    return name, None, elapsed, exc
-                attempts += 1
-                with self._lock:
-                    self._async_retries += 1
-                time.sleep(ASYNC_WRITE_BACKOFF_S * (2 ** (attempts - 1)))
-
-    def _chain_launch(self, owners: Sequence[str], payload: Any,
-                      is_batch: bool) -> dict:
-        """Start one write's replica deliveries concurrently."""
-        state: dict = {"acked": False}
-        futures: dict[Future, int] = {}
-        with self._lock:
-            barriers = {
-                name: tuple(self._async_by_node.get(name, ()))
-                for name in owners
-            }
-        for position, name in enumerate(owners):
-            future = self._submit(self._deliver, name, payload, is_batch,
-                                  state, barriers[name])
-            futures[future] = position
-        return {"state": state, "futures": futures,
-                "owners": tuple(owners)}
-
-    def _chain_gather(self, launch: dict) -> tuple[Any, list]:
-        """Wait a launched chain out to its quorum.
-
-        Returns ``(value, timing_rows)`` where ``value`` is the result
-        of the best-placed (lowest chain position) successful delivery.
-        Legacy mode (``write_quorum=0``) waits for every leg and
-        succeeds if any did — exactly the sequential semantics; an
-        explicit quorum returns after W acks and fails if fewer than W
-        legs ever succeed.  A primary (position 0) failure that is not
-        an open breaker aborts before the ack, as it always has — the
-        resilience layer above owns that redelivery.
-        """
-        state: dict = launch["state"]
-        futures: dict[Future, int] = launch["futures"]
-        quorum = min(self._write_quorum(), len(futures))
-        legacy = self.config.write_quorum <= 0
-        successes: dict[int, Any] = {}
-        rows: list[tuple[str, float]] = []
-        failure: Exception | None = None
-        abort: Exception | None = None
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                position = futures[future]
-                name, value, seconds, error = future.result()
-                rows.append((name, seconds))
-                if error is None:
-                    successes[position] = value
-                    continue
-                if position == 0:
-                    if isinstance(error, CircuitOpenError):
-                        failure = error
-                        with self._lock:
-                            self._failovers += 1
-                    else:
-                        abort = error
-                else:
-                    failure = error
-                    with self._lock:
-                        self._replica_errors += 1
-            if abort is not None:
-                break
-            if not legacy and len(successes) >= quorum:
-                break
-        if pending:
-            owners = launch["owners"]
-            self._detach_async(
-                pending, state,
-                {future: owners[futures[future]] for future in pending},
-            )
-        if abort is not None:
-            raise abort
-        if not successes:
-            assert failure is not None
-            raise failure
-        if not legacy and len(successes) < quorum:
-            assert failure is not None
-            raise failure
-        return successes[min(successes)], rows
-
-    def _detach_async(self, futures: Iterable[Future], state: dict,
-                      names: dict[Future, str]) -> None:
-        """Hand the unfinished legs of an acked write to the background."""
-        state["acked"] = True
-        with self._lock:
-            self._async_writes.update(futures)
-            for future in futures:
-                self._async_by_node.setdefault(
-                    names[future], set()
-                ).add(future)
-        for future in futures:
-            future.add_done_callback(
-                functools.partial(self._async_done, name=names[future])
-            )
-
-    def _async_done(self, future: Future, name: str | None = None) -> None:
-        with self._lock:
-            self._async_writes.discard(future)
-            if name is not None:
-                legs = self._async_by_node.get(name)
-                if legs is not None:
-                    legs.discard(future)
-                    if not legs:
-                        del self._async_by_node[name]
-        try:
-            _, _, _, error = future.result()
-        except Exception as exc:  # noqa: BLE001 - background accounting
-            error = exc
-        if error is not None:
+        legs = [(index, position, name)
+                for index, (chain, _) in enumerate(groups)
+                for position, name in enumerate(chain)]
+        rows = self._overlap(
+            lambda leg: self._leg(leg[2], groups[leg[0]][1], framed), legs
+        )
+        self._record_parallel_timings(
+            (name, seconds) for name, _, seconds, _ in rows
+        )
+        unset = object()
+        values: list[Any] = [unset] * len(groups)
+        failed: dict[int, Exception] = {}
+        aborted: dict[int, Exception] = {}
+        failovers = replica_errors = 0
+        for (index, position, _), (_, result, _, error) in zip(legs, rows):
+            if error is None:
+                if values[index] is unset:
+                    values[index] = result
+                continue
+            failed[index] = error
+            if position:
+                replica_errors += 1
+            elif isinstance(error, CircuitOpenError):
+                failovers += 1
+            else:
+                aborted[index] = error
+        if failed:
             with self._lock:
-                self._replica_errors += 1
-                self._async_failures += 1
-
-    def _gather_scatter(
-        self, launches: Sequence[tuple[Any, dict]]
-    ) -> list[tuple[Any, Any]]:
-        """Gather a set of concurrently launched chains.
-
-        Every launch is drained (nothing is left dangling on the pool)
-        before the first chain failure — if any — re-raises; successes
-        come back as ``(tag, value)`` rows in launch order, and the
-        per-node wall clock of the whole scatter lands in the timing
-        thread-local exactly once per node.
-        """
-        rows: list[tuple[str, float]] = []
-        first_error: Exception | None = None
-        gathered: list[tuple[Any, Any]] = []
-        for tag, launch in launches:
-            try:
-                value, chain_rows = self._chain_gather(launch)
-            except TransportError as exc:
-                if first_error is None:
-                    first_error = exc
-                continue
-            rows.extend(chain_rows)
-            gathered.append((tag, value))
-        self._record_parallel_timings(rows)
-        if first_error is not None:
-            raise first_error
-        return gathered
-
-    def _chain_write(self, owners: Sequence[str], request: Request) -> Any:
-        """Deliver one write to its owner chain (parallel when allowed)."""
-        if len(owners) > 1 and self._may_fan_out():
-            value, rows = self._chain_gather(
-                self._chain_launch(owners, request, is_batch=False)
-            )
-            self._record_parallel_timings(rows)
-            return value
-        return self._chain_serial(owners, request, is_batch=False)
-
-    def _chain_serial(self, owners: Sequence[str], payload: Any,
-                      is_batch: bool) -> Any:
-        """The sequential chain delivery (legacy / nested-pool path).
-
-        The first successful delivery's result is returned.  A
-        non-breaker failure of the *primary* propagates (the resilience
-        layer above redelivers; per-host idempotency dedup makes that
-        safe); replica failures are swallowed and counted.
-        """
-        call = self._timed_batch if is_batch else self._timed_call
-        result: Any = None
-        delivered = False
-        last: Exception | None = None
-        for index, name in enumerate(owners):
-            try:
-                value = call(name, payload)
-            except CircuitOpenError as exc:
-                last = exc
-                with self._lock:
-                    if delivered:
-                        self._replica_errors += 1
-                    else:
-                        self._failovers += 1
-                continue
-            except TransportError as exc:
-                if index == 0:
-                    raise
-                last = exc
-                with self._lock:
-                    self._replica_errors += 1
-                continue
-            if not delivered:
-                result = value
-                delivered = True
-        if not delivered:
-            assert last is not None
-            raise last
-        return result
+                self._failovers += failovers
+                self._replica_errors += replica_errors
+            for index in sorted(failed):
+                if index in aborted or values[index] is unset:
+                    raise aborted.get(index, failed[index])
+        return values
 
     def _broadcast(self, request: Request,
                    nodes: Sequence[str] | None = None,
@@ -832,13 +599,6 @@ class ShardedTransport(Transport):
                     remaining.extend(groups[name])
         return parts
 
-    def _routed_write(self, key: str | bytes, request: Request) -> Any:
-        """Deliver a write to its key's owner chain (see
-        :meth:`_chain_write` for the replication/quorum semantics)."""
-        ring, _, _ = self._topology()
-        return self._chain_write(ring.owners(key, self._replication()),
-                                 request)
-
     def _routed_read(self, key: str | bytes, request: Request) -> Any:
         ring, _, _ = self._topology()
         owners = ring.owners(key, self._replication())
@@ -866,6 +626,9 @@ class ShardedTransport(Transport):
         service = request.service
         if service == "admin":
             return self._admin(request)
+        routed = self._routed(request)
+        if routed is not None:
+            return routed.result
         if service.startswith("docs/"):
             return self._docs(request)
         if service.startswith("tactic/"):
@@ -876,44 +639,8 @@ class ShardedTransport(Transport):
     def call_batch(self, requests: Sequence[Request]) -> list[Response]:
         _, forward, order = self._topology()
         if len(order) == 1 and forward is None:
-            name = order[0]
-            started = time.perf_counter()
-            try:
-                return self._nodes[name].call_batch(list(requests))
-            finally:
-                self._record_timing(name, time.perf_counter() - started)
-
-        responses: list[Response | None] = [None] * len(requests)
-        grouped, loose, splits = self._group_slots(requests)
-        assign, finish_splits = self._split_merger(responses, splits)
-
-        parallel = self._may_fan_out() and (
-            len(grouped) > 1
-            or any(len(chain) > 1 for chain in grouped)
-        )
-        if parallel:
-            # Launch every per-chain sub-batch before gathering any:
-            # a write frame touching K shards costs one round trip.
-            launches = [
-                (tags,
-                 self._chain_launch(chain, subrequests, is_batch=True))
-                for chain, (tags, subrequests) in grouped.items()
-            ]
-            with self._lock:
-                self._scatters += 1
-            for tags, answered in self._gather_scatter(launches):
-                for tag, response in zip(tags, answered):
-                    assign(tag, response)
-        else:
-            for chain, (tags, subrequests) in grouped.items():
-                if len(chain) == 1:
-                    answered = self._timed_batch(chain[0], subrequests)
-                else:
-                    answered = self._chain_serial(chain, subrequests,
-                                                  is_batch=True)
-                for tag, response in zip(tags, answered):
-                    assign(tag, response)
-        finish_splits()
+            return self._timed_batch(order[0], requests)
+        responses, loose = self._route_writes(requests, framed=True)
         if loose:
             self._dispatch_loose(requests, loose, responses)
         missing = [i for i, r in enumerate(responses) if r is None]
@@ -923,8 +650,44 @@ class ShardedTransport(Transport):
             )
         return responses
 
+    def _routed(self, request: Request,
+                walking: bool = False) -> Response | None:
+        """A chain-routed write is a batch of one: its response, or
+        ``None`` when the request needs the full router."""
+        responses, loose = self._route_writes([request], framed=False,
+                                              walking=walking)
+        return None if loose else responses[0]
+
+    def _route_writes(self, requests: Sequence[Request], framed: bool,
+                      walking: bool = False
+                      ) -> tuple[list[Response | None], list[int]]:
+        """Deliver every chain-routed slot of ``requests`` — one
+        sub-batch frame per owner chain when ``framed``, the lone
+        request as a plain call otherwise (where a failure raises
+        instead of filling its slot) — and return the responses so far
+        plus the loose slots left for the full router."""
+        responses: list[Response | None] = [None] * len(requests)
+        grouped, loose, splits = self._group_slots(requests, walking)
+        if not grouped and not splits:
+            return responses, loose  # nothing to route: reads end here
+        assign, finish_splits = self._split_merger(responses, splits)
+        if grouped:
+            # Every per-chain sub-batch travels together: a write frame
+            # touching K shards costs one round trip.
+            answers = self._write_chains(
+                [(chain, subrequests if framed else subrequests[0])
+                 for chain, (_, subrequests) in grouped.items()], framed,
+            )
+            for (tags, _), answered in zip(grouped.values(), answers):
+                if not framed:
+                    answered = [Response(ok=True, result=answered)]
+                for tag, response in zip(tags, answered):
+                    assign(tag, response)
+        finish_splits()
+        return responses, loose
+
     def _group_slots(
-        self, requests: Sequence[Request]
+        self, requests: Sequence[Request], walking: bool = False
     ) -> tuple[dict[tuple[str, ...], tuple[list, list[Request]]],
                list[int], dict[int, int]]:
         """Split a batch frame into per-owner-chain sub-batches.
@@ -934,14 +697,25 @@ class ShardedTransport(Transport):
         tag is either a plain slot index or, for a bulk-insert piece,
         ``(slot, positions)`` mapping the piece's returned ids back into
         the original document order; ``loose`` lists the slots that need
-        the full router; ``splits`` records each split slot's document
-        count.
+        the full router — every slot of a one-node ring, and every
+        document slot while a forwarding table is up unless the caller
+        is the mid-migration walk itself (``walking``); ``splits``
+        records each split slot's document count.
         """
         grouped: dict[tuple[str, ...], tuple[list, list[Request]]] = {}
         loose: list[int] = []
         splits: dict[int, int] = {}
+        ring, forward, order = self._topology()
+        if forward is None and len(order) == 1:
+            # A one-node ring routes nothing: the handlers pass every
+            # request through as it came.
+            return grouped, list(range(len(requests))), splits
+        hold_docs = forward is not None and not walking
         for index, request in enumerate(requests):
-            split = self._split_insert_many(request)
+            if hold_docs and request.service.startswith("docs/"):
+                loose.append(index)
+                continue
+            split = self._split_insert_many(request, ring)
             if split is not None:
                 # A ``docs insert_many`` slot rides the same scatter as
                 # the index writes it travels with: one piece per owner
@@ -956,7 +730,7 @@ class ShardedTransport(Transport):
                     tags.append((index, tuple(positions)))
                     subrequests.append(sub)
                 continue
-            chain = self._chain_route(request)
+            chain = self._chain_route(request, ring)
             if chain is None:
                 loose.append(index)
             else:
@@ -1072,69 +846,55 @@ class ShardedTransport(Transport):
                     or method == "setup")
         return True
 
-    def _chain_route(self, request: Request) -> tuple[str, ...] | None:
-        """The owner chain for batch slots that are pure chain
-        deliveries; ``None`` sends the slot through the full router."""
-        ring, forward, _ = self._topology()
-        replication = self._replication()
+    def _chain_route(self, request: Request,
+                     ring: HashRing) -> tuple[str, ...] | None:
+        """The owner chain on ``ring`` of a write that is a pure chain
+        delivery — the one place a write's owners are derived; ``None``
+        sends the request through the full router (reads, scatters,
+        ``setup``, a write without its shard key)."""
         service, method, kwargs = (request.service, request.method,
                                    request.kwargs)
+        key: Any = None
         if service.startswith("docs/"):
-            if method == "insert" and forward is None:
-                doc_id = (kwargs.get("document") or {}).get("_id")
-                if doc_id:
-                    return tuple(ring.owners(doc_id, replication))
-                return None
-            if method in ("replace", "delete") and forward is None:
-                key = (kwargs.get("document") or {}).get("_id") \
-                    if method == "replace" else kwargs.get("doc_id")
-                if key:
-                    return tuple(ring.owners(key, replication))
-                return None
-            return None
-        if service.startswith("tactic/"):
+            if method in ("insert", "replace"):
+                key = (kwargs.get("document") or {}).get("_id") or None
+            elif method == "delete":
+                key = kwargs.get("doc_id") or None
+        elif (service.startswith("tactic/")
+                and method in MUTATING_TACTIC_METHODS):
             tactic = _tactic_of(service)
-            if method == "setup" or method not in MUTATING_TACTIC_METHODS:
-                return None
-            if tactic in DOC_KEYED and "doc_id" in kwargs:
-                return tuple(ring.owners(kwargs["doc_id"], replication))
-            if tactic in ADDRESS_KEYED and "address" in kwargs:
-                return tuple(ring.owners(
-                    self._address_key(kwargs["address"]), replication
-                ))
-            if tactic in TAG_KEYED and "tag" in kwargs:
-                return tuple(ring.owners(
-                    self._address_key(kwargs["tag"]), replication
-                ))
-            if tactic in PINNED or tactic not in (
-                DOC_KEYED | ADDRESS_KEYED | TAG_KEYED
-            ):
+            if tactic in DOC_KEYED:
+                key = kwargs.get("doc_id")
+            elif tactic in ADDRESS_KEYED or tactic in TAG_KEYED:
+                field = "address" if tactic in ADDRESS_KEYED else "tag"
+                if field in kwargs:
+                    key = self._address_key(kwargs[field])
+            else:
+                # PINNED, and unknown tactics (pinned conservatively).
                 return tuple(self._pin_nodes(service))
-        return None
+        if key is None:
+            return None
+        return tuple(ring.owners(key, self._replication()))
 
     def _split_insert_many(
-        self, request: Request
+        self, request: Request, ring: HashRing
     ) -> tuple[int, dict[tuple[str, ...],
                          tuple[list[int], Request]]] | None:
-        """Per-chain pieces of a ``docs insert_many`` batch slot, or
-        ``None`` when the slot must go through the full router instead
-        (forwarding active, empty batch, or a document without an id).
+        """Per-chain pieces of a ``docs insert_many``, or ``None`` for
+        any other request and for a document without an id.
 
         Each piece carries the positions its documents occupy in the
         original batch, so the per-chain id lists can be merged back
-        into one response in document order.  The idem derivation
-        matches :meth:`_docs_insert_many` exactly: replays of the same
-        logical bulk insert dedup identically on either path.
+        into one response in document order.  The derived idempotency
+        key is deterministic across retries of the same logical
+        insert_many, so the per-host dedup window still applies
+        at-most-once per piece (and per chain member — two chains
+        sharing a replica must not collide).
         """
-        if (not request.service.startswith("docs/")
-                or request.method != "insert_many"):
-            return None
-        ring, forward, _ = self._topology()
-        if forward is not None:
+        if (request.method != "insert_many"
+                or not request.service.startswith("docs/")):
             return None
         documents = list(request.kwargs.get("documents") or [])
-        if not documents:
-            return None
         replication = self._replication()
         groups: dict[tuple[str, ...], tuple[list[int], list[dict]]] = {}
         for position, document in enumerate(documents):
@@ -1209,10 +969,8 @@ class ShardedTransport(Transport):
         method, kwargs = request.method, request.kwargs
         if len(order) == 1 and forward is None:
             return self._timed_call(order[0], request)
-        if method == "insert":
-            return self._routed_write(self._doc_key(kwargs), request)
-        if method == "insert_many":
-            return self._docs_insert_many(request)
+        if method in ("insert", "insert_many"):
+            return self._write(request)
         if method in ("get", "get_proven"):
             return self._docs_get(request)
         if method in ("get_many", "get_many_proven"):
@@ -1224,13 +982,7 @@ class ShardedTransport(Transport):
         if method == "count":
             return self._docs_count(request)
         if method in ("all_ids", "find_plain"):
-            merged: list[str] = []
-            seen: set[str] = set()
-            for _, part in self._broadcast(request):
-                for doc_id in part or []:
-                    if doc_id not in seen:
-                        seen.add(doc_id)
-                        merged.append(doc_id)
+            merged = _first_seen(self._broadcast(request))
             limit = kwargs.get("limit")
             if method == "find_plain" and limit is not None:
                 return merged[:limit]
@@ -1239,69 +991,19 @@ class ShardedTransport(Transport):
             return self._docs_find_text(request)
         return self._broadcast_last(request)
 
-    @staticmethod
-    def _doc_key(kwargs: dict[str, Any]) -> str:
-        document = kwargs.get("document") or {}
-        doc_id = document.get("_id")
-        if not doc_id:
+    def _write(self, request: Request) -> Any:
+        """Chain-deliver one document write whatever the forwarding
+        state: what :meth:`call_request` held back for the
+        mid-migration walk (or for want of an ``_id``)."""
+        routed = self._routed(request, walking=True)
+        if routed is None:
             raise TransportError(
                 "sharded document writes require an explicit _id"
             )
-        return doc_id
-
-    def _docs_insert_many(self, request: Request) -> list[str]:
-        documents = list(request.kwargs.get("documents") or [])
-        if not documents:
-            return []
-        ring, _, _ = self._topology()
-        replication = self._replication()
-        groups: dict[tuple[str, ...], tuple[list[int], list[dict]]] = {}
-        for index, document in enumerate(documents):
-            doc_id = document.get("_id")
-            if not doc_id:
-                raise TransportError(
-                    "sharded document writes require an explicit _id"
-                )
-            chain = tuple(ring.owners(doc_id, replication))
-            indices, docs = groups.setdefault(chain, ([], []))
-            indices.append(index)
-            docs.append(document)
-        ids: list[str | None] = [None] * len(documents)
-        subs: list[tuple[list[int], tuple[str, ...], Request]] = []
-        for chain in sorted(groups):
-            indices, docs = groups[chain]
-            # The derived key is deterministic across retries of the
-            # same logical insert_many, so the per-host dedup window
-            # still applies at-most-once per sub-batch (and per chain
-            # member — two chains sharing a replica must not collide).
-            idem = (f"{request.idem}.{'+'.join(chain)}"
-                    if request.idem else "")
-            subs.append((indices, chain,
-                         Request(request.service, "insert_many",
-                                 {**request.kwargs, "documents": docs},
-                                 idem=idem)))
-        if self._may_fan_out() and (
-            len(subs) > 1 or any(len(c) > 1 for _, c, _ in subs)
-        ):
-            launches = [
-                (indices, self._chain_launch(chain, sub, is_batch=False))
-                for indices, chain, sub in subs
-            ]
-            for indices, returned in self._gather_scatter(launches):
-                for slot, doc_id in zip(indices, returned):
-                    ids[slot] = doc_id
-        else:
-            for indices, chain, sub in subs:
-                returned = (self._timed_call(chain[0], sub)
-                            if len(chain) == 1
-                            else self._chain_serial(chain, sub,
-                                                    is_batch=False))
-                for slot, doc_id in zip(indices, returned):
-                    ids[slot] = doc_id
-        return [doc_id for doc_id in ids if doc_id is not None]
+        return routed.result
 
     def _forwarded(self, doc_id: str, request: Request,
-                   deliver: Callable[[str, Request], Any]) -> Any:
+                   deliver: Callable[[Request], Any]) -> Any:
         """One keyed document call that stays correct mid-migration.
 
         The current owner answers first; while a forwarding table is up,
@@ -1313,7 +1015,7 @@ class ShardedTransport(Transport):
         """
         forwarding = self.forwarding_active()
         try:
-            return deliver(doc_id, request)
+            return deliver(request)
         except RemoteError as exc:
             if exc.remote_type != "DocumentNotFound" or not (
                 forwarding or self.forwarding_active()
@@ -1326,20 +1028,22 @@ class ShardedTransport(Transport):
             except RemoteError as exc:
                 if exc.remote_type != "DocumentNotFound":
                     raise
-        return deliver(doc_id, request)
+        return deliver(request)
 
     def _docs_get(self, request: Request) -> Any:
-        return self._forwarded(request.kwargs["doc_id"], request,
-                               self._routed_read)
+        doc_id = request.kwargs["doc_id"]
+        return self._forwarded(
+            doc_id, request, functools.partial(self._routed_read, doc_id)
+        )
 
     def _docs_replace(self, request: Request) -> Any:
-        return self._forwarded(self._doc_key(request.kwargs), request,
-                               self._routed_write)
+        doc_id = (request.kwargs.get("document") or {}).get("_id")
+        return self._forwarded(doc_id, request, self._write)
 
     def _docs_delete(self, request: Request) -> bool:
         doc_id = request.kwargs["doc_id"]
         forwarding = self.forwarding_active()
-        existed = bool(self._routed_write(doc_id, request))
+        existed = bool(self._write(request))
         if not existed and (forwarding or self.forwarding_active()):
             # Same new → old → new walk as :meth:`_forwarded`; a miss
             # is ``False`` here, not an error.
@@ -1347,7 +1051,7 @@ class ShardedTransport(Transport):
             if prev is not None:
                 existed = bool(self._timed_call(prev, request))
             if not existed:
-                existed = bool(self._routed_write(doc_id, request))
+                existed = bool(self._write(request))
         return existed
 
     def _docs_get_many(self, request: Request) -> list[dict]:
@@ -1437,20 +1141,17 @@ class ShardedTransport(Transport):
             return self._address_keyed(tactic, request)
         if tactic in TAG_KEYED:
             return self._tag_keyed(request)
-        return self._pinned(service, request)
+        return self._attempt_chain(self._pin_nodes(service), request)
 
     def _doc_keyed(self, tactic: str, request: Request) -> Any:
         method, kwargs = request.method, request.kwargs
-        if "doc_id" in kwargs:
-            if method == "retrieve":
-                result = self._routed_read(kwargs["doc_id"], request)
-                if result is None:
-                    prev = self._prev_owner(kwargs["doc_id"])
-                    if prev is not None:
-                        result = self._timed_call(prev, request)
-                return result
-            if method in MUTATING_TACTIC_METHODS:
-                return self._routed_write(kwargs["doc_id"], request)
+        if method == "retrieve" and "doc_id" in kwargs:
+            result = self._routed_read(kwargs["doc_id"], request)
+            if result is None:
+                prev = self._prev_owner(kwargs["doc_id"])
+                if prev is not None:
+                    result = self._timed_call(prev, request)
+            return result
         if method in ("eq_query", "range_query"):
             return self._merge_concat(self._broadcast(request))
         if method == "ordered_range" and tactic in ORDERED:
@@ -1460,12 +1161,7 @@ class ShardedTransport(Transport):
         return self._broadcast_last(request)
 
     def _address_keyed(self, tactic: str, request: Request) -> Any:
-        method, kwargs = request.method, request.kwargs
-        if method in MUTATING_TACTIC_METHODS and "address" in kwargs:
-            return self._routed_write(
-                self._address_key(kwargs["address"]), request
-            )
-        if method == "eq_query":
+        if request.method == "eq_query":
             results = self._broadcast(request)
             if tactic == "mitra":
                 # Address slots align across shards: the owning shard
@@ -1483,31 +1179,12 @@ class ShardedTransport(Transport):
         return self._broadcast_last(request)
 
     def _tag_keyed(self, request: Request) -> Any:
-        method, kwargs = request.method, request.kwargs
-        if method in MUTATING_TACTIC_METHODS and "tag" in kwargs:
-            return self._routed_write(
-                self._address_key(kwargs["tag"]), request
-            )
-        if method == "eq_query":
+        if request.method == "eq_query":
             # Node order puts older nodes first, so entries still on a
             # migration source precede entries written to the new owner:
             # the gateway's tombstone scan sees causal order.
-            merged: list[Any] = []
-            seen: set[Any] = set()
-            for _, part in self._broadcast(request):
-                for entry in part or []:
-                    key = _freeze(entry)
-                    if key not in seen:
-                        seen.add(key)
-                        merged.append(entry)
-            return merged
+            return _first_seen(self._broadcast(request))
         return self._broadcast_last(request)
-
-    def _pinned(self, service: str, request: Request) -> Any:
-        pins = self._pin_nodes(service)
-        if request.method in MUTATING_TACTIC_METHODS:
-            return self._chain_write(pins, request)
-        return self._attempt_chain(pins, request)
 
     # -- scatter merges --------------------------------------------------------
 
@@ -1518,19 +1195,8 @@ class ShardedTransport(Transport):
         chains) come back sorted — the answer a single node holding all
         entries would give; mixed payloads keep node-order concat.
         """
-        merged: list[Any] = []
-        seen: set[Any] = set()
-        all_str = True
-        for _, part in results:
-            for item in part or []:
-                key = _freeze(item)
-                if key in seen:
-                    continue
-                seen.add(key)
-                merged.append(item)
-                if not isinstance(item, str):
-                    all_str = False
-        if all_str:
+        merged = _first_seen(results)
+        if all(isinstance(item, str) for item in merged):
             return sorted(merged)
         return merged
 

@@ -58,10 +58,6 @@ class StubInner(Transport):
     def drain_shard_timings(self):
         return [("shard:a", 0.5)]
 
-    def drain_async_writes(self, timeout=None):
-        self.calls.append(("drain_async_writes", timeout))
-        return 3
-
     def close(self):
         self.calls.append(("close",))
 
@@ -107,11 +103,9 @@ class TestLayerContract:
         layer = build(inner)
         assert layer.topology_epoch() == 41
         assert layer.drain_shard_timings() == [("shard:a", 0.5)]
-        assert layer.drain_async_writes(2.5) == 3
         assert layer.call_labeled("integrity/app", "report", since=4) == {
             "endpoint": "report"}
         assert inner.calls == [
-            ("drain_async_writes", 2.5),
             ("call_labeled", "integrity/app", "report", {"since": 4}),
         ]
 

@@ -15,7 +15,6 @@ def exercise(production) -> None:
     entities.delete(ids[1])
     entities.find(Eq("status", "final"))
     entities.average("value")
-    production.transport.drain_async_writes()
 
 
 def test_snapshot_has_every_section_and_is_json(production):
@@ -53,7 +52,14 @@ def test_snapshot_has_every_section_and_is_json(production):
     assert snapshot["integrity"]["failures"] == 0
     assert any(key.endswith(":docs") for key in
                snapshot["integrity"]["ledger"])
-    assert snapshot["shard"]["async_write_failures"] == 0
+    # shard: the router's own counters — 4 nodes, unreplicated, no
+    # faults, and the inserts and reads above all scattered.
+    shard = snapshot["shard"]
+    assert set(shard) == {"failovers", "replica_errors", "scatters",
+                          "topology_epoch"}
+    assert shard["failovers"] == shard["replica_errors"] == 0
+    assert shard["scatters"] > 0
+    assert shard["topology_epoch"] == 1
     assert "admission" not in snapshot   # no async gateway started
 
 

@@ -60,7 +60,6 @@ def reconcile(transport, legs, run) -> None:
     stats_before = roll_up(transport.labeled_stats())
     cells_before = merged(transport.wire_cells().values())
     run()
-    transport.drain_async_writes()
     stats = roll_up(transport.labeled_stats())
     cells = merged(transport.wire_cells().values())
 

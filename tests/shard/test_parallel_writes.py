@@ -1,4 +1,4 @@
-"""Parallel write fan-out: concurrent batch scatter, write-quorum
+"""Parallel write fan-out: concurrent batch scatter, replicated
 chains, loose-slot concurrency and per-node timing attribution."""
 
 from __future__ import annotations
@@ -192,56 +192,6 @@ class TestWriteQuorum:
                 return f"d{i}", owners
         raise AssertionError("no fully replicated key found")
 
-    def test_quorum_one_acks_before_slow_replica(self):
-        nodes, router = build(
-            3, ShardConfig(replication=2, write_quorum=1)
-        )
-        key, (primary, replica) = self._chain_for(router)
-        nodes[replica].delay = 0.25
-        request = Request(SERVICE, "insert", {"doc_id": key, "token": 1})
-        started = time.perf_counter()
-        router.call_request(request)
-        elapsed = time.perf_counter() - started
-        try:
-            assert elapsed < 0.15  # did not wait for the slow replica
-            waited = router.drain_async_writes(timeout=2.0)
-            assert waited == 1
-            assert request in nodes[replica].requests
-            assert router.async_write_failures() == 0
-        finally:
-            router.close()
-
-    def test_post_ack_replica_retries_until_delivered(self):
-        nodes, router = build(3, ShardConfig(
-            replication=2, write_quorum=1
-        ))
-        key, (primary, replica) = self._chain_for(router)
-        nodes[replica].delay = 0.05  # ack happens before it first fails
-        nodes[replica].fail_times = 2
-        request = Request(SERVICE, "insert", {"doc_id": key, "token": 1})
-        router.call_request(request)
-        try:
-            router.drain_async_writes(timeout=5.0)
-            assert request in nodes[replica].requests
-            assert router.async_write_failures() == 0
-            assert router._async_retries >= 2
-        finally:
-            router.close()
-
-    def test_strict_quorum_fails_on_dead_replica(self):
-        nodes, router = build(
-            3, ShardConfig(replication=2, write_quorum=2)
-        )
-        key, (primary, replica) = self._chain_for(router)
-        nodes[replica].dead = True
-        try:
-            with pytest.raises(TransportError):
-                router.call_request(
-                    Request(SERVICE, "insert", {"doc_id": key, "token": 1})
-                )
-        finally:
-            router.close()
-
     def test_legacy_mode_swallows_replica_failure(self):
         nodes, router = build(3, ShardConfig(replication=2))
         key, (primary, replica) = self._chain_for(router)
@@ -255,9 +205,7 @@ class TestWriteQuorum:
             router.close()
 
     def test_primary_hard_failure_propagates(self):
-        nodes, router = build(
-            3, ShardConfig(replication=2, write_quorum=1)
-        )
+        nodes, router = build(3, ShardConfig(replication=2))
         key, (primary, replica) = self._chain_for(router)
         nodes[primary].dead = True
         nodes[replica].delay = 0.1  # primary's failure lands first
@@ -268,22 +216,6 @@ class TestWriteQuorum:
                 )
         finally:
             router.close()
-
-    def test_close_drains_async_writes(self):
-        nodes, router = build(
-            3, ShardConfig(replication=2, write_quorum=1)
-        )
-        key, (primary, replica) = self._chain_for(router)
-        nodes[replica].delay = 0.1
-        request = Request(SERVICE, "insert", {"doc_id": key, "token": 1})
-        router.call_request(request)
-        router.close()
-        assert request in nodes[replica].requests
-        # Done-callbacks fire just after waiters wake; poll briefly.
-        deadline = time.monotonic() + 1.0
-        while router.pending_async_writes() and time.monotonic() < deadline:
-            time.sleep(0.005)
-        assert router.pending_async_writes() == 0
 
 
 class TestLooseSlots:

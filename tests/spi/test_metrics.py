@@ -142,7 +142,6 @@ class TestMiddlewareIntegration:
         metrics = production.blinder.runtime.metrics
         metrics.reset()
         production.entities.insert_many(production.documents(50))
-        production.transport.drain_async_writes()
 
         instances = metrics.instances()
         assert sorted(i.service.rsplit("/", 1)[-1] for i in instances) == [
