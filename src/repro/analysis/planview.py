@@ -163,11 +163,11 @@ def _integrity_footer(planner: "QueryPlanner") -> list[str]:
 def _crypto_wire_footer(plan: ir.Plan, planner: "QueryPlanner") -> list[str]:
     """Observed crypto-vs-wire split for write plans.
 
-    The kernelised bulk-insert path records its two phases (and a
-    per-kernel breakdown) as ``Crypto:*`` / ``Wire:*`` stat rows; for a
-    write plan the EXPLAIN output surfaces them so an operator can see
-    whether a slow ingest is compute- or network-bound.  Reads, and
-    runtimes with the kernels off, have no such rows and no footer.
+    The bulk-insert loop records its two phases (and a per-kernel
+    breakdown) as ``Crypto:*`` / ``Wire:*`` stat rows; for a write plan
+    the EXPLAIN output surfaces them so an operator can see whether a
+    slow ingest is compute- or network-bound.  Reads, and a schema that
+    has not inserted yet, have no such rows and no footer.
     """
     if plan.operation not in ("insert", "update", "delete"):
         return []

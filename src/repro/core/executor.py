@@ -18,8 +18,9 @@ cannot change (the decrypt-free ``count`` path).
 
 When a :class:`repro.net.batch.PipelineConfig` enables them, the
 latency optimisations rewire the hot paths without changing results:
-write batching, CNF literal fan-out, chunked fetch with prefetch — all
-executed node-by-node by the plan engine with the seed semantics.
+write batching, CNF literal fan-out, next-chunk prefetch on the engine's
+one document stream — all executed node-by-node by the plan engine with
+the seed semantics.
 """
 
 from __future__ import annotations
@@ -211,8 +212,9 @@ class SchemaExecutor:
         return self.planner.insert_bulk([document])[0]
 
     def insert_many(self, documents: list[dict[str, Value]]) -> list[str]:
-        """Bulk insert: tactic protocols run per document, but all the
-        encrypted bodies ship to the document store in one round trip."""
+        """Bulk insert: tactic protocols run field by field through the
+        batch SPI, and all the encrypted bodies ship to the document
+        store in one round trip."""
         return self.planner.insert_bulk(documents)
 
     def _generate_doc_id(self) -> str:

@@ -1,30 +1,35 @@
 """Engine: plan execution over the batch/fan-out/prefetch machinery.
 
-Every :class:`~repro.net.batch.PipelineConfig` semantic of the seed
-executor is preserved node-by-node: boolean CNF clauses resolve in one
-``bool_query_terms`` round before anything else, independent literals
-fan out on the shared bounded pool (serial evaluation keeps the
-empty-intersection short circuit), candidate fetches are chunked with
-optional next-chunk prefetch, and write pipelines run inside one batch
-collection scope.
+Id-producing nodes keep the seed executor's semantics node by node:
+boolean CNF clauses resolve in one ``bool_query_terms`` round before
+anything else, and independent literals fan out on the shared bounded
+pool (serial evaluation keeps the empty-intersection short circuit).
+
+Ids become documents in exactly one place, :meth:`PlanEngine._stream`:
+unordered ``find``, ``find_sorted``, ``min``/``max`` and the verifying
+``find_ids``/``count`` differ only in the id order, chunk size and stop
+rule they hand it, so whether a read uses the document cache and the
+next-chunk prefetch follows from the read, not from which loop it
+reached.  Bulk inserts likewise have one loop, field-major through the
+tactic batch SPI inside one batch collection scope.
 
 The engine additionally records a latency observation per executed node
 into the runtime's :class:`~repro.spi.metrics.CostObservatory` — what
 ``explain()`` prints beside the descriptor priors — and per-node-kind
 timings into the planner's stats.
-
-One deliberate fix over the seed: an early ``limit`` return no longer
-leaks the pending prefetch future — it is cancelled, or drained when
-already running, on every exit path.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import deque
+from collections.abc import Iterable, Iterator
 from concurrent.futures import Future
+from contextlib import closing
 from typing import TYPE_CHECKING, Any
 
+from repro.cache.tier import MISS, NEGATIVE
 from repro.core.planner import ir
 from repro.core.query import Predicate, evaluate_plain
 from repro.crypto.encoding import Value
@@ -41,13 +46,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class Run:
-    """Per-execution context: bindings plus the run-scoped id memo."""
+    """Per-execution context: bindings, limit, the run-scoped id memo."""
 
-    __slots__ = ("bindings", "predicate", "_all_ids", "_lock")
+    __slots__ = ("bindings", "predicate", "limit", "_all_ids", "_lock")
 
-    def __init__(self, bindings: list, predicate: Predicate | None):
+    def __init__(self, bindings: list, predicate: Predicate | None,
+                 limit: int | None = None):
         self.bindings = bindings
         self.predicate = predicate
+        self.limit = limit
         self._all_ids: set[str] | None = None
         self._lock = threading.Lock()
 
@@ -232,95 +239,99 @@ class PlanEngine:
             result = ids if result is None else result & ids
         return result if result is not None else set()
 
-    # -- the document pipeline -------------------------------------------------
+    # -- the document stream ---------------------------------------------------
 
-    def _chunk_size(self, node: ir.FetchDocs, limit: int | None) -> int:
-        if not node.ordered and limit is not None:
-            # Seed `find` rule: a small limit keeps the transfer small.
-            return max(limit * 2, 16)
-        return node.chunk_default
+    def _ordered_ids(self, field: str, role: str, tactic: str,
+                     descending: bool, kind: str) -> list[str]:
+        """The order tactic's sorted id list, observed as one node."""
+        x = self._x
+        instance = x.lookup_instance(field, role, tactic)
+        started = time.perf_counter()
+        ordered = instance.ordered_ids(descending=descending)
+        self._observe(
+            f"{x.schema.name}.{field}", "ordered", tactic,
+            time.perf_counter() - started, kind,
+        )
+        return ordered
 
-    def _docs(self, node: ir.PlanNode, run: Run,
-              limit: int | None) -> list[dict[str, Value]]:
-        """Execute a Decrypt/Verify/Limit stack over a FetchDocs node."""
-        verify = False
-        has_limit = False
-        while True:
-            if isinstance(node, ir.Limit):
-                has_limit = True
-                node = node.source
-            elif isinstance(node, ir.Verify):
-                verify = True
-                node = node.source
-            elif isinstance(node, ir.Decrypt):
-                node = node.source
-            else:
-                break
-        if not isinstance(node, ir.FetchDocs):
-            raise QueryError(
-                f"document pipeline bottoms out at {node.kind}"
-            )
-        if not has_limit:
-            limit = None
-        if node.ordered:
-            return self._ordered_docs(node, run, limit)
-        return self._fetched_docs(node, run, limit, verify)
+    def _stream(self, ids: Iterable[str], chunk_size: int,
+                overlap: bool) -> Iterator[dict[str, Value]]:
+        """Live decrypted documents for ``ids``, in that order.
 
-    def _fetched_docs(self, node: ir.FetchDocs, run: Run,
-                      limit: int | None,
-                      verify: bool) -> list[dict[str, Value]]:
-        """The seed ``find`` loop: chunked get_many with prefetch overlap.
+        The one place ids become documents, and the only caller of
+        ``docs.get_many``.  Ids the operation's document-cache scope
+        holds (positive or negative) skip the wire; the others are
+        fetched ``chunk_size`` misses at a time, only once the consumer
+        reaches the first of them, so an all-hit read sends nothing and
+        an early stop fetches nothing further.  Absent and
+        foreign-schema ids are dropped (negative-cached under a scope);
+        fills carry the token the scope captured before the first fetch.
 
-        The pending prefetch future is cancelled (or drained, when the
-        pool already started it) on *every* exit path — early ``limit``
-        returns included — so no orphaned fetch outlives the call.
+        With ``overlap`` and ``PipelineConfig.prefetch`` the next
+        chunk's fetch runs on the pool while this chunk decrypts.  The
+        first chunk is fetched inline — a pool hop there would only cap
+        concurrent reads at the pool size — and the pending future is
+        cancelled (or drained, when already running) on every exit
+        path, generator close included.
         """
         x = self._x
-        candidate_ids = sorted(self.eval_ids(node.source, run))
-        chunk_size = self._chunk_size(node, limit)
         scope = x.cache_read_scope()
-        if scope is not None:
-            return self._cached_fetch(scope, candidate_ids, chunk_size,
-                                      run, limit, verify)
-        chunks = [
-            candidate_ids[offset:offset + chunk_size]
-            for offset in range(0, len(candidate_ids), chunk_size)
-        ]
-        pool = x._pool() if x.pipeline.prefetch else None
+        pool = x._pool() if overlap and x.pipeline.prefetch else None
+        answers = (
+            (doc_id, MISS if scope is None else scope.lookup(doc_id))
+            for doc_id in ids
+        )
+        #: Answers a chunk's look-ahead passed, waiting for the consumer.
+        looked: deque[tuple[str, Any]] = deque()
+
+        def next_chunk(chunk: list[str]) -> list[str]:
+            for entry in answers:
+                looked.append(entry)
+                if entry[1] is MISS:
+                    chunk.append(entry[0])
+                    if len(chunk) >= chunk_size:
+                        break
+            return chunk
 
         def fetch(chunk: list[str]) -> list[dict]:
             return self._timed_docs(
                 "get_many", "FetchDocs", "get_many", doc_ids=chunk
             )
 
-        documents: list[dict[str, Value]] = []
+        live: dict[str, dict | None] = {}
         pending: Future | None = None
         try:
-            for index, chunk in enumerate(chunks):
-                # The first chunk has nothing to overlap with, so it is
-                # fetched inline: a pool hop there would only cap
-                # concurrent finds at the pool's worker count.
-                stored = (pending.result() if pending is not None
-                          else fetch(chunk))
-                # Overlap the next wire fetch with this chunk's
-                # decryption and verification.
-                pending = (
-                    pool.submit(fetch, chunks[index + 1])
-                    if pool is not None and index + 1 < len(chunks)
-                    else None
-                )
-                for item in stored:
-                    if item.get("schema") != x.schema.name:
+            while True:
+                entry = looked.popleft() if looked else next(answers, None)
+                if entry is None:
+                    return
+                doc_id, found = entry
+                if found is NEGATIVE:
+                    continue
+                if found is MISS:
+                    if doc_id not in live:
+                        if pending is None:
+                            chunk = next_chunk([doc_id])
+                        stored = (pending.result() if pending is not None
+                                  else fetch(chunk))
+                        live = dict.fromkeys(chunk)
+                        live.update(
+                            (item["_id"], item) for item in stored
+                            if item.get("schema") == x.schema.name
+                        )
+                        # Overlap the next wire fetch with this chunk's
+                        # decryption and verification.
+                        chunk = next_chunk([]) if pool is not None else []
+                        pending = pool.submit(fetch, chunk) if chunk else None
+                    item = live[doc_id]
+                    if item is None:
+                        if scope is not None:
+                            scope.store_negative(doc_id)
                         continue
-                    document = x._decrypt_stored(item)
-                    if verify and run.predicate is not None and (
-                        not evaluate_plain(run.predicate, document)
-                    ):
-                        continue
-                    documents.append(document)
-                    if limit is not None and len(documents) >= limit:
-                        return documents
-            return documents
+                    found = x._decrypt_stored(item)
+                    if scope is not None:
+                        scope.store(doc_id, found)
+                yield found
         finally:
             if pending is not None and not pending.cancel():
                 try:
@@ -328,114 +339,53 @@ class PlanEngine:
                 except Exception:
                     pass  # the result is discarded either way
 
-    def _cached_fetch(self, scope, candidate_ids: list[str],
-                      chunk_size: int, run: Run, limit: int | None,
-                      verify: bool) -> list[dict[str, Value]]:
-        """The fetch loop over the document cache.
-
-        Cached candidates (positive and negative) skip the wire; the
-        missing ids fetch chunk-by-chunk as the sorted scan reaches
-        them, so an early ``limit`` return stops fetching exactly like
-        the seed loop.  When every candidate hits, no ``get_many``
-        leaves the gateway at all — the whole answer is one coherence
-        validation.  Output is sorted-id order (the order the seed
-        produces whenever the store preserves request order).
-        """
-        from repro.cache.tier import MISS, NEGATIVE
-
-        x = self._x
-        missing: list[str] = []
-        hits: dict[str, Any] = {}
-        for doc_id in candidate_ids:
-            found = scope.lookup(doc_id)
-            if found is MISS:
-                missing.append(doc_id)
-            else:
-                hits[doc_id] = found
-        fetched: dict[str, dict | None] = {}
-        fetch_offset = 0
-
-        def fetch_until(doc_id: str) -> None:
-            nonlocal fetch_offset
-            while doc_id not in fetched and fetch_offset < len(missing):
-                chunk = missing[fetch_offset:fetch_offset + chunk_size]
-                fetch_offset += chunk_size
-                stored = self._timed_docs(
-                    "get_many", "FetchDocs", "get_many", doc_ids=chunk
-                )
-                by_id = {item["_id"]: item for item in stored}
-                for wanted in chunk:
-                    item = by_id.get(wanted)
-                    if item is None or (
-                        item.get("schema") != x.schema.name
-                    ):
-                        scope.store_negative(wanted)
-                        fetched[wanted] = None
-                        continue
-                    document = x._decrypt_stored(item)
-                    scope.store(wanted, document)
-                    fetched[wanted] = document
-
-        documents: list[dict[str, Value]] = []
-        for doc_id in candidate_ids:
-            found = hits.get(doc_id, MISS)
-            if found is NEGATIVE:
-                continue
-            if found is MISS:
-                fetch_until(doc_id)
-                document = fetched.get(doc_id)
-                if document is None:
-                    continue
-            else:
-                document = found
-            if verify and run.predicate is not None and (
-                not evaluate_plain(run.predicate, document)
-            ):
-                continue
-            documents.append(document)
-            if limit is not None and len(documents) >= limit:
-                return documents
-        return documents
-
-    def _ordered_docs(self, node: ir.FetchDocs, run: Run,
-                      limit: int | None) -> list[dict[str, Value]]:
-        """The seed ``find_sorted`` loop over the order index."""
-        x = self._x
-        scan = node.source
-        if not isinstance(scan, ir.OrderedScan):
-            raise QueryError("ordered fetch requires an OrderedScan source")
-        instance = x.lookup_instance(scan.field, scan.role, scan.tactic)
-        started = time.perf_counter()
-        ordered = instance.ordered_ids(descending=scan.descending)
-        self._observe(
-            f"{x.schema.name}.{scan.field}", "ordered", scan.tactic,
-            time.perf_counter() - started, "OrderedScan",
-        )
-        chunk_size = self._chunk_size(node, None)
-        results: list[dict[str, Value]] = []
-        offset = 0
-        while offset < len(ordered) and (limit is None
-                                         or len(results) < limit):
-            chunk = ordered[offset:offset + chunk_size]
-            offset += chunk_size
-            stored = self._timed_docs(
-                "get_many", "FetchDocs", "get_many", doc_ids=chunk
+    def _docs(self, node: ir.PlanNode, run: Run,
+              limit: int | None) -> list[dict[str, Value]]:
+        """Execute a Decrypt/Verify/Limit stack over a FetchDocs node."""
+        verify = False
+        while isinstance(node, (ir.Limit, ir.Verify, ir.Decrypt)):
+            # A Limit node mirrors ``limit is not None`` (both come from
+            # the same argument of the operation table).
+            verify = verify or isinstance(node, ir.Verify)
+            node = node.source
+        if not isinstance(node, ir.FetchDocs):
+            raise QueryError(
+                f"document pipeline bottoms out at {node.kind}"
             )
-            by_id = {item["_id"]: item for item in stored}
-            for doc_id in chunk:
-                item = by_id.get(doc_id)
-                if item is None or item.get("schema") != x.schema.name:
+        if limit is not None and limit <= 0:
+            return []
+        chunk_size = node.chunk_default
+        if node.ordered:
+            scan = node.source
+            if not isinstance(scan, ir.OrderedScan):
+                raise QueryError(
+                    "ordered fetch requires an OrderedScan source"
+                )
+            ids = self._ordered_ids(scan.field, scan.role, scan.tactic,
+                                    scan.descending, "OrderedScan")
+        else:
+            ids = sorted(self.eval_ids(node.source, run))
+            if limit is not None:
+                # Seed `find` rule: a small limit keeps the transfer small.
+                chunk_size = max(limit * 2, 16)
+        verify = verify and run.predicate is not None
+        documents: list[dict[str, Value]] = []
+        # A bounded read sizes its chunk to end inside it: a prefetch
+        # would fetch what nobody reads and the early stop wait for it.
+        overlap = not node.ordered and limit is None
+        with closing(self._stream(ids, chunk_size, overlap)) as stream:
+            for document in stream:
+                if verify and not evaluate_plain(run.predicate, document):
                     continue
-                results.append(x._decrypt_stored(item))
-                if limit is not None and len(results) >= limit:
+                documents.append(document)
+                if limit is not None and len(documents) >= limit:
                     break
-        return results
+        return documents
 
     # -- read entry points -----------------------------------------------------
 
-    def find(self, plan: ir.Plan, run: Run,
-             limit: int | None) -> list[dict[str, Value]]:
-        return self._docs(plan.root, run, limit)
+    def find(self, plan: ir.Plan, run: Run) -> list[dict[str, Value]]:
+        return self._docs(plan.root, run, run.limit)
 
     def find_ids(self, plan: ir.Plan, run: Run) -> set[str]:
         return self.eval_ids(plan.root, run)
@@ -476,52 +426,27 @@ class PlanEngine:
         return result
 
     def _extreme(self, node: ir.Extreme, run: Run) -> Value:
-        """Min/max off the order tactic's sorted index (seed loop).
+        """Min/max off the order tactic's sorted index.
 
-        Candidates stream in value order; each is fetched, decrypted and
-        verified (stale upsert entries or a filter predicate may discard
-        the head of the list), and the first surviving value wins.
+        Candidates stream in value order, narrowed to the filter's id
+        set; the first live document carrying a value wins.  The index
+        is insert-as-upsert, so live documents are current; deleted ones
+        never leave the stream.
         """
-        x = self._x
-        instance = x.lookup_instance(node.field, node.role, node.tactic)
         allowed: set[str] | None = None
         if node.filter is not None:
             allowed = self.eval_ids(node.filter, run)
             if not allowed:
                 return None
-        descending = node.function == "max"
-        started = time.perf_counter()
-        ordered = instance.ordered_ids(descending=descending)
-        self._observe(
-            f"{x.schema.name}.{node.field}", "ordered", node.tactic,
-            time.perf_counter() - started, "Extreme",
-        )
-        batch = 16
-        offset = 0
-        while offset < len(ordered):
-            chunk = ordered[offset:offset + batch]
-            offset += batch
-            candidates = [
-                doc_id for doc_id in chunk
-                if allowed is None or doc_id in allowed
-            ]
-            if not candidates:
-                continue
-            stored = self._timed_docs(
-                "get_many", "FetchDocs", "get_many", doc_ids=candidates
-            )
-            by_id = {item["_id"]: item for item in stored}
-            for doc_id in candidates:
-                item = by_id.get(doc_id)
-                if item is None or item.get("schema") != x.schema.name:
-                    continue
-                document = x._decrypt_stored(item)
+        ordered = self._ordered_ids(node.field, node.role, node.tactic,
+                                    node.function == "max", "Extreme")
+        if allowed is not None:
+            ordered = (doc_id for doc_id in ordered if doc_id in allowed)
+        with closing(self._stream(ordered, 16, overlap=False)) as stream:
+            for document in stream:
                 value = document.get(node.field)
-                if value is None:
-                    continue
-                # The index is insert-as-upsert, so live documents are
-                # current; deleted ones were skipped by get_many above.
-                return value
+                if value is not None:
+                    return value
         return None
 
     # -- write entry points ----------------------------------------------------
@@ -534,72 +459,25 @@ class PlanEngine:
         if tier is not None:
             tier.note_local_write(self._x.schema.name, doc_ids)
 
-    def insert_bulk(self, plan: ir.Plan,
+    def insert_bulk(self,
                     documents: list[dict[str, Value]]) -> list[str]:
-        """The seed bulk-insert loop over the write-instance set.
-
-        Under a write batch, every per-field index RPC *and* the final
-        document-store write leave the gateway in a single batch frame.
-        With active crypto kernels the loop is restructured field-major
-        through the tactic batch SPI instead (see
-        :meth:`_insert_bulk_kernel`); the default config keeps this
-        exact seed path.
-        """
-        x = self._x
-        if x.runtime.crypto.active:
-            return self._insert_bulk_kernel(documents)
-        started = time.perf_counter()
-        stored = []
-        doc_ids = []
-        with x._write_batch():
-            for document in documents:
-                x.schema.validate(document)
-                doc_id = document.get("_id") or x._generate_doc_id()
-                sensitive, plain = x._split_document(document)
-                bool_terms: list[bytes] = []
-                for field, value in sensitive.items():
-                    if value is None:
-                        continue
-                    for instance in x._field_instances(field):
-                        if instance is x._bool_instance:
-                            bool_terms.append(instance.term(field, value))
-                        elif isinstance(instance, GatewayInsertion):
-                            instance.insert(doc_id, value)
-                if bool_terms and x._bool_instance is not None:
-                    x._bool_instance.insert_terms(doc_id, bool_terms)
-                stored.append({
-                    "_id": doc_id,
-                    "schema": x.schema.name,
-                    "body": x._seal_body(sensitive),
-                    "plain": plain,
-                })
-                doc_ids.append(doc_id)
-            if stored:
-                x.runtime.docs("insert_many", documents=stored)
-        self._stats.record_node(
-            "WritePipeline:insert", time.perf_counter() - started
-        )
-        self._drain_shard_timings()
-        self._note_local_write(doc_ids)
-        return doc_ids
-
-    def _insert_bulk_kernel(
-        self, documents: list[dict[str, Value]]
-    ) -> list[str]:
         """Field-major bulk insert through the tactic batch SPI.
 
         Phase 1 (crypto): validate and split every document, *begin*
         every field's index batch (DET dedup, OPE memo walks, Paillier
-        encryption) and seal the document bodies.  Phase 2
-        (wire): finish each batch into one write-batch frame and flush.
-        The two phases land in separate ``Crypto:insert`` /
-        ``Wire:insert`` stat rows, with per-kernel breakdown rows drained
-        from the executor, so ``explain()`` shows where a bulk write
-        spends its time.
+        encryption — or, for a tactic without a batch kernel, nothing:
+        its default ``index_many_begin`` leaves the per-entry protocol
+        loop to *finish*) and seal the document bodies.  Phase 2 (wire):
+        finish each batch inside one write-batch scope — under
+        ``batch_writes`` every index RPC *and* the document-store write
+        leave the gateway in a single frame; without it, one frame per
+        index entry plus one.  The two phases land in separate
+        ``Crypto:insert`` / ``Wire:insert`` stat rows, with per-kernel
+        breakdown rows drained from the executor, so ``explain()`` shows
+        where a bulk write spends its time.
 
-        Index RPCs leave field-major instead of the seed's doc-major
-        order; the batch collector coalesces both into a single frame,
-        and no tactic orders its index entries by arrival.
+        Index RPCs leave field by field, not document by document; no
+        tactic orders its index entries by arrival.
         """
         x = self._x
         started = time.perf_counter()
@@ -669,8 +547,7 @@ class PlanEngine:
         self._note_local_write(doc_ids)
         return doc_ids
 
-    def update(self, plan: ir.Plan, doc_id: str,
-               changes: dict[str, Value]) -> None:
+    def update(self, doc_id: str, changes: dict[str, Value]) -> None:
         x = self._x
         started = time.perf_counter()
         # Read-modify-write must see the authoritative stored version,
@@ -735,7 +612,7 @@ class PlanEngine:
             "plain": new_plain,
         })
 
-    def delete(self, plan: ir.Plan, doc_id: str) -> bool:
+    def delete(self, doc_id: str) -> bool:
         x = self._x
         started = time.perf_counter()
         try:

@@ -10,13 +10,20 @@ memoisation: values are bound at execution time, so a hit performs the
 same RPCs a fresh compile would.  ``migrate_schema`` invalidates it
 (the new executor starts with an empty cache and carries the counter
 forward).
+
+An operation becomes a ``(key, compile thunk, bindings)`` triple in
+exactly one place, :meth:`QueryPlanner._operation`; the live entry
+points and EXPLAIN both read that table, so EXPLAIN prints the plan —
+and looks up the key — the live call uses.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable
 
+from repro.cache.tier import MISS
 from repro.core.planner.compile import PlanCompiler, parameterize
 from repro.core.planner.cost import CostModel
 from repro.core.planner.engine import PlanEngine, Run
@@ -175,18 +182,77 @@ class QueryPlanner:
         with self._lock:
             return len(self._cache)
 
-    # -- search-result cache -----------------------------------------------------
-    #
-    # Composes with (not replaces) the plan cache: the plan cache skips
-    # the compile, the result cache skips the whole engine execution.
-    # Keys are the plan-cache key plus the bound parameter values (and
-    # the actual limit, which the plan key only carries as a flag);
-    # coherence validation lives in the tier.  ``plaintext`` marks
-    # document-bearing results, which are subject to leakage admission;
-    # id/count results always cache.
+    # -- operations ------------------------------------------------------------
 
-    def _cached_read(self, key: Any, extra: Any, plaintext: bool,
-                     execute):
+    def _operation(self, operation: str = "find",
+                   predicate: Predicate | None = None,
+                   verify: bool | None = None, limit: int | None = None,
+                   field: str | None = None, function: str | None = None,
+                   descending: bool = False
+                   ) -> tuple[Any, Callable[[], Plan], list]:
+        """The operation table: ``(plan-cache key, compile thunk,
+        binding vector)`` for one operation.
+
+        The only place an operation becomes a plan — the live entry
+        points, ``explain_plan`` and ``explain``'s result-cache lookup
+        all read it, so EXPLAIN cannot print a plan or a key the live
+        call would not use.
+        """
+        compiler = self.compiler
+        verify = self._x.verify_results if verify is None else verify
+        bounded = limit is not None
+        parameterized, values, shape = parameterize(predicate)
+        slots = len(values)
+        if operation == "find":
+            key = ("find", shape, verify, bounded)
+            build = partial(compiler.compile_find, parameterized, verify,
+                            bounded, slots)
+        elif operation == "find_ids":
+            key = ("find_ids", shape, verify)
+            build = partial(compiler.compile_find_ids, parameterized,
+                            verify, slots)
+        elif operation == "count":
+            key = ("count", shape)
+            build = partial(compiler.compile_count, parameterized, slots)
+        elif operation == "aggregate":
+            if function is None or field is None:
+                raise ValueError("aggregate needs function= and field=")
+            key = ("aggregate", function, field, shape)
+            build = partial(compiler.compile_aggregate, function, field,
+                            parameterized, slots)
+        elif operation == "find_sorted":
+            if field is None:
+                raise ValueError("find_sorted needs field=")
+            key = ("find_sorted", field, descending, bounded)
+            build = partial(compiler.compile_find_sorted, field,
+                            descending, bounded)
+        elif operation in ("insert", "update", "delete"):
+            key = ("write", operation)
+            build = partial(compiler.compile_write, operation)
+        else:
+            raise ValueError(f"unknown operation {operation!r}")
+        return key, build, values
+
+    # The search-result cache composes with (not replaces) the plan
+    # cache: the plan cache skips the compile, the result cache skips the
+    # whole engine execution.  Keys are the plan-cache key plus the bound
+    # parameter values (and the actual limit, which the plan key only
+    # carries as a flag); coherence validation lives in the tier.
+    # ``plaintext`` marks document-bearing results, which are subject to
+    # leakage admission; id/count results always cache.
+
+    def _read(self, execute: Callable[[Plan, Run], Any], plaintext: bool,
+              operation: str, predicate: Predicate | None = None,
+              limit: int | None = None, **spec: Any) -> Any:
+        """Plan one read, then run it under the search-result cache."""
+        key, build, values = self._operation(operation, predicate,
+                                             limit=limit, **spec)
+        plan = self._plan(key, build)
+
+        def run() -> Any:
+            self.stats.bump("executions")
+            return execute(plan, Run(values, predicate, limit))
+
         tier = self._x.runtime.cache_tier
         schema = self._x.schema.name
         # A plaintext result on a schema the tier does not admit is never
@@ -194,204 +260,79 @@ class QueryPlanner:
         if tier is None or tier.results is None or (
             plaintext and not tier.admits_plaintext(schema)
         ):
-            return execute()
+            return run()
+        extra = (limit, values)
         hit = tier.result_lookup(schema, key, extra, plaintext)
-        from repro.cache.tier import MISS
-
         if hit is not MISS:
             self.stats.bump("result_hits")
             return hit
         self.stats.bump("result_misses")
         fill_token = tier.result_fill_token(schema)
-        result = execute()
+        result = run()
         tier.result_store(schema, key, extra, result, fill_token,
                           plaintext)
         return result
 
-    # -- operations ------------------------------------------------------------
-
     def find(self, predicate: Predicate | None, verify: bool | None,
              limit: int | None) -> list[dict[str, Value]]:
-        verify = self._x.verify_results if verify is None else verify
-        parameterized, values, shape = parameterize(predicate)
-        key = ("find", shape, verify, limit is not None)
-        plan = self._plan(
-            key,
-            lambda: self.compiler.compile_find(
-                parameterized, verify, limit is not None, len(values)
-            ),
-        )
-
-        def execute() -> list[dict[str, Value]]:
-            self.stats.bump("executions")
-            return self.engine.find(plan, Run(values, predicate), limit)
-
-        return self._cached_read(key, (limit, values), True, execute)
+        return self._read(self.engine.find, True, "find", predicate, limit,
+                          verify=verify)
 
     def find_ids(self, predicate: Predicate | None,
                  verify: bool | None) -> set[str]:
-        verify = self._x.verify_results if verify is None else verify
-        parameterized, values, shape = parameterize(predicate)
-        key = ("find_ids", shape, verify)
-        plan = self._plan(
-            key,
-            lambda: self.compiler.compile_find_ids(
-                parameterized, verify, len(values)
-            ),
-        )
-
-        def execute() -> set[str]:
-            self.stats.bump("executions")
-            return self.engine.find_ids(plan, Run(values, predicate))
-
-        return self._cached_read(key, (values,), False, execute)
+        return self._read(self.engine.find_ids, False, "find_ids",
+                          predicate, verify=verify)
 
     def count(self, predicate: Predicate | None) -> int:
-        parameterized, values, shape = parameterize(predicate)
-        key = ("count", shape)
-        plan = self._plan(
-            key,
-            lambda: self.compiler.compile_count(parameterized, len(values)),
-        )
-
-        def execute() -> int:
-            self.stats.bump("executions")
-            return self.engine.count(plan, Run(values, predicate))
-
-        return self._cached_read(key, (values,), False, execute)
+        return self._read(self.engine.count, False, "count", predicate)
 
     def aggregate(self, query: AggregateQuery) -> Value:
-        parameterized, values, shape = parameterize(query.where)
-        key = ("aggregate", query.function.value, query.field, shape)
-        plan = self._plan(
-            key,
-            lambda: self.compiler.compile_aggregate(
-                query.function.value, query.field, parameterized,
-                len(values),
-            ),
+        return self._read(
+            self.engine.aggregate, True, "aggregate", query.where,
+            field=query.field, function=query.function.value,
         )
-
-        def execute() -> Value:
-            self.stats.bump("executions")
-            return self.engine.aggregate(plan, Run(values, query.where))
-
-        return self._cached_read(key, (values,), True, execute)
 
     def find_sorted(self, field: str, limit: int | None,
                     descending: bool) -> list[dict[str, Value]]:
-        key = ("find_sorted", field, descending, limit is not None)
-        plan = self._plan(
-            key,
-            lambda: self.compiler.compile_find_sorted(
-                field, descending, limit is not None
-            ),
+        return self._read(
+            self.engine.find, True, "find_sorted", limit=limit, field=field,
+            descending=descending,
         )
 
-        def execute() -> list[dict[str, Value]]:
-            self.stats.bump("executions")
-            return self.engine.find(plan, Run([], None), limit)
-
-        return self._cached_read(key, (limit,), True, execute)
+    def _write(self, operation: str) -> None:
+        """Book one write: its plan (what EXPLAIN shows) and execution."""
+        key, build, _ = self._operation(operation)
+        self._plan(key, build)
+        self.stats.bump("executions")
 
     def insert_bulk(self, documents: list[dict[str, Value]]) -> list[str]:
-        plan = self._plan(
-            ("write", "insert"),
-            lambda: self.compiler.compile_write("insert"),
-        )
-        self.stats.bump("executions")
-        return self.engine.insert_bulk(plan, documents)
+        self._write("insert")
+        return self.engine.insert_bulk(documents)
 
     def update(self, doc_id: str, changes: dict[str, Value]) -> None:
-        plan = self._plan(
-            ("write", "update"),
-            lambda: self.compiler.compile_write("update"),
-        )
-        self.stats.bump("executions")
-        self.engine.update(plan, doc_id, changes)
+        self._write("update")
+        self.engine.update(doc_id, changes)
 
     def delete(self, doc_id: str) -> bool:
-        plan = self._plan(
-            ("write", "delete"),
-            lambda: self.compiler.compile_write("delete"),
-        )
-        self.stats.bump("executions")
-        return self.engine.delete(plan, doc_id)
+        self._write("delete")
+        return self.engine.delete(doc_id)
 
     # -- EXPLAIN ---------------------------------------------------------------
 
-    def explain_plan(self, operation: str = "find",
-                     predicate: Predicate | None = None,
-                     verify: bool | None = None,
-                     limit: int | None = None,
-                     field: str | None = None,
-                     function: str | None = None,
-                     descending: bool = False) -> Plan:
+    def explain_plan(self, **operation: Any) -> Plan:
         """Compile without executing, caching, or counting.
 
         EXPLAIN deliberately bypasses the cache in both directions: it
         never warms it (a later query still records its true miss) and
         never reads it (the rendered plan reflects the current compiler
-        output and cost estimates).
+        output and cost estimates).  Takes the keywords of
+        :meth:`_operation`.
         """
-        verify = self._x.verify_results if verify is None else verify
-        parameterized, values, _ = parameterize(predicate)
-        if operation == "find":
-            plan = self.compiler.compile_find(
-                parameterized, verify, limit is not None, len(values)
-            )
-        elif operation == "find_ids":
-            plan = self.compiler.compile_find_ids(
-                parameterized, verify, len(values)
-            )
-        elif operation == "count":
-            plan = self.compiler.compile_count(parameterized, len(values))
-        elif operation == "aggregate":
-            if function is None or field is None:
-                raise ValueError(
-                    "aggregate explain needs function= and field="
-                )
-            plan = self.compiler.compile_aggregate(
-                function, field, parameterized, len(values)
-            )
-        elif operation == "find_sorted":
-            if field is None:
-                raise ValueError("find_sorted explain needs field=")
-            plan = self.compiler.compile_find_sorted(
-                field, descending, limit is not None
-            )
-        elif operation in ("insert", "update", "delete"):
-            plan = self.compiler.compile_write(operation)
-        else:
-            raise ValueError(f"cannot explain operation {operation!r}")
-        return plan
+        _, build, _ = self._operation(**operation)
+        return build()
 
-    def _operation_key(self, operation: str = "find",
-                       predicate: Predicate | None = None,
-                       verify: bool | None = None,
-                       limit: int | None = None,
-                       field: str | None = None,
-                       function: str | None = None,
-                       descending: bool = False) -> Any:
-        """The plan-cache key the live entry point would use — lets
-        EXPLAIN surface the result cache's learned hit probability for
-        the same shape without touching either cache.  ``None`` for
-        writes (never result-cached)."""
-        verify = self._x.verify_results if verify is None else verify
-        _, _, shape = parameterize(predicate)
-        if operation == "find":
-            return ("find", shape, verify, limit is not None)
-        if operation == "find_ids":
-            return ("find_ids", shape, verify)
-        if operation == "count":
-            return ("count", shape)
-        if operation == "aggregate":
-            return ("aggregate", function, field, shape)
-        if operation == "find_sorted":
-            return ("find_sorted", field, descending, limit is not None)
-        return None
-
-    def explain(self, **kwargs: Any) -> str:
+    def explain(self, **operation: Any) -> str:
         from repro.analysis.planview import render_plan
 
-        return render_plan(self.explain_plan(**kwargs), self,
-                           plan_key=self._operation_key(**kwargs))
+        key, build, _ = self._operation(**operation)
+        return render_plan(build(), self, plan_key=key)

@@ -5,9 +5,11 @@ turns per-value crypto calls into batch operations that run inline on
 the calling thread — one computation per distinct deterministic value,
 fixed-base tables for the big-int exponentiations.
 
-The all-defaults :class:`CryptoConfig` keeps every kernel off:
-``active`` is False, the tactic batch SPI falls back to its sequential
-per-value loops, and ciphertexts are byte-identical to the seed.
+The plan engine's bulk insert drives the tactic batch SPI for every
+configuration; :class:`CryptoConfig` only selects what a batch call
+does inside.  With the all-defaults config ``active`` is False: each
+batch call computes ``fn(value)`` per element in order (no dedup, no
+tables, no memo) and ciphertexts are byte-identical to the seed.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ batch SPI builds on:
   blind-index tags, OPE/ORE codes): one computation per distinct value,
   results remembered across batches in a per-field LRU.
 * **Kernel timings**: tactics :meth:`~CryptoExecutor.record` what their
-  batch kernels cost, and the plan engine drains the sink into the
-  ``Crypto:*`` rows of ``explain()``.
+  batch kernels cost, and the plan engine's bulk insert drains the sink
+  into the ``Crypto:*`` rows of ``explain()`` — for every
+  configuration, so the sink never outgrows one insert.
 
 Every kernel runs inline on the calling thread, so key material never
 leaves the gateway process.  With an inactive config every helper
@@ -151,10 +152,7 @@ class CryptoExecutor:
     # -- timing ----------------------------------------------------------------
 
     def record(self, name: str, seconds: float) -> None:
-        """Book one kernel timing (dropped while the kernels are
-        inactive: only the kernelised write paths drain the sink)."""
-        if not self.config.active:
-            return
+        """Book one kernel timing; the bulk-insert loop drains the sink."""
         with self._lock:
             self._timings.append((name, seconds))
 

@@ -44,15 +44,8 @@ from repro.integrity.merkle import leaf_key, verify_inclusion
 from repro.integrity.watermark import FreshnessLedger
 from repro.net import message
 from repro.net.latency import NetworkStats
-from repro.net.rpc import Request, Response
+from repro.net.rpc import MUTATING_METHODS, Request, Response
 from repro.net.transport import Transport, TransportLayer
-
-#: Methods that mutate untrusted-zone state (any service): passing one
-#: through the transport marks the freshness ledger dirty.
-_MUTATING_METHODS = frozenset({
-    "insert", "insert_many", "insert_terms", "update", "update_terms",
-    "delete", "delete_terms", "replace",
-})
 
 _PROVEN = {"get": "get_proven", "get_many": "get_many_proven"}
 
@@ -180,12 +173,12 @@ class VerifyingTransport(TransportLayer):
                 verified_slots.append(index)
             else:
                 rewritten.append(request)
-                if request.method in _MUTATING_METHODS:
+                if request.method in MUTATING_METHODS:
                     self._dirty = True
         return rewritten, verified_slots
 
     def _after_passthrough(self, method: str) -> None:
-        if method in _MUTATING_METHODS:
+        if method in MUTATING_METHODS:
             self._dirty = True
 
     def _check(self, original_method: str, result: Any) -> Any:

@@ -43,7 +43,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.net.rpc import Request, Response
+from repro.net.rpc import MUTATING_METHODS, Request, Response
 from repro.net.transport import Transport, TransportLayer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -69,7 +69,8 @@ class PipelineConfig:
     #: worker threads (0/1 keeps the serial path with its short-circuit).
     fanout_workers: int = 0
     #: Prefetch the next ``get_many`` chunk while the previous one is
-    #: being decrypted and verified.
+    #: being decrypted and verified (unbounded unordered reads; a
+    #: ``limit`` or an ordered read usually stops inside its first chunk).
     prefetch: bool = False
     #: Shard the untrusted zone: when set (and the deployment hands the
     #: middleware a *list* of named per-node transports), documents and
@@ -77,11 +78,12 @@ class PipelineConfig:
     #: :class:`repro.shard.router.ShardedTransport`.  ``None`` keeps the
     #: seed single-zone wiring byte-for-byte.
     sharding: "ShardConfig | None" = None
-    #: Gateway crypto kernels: batched tactic SPI, dedup/LRU token maps
-    #: and fixed-base modexp precomputation
-    #: (:class:`repro.crypto.kernels.config.CryptoConfig`).  ``None``
-    #: (or an all-defaults config) keeps every per-value crypto call on
-    #: the seed's sequential inline path.
+    #: Gateway crypto kernels: dedup/LRU token maps and fixed-base
+    #: modexp precomputation behind the tactic batch SPI
+    #: (:class:`repro.crypto.kernels.config.CryptoConfig`).  Bulk inserts
+    #: go through the batch SPI either way; ``None`` (or an all-defaults
+    #: config) makes each batch call the seed's per-value crypto, with
+    #: byte-identical ciphertexts.
     crypto: "CryptoConfig | None" = None
     #: Integrity & freshness verification
     #: (:class:`repro.integrity.config.IntegrityConfig`): Merkle state
@@ -115,23 +117,9 @@ class PipelineConfig:
         )
 
 
-#: Methods whose results gateway callers ignore: index maintenance on
-#: tactic services and append-style document-store writes.  The
-#: document-store ``delete`` is excluded by the service rule below — its
-#: boolean result is consumed — so it flushes the batch as its final
-#: element instead.
-DEFERRABLE_METHODS = frozenset({
-    "insert",
-    "insert_many",
-    "insert_terms",
-    "update",
-    "update_terms",
-    "delete",
-    "delete_terms",
-    "replace",
-})
-
-#: Document-store services get stricter deferral rules (see above).
+#: Document-store services get stricter deferral rules than the tactic
+#: services, where every mutating method's result is ignored by gateway
+#: callers (see :meth:`BatchCollector._defers`).
 _DOCS_PREFIX = "docs/"
 
 
@@ -148,10 +136,8 @@ class _Scope:
 class BatchCollector(TransportLayer):
     """Transport wrapper that batches deferrable writes per scope."""
 
-    def __init__(self, inner: Transport,
-                 deferrable: frozenset[str] = DEFERRABLE_METHODS):
+    def __init__(self, inner: Transport):
         super().__init__(inner)
-        self._deferrable = deferrable
         # Context-local scope slot.  Per-instance so two collectors in
         # one process never share scopes; the default makes every fresh
         # context (new thread, new copied operation context) scopeless.
@@ -206,11 +192,13 @@ class BatchCollector(TransportLayer):
                     self._ship(scope.pending)
 
     def _defers(self, service: str, method: str) -> bool:
-        if method not in self._deferrable:
+        if method not in MUTATING_METHODS:
             return False
         if service.startswith(_DOCS_PREFIX):
             # Document-store reads/deletes return data; only the pure
-            # write methods are fire-and-forget there.
+            # write methods are fire-and-forget there (``delete``'s
+            # boolean result is consumed, so it flushes the batch as its
+            # final element instead).
             return method in ("insert", "insert_many", "replace")
         return service != "admin"
 

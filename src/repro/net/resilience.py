@@ -46,27 +46,8 @@ from repro.errors import (
     TransportError,
 )
 from repro.net.latency import NetworkStats
-from repro.net.rpc import Request, Response
+from repro.net.rpc import MUTATING_METHODS, Request, Response
 from repro.net.transport import Transport, TransportLayer
-
-#: RPC method names that mutate cloud state.  These get idempotency keys
-#: so a retried (or network-duplicated) delivery is applied at most
-#: once; reads are naturally idempotent and stay unkeyed.  The set is a
-#: superset of :data:`repro.net.batch.DEFERRABLE_METHODS` — every write
-#: the executor, the docstore and the tactic cloud halves expose.
-MUTATING_METHODS = frozenset({
-    "insert",
-    "insert_many",
-    "insert_terms",
-    "update",
-    "update_terms",
-    "delete",
-    "delete_terms",
-    "replace",
-    "upsert",
-    "add",
-    "remove",
-})
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,27 @@ from repro.net.message import encode_items
 #: Key marking a wire payload as a batch frame rather than a single call.
 BATCH_KEY = "batch"
 
+#: RPC method names that mutate cloud state — every write the executor,
+#: the docstore and the tactic cloud halves (built-in or third-party)
+#: expose, and the one answer to "does this method write?".  Passing one
+#: gets an idempotency key (:mod:`repro.net.resilience`), marks the
+#: freshness ledger dirty (:mod:`repro.integrity.verify`), is collected
+#: into the operation's write batch (:mod:`repro.net.batch`) and routes
+#: down its owner chain as a write (:mod:`repro.shard.router`).
+MUTATING_METHODS = frozenset({
+    "insert",
+    "insert_many",
+    "insert_terms",
+    "update",
+    "update_terms",
+    "delete",
+    "delete_terms",
+    "replace",
+    "upsert",
+    "add",
+    "remove",
+})
+
 
 @dataclass(frozen=True)
 class Request:

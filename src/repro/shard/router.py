@@ -70,7 +70,7 @@ from repro.errors import (
     UnsupportedOperation,
 )
 from repro.net.latency import NetworkStats, roll_up
-from repro.net.rpc import Request, Response
+from repro.net.rpc import MUTATING_METHODS, Request, Response
 from repro.net.transport import Transport
 from repro.obs.wire import merged
 from repro.shard.config import ShardConfig
@@ -96,12 +96,6 @@ ORDERED = frozenset({"ope", "ore"})
 #: tactic's ``resolve_aggregate``, which folds them (the router never
 #: touches the homomorphic math, and no shard sees another's partial).
 AGGREGATE = frozenset({"paillier", "elgamal"})
-
-#: Cloud-tactic methods that mutate index state (routed as writes).
-MUTATING_TACTIC_METHODS = frozenset({
-    "insert", "update", "delete", "add", "remove", "upsert",
-    "insert_terms", "update_terms", "delete_terms",
-})
 
 
 #: Thread-name prefix of the scatter pool.  Work that already runs *on*
@@ -842,7 +836,7 @@ class ShardedTransport(Transport):
                 "count", "all_ids", "find_plain", "find_text",
             )
         if service.startswith("tactic/"):
-            return (method in MUTATING_TACTIC_METHODS
+            return (method in MUTATING_METHODS
                     or method == "setup")
         return True
 
@@ -861,7 +855,7 @@ class ShardedTransport(Transport):
             elif method == "delete":
                 key = kwargs.get("doc_id") or None
         elif (service.startswith("tactic/")
-                and method in MUTATING_TACTIC_METHODS):
+                and method in MUTATING_METHODS):
             tactic = _tactic_of(service)
             if tactic in DOC_KEYED:
                 key = kwargs.get("doc_id")

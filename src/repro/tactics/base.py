@@ -13,9 +13,9 @@ construction.  This module adds the pieces nearly every tactic needs:
   (dedup/LRU token maps, fixed-base tables).
   ``index_many_begin`` splits a batch insertion into a *begin* phase
   (all the crypto) and a *finish* callable (network: emit the index
-  RPCs), which is what lets the plan engine book crypto and wire time
-  separately and overlap one chunk's crypto with the previous chunk's
-  batch frame in flight.
+  RPCs), which is what lets the plan engine's one bulk-insert loop book
+  crypto and wire time separately and finish every field into a single
+  batch frame.
 * :class:`IdCipher` — encryption of document identifiers stored inside
   secure indexes (AEAD, so index values are IND-CPA blobs).
 * :func:`canonical_term` — the ``field=value`` keyword encoding used by
@@ -60,8 +60,9 @@ class GatewayTactic:
 
     # -- batch SPI ---------------------------------------------------------------
     # Default implementations loop over the per-value protocol methods,
-    # so the batch surface exists on every tactic; with an inactive
-    # CryptoConfig the overrides below degrade to these same loops.
+    # so the batch surface exists on every tactic — the plan engine's
+    # bulk insert calls it for every configuration; with an inactive
+    # CryptoConfig the overrides degrade to these same loops.
 
     def token(self, value: Value) -> Any:
         """The single-value search-token/code hook behind ``tokens_many``.
@@ -95,8 +96,8 @@ class GatewayTactic:
         The *begin* phase performs the plaintext-dependent crypto;
         calling the returned *finish* emits the index RPCs.  The engine
         begins every field of a bulk write first and finishes them in
-        order into one batch-collector scope.  The default keeps the
-        seed per-entry protocol loop, entirely in finish.
+        order into one batch-collector scope.  The default is the
+        general case: the per-entry protocol loop, entirely in finish.
         """
         def finish() -> None:
             for doc_id, value in entries:

@@ -212,6 +212,36 @@ class TestExplain:
         blinder, entities = deploy(n_docs=0)
         assert "plan: find" in entities.explain(Eq("status", "draft"))
 
+    @pytest.mark.parametrize("operation,spec,live", [
+        ("find", dict(predicate=Eq("subject", "s1"), limit=3),
+         lambda e: e.find(Eq("subject", "s2"), limit=7)),
+        ("find_ids", dict(predicate=Range("when", 1, 4), verify=False),
+         lambda e: e._executor.find_ids(Range("when", 2, 9), verify=False)),
+        ("count", dict(predicate=Eq("status", "draft")),
+         lambda e: e.count(Eq("status", "done"))),
+        ("aggregate", dict(function="max", field="when",
+                           predicate=Eq("code", "a")),
+         lambda e: e.max("when", Eq("code", "b"))),
+        ("find_sorted", dict(field="when", descending=True, limit=2),
+         lambda e: e.find_sorted("when", limit=5, descending=True)),
+        ("insert", {}, lambda e: e.insert(make_docs(1)[0])),
+        ("update", {}, lambda e: e.update(e.find(limit=1)[0]["_id"],
+                                          {"note": "edited"})),
+        ("delete", {}, lambda e: e.delete(e.find(limit=1)[0]["_id"])),
+    ])
+    def test_explains_the_plan_the_live_call_runs(self, operation, spec,
+                                                  live):
+        """One operation table: the plan EXPLAIN prints is the plan the
+        live entry point cached, under the key EXPLAIN looks up."""
+        blinder, entities = deploy(n_docs=6)
+        planner = blinder._executor("rec").planner
+        live(entities)
+        key, _, _ = planner._operation(operation=operation, **spec)
+        assert key[0] == ("write" if spec == {} else operation)
+        assert planner._cache[key] == planner.explain_plan(
+            operation=operation, **spec
+        )
+
 
 class TestPlanShape:
     def test_count_plan_is_decrypt_free_for_exact_indexes(self):

@@ -8,10 +8,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cloud.server import CloudZone
+from repro.core.middleware import DataBlinder
+from repro.core.schema import FieldAnnotation, Schema
 from repro.crypto.kernels.config import CryptoConfig
 from repro.crypto.kernels.executor import CryptoExecutor, LruCache
 from repro.crypto.kernels.modexp import FixedBaseTable
 from repro.errors import CryptoError
+from repro.net.transport import InProcTransport
 
 
 class TestFixedBaseTable:
@@ -113,8 +117,15 @@ class TestCryptoExecutor:
         assert executor.drain_timings() == []
 
     def test_inactive_executor_keeps_no_timings(self):
-        """Nothing drains the sink outside the kernelised write paths,
-        so an inactive executor must not grow it."""
-        executor = CryptoExecutor(CryptoConfig())
-        executor.record("paillier_encrypt", 0.25)
-        assert executor.drain_timings() == []
+        """The one bulk-insert loop drains the sink for every
+        configuration, so an inactive executor books kernel timings like
+        an active one and keeps none past the insert."""
+        blinder = DataBlinder("kernels", InProcTransport(CloudZone().host))
+        blinder.register_schema(Schema.define(
+            "rec", value=("float", FieldAnnotation.parse("C4", "I", "sum")),
+        ))
+        assert not blinder.runtime.kernels.config.active
+        blinder.entities("rec").insert_many([{"value": 1.5}, {"value": 2.5}])
+        timings = blinder.planner_stats("rec")["node_timings"]
+        assert timings["Crypto:paillier_encrypt"]["calls"] == 1
+        assert blinder.runtime.kernels.drain_timings() == []

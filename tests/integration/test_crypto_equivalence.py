@@ -247,7 +247,12 @@ class TestDeploymentEquivalence:
         assert timings["Crypto:paillier_encrypt"]["calls"] >= 1
         assert (timings["Crypto:insert"]["seconds"]
                 >= timings["Crypto:paillier_encrypt"]["seconds"])
-        # The defaults run the seed loop and record no split rows.
-        assert "crypto/wire split" not in baseline.explain(
+        # The defaults run the same loop and record the split rows too;
+        # only the dedup kernel row needs ``precompute``.
+        assert "crypto/wire split" in baseline.explain(
             "obs", operation="insert"
+        )
+        assert "Crypto:dedup_map" in timings
+        assert "Crypto:dedup_map" not in (
+            baseline.planner_stats("obs")["node_timings"]
         )
