@@ -13,8 +13,13 @@ Three legs, one artifact (``BENCH_cache.json``):
 * **coherence** — two gateways, one untrusted zone, integrity on.  A
   writer updates through gateway B while reader A serves the same query
   from its cache; every observation A makes must already include B's
-  latest acknowledged write (the freshness-ledger stamp turns remote
-  writes into cache misses).  Stale reads tolerated: zero.
+  latest acknowledged write (B's writes advance the write counter in
+  the HSM both gateways share, so A's next hit re-syncs the freshness
+  ledger and the moved stamp turns it into a miss; with no write in
+  between, A validates hits locally).  Stale reads tolerated: zero.
+
+The hot_read leg runs without integrity: its cached tail (p95) is the
+first occurrence of each distinct query — a miss — not validated hits.
 
 Run standalone: ``python benchmarks/bench_cache.py`` (or ``--smoke``
 for the reduced CI profile).
@@ -300,7 +305,7 @@ def leg_coherence():
     if not monotone:
         stale += 1
 
-    tier = reader.runtime.cache_tier
+    coherence = reader.runtime.cache_tier.snapshot()["coherence"]
     row = {
         "rounds": COHERENCE_ROUNDS,
         "stale_reads": stale,
@@ -308,8 +313,10 @@ def leg_coherence():
         "final_value_written": float(2000 + COHERENCE_ROUNDS - 1),
         "monotone_under_concurrent_writer": monotone,
         "concurrent_observations": len(observations),
-        "coherence_validations": tier.coherence_validations,
-        "stamp_mismatches": tier.stamp_mismatches,
+        "validations": coherence["validations"],
+        "stamp_mismatches": coherence["stamp_mismatches"],
+        "reader_resyncs": reader.runtime.verifier.resyncs,
+        "write_counter": reader.runtime.verifier.write_counter(),
     }
     return row, stale, final == float(2000 + COHERENCE_ROUNDS - 1)
 

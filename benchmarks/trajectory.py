@@ -167,13 +167,16 @@ def rows() -> list[tuple[str, str, str, str, str]]:
     if data:
         hot = data["hot_read"]
         coherence = data["coherence"]
+        validations = coherence["validations"]
         out.append((
             "gateway read-cache tier", "bench_cache.py",
             _fmt(hot["uncached"]["throughput_ops_s"], " ops/s"),
             _fmt(hot["cached"]["throughput_ops_s"], " ops/s"),
             f"{hot['speedup']:.1f}x Zipf hot reads, "
             f"{coherence['stale_reads']} stale reads with a "
-            "concurrent writer",
+            f"concurrent writer ({validations['local']} of "
+            f"{validations['local'] + validations['resynced']} hit "
+            "validations local)",
         ))
 
     return out

@@ -118,9 +118,11 @@ def _cache_footer(plan: ir.Plan, planner: "QueryPlanner",
          f"(floor C{tier.config.plaintext_floor()})"),
     ]
     coherence = snapshot["coherence"]
-    if coherence["validations"]:
+    validations = coherence["validations"]
+    if validations["local"] or validations["resynced"]:
         lines.append(
-            f"  Cache coherence: {coherence['validations']} validations, "
+            f"  Cache coherence: {validations['local']} validated locally, "
+            f"{validations['resynced']} after a ledger re-sync, "
             f"{coherence['stamp_mismatches']} stamp mismatches"
         )
     if plan_key is not None:

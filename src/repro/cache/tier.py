@@ -12,10 +12,10 @@ Three levels, all trusted-zone-resident and all *coherence-checked*:
 * **The search-result cache** (level 2) keys whole query results by
   compiled plan shape + parameter values + principal.  Entries carry
   the coherence token captured *before* the query executed; a hit is
-  served only after one forced freshness-ledger re-sync shows the token
-  unchanged — the "repeat query is a single ledger-validation check"
-  property.  Parameter plaintext never lands in a key: the key holds a
-  SHA-256 digest of the (shape, params) tuple.
+  served only while the current token still equals it — with no write
+  since the last ledger sync, a check that never leaves the gateway.
+  Parameter plaintext never lands in a key: the key holds a SHA-256
+  digest of the (shape, params) tuple.
 
 * **The document cache** (level 3) holds decrypted documents (and
   negative entries for missing ids) per (schema, principal, id),
@@ -31,14 +31,18 @@ stamp)``; result entries additionally carry the schema's local
 write-version.  Fill tokens are captured when a read **begins** (before
 any id resolution or fetch), so state that advances mid-operation makes
 the freshly stored entries fail their first validation instead of
-serving the in-between snapshot.  Hit validation *forces* one ledger
-re-sync (``report()`` per shard over the labeled transport channel —
-the same per-shard roots the integrity subsystem already aggregates),
-so a stamp that moved — a cross-gateway write, a rollback, a reshard —
-turns the hit into a miss.  A tampered or rolled-back report raises
-through :meth:`FreshnessLedger.accept_report` exactly as it would on an
-uncached verified read: the cache can never mask what
-:class:`~repro.integrity.verify.VerifyingTransport` would have caught.
+serving the in-between snapshot.  Fills and hit validations are the
+same call, :meth:`VerifyingTransport.coherence_stamp`: the ledger
+re-syncs (``report()`` per shard) only when the HSM write counter that
+every gateway sharing the HSM advances around each write has moved, so
+a write from any of them turns the next hit into a miss, and a hit with
+no write in between is validated locally.  A local hit trusts that
+counter and plaintext this gateway verified itself; a cloud-side
+rollback surfaces at the next read that reaches the cloud.  A tampered
+or rolled-back report raises through
+:meth:`FreshnessLedger.accept_report` exactly as on an uncached
+verified read.  Topology and key epochs are part of the token too, so
+a reshard or a rotation still turns hits into misses.
 
 Without integrity configured the ledger stamp is ``None`` and coherence
 degrades to local write-versions plus TTL — correct under the
@@ -138,6 +142,7 @@ class GatewayCacheTier:
         self._shape_stats: dict[Any, list[int]] = {}
         self._lock = threading.Lock()
         self.coherence_validations = 0
+        self.resynced_validations = 0
         self.stamp_mismatches = 0
 
     # -- leakage admission ---------------------------------------------------
@@ -182,38 +187,31 @@ class GatewayCacheTier:
 
     # -- coherence tokens ----------------------------------------------------
 
-    def _stamp(self, force: bool) -> tuple:
+    def token(self, validating: bool = False) -> tuple:
+        """``(topology epoch, key-root epoch, ledger stamp)``.
+
+        One call both for stamping entries (captured before a read
+        begins) and for validating a hit; ``validating`` only counts the
+        check, as local or re-synced.  Raises
+        :class:`repro.errors.IntegrityError` /
+        :class:`repro.errors.StaleStateError` when a re-synced report is
+        itself tampered or rolled back, exactly as a verified fetch
+        would.
+        """
         verifier = self.runtime.verifier
-        ledger_stamp = (
-            verifier.coherence_stamp(force=force)
-            if verifier is not None else None
+        ledger_stamp, resynced = (
+            verifier.coherence_stamp() if verifier is not None
+            else (None, False)
         )
+        if validating:
+            with self._lock:
+                self.coherence_validations += 1
+                self.resynced_validations += resynced
         return (
             self.runtime.topology_epoch(),
             self.runtime.keystore.root_epoch,
             ledger_stamp,
         )
-
-    def fill_token(self) -> tuple:
-        """Token to stamp entries with — captured before a read begins.
-
-        Not forced: the ledger re-syncs only if a write left it dirty,
-        so an all-miss operation adds no wire rounds beyond what the
-        verifying read path already pays.
-        """
-        return self._stamp(force=False)
-
-    def validation_token(self) -> tuple:
-        """Token a hit must match — one forced ledger re-sync.
-
-        Raises :class:`repro.errors.IntegrityError` /
-        :class:`repro.errors.StaleStateError` when the re-synced report
-        is itself tampered or rolled back, exactly as a verified fetch
-        would.
-        """
-        with self._lock:
-            self.coherence_validations += 1
-        return self._stamp(force=True)
 
     def note_stamp_mismatch(self) -> None:
         with self._lock:
@@ -265,7 +263,7 @@ class GatewayCacheTier:
         if not found:
             self._shape_note(plan_key, hit=False)
             return MISS
-        expected = (self.validation_token(),
+        expected = (self.token(validating=True),
                     self.write_version(schema_name))
         if token != expected:
             self.results.invalidate(key)
@@ -277,7 +275,7 @@ class GatewayCacheTier:
 
     def result_fill_token(self, schema_name: str) -> tuple:
         """Captured before executing the query the entry will hold."""
-        return (self.fill_token(), self.write_version(schema_name))
+        return (self.token(), self.write_version(schema_name))
 
     def result_store(self, schema_name: str, plan_key: Any, extra: Any,
                      value: Any, fill_token: tuple,
@@ -295,7 +293,11 @@ class GatewayCacheTier:
         token_stats = self.runtime.kernels.token_cache_stats()
         with self._lock:
             coherence = {
-                "validations": self.coherence_validations,
+                "validations": {
+                    "local": (self.coherence_validations
+                              - self.resynced_validations),
+                    "resynced": self.resynced_validations,
+                },
                 "stamp_mismatches": self.stamp_mismatches,
             }
             admitted = dict(self._admitted)
@@ -316,8 +318,8 @@ class DocumentReadScope:
     The fill token is captured at construction — before the operation
     resolves ids or fetches anything — and the validation token is
     computed lazily on the first actual hit, then memoised, so one
-    operation pays at most one forced ledger re-sync however many of
-    its candidate ids hit.
+    operation checks the ledger once however many of its candidate ids
+    hit.
     """
 
     __slots__ = ("_tier", "_schema", "_principal", "_fill", "_validated")
@@ -326,7 +328,7 @@ class DocumentReadScope:
         self._tier = tier
         self._schema = schema_name
         self._principal = tier._principal()
-        self._fill = tier.fill_token()
+        self._fill = tier.token()
         self._validated: tuple | None = None
 
     def _key(self, doc_id: str) -> tuple:
@@ -334,7 +336,7 @@ class DocumentReadScope:
 
     def _validation(self) -> tuple:
         if self._validated is None:
-            self._validated = self._tier.validation_token()
+            self._validated = self._tier.token(validating=True)
         return self._validated
 
     def lookup(self, doc_id: str) -> Any:

@@ -256,7 +256,8 @@ class QueryPlanner:
         tier = self._x.runtime.cache_tier
         schema = self._x.schema.name
         # A plaintext result on a schema the tier does not admit is never
-        # stored, so don't pay a ledger re-sync for its fill token.
+        # stored, so don't take a fill token (after a write, a ledger
+        # re-sync) for it.
         if tier is None or tier.results is None or (
             plaintext and not tier.admits_plaintext(schema)
         ):

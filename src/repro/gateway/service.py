@@ -46,6 +46,9 @@ class GatewayRuntime:
         #: timing sink).
         self.crypto = self.pipeline.crypto or CryptoConfig()
         self.kernels = CryptoExecutor(self.crypto)
+        #: Built before the stack: the verifier keeps its write counter
+        #: in this keystore's HSM.
+        self.keystore = keystore or KeyStore(application)
         for enabled, build in self._layers(resilience):
             if enabled:
                 transport = build(transport)
@@ -56,7 +59,6 @@ class GatewayRuntime:
              if isinstance(layer, VerifyingTransport)), None,
         )
         self.registry = registry
-        self.keystore = keystore or KeyStore(application)
         self.local_kv = local_kv or KeyValueStore()
         #: The gateway read-cache tier (``PipelineConfig.cache``); None
         #: keeps the seed read path untouched.  Sits *above* the whole
@@ -100,7 +102,8 @@ class GatewayRuntime:
           whole (their idempotency-keyed sub-requests make the
           re-delivery safe);
         * the verifier sits *below* the batch collector, so it sees
-          write frames as shipped and marks the freshness ledger dirty;
+          write frames as shipped and advances the HSM write counter
+          around each;
         * the batch collector is on top: every tactic context and the
           executor share it, so one collection scope coalesces a whole
           operation's cloud writes (outside a scope it is a transparent
@@ -115,7 +118,8 @@ class GatewayRuntime:
              lambda inner: wrap_resilient(inner, resilience)),
             (pipeline.integrity is not None,
              lambda inner: VerifyingTransport(inner, self.application,
-                                              pipeline.integrity)),
+                                              pipeline.integrity,
+                                              self.keystore.hsm)),
             (pipeline.batch_writes, BatchCollector),
         )
 

@@ -27,8 +27,8 @@ class IntegrityConfig:
       cloud and compares them against the ledger.
 
     Verification activates once a registered schema carries a sensitive
-    field, and every mutation that passes the gateway marks the ledger
-    dirty so the next verified read re-syncs shard watermarks first.
+    field; every mutation that passes the gateway advances the HSM write
+    counter, so the next verified read re-syncs shard watermarks first.
 
     ``history`` bounds the retired-root memory per (shard, tree) used
     to distinguish rollback from tampering.

@@ -11,11 +11,11 @@ performs the background sweep: re-sync the ledger from incremental
 reports, then compare roots recomputed from raw store state against
 what the ledger accepted at write time.
 
-Ledger refreshes are lazy: mutations passing through the transport
-mark the ledger dirty, and the next verification (or audit) pulls one
-``report()`` round per shard before checking proofs — writes pay
-nothing, and a verified read needs at most one extra round trip after
-a write burst.
+One freshness rule: each write passing through advances the HSM counter
+``writes/<app>`` (shared by every gateway holding the HSM) before it
+leaves and again once its reply is back, and the ledger pulls one
+``report()`` round per shard only when that counter moved since the
+last pull — a read with no write in between costs no round trip.
 
 Detection semantics (see :mod:`repro.integrity.watermark` for the
 trust model):
@@ -42,6 +42,7 @@ from repro.errors import IntegrityError, StaleStateError
 from repro.integrity.config import MODE_FETCH, IntegrityConfig
 from repro.integrity.merkle import leaf_key, verify_inclusion
 from repro.integrity.watermark import FreshnessLedger
+from repro.keys.hsm import SimulatedHsm
 from repro.net import message
 from repro.net.latency import NetworkStats
 from repro.net.rpc import MUTATING_METHODS, Request, Response
@@ -87,15 +88,20 @@ class VerifyingTransport(TransportLayer):
     label = "integrity"
 
     def __init__(self, inner: Transport, application: str,
-                 config: IntegrityConfig):
+                 config: IntegrityConfig, hsm: SimulatedHsm | None = None):
         super().__init__(inner)
         self.application = application
         self.config = config
         self._docs_service = f"docs/{application}"
         self._integrity_service = f"integrity/{application}"
         self.ledger = FreshnessLedger(history=config.history)
+        self.hsm = hsm or SimulatedHsm()
+        self._counter = f"writes/{application}"
+        #: The write counter as read before the last report pull (None:
+        #: never synced, so a restarted gateway syncs before trusting).
+        self._synced_at: int | None = None
+        self.resyncs = 0
         self._active = False
-        self._dirty = True
         self._refresh_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._integrity_failures = 0
@@ -112,9 +118,6 @@ class VerifyingTransport(TransportLayer):
         carries a sensitive field."""
         self._active = True
 
-    def mark_dirty(self) -> None:
-        self._dirty = True
-
     # -- call path -----------------------------------------------------------
 
     def call_request(self, request: Request) -> Any:
@@ -122,17 +125,20 @@ class VerifyingTransport(TransportLayer):
             rewritten = self._rewrite(request)
             result = self._inner.call_request(rewritten)
             return self._check(request.method, result)
-        result = self._inner.call_request(request)
-        self._after_passthrough(request.method)
-        return result
+        return self._send(request.method in MUTATING_METHODS,
+                          self._inner.call_request, request)
 
     def call_batch(self, requests: Sequence[Request]) -> list[Response]:
-        rewritten, verified_slots = self._rewrite_batch(requests)
-        responses = self._inner.call_batch(rewritten)
-        if not verified_slots:
-            return responses
+        verified = {index for index, r in enumerate(requests)
+                    if self._should_verify(r.service, r.method)}
+        responses = self._send(
+            any(r.method in MUTATING_METHODS for r in requests),
+            self._inner.call_batch,
+            [self._rewrite(r) if index in verified else r
+             for index, r in enumerate(requests)],
+        )
         checked: list[Response] = list(responses)
-        for index in verified_slots:
+        for index in sorted(verified):
             response = responses[index]
             if not response.ok:
                 continue
@@ -162,27 +168,22 @@ class VerifyingTransport(TransportLayer):
             request.service, _PROVEN[request.method], request.kwargs
         )
 
-    def _rewrite_batch(
-        self, requests: Sequence[Request]
-    ) -> tuple[list[Request], list[int]]:
-        rewritten: list[Request] = []
-        verified_slots: list[int] = []
-        for index, request in enumerate(requests):
-            if self._should_verify(request.service, request.method):
-                rewritten.append(self._rewrite(request))
-                verified_slots.append(index)
-            else:
-                rewritten.append(request)
-                if request.method in MUTATING_METHODS:
-                    self._dirty = True
-        return rewritten, verified_slots
-
-    def _after_passthrough(self, method: str) -> None:
-        if method in MUTATING_METHODS:
-            self._dirty = True
+    def _send(self, writes: bool, call, payload):
+        """Deliver ``payload``; a write advances the HSM counter before
+        it leaves and again after its reply returns (or is lost), so a
+        sync overlapping it — from any gateway — never records a value
+        the write has not superseded."""
+        if not writes:
+            return call(payload)
+        self.hsm.advance(self._counter)
+        try:
+            return call(payload)
+        finally:
+            self.hsm.advance(self._counter)
 
     def _check(self, original_method: str, result: Any) -> Any:
         """Verify proven-read envelopes, returning plain documents."""
+        self._refresh(moved_only=True)
         try:
             if original_method == "get":
                 document = self._verify_envelope(result)
@@ -190,18 +191,19 @@ class VerifyingTransport(TransportLayer):
                 document = [
                     self._verify_envelope(envelope) for envelope in result
                 ]
-        except StaleStateError:
-            with self._stats_lock:
-                self._stale_detected += 1
-            _note_outcome("failed")
-            raise
-        except IntegrityError:
-            with self._stats_lock:
-                self._integrity_failures += 1
-            _note_outcome("failed")
+        except IntegrityError as exc:
+            self._failed(exc)
             raise
         _note_outcome("verified")
         return document
+
+    def _failed(self, exc: IntegrityError) -> None:
+        with self._stats_lock:
+            if isinstance(exc, StaleStateError):
+                self._stale_detected += 1
+            else:
+                self._integrity_failures += 1
+        _note_outcome("failed")
 
     def _verify_envelope(self, envelope: Any) -> dict:
         if not isinstance(envelope, dict) or "document" not in envelope:
@@ -215,13 +217,12 @@ class VerifyingTransport(TransportLayer):
             seq = int(envelope.get("seq") or 0)
         except (TypeError, ValueError):
             seq = 0
-        self._ensure_fresh()
         classification = self.ledger.classify("docs", root, seq)
         if classification == "unknown":
             # The state may legitimately have advanced past our last
-            # refresh (a write raced the read); re-sync once before
-            # declaring the root bogus.
-            self._refresh(force=True)
+            # refresh (a write raced the read, or a reshard moved it);
+            # re-sync once before declaring the root bogus.
+            self._refresh()
             classification = self.ledger.classify("docs", root, seq)
         if classification == "stale":
             raise StaleStateError(
@@ -249,47 +250,45 @@ class VerifyingTransport(TransportLayer):
 
     # -- ledger refresh ------------------------------------------------------
 
-    def _ensure_fresh(self) -> None:
-        if self._dirty:
-            self._refresh(force=False)
+    def write_counter(self) -> int:
+        """The HSM-held count of write sends and replies, all gateways."""
+        return self.hsm.read(self._counter)
 
-    def _refresh(self, force: bool) -> None:
+    def _refresh(self, moved_only: bool = False) -> bool:
+        """Pull one ``report()`` round per shard; True when it did.
+
+        The counter is read *before* the pull and recorded with it;
+        ``moved_only`` skips the round while the counter still reads
+        that value — no write, here or at a gateway sharing the HSM.
+        """
+        # Checked before the lock too: a local hit must not queue behind
+        # another thread's report round.
+        if moved_only and self.write_counter() == self._synced_at:
+            return False
         with self._refresh_lock:
-            if not self._dirty and not force:
-                return
+            counter = self.write_counter()
+            if moved_only and counter == self._synced_at:
+                return False
             reports = self._inner.call_labeled(
                 self._integrity_service, "report"
             )
             try:
                 for label, report in sorted(reports.items()):
                     self.ledger.accept_report(label, report)
-            except StaleStateError:
-                with self._stats_lock:
-                    self._stale_detected += 1
-                _note_outcome("failed")
+            except IntegrityError as exc:
+                self._failed(exc)
                 raise
-            except IntegrityError:
-                with self._stats_lock:
-                    self._integrity_failures += 1
-                _note_outcome("failed")
-                raise
-            self._dirty = False
+            self._synced_at = counter
+            self.resyncs += 1
+            return True
 
-    def coherence_stamp(self, force: bool = True) -> tuple:
-        """The ledger's watermark stamp, after a report re-sync.
-
-        The cache tier's single ledger-validation check: ``force=True``
-        (hit validation) pulls one ``report()`` round per shard so a
-        cross-gateway write, rollback or reshard is guaranteed to move
-        the stamp; ``force=False`` (entry fill) re-syncs only when a
-        write left the ledger dirty.  A tampered or rolled-back report
-        raises here with the same accounting as a verified read.
-        """
-        if force:
-            self._refresh(force=True)
-        else:
-            self._ensure_fresh()
-        return self.ledger.stamp()
+    def coherence_stamp(self) -> tuple[tuple, bool]:
+        """``(ledger stamp, re-synced)`` — the cache tier's one check,
+        for entry fills and hit validations alike: a report round only
+        when the write counter moved.  A tampered or rolled-back report
+        raises here with the same accounting as a verified read."""
+        resynced = self._refresh(moved_only=True)
+        return self.ledger.stamp(), resynced
 
     # -- audit pass ----------------------------------------------------------
 
@@ -300,7 +299,7 @@ class VerifyingTransport(TransportLayer):
         :class:`StaleStateError` when any shard's recomputed state
         contradicts what the ledger accepted at write time.
         """
-        self._refresh(force=True)
+        self._refresh()
         audits = self._inner.call_labeled(
             self._integrity_service, "audit_report"
         )

@@ -12,12 +12,13 @@ WAL ``last_snapshot_seq`` watermark (PR 2/4 machinery), so a replayed
 old-but-valid snapshot arrives with a *lower* sequence than the ledger
 remembers and is classified stale rather than merely unverifiable.
 
-Trust model: **trust on write, verify on read**.  The gateway is the
-only writer, so a report that advances the sequence with a new root is
-accepted (it is the gateway's own write taking effect); a report or
-proof envelope that regresses the sequence, or re-presents a retired
-root, is a rollback (:class:`repro.errors.StaleStateError`); one that
-contradicts the ledger at the same sequence is tampering
+Trust model: **trust on write, verify on read**.  The writers are the
+gateways holding the application's HSM, whose write counter tells the
+verifier when to re-sync; a report that advances the sequence with a
+new root is accepted (a write taking effect); a report or proof
+envelope that regresses the sequence, or re-presents a retired root, is
+a rollback (:class:`repro.errors.StaleStateError`); one that contradicts
+the ledger at the same sequence is tampering
 (:class:`repro.errors.IntegrityError`).
 """
 

@@ -5,7 +5,8 @@ on-premise key management systems (e.g., HSM)".  This module simulates
 one: master keys live inside the module, are addressable only by handle,
 and never leave it in plaintext.  Data keys are generated inside and
 exported only *wrapped* (AES-GCM under the master key), matching how a
-real PKCS#11 device is driven.
+real PKCS#11 device is driven.  It also holds monotonic counters — the
+trusted state a rollback of the untrusted zone cannot reach.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ class SimulatedHsm:
         self._rng = rng or default_random()
         self._masters: dict[str, bytes] = {}
         self._oprf_keys: dict[str, tuple[oprf.OprfGroup, int]] = {}
+        self._counters: dict[str, int] = {}
         self._lock = threading.RLock()
 
     def create_master_key(self, label: str) -> str:
@@ -92,6 +94,25 @@ class SimulatedHsm:
             raise KeyManagementError(
                 "unwrap failed: wrong master key or tampered blob"
             ) from exc
+
+    # -- monotonic counters -------------------------------------------------
+
+    def advance(self, label: str) -> int:
+        """Bump the module-held counter ``label``; returns the new value.
+
+        Counters only ever grow, and every holder of the module sees the
+        same value — so gateways sharing an HSM can tell whether any of
+        them wrote since they last looked, without asking the cloud.
+        """
+        with self._lock:
+            value = self._counters.get(label, 0) + 1
+            self._counters[label] = value
+            return value
+
+    def read(self, label: str) -> int:
+        """The current value of counter ``label`` (0 before any advance)."""
+        with self._lock:
+            return self._counters.get(label, 0)
 
     # -- OPRF keys (blind-index support) -----------------------------------
 

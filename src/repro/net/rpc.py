@@ -40,8 +40,8 @@ BATCH_KEY = "batch"
 #: RPC method names that mutate cloud state — every write the executor,
 #: the docstore and the tactic cloud halves (built-in or third-party)
 #: expose, and the one answer to "does this method write?".  Passing one
-#: gets an idempotency key (:mod:`repro.net.resilience`), marks the
-#: freshness ledger dirty (:mod:`repro.integrity.verify`), is collected
+#: gets an idempotency key (:mod:`repro.net.resilience`), advances the
+#: HSM write counter (:mod:`repro.integrity.verify`), is collected
 #: into the operation's write batch (:mod:`repro.net.batch`) and routes
 #: down its owner chain as a write (:mod:`repro.shard.router`).
 MUTATING_METHODS = frozenset({

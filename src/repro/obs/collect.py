@@ -49,6 +49,8 @@ def _integrity(verifier: Any) -> dict:
     own = verifier.own_stats()
     return {"failures": own.integrity_failures,
             "stale": own.stale_detected,
+            "resyncs": verifier.resyncs,
+            "write_counter": verifier.write_counter(),
             "ledger": verifier.ledger.snapshot()}
 
 

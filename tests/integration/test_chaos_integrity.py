@@ -359,13 +359,16 @@ class TestChaosWithCache:
     """The read cache can never mask what verification would catch.
 
     The same acceptance schedule as :class:`TestChaosDetection`, with
-    the gateway read-cache tier forced on: a cached hit is served only
-    after a forced freshness-ledger re-sync over the *faulty* transport,
-    so tampered or rolled-back deliveries — fetches and re-sync reports
-    alike — still surface as typed errors, 100% of the time.  The
-    paper's Observation schema itself carries a C1 ``performer`` field,
-    which the admission floor refuses; the chaos leg runs on a C2
-    variant so the plaintext levels actually serve hits under fire.
+    the gateway read-cache tier forced on.  A hit with no write since
+    the last ledger sync is validated locally against the HSM write
+    counter and sends nothing; every read that does reach the cloud —
+    proven fetches and the re-sync reports a moved counter triggers —
+    rides the *faulty* transport, so tampered or rolled-back deliveries
+    still surface as typed errors, 100% of the time, at the first read
+    that reaches the cloud.  The paper's Observation schema itself
+    carries a C1 ``performer`` field, which the admission floor
+    refuses; the chaos leg runs on a C2 variant so the plaintext levels
+    actually serve hits under fire.
     """
 
     @staticmethod
@@ -444,3 +447,29 @@ class TestChaosWithCache:
             # validated document hits.
             snapshot = blinder.runtime.cache_tier.snapshot()
             assert snapshot["documents"]["hits"] > 0
+
+    def test_rollback_under_local_hits_raises_at_the_first_cloud_read(self):
+        """Hits validated locally send nothing, so they cannot see the
+        zone roll back; the first read that reaches the cloud does."""
+        with chaos_deployment("inproc", FaultPlan(rollback=1.0),
+                              CHAOS_SEED) as (_, faulty, registry):
+            blinder = self._deploy(faulty, registry)
+            observations = blinder.entities("observation")
+            rolled, cached = (observations.insert(make_doc(i))
+                              for i in range(2))
+            # The injector captures this envelope: identical to the live
+            # reply, so nothing is replayed yet.
+            assert observations.get(rolled)["identifier"] == 0
+            observations.update(rolled, {"value": 99.0})
+            assert observations.get(cached)["identifier"] == 1
+            frames = faulty.stats().messages_sent
+            for _ in range(3):
+                assert observations.get(cached)["identifier"] == 1
+            assert faulty.stats().messages_sent == frames  # all local
+            assert faulty.fault_count("rollback") == 0
+            # The update dropped ``rolled`` from the cache: this read
+            # reaches the cloud, which replays the pre-update envelope.
+            with pytest.raises(StaleStateError):
+                observations.get(rolled)
+            assert faulty.fault_count("rollback") == 1
+            assert blinder.runtime.transport.stats().stale_detected == 1

@@ -57,6 +57,36 @@ class TestHsm:
         with pytest.raises(KeyManagementError):
             SimulatedHsm().wrap("nope", b"k" * 16)
 
+    def test_counters_are_monotonic_and_per_label(self):
+        hsm = SimulatedHsm()
+        assert hsm.read("writes/a") == 0
+        assert [hsm.advance("writes/a") for _ in range(3)] == [1, 2, 3]
+        assert hsm.read("writes/a") == 3
+        assert hsm.read("writes/b") == 0
+
+    def test_counter_is_shared_by_every_holder(self):
+        """Two keystores over one HSM — two gateways — see one counter."""
+        hsm = SimulatedHsm()
+        a, b = KeyStore("app", hsm), KeyStore("app", hsm)
+        a.hsm.advance("writes/app")
+        assert b.hsm.read("writes/app") == 1
+
+    def test_concurrent_advances_are_never_lost(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        hsm = SimulatedHsm()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                values = list(pool.map(lambda _: hsm.advance("c"),
+                                       range(2000), timeout=30))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(values) == list(range(1, 2001))
+        assert hsm.read("c") == 2000
+
 
 class TestKeyStore:
     def test_derivation_is_deterministic(self):

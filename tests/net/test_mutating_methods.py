@@ -4,14 +4,17 @@
 method write?".  For every name in it — the built-in tactics' spellings
 and the ``add`` / ``remove`` / ``upsert`` a third-party cloud half may
 use — a call through each layer that asks the question is treated as a
-write: idempotency-keyed, ledger-dirtying, batch-collected and
-chain-routed.
+write: idempotency-keyed, counted by the HSM write counter that keeps
+the freshness ledger current, batch-collected and chain-routed.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
 
+from repro.errors import TransportError
 from repro.integrity import IntegrityConfig
 from repro.integrity.verify import VerifyingTransport
 from repro.net.batch import BatchCollector
@@ -39,13 +42,25 @@ class TestEveryMutatingMethod:
         assert delivered.idem
 
     def test_marks_the_freshness_ledger_dirty(self, method):
-        verifying = VerifyingTransport(RecordingNode("zone"), "app",
-                                       IntegrityConfig())
-        for call in (verifying.call_request,
-                     lambda request: verifying.call_batch([request])):
-            verifying._dirty = False
-            call(write(method))
-            assert verifying._dirty
+        """Advances the HSM write counter before the inner call and
+        again after it, on both call paths, even when the call raises."""
+        node = RecordingNode("zone")
+        verifying = VerifyingTransport(node, "app", IntegrityConfig())
+        counter = []
+        gate = node._gate
+        node._gate = lambda: (counter.append(verifying.write_counter()),
+                              gate())
+        for dead in (False, True):
+            node.dead = dead
+            for call in (verifying.call_request,
+                         lambda request: verifying.call_batch([request])):
+                before = verifying.write_counter()
+                with (pytest.raises(TransportError) if dead
+                      else nullcontext()):
+                    call(write(method))
+                assert counter[-1] == before + 1
+                assert verifying.write_counter() == before + 2
+        assert verifying.hsm.read("writes/app") == 8
 
     def test_is_collected_into_the_write_batch(self, method):
         node = RecordingNode("zone")
@@ -70,8 +85,11 @@ class TestEveryMutatingMethod:
 
 
 def test_reads_are_not_writes():
+    read = Request(THIRD_PARTY, "eq_query", {"token": b"t"})
     node = RecordingNode("zone")
-    ResilientTransport(node).call_request(
-        Request(THIRD_PARTY, "eq_query", {"token": b"t"})
-    )
+    ResilientTransport(node).call_request(read)
     assert not node.requests[0].idem
+    verifying = VerifyingTransport(node, "app", IntegrityConfig())
+    verifying.call_request(read)
+    verifying.call_batch([read])
+    assert verifying.write_counter() == 0

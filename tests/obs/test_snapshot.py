@@ -48,10 +48,23 @@ def test_snapshot_has_every_section_and_is_json(production):
     assert snapshot["planner"]["observation"]["executions"] >= 5
     assert snapshot["cache"]["admitted"] == {"observation": False}
     assert snapshot["cache"]["documents"]["hits"] == 0
+    # Not admitted, so no hit was ever validated, locally or otherwise.
+    assert snapshot["cache"]["coherence"] == {
+        "validations": {"local": 0, "resynced": 0}, "stamp_mismatches": 0}
     assert snapshot["tokens"]["caches"] >= 1
-    assert snapshot["integrity"]["failures"] == 0
-    assert any(key.endswith(":docs") for key in
-               snapshot["integrity"]["ledger"])
+    integrity = snapshot["integrity"]
+    assert set(integrity) == {"failures", "stale", "resyncs",
+                              "write_counter", "ledger"}
+    assert integrity["failures"] == 0
+    assert any(key.endswith(":docs") for key in integrity["ledger"])
+    # Every write frame advanced the HSM counter twice; every re-sync
+    # pulled one report per shard.
+    assert integrity["write_counter"] > 0
+    assert integrity["write_counter"] % 2 == 0
+    assert integrity["resyncs"] >= 1
+    assert sum(row["slots"] for row in wire
+               if row["service"] == "integrity/obsapp"
+               and row["method"] == "report") == 4 * integrity["resyncs"]
     # shard: the router's own counters — 4 nodes, unreplicated, no
     # faults, and the inserts and reads above all scattered.
     shard = snapshot["shard"]
