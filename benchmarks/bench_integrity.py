@@ -1,22 +1,21 @@
 """EXP-INTEGRITY — what verified reads cost on the paper's WAN.
 
-Three deployments run the identical find-heavy workload (a seeded
+Two deployments run the identical find-heavy workload (a seeded
 corpus, then timed ``find`` passes with interleaved updates so the
-freshness ledger actually goes dirty and re-syncs) over the 40 ms
-one-way gateway→cloud link:
+HSM write counter moves and the freshness ledger re-syncs) over the
+40 ms one-way gateway→cloud link:
 
 * **off** — ``PipelineConfig()``: the seed's trusting read path.
 * **fetch** — proof-on-fetch: every document fetch is rewritten to its
   proven variant, inclusion proofs checked against the gateway ledger.
   The honest overhead is the per-envelope verification plus one ledger
-  ``report()`` round trip after each write burst.
-* **audit** — audit-pass: reads untouched; the verification sweep runs
-  off the hot path and is timed separately.
+  ``report()`` round trip after each write burst.  The on-demand audit
+  sweep (``integrity_audit()``) runs once after the timed ops, off the
+  clock, and is timed separately.
 
-Acceptance: proof-on-fetch costs <= 25% of find throughput, audit mode
-costs ~0 on the hot path, and integrity never adds or changes stored
-zone state (reads leave the fingerprint untouched; all three zones are
-structurally identical).
+Acceptance: proof-on-fetch costs <= 25% of find throughput, and
+integrity never adds or changes stored zone state (reads leave the
+fingerprint untouched; both zones are structurally identical).
 
 A second block, ``merkle``, gates the cloud-side tree upkeep itself:
 the cost of one leaf update plus ``root()`` (and of one ``proof()``) on
@@ -43,7 +42,7 @@ from repro.cloud.server import CloudZone
 from repro.core.middleware import DataBlinder
 from repro.core.query import Eq
 from repro.fhir.model import observation_schema
-from repro.integrity import MODE_AUDIT, MODE_FETCH, IntegrityConfig
+from repro.integrity import IntegrityConfig
 from repro.integrity.merkle import MerkleTree, leaf_key, verify_inclusion
 from repro.net.batch import PipelineConfig
 from repro.net.latency import NetworkModel
@@ -58,7 +57,6 @@ TIMED_OPS = int(os.environ.get("DATABLINDER_INTEGRITY_BENCH_OPS", "40"))
 
 #: Acceptance ceilings (percent throughput loss vs the "off" baseline).
 FETCH_OVERHEAD_CEILING = 25.0
-AUDIT_OVERHEAD_CEILING = 10.0
 
 #: Merkle upkeep gate: paired trials per size, and the floor on the
 #: median (from-scratch build) / (one update + root()) ratio at each
@@ -75,8 +73,7 @@ RESULTS_PATH = Path(__file__).resolve().parent.parent / (
 
 MODES = {
     "off": None,
-    "fetch": IntegrityConfig(mode=MODE_FETCH),
-    "audit": IntegrityConfig(mode=MODE_AUDIT),
+    "fetch": IntegrityConfig(),
 }
 
 
@@ -138,7 +135,7 @@ def run_mode(registry, mode: str) -> dict:
     elapsed = time.perf_counter() - started
 
     audit_ms = None
-    if mode == "audit":
+    if MODES[mode] is not None:
         t0 = time.perf_counter()
         summary = blinder.integrity_audit()
         audit_ms = (time.perf_counter() - t0) * 1000.0
@@ -267,13 +264,9 @@ def test_integrity_overhead(registry):
               f"   p95 {rows[mode]['p95_ms']:>7.0f} ms{extra}")
 
     base = rows["off"]["throughput_ops_s"]
-    overhead = {
-        mode: round(100.0 * (1.0 - rows[mode]["throughput_ops_s"] / base),
-                    2)
-        for mode in ("fetch", "audit")
-    }
-    print(f"  overhead vs off: fetch {overhead['fetch']:+.1f}%  "
-          f"audit {overhead['audit']:+.1f}%")
+    overhead = {"fetch": round(
+        100.0 * (1.0 - rows["fetch"]["throughput_ops_s"] / base), 2)}
+    print(f"  overhead vs off: fetch {overhead['fetch']:+.1f}%")
 
     write_results({
         "config": {
@@ -282,7 +275,6 @@ def test_integrity_overhead(registry):
             "timed_ops": TIMED_OPS,
             "mix": {"find": 0.8, "update": 0.2},
             "fetch_overhead_ceiling_pct": FETCH_OVERHEAD_CEILING,
-            "audit_overhead_ceiling_pct": AUDIT_OVERHEAD_CEILING,
         },
         "modes": rows,
         "overhead_pct": overhead,
@@ -290,18 +282,15 @@ def test_integrity_overhead(registry):
     print(f"results written to {RESULTS_PATH}")
 
     # Same answers, same zone shape, zero spurious detections.
-    assert rows["fetch"]["checksum"] == rows["off"]["checksum"]
-    assert rows["audit"]["checksum"] == rows["off"]["checksum"]
-    for mode in ("fetch", "audit"):
-        assert rows[mode]["documents"] == rows["off"]["documents"]
-        assert rows[mode]["kv_entries"] == rows["off"]["kv_entries"]
-        assert rows[mode]["integrity_failures"] == 0
-        assert rows[mode]["stale_detected"] == 0
+    fetch, off = rows["fetch"], rows["off"]
+    assert fetch["checksum"] == off["checksum"]
+    assert fetch["documents"] == off["documents"]
+    assert fetch["kv_entries"] == off["kv_entries"]
+    assert fetch["integrity_failures"] == 0
+    assert fetch["stale_detected"] == 0
 
-    # Acceptance: proof-on-fetch <= 25% find-throughput cost; the
-    # audit pass is (within noise) free on the hot path.
+    # Acceptance: proof-on-fetch <= 25% find-throughput cost.
     assert overhead["fetch"] <= FETCH_OVERHEAD_CEILING, overhead
-    assert overhead["audit"] <= AUDIT_OVERHEAD_CEILING, overhead
 
 
 def main(argv: list[str]) -> int:

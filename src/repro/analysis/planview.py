@@ -1,12 +1,13 @@
-"""EXPLAIN rendering: a query plan with per-node cost and leakage.
+"""EXPLAIN rendering: a query plan with each tactic's static metrics.
 
 ``DataBlinder.explain`` compiles an operation to plan IR and renders it
-here as an indented node tree.  Each node line carries the cost model's
-estimate (descriptor priors blended with observed latency EWMAs —
-``~`` marks a value backed by real observations) and, for nodes that
-touch an encrypted index, the leakage level the serving tactic admits —
-making the query-time half of the leakage budget visible per plan, not
-just per field.
+here as an indented node tree.  A node served by a tactic carries what
+that tactic's descriptor declares (Fig. 1): its leakage level and its
+protocol rounds per query — SoK-style, so the query-time half of the
+leakage budget is visible per plan, not just per field.  Nothing on a
+node line depends on traffic; measured per-node time lives in
+``planner_report()`` alone, which the write-plan crypto/wire footer
+reads.
 """
 
 from __future__ import annotations
@@ -19,17 +20,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.planner.planner import QueryPlanner
 
 
-def _node_tactic(node: ir.PlanNode) -> str | None:
+def _static_metrics(planner: "QueryPlanner", node: ir.PlanNode) -> str:
     tactic = getattr(node, "tactic", None)
-    return tactic if isinstance(tactic, str) else None
-
-
-def _leakage(planner: "QueryPlanner", node: ir.PlanNode) -> str:
-    registry = planner.engine._x.runtime.registry
-    tactic = _node_tactic(node)
-    if tactic is not None:
-        descriptor = registry.descriptor(tactic)
-        return f"leaks {descriptor.leakage.level.label.lower()}"
+    if isinstance(tactic, str):
+        descriptor = planner.engine._x.runtime.registry.descriptor(tactic)
+        rounds = descriptor.performance.rounds_per_query
+        return (f"leaks {descriptor.leakage.level.label.lower()}; "
+                f"{rounds} round{'' if rounds == 1 else 's'}/query")
     if isinstance(node, ir.IndexLookup):  # plain-field lookup
         return "plaintext field"
     if isinstance(node, (ir.AllIds, ir.FetchDocs, ir.StoreCount)):
@@ -40,60 +37,32 @@ def _leakage(planner: "QueryPlanner", node: ir.PlanNode) -> str:
     return ""
 
 
-def _observed(planner: "QueryPlanner", node: ir.PlanNode) -> bool:
-    cost = planner.cost_model
-    if isinstance(node, ir.IndexLookup) and node.tactic is not None:
-        return cost.observed_ms(
-            cost.scope(node.field), node.op, node.tactic
-        ) is not None
-    if isinstance(node, ir.BoolQuery):
-        return cost.observed_ms(
-            planner.engine._x._bool_scope(), "bool", node.tactic
-        ) is not None
-    return False
-
-
-def render_plan(plan: ir.Plan, planner: "QueryPlanner",
-                plan_key=None) -> str:
+def render_plan(plan: ir.Plan, planner: "QueryPlanner") -> str:
     """Multi-line EXPLAIN text for one compiled plan."""
-    cost = planner.cost_model
-    header = (
+    lines = [
         f"plan: {plan.operation} on {plan.schema}"
         f" (verify={'on' if plan.verify else 'off'},"
-        f" params={plan.param_count},"
-        f" est {cost.estimate_ms(plan.root):.2f} ms)"
-    )
-    stack = planner.engine._x.runtime.stack()
-    lines = [header, "  Stack: " + " > ".join(stack)]
+        f" params={plan.param_count})",
+        "  Stack: " + " > ".join(planner.engine._x.runtime.stack()),
+    ]
     for node, depth in ir.walk(plan.root):
         detail = node.detail()
-        label = node.kind + (f"({detail})" if detail else "")
-        estimate = cost.estimate_ms(node)
-        marker = "~" if _observed(planner, node) else ""
-        leakage = _leakage(planner, node)
-        suffix = f"  [cost {marker}{estimate:.2f} ms"
-        if leakage:
-            suffix += f"; {leakage}"
-        suffix += "]"
-        lines.append("  " * (depth + 1) + label + suffix)
+        metrics = _static_metrics(planner, node)
+        lines.append("  " * (depth + 1) + node.kind
+                     + (f"({detail})" if detail else "")
+                     + (f"  [{metrics}]" if metrics else ""))
     lines.extend(_crypto_wire_footer(plan, planner))
     lines.extend(_integrity_footer(planner))
-    lines.extend(_cache_footer(plan, planner, plan_key))
+    lines.extend(_cache_footer(plan, planner))
     return "\n".join(lines)
 
 
-def _cache_footer(plan: ir.Plan, planner: "QueryPlanner",
-                  plan_key) -> list[str]:
-    """``Cache:`` lines when the runtime has a read-cache tier.
-
-    Surfaces the per-level state (entries and observed hit rate), the
-    schema's leakage-admission verdict for the plaintext-bearing levels,
-    and — once the shape has traffic — the learned hit probability with
-    the effective (hit-weighted) cost estimate the operator should
-    expect instead of the cold estimate in the header.
-    """
-    runtime = planner.engine._x.runtime
-    tier = getattr(runtime, "cache_tier", None)
+def _cache_footer(plan: ir.Plan, planner: "QueryPlanner") -> list[str]:
+    """``Cache:`` lines when the runtime has a read-cache tier: the
+    per-level state (entries and observed hit rate), the schema's
+    leakage-admission verdict for the plaintext-bearing levels, and how
+    cache hits were validated."""
+    tier = planner.engine._x.runtime.cache_tier
     if tier is None:
         return []
     snapshot = tier.snapshot()
@@ -125,41 +94,20 @@ def _cache_footer(plan: ir.Plan, planner: "QueryPlanner",
             f"{validations['resynced']} after a ledger re-sync, "
             f"{coherence['stamp_mismatches']} stamp mismatches"
         )
-    if plan_key is not None:
-        probability = planner.cost_model.result_hit_probability(plan_key)
-        if probability > 0.0:
-            effective = planner.cost_model.cached_estimate_ms(
-                plan_key, plan.root
-            )
-            lines.append(
-                f"  Cache hit probability (this shape): "
-                f"{probability:.0%} -> est {effective:.2f} ms effective"
-            )
     return lines
 
 
 def _integrity_footer(planner: "QueryPlanner") -> list[str]:
-    """One ``Integrity:`` line when the runtime has a verifier.
-
-    Surfaces which verification mode the plans run under and, for
-    proof-on-fetch, the per-fetch surcharge the cost estimates above
-    already include — so an operator reading EXPLAIN sees why a fetch
-    node got more expensive after integrity was switched on.
-    """
-    runtime = planner.engine._x.runtime
-    verifier = getattr(runtime, "verifier", None)
+    """One ``Integrity:`` line when the runtime has a verifier: every
+    document fetch above is proof-checked once a registered schema
+    carries a sensitive field."""
+    verifier = planner.engine._x.runtime.verifier
     if verifier is None:
         return []
-    config = verifier.config
     if not verifier.active:
-        return [f"  Integrity: {config.mode} configured, inactive "
+        return ["  Integrity: configured, inactive "
                 "(no registered sensitive field)"]
-    if config.mode == "fetch":
-        surcharge = planner.cost_model.verify_surcharge_ms()
-        return [f"  Integrity: proof-on-fetch active "
-                f"(+{surcharge:.2f} ms/fetch)"]
-    return ["  Integrity: audit-pass active "
-            "(verification runs off the query path)"]
+    return ["  Integrity: proof-on-fetch active"]
 
 
 def _crypto_wire_footer(plan: ir.Plan, planner: "QueryPlanner") -> list[str]:

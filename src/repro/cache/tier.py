@@ -137,9 +137,6 @@ class GatewayCacheTier:
         )
         self._write_versions: dict[str, int] = {}
         self._admitted: dict[str, bool] = {}
-        #: plan-shape key -> [validated hits, misses]: the signal the
-        #: cost model's hit-probability estimate learns from.
-        self._shape_stats: dict[Any, list[int]] = {}
         self._lock = threading.Lock()
         self.coherence_validations = 0
         self.resynced_validations = 0
@@ -238,20 +235,6 @@ class GatewayCacheTier:
         ).hexdigest()
         return (schema_name, self._principal(), digest)
 
-    def _shape_note(self, plan_key: Any, hit: bool) -> None:
-        with self._lock:
-            entry = self._shape_stats.setdefault(plan_key, [0, 0])
-            entry[0 if hit else 1] += 1
-
-    def shape_hit_probability(self, plan_key: Any) -> float | None:
-        """Observed validated-hit rate for one plan shape (None until
-        the shape has been seen)."""
-        with self._lock:
-            entry = self._shape_stats.get(plan_key)
-            if entry is None or (entry[0] + entry[1]) == 0:
-                return None
-            return entry[0] / (entry[0] + entry[1])
-
     def result_lookup(self, schema_name: str, plan_key: Any, extra: Any,
                       plaintext: bool) -> Any:
         if self.results is None:
@@ -261,16 +244,13 @@ class GatewayCacheTier:
         key = self._result_key(schema_name, plan_key, extra)
         value, token, found = self.results.lookup(key)
         if not found:
-            self._shape_note(plan_key, hit=False)
             return MISS
         expected = (self.token(validating=True),
                     self.write_version(schema_name))
         if token != expected:
             self.results.invalidate(key)
             self.note_stamp_mismatch()
-            self._shape_note(plan_key, hit=False)
             return MISS
-        self._shape_note(plan_key, hit=True)
         return _copy_result(value)
 
     def result_fill_token(self, schema_name: str) -> tuple:

@@ -325,5 +325,5 @@ class SchemaExecutor:
     # -- EXPLAIN ------------------------------------------------------------------------------
 
     def explain(self, **kwargs: Any) -> str:
-        """Rendered plan (nodes, costs, leakage) without executing."""
+        """Rendered plan (nodes, leakage, rounds) without executing."""
         return self.planner.explain(**kwargs)

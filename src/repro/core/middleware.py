@@ -259,8 +259,9 @@ class DataBlinder:
 
     def metrics_snapshot(self) -> dict:
         """Every layer's counters as one JSON-able dict: ``net`` (per
-        endpoint, per service/method), ``tactics``, ``planner``, ``cost``,
-        ``cache``, ``tokens``, ``integrity``, ``shard``, ``admission``."""
+        endpoint, per service/method), ``tactics``, ``planner`` (with the
+        measured per-node timings), ``cache``, ``tokens``, ``integrity``,
+        ``shard``, ``admission``."""
         return self.runtime.obs.snapshot()
 
     def metrics_text(self) -> str:
@@ -291,7 +292,8 @@ class DataBlinder:
 
     def explain(self, schema_name: str, predicate=None, *,
                 operation: str = "find", **kwargs) -> str:
-        """Rendered query plan — node tree with per-node cost + leakage.
+        """Rendered query plan — node tree with each tactic's static
+        leakage level and rounds per query.
 
         ``operation`` is any of the planner's operations (``find``,
         ``find_ids``, ``count``, ``aggregate``, ``find_sorted``,

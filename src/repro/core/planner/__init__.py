@@ -13,12 +13,9 @@ into three layers:
 * :mod:`repro.core.planner.compile` — the compiler from the public
   operations (``find``, ``find_ids``, ``count``, ``aggregate``,
   ``find_sorted`` and the write paths) to plan IR.
-* :mod:`repro.core.planner.cost` — node cost estimation for
-  ``explain()``: the SPI performance descriptors blended with the
-  runtime's observed latency EWMAs.
 * :mod:`repro.core.planner.engine` — the execution engine over the
-  existing batch/fan-out/prefetch machinery, recording per-node timings
-  back into the cost observatory.
+  existing batch/fan-out/prefetch machinery, recording measured
+  per-node timings into :class:`PlannerStats`.
 
 :class:`QueryPlanner` glues the layers together and owns the plan cache
 (keyed by (schema, operation, predicate shape), invalidated on schema
@@ -26,12 +23,10 @@ migration) plus the planner statistics surfaced by
 ``DataBlinder.planner_report``.
 """
 
-from repro.core.planner.cost import CostModel
 from repro.core.planner.ir import Plan, PlanNode, walk
 from repro.core.planner.planner import PlannerStats, QueryPlanner
 
 __all__ = [
-    "CostModel",
     "Plan",
     "PlanNode",
     "PlannerStats",

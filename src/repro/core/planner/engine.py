@@ -13,10 +13,10 @@ next-chunk prefetch follows from the read, not from which loop it
 reached.  Bulk inserts likewise have one loop, field-major through the
 tactic batch SPI inside one batch collection scope.
 
-The engine additionally records a latency observation per executed node
-into the runtime's :class:`~repro.spi.metrics.CostObservatory` — what
-``explain()`` prints beside the descriptor priors — and per-node-kind
-timings into the planner's stats.
+Every executed node's wall time lands once, in the planner's
+:class:`~repro.core.planner.planner.PlannerStats` row for its
+``kind:tactic`` — the one store of measured per-node time
+(``planner_report()``).
 """
 
 from __future__ import annotations
@@ -79,9 +79,7 @@ class PlanEngine:
 
     # -- observation helpers ---------------------------------------------------
 
-    def _observe(self, scope: str, operation: str, tactic: str,
-                 seconds: float, kind: str) -> None:
-        self._x.runtime.cost.observe(scope, operation, tactic, seconds)
+    def _observe(self, kind: str, tactic: str, seconds: float) -> None:
         self._stats.record_node(f"{kind}:{tactic}", seconds)
         self._drain_shard_timings()
 
@@ -95,12 +93,10 @@ class PlanEngine:
         for shard, seconds in self._x.runtime.drain_shard_timings():
             self._stats.record_node(f"Shard:{shard}", seconds)
 
-    def _timed_docs(self, operation: str, kind: str, method: str,
-                    **kwargs: Any) -> Any:
+    def _timed_docs(self, kind: str, method: str, **kwargs: Any) -> Any:
         started = time.perf_counter()
         result = self._x.runtime.docs(method, **kwargs)
-        self._observe(self._x.schema.name, operation, "docs",
-                      time.perf_counter() - started, kind)
+        self._observe(kind, "docs", time.perf_counter() - started)
         return result
 
     # -- id-producing nodes ----------------------------------------------------
@@ -131,7 +127,7 @@ class PlanEngine:
 
     def _fetch_all_ids(self) -> set[str]:
         return set(self._timed_docs(
-            "all_ids", "AllIds", "all_ids", schema=self._x.schema.name
+            "AllIds", "all_ids", schema=self._x.schema.name
         ))
 
     def _lookup_ids(self, node: ir.IndexLookup, run: Run) -> set[str]:
@@ -153,7 +149,7 @@ class PlanEngine:
                     f"plain.{node.field}": bounds,
                 }
             return set(self._timed_docs(
-                "find_plain", "IndexLookup", "find_plain", query=query
+                "IndexLookup", "find_plain", query=query
             ))
         instance = x.lookup_instance(node.field, node.role, node.tactic)
         started = time.perf_counter()
@@ -165,10 +161,8 @@ class PlanEngine:
             ids = instance.range_query(
                 run.value(node.low_param), run.value(node.high_param)
             )
-        self._observe(
-            f"{x.schema.name}.{node.field}", node.op, node.tactic,
-            time.perf_counter() - started, "IndexLookup",
-        )
+        self._observe("IndexLookup", node.tactic,
+                      time.perf_counter() - started)
         return set(ids)
 
     def _bool_ids(self, node: ir.BoolQuery, run: Run) -> set[str]:
@@ -184,10 +178,8 @@ class PlanEngine:
         ]
         raw = instance.bool_query_terms(cnf_terms)
         ids = instance.resolve_bool(raw)
-        self._observe(
-            x._bool_scope(), "bool", node.tactic,
-            time.perf_counter() - started, "BoolQuery",
-        )
+        self._observe("BoolQuery", node.tactic,
+                      time.perf_counter() - started)
         return set(ids)
 
     def _intersect_ids(self, parts: tuple[ir.PlanNode, ...],
@@ -244,14 +236,10 @@ class PlanEngine:
     def _ordered_ids(self, field: str, role: str, tactic: str,
                      descending: bool, kind: str) -> list[str]:
         """The order tactic's sorted id list, observed as one node."""
-        x = self._x
-        instance = x.lookup_instance(field, role, tactic)
+        instance = self._x.lookup_instance(field, role, tactic)
         started = time.perf_counter()
         ordered = instance.ordered_ids(descending=descending)
-        self._observe(
-            f"{x.schema.name}.{field}", "ordered", tactic,
-            time.perf_counter() - started, kind,
-        )
+        self._observe(kind, tactic, time.perf_counter() - started)
         return ordered
 
     def _stream(self, ids: Iterable[str], chunk_size: int,
@@ -294,9 +282,7 @@ class PlanEngine:
             return chunk
 
         def fetch(chunk: list[str]) -> list[dict]:
-            return self._timed_docs(
-                "get_many", "FetchDocs", "get_many", doc_ids=chunk
-            )
+            return self._timed_docs("FetchDocs", "get_many", doc_ids=chunk)
 
         live: dict[str, dict | None] = {}
         pending: Future | None = None
@@ -394,8 +380,7 @@ class PlanEngine:
         root = plan.root
         if isinstance(root, ir.StoreCount):
             return self._timed_docs(
-                "count", "StoreCount", "count",
-                query={"schema": self._x.schema.name},
+                "StoreCount", "count", query={"schema": self._x.schema.name}
             )
         if isinstance(root, ir.Count):
             source = root.source
@@ -414,15 +399,13 @@ class PlanEngine:
         return self.count(plan, run)
 
     def _cloud_aggregate(self, node: ir.CloudAggregate, run: Run) -> Value:
-        x = self._x
         doc_ids = sorted(self.eval_ids(node.source, run))
-        instance = x.lookup_instance(node.field, node.role, node.tactic)
+        instance = self._x.lookup_instance(node.field, node.role,
+                                           node.tactic)
         started = time.perf_counter()
         result = instance.aggregate(node.function, doc_ids)
-        self._observe(
-            f"{x.schema.name}.{node.field}", "aggregate", node.tactic,
-            time.perf_counter() - started, "CloudAggregate",
-        )
+        self._observe("CloudAggregate", node.tactic,
+                      time.perf_counter() - started)
         return result
 
     def _extreme(self, node: ir.Extreme, run: Run) -> Value:

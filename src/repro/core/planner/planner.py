@@ -9,12 +9,13 @@ shape, flags)``, where the shape comes from
 memoisation: values are bound at execution time, so a hit performs the
 same RPCs a fresh compile would.  ``migrate_schema`` invalidates it
 (the new executor starts with an empty cache and carries the counter
-forward).
+forward).  Nothing in a plan depends on the untrusted zone's topology,
+so a reshard leaves the cache alone.
 
 An operation becomes a ``(key, compile thunk, bindings)`` triple in
 exactly one place, :meth:`QueryPlanner._operation`; the live entry
-points and EXPLAIN both read that table, so EXPLAIN prints the plan —
-and looks up the key — the live call uses.
+points and EXPLAIN both read that table, so EXPLAIN prints the plan the
+live call uses.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.cache.tier import MISS
 from repro.core.planner.compile import PlanCompiler, parameterize
-from repro.core.planner.cost import CostModel
 from repro.core.planner.engine import PlanEngine, Run
 from repro.core.planner.ir import Plan
 from repro.core.query import AggregateQuery, Predicate
@@ -44,9 +44,6 @@ class PlannerStats:
         self.cache_hits = 0
         self.cache_misses = 0
         self.invalidations = 0
-        #: Cache drops caused by an untrusted-zone membership change
-        #: (the transport's topology epoch moved).
-        self.topology_invalidations = 0
         self.executions = 0
         #: Search-result cache traffic (only counted when the cache
         #: tier's result level is on): validated hits vs executions
@@ -73,7 +70,6 @@ class PlannerStats:
                 "cache_hits": self.cache_hits,
                 "cache_misses": self.cache_misses,
                 "invalidations": self.invalidations,
-                "topology_invalidations": self.topology_invalidations,
                 "executions": self.executions,
                 "result_hits": self.result_hits,
                 "result_misses": self.result_misses,
@@ -93,8 +89,7 @@ class PlannerStats:
                 f"  plans: {snap['compiles']} compiled, "
                 f"{snap['cache_hits']} cache hits, "
                 f"{snap['cache_misses']} misses, "
-                f"{snap['invalidations']} invalidations "
-                f"({snap['topology_invalidations']} topology)"
+                f"{snap['invalidations']} invalidations"
             ),
             f"  executions: {snap['executions']}",
         ]
@@ -122,36 +117,15 @@ class QueryPlanner:
 
     def __init__(self, executor: "SchemaExecutor"):
         self._x = executor
-        self.cost_model = CostModel(executor)
         self.compiler = PlanCompiler(executor)
         self.stats = PlannerStats()
         self.engine = PlanEngine(executor, self.stats)
         self._cache: dict[Any, Plan] = {}
         self._lock = threading.Lock()
-        self._epoch = executor.runtime.topology_epoch()
 
     # -- plan cache ------------------------------------------------------------
 
-    def _check_topology(self) -> None:
-        """Drop cached plans when the untrusted zone changed shape.
-
-        Plans are shape-keyed, not topology-keyed: a plan compiled
-        against a 2-node ring is structurally valid on 3 nodes, but its
-        cost estimates are stale — and tests want a crisp signal that membership changes were noticed.
-        """
-        epoch = self._x.runtime.topology_epoch()
-        if epoch == self._epoch:
-            return
-        with self._lock:
-            if epoch == self._epoch:
-                return
-            self._cache.clear()
-            self._epoch = epoch
-        self.stats.bump("topology_invalidations")
-        self.stats.bump("invalidations")
-
     def _plan(self, key: Any, build) -> Plan:
-        self._check_topology()
         with self._lock:
             cached = self._cache.get(key)
         if cached is not None:
@@ -173,10 +147,8 @@ class QueryPlanner:
     def absorb(self, predecessor: "QueryPlanner") -> None:
         """Carry a migrated-away executor's counters into this planner."""
         predecessor.invalidate()
-        snap = predecessor.stats.snapshot()
-        self.stats.bump("invalidations", snap["invalidations"])
-        self.stats.bump("topology_invalidations",
-                        snap["topology_invalidations"])
+        self.stats.bump("invalidations",
+                        predecessor.stats.snapshot()["invalidations"])
 
     def cached_plans(self) -> int:
         with self._lock:
@@ -194,9 +166,8 @@ class QueryPlanner:
         binding vector)`` for one operation.
 
         The only place an operation becomes a plan — the live entry
-        points, ``explain_plan`` and ``explain``'s result-cache lookup
-        all read it, so EXPLAIN cannot print a plan or a key the live
-        call would not use.
+        points and ``explain_plan`` both read it, so EXPLAIN cannot
+        print a plan the live call would not use.
         """
         compiler = self.compiler
         verify = self._x.verify_results if verify is None else verify
@@ -326,7 +297,7 @@ class QueryPlanner:
         EXPLAIN deliberately bypasses the cache in both directions: it
         never warms it (a later query still records its true miss) and
         never reads it (the rendered plan reflects the current compiler
-        output and cost estimates).  Takes the keywords of
+        output).  Takes the keywords of
         :meth:`_operation`.
         """
         _, build, _ = self._operation(**operation)
@@ -335,5 +306,4 @@ class QueryPlanner:
     def explain(self, **operation: Any) -> str:
         from repro.analysis.planview import render_plan
 
-        key, build, _ = self._operation(**operation)
-        return render_plan(build(), self, plan_key=key)
+        return render_plan(self.explain_plan(**operation), self)

@@ -23,7 +23,7 @@ from repro.net.transport import Transport
 from repro.obs import Registry
 from repro.obs.collect import attach
 from repro.spi.context import GatewayTacticContext
-from repro.spi.metrics import CostObservatory, TacticMetrics
+from repro.spi.metrics import TacticMetrics
 from repro.stores.kv import KeyValueStore
 
 
@@ -77,11 +77,6 @@ class GatewayRuntime:
         #: source, every other layer's counters are collected on read.
         self.obs = Registry()
         self.metrics = TacticMetrics(self.obs, self.transport.wire_cells)
-        #: Observed per-(scope, operation, tactic) latency EWMAs feeding
-        #: the query planner's cost model.  Runtime-owned (not
-        #: executor-owned) so observations survive plan-cache
-        #: invalidations and schema migrations.
-        self.cost = CostObservatory()
         self._instances: dict[tuple[str, str], Any] = {}
         self._lock = threading.RLock()
         attach(self)

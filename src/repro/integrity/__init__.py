@@ -15,14 +15,14 @@ an *actively malicious* host:
   unverifiable;
 * :mod:`repro.integrity.verify` — the verifying transport implementing
   proof-on-fetch and the audit pass;
-* :mod:`repro.integrity.config` — ``PipelineConfig.integrity`` knobs
-  (mode, protection-class coverage, rollback history).
+* :mod:`repro.integrity.config` — ``PipelineConfig.integrity`` (the
+  rollback history bound).
 
 Defaults off: without an :class:`IntegrityConfig` the gateway stack,
 stores and wire traffic are byte-identical to the seed.
 """
 
-from repro.integrity.config import MODE_AUDIT, MODE_FETCH, IntegrityConfig
+from repro.integrity.config import IntegrityConfig
 from repro.integrity.merkle import (
     EMPTY_ROOT,
     MerkleTree,
@@ -47,8 +47,6 @@ from repro.integrity.watermark import FreshnessLedger, LedgerEntry
 
 __all__ = [
     "EMPTY_ROOT",
-    "MODE_AUDIT",
-    "MODE_FETCH",
     "FreshnessLedger",
     "IntegrityConfig",
     "IntegrityService",

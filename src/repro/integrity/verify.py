@@ -1,13 +1,12 @@
-"""Gateway-side verification: proof-on-fetch and audit-pass.
+"""Gateway-side verification: proof-on-fetch and the audit sweep.
 
 :class:`VerifyingTransport` sits in the gateway's transport stack
 between the batch collector (above) and the resilience wrapper (below).
-In **fetch** mode it rewrites document reads to their proven variants
-(``get`` -> ``get_proven``, ``get_many`` -> ``get_many_proven``),
-checks each returned inclusion proof against the freshness ledger, and
-unwraps the plain documents — the executor never sees the envelopes.
-In **audit** mode reads pass through untouched and :meth:`audit`
-performs the background sweep: re-sync the ledger from incremental
+It rewrites document reads to their proven variants (``get`` ->
+``get_proven``, ``get_many`` -> ``get_many_proven``), checks each
+returned inclusion proof against the freshness ledger, and unwraps the
+plain documents — the executor never sees the envelopes.  :meth:`audit`
+is the on-demand sweep beside it: re-sync the ledger from incremental
 reports, then compare roots recomputed from raw store state against
 what the ledger accepted at write time.
 
@@ -39,7 +38,7 @@ from contextvars import ContextVar
 from typing import Any, Sequence
 
 from repro.errors import IntegrityError, StaleStateError
-from repro.integrity.config import MODE_FETCH, IntegrityConfig
+from repro.integrity.config import IntegrityConfig
 from repro.integrity.merkle import leaf_key, verify_inclusion
 from repro.integrity.watermark import FreshnessLedger
 from repro.keys.hsm import SimulatedHsm
@@ -83,7 +82,7 @@ def _note_outcome(outcome: str) -> None:
 
 
 class VerifyingTransport(TransportLayer):
-    """Transport wrapper enforcing the configured integrity mode."""
+    """Transport wrapper verifying every document fetch."""
 
     label = "integrity"
 
@@ -91,7 +90,6 @@ class VerifyingTransport(TransportLayer):
                  config: IntegrityConfig, hsm: SimulatedHsm | None = None):
         super().__init__(inner)
         self.application = application
-        self.config = config
         self._docs_service = f"docs/{application}"
         self._integrity_service = f"integrity/{application}"
         self.ledger = FreshnessLedger(history=config.history)
@@ -158,7 +156,6 @@ class VerifyingTransport(TransportLayer):
     def _should_verify(self, service: str, method: str) -> bool:
         return (
             self._active
-            and self.config.mode == MODE_FETCH
             and service == self._docs_service
             and method in _PROVEN
         )

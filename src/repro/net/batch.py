@@ -87,11 +87,11 @@ class PipelineConfig:
     crypto: "CryptoConfig | None" = None
     #: Integrity & freshness verification
     #: (:class:`repro.integrity.config.IntegrityConfig`): Merkle state
-    #: roots on the cloud, a freshness ledger at the gateway, and either
-    #: proof-on-fetch verified reads or an audit-pass sweep, activated
-    #: per protection class.  ``None`` keeps the seed's trusting read
-    #: path byte-for-byte (no tracker, no extra services, no wire
-    #: changes).
+    #: roots on the cloud, a freshness ledger at the gateway, and
+    #: proof-on-fetch verified reads (plus an on-demand audit sweep),
+    #: activated once a schema has a sensitive field.  ``None`` keeps
+    #: the seed's trusting read path byte-for-byte (no tracker, no extra
+    #: services, no wire changes).
     integrity: "IntegrityConfig | None" = None
     #: Gateway read-cache tier (:class:`repro.cache.config.CacheConfig`):
     #: token, search-result and decrypted-document caches, coherent via

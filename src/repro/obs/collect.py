@@ -36,15 +36,6 @@ def _net_samples(net: dict) -> Iterator[Sample]:
                    row[f"bytes_{direction}"])
 
 
-def _cost(observatory: Any) -> dict:
-    out: dict = {}
-    for (scope, operation, tactic), (n, seconds) in sorted(
-            observatory.snapshot().items()):
-        out.setdefault(scope, {}).setdefault(operation, {})[tactic] = {
-            "observations": n, "mean_seconds": seconds}
-    return out
-
-
 def _integrity(verifier: Any) -> dict:
     own = verifier.own_stats()
     return {"failures": own.integrity_failures,
@@ -60,8 +51,6 @@ def attach(runtime: Any) -> None:
     obs.collect("net", lambda: _net(transport), samples=_net_samples)
     obs.collect("tactics", runtime.metrics.snapshot,
                 samples=lambda _: ())  # the wire + tactic series carry it
-    obs.collect("cost", lambda: _cost(runtime.cost),
-                ("scope", "operation", "tactic"))
     obs.collect("tokens", runtime.kernels.token_cache_stats)
     tier, verifier = runtime.cache_tier, runtime.verifier
     if tier is not None:

@@ -50,8 +50,8 @@ forwarding table is active the loose slots (which include every
 document write) run sequentially so forwarding-epoch writes stay
 ordered per shard.
 
-Membership changes bump ``topology_epoch`` — the planner drops its
-shape-keyed plan cache when the epoch moves.
+Membership changes bump ``topology_epoch``, which the cache tier's
+coherence token carries; compiled plans do not depend on it.
 """
 
 from __future__ import annotations

@@ -57,11 +57,13 @@ class Aggregate(enum.Enum):
 
 @dataclass(frozen=True)
 class PerformanceMetrics:
-    """Coarse per-tactic cost model (Fig. 1 'performance metrics').
+    """Static per-tactic performance descriptor (Fig. 1 'performance
+    metrics').
 
     ``rank`` orders tactics for selection tie-breaks (lower = faster);
-    the remaining fields describe asymptotics and overhead sources used
-    in documentation and the ablation reports.
+    ``rounds_per_query`` is what EXPLAIN prints per index node; the
+    remaining fields describe asymptotics and overhead sources used in
+    documentation and the ablation reports.
     """
 
     rank: int

@@ -9,6 +9,8 @@ encode frames count every service's slots, frames and bytes
 (:mod:`repro.obs.wire`), and :class:`TacticMetrics` is the *view* that
 joins the two on read — per tactic instance, per operation — so it is
 also right for a call deferred into a batch frame or split over shards.
+The static side (selection rank, rounds per query, leakage level) stays
+on the tactic descriptors; nothing here estimates or smooths a latency.
 
 ``DataBlinder.metrics_report()`` renders the aggregate, which is how an
 operator sees where a deployment spends its budget (e.g. the Paillier
@@ -17,7 +19,6 @@ dominance the paper observed).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -70,69 +71,6 @@ class InstanceMetrics:
     def total_bytes(self) -> int:
         return sum(c.bytes_sent + c.bytes_received
                    for c in self.operations.values())
-
-
-@dataclass
-class LatencyEwma:
-    """Exponentially weighted moving average of one cost signal.
-
-    ``alpha`` weights the newest observation; the planner's cost model
-    reads ``mean_seconds`` as its *observed* half (the static half comes
-    from the SPI performance descriptors).
-    """
-
-    alpha: float = 0.25
-    observations: int = 0
-    mean_seconds: float = 0.0
-
-    def observe(self, seconds: float) -> None:
-        self.observations += 1
-        if self.observations == 1:
-            self.mean_seconds = seconds
-        else:
-            self.mean_seconds += self.alpha * (seconds - self.mean_seconds)
-
-    @property
-    def mean_ms(self) -> float:
-        return 1000.0 * self.mean_seconds
-
-
-class CostObservatory:
-    """Observed per-(scope, operation, tactic) latency EWMAs.
-
-    One observatory lives on the gateway runtime, shared by every schema
-    executor, so observations survive plan-cache invalidations and schema
-    migrations.  Keys are ``(scope, operation, tactic)`` — e.g.
-    ``("observation.status", "eq", "det")`` — matching the plan IR's
-    ``IndexLookup`` nodes.
-    """
-
-    def __init__(self, alpha: float = 0.25) -> None:
-        self._alpha = alpha
-        self._ewmas: dict[tuple[str, str, str], LatencyEwma] = {}
-        self._lock = threading.Lock()
-
-    def observe(self, scope: str, operation: str, tactic: str,
-                seconds: float) -> None:
-        key = (scope, operation, tactic)
-        with self._lock:
-            ewma = self._ewmas.get(key)
-            if ewma is None:
-                ewma = LatencyEwma(alpha=self._alpha)
-                self._ewmas[key] = ewma
-            ewma.observe(seconds)
-
-    def lookup(self, scope: str, operation: str,
-               tactic: str) -> LatencyEwma | None:
-        with self._lock:
-            return self._ewmas.get((scope, operation, tactic))
-
-    def snapshot(self) -> dict[tuple[str, str, str], tuple[int, float]]:
-        with self._lock:
-            return {
-                key: (e.observations, e.mean_seconds)
-                for key, e in self._ewmas.items()
-            }
 
 
 class TacticMetrics:

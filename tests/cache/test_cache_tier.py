@@ -403,7 +403,6 @@ class TestExplainFooter:
         assert "Cache:" in text
         assert "results on" in text
         assert "admitted" in text
-        assert "Cache hit probability" in text
 
     def test_footer_absent_when_caching_is_off(self):
         blinder, _, _ = deploy(None)

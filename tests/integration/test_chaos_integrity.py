@@ -27,7 +27,7 @@ from repro.core.query import Eq
 from repro.core.registry import TacticRegistry
 from repro.errors import IntegrityError, StaleStateError
 from repro.fhir.model import observation_schema
-from repro.integrity import MODE_AUDIT, IntegrityConfig
+from repro.integrity import IntegrityConfig
 from repro.net.batch import PipelineConfig
 from repro.net.faults import FaultInjectingTransport, FaultPlan
 from repro.net.tcp import TcpRpcServer, TcpTransport
@@ -231,9 +231,7 @@ class TestAuditPass:
         cloud = CloudZone(registry)
         blinder = DataBlinder(
             APP, InProcTransport(cloud.host), registry=registry,
-            pipeline=PipelineConfig(
-                integrity=IntegrityConfig(mode=MODE_AUDIT)
-            ),
+            pipeline=FETCH,
         )
         blinder.register_schema(observation_schema())
         observations = blinder.entities("observation")
@@ -248,24 +246,6 @@ class TestAuditPass:
         store._documents[ids[0]]["schema"] = "forged"
         with pytest.raises(IntegrityError):
             blinder.integrity_audit()
-
-    def test_audit_mode_reads_are_untouched(self):
-        registry = fresh_registry()
-        cloud = CloudZone(registry)
-        blinder = DataBlinder(
-            APP, InProcTransport(cloud.host), registry=registry,
-            pipeline=PipelineConfig(
-                integrity=IntegrityConfig(mode=MODE_AUDIT)
-            ),
-        )
-        blinder.register_schema(observation_schema())
-        observations = blinder.entities("observation")
-        doc_id = observations.insert(make_doc(3))
-        assert observations.get(doc_id)["identifier"] == 3
-        assert sorted(
-            observations.get(d)["identifier"]
-            for d in observations.find_ids(Eq("status", "amended"))
-        ) == [3]
 
 
 class TestIntegrityIsReadSideOnly:

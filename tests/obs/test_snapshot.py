@@ -21,8 +21,9 @@ def test_snapshot_has_every_section_and_is_json(production):
     exercise(production)
     snapshot = production.blinder.metrics_snapshot()
     assert json.loads(json.dumps(snapshot)) == snapshot
-    assert {"net", "tactics", "planner", "cost", "cache", "tokens",
+    assert {"net", "tactics", "planner", "cache", "tokens",
             "integrity", "shard", "metrics"} <= set(snapshot)
+    assert "cost" not in snapshot
 
     # net: per endpoint (the labeled_stats report) and per cell.
     stats = roll_up(production.transport.labeled_stats())
@@ -45,7 +46,10 @@ def test_snapshot_has_every_section_and_is_json(production):
     assert paillier["insert"]["bytes_sent"] > 0
     assert paillier["insert"]["calls"] == 30
 
-    assert snapshot["planner"]["observation"]["executions"] >= 5
+    planner = snapshot["planner"]["observation"]
+    assert planner["executions"] >= 5
+    assert "topology_invalidations" not in planner
+    assert planner["node_timings"]["FetchDocs:docs"]["calls"] >= 1
     assert snapshot["cache"]["admitted"] == {"observation": False}
     assert snapshot["cache"]["documents"]["hits"] == 0
     # Not admitted, so no hit was ever validated, locally or otherwise.
