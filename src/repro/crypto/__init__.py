@@ -1,10 +1,13 @@
 """Cryptographic substrate of the DataBlinder reproduction.
 
 Everything the paper's prototype obtained from Bouncy Castle, Javallier
-and the Clusion building blocks is implemented here from scratch:
+and the Clusion building blocks is implemented here from scratch, except
+the two primitives the interpreter's own OpenSSL already provides: AES-GCM
+and HMAC-SHA256.
 
-* :mod:`repro.crypto.primitives` -- AES, block modes (CTR/CBC/GCM),
-  HMAC-SHA256 PRF, HKDF, prime generation and modular arithmetic.
+* :mod:`repro.crypto.primitives` -- AES-GCM (OpenSSL EVP through
+  ``ctypes``, :mod:`~repro.crypto.primitives.gcm`), HMAC-SHA256 PRF, HKDF
+  (stdlib :mod:`hmac`), prime generation and modular arithmetic.
 * :mod:`repro.crypto.symmetric` -- AEAD (RND) and SIV-deterministic (DET)
   envelopes.
 * :mod:`repro.crypto.rsa` -- RSA-OAEP and the raw trapdoor permutation

@@ -11,21 +11,26 @@ Three envelopes back the value-protection tactics of the paper:
   *equalities* leakage).
 * :func:`seal_value` / :func:`open_value` — convenience wrappers applying
   the canonical value codec before encryption.
+
+Both envelopes run AES-GCM on OpenSSL's EVP implementation
+(:mod:`repro.crypto.primitives.gcm`, the ``libcrypto`` the interpreter
+already links for :mod:`hashlib`), which is constant-time; the paper's
+prototype takes the same primitive from Bouncy Castle.  The executor's
+document-body envelope, the RND/DET/2Lev tactics and the simulated HSM's
+key wraps all go through these two classes.
 """
 
 from __future__ import annotations
 
+import hmac
 from dataclasses import dataclass
 
 from repro.crypto.encoding import Value, decode_value, encode_value
-from repro.crypto.primitives.aes import AES
+from repro.crypto.primitives.gcm import NONCE_SIZE, TAG_SIZE, AesGcm
 from repro.crypto.primitives.hmac_prf import hkdf, prf
-from repro.crypto.primitives.modes import gcm_decrypt, gcm_encrypt
 from repro.crypto.primitives.random import RandomSource, default_random
 from repro.errors import CryptoError
 
-NONCE_SIZE = 12
-TAG_SIZE = 16
 KEY_SIZE = 16
 
 
@@ -55,20 +60,17 @@ class Aead:
     """Probabilistic AES-GCM envelope (fresh random nonce per message)."""
 
     def __init__(self, key: bytes, rng: RandomSource | None = None):
-        if len(key) not in (16, 24, 32):
-            raise CryptoError("AEAD key must be 16, 24 or 32 bytes")
-        self._cipher = AES(key)
+        self._cipher = AesGcm(key)
         self._rng = rng or default_random()
 
     def encrypt(self, plaintext: bytes, aad: bytes = b"") -> bytes:
         nonce = self._rng.token_bytes(NONCE_SIZE)
-        ciphertext, tag = gcm_encrypt(self._cipher, nonce, plaintext, aad)
+        ciphertext, tag = self._cipher.encrypt(nonce, plaintext, aad)
         return SealedBox(nonce, ciphertext, tag).to_bytes()
 
     def decrypt(self, sealed: bytes, aad: bytes = b"") -> bytes:
         box = SealedBox.from_bytes(sealed)
-        return gcm_decrypt(self._cipher, box.nonce, box.ciphertext, box.tag,
-                           aad)
+        return self._cipher.decrypt(box.nonce, box.ciphertext, box.tag, aad)
 
 
 class Deterministic:
@@ -85,19 +87,19 @@ class Deterministic:
             raise CryptoError("deterministic key must be at least 16 bytes")
         self._enc_key = hkdf(key, b"det-enc", KEY_SIZE)
         self._mac_key = hkdf(key, b"det-mac", 32)
-        self._cipher = AES(self._enc_key)
+        self._cipher = AesGcm(self._enc_key)
 
     def encrypt(self, plaintext: bytes, aad: bytes = b"") -> bytes:
         nonce = prf(self._mac_key, aad, plaintext)[:NONCE_SIZE]
-        ciphertext, tag = gcm_encrypt(self._cipher, nonce, plaintext, aad)
+        ciphertext, tag = self._cipher.encrypt(nonce, plaintext, aad)
         return SealedBox(nonce, ciphertext, tag).to_bytes()
 
     def decrypt(self, sealed: bytes, aad: bytes = b"") -> bytes:
         box = SealedBox.from_bytes(sealed)
-        plaintext = gcm_decrypt(self._cipher, box.nonce, box.ciphertext,
-                                box.tag, aad)
+        plaintext = self._cipher.decrypt(box.nonce, box.ciphertext, box.tag,
+                                         aad)
         expected = prf(self._mac_key, aad, plaintext)[:NONCE_SIZE]
-        if expected != box.nonce:
+        if not hmac.compare_digest(expected, box.nonce):
             raise CryptoError("deterministic nonce mismatch")
         return plaintext
 

@@ -1,14 +1,14 @@
-"""Pure-Python AES block cipher (FIPS 197).
+"""Pure-Python AES block cipher (FIPS 197): the test oracle.
 
-The paper's prototype uses Bouncy Castle for AES; this repository is
-offline and dependency-free, so the block cipher is implemented from
-scratch.  Encryption uses the classic 32-bit T-table formulation, which is
-the fastest arrangement available to pure Python; decryption uses the
-equivalent inverse tables.  Both are verified against the FIPS 197 and
-NIST SP 800-38A test vectors in ``tests/crypto/test_aes.py``.
+``repro`` runs AES-GCM on OpenSSL (:mod:`repro.crypto.primitives.gcm`).
+This from-scratch block cipher is kept as an independent reference the
+native path is checked against.  Encryption uses the classic 32-bit
+T-table formulation; decryption uses the equivalent inverse tables.  Both
+are verified against the FIPS 197 and NIST SP 800-38A test vectors in
+``tests/crypto/test_aes.py``.
 
 Only the raw block transform lives here; modes of operation are in
-:mod:`repro.crypto.primitives.modes`.
+:mod:`tests.crypto.reference.modes`.
 """
 
 from __future__ import annotations

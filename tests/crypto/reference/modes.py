@@ -1,16 +1,17 @@
-"""Block cipher modes of operation: CTR, CBC and GCM.
+"""Block cipher modes of operation: CTR, CBC and GCM (the test oracle).
 
 Verified against NIST SP 800-38A (CTR, CBC) and the GCM specification test
 vectors in ``tests/crypto/test_modes.py``.  GCM is the authenticated mode
-the paper's prototype uses (AES/GCM via Bouncy Castle); CTR and CBC are
-kept as substrates for deterministic (SIV-style) encryption.
+the paper's prototype uses (AES/GCM via Bouncy Castle); ``repro`` runs it
+on OpenSSL, and ``tests/crypto/test_gcm_native.py`` checks that path
+byte for byte against :func:`gcm_encrypt` / :func:`gcm_decrypt` here.
 """
 
 from __future__ import annotations
 
 import hmac as _hmac
 
-from repro.crypto.primitives.aes import AES, BLOCK_SIZE
+from tests.crypto.reference.aes import AES, BLOCK_SIZE
 from repro.errors import CryptoError, IntegrityError
 
 

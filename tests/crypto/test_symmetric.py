@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.crypto.primitives.gcm import AesGcm
+from repro.crypto.primitives.hmac_prf import hkdf
 from repro.crypto.primitives.random import DeterministicRandom
 from repro.crypto.symmetric import (
     Aead,
@@ -86,6 +88,17 @@ class TestDeterministic:
     def test_rejects_short_key(self):
         with pytest.raises(CryptoError):
             Deterministic(b"tiny")
+
+    def test_rejects_foreign_nonce(self):
+        # A box that authenticates under the DET encryption key but whose
+        # nonce is not the PRF of its plaintext was not made by encrypt().
+        key, plaintext = b"k" * 16, b"payload"
+        nonce = bytes(12)
+        ciphertext, tag = AesGcm(hkdf(key, b"det-enc", 16)).encrypt(
+            nonce, plaintext)
+        with pytest.raises(CryptoError,
+                           match="^deterministic nonce mismatch$"):
+            Deterministic(key).decrypt(nonce + ciphertext + tag)
 
 
 class TestSealedBox:
