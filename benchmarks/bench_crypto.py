@@ -1,12 +1,12 @@
 """EXP-CRYPTO — gateway crypto kernels: batched tactic SPI and
-fixed-base modexp precomputation.
+fixed-base Paillier masks.
 
 Four measurements, written to ``BENCH_crypto.json``:
 
 * **Paillier encryption micro-benchmark** — one cold ``r^n mod n²``
-  exponentiation per ciphertext (the seed path) against the fixed-base
-  windowed tables (``CryptoConfig.precompute``).  The headline claim:
-  >= 5x more encryptions per second from precomputation alone.
+  exponentiation per ciphertext (the seed path) against fixed-base
+  ``β^k`` masks mod p² and q² (``CryptoConfig.precompute``).  The
+  headline claim: >= 5x more encryptions per second.
 * **Paillier kernels on the factors** — per-operation medians over
   ``KERNEL_OPS`` paired operations: §7 decryption (mod p², q²) against
   the textbook ``L(c^λ mod n²)·μ``, and a fixed-base mask against a
@@ -77,7 +77,7 @@ RESULTS: dict = {}
 
 
 def test_fixed_base_paillier_encrypt_speedup():
-    """Fixed-base windowed masks beat cold exponentiation >= 5x."""
+    """Fixed-base β^k masks beat cold exponentiation >= 5x."""
     private = paillier.generate_keypair(1024)
     public = private.public
 
@@ -87,7 +87,7 @@ def test_fixed_base_paillier_encrypt_speedup():
     cold_rate = ENCRYPTIONS / (time.perf_counter() - started)
 
     fixed = paillier.FixedBaseObfuscator(private)
-    fixed.mask()  # tables built in the constructor; one warm call
+    fixed.mask()  # one warm call
     started = time.perf_counter()
     ciphertexts = [fixed.encrypt(i) for i in range(ENCRYPTIONS)]
     fixed_rate = ENCRYPTIONS / (time.perf_counter() - started)
@@ -100,11 +100,9 @@ def test_fixed_base_paillier_encrypt_speedup():
         "cold_per_s": cold_rate,
         "fixed_base_per_s": fixed_rate,
         "speedup": speedup,
-        "table_bytes": fixed.memory_bytes,
     }
     print(f"\nEXP-CRYPTO Paillier encrypt: {cold_rate:.1f} -> "
-          f"{fixed_rate:.1f} ops/s ({speedup:.1f}x, table "
-          f"{fixed.memory_bytes / 1e6:.1f} MB)")
+          f"{fixed_rate:.1f} ops/s ({speedup:.1f}x)")
     assert speedup >= 5.0
 
 
@@ -141,7 +139,7 @@ def test_crt_kernels_beat_full_width():
     private = paillier.generate_keypair(1024)
     public = private.public
     fixed = paillier.FixedBaseObfuscator(private)
-    fixed.mask()  # tables and per-key constants built; one warm call
+    fixed.mask()  # per-key constants built; one warm call
 
     ciphertexts = [fixed.encrypt(i * 977 - 20000) for i in range(KERNEL_OPS)]
     textbook_ms, crt_ms, decrypt_ratio = paired(
@@ -198,7 +196,7 @@ def deploy(crypto, application):
 def measure_config(name, crypto, documents):
     blinder, entities = deploy(crypto, f"bench-crypto-{name}")
     # Warm up outside the timed window: tactic setup (keypair
-    # re-derivation, fixed-base table builds) is a one-time
+    # re-derivation, the cold fixed base) is a one-time
     # service-startup cost, not a per-document one.
     entities.insert_many([dict(d) for d in documents[:2]])
 

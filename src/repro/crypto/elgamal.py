@@ -7,13 +7,18 @@ Paillier for sums/averages, and the pluggable SPI is demonstrated by also
 registering a product-capable aggregate tactic built on this module.
 
 Messages are embedded in the subgroup of quadratic residues mod a safe
-prime ``p = 2q + 1`` (squaring the embedding keeps DDH intact).
+prime ``p = 2q + 1`` (squaring the embedding keeps DDH intact).  The
+exponentiations by the secret ``x`` and the coins ``r`` run on
+:func:`~repro.crypto.primitives.bignum.powmod`; the homomorphic
+:meth:`ElGamalCiphertext.pow` and the public square root stay on
+:func:`pow`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.crypto.primitives.bignum import powmod
 from repro.crypto.primitives.numbers import (
     RandBelow,
     generate_safe_prime,
@@ -80,7 +85,7 @@ def generate_keypair(bits: int = DEFAULT_KEY_BITS,
             g = candidate
             break
     x = randbelow(q - 1) + 1
-    return ElGamalPrivateKey(ElGamalPublicKey(p, g, pow(g, x, p)), x)
+    return ElGamalPrivateKey(ElGamalPublicKey(p, g, powmod(g, x, p)), x)
 
 
 def _embed(public: ElGamalPublicKey, message: int) -> int:
@@ -105,20 +110,6 @@ def _unembed(public: ElGamalPublicKey, residue: int) -> int:
     return root
 
 
-def encrypt_with_randomness(public: ElGamalPublicKey, message: int,
-                            g_r: int, h_r: int) -> ElGamalCiphertext:
-    """Encrypt using a precomputed randomness pair ``(g^r, h^r)``.
-
-    The expensive exponentiations are plaintext-independent, so the
-    crypto kernel layer pregenerates the pairs (process pool or
-    fixed-base tables) and this assembly step costs one modmul — the
-    message itself never has to leave the caller.
-    """
-    return ElGamalCiphertext(
-        public, g_r, _embed(public, message) * h_r % public.p
-    )
-
-
 def encrypt(public: ElGamalPublicKey, message: int,
             randbelow: RandBelow | None = None) -> ElGamalCiphertext:
     import secrets
@@ -128,8 +119,8 @@ def encrypt(public: ElGamalPublicKey, message: int,
     r = randbelow(public.q - 1) + 1
     return ElGamalCiphertext(
         public,
-        pow(public.g, r, public.p),
-        m * pow(public.h, r, public.p) % public.p,
+        powmod(public.g, r, public.p),
+        m * powmod(public.h, r, public.p) % public.p,
     )
 
 
@@ -137,6 +128,6 @@ def decrypt(private: ElGamalPrivateKey, ciphertext: ElGamalCiphertext) -> int:
     public = private.public
     if ciphertext.public != public:
         raise CryptoError("ciphertext was produced under a different key")
-    s = pow(ciphertext.c1, private.x, public.p)
+    s = powmod(ciphertext.c1, private.x, public.p)
     residue = ciphertext.c2 * invmod(s, public.p) % public.p
     return _unembed(public, residue)

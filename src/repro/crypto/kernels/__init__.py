@@ -1,4 +1,4 @@
-"""Gateway crypto kernels: batched, deduplicated, precomputed crypto.
+"""Gateway crypto kernels: batched and deduplicated crypto.
 
 Public surface:
 
@@ -6,11 +6,11 @@ Public surface:
   ``PipelineConfig.crypto`` knob set (defaults keep everything off).
 * :class:`~repro.crypto.kernels.executor.CryptoExecutor` — the shared
   dispatcher (dedup/LRU maps, kernel timings).
-* :class:`~repro.crypto.kernels.modexp.FixedBaseTable` — windowed
-  fixed-base modexp precomputation.
 
 Every kernel runs inline in the gateway process, so no key material
-ever leaves it.
+ever leaves it.  Secret-exponent modexp is not a kernel: every scheme
+calls :func:`~repro.crypto.primitives.bignum.powmod` (OpenSSL's
+constant-time Montgomery exponentiation) under every configuration.
 """
 
 from repro.crypto.kernels.config import CryptoConfig
@@ -19,12 +19,10 @@ from repro.crypto.kernels.executor import (
     LruCache,
     inline_executor,
 )
-from repro.crypto.kernels.modexp import FixedBaseTable
 
 __all__ = [
     "CryptoConfig",
     "CryptoExecutor",
-    "FixedBaseTable",
     "LruCache",
     "inline_executor",
 ]

@@ -17,12 +17,19 @@ Used by the blind-index tactic: equality tokens become OPRF outputs whose
 key lives inside the (simulated) HSM, so even a fully compromised gateway
 cannot compute tokens offline — every evaluation is a mediated, auditable
 HSM call.
+
+Every exponentiation by the key or the blinding coins runs on OpenSSL's
+constant-time :func:`~repro.crypto.primitives.bignum.powmod`, and both
+the server step and the client's unblinding refuse any element outside
+the order-q subgroup: an order-2 element such as ``p − 1`` raised to
+the key would otherwise reveal the key's parity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.crypto.primitives.bignum import powmod
 from repro.crypto.primitives.hmac_prf import hash_bytes, prf
 from repro.crypto.primitives.numbers import (
     generate_safe_prime,
@@ -56,6 +63,11 @@ class OprfGroup:
                 return element
             counter += 1
 
+    def check_element(self, element: int, role: str) -> None:
+        """Raise unless ``element`` lies in the order-q subgroup."""
+        if not 1 < element < self.p or powmod(element, self.q, self.p) != 1:
+            raise CryptoError(f"{role} element outside the group")
+
 
 def generate_group(bits: int = DEFAULT_GROUP_BITS,
                    randbelow=None) -> OprfGroup:
@@ -70,9 +82,8 @@ def generate_key(group: OprfGroup,
 
 def evaluate_blinded(group: OprfGroup, key: int, blinded: int) -> int:
     """Server step: raise the blinded element to the key."""
-    if not 1 < blinded < group.p:
-        raise CryptoError("blinded element outside the group")
-    return pow(blinded, key, group.p)
+    group.check_element(blinded, "blinded")
+    return powmod(blinded, key, group.p)
 
 
 class OprfClient:
@@ -87,14 +98,13 @@ class OprfClient:
         """Return ``(state, blinded_element)``; keep ``state`` private."""
         r = self._rng.randbelow(self.group.q - 2) + 2
         element = self.group.hash_to_group(data)
-        return r, pow(element, r, self.group.p)
+        return r, powmod(element, r, self.group.p)
 
     def finalize(self, data: bytes, state: int, evaluated: int) -> bytes:
         """Unblind the server response and derive the PRF output."""
-        if not 1 < evaluated < self.group.p:
-            raise CryptoError("evaluated element outside the group")
+        self.group.check_element(evaluated, "evaluated")
         r_inverse = invmod(state, self.group.q)
-        y = pow(evaluated, r_inverse, self.group.p)
+        y = powmod(evaluated, r_inverse, self.group.p)
         length = (self.group.p.bit_length() + 7) // 8
         return hash_bytes(b"oprf-out", data, y.to_bytes(length, "big"))
 
@@ -102,6 +112,6 @@ class OprfClient:
 def unblinded_evaluate(group: OprfGroup, key: int, data: bytes) -> bytes:
     """Direct evaluation with the key (reference for tests/audits)."""
     element = group.hash_to_group(data)
-    y = pow(element, key, group.p)
+    y = powmod(element, key, group.p)
     length = (group.p.bit_length() + 7) // 8
     return hash_bytes(b"oprf-out", data, y.to_bytes(length, "big"))

@@ -18,6 +18,12 @@ and ``q−1``), :class:`FixedBaseObfuscator` raises its fixed base in the
 two half-width groups and recombines.  Both produce the same integers
 as the textbook formulas; the per-key constants live on
 :attr:`PaillierPrivateKey.crt`.  Only ``n`` ever leaves the gateway.
+
+Every exponentiation with a factor-derived exponent is
+:func:`~repro.crypto.primitives.bignum.powmod` (OpenSSL's constant-time
+Montgomery exponentiation); the cold mask ``r^n`` (public exponent
+``n``) and the cloud's homomorphic operations stay on the builtin
+:func:`pow`.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from repro.crypto.kernels.modexp import FixedBaseTable
+from repro.crypto.primitives.bignum import powmod
 from repro.crypto.primitives.numbers import (
     RandBelow,
     generate_distinct_primes,
@@ -83,8 +89,8 @@ class PaillierPrivateKey:
         p_sq, q_sq = p * p, q * q
         return CrtConstants(
             p_sq, q_sq,
-            invmod((pow(g, p - 1, p_sq) - 1) // p, p),
-            invmod((pow(g, q - 1, q_sq) - 1) // q, q),
+            invmod((powmod(g, p - 1, p_sq) - 1) // p, p),
+            invmod((powmod(g, q - 1, q_sq) - 1) // q, q),
             invmod(p, q), invmod(p_sq, q_sq),
         )
 
@@ -202,7 +208,7 @@ def encrypt(public: PaillierPublicKey, message: int,
 
 
 class FixedBaseObfuscator:
-    """Windowed fixed-base generation of obfuscator masks.
+    """Fixed-base generation of obfuscator masks.
 
     At setup one cold mask ``β = r₀^n mod n²`` is drawn; fresh masks are
     then ``β^k mod n²`` for uniform ``k ∈ [1, n)`` — i.e. effective
@@ -214,9 +220,8 @@ class FixedBaseObfuscator:
     half-width groups.  β is an n-th residue, hence ``β^(p−1) ≡ 1 (mod
     p²)`` (|Z*_{p²}| = p(p−1) divides n(p−1)) and likewise for q:
     reducing ``k`` mod ``p−1`` / ``q−1`` is exact, and CRT-recombining
-    the two :class:`~repro.crypto.kernels.modexp.FixedBaseTable` powers
-    yields the very integer ``pow(β, k, n²)`` — from 2×~86 half-width
-    modmuls instead of ~171 full-width ones, with half the table.
+    the two half-width powers yields the very integer ``pow(β, k, n²)``.
+    Only ``β mod p²`` and ``β mod q²`` are kept.
     """
 
     def __init__(self, private: PaillierPrivateKey,
@@ -225,18 +230,14 @@ class FixedBaseObfuscator:
         self._randbelow = randbelow or secrets.randbelow
         beta = obfuscator(private.public, randbelow)
         crt = private.crt
-        self._table_p = FixedBaseTable(
-            beta, crt.p_squared, (private.p - 1).bit_length()
-        )
-        self._table_q = FixedBaseTable(
-            beta, crt.q_squared, (private.q - 1).bit_length()
-        )
+        self._beta_p = beta % crt.p_squared
+        self._beta_q = beta % crt.q_squared
 
     def mask(self) -> int:
         private, crt = self._private, self._private.crt
         exponent = self._randbelow(private.public.n - 1) + 1
-        u_p = self._table_p.pow(exponent % (private.p - 1))
-        u_q = self._table_q.pow(exponent % (private.q - 1))
+        u_p = powmod(self._beta_p, exponent % (private.p - 1), crt.p_squared)
+        u_q = powmod(self._beta_q, exponent % (private.q - 1), crt.q_squared)
         return u_p + crt.p_squared * (
             (u_q - u_p) * crt.p_squared_inv_q_squared % crt.q_squared
         )
@@ -244,10 +245,6 @@ class FixedBaseObfuscator:
     def encrypt(self, message: int) -> Ciphertext:
         return encrypt_with_mask(self._private.public, message,
                                  self.mask())
-
-    @property
-    def memory_bytes(self) -> int:
-        return self._table_p.memory_bytes + self._table_q.memory_bytes
 
 
 def decrypt(private: PaillierPrivateKey, ciphertext: Ciphertext) -> int:
@@ -265,11 +262,11 @@ def decrypt(private: PaillierPrivateKey, ciphertext: Ciphertext) -> int:
     n, c = public.n, ciphertext.value
     if math.gcd(c, n) == 1:
         p, q, crt = private.p, private.q, private.crt
-        m_p = (pow(c, p - 1, crt.p_squared) - 1) // p * crt.h_p % p
-        m_q = (pow(c, q - 1, crt.q_squared) - 1) // q * crt.h_q % q
+        m_p = (powmod(c, p - 1, crt.p_squared) - 1) // p * crt.h_p % p
+        m_q = (powmod(c, q - 1, crt.q_squared) - 1) // q * crt.h_q % q
         residue = m_p + p * ((m_q - m_p) * crt.p_inv_q % q)
     else:
-        u = pow(c, private.lam, public.n_squared)
+        u = powmod(c, private.lam, public.n_squared)
         residue = (u - 1) // n * private.mu % n
     return _unembed_signed(public, residue)
 

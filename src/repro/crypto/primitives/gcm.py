@@ -7,7 +7,9 @@ use), so nothing is installed for it.  Only 16/24/32-byte keys, 12-byte
 nonces and 16-byte tags are accepted.  Every EVP return code is checked
 (:class:`CryptoError`; a tag mismatch is :class:`IntegrityError`).  The
 cipher context lives for one call, so an :class:`AesGcm` may be shared
-between threads; ctypes releases the GIL during each EVP call.
+between threads; ctypes releases the GIL during each EVP call.  The
+library handle is opened once, here; :func:`libcrypto` hands its
+symbols to :mod:`repro.crypto.primitives.bignum` too.
 """
 
 from __future__ import annotations
@@ -25,18 +27,26 @@ _GCM_GET_TAG = 0x10  # EVP_CTRL_GCM_GET_TAG
 _GCM_SET_TAG = 0x11  # EVP_CTRL_GCM_SET_TAG
 
 _lib = ctypes.CDLL(_hashlib.__file__)
-try:
-    _new, _free, _ctrl, *_gcm = (getattr(_lib, "EVP_" + name) for name in (
-        "CIPHER_CTX_new", "CIPHER_CTX_free", "CIPHER_CTX_ctrl",
-        "aes_128_gcm", "aes_192_gcm", "aes_256_gcm"))
-    _ENCRYPT, _DECRYPT = ([getattr(_lib, f"EVP_{mode}{step}")
-                           for step in ("Init_ex", "Update", "Final_ex")]
-                          for mode in ("Encrypt", "Decrypt"))
-except AttributeError as exc:  # pragma: no cover - depends on the build
-    raise ImportError(
-        f"{_hashlib.__file__} exposes no OpenSSL EVP AES-GCM symbol "
-        f"({exc}); repro needs an interpreter whose hashlib links OpenSSL"
-    ) from exc
+
+
+def libcrypto(*names: str) -> list:
+    """The named ``libcrypto`` functions from the one handle above."""
+    try:
+        return [getattr(_lib, name) for name in names]
+    except AttributeError as exc:  # pragma: no cover - depends on the build
+        raise ImportError(
+            f"{_hashlib.__file__} exposes no OpenSSL symbol ({exc}); repro "
+            f"needs an interpreter whose hashlib links OpenSSL"
+        ) from exc
+
+
+_new, _free, _ctrl, *_gcm = libcrypto(*("EVP_" + name for name in (
+    "CIPHER_CTX_new", "CIPHER_CTX_free", "CIPHER_CTX_ctrl",
+    "aes_128_gcm", "aes_192_gcm", "aes_256_gcm")))
+_ENCRYPT, _DECRYPT = (
+    libcrypto(*(f"EVP_{mode}{step}" for step in ("Init_ex", "Update",
+                                                 "Final_ex")))
+    for mode in ("Encrypt", "Decrypt"))
 
 for _fn in (*_gcm, _new):
     _fn.argtypes, _fn.restype = [], c_void_p

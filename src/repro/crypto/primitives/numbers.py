@@ -1,7 +1,9 @@
 """Number-theoretic building blocks for the public-key schemes.
 
 Implements modular arithmetic helpers, Miller–Rabin primality testing and
-prime generation on top of Python big integers.  These back the RSA
+prime generation on top of Python big integers; each Miller–Rabin
+round's ``a^d mod n`` runs on
+:func:`~repro.crypto.primitives.bignum.powmod`.  These back the RSA
 (:mod:`repro.crypto.rsa`), Paillier (:mod:`repro.crypto.paillier`) and
 ElGamal (:mod:`repro.crypto.elgamal`) implementations.
 """
@@ -12,6 +14,7 @@ import math
 import secrets
 from typing import Callable
 
+from repro.crypto.primitives.bignum import powmod
 from repro.errors import CryptoError
 
 # Small primes used to cheaply reject composite candidates before the more
@@ -88,7 +91,7 @@ def is_probable_prime(n: int, rounds: int = 40,
         r += 1
     for _ in range(rounds):
         a = randbelow(n - 3) + 2  # uniform in [2, n - 2]
-        x = pow(a, d, n)
+        x = powmod(a, d, n)
         if x in (1, n - 1):
             continue
         for _ in range(r - 1):

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from repro.crypto.primitives.bignum import powmod
 from repro.crypto.primitives.hmac_prf import hash_bytes, prg
 from repro.crypto.primitives.numbers import (
     RandBelow,
@@ -73,12 +74,13 @@ class RsaPrivateKey:
                 invmod(self.q, self.p))
 
     def invert(self, y: int) -> int:
-        """Inverse trapdoor permutation with CRT speedup."""
+        """Inverse trapdoor permutation with CRT speedup; the secret
+        exponents run on OpenSSL's constant-time ``powmod``."""
         if not 0 <= y < self.n:
             raise CryptoError("permutation input out of range")
         dp, dq, q_inv = self._crt
-        mp = pow(y % self.p, dp, self.p)
-        mq = pow(y % self.q, dq, self.q)
+        mp = powmod(y, dp, self.p)
+        mq = powmod(y, dq, self.q)
         h = (q_inv * (mp - mq)) % self.p
         return mq + h * self.q
 

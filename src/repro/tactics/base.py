@@ -10,7 +10,7 @@ construction.  This module adds the pieces nearly every tactic needs:
   ``tokens_many`` / ``index_many``): default implementations loop over
   the per-value protocol methods, so every tactic is batch-callable,
   while the hot tactics override them with vectorised kernels
-  (dedup/LRU token maps, fixed-base tables).
+  (dedup/LRU token maps, fixed-base Paillier masks).
   ``index_many_begin`` splits a batch insertion into a *begin* phase
   (all the crypto) and a *finish* callable (network: emit the index
   RPCs), which is what lets the plan engine's one bulk-insert loop book

@@ -8,17 +8,20 @@ Insertion, AggFunctionResolution // Setup, Insertion, AggFunction — and
 the selector picks it automatically for fields annotated with the
 ``product`` aggregate.  Values must be positive integers (geometric
 aggregation, e.g. compounding factors).
+
+Encryption is :func:`repro.crypto.elgamal.encrypt` under every
+configuration: its two exponentiations by the coins ``r`` run on
+OpenSSL's constant-time ``powmod``, so ``CryptoConfig.precompute``
+selects nothing here.
 """
 
 from __future__ import annotations
 
-import secrets
 import time
 from typing import Any
 
 from repro.crypto import elgamal
 from repro.crypto.encoding import Value
-from repro.crypto.kernels.modexp import FixedBaseTable
 from repro.errors import TacticError
 from repro.spi import interfaces as spi
 from repro.tactics.base import CloudTactic, GatewayTactic, export_ring
@@ -39,17 +42,6 @@ class ElGamalGateway(
             self.ctx.field, self.ctx.tactic, KEY_BITS
         )
         public = self._private.public
-        # Fixed-base tables for the two public bases g and h: both
-        # exponentiations of an encryption then run windowed.  Exact —
-        # unlike the Paillier β-trade, r still ranges over the whole
-        # exponent group.
-        self._tables: tuple[FixedBaseTable, FixedBaseTable] | None = None
-        if self.crypto.precompute:
-            q = (public.p - 1) // 2
-            self._tables = (
-                FixedBaseTable(public.g, public.p, q.bit_length()),
-                FixedBaseTable(public.h, public.p, q.bit_length()),
-            )
         self.ctx.call("setup", p=public.p, g=public.g, h=public.h)
 
     @staticmethod
@@ -59,20 +51,9 @@ class ElGamalGateway(
                 "ElGamal product tactic requires positive integer values"
             )
 
-    def _encrypt(self, value: int) -> elgamal.ElGamalCiphertext:
-        public = self._private.public
-        if self._tables is None:
-            return elgamal.encrypt(public, value)
-        table_g, table_h = self._tables
-        q = (public.p - 1) // 2
-        r = secrets.randbelow(q - 1) + 1
-        return elgamal.encrypt_with_randomness(
-            public, value, table_g.pow(r), table_h.pow(r)
-        )
-
     def insert(self, doc_id: str, value: Value) -> None:
         self._validate(value)
-        ciphertext = self._encrypt(value)
+        ciphertext = elgamal.encrypt(self._private.public, value)
         self.ctx.call(
             "insert", doc_id=doc_id, c1=ciphertext.c1, c2=ciphertext.c2
         )
@@ -85,7 +66,8 @@ class ElGamalGateway(
         for _, value in entries:
             self._validate(value)
         started = time.perf_counter()
-        ciphertexts = [self._encrypt(value) for _, value in entries]
+        public = self._private.public
+        ciphertexts = [elgamal.encrypt(public, value) for _, value in entries]
         self.kernels.record("elgamal_encrypt",
                             time.perf_counter() - started)
 

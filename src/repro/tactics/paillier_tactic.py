@@ -43,10 +43,10 @@ class PaillierGateway(
         )
         self._codec = paillier.FixedPointCodec(FIXED_POINT_SCALE)
         #: Fixed-base mask generation (CryptoConfig.precompute): one cold
-        #: mask β at setup, fresh masks as β^k through windowed tables
-        #: mod p² and q² — ~7x fewer modmuls than a cold r^n
-        #: exponentiation, each at half the width.  Masks are always
-        #: computed inline, on the thread that encrypts.
+        #: mask β at setup, fresh masks as β^k mod p² and q² on OpenSSL's
+        #: constant-time powmod — half-width and with half-length
+        #: exponents, where a cold r^n is full-width on the builtin pow.
+        #: Masks are always computed inline, on the thread that encrypts.
         self._fixed_base = (
             paillier.FixedBaseObfuscator(self._private)
             if self.crypto.precompute else None

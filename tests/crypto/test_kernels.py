@@ -1,42 +1,17 @@
 """Unit tests for the gateway crypto kernel layer.
 
-Covers the kernel building blocks in isolation: the fixed-base windowed
-modexp table and the executor (LRU, dedup mapping, kernel timings).
+Covers the kernel building blocks in isolation: the executor (LRU,
+dedup mapping, kernel timings).
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.cloud.server import CloudZone
 from repro.core.middleware import DataBlinder
 from repro.core.schema import FieldAnnotation, Schema
 from repro.crypto.kernels.config import CryptoConfig
 from repro.crypto.kernels.executor import CryptoExecutor, LruCache
-from repro.crypto.kernels.modexp import FixedBaseTable
-from repro.errors import CryptoError
 from repro.net.transport import InProcTransport
-
-
-class TestFixedBaseTable:
-    @pytest.mark.parametrize("window_bits", [1, 3, 5, 8])
-    def test_matches_builtin_pow(self, window_bits):
-        modulus = 1_000_003
-        table = FixedBaseTable(7, modulus, 64, window_bits)
-        for exponent in (0, 1, 2, 63, 2**40 + 12345, 2**64 - 1):
-            assert table.pow(exponent) == pow(7, exponent, modulus)
-
-    def test_rejects_out_of_range_exponents(self):
-        table = FixedBaseTable(3, 101, 16, 4)
-        with pytest.raises(CryptoError):
-            table.pow(-1)
-        with pytest.raises(CryptoError):
-            table.pow(2**16)
-
-    def test_memory_accounting_positive(self):
-        table = FixedBaseTable(3, 2**64 + 13, 64, 5)
-        assert table.entries > 0
-        assert table.memory_bytes > 0
 
 
 class TestLruCache:

@@ -28,6 +28,12 @@ def key(group):
     return generate_key(group, DeterministicRandom(b"oprf-key"))
 
 
+def non_residue(group):
+    """The smallest element outside the order-q subgroup besides p - 1."""
+    return next(a for a in range(2, group.p)
+                if pow(a, group.q, group.p) != 1)
+
+
 class TestProtocol:
     @given(data=st.binary(min_size=1, max_size=40))
     @settings(max_examples=20, deadline=None)
@@ -74,6 +80,16 @@ class TestProtocol:
         with pytest.raises(CryptoError):
             client.finalize(b"x", 3, group.p + 5)
 
+    def test_rejects_elements_outside_the_subgroup(self, group, key):
+        # p - 1 has order 2: p - 1 raised to the key is 1 or p - 1, the
+        # key's parity.  Any non-residue leaks the same bit.
+        client = OprfClient(group)
+        for element in (group.p - 1, non_residue(group)):
+            with pytest.raises(CryptoError):
+                evaluate_blinded(group, key, element)
+            with pytest.raises(CryptoError):
+                client.finalize(b"x", 3, element)
+
     def test_hash_to_group_lands_in_subgroup(self, group):
         for data in (b"a", b"b", b"longer input value"):
             element = group.hash_to_group(data)
@@ -94,6 +110,16 @@ class TestHsmIntegration:
         output2 = client.finalize(b"value", state2,
                                   hsm.oprf_evaluate("idx", blinded2))
         assert output == output2
+
+    def test_oracle_refuses_elements_outside_the_subgroup(self):
+        hsm = SimulatedHsm(DeterministicRandom(b"hsm-parity"))
+        group = hsm.create_oprf_key("idx", group_bits=128)
+        _, blinded = OprfClient(group).blind(b"value")
+        for element in (group.p - 1, non_residue(group)):
+            with pytest.raises(CryptoError):
+                hsm.oprf_evaluate("idx", element)
+            with pytest.raises(CryptoError):
+                hsm.oprf_evaluate_many("idx", [blinded, element])
 
     def test_idempotent_creation(self):
         hsm = SimulatedHsm(DeterministicRandom(b"hsm2"))

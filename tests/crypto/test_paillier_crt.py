@@ -90,15 +90,6 @@ class TestMaskBitIdentity:
             assert paillier.decrypt(key, ciphertext) == -k % 997
             assert textbook_decrypt(key, ciphertext) == -k % 997
 
-    def test_memory_is_a_byte_count_over_both_tables(self, key):
-        fixed, _ = fixed_base(key, [])
-        assert fixed.memory_bytes == (fixed._table_p.memory_bytes
-                                      + fixed._table_q.memory_bytes)
-        full_width = paillier.FixedBaseTable(
-            2, key.public.n_squared, key.public.n.bit_length()
-        )
-        assert fixed.memory_bytes < 0.55 * full_width.memory_bytes
-
 
 class TestDecryptEquivalence:
     """§7 decryption returns what the textbook formula returns."""
