@@ -16,9 +16,9 @@ Four measurements, written to ``BENCH_crypto.json``:
   schema (8 tactic instances) ingested through ``insert_many`` under
   the defaults and under ``CryptoConfig(precompute=True)``, the config
   that ships.  Claim: the kernelised write path lands >= 3x the
-  baseline document rate.  The speedup is *algorithmic* (fixed-base
-  masks, OPE split-node memoisation, DET/blind-index dedup), so it
-  holds on a single-core runner.
+  baseline document rate.  The speedup is *algorithmic* — fixed-base
+  masks; the OPE split-node memo and DET/blind-index dedup run under
+  both configs — so it holds on a single-core runner.
 * **Paillier aggregate throughput** — homomorphic sum + CRT-assisted
   decryption over the ingested corpus, per config.
 

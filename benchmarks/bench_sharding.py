@@ -89,7 +89,7 @@ def deploy(registry, shards, parallel_fanout=True, latency_ms=0.0,
     )
     router = ShardedTransport(
         cluster.nodes(),
-        ShardConfig(parallel_fanout=parallel_fanout, fanout_workers=8,
+        ShardConfig(parallel_fanout=parallel_fanout,
                     replication=replication),
     )
     blinder = DataBlinder(application, router, registry=registry,

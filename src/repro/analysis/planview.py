@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.cache.config import PLAINTEXT_FLOOR
 from repro.core.planner import ir
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -69,10 +70,6 @@ def _cache_footer(plan: ir.Plan, planner: "QueryPlanner") -> list[str]:
     parts = []
     for level in ("tokens", "results", "documents"):
         stats = snapshot[level]
-        enabled = getattr(tier.config, level)
-        if not enabled or stats is None:
-            parts.append(f"{level} off")
-            continue
         hits = stats.get("hits", 0)
         misses = stats.get("misses", 0)
         total = hits + misses
@@ -84,7 +81,7 @@ def _cache_footer(plan: ir.Plan, planner: "QueryPlanner") -> list[str]:
         "  Cache: " + ", ".join(parts),
         (f"  Cache admission: plaintext levels "
          f"{'admitted' if admitted else 'refused'} for {plan.schema} "
-         f"(floor C{tier.config.plaintext_floor()})"),
+         f"(floor C{PLAINTEXT_FLOOR})"),
     ]
     coherence = snapshot["coherence"]
     validations = coherence["validations"]

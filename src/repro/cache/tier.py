@@ -4,10 +4,11 @@ Three levels, all trusted-zone-resident and all *coherence-checked*:
 
 * **Token caches** (level 1) live inside the crypto executor / tactic
   instances (:meth:`repro.crypto.kernels.executor.CryptoExecutor.cache`)
-  and memoise deterministic trapdoors — DET seals, blind-index HSM-OPRF
-  tokens, OPE/ORE codes — per plaintext value under the instance's key
-  material.  They need no freshness protocol: the mapping is a pure
-  function of the key epoch, and key rotation rebuilds the instances.
+  in every configuration, tier or not, and memoise deterministic
+  trapdoors — DET seals, blind-index HSM-OPRF tokens, OPE/ORE codes —
+  per plaintext value under the instance's key material.  They need no
+  freshness protocol: the mapping is a pure function of the key epoch,
+  and key rotation rebuilds the instances.  The tier only reports them.
 
 * **The search-result cache** (level 2) keys whole query results by
   compiled plan shape + parameter values + principal.  Entries carry
@@ -50,9 +51,9 @@ single-writer-per-gateway deployment, bounded-staleness otherwise
 (which is why the concurrent-writer benchmarks run with integrity on).
 
 Leakage admission: a schema whose sensitive fields include any class
-below :meth:`CacheConfig.plaintext_floor` (C1 always) is never admitted
-to the plaintext-bearing levels; id-only and count results carry no
-field plaintext and cache regardless.
+below :data:`repro.cache.config.PLAINTEXT_FLOOR` (a C1 field) is never
+admitted to the plaintext-bearing levels; id-only and count results
+carry no field plaintext and cache regardless.
 """
 
 from __future__ import annotations
@@ -67,9 +68,9 @@ from repro.cache.config import (
     DOCUMENT_CAPACITY,
     DOCUMENT_MAX_BYTES,
     DOCUMENT_TTL_S,
+    PLAINTEXT_FLOOR,
     RESULT_CAPACITY,
     RESULT_TTL_S,
-    CacheConfig,
 )
 from repro.cache.lru import TtlLruCache
 
@@ -123,18 +124,11 @@ def _copy_result(value: Any) -> Any:
 class GatewayCacheTier:
     """Owner of the result/document caches and the coherence protocol."""
 
-    def __init__(self, config: CacheConfig, runtime: "GatewayRuntime"):
-        self.config = config
+    def __init__(self, runtime: "GatewayRuntime"):
         self.runtime = runtime
-        self.documents: TtlLruCache | None = (
-            TtlLruCache(DOCUMENT_CAPACITY, ttl_s=DOCUMENT_TTL_S,
-                        max_bytes=DOCUMENT_MAX_BYTES)
-            if config.documents else None
-        )
-        self.results: TtlLruCache | None = (
-            TtlLruCache(RESULT_CAPACITY, ttl_s=RESULT_TTL_S)
-            if config.results else None
-        )
+        self.documents = TtlLruCache(DOCUMENT_CAPACITY, ttl_s=DOCUMENT_TTL_S,
+                                     max_bytes=DOCUMENT_MAX_BYTES)
+        self.results = TtlLruCache(RESULT_CAPACITY, ttl_s=RESULT_TTL_S)
         self._write_versions: dict[str, int] = {}
         self._admitted: dict[str, bool] = {}
         self._lock = threading.Lock()
@@ -146,12 +140,10 @@ class GatewayCacheTier:
 
     def register_schema(self, schema) -> None:
         """Decide plaintext admission for one schema, once."""
-        floor = self.config.plaintext_floor()
-        admitted = True
-        for spec in schema.sensitive_fields():
-            if int(spec.annotation.protection_class) < floor:
-                admitted = False
-                break
+        admitted = all(
+            int(spec.annotation.protection_class) >= PLAINTEXT_FLOOR
+            for spec in schema.sensitive_fields()
+        )
         with self._lock:
             self._admitted[schema.name] = admitted
 
@@ -175,12 +167,11 @@ class GatewayCacheTier:
             self._write_versions[schema_name] = (
                 self._write_versions.get(schema_name, 0) + 1
             )
-        if self.documents is not None:
-            ids = set(doc_ids)
-            if ids:
-                self.documents.invalidate_where(
-                    lambda key: key[0] == schema_name and key[2] in ids
-                )
+        ids = set(doc_ids)
+        if ids:
+            self.documents.invalidate_where(
+                lambda key: key[0] == schema_name and key[2] in ids
+            )
 
     # -- coherence tokens ----------------------------------------------------
 
@@ -214,15 +205,12 @@ class GatewayCacheTier:
         with self._lock:
             self.stamp_mismatches += 1
 
-    def _principal(self) -> str:
-        return current_principal() if self.config.per_principal else ""
-
     # -- document level ------------------------------------------------------
 
     def read_scope(self, schema_name: str) -> "DocumentReadScope | None":
         """A per-operation view over the document cache, or ``None``
-        when the level is off or the schema is not admitted."""
-        if self.documents is None or not self.admits_plaintext(schema_name):
+        when the schema is not admitted."""
+        if not self.admits_plaintext(schema_name):
             return None
         return DocumentReadScope(self, schema_name)
 
@@ -233,12 +221,10 @@ class GatewayCacheTier:
         digest = hashlib.sha256(
             repr((plan_key, extra)).encode()
         ).hexdigest()
-        return (schema_name, self._principal(), digest)
+        return (schema_name, current_principal(), digest)
 
     def result_lookup(self, schema_name: str, plan_key: Any, extra: Any,
                       plaintext: bool) -> Any:
-        if self.results is None:
-            return MISS
         if plaintext and not self.admits_plaintext(schema_name):
             return MISS
         key = self._result_key(schema_name, plan_key, extra)
@@ -260,8 +246,6 @@ class GatewayCacheTier:
     def result_store(self, schema_name: str, plan_key: Any, extra: Any,
                      value: Any, fill_token: tuple,
                      plaintext: bool) -> None:
-        if self.results is None:
-            return
         if plaintext and not self.admits_plaintext(schema_name):
             return
         key = self._result_key(schema_name, plan_key, extra)
@@ -283,10 +267,8 @@ class GatewayCacheTier:
             admitted = dict(self._admitted)
         return {
             "tokens": token_stats,
-            "results": (self.results.stats()
-                        if self.results is not None else None),
-            "documents": (self.documents.stats()
-                          if self.documents is not None else None),
+            "results": self.results.stats(),
+            "documents": self.documents.stats(),
             "coherence": coherence,
             "admitted": admitted,
         }
@@ -307,7 +289,7 @@ class DocumentReadScope:
     def __init__(self, tier: GatewayCacheTier, schema_name: str):
         self._tier = tier
         self._schema = schema_name
-        self._principal = tier._principal()
+        self._principal = current_principal()
         self._fill = tier.token()
         self._validated: tuple | None = None
 
@@ -340,7 +322,6 @@ class DocumentReadScope:
         )
 
     def store_negative(self, doc_id: str) -> None:
-        if self._tier.config.negative_entries:
-            self._tier.documents.put(
-                self._key(doc_id), NEGATIVE, token=self._fill, size=1
-            )
+        self._tier.documents.put(
+            self._key(doc_id), NEGATIVE, token=self._fill, size=1
+        )

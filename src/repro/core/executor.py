@@ -225,8 +225,8 @@ class SchemaExecutor:
         return random_doc_id()
 
     def cache_read_scope(self):
-        """Per-operation document-cache view, or None (tier off, level
-        off, or this schema not admitted to plaintext caching)."""
+        """Per-operation document-cache view, or None (tier off, or
+        this schema not admitted to plaintext caching)."""
         tier = self.runtime.cache_tier
         if tier is None:
             return None

@@ -229,9 +229,7 @@ class QueryPlanner:
         # A plaintext result on a schema the tier does not admit is never
         # stored, so don't take a fill token (after a write, a ledger
         # re-sync) for it.
-        if tier is None or tier.results is None or (
-            plaintext and not tier.admits_plaintext(schema)
-        ):
+        if tier is None or (plaintext and not tier.admits_plaintext(schema)):
             return run()
         extra = (limit, values)
         hit = tier.result_lookup(schema, key, extra, plaintext)

@@ -6,22 +6,23 @@ batch SPI builds on:
 
 * **Dedup/LRU mapping** for deterministic per-value crypto (DET seals,
   blind-index tags, OPE/ORE codes): one computation per distinct value,
-  results remembered across batches in a per-field LRU.
+  results remembered across batches in a per-field LRU — in every
+  configuration, since the memoised functions are pure per instance
+  key and no ciphertext or token depends on whether a memo served it.
 * **Kernel timings**: tactics :meth:`~CryptoExecutor.record` what their
   batch kernels cost, and the plan engine's bulk insert drains the sink
   into the ``Crypto:*`` rows of ``explain()`` — for every
   configuration, so the sink never outgrows one insert.
 
 Every kernel runs inline on the calling thread, so key material never
-leaves the gateway process.  With an inactive config every helper
-degrades to the exact sequential loop of the seed, computing
-``fn(value)`` per element in order.
+leaves the gateway process.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from typing import Any, Callable, Iterable
 
@@ -32,7 +33,8 @@ from repro.errors import CryptoError
 class LruCache:
     """A small thread-safe LRU used for deterministic token caches."""
 
-    __slots__ = ("_capacity", "_entries", "_lock", "hits", "misses")
+    __slots__ = ("_capacity", "_entries", "_lock", "hits", "misses",
+                 "__weakref__")
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -72,35 +74,23 @@ class CryptoExecutor:
         self.config = config or CryptoConfig()
         self._timings: list[tuple[str, float]] = []
         self._lock = threading.Lock()
-        #: Cache-tier token level: when enabled, :meth:`cache` and
-        #: :meth:`dedup_map` memoise deterministic trapdoors even while
-        #: the kernels themselves are inactive (results are identical —
-        #: the memoised functions are pure per key epoch).
-        self.token_caching = False
-        self._token_caches: list[LruCache] = []
+        #: Held weakly: a tactic instance re-``setup()`` after a key
+        #: rotation drops its old LRU, and with it the plaintext→token
+        #: map under the retired key.
+        self._token_caches: weakref.WeakSet[LruCache] = weakref.WeakSet()
 
     # -- deterministic-value mapping -------------------------------------------
 
-    def enable_token_caching(self) -> None:
-        """Turn the cache tier's token level on (idempotent).
-
-        Must run before tactic instances are built — they capture their
-        token caches at ``setup()`` time.
-        """
-        self.token_caching = True
-
-    def cache(self) -> LruCache | None:
-        """A per-call-site LRU, or None while the kernels are inactive
-        and the token-cache level is off."""
-        if not self.config.active and not self.token_caching:
-            return None
+    def cache(self) -> LruCache:
+        """A fresh per-call-site LRU (a tactic instance takes one per
+        ``setup()``)."""
         cache = LruCache(TOKEN_CACHE_CAPACITY)
         with self._lock:
-            self._token_caches.append(cache)
+            self._token_caches.add(cache)
         return cache
 
     def token_cache_stats(self) -> dict:
-        """Aggregate hit/miss counters over every handed-out cache."""
+        """Aggregate hit/miss counters over the live handed-out caches."""
         with self._lock:
             caches = list(self._token_caches)
         return {
@@ -115,16 +105,12 @@ class CryptoExecutor:
                   cache: LruCache | None = None,
                   batch: Callable[[list[Any]], list[Any]] | None = None
                   ) -> list[Any]:
-        """Map a deterministic ``fn`` over ``values``.
-
-        Inactive config: the exact seed loop, one call per element.
-        Active: one computation per *distinct* key, optionally served
-        from ``cache`` and computed through ``batch`` (a vectorised
-        implementation such as one multi-element HSM round).
+        """Map a deterministic ``fn`` over ``values``: one computation
+        per *distinct* key, optionally served from ``cache`` and computed
+        through ``batch`` (a vectorised implementation such as one
+        multi-element HSM round).
         """
         values = list(values)
-        if not self.config.active and not self.token_caching:
-            return [fn(value) for value in values]
         started = time.perf_counter()
         keys = [key(value) for value in values]
         outputs: dict[Any, Any] = {}
@@ -170,7 +156,7 @@ _INLINE_LOCK = threading.Lock()
 
 
 def inline_executor() -> CryptoExecutor:
-    """The do-nothing executor used by bare tactic harnesses."""
+    """The default-config executor used by bare tactic harnesses."""
     global _INLINE
     if _INLINE is None:
         with _INLINE_LOCK:

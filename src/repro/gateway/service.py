@@ -65,14 +65,10 @@ class GatewayRuntime:
         #: transport stack — cached plaintext never crosses it — and
         #: leans on the verifier's freshness ledger for coherence.
         self.cache_tier = None
-        if self.pipeline.cache is not None and self.pipeline.cache.active:
+        if self.pipeline.cache is not None:
             from repro.cache.tier import GatewayCacheTier
 
-            self.cache_tier = GatewayCacheTier(self.pipeline.cache, self)
-            if self.pipeline.cache.tokens:
-                # Before any tactic is built: instances capture their
-                # token caches at setup() time.
-                self.kernels.enable_token_caching()
+            self.cache_tier = GatewayCacheTier(self)
         #: The telemetry registry: tactic metrics count on it at the
         #: source, every other layer's counters are collected on read.
         self.obs = Registry()
@@ -113,7 +109,6 @@ class GatewayRuntime:
              lambda inner: wrap_resilient(inner, resilience)),
             (pipeline.integrity is not None,
              lambda inner: VerifyingTransport(inner, self.application,
-                                              pipeline.integrity,
                                               self.keystore.hsm)),
             (pipeline.batch_writes, BatchCollector),
         )

@@ -15,8 +15,8 @@ an *actively malicious* host:
   unverifiable;
 * :mod:`repro.integrity.verify` — the verifying transport implementing
   proof-on-fetch and the audit pass;
-* :mod:`repro.integrity.config` — ``PipelineConfig.integrity`` (the
-  rollback history bound).
+* :mod:`repro.integrity.config` — ``PipelineConfig.integrity``, the
+  subsystem's on-switch.
 
 Defaults off: without an :class:`IntegrityConfig` the gateway stack,
 stores and wire traffic are byte-identical to the seed.

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class IntegrityConfig:
-    """How the gateway verifies untrusted-zone state.
+    """How the gateway verifies untrusted-zone state: its presence is
+    the switch, it has no fields.
 
     Verification is proof-on-fetch: every document read is rewritten to
     its proven variant and the inclusion proof is checked against the
@@ -21,9 +22,4 @@ class IntegrityConfig:
     Verification activates once a registered schema carries a sensitive
     field; every mutation that passes the gateway advances the HSM write
     counter, so the next verified read re-syncs shard watermarks first.
-
-    ``history`` bounds the retired-root memory per (shard, tree) used
-    to distinguish rollback from tampering.
     """
-
-    history: int = 64

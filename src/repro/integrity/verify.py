@@ -38,7 +38,6 @@ from contextvars import ContextVar
 from typing import Any, Sequence
 
 from repro.errors import IntegrityError, StaleStateError
-from repro.integrity.config import IntegrityConfig
 from repro.integrity.merkle import leaf_key, verify_inclusion
 from repro.integrity.watermark import FreshnessLedger
 from repro.keys.hsm import SimulatedHsm
@@ -87,12 +86,12 @@ class VerifyingTransport(TransportLayer):
     label = "integrity"
 
     def __init__(self, inner: Transport, application: str,
-                 config: IntegrityConfig, hsm: SimulatedHsm | None = None):
+                 hsm: SimulatedHsm | None = None):
         super().__init__(inner)
         self.application = application
         self._docs_service = f"docs/{application}"
         self._integrity_service = f"integrity/{application}"
-        self.ledger = FreshnessLedger(history=config.history)
+        self.ledger = FreshnessLedger()
         self.hsm = hsm or SimulatedHsm()
         self._counter = f"writes/{application}"
         #: The write counter as read before the last report pull (None:

@@ -31,6 +31,9 @@ from dataclasses import dataclass
 from repro.errors import IntegrityError, StaleStateError
 from repro.integrity.merkle import digest_root, merge_digests
 
+#: Superseded roots the gateway's ledger remembers per (shard, tree).
+RETIRED_ROOTS = 64
+
 
 @dataclass(frozen=True)
 class LedgerEntry:
@@ -51,7 +54,7 @@ class FreshnessLedger:
     random corruption.
     """
 
-    def __init__(self, history: int = 64):
+    def __init__(self, history: int = RETIRED_ROOTS):
         self._history_limit = max(0, int(history))
         self._latest: dict[tuple[str, str], LedgerEntry] = {}
         self._retired: dict[tuple[str, str], OrderedDict[str, int]] = {}

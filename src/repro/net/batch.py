@@ -78,12 +78,11 @@ class PipelineConfig:
     #: :class:`repro.shard.router.ShardedTransport`.  ``None`` keeps the
     #: seed single-zone wiring byte-for-byte.
     sharding: "ShardConfig | None" = None
-    #: Gateway crypto kernels: dedup/LRU token maps and fixed-base
-    #: modexp precomputation behind the tactic batch SPI
-    #: (:class:`repro.crypto.kernels.config.CryptoConfig`).  Bulk inserts
-    #: go through the batch SPI either way; ``None`` (or an all-defaults
-    #: config) makes each batch call the seed's per-value crypto, with
-    #: byte-identical ciphertexts.
+    #: Gateway crypto kernels
+    #: (:class:`repro.crypto.kernels.config.CryptoConfig`): fixed-base
+    #: Paillier masks.  The dedup/LRU token maps behind the tactic batch
+    #: SPI run in every configuration; ``None`` (or an all-defaults
+    #: config) makes a cold Paillier mask per ciphertext.
     crypto: "CryptoConfig | None" = None
     #: Integrity & freshness verification
     #: (:class:`repro.integrity.config.IntegrityConfig`): Merkle state
@@ -94,7 +93,7 @@ class PipelineConfig:
     #: services, no wire changes).
     integrity: "IntegrityConfig | None" = None
     #: Gateway read-cache tier (:class:`repro.cache.config.CacheConfig`):
-    #: token, search-result and decrypted-document caches, coherent via
+    #: search-result and decrypted-document caches, coherent via
     #: local write-versions and — with ``integrity`` configured — the
     #: freshness ledger's per-shard root/seq stamps.  ``None`` keeps the
     #: seed read path byte-for-byte (no tier object, no extra state).

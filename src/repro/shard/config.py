@@ -18,10 +18,6 @@ class ShardConfig:
     unsharded deployment (the equivalence tests enforce it).
     """
 
-    #: Virtual nodes per physical node on the hash ring.
-    vnodes: int = 64
-    #: Seed of the ring's hash function; part of the shared ring spec.
-    seed: int = 0
     #: Copies of every routed write (1 = no replication).  A write
     #: returns once every reachable replica has answered and succeeds
     #: if the best-placed delivery did (replica failures are swallowed
@@ -32,8 +28,3 @@ class ShardConfig:
     #: True; False keeps every fan-out sequential (the comparison
     #: baseline and the deterministic-ordering debug mode).
     parallel_fanout: bool = True
-    #: Concurrent scatter legs **per node**: the router's leg pool holds
-    #: ``fanout_workers x len(nodes)`` threads (spawned on demand,
-    #: resized when membership changes), so the gateway's admission
-    #: bound — not this pool — limits how many operations scatter at once.
-    fanout_workers: int = 8

@@ -6,10 +6,11 @@ point.  Adding a node therefore moves only the keys falling between its
 new points and their predecessors (~1/N of the keyspace), which is what
 makes online resharding incremental.
 
-The hash is keyed blake2b with a deterministic, config-supplied seed, so
-two parties holding the same ``(nodes, vnodes, seed)`` spec — e.g. the
-gateway-side router and a cloud-side tactic evaluating ``shard_export``
-ownership — compute identical placements.
+The hash is keyed blake2b with a deterministic seed (the router uses
+the defaults, 64 virtual nodes and seed 0), so two parties holding the
+same ``(nodes, vnodes, seed)`` spec — e.g. the gateway-side router and
+a cloud-side tactic evaluating ``shard_export`` ownership — compute
+identical placements.
 """
 
 from __future__ import annotations

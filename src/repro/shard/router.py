@@ -97,6 +97,11 @@ ORDERED = frozenset({"ope", "ore"})
 #: touches the homomorphic math, and no shard sees another's partial).
 AGGREGATE = frozenset({"paillier", "elgamal"})
 
+#: Concurrent scatter legs **per node**: the leg pool holds
+#: ``LEGS_PER_NODE x len(nodes)`` threads (spawned on demand, resized
+#: when membership changes), so the gateway's admission bound — not this
+#: pool — limits how many operations scatter at once.
+LEGS_PER_NODE = 8
 
 #: Thread-name prefix of the scatter pool.  Work that already runs *on*
 #: a scatter worker degrades to its serial path instead of submitting
@@ -150,8 +155,7 @@ class ShardedTransport(Transport):
             self._order.append(name)
         if not self._nodes:
             raise TransportError("sharded transport needs at least one node")
-        self._ring = HashRing(self._order, vnodes=self.config.vnodes,
-                              seed=self.config.seed)
+        self._ring = HashRing(self._order)
         #: Previous ring while a reshard is in flight (forwarding table).
         self._forward: HashRing | None = None
         self._epoch = 1
@@ -390,13 +394,12 @@ class ShardedTransport(Transport):
             self._record_timing(name, time.perf_counter() - started)
 
     def _scatter_pool(self) -> ThreadPoolExecutor:
-        """The leg pool: ``fanout_workers`` legs per node, threads
+        """The leg pool: :data:`LEGS_PER_NODE` legs per node, threads
         spawned on demand."""
         with self._lock:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
-                    max_workers=max(2, self.config.fanout_workers
-                                    * len(self._nodes)),
+                    max_workers=max(2, LEGS_PER_NODE * len(self._nodes)),
                     thread_name_prefix=_SCATTER_THREAD_PREFIX,
                 )
             return self._pool

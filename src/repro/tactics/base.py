@@ -61,8 +61,7 @@ class GatewayTactic:
     # -- batch SPI ---------------------------------------------------------------
     # Default implementations loop over the per-value protocol methods,
     # so the batch surface exists on every tactic — the plan engine's
-    # bulk insert calls it for every configuration; with an inactive
-    # CryptoConfig the overrides degrade to these same loops.
+    # bulk insert calls it for every configuration.
 
     def token(self, value: Value) -> Any:
         """The single-value search-token/code hook behind ``tokens_many``.

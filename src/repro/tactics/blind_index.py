@@ -48,9 +48,9 @@ class BlindIndexGateway(
         self._hsm_label = label
         # The group handle (and with it the hash-to-group subkey state)
         # is derived once here; per-call work is one blind/evaluate/
-        # finalize round, and with active crypto kernels the finished
-        # tags are memoised per (field, key-version) so repeated
-        # eq_query/resolve_eq traffic skips the HSM round entirely.
+        # finalize round, and the finished tags are memoised per
+        # (field, key-version) so repeated eq_query/resolve_eq traffic
+        # skips the HSM round entirely.
         group = self.ctx.keystore.hsm.create_oprf_key(
             label, OPRF_GROUP_BITS
         )
@@ -59,16 +59,13 @@ class BlindIndexGateway(
         self.ctx.call("setup")
 
     def _token(self, value: Value) -> bytes:
-        """One blinded HSM round: value -> OPRF tag (LRU-memoised when
-        the crypto kernels are active — the OPRF is deterministic)."""
-        cache = self._token_cache
-        if cache is None:
-            return self._token_cold(value)
+        """One blinded HSM round: value -> OPRF tag (LRU-memoised — the
+        OPRF is deterministic)."""
         key = encode_value(value)
-        token = cache.get(key)
+        token = self._token_cache.get(key)
         if token is None:
             token = self._token_cold(value)
-            cache.put(key, token)
+            self._token_cache.put(key, token)
         return token
 
     def _token_cold(self, value: Value) -> bytes:

@@ -44,9 +44,9 @@ class DetGateway(
 
     def setup(self) -> None:
         # Subkey derivation happens once here (the Deterministic cipher
-        # HKDFs its enc/mac subkeys at construction), and with active
-        # crypto kernels the sealed tokens themselves are memoised — so
-        # the eq_query/resolve_eq path re-derives nothing per call.
+        # HKDFs its enc/mac subkeys at construction), and the sealed
+        # tokens themselves are memoised — so the eq_query/resolve_eq
+        # path re-derives nothing per call.
         self._det = Deterministic(self.ctx.derive_key("value"))
         self._token_cache = self.kernels.cache()
         self.ctx.call("setup")
@@ -54,15 +54,12 @@ class DetGateway(
     # -- SecureEnc / DocIDGen ----------------------------------------------------
 
     def seal(self, value: Value) -> bytes:
-        cache = self._token_cache
-        if cache is not None:
-            key = encode_value(value)
-            token = cache.get(key)
-            if token is None:
-                token = seal_value(self._det, value)
-                cache.put(key, token)
-            return token
-        return seal_value(self._det, value)
+        key = encode_value(value)
+        token = self._token_cache.get(key)
+        if token is None:
+            token = seal_value(self._det, value)
+            self._token_cache.put(key, token)
+        return token
 
     def open(self, blob: bytes) -> Value:
         return open_value(self._det, blob)

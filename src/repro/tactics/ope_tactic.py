@@ -44,18 +44,17 @@ class OpeGateway(
     """Trusted-zone half: order-preserving encryption of numeric codes."""
 
     def setup(self) -> None:
-        # With active crypto kernels the Boldyreva sampler additionally
-        # memoises interior split nodes: a batch of clustered values
-        # shares long prefix paths down the recursion tree, so each
-        # hypergeometric split is sampled once per node instead of once
-        # per value.  Splits are deterministic PRF functions of the key
-        # and node, so the memo never changes a ciphertext.
-        crypto = self.crypto
+        # The Boldyreva sampler memoises interior split nodes: a batch
+        # of clustered values shares long prefix paths down the
+        # recursion tree, so each hypergeometric split is sampled once
+        # per node instead of once per value.  Splits are deterministic
+        # PRF functions of the key and node, so the memo never changes
+        # a ciphertext.
         self._ope = Ope(
             self.ctx.derive_key("ope"),
             domain_bits=DOMAIN_BITS,
             range_bits=RANGE_BITS,
-            cache_nodes=TOKEN_CACHE_CAPACITY if crypto.active else 0,
+            cache_nodes=TOKEN_CACHE_CAPACITY,
         )
         self._code_cache = self.kernels.cache()
         self.ctx.call("setup")

@@ -313,23 +313,6 @@ class TestPrincipalScoping:
         finally:
             runtime.close()
 
-    def test_unscoped_config_shares_entries(self):
-        blinder, _, transport = deploy(
-            PipelineConfig(cache=CacheConfig(per_principal=False))
-        )
-        blinder.entities("obs").insert_many(corpus())
-        runtime = blinder.async_runtime()
-        try:
-            alice = SyncGateway(runtime, principal="alice")
-            bob = SyncGateway(runtime, principal="bob")
-            predicate = Eq("status", "final")
-            expected = alice.entities("obs").find(predicate)
-            transport.reset()
-            assert bob.entities("obs").find(predicate) == expected
-            assert transport.calls == 0  # shared entry serves bob too
-        finally:
-            runtime.close()
-
 
 class TestLeakageAdmission:
     def secret_schema(self) -> Schema:
@@ -383,12 +366,20 @@ class TestLeakageAdmission:
         assert transport.calls == 0  # no field plaintext: admissible
 
     def test_raised_floor_refuses_lower_classes(self):
+        # The floor sits one class above C1: a C1 field is refused, a
+        # schema whose strictest field is C2 is admitted.
         blinder, _, _ = deploy(
-            PipelineConfig(cache=CacheConfig(min_cacheable_class=4)),
+            PipelineConfig(cache=CacheConfig()),
+            schema=self.secret_schema(),
         )
+        blinder.register_schema(Schema.define(
+            "routine",
+            performer=("string", FieldAnnotation.parse("C2", "I")),
+            note="string",
+        ))
         tier = blinder.runtime.cache_tier
-        # obs carries a C3 blind-index field: below a C4 floor.
-        assert not tier.admits_plaintext("obs")
+        assert not tier.admits_plaintext("secret")
+        assert tier.admits_plaintext("routine")
 
 
 class TestExplainFooter:
@@ -423,14 +414,3 @@ class TestTokenCaches:
         stats = blinder.runtime.kernels.token_cache_stats()
         assert stats["caches"] >= 1
         assert stats["hits"] > 0
-
-    def test_token_caches_off_by_config(self):
-        blinder, _, _ = deploy(
-            PipelineConfig(cache=CacheConfig(tokens=False))
-        )
-        entities = blinder.entities("obs")
-        entities.insert_many(corpus()[:6])
-        entities.find(Eq("status", "final"))
-        entities.find(Eq("status", "final"))
-        stats = blinder.runtime.kernels.token_cache_stats()
-        assert stats["caches"] == 0

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.cache import CacheConfig, TtlLruCache
+from repro.cache import GatewayCacheTier, TtlLruCache
+from repro.cache.config import PLAINTEXT_FLOOR
+from repro.core.schema import FieldAnnotation, Schema
 
 
 class FakeClock:
@@ -103,13 +105,14 @@ class TestInvalidation:
 
 class TestConfig:
     def test_plaintext_floor_never_admits_c1(self):
-        assert CacheConfig().plaintext_floor() == 2
-        assert CacheConfig(min_cacheable_class=1).plaintext_floor() == 2
-        assert CacheConfig(min_cacheable_class=4).plaintext_floor() == 4
-
-    def test_active_reflects_levels(self):
-        assert CacheConfig().active
-        assert not CacheConfig(tokens=False, results=False,
-                               documents=False).active
-        assert CacheConfig(tokens=False, results=False,
-                           documents=True).active
+        """A C1 field keeps its schema out of the plaintext levels; a
+        schema whose strictest field is C2 is admitted."""
+        assert PLAINTEXT_FLOOR == 2
+        tier = GatewayCacheTier(runtime=None)
+        for name in ("C1", "C2"):
+            tier.register_schema(Schema.define(
+                name, field=("string", FieldAnnotation.parse(name, "I")),
+                note="string",
+            ))
+        assert not tier.admits_plaintext("C1")
+        assert tier.admits_plaintext("C2")

@@ -28,18 +28,16 @@ from repro.shard.router import ShardedTransport
 ROOT = Path(__file__).resolve().parents[2]
 PROFILE = ROOT / "benchmarks" / "e2e" / "profile.py"
 
-#: Every settable value of the data path: 20.  A new option edits this
+#: Every settable value of the data path: 10.  A new option edits this
 #: table, in its own diff, next to the two callers (not tests, not
 #: examples) that need different values of it.
 OPTION_LEDGER = {
     PipelineConfig: ("batch_writes", "fanout_workers", "prefetch",
                      "sharding", "crypto", "integrity", "cache"),
     CryptoConfig: ("precompute",),
-    ShardConfig: ("vnodes", "seed", "replication", "parallel_fanout",
-                  "fanout_workers"),
-    IntegrityConfig: ("history",),
-    CacheConfig: ("tokens", "results", "documents", "negative_entries",
-                  "per_principal", "min_cacheable_class"),
+    ShardConfig: ("replication", "parallel_fanout"),
+    IntegrityConfig: (),
+    CacheConfig: (),
 }
 
 

@@ -3,10 +3,10 @@
 Two gateway runtimes share ONE KeyStore (same HSM, same derived keys,
 same re-derived keypairs, same OPRF keys) against two independent cloud
 zones.  The baseline runtime runs the seed per-value insert loop; the
-kernel runtime drives the same entries through the batch SPI under an
-active :class:`CryptoConfig`.  For deterministic tactics the resulting
-cloud state must be byte-identical; randomized tactics are checked by
-protocol round trip (retrieval / aggregate decryption).
+kernel runtime drives the same entries through the batch SPI (dedup and
+token LRUs run in every configuration).  For deterministic tactics the
+resulting cloud state must be byte-identical; randomized tactics are
+checked by protocol round trip (retrieval / aggregate decryption).
 
 A second sweep exercises the full middleware stack: a kernelised
 deployment's bulk insert must answer every query identically to a
@@ -113,7 +113,8 @@ class TestDeterministicTactics:
 
     @pytest.mark.parametrize("tactic", ["det", "blind-index", "ope", "ore"])
     def test_inactive_config_batch_equals_seed(self, registry, tactic):
-        """With the defaults, index_many degrades to the seed loop."""
+        """With the defaults, the memoised index_many writes what the
+        seed loop writes."""
         base, kern, base_cloud, kern_cloud = paired_instances(
             registry, None, tactic
         )
@@ -247,12 +248,12 @@ class TestDeploymentEquivalence:
         assert timings["Crypto:paillier_encrypt"]["calls"] >= 1
         assert (timings["Crypto:insert"]["seconds"]
                 >= timings["Crypto:paillier_encrypt"]["seconds"])
-        # The defaults run the same loop and record the split rows too;
-        # only the dedup kernel row needs ``precompute``.
+        # The defaults run the same loop, dedup kernel included, and
+        # record the split rows too.
         assert "crypto/wire split" in baseline.explain(
             "obs", operation="insert"
         )
         assert "Crypto:dedup_map" in timings
-        assert "Crypto:dedup_map" not in (
+        assert "Crypto:dedup_map" in (
             baseline.planner_stats("obs")["node_timings"]
         )

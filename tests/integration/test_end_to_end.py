@@ -2,18 +2,22 @@
 
 import pytest
 
+from repro.cloud.server import CloudZone
+from repro.core.middleware import DataBlinder
 from repro.core.query import AggregateQuery, Eq, Range
+from repro.core.registry import TacticRegistry
 from repro.errors import DocumentNotFound, RemoteError
 from repro.fhir.generator import MedicalDataGenerator
 from repro.fhir.model import (
     medication_dispense_schema,
     observation_schema,
 )
+from repro.net.transport import InProcTransport
 from repro.spi.descriptors import Aggregate
+from repro.tactics import register_builtin_tactics
 
 
-@pytest.fixture()
-def deployed(blinder):
+def deploy(blinder):
     blinder.register_schema(observation_schema())
     blinder.register_schema(medication_dispense_schema())
     generator = MedicalDataGenerator(2019)
@@ -28,8 +32,23 @@ def deployed(blinder):
     return blinder, dataset
 
 
+@pytest.fixture()
+def deployed(blinder):
+    return deploy(blinder)
+
+
 class TestMotivatingQueries:
     """The paper's three motivating healthcare queries (§1)."""
+
+    @pytest.fixture(scope="class")
+    def deployed(self):
+        """One deployment for these read-only queries.  It builds its
+        own registry, cloud and blinder: the shared ``blinder`` fixture
+        is per test."""
+        registry = TacticRegistry()
+        register_builtin_tactics(registry)
+        transport = InProcTransport(CloudZone(registry).host)
+        return deploy(DataBlinder("testapp", transport, registry=registry))
 
     def test_boolean_search(self, deployed):
         """Find patients with a particular condition admitted at a

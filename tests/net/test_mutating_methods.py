@@ -15,7 +15,6 @@ from contextlib import nullcontext
 import pytest
 
 from repro.errors import TransportError
-from repro.integrity import IntegrityConfig
 from repro.integrity.verify import VerifyingTransport
 from repro.net.batch import BatchCollector
 from repro.net.resilience import ResilientTransport
@@ -45,7 +44,7 @@ class TestEveryMutatingMethod:
         """Advances the HSM write counter before the inner call and
         again after it, on both call paths, even when the call raises."""
         node = RecordingNode("zone")
-        verifying = VerifyingTransport(node, "app", IntegrityConfig())
+        verifying = VerifyingTransport(node, "app")
         counter = []
         gate = node._gate
         node._gate = lambda: (counter.append(verifying.write_counter()),
@@ -89,7 +88,7 @@ def test_reads_are_not_writes():
     node = RecordingNode("zone")
     ResilientTransport(node).call_request(read)
     assert not node.requests[0].idem
-    verifying = VerifyingTransport(node, "app", IntegrityConfig())
+    verifying = VerifyingTransport(node, "app")
     verifying.call_request(read)
     verifying.call_batch([read])
     assert verifying.write_counter() == 0

@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.observer import ObservedTransport
-from repro.integrity.config import IntegrityConfig
 from repro.integrity.verify import VerifyingTransport
 from repro.net.batch import BatchCollector
 from repro.net.faults import FaultInjectingTransport, FaultPlan
@@ -64,8 +63,7 @@ class StubInner(Transport):
 
 LAYERS = {
     "BatchCollector": BatchCollector,
-    "VerifyingTransport": lambda inner: VerifyingTransport(
-        inner, "app", IntegrityConfig()),
+    "VerifyingTransport": lambda inner: VerifyingTransport(inner, "app"),
     "ResilientTransport": ResilientTransport,
     "FaultInjectingTransport": lambda inner: FaultInjectingTransport(
         inner, FaultPlan()),

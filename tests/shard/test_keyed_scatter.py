@@ -21,6 +21,7 @@ from repro.net.rpc import Request
 from repro.net.transport import Transport
 from repro.shard.config import ShardConfig
 from repro.shard.ring import HashRing
+from repro.shard import router as router_module
 from repro.shard.router import ShardedTransport
 from repro.tactics import register_builtin_tactics
 
@@ -339,28 +340,29 @@ class TestTimingRows:
 
 class TestLegPool:
     def test_pool_holds_fanout_workers_legs_per_node(self):
-        nodes, router = build(4, ShardConfig(fanout_workers=3))
+        legs = router_module.LEGS_PER_NODE
+        nodes, router = build(4)
         try:
-            assert router._scatter_pool()._max_workers == 12
+            assert router._scatter_pool()._max_workers == legs * 4
             router.begin_join("zone-new", StubNode("zone-new"))
-            assert router._scatter_pool()._max_workers == 15
+            assert router._scatter_pool()._max_workers == legs * 5
             router.finish_migration()
             router.begin_leave("zone-0")
-            assert router._scatter_pool()._max_workers == 15
+            assert router._scatter_pool()._max_workers == legs * 5
             router.finish_leave("zone-0")
-            assert router._scatter_pool()._max_workers == 12
+            assert router._scatter_pool()._max_workers == legs * 4
         finally:
             router.close()
 
-    def test_sixteen_concurrent_scatters_do_not_queue(self):
+    def test_sixteen_concurrent_scatters_do_not_queue(self, monkeypatch):
         # 16 callers x 4 legs must all be in flight at once: each
         # caller carries one leg itself and borrows three workers, so
         # 12 legs per node (48 workers) are exactly enough.
+        monkeypatch.setattr(router_module, "LEGS_PER_NODE", 12)
         callers = 16
         rendezvous = threading.Barrier(callers * 4,
                                        timeout=BARRIER_TIMEOUT)
-        _, router = build(4, ShardConfig(fanout_workers=12),
-                          rendezvous=rendezvous)
+        _, router = build(4, rendezvous=rendezvous)
         doc_ids = spanning_ids(router)
         outcomes: list = []
 
