@@ -43,12 +43,36 @@ def _artifacts(value: Any) -> set[bytes]:
     return found
 
 
+#: Payload keys whose values name documents.
+_ID_KEYS = ("_id", "doc_id", "doc_ids", "ids")
+
+
+def _identifiers(value: Any) -> set[str]:
+    """Document ids in a payload: the values under :data:`_ID_KEYS`,
+    recursively, and a bare list of strings (a lookup's answer)."""
+    if isinstance(value, dict):
+        found: set[str] = set()
+        for key, item in value.items():
+            if key in _ID_KEYS:
+                found.update([item] if isinstance(item, str) else item)
+            else:
+                found |= _identifiers(item)
+        return found
+    if isinstance(value, list):
+        if value and all(isinstance(item, str) for item in value):
+            return set(value)
+        return set().union(*map(_identifiers, value))
+    return set()
+
+
 @dataclass(frozen=True)
 class ObservedCall:
     sequence: int
     service: str
     method: str
     artifacts: frozenset[bytes]
+    #: Document ids the request named or its reply returned.
+    identifiers: frozenset[str] = frozenset()
 
 
 @dataclass
@@ -103,7 +127,14 @@ class TranscriptAnalysis:
 
 class ObservedTransport(TransportLayer):
     """A wiretap: records the transcript, forwards requests and batch
-    frames unchanged (one :class:`ObservedCall` per sub-call)."""
+    frames unchanged (one :class:`ObservedCall` per sub-call, once its
+    reply is back).
+
+    A co-located find (``lookup_fetch``) is recorded as the index lookup
+    it carries — the tactic service, its query method and token — with
+    the ids and documents of the reply, so query statistics see it
+    exactly as they see a lookup sent alone.
+    """
 
     def __init__(self, inner: Transport):
         super().__init__(inner)
@@ -111,24 +142,40 @@ class ObservedTransport(TransportLayer):
         self._lock = threading.Lock()
         self._sequence = 0
 
-    def _observe(self, request: Request) -> None:
+    def _observe(self, request: Request, result: Any = None) -> None:
+        service, method, kwargs = (request.service, request.method,
+                                   request.kwargs)
+        if method.startswith("lookup_fetch"):
+            service, method = kwargs["index"], kwargs["query"]
+            kwargs = kwargs["args"]
         with self._lock:
             self._sequence += 1
             self.transcript.calls.append(ObservedCall(
                 sequence=self._sequence,
-                service=request.service,
-                method=request.method,
-                artifacts=frozenset(_artifacts(request.kwargs)),
+                service=service,
+                method=method,
+                artifacts=frozenset(_artifacts(kwargs)),
+                identifiers=frozenset(_identifiers(kwargs)
+                                      | _identifiers(result)),
             ))
 
     def call_request(self, request: Request) -> Any:
-        self._observe(request)
-        return self._inner.call_request(request)
+        result = None
+        try:
+            result = self._inner.call_request(request)
+            return result
+        finally:
+            self._observe(request, result)
 
     def call_batch(self, requests: Sequence[Request]) -> list[Response]:
-        for request in requests:
-            self._observe(request)
-        return self._inner.call_batch(requests)
+        responses: list[Response] = []
+        try:
+            responses = self._inner.call_batch(requests)
+            return responses
+        finally:
+            results = [r.result for r in responses] or [None] * len(requests)
+            for request, result in zip(requests, results):
+                self._observe(request, result)
 
     @property
     def last_sequence(self) -> int:

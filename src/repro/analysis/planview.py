@@ -22,11 +22,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 def _static_metrics(planner: "QueryPlanner", node: ir.PlanNode) -> str:
-    tactic = getattr(node, "tactic", None)
+    # A co-located fetch rides its lookup's round and adds FetchDocs'
+    # leakage: which ids the gateway reads.
+    colocated = isinstance(node, ir.ColocatedFetch)
+    tactic = node.lookup.tactic if colocated else getattr(node, "tactic",
+                                                          None)
     if isinstance(tactic, str):
         descriptor = planner.engine._x.runtime.registry.descriptor(tactic)
         rounds = descriptor.performance.rounds_per_query
-        return (f"leaks {descriptor.leakage.level.label.lower()}; "
+        leaks = descriptor.leakage.level.label.lower()
+        return (f"leaks {leaks}{' + identifiers' if colocated else ''}; "
                 f"{rounds} round{'' if rounds == 1 else 's'}/query")
     if isinstance(node, ir.IndexLookup):  # plain-field lookup
         return "plaintext field"

@@ -7,7 +7,9 @@ A :class:`CloudZone` owns the cloud resources of the deployment view
 * ``admin`` — provisioning: create per-application stores, instantiate
   cloud tactic halves from the registry (the cloud side of the strategy
   pattern's dynamic loading).
-* ``docs/<application>`` — encrypted-document CRUD.
+* ``docs/<application>`` — encrypted-document CRUD, and the co-located
+  find (``lookup_fetch``): a tactic half's id lookup answered together
+  with the first chunk of its documents.
 * ``tactic/<application>/<field>/<tactic>`` — one service per provisioned
   cloud tactic instance.
 
@@ -18,9 +20,10 @@ with :class:`repro.net.TcpRpcServer` for a real two-process deployment.
 
 from __future__ import annotations
 
+import functools
 import threading
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import TransportError
 from repro.net.rpc import ServiceHost
@@ -40,8 +43,11 @@ class DocumentService:
     as an opaque encrypted body).
     """
 
-    def __init__(self, store: DocumentStore):
+    def __init__(self, store: DocumentStore,
+                 lookup: Callable[[str, str, dict], list[str]]):
         self._store = store
+        #: The zone's co-located id lookup (``CloudZone._index_lookup``).
+        self._lookup = lookup
         self._text_index = InvertedIndex()
         self._integrity = None
 
@@ -74,21 +80,13 @@ class DocumentService:
     def get_many(self, doc_ids: list[str]) -> list[Document]:
         return self._store.get_many(doc_ids)
 
-    def get_proven(self, doc_id: str) -> Document:
-        """Fetch one document with its Merkle inclusion proof.
+    def get_many_proven(self, doc_ids: list[str]) -> list[Document]:
+        """Bulk proven fetch; unknown ids are skipped like get_many.
 
-        Fetch and proof are computed under the store lock so the proof
+        Fetch and proofs are computed under the store lock so each proof
         is against the exact tree state the body was read from — a
         concurrent writer can never produce a false mismatch.
         """
-        if self._integrity is None:
-            raise TransportError("integrity is not enabled for this zone")
-        with self._store._lock:  # noqa: SLF001 - fetch+prove atomically
-            document = self._store.get(doc_id)
-            return self._integrity.prove_document(doc_id, document)
-
-    def get_many_proven(self, doc_ids: list[str]) -> list[Document]:
-        """Bulk proven fetch; unknown ids are skipped like get_many."""
         if self._integrity is None:
             raise TransportError("integrity is not enabled for this zone")
         with self._store._lock:  # noqa: SLF001 - fetch+prove atomically
@@ -96,6 +94,22 @@ class DocumentService:
                 (doc_id, self._store.get(doc_id))
                 for doc_id in doc_ids if self._store.contains(doc_id)
             ])
+
+    def lookup_fetch(self, index: str, query: str, args: dict,
+                     chunk: int) -> dict:
+        """A co-located find: ``query(**args)`` on the tactic half
+        ``index`` of this zone, answered as ``{"ids": every matching id
+        (sorted), "docs": the stored documents of the first chunk}``.
+        Ids of documents this store does not hold come back without a
+        document, exactly as ``get_many`` would skip them."""
+        ids = self._lookup(index, query, args)
+        return {"ids": ids, "docs": self.get_many(ids[:chunk])}
+
+    def lookup_fetch_proven(self, index: str, query: str, args: dict,
+                            chunk: int) -> dict:
+        """``lookup_fetch`` with ``get_many_proven`` envelopes."""
+        ids = self._lookup(index, query, args)
+        return {"ids": ids, "docs": self.get_many_proven(ids[:chunk])}
 
     def replace(self, document: Document) -> None:
         self._store.replace(document)
@@ -191,10 +205,25 @@ class CloudZone:
                     documents = DocumentStore()
                 self._kv[application] = kv
                 self._documents[application] = documents
-                self.host.register(
-                    f"docs/{application}", DocumentService(documents)
-                )
+                self.host.register(f"docs/{application}", DocumentService(
+                    documents, functools.partial(self._index_lookup,
+                                                 application),
+                ))
             return self._kv[application], self._documents[application]
+
+    def _index_lookup(self, application: str, index: str, query: str,
+                      args: dict) -> list[str]:
+        """Run one id lookup on a tactic half of ``application`` whose
+        descriptor declares ``colocated_lookup`` — the documents service
+        calls it through this zone's host for a co-located find."""
+        tactic = index.rsplit("/", 1)[-1]
+        if (not index.startswith(f"tactic/{application}/")
+                or query not in ("eq_query", "range_query")
+                or not self.registry.descriptor(tactic).colocated_lookup):
+            raise TransportError(
+                f"{index}.{query} is not a co-located id lookup"
+            )
+        return sorted(getattr(self.host.get(index), query)(**args))
 
     # -- tactic provisioning -------------------------------------------------------
 

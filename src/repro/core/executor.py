@@ -36,7 +36,7 @@ from repro.core.schema import Schema
 from repro.core.selection import FieldPlan
 from repro.crypto.encoding import Value
 from repro.crypto.symmetric import Aead
-from repro.errors import DocumentNotFound, RemoteError
+from repro.errors import DocumentNotFound
 from repro.gateway.service import GatewayRuntime
 from repro.net import message
 from repro.net.batch import PipelineConfig
@@ -45,14 +45,6 @@ from repro.tactics.base import random_doc_id
 from repro.tactics.biex import BiexGateway
 
 BOOL_SCOPE_SUFFIX = "._bool"
-
-
-def _is_not_found(error: Exception) -> bool:
-    """Known-absent document, locally raised or relayed over RPC."""
-    if isinstance(error, DocumentNotFound):
-        return True
-    return (isinstance(error, RemoteError)
-            and error.remote_type == "DocumentNotFound")
 
 
 class SchemaExecutor:
@@ -239,8 +231,10 @@ class SchemaExecutor:
         this: they must see the authoritative stored version, not a
         bounded-staleness cached one.
         """
-        stored = self.runtime.docs("get", doc_id=doc_id)
-        return self._decrypt_stored(stored)
+        stored = self.runtime.docs("get_many", doc_ids=[doc_id])
+        if not stored:
+            raise DocumentNotFound(doc_id)
+        return self._decrypt_stored(stored[0])
 
     def get(self, doc_id: str) -> dict[str, Value]:
         scope = self.cache_read_scope()
@@ -257,12 +251,8 @@ class SchemaExecutor:
             return hit
         try:
             document = self.get_uncached(doc_id)
-        except (DocumentNotFound, RemoteError) as error:
-            # A store-side miss crosses the RPC boundary as RemoteError
-            # carrying the remote type name; both spellings are the
-            # same known-absent fact and re-raise unchanged.
-            if _is_not_found(error):
-                scope.store_negative(doc_id)
+        except DocumentNotFound:
+            scope.store_negative(doc_id)
             raise
         scope.store(doc_id, document)
         return document

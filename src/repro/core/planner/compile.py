@@ -14,7 +14,10 @@ for one binding vector is correct for every other.
 the CNF split into natively-boolean clauses (one ``BoolQuery`` round for
 all of them) versus per-literal index lookups, plain-field lookups served
 by the document store, BIEX equality via the boolean protocol, and the
-document pipeline (fetch -> decrypt -> verify -> limit) on top.
+document pipeline (fetch -> decrypt -> verify -> limit) on top.  A
+``find`` whose candidates are one lookup on a tactic declaring
+``colocated_lookup`` fetches through ``ColocatedFetch``: lookup and
+first chunk in one per-shard round — the only descriptor bit read.
 """
 
 from __future__ import annotations
@@ -243,7 +246,13 @@ class PlanCompiler:
             source: ir.PlanNode = ir.AllIds()
         else:
             source, _ = self.candidates(predicate)
-        root: ir.PlanNode = ir.Decrypt(ir.FetchDocs(source, 64))
+        if (isinstance(source, ir.IndexLookup) and source.tactic is not None
+                and self._x.runtime.registry.descriptor(
+                    source.tactic).colocated_lookup):
+            fetch: ir.PlanNode = ir.ColocatedFetch(source, 64)
+        else:
+            fetch = ir.FetchDocs(source, 64)
+        root: ir.PlanNode = ir.Decrypt(fetch)
         if verify and predicate is not None:
             root = ir.Verify(root)
         if has_limit:

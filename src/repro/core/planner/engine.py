@@ -243,17 +243,22 @@ class PlanEngine:
         return ordered
 
     def _stream(self, ids: Iterable[str], chunk_size: int,
-                overlap: bool) -> Iterator[dict[str, Value]]:
+                overlap: bool, scope: Any,
+                filled: dict[str, dict] | None = None
+                ) -> Iterator[dict[str, Value]]:
         """Live decrypted documents for ``ids``, in that order.
 
-        The one place ids become documents, and the only caller of
-        ``docs.get_many``.  Ids the operation's document-cache scope
-        holds (positive or negative) skip the wire; the others are
+        The one place ids become documents, and the plan engine's only
+        caller of ``docs.get_many``.  Ids the operation's document-cache ``scope``
+        holds (positive or negative) skip the wire; so do the stored
+        documents a co-located find's reply already carried
+        (``filled``, keyed by id — ``ids`` alone decide what is read,
+        so a carried document outside them is dropped).  The others are
         fetched ``chunk_size`` misses at a time, only once the consumer
         reaches the first of them, so an all-hit read sends nothing and
         an early stop fetches nothing further.  Absent and
         foreign-schema ids are dropped (negative-cached under a scope);
-        fills carry the token the scope captured before the first fetch.
+        fills carry the token the scope captured when the read began.
 
         With ``overlap`` and ``PipelineConfig.prefetch`` the next
         chunk's fetch runs on the pool while this chunk decrypts.  The
@@ -263,7 +268,7 @@ class PlanEngine:
         path, generator close included.
         """
         x = self._x
-        scope = x.cache_read_scope()
+        filled = filled or {}
         pool = x._pool() if overlap and x.pipeline.prefetch else None
         answers = (
             (doc_id, MISS if scope is None else scope.lookup(doc_id))
@@ -275,7 +280,7 @@ class PlanEngine:
         def next_chunk(chunk: list[str]) -> list[str]:
             for entry in answers:
                 looked.append(entry)
-                if entry[1] is MISS:
+                if entry[1] is MISS and entry[0] not in filled:
                     chunk.append(entry[0])
                     if len(chunk) >= chunk_size:
                         break
@@ -295,16 +300,15 @@ class PlanEngine:
                 if found is NEGATIVE:
                     continue
                 if found is MISS:
-                    if doc_id not in live:
+                    if doc_id in filled:
+                        live[doc_id] = filled.pop(doc_id)
+                    elif doc_id not in live:
                         if pending is None:
                             chunk = next_chunk([doc_id])
                         stored = (pending.result() if pending is not None
                                   else fetch(chunk))
                         live = dict.fromkeys(chunk)
-                        live.update(
-                            (item["_id"], item) for item in stored
-                            if item.get("schema") == x.schema.name
-                        )
+                        live.update(self._own(stored))
                         # Overlap the next wire fetch with this chunk's
                         # decryption and verification.
                         chunk = next_chunk([]) if pool is not None else []
@@ -325,23 +329,58 @@ class PlanEngine:
                 except Exception:
                     pass  # the result is discarded either way
 
+    def _own(self, stored: Iterable[dict]) -> Iterator[tuple[str, dict]]:
+        """``(id, stored)`` for the fetched documents of this schema."""
+        schema = self._x.schema.name
+        return ((item["_id"], item) for item in stored
+                if item.get("schema") == schema)
+
+    def _colocated(self, node: ir.IndexLookup, run: Run,
+                   chunk: int) -> tuple[list[str], dict[str, dict]]:
+        """One ``lookup_fetch`` scatter: every shard resolves the token
+        on its tactic half and returns its matching ids plus the stored
+        documents of its first ``chunk`` of them."""
+        x = self._x
+        instance = x.lookup_instance(node.field, node.role, node.tactic)
+        if node.op == "eq":
+            query, args = "eq_query", instance.eq_args(run.value(node.param))
+        else:
+            query, args = "range_query", instance.range_args(
+                run.value(node.low_param), run.value(node.high_param)
+            )
+        started = time.perf_counter()
+        reply = x.runtime.docs("lookup_fetch", index=instance.ctx.service,
+                               query=query, args=args, chunk=chunk)
+        self._observe("ColocatedFetch", node.tactic,
+                      time.perf_counter() - started)
+        return sorted(reply["ids"]), dict(self._own(reply["docs"]))
+
     def _docs(self, node: ir.PlanNode, run: Run,
               limit: int | None) -> list[dict[str, Value]]:
-        """Execute a Decrypt/Verify/Limit stack over a FetchDocs node."""
+        """Execute a Decrypt/Verify/Limit stack over a FetchDocs or
+        ColocatedFetch node."""
         verify = False
         while isinstance(node, (ir.Limit, ir.Verify, ir.Decrypt)):
             # A Limit node mirrors ``limit is not None`` (both come from
             # the same argument of the operation table).
             verify = verify or isinstance(node, ir.Verify)
             node = node.source
-        if not isinstance(node, ir.FetchDocs):
+        if not isinstance(node, (ir.FetchDocs, ir.ColocatedFetch)):
             raise QueryError(
                 f"document pipeline bottoms out at {node.kind}"
             )
         if limit is not None and limit <= 0:
             return []
-        chunk_size = node.chunk_default
-        if node.ordered:
+        # The fill token is taken before any id resolution or fetch.
+        scope = self._x.cache_read_scope()
+        ordered = isinstance(node, ir.FetchDocs) and node.ordered
+        # Seed `find` rule: a small limit keeps the transfer small.
+        chunk_size = (node.chunk_default if ordered or limit is None
+                      else max(limit * 2, 16))
+        filled: dict[str, dict] = {}
+        if isinstance(node, ir.ColocatedFetch):
+            ids, filled = self._colocated(node.lookup, run, chunk_size)
+        elif ordered:
             scan = node.source
             if not isinstance(scan, ir.OrderedScan):
                 raise QueryError(
@@ -351,15 +390,13 @@ class PlanEngine:
                                     scan.descending, "OrderedScan")
         else:
             ids = sorted(self.eval_ids(node.source, run))
-            if limit is not None:
-                # Seed `find` rule: a small limit keeps the transfer small.
-                chunk_size = max(limit * 2, 16)
         verify = verify and run.predicate is not None
         documents: list[dict[str, Value]] = []
         # A bounded read sizes its chunk to end inside it: a prefetch
         # would fetch what nobody reads and the early stop wait for it.
-        overlap = not node.ordered and limit is None
-        with closing(self._stream(ids, chunk_size, overlap)) as stream:
+        overlap = not ordered and limit is None
+        with closing(self._stream(ids, chunk_size, overlap, scope,
+                                  filled)) as stream:
             for document in stream:
                 if verify and not evaluate_plain(run.predicate, document):
                     continue
@@ -425,7 +462,8 @@ class PlanEngine:
                                     node.function == "max", "Extreme")
         if allowed is not None:
             ordered = (doc_id for doc_id in ordered if doc_id in allowed)
-        with closing(self._stream(ordered, 16, overlap=False)) as stream:
+        scope = self._x.cache_read_scope()
+        with closing(self._stream(ordered, 16, False, scope)) as stream:
             for document in stream:
                 value = document.get(node.field)
                 if value is not None:

@@ -6,7 +6,8 @@ explicit operator plan; this module is that shape for DataBlinder.  A
 plan is a tree of frozen dataclass nodes.  Id-producing nodes
 (``IndexLookup``, ``BoolQuery``, ``SetOp``, ``AllIds``, ``OrderedScan``)
 feed the document pipeline (``FetchDocs`` -> ``Decrypt`` -> ``Verify``
--> ``Limit``/``ProjectIds``/``Count``) or a terminal computation
+-> ``Limit``/``ProjectIds``/``Count``; a ``find`` over one co-located
+lookup starts at ``ColocatedFetch`` instead) or a terminal computation
 (``Extreme``, ``CloudAggregate``).  Write operations compile to a
 ``WritePipeline`` of stage nodes.
 
@@ -157,6 +158,26 @@ class FetchDocs(PlanNode):
 
     def detail(self) -> str:
         return f"chunk={self.chunk_default}"
+
+
+@dataclass(frozen=True)
+class ColocatedFetch(PlanNode):
+    """``FetchDocs`` over one ``IndexLookup`` in a single per-shard round.
+
+    The lookup's tactic declares ``colocated_lookup``: its index entries
+    live on the shard of their document, so each shard resolves the
+    token and returns, in the same reply, the documents of its first
+    chunk of matching ids (sorted) plus the whole id list.  Ids left
+    without a document (a reshard in flight, a cross-shard miss) are
+    fetched by the ordinary ``get_many`` afterwards.  One node: the
+    lookup is its operand, not a child.
+    """
+
+    lookup: IndexLookup
+    chunk_default: int = 64
+
+    def detail(self) -> str:
+        return f"{self.lookup.detail()}, chunk={self.chunk_default}"
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 :class:`VerifyingTransport` sits in the gateway's transport stack
 between the batch collector (above) and the resilience wrapper (below).
-It rewrites document reads to their proven variants (``get`` ->
-``get_proven``, ``get_many`` -> ``get_many_proven``), checks each
-returned inclusion proof against the freshness ledger, and unwraps the
-plain documents — the executor never sees the envelopes.  :meth:`audit`
+It rewrites document reads to their proven variants (``get_many`` ->
+``get_many_proven``, the co-located find ``lookup_fetch`` ->
+``lookup_fetch_proven``), checks each returned inclusion proof against
+the freshness ledger, and unwraps the plain documents — the executor
+never sees the envelopes.  :meth:`audit`
 is the on-demand sweep beside it: re-sync the ledger from incremental
 reports, then compare roots recomputed from raw store state against
 what the ledger accepted at write time.
@@ -46,7 +47,8 @@ from repro.net.latency import NetworkStats
 from repro.net.rpc import MUTATING_METHODS, Request, Response
 from repro.net.transport import Transport, TransportLayer
 
-_PROVEN = {"get": "get_proven", "get_many": "get_many_proven"}
+_PROVEN = {"get_many": "get_many_proven",
+           "lookup_fetch": "lookup_fetch_proven"}
 
 #: Per-operation verification outcome, shared with the gateway runtime:
 #: the runtime materialises a scope dict before launching an operation
@@ -181,17 +183,28 @@ class VerifyingTransport(TransportLayer):
         """Verify proven-read envelopes, returning plain documents."""
         self._refresh(moved_only=True)
         try:
-            if original_method == "get":
-                document = self._verify_envelope(result)
+            if original_method == "get_many":
+                checked = self._verify_all(result)
             else:
-                document = [
-                    self._verify_envelope(envelope) for envelope in result
-                ]
+                # A co-located find: the ids are the index's answer (no
+                # proof covers an index, as on a plain lookup); every
+                # document carried with them is proven.
+                if not isinstance(result, dict) or "ids" not in result:
+                    raise IntegrityError(
+                        "co-located find returned a malformed reply"
+                    )
+                checked = {"ids": result["ids"],
+                           "docs": self._verify_all(result.get("docs"))}
         except IntegrityError as exc:
             self._failed(exc)
             raise
         _note_outcome("verified")
-        return document
+        return checked
+
+    def _verify_all(self, envelopes: Any) -> list[dict]:
+        if not isinstance(envelopes, list):
+            raise IntegrityError("proven read returned a malformed reply")
+        return [self._verify_envelope(envelope) for envelope in envelopes]
 
     def _failed(self, exc: IntegrityError) -> None:
         with self._stats_lock:

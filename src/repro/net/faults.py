@@ -32,7 +32,8 @@ faults are safe to blindly retry, while ``disconnect`` means the cloud
 
 ``tamper`` and ``rollback`` model the *untrusted-provider* adversary of
 the integrity subsystem rather than a flaky link: ``tamper`` flips one
-bit in a proven document read's reply, ``rollback`` re-serves the
+bit in a proven document read's reply (a ``get_many_proven`` list or a
+co-located find's ``docs``), ``rollback`` re-serves the
 earliest previously captured reply for the same request once the stored
 document has actually changed.  Both are recorded in :meth:`events`
 only when they actually mutate a delivery — a draw that lands on a
@@ -65,7 +66,16 @@ APPLY_TIME_KINDS = frozenset({"tamper", "rollback"})
 
 #: Document reads whose replies carry integrity envelopes — the only
 #: deliveries ``tamper``/``rollback`` ever touch.
-_PROTECTED_READS = frozenset({"get_proven", "get_many_proven"})
+_PROTECTED_READS = frozenset({"get_many_proven", "lookup_fetch_proven"})
+
+
+def _envelopes(result: Any) -> Any:
+    """The proven envelopes of a protected read's reply: the list a
+    ``get_many_proven`` returns, or the ``docs`` of a co-located find
+    (its ``ids`` carry no proof, so no fault touches them)."""
+    if isinstance(result, dict) and "ids" in result:
+        return result.get("docs")
+    return result
 
 
 @dataclass(frozen=True)
@@ -285,8 +295,8 @@ class FaultInjectingTransport(TransportLayer):
         by the freshness ledger).  Tuple/set-only documents fall through
         to the root flip, so an applied tamper is always detectable.
         """
-        envelopes = result if isinstance(result, list) else [result]
-        for envelope in envelopes:
+        envelopes = _envelopes(result)
+        for envelope in envelopes if isinstance(envelopes, list) else []:
             if not isinstance(envelope, dict):
                 continue
             document = envelope.get("document")
@@ -300,12 +310,19 @@ class FaultInjectingTransport(TransportLayer):
 
     def _apply_rollback(self, request: Request,
                         result: Any) -> tuple[Any, bool]:
-        """Replay the earliest differing capture for this request."""
+        """Replay the earliest capture for this request whose envelopes
+        differ from the live reply's (and, for a co-located find, carry
+        at least one: a replayed bare id list proves nothing)."""
         if not self._eligible(request):
             return result, False
         with self._lock:
             captured = self._captures.get(self._signature(request))
-        if captured is None or captured == result:
+        if captured is None:
+            return result, False
+        envelopes = _envelopes(captured)
+        if envelopes == _envelopes(result) or (
+            isinstance(captured, dict) and not envelopes
+        ):
             return result, False
         return copy.deepcopy(captured), True
 

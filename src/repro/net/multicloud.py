@@ -118,6 +118,16 @@ class MultiCloudTransport(Transport):
                 result = transport.call_request(request)
             return result
         primary, secondary = self._route(request.service)
+        if (request.method.startswith("lookup_fetch")
+                and self._route(request.kwargs["index"])[0] is not primary):
+            # A co-located find whose index lives with another provider:
+            # that provider answers the lookup alone, and every id goes
+            # to the caller's ``get_many`` — the document provider never
+            # sees the token.
+            kwargs = request.kwargs
+            ids = self.call_request(Request(kwargs["index"], kwargs["query"],
+                                            kwargs["args"]))
+            return {"ids": sorted(ids), "docs": []}
         try:
             return primary.call_request(request)
         except CircuitOpenError:

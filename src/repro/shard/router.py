@@ -14,6 +14,10 @@ every tactic protocol above it) stays oblivious to the topology:
   first-non-None for Mitra address slots, an order-merge for OPE/ORE
   scans; Paillier/ElGamal partials go back to the gateway tactic, which
   folds them under the public key it holds).
+* **Co-located finds** — ``lookup_fetch`` broadcasts like an id lookup:
+  each shard answers its DET/blind-index/OPE/ORE matches *and* the
+  documents of its first chunk of them, since doc-keyed entries sit on
+  their document's shard; ids union, documents dedupe by ``_id``.
 * **Keyed scatters** — ``get_many``/``get_many_proven`` and a filtered
   ``aggregate`` carry many ``doc_ids``: the router slices them per ring
   owner and sends the slices together (:meth:`_keyed_scatter`), so a
@@ -835,7 +839,7 @@ class ShardedTransport(Transport):
         service, method = request.service, request.method
         if service.startswith("docs/"):
             return method not in (
-                "get", "get_many", "get_proven", "get_many_proven",
+                "get", "get_many", "get_many_proven",
                 "count", "all_ids", "find_plain", "find_text",
             )
         if service.startswith("tactic/"):
@@ -968,10 +972,12 @@ class ShardedTransport(Transport):
             return self._timed_call(order[0], request)
         if method in ("insert", "insert_many"):
             return self._write(request)
-        if method in ("get", "get_proven"):
+        if method == "get":
             return self._docs_get(request)
         if method in ("get_many", "get_many_proven"):
             return self._docs_get_many(request)
+        if method in ("lookup_fetch", "lookup_fetch_proven"):
+            return self._docs_lookup_fetch(request)
         if method == "replace":
             return self._docs_replace(request)
         if method == "delete":
@@ -1028,6 +1034,8 @@ class ShardedTransport(Transport):
         return deliver(request)
 
     def _docs_get(self, request: Request) -> Any:
+        # The gateway reads through ``get_many``; a single-id ``get``
+        # still routes for direct callers of the documents service.
         doc_id = request.kwargs["doc_id"]
         return self._forwarded(
             doc_id, request, functools.partial(self._routed_read, doc_id)
@@ -1076,6 +1084,22 @@ class ShardedTransport(Transport):
                 request, [i for i in missing if i not in found], missed,
             )
         return [found[i] for i in requested if i in found]
+
+    def _docs_lookup_fetch(self, request: Request) -> dict:
+        """A co-located find: every shard resolves the token on its own
+        tactic half and answers with its ids and the documents of its
+        first chunk of them.  The ids are the union; a document is kept
+        on first sight (a replica's copy is dropped).  An id whose
+        document no shard carried — its entry and document on different
+        shards mid-reshard — is completed by the caller's ``get_many``,
+        which walks the forwarding table."""
+        ids: set[str] = set()
+        docs: dict[str, Any] = {}
+        for _, part in self._broadcast(request):
+            ids.update(part["ids"])
+            for document in part["docs"]:
+                docs.setdefault(document["_id"], document)
+        return {"ids": sorted(ids), "docs": list(docs.values())}
 
     def _docs_count(self, request: Request) -> int:
         if self._replication() == 1:

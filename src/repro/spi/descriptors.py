@@ -98,6 +98,12 @@ class TacticDescriptor:
     #: The planner uses this to drop the Decrypt/Verify stages from plans
     #: whose result cannot change under verification (e.g. ``count``).
     exact_search: bool = True
+    #: Whether the cloud half answers its id lookup (``eq_query`` /
+    #: ``range_query``) with a plain id list from entries keyed by
+    #: document id — so the shard resolving a token already holds the
+    #: matching documents, and a find over one such lookup fetches them
+    #: in the same per-shard round (the planner's ``ColocatedFetch``).
+    colocated_lookup: bool = False
 
     def supports(self, operation: Operation) -> bool:
         if operation in self.operations:

@@ -79,6 +79,7 @@ DET_DESCRIPTOR = TacticDescriptor(
     challenge="-",
     implementation="implemented from scratch",
     boolean_via_equality=True,
+    colocated_lookup=True,
 )
 
 MITRA_DESCRIPTOR = TacticDescriptor(
@@ -226,6 +227,7 @@ OPE_DESCRIPTOR = TacticDescriptor(
     # Insert-as-upsert: entries of updated or deleted documents linger
     # in the order index until verification discards them.
     exact_search=False,
+    colocated_lookup=True,
 )
 
 ORE_DESCRIPTOR = TacticDescriptor(
@@ -248,6 +250,7 @@ ORE_DESCRIPTOR = TacticDescriptor(
     implementation="re-implementation of the CLWW construction",
     # Insert-as-upsert, like OPE: stale entries require verification.
     exact_search=False,
+    colocated_lookup=True,
 )
 
 PAILLIER_DESCRIPTOR = TacticDescriptor(
@@ -311,6 +314,7 @@ BLIND_INDEX_DESCRIPTOR = TacticDescriptor(
     challenge="HSM round per token",
     implementation="extension (OPRF per the Ionic/EC-OPRF related work)",
     boolean_via_equality=True,
+    colocated_lookup=True,
 )
 
 STATELESS_SSE_DESCRIPTOR = TacticDescriptor(

@@ -123,8 +123,12 @@ class BlindIndexGateway(
     def delete(self, doc_id: str, value: Value) -> None:
         self.ctx.call("delete", doc_id=doc_id, tag=self._token(value))
 
+    def eq_args(self, value: Value) -> dict[str, Any]:
+        """The cloud ``eq_query`` arguments for ``value`` (see DET)."""
+        return {"tag": self._token(value)}
+
     def eq_query(self, value: Value) -> Any:
-        return self.ctx.call("eq_query", tag=self._token(value))
+        return self.ctx.call("eq_query", **self.eq_args(value))
 
     def resolve_eq(self, raw: Any) -> set[str]:
         return set(raw)

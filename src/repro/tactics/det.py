@@ -117,8 +117,13 @@ class DetGateway(
 
     # -- Equality search --------------------------------------------------------------
 
+    def eq_args(self, value: Value) -> dict[str, Any]:
+        """The cloud ``eq_query`` arguments for ``value`` — sent alone
+        here, or inside a co-located find's one per-shard round."""
+        return {"token": self.seal(value)}
+
     def eq_query(self, value: Value) -> Any:
-        return self.ctx.call("eq_query", token=self.seal(value))
+        return self.ctx.call("eq_query", **self.eq_args(value))
 
     def resolve_eq(self, raw: Any) -> set[str]:
         return set(raw)

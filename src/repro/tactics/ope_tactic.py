@@ -22,6 +22,7 @@ RangeQuery // Setup, Insertion, RangeQuery.
 from __future__ import annotations
 
 import bisect
+import threading
 from typing import Any
 
 from repro.crypto.encoding import Value, encode_value, value_to_ordered_int
@@ -93,11 +94,17 @@ class OpeGateway(
 
         return finish
 
+    def range_args(self, low: Value, high: Value) -> dict[str, Any]:
+        """The cloud ``range_query`` arguments for ``[low, high]`` — sent
+        alone here, or inside a co-located find's one per-shard round."""
+        return {
+            "low": None if low is None else self._encode(low),
+            "high": None if high is None else self._encode(high),
+        }
+
     def range_query(self, low: Value, high: Value) -> set[str]:
-        low_ct = None if low is None else self._encode(low)
-        high_ct = None if high is None else self._encode(high)
         return set(
-            self.ctx.call("range_query", low=low_ct, high=high_ct)
+            self.ctx.call("range_query", **self.range_args(low, high))
         )
 
     def ordered_ids(self, low: Value = None, high: Value = None,
@@ -121,6 +128,10 @@ class OpeCloud(
 
     def setup(self, **params: Any) -> None:
         self._map_name = self.ctx.state_key(b"ct")
+        # Dispatch threads share the view below: writes, scans and
+        # shard eviction hold this lock, so a migration never iterates
+        # a dict an insert is resizing.
+        self._lock = threading.Lock()
         # The sorted index is an in-memory view rebuilt from the durable
         # KV map, so a restarted cloud zone recovers it.
         self._by_doc: dict[str, int] = {
@@ -135,26 +146,28 @@ class OpeCloud(
     def insert(self, doc_id: str, ciphertext: int) -> None:
         if not isinstance(ciphertext, int):
             raise TacticError("OPE ciphertext must be an integer")
-        self.ctx.kv.map_put(self._map_name, doc_id.encode(),
-                            ciphertext.to_bytes(8, "big"))
-        previous = self._by_doc.get(doc_id)
-        if previous is not None:
-            index = bisect.bisect_left(self._sorted, (previous, doc_id))
-            if index < len(self._sorted) and self._sorted[index] == (
-                previous, doc_id
-            ):
-                self._sorted.pop(index)
-        bisect.insort(self._sorted, (ciphertext, doc_id))
-        self._by_doc[doc_id] = ciphertext
+        with self._lock:
+            self.ctx.kv.map_put(self._map_name, doc_id.encode(),
+                                ciphertext.to_bytes(8, "big"))
+            previous = self._by_doc.get(doc_id)
+            if previous is not None:
+                index = bisect.bisect_left(self._sorted, (previous, doc_id))
+                if index < len(self._sorted) and self._sorted[index] == (
+                    previous, doc_id
+                ):
+                    self._sorted.pop(index)
+            bisect.insort(self._sorted, (ciphertext, doc_id))
+            self._by_doc[doc_id] = ciphertext
 
     def _slice(self, low: int | None, high: int | None) -> list[str]:
-        start = 0 if low is None else bisect.bisect_left(
-            self._sorted, (low, "")
-        )
-        end = len(self._sorted) if high is None else bisect.bisect_right(
-            self._sorted, (high, chr(0x10FFFF))
-        )
-        return [doc_id for _, doc_id in self._sorted[start:end]]
+        with self._lock:
+            start = 0 if low is None else bisect.bisect_left(
+                self._sorted, (low, "")
+            )
+            end = len(self._sorted) if high is None else bisect.bisect_right(
+                self._sorted, (high, chr(0x10FFFF))
+            )
+            return [doc_id for _, doc_id in self._sorted[start:end]]
 
     def range_query(self, low: int | None, high: int | None) -> list[str]:
         return self._slice(low, high)
@@ -173,13 +186,14 @@ class OpeCloud(
                             ) -> list[tuple[int, str]]:
         """Like ``ordered_range`` but keeps the sort keys, so a sharded
         router can order-merge partial results from several nodes."""
-        start = 0 if low is None else bisect.bisect_left(
-            self._sorted, (low, "")
-        )
-        end = len(self._sorted) if high is None else bisect.bisect_right(
-            self._sorted, (high, chr(0x10FFFF))
-        )
-        pairs = self._sorted[start:end]
+        with self._lock:
+            start = 0 if low is None else bisect.bisect_left(
+                self._sorted, (low, "")
+            )
+            end = len(self._sorted) if high is None else bisect.bisect_right(
+                self._sorted, (high, chr(0x10FFFF))
+            )
+            pairs = self._sorted[start:end]
         if descending:
             pairs = pairs[::-1]
         if limit is not None:
@@ -189,21 +203,23 @@ class OpeCloud(
     # -- shard migration SPI (doc-keyed) ---------------------------------------
 
     def _remove_entry(self, doc_id: str) -> None:
-        ciphertext = self._by_doc.pop(doc_id, None)
-        if ciphertext is None:
-            return
-        index = bisect.bisect_left(self._sorted, (ciphertext, doc_id))
-        if index < len(self._sorted) and self._sorted[index] == (
-            ciphertext, doc_id
-        ):
-            self._sorted.pop(index)
-        self.ctx.kv.map_delete(self._map_name, doc_id.encode())
+        with self._lock:
+            ciphertext = self._by_doc.pop(doc_id, None)
+            if ciphertext is None:
+                return
+            index = bisect.bisect_left(self._sorted, (ciphertext, doc_id))
+            if index < len(self._sorted) and self._sorted[index] == (
+                ciphertext, doc_id
+            ):
+                self._sorted.pop(index)
+            self.ctx.kv.map_delete(self._map_name, doc_id.encode())
 
     def shard_export(self, spec: dict[str, Any]) -> list:
         ring, origin = export_ring(spec)
+        with self._lock:
+            entries = list(self._by_doc.items())
         return [
-            (doc_id, ciphertext)
-            for doc_id, ciphertext in self._by_doc.items()
+            (doc_id, ciphertext) for doc_id, ciphertext in entries
             if ring.owner(doc_id) != origin
         ]
 
@@ -213,7 +229,8 @@ class OpeCloud(
 
     def shard_evict(self, spec: dict[str, Any]) -> None:
         ring, origin = export_ring(spec)
-        foreign = [doc_id for doc_id in self._by_doc
-                   if ring.owner(doc_id) != origin]
+        with self._lock:
+            foreign = [doc_id for doc_id in self._by_doc
+                       if ring.owner(doc_id) != origin]
         for doc_id in foreign:
             self._remove_entry(doc_id)

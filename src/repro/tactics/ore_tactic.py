@@ -14,6 +14,7 @@ Insert-as-upsert, like the OPE tactic, keeps the SPI surface at the
 
 from __future__ import annotations
 
+import threading
 from typing import Any
 
 from repro.crypto.encoding import Value, encode_value, value_to_ordered_int
@@ -74,11 +75,17 @@ class OreGateway(
 
         return finish
 
+    def range_args(self, low: Value, high: Value) -> dict[str, Any]:
+        """The cloud ``range_query`` arguments for ``[low, high]`` — sent
+        alone here, or inside a co-located find's one per-shard round."""
+        return {
+            "low": None if low is None else self._encode(low),
+            "high": None if high is None else self._encode(high),
+        }
+
     def range_query(self, low: Value, high: Value) -> set[str]:
-        low_ct = None if low is None else self._encode(low)
-        high_ct = None if high is None else self._encode(high)
         return set(
-            self.ctx.call("range_query", low=low_ct, high=high_ct)
+            self.ctx.call("range_query", **self.range_args(low, high))
         )
 
     def ordered_ids(self, low: Value = None, high: Value = None,
@@ -102,6 +109,9 @@ class OreCloud(
 
     def setup(self, **params: Any) -> None:
         self._map_name = self.ctx.state_key(b"ct")
+        # Dispatch threads share the view below: writes, scans and
+        # shard eviction hold this lock (see OPE).
+        self._lock = threading.Lock()
         # Rebuild the comparator-sorted view from the durable KV map.
         self._sorted: list[tuple[OreCiphertext, str]] = []
         self._by_doc: dict[str, OreCiphertext] = {}
@@ -127,30 +137,32 @@ class OreCloud(
         if not isinstance(ciphertext, bytes):
             raise TacticError("ORE ciphertext must be bytes")
         parsed = OreCiphertext.from_bytes(ciphertext)
-        self.ctx.kv.map_put(self._map_name, doc_id.encode(), ciphertext)
-        previous = self._by_doc.get(doc_id)
-        if previous is not None:
-            index = self._bisect(previous, right=False)
-            while index < len(self._sorted):
-                entry_ct, entry_id = self._sorted[index]
-                if compare(entry_ct, previous) != 0:
-                    break
-                if entry_id == doc_id:
-                    self._sorted.pop(index)
-                    break
-                index += 1
-        self._sorted.insert(self._bisect(parsed, right=True),
-                            (parsed, doc_id))
-        self._by_doc[doc_id] = parsed
+        with self._lock:
+            self.ctx.kv.map_put(self._map_name, doc_id.encode(), ciphertext)
+            previous = self._by_doc.get(doc_id)
+            if previous is not None:
+                index = self._bisect(previous, right=False)
+                while index < len(self._sorted):
+                    entry_ct, entry_id = self._sorted[index]
+                    if compare(entry_ct, previous) != 0:
+                        break
+                    if entry_id == doc_id:
+                        self._sorted.pop(index)
+                        break
+                    index += 1
+            self._sorted.insert(self._bisect(parsed, right=True),
+                                (parsed, doc_id))
+            self._by_doc[doc_id] = parsed
 
     def _slice(self, low: bytes | None, high: bytes | None) -> list[str]:
-        start = 0 if low is None else self._bisect(
-            OreCiphertext.from_bytes(low), right=False
-        )
-        end = len(self._sorted) if high is None else self._bisect(
-            OreCiphertext.from_bytes(high), right=True
-        )
-        return [doc_id for _, doc_id in self._sorted[start:end]]
+        with self._lock:
+            start = 0 if low is None else self._bisect(
+                OreCiphertext.from_bytes(low), right=False
+            )
+            end = len(self._sorted) if high is None else self._bisect(
+                OreCiphertext.from_bytes(high), right=True
+            )
+            return [doc_id for _, doc_id in self._sorted[start:end]]
 
     def range_query(self, low: bytes | None,
                     high: bytes | None) -> list[str]:
@@ -171,13 +183,14 @@ class OreCloud(
         """Like ``ordered_range`` but pairs each id with its raw
         ciphertext, so a sharded router can order-merge partial results
         through the public ``compare`` routine."""
-        start = 0 if low is None else self._bisect(
-            OreCiphertext.from_bytes(low), right=False
-        )
-        end = len(self._sorted) if high is None else self._bisect(
-            OreCiphertext.from_bytes(high), right=True
-        )
-        pairs = self._sorted[start:end]
+        with self._lock:
+            start = 0 if low is None else self._bisect(
+                OreCiphertext.from_bytes(low), right=False
+            )
+            end = len(self._sorted) if high is None else self._bisect(
+                OreCiphertext.from_bytes(high), right=True
+            )
+            pairs = self._sorted[start:end]
         if descending:
             pairs = pairs[::-1]
         if limit is not None:
@@ -190,19 +203,20 @@ class OreCloud(
     # -- shard migration SPI (doc-keyed) ---------------------------------------
 
     def _remove_entry(self, doc_id: str) -> None:
-        previous = self._by_doc.pop(doc_id, None)
-        if previous is None:
-            return
-        index = self._bisect(previous, right=False)
-        while index < len(self._sorted):
-            entry_ct, entry_id = self._sorted[index]
-            if compare(entry_ct, previous) != 0:
-                break
-            if entry_id == doc_id:
-                self._sorted.pop(index)
-                break
-            index += 1
-        self.ctx.kv.map_delete(self._map_name, doc_id.encode())
+        with self._lock:
+            previous = self._by_doc.pop(doc_id, None)
+            if previous is None:
+                return
+            index = self._bisect(previous, right=False)
+            while index < len(self._sorted):
+                entry_ct, entry_id = self._sorted[index]
+                if compare(entry_ct, previous) != 0:
+                    break
+                if entry_id == doc_id:
+                    self._sorted.pop(index)
+                    break
+                index += 1
+            self.ctx.kv.map_delete(self._map_name, doc_id.encode())
 
     def shard_export(self, spec: dict[str, Any]) -> list:
         ring, origin = export_ring(spec)
@@ -218,7 +232,8 @@ class OreCloud(
 
     def shard_evict(self, spec: dict[str, Any]) -> None:
         ring, origin = export_ring(spec)
-        foreign = [doc_id for doc_id in self._by_doc
-                   if ring.owner(doc_id) != origin]
+        with self._lock:
+            foreign = [doc_id for doc_id in self._by_doc
+                       if ring.owner(doc_id) != origin]
         for doc_id in foreign:
             self._remove_entry(doc_id)

@@ -3,7 +3,10 @@
 The cache tier serves hits above the whole transport stack.  These
 tests pin the interaction down at the wire: when an operation's fetch
 set is partially cached, the frame it ships holds only the miss slots —
-a hit is never dispatched, alone or next to a concurrent miss.
+a hit is never dispatched, alone or next to a concurrent miss.  (A
+co-located find is the exception by design: its one reply carries the
+first chunk of matches before the gateway can consult its cache, so the
+cloud no longer learns which of them were cached.)
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ def deploy():
     schema = Schema.define(
         "rec",
         status=("string", FieldAnnotation.parse("C4", "I,EQ")),
+        tag=("string", FieldAnnotation.parse("C2", "I,EQ")),
         note="string",
     )
     blinder.register_schema(schema)
@@ -74,18 +78,24 @@ class TestCacheWire:
         blinder, recorder = deploy()
         entities = blinder.entities("rec")
         ids = entities.insert_many(
-            [{"status": "a", "note": f"n{i}"} for i in range(6)]
+            [{"status": "a", "tag": "a", "note": f"n{i}"} for i in range(6)]
         )
         warmed = sorted(ids)[:3]
         for doc_id in warmed:
             entities.get(doc_id)
         recorder.reset()
-        docs = entities.find(Eq("status", "a"))
+        # Mitra: the lookup's ids, then a fetch of the misses only.
+        docs = entities.find(Eq("tag", "a"))
         assert {d["_id"] for d in docs} == set(ids)
         fetched = recorder.fetched
         assert set(fetched) == set(ids) - set(warmed)
         # And the misses shipped exactly once each — no re-dispatch.
         assert len(fetched) == len(set(fetched))
+        # DET: the co-located reply already carried every document.
+        recorder.reset()
+        docs = entities.find(Eq("status", "a"))
+        assert {d["_id"] for d in docs} == set(ids)
+        assert recorder.fetched == []
 
     def test_concurrent_hit_and_miss_do_not_double_dispatch(self):
         """Two concurrent gets: the cached slot contributes nothing to

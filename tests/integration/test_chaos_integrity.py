@@ -26,7 +26,7 @@ from repro.core.middleware import DataBlinder
 from repro.core.query import Eq
 from repro.core.registry import TacticRegistry
 from repro.errors import IntegrityError, StaleStateError
-from repro.fhir.model import observation_schema
+from repro.fhir.model import benchmark_observation_schema, observation_schema
 from repro.integrity import IntegrityConfig
 from repro.net.batch import PipelineConfig
 from repro.net.faults import FaultInjectingTransport, FaultPlan
@@ -223,6 +223,72 @@ class TestTypedErrors:
             with pytest.raises(StaleStateError):
                 observations.get(doc_id)
             assert faulty.fault_count("rollback") >= 1
+
+
+class TestColocatedFindReplies:
+    """A co-located find's reply is a protected read: the documents it
+    carries are proven like a ``get_many``'s.  The §5.2 schema puts
+    ``status`` and ``code`` on DET, so these finds take one round."""
+
+    @staticmethod
+    def _deploy(faulty, registry):
+        blinder = DataBlinder(APP, faulty, registry=registry,
+                              pipeline=FETCH)
+        blinder.register_schema(benchmark_observation_schema())
+        return blinder.entities("observation")
+
+    @staticmethod
+    def _composite_events(faulty, kind: str) -> list:
+        return [event for event in faulty.events() if event.kind == kind
+                and event.target.endswith(".lookup_fetch_proven")]
+
+    def test_tampered_reply_raises_integrity_error(self):
+        with chaos_deployment("inproc", FaultPlan(tamper=1.0),
+                              CHAOS_SEED) as (_, faulty, registry):
+            observations = self._deploy(faulty, registry)
+            observations.insert(make_doc(0))
+            with pytest.raises(IntegrityError) as raised:
+                observations.find(Eq("status", "final"))
+            assert not isinstance(raised.value, StaleStateError)
+            assert self._composite_events(faulty, "tamper")
+
+    def test_replayed_reply_raises_stale_state_error(self):
+        with chaos_deployment("inproc", FaultPlan(rollback=1.0),
+                              CHAOS_SEED) as (_, faulty, registry):
+            observations = self._deploy(faulty, registry)
+            doc_id = observations.insert(make_doc(0))
+            # The first reply is captured; replaying it now changes
+            # nothing, so it passes.
+            assert [d["identifier"] for d in
+                    observations.find(Eq("status", "final"))] == [0]
+            observations.update(doc_id, {"value": 99.0})
+            with pytest.raises(StaleStateError):
+                observations.find(Eq("status", "final"))
+            assert self._composite_events(faulty, "rollback")
+
+    def test_every_injected_fault_on_a_find_is_detected(self):
+        with chaos_deployment("inproc", PLAN, CHAOS_SEED) as (
+            _, faulty, registry
+        ):
+            with schedule_artifact(faulty, "integrity-colocated"):
+                observations = self._deploy(faulty, registry)
+                ids = [observations.insert(make_doc(i))
+                       for i in range(10)]
+                queries = [Eq("status", "final"), Eq("code", "glucose"),
+                           Eq("status", "amended")]
+                ops = [lambda q=q: observations.find(q) for q in queries]
+                for offset, doc_id in enumerate(ids[:5]):
+                    ops.append(
+                        lambda d=doc_id, v=float(200 + offset):
+                        observations.update(d, {"value": v})
+                    )
+                    ops.extend(lambda q=q: observations.find(q)
+                               for q in queries)
+                detected, stale, _ = run_guarded(ops)
+                applied = faulty.fault_count("tamper", "rollback")
+                assert self._composite_events(faulty, "tamper") \
+                    or self._composite_events(faulty, "rollback")
+                assert detected == applied
 
 
 class TestAuditPass:

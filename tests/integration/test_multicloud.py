@@ -6,7 +6,7 @@ from repro.cloud.server import CloudZone
 from repro.core.middleware import DataBlinder
 from repro.core.query import Eq
 from repro.errors import TransportError
-from repro.fhir.model import observation_schema
+from repro.fhir.model import benchmark_observation_schema, observation_schema
 from repro.net.multicloud import (
     MultiCloudTransport,
     prefix_rule,
@@ -51,6 +51,29 @@ class TestSplitDeployment:
         assert observations.average("value") == pytest.approx(3.75)
         assert observations.delete(ids[1])
         assert observations.count() == 3
+
+    def test_colocated_find_across_providers(self, registry):
+        """A DET find compiles to one co-located round, but here the
+        index and the documents live with different providers: the
+        index provider answers the lookup, the document provider serves
+        ``get_many`` and never sees the token."""
+        provider_a, provider_b = CloudZone(registry), CloudZone(registry)
+        seen: list[tuple[str, str]] = []
+        documents = InProcTransport(provider_a.host)
+        call_request = documents.call_request
+        documents.call_request = lambda request: (
+            seen.append((request.service, request.method))
+            or call_request(request))
+        blinder = DataBlinder("splitapp", split_documents_and_indexes(
+            documents, InProcTransport(provider_b.host)), registry=registry)
+        blinder.register_schema(benchmark_observation_schema())
+        observations = blinder.entities("observation")
+        ids = [observations.insert(make_doc(i, status=("final", "x")[i % 2]))
+               for i in range(4)]
+        seen.clear()
+        found = observations.find(Eq("status", "final"))
+        assert sorted(d["_id"] for d in found) == sorted(ids[0::2])
+        assert seen == [("docs/splitapp", "get_many")]
 
     def test_document_provider_holds_no_indexes(self, split_deployment):
         blinder, provider_a, provider_b = split_deployment

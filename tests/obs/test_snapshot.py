@@ -49,7 +49,7 @@ def test_snapshot_has_every_section_and_is_json(production):
     planner = snapshot["planner"]["observation"]
     assert planner["executions"] >= 5
     assert "topology_invalidations" not in planner
-    assert planner["node_timings"]["FetchDocs:docs"]["calls"] >= 1
+    assert planner["node_timings"]["ColocatedFetch:det"]["calls"] >= 1
     assert snapshot["cache"]["admitted"] == {"observation": False}
     assert snapshot["cache"]["documents"]["hits"] == 0
     # Not admitted, so no hit was ever validated, locally or otherwise.

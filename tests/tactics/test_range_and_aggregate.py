@@ -1,5 +1,8 @@
 """Range tactics (OPE, ORE) and aggregate tactics (Paillier, ElGamal)."""
 
+import importlib
+import threading
+
 import pytest
 
 from repro.errors import RemoteError, TacticError
@@ -43,6 +46,31 @@ class TestRangeTactics:
         range_gw.insert("d3", 999)
         assert range_gw.range_query(40, 60) == set()
         assert range_gw.range_query(900, 1000) == {"d3"}
+
+    def test_eviction_holds_off_a_concurrent_insert(self, range_gw, harness,
+                                                     tactic, monkeypatch):
+        """Shard eviction walks the cloud half's in-memory view while
+        other dispatch threads may insert into it; an insert arriving
+        mid-walk waits instead of resizing the dict under the walk."""
+        cloud = harness.cloud_instance(tactic)
+        code = range_gw.token(42)
+        workers: list[threading.Thread] = []
+
+        class Ring:
+            def owner(self, doc_id):
+                if not workers:
+                    workers.append(threading.Thread(
+                        target=cloud.insert, args=("late", code)))
+                    workers[0].start()
+                    workers[0].join(0.2)
+                return "here"
+
+        module = importlib.import_module(type(cloud).__module__)
+        monkeypatch.setattr(module, "export_ring",
+                            lambda spec: (Ring(), "here"))
+        cloud.shard_evict({})
+        workers[0].join()
+        assert range_gw.range_query(40, 45) == {"late"}
 
     def test_rejects_non_numeric(self, range_gw, tactic):
         with pytest.raises((TacticError, RemoteError)):
