@@ -74,9 +74,6 @@ class DocumentService:
         """Bulk insert: one RPC for a whole batch of encrypted bodies."""
         return [self.insert(document) for document in documents]
 
-    def get(self, doc_id: str) -> Document:
-        return self._store.get(doc_id)
-
     def get_many(self, doc_ids: list[str]) -> list[Document]:
         return self._store.get_many(doc_ids)
 

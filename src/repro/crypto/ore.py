@@ -48,6 +48,12 @@ class OreCiphertext:
             raise CryptoError("ORE ciphertext contains an invalid digit")
         return cls(bits, digits)
 
+    def __lt__(self, other: "OreCiphertext") -> bool:
+        """Plaintext order through the public :func:`compare`, so a
+        sorted list of ``(ciphertext, doc_id)`` pairs orders like one of
+        integers (equal plaintexts have equal digits, hence ``==``)."""
+        return compare(self, other) < 0
+
 
 class Ore:
     """Keyed CLWW ORE over ``bits``-bit unsigned integers."""

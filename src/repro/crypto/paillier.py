@@ -12,18 +12,19 @@ The simplified variant with generator ``g = n + 1`` is implemented, which
 reduces encryption to one modular exponentiation of the random mask.
 
 The private key always carries the factors ``p`` and ``q`` (the gateway
-generated them), and both gateway kernels work modulo ``p²`` and ``q²``
+generated them), and the gateway kernels work modulo ``p²`` and ``q²``
 instead of ``n²``: :func:`decrypt` is Paillier'99 §7 (exponents ``p−1``
-and ``q−1``), :class:`FixedBaseObfuscator` raises its fixed base in the
-two half-width groups and recombines.  Both produce the same integers
-as the textbook formulas; the per-key constants live on
+and ``q−1``), :func:`mask` draws a uniform ``r^n`` in the two half-width
+groups, and :class:`FixedBaseObfuscator` raises its fixed base there;
+both masks share one recombination step.  Each produces the same
+integers as the textbook formula; the per-key constants live on
 :attr:`PaillierPrivateKey.crt`.  Only ``n`` ever leaves the gateway.
 
-Every exponentiation with a factor-derived exponent is
+Every gateway exponentiation is
 :func:`~repro.crypto.primitives.bignum.powmod` (OpenSSL's constant-time
-Montgomery exponentiation); the cold mask ``r^n`` (public exponent
-``n``) and the cloud's homomorphic operations stay on the builtin
-:func:`pow`.
+Montgomery exponentiation); the public-key :func:`obfuscator` /
+:func:`encrypt` and the cloud's homomorphic operations stay on the
+builtin :func:`pow`.
 """
 
 from __future__ import annotations
@@ -175,16 +176,42 @@ def _unembed_signed(public: PaillierPublicKey, residue: int) -> int:
     return residue
 
 
-def obfuscator(public: PaillierPublicKey,
-               randbelow: RandBelow | None = None) -> int:
-    """One random mask ``r^n mod n^2`` — the expensive half of encrypt."""
+def _unit(n: int, randbelow: RandBelow | None) -> int:
+    """A uniform ``r`` in Z*_n."""
     randbelow = randbelow or secrets.randbelow
-    n = public.n
     while True:
         r = randbelow(n - 1) + 1
         if math.gcd(r, n) == 1:
-            break
-    return pow(r, n, public.n_squared)
+            return r
+
+
+def obfuscator(public: PaillierPublicKey,
+               randbelow: RandBelow | None = None) -> int:
+    """One random mask ``r^n mod n^2`` — the expensive half of encrypt —
+    from the public key alone."""
+    return pow(_unit(public.n, randbelow), public.n, public.n_squared)
+
+
+def _recombine(crt: CrtConstants, u_p: int, u_q: int) -> int:
+    """The ``x mod n²`` with ``x ≡ u_p (mod p²)``, ``x ≡ u_q (mod q²)``."""
+    return u_p + crt.p_squared * (
+        (u_q - u_p) * crt.p_squared_inv_q_squared % crt.q_squared
+    )
+
+
+def mask(private: PaillierPrivateKey,
+         randbelow: RandBelow | None = None) -> int:
+    """The same uniform mask as :func:`obfuscator`, for the same coins,
+    computed by the key holder: ``r^n`` in the two half-width groups,
+    with ``n`` reduced mod |Z*_{p²}| = p(p−1) and |Z*_{q²}| = q(q−1)
+    (exact, since ``r`` is a unit), then recombined."""
+    n, p, q, crt = private.public.n, private.p, private.q, private.crt
+    r = _unit(n, randbelow)
+    return _recombine(
+        crt,
+        powmod(r % crt.p_squared, n % (p * (p - 1)), crt.p_squared),
+        powmod(r % crt.q_squared, n % (q * (q - 1)), crt.q_squared),
+    )
 
 
 def encrypt_with_mask(public: PaillierPublicKey, message: int,
@@ -228,7 +255,7 @@ class FixedBaseObfuscator:
                  randbelow: RandBelow | None = None):
         self._private = private
         self._randbelow = randbelow or secrets.randbelow
-        beta = obfuscator(private.public, randbelow)
+        beta = mask(private, randbelow)
         crt = private.crt
         self._beta_p = beta % crt.p_squared
         self._beta_q = beta % crt.q_squared
@@ -236,10 +263,10 @@ class FixedBaseObfuscator:
     def mask(self) -> int:
         private, crt = self._private, self._private.crt
         exponent = self._randbelow(private.public.n - 1) + 1
-        u_p = powmod(self._beta_p, exponent % (private.p - 1), crt.p_squared)
-        u_q = powmod(self._beta_q, exponent % (private.q - 1), crt.q_squared)
-        return u_p + crt.p_squared * (
-            (u_q - u_p) * crt.p_squared_inv_q_squared % crt.q_squared
+        return _recombine(
+            crt,
+            powmod(self._beta_p, exponent % (private.p - 1), crt.p_squared),
+            powmod(self._beta_q, exponent % (private.q - 1), crt.q_squared),
         )
 
     def encrypt(self, message: int) -> Ciphertext:

@@ -8,10 +8,6 @@ a real TCP transport for genuine two-process runs.
 from repro.net.batch import BatchCollector, PipelineConfig
 from repro.net.faults import FaultEvent, FaultInjectingTransport, FaultPlan
 from repro.net.latency import NetworkModel, NetworkStats, TrafficMeter
-from repro.net.multicloud import (
-    MultiCloudTransport,
-    split_documents_and_indexes,
-)
 from repro.net.resilience import (
     BreakerConfig,
     CircuitBreaker,
@@ -38,8 +34,6 @@ __all__ = [
     "FaultEvent",
     "FaultInjectingTransport",
     "FaultPlan",
-    "MultiCloudTransport",
-    "split_documents_and_indexes",
     "InProcTransport",
     "NetworkModel",
     "NetworkStats",

@@ -22,9 +22,9 @@ class NetworkStats:
 
     Besides the raw traffic counters, the resilience layer
     (:mod:`repro.net.resilience`, :mod:`repro.net.faults`,
-    :mod:`repro.net.multicloud`) reports its behaviour here: how many
+    :mod:`repro.shard.router`) reports its behaviour here: how many
     attempts were retried, how often a circuit breaker opened, how many
-    calls failed over to a secondary provider, and how many faults the
+    calls failed over to a replica, and how many faults the
     chaos harness injected — the operator-visible face of graceful
     degradation.
     """

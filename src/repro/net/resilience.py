@@ -10,8 +10,8 @@ view (Fig. 3) crosses the public internet to several cloud providers.
   transport faults, calls fail fast with
   :class:`repro.errors.CircuitOpenError` until a reset timeout elapses
   (half-open probe, then close on success), which both sheds load from a
-  struggling provider and gives :class:`repro.net.multicloud
-  .MultiCloudTransport` its failover signal;
+  struggling provider and gives :class:`repro.shard.router
+  .ShardedTransport` its replica-failover signal;
 * idempotency keys: mutating requests are stamped with a unique ``idem``
   key *once per logical call*, so every retry re-sends the same key and
   the cloud's dedup window (:class:`repro.net.rpc.ServiceHost`) applies

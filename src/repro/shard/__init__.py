@@ -5,6 +5,9 @@ cloud providers; this package partitions the encrypted document store and
 every secure index across N :class:`~repro.cloud.server.CloudZone` nodes
 behind the standard :class:`~repro.net.transport.Transport` interface, so
 the gateway (and every tactic protocol) stays oblivious to the topology.
+A node is any transport — a :class:`~repro.net.tcp.TcpTransport` to
+another provider included — so several providers are several nodes, each
+holding the documents *and* the index entries of its key range.
 
 * :mod:`repro.shard.ring` — consistent hash ring with virtual nodes.
 * :mod:`repro.shard.router` — :class:`ShardedTransport`: key-routes

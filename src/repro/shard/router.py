@@ -65,8 +65,9 @@ import functools
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
+from repro.crypto.ore import OreCiphertext
 from repro.errors import (
     CircuitOpenError,
     RemoteError,
@@ -839,7 +840,7 @@ class ShardedTransport(Transport):
         service, method = request.service, request.method
         if service.startswith("docs/"):
             return method not in (
-                "get", "get_many", "get_many_proven",
+                "get_many", "get_many_proven",
                 "count", "all_ids", "find_plain", "find_text",
             )
         if service.startswith("tactic/"):
@@ -972,8 +973,6 @@ class ShardedTransport(Transport):
             return self._timed_call(order[0], request)
         if method in ("insert", "insert_many"):
             return self._write(request)
-        if method == "get":
-            return self._docs_get(request)
         if method in ("get_many", "get_many_proven"):
             return self._docs_get_many(request)
         if method in ("lookup_fetch", "lookup_fetch_proven"):
@@ -1005,9 +1004,8 @@ class ShardedTransport(Transport):
             )
         return routed.result
 
-    def _forwarded(self, doc_id: str, request: Request,
-                   deliver: Callable[[Request], Any]) -> Any:
-        """One keyed document call that stays correct mid-migration.
+    def _docs_replace(self, request: Request) -> Any:
+        """A document replace that stays correct mid-migration.
 
         The current owner answers first; while a forwarding table is up,
         a ``DocumentNotFound`` there falls to the previous owner, and a
@@ -1016,9 +1014,10 @@ class ShardedTransport(Transport):
         first two probes is on its new owner by the third, and new →
         old → new misses only what no node holds.
         """
+        doc_id = (request.kwargs.get("document") or {}).get("_id")
         forwarding = self.forwarding_active()
         try:
-            return deliver(request)
+            return self._write(request)
         except RemoteError as exc:
             if exc.remote_type != "DocumentNotFound" or not (
                 forwarding or self.forwarding_active()
@@ -1031,26 +1030,14 @@ class ShardedTransport(Transport):
             except RemoteError as exc:
                 if exc.remote_type != "DocumentNotFound":
                     raise
-        return deliver(request)
-
-    def _docs_get(self, request: Request) -> Any:
-        # The gateway reads through ``get_many``; a single-id ``get``
-        # still routes for direct callers of the documents service.
-        doc_id = request.kwargs["doc_id"]
-        return self._forwarded(
-            doc_id, request, functools.partial(self._routed_read, doc_id)
-        )
-
-    def _docs_replace(self, request: Request) -> Any:
-        doc_id = (request.kwargs.get("document") or {}).get("_id")
-        return self._forwarded(doc_id, request, self._write)
+        return self._write(request)
 
     def _docs_delete(self, request: Request) -> bool:
         doc_id = request.kwargs["doc_id"]
         forwarding = self.forwarding_active()
         existed = bool(self._write(request))
         if not existed and (forwarding or self.forwarding_active()):
-            # Same new → old → new walk as :meth:`_forwarded`; a miss
+            # Same new → old → new walk as :meth:`_docs_replace`; a miss
             # is ``False`` here, not an error.
             prev = self._prev_owner(doc_id)
             if prev is not None:
@@ -1236,34 +1223,19 @@ class ShardedTransport(Transport):
             keyed_kwargs["limit"] = limit
         keyed = Request(request.service, "ordered_range_keyed",
                         keyed_kwargs)
-        pairs: list[tuple[Any, str]] = []
-        for _, part in self._broadcast(keyed):
-            for key, doc_id in part or []:
-                pairs.append((key, doc_id))
-        if tactic == "ore":
-            from repro.crypto.ore import OreCiphertext, compare
-
-            def order(a: tuple[Any, str], b: tuple[Any, str]) -> int:
-                verdict = compare(OreCiphertext.from_bytes(a[0]),
-                                  OreCiphertext.from_bytes(b[0]))
-                if verdict:
-                    return verdict
-                return (a[1] > b[1]) - (a[1] < b[1])
-
-            pairs.sort(key=functools.cmp_to_key(order))
-        else:
-            pairs.sort(key=lambda pair: (pair[0], pair[1]))
+        # The ``(key, doc_id)`` order each shard's sorted index keeps;
+        # ORE keys travel as bytes and compare once parsed.
+        parse = OreCiphertext.from_bytes if tactic == "ore" else None
+        pairs = sorted(
+            (key if parse is None else parse(key), doc_id)
+            for _, part in self._broadcast(keyed)
+            for key, doc_id in part or []
+        )
         if descending:
             pairs.reverse()
-        ids: list[str] = []
-        seen: set[str] = set()
-        for _, doc_id in pairs:
-            if doc_id not in seen:
-                seen.add(doc_id)
-                ids.append(doc_id)
-        if limit is not None:
-            return ids[:limit]
-        return ids
+        # A replicated entry arrives once per owner: keep its first.
+        ids = list(dict.fromkeys(doc_id for _, doc_id in pairs))
+        return ids if limit is None else ids[:limit]
 
     def _aggregate(self, request: Request) -> list[dict]:
         """The per-shard partials, in node order; the gateway tactic's

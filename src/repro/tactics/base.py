@@ -108,13 +108,20 @@ class GatewayTactic:
 class CloudTactic:
     """Base for cloud-side tactic halves.
 
-    Provides the *generic* half of the shard-migration SPI: the whole
-    key namespace of this tactic instance relocates via
-    ``shard_dump``/``shard_load``/``shard_drop``.  Pinned tactics (BIEX)
-    rely on exactly this; entry-keyed tactics additionally implement
-    ``shard_export``/``shard_import``/``shard_evict`` so only the
-    entries whose ring owner changed have to move.
+    Provides both halves of the shard-migration SPI.  The whole key
+    namespace of this tactic instance relocates via
+    ``shard_dump``/``shard_load``/``shard_drop``; pinned tactics (BIEX)
+    rely on exactly this.  Entry-keyed tactics keep one entry per shard
+    key (a document id or an index address) in the KV map they name
+    ``_map_name``, and ``shard_export``/``shard_import``/``shard_evict``
+    move only the entries whose ring owner changed, as raw
+    ``(key, blob)`` pairs.  A tactic with structures derived from that
+    map overrides the two per-entry hooks, ``_import_entry`` and
+    ``_evict_entry``.
     """
+
+    #: The ``shard key -> blob`` KV map of an entry-keyed tactic.
+    _map_name: bytes
 
     def __init__(self, ctx: CloudTacticContext):
         self.ctx = ctx
@@ -128,6 +135,31 @@ class CloudTactic:
 
     def shard_drop(self) -> int:
         return self.ctx.kv.namespace_drop(self.ctx.state_key(b""))
+
+    def shard_export(self, spec: dict[str, Any]) -> list:
+        """The entries this node no longer owns under ``spec``'s ring."""
+        ring, origin = export_ring(spec)
+        return [
+            (key, blob)
+            for key, blob in self.ctx.kv.map_items(self._map_name)
+            if ring.owner(key) != origin
+        ]
+
+    def shard_import(self, entries: list) -> None:
+        for key, blob in entries:
+            self._import_entry(key, blob)
+
+    def shard_evict(self, spec: dict[str, Any]) -> None:
+        ring, origin = export_ring(spec)
+        for key, blob in self.ctx.kv.map_items(self._map_name):
+            if ring.owner(key) != origin:
+                self._evict_entry(key, blob)
+
+    def _import_entry(self, key: bytes, blob: bytes) -> None:
+        self.ctx.kv.map_put(self._map_name, key, blob)
+
+    def _evict_entry(self, key: bytes, blob: bytes) -> None:
+        self.ctx.kv.map_delete(self._map_name, key)
 
     def state_digest(self) -> str:
         """Order-independent digest of this instance's secure-index state.

@@ -27,7 +27,7 @@ from repro.crypto.encoding import Value, encode_value
 from repro.crypto.oprf import OprfClient
 from repro.errors import TacticError
 from repro.spi import interfaces as spi
-from repro.tactics.base import CloudTactic, GatewayTactic, export_ring
+from repro.tactics.base import CloudTactic, GatewayTactic
 
 OPRF_GROUP_BITS = 256
 
@@ -148,7 +148,7 @@ class BlindIndexCloud(
         self._namespace = self.ctx.state_key(b"tags")
         # doc_id -> tag reverse map; lets shard migration enumerate the
         # entries of one document without scanning every tag set.
-        self._by_doc = self.ctx.state_key(b"by-doc")
+        self._map_name = self.ctx.state_key(b"by-doc")
 
     def _tag_set(self, tag: bytes) -> bytes:
         return self._namespace + b"/" + tag
@@ -157,7 +157,7 @@ class BlindIndexCloud(
         if not isinstance(tag, bytes):
             raise TacticError("blind-index tag must be bytes")
         self.ctx.kv.set_add(self._tag_set(tag), doc_id.encode())
-        self.ctx.kv.map_put(self._by_doc, doc_id.encode(), tag)
+        self.ctx.kv.map_put(self._map_name, doc_id.encode(), tag)
 
     def update(self, doc_id: str, old_tag: bytes, new_tag: bytes) -> None:
         self.ctx.kv.set_remove(self._tag_set(old_tag), doc_id.encode())
@@ -165,7 +165,7 @@ class BlindIndexCloud(
 
     def delete(self, doc_id: str, tag: bytes) -> None:
         self.ctx.kv.set_remove(self._tag_set(tag), doc_id.encode())
-        self.ctx.kv.map_delete(self._by_doc, doc_id.encode())
+        self.ctx.kv.map_delete(self._map_name, doc_id.encode())
 
     def eq_query(self, tag: bytes) -> list[str]:
         return sorted(
@@ -173,23 +173,11 @@ class BlindIndexCloud(
             for member in self.ctx.kv.set_members(self._tag_set(tag))
         )
 
-    # -- shard migration SPI (doc-keyed) ---------------------------------------
+    # -- shard migration hooks (doc-keyed) -------------------------------------
+    # An entry of the ``doc_id -> tag`` map carries its tag set too.
 
-    def shard_export(self, spec: dict[str, Any]) -> list:
-        ring, origin = export_ring(spec)
-        return [
-            (doc_id.decode(), tag)
-            for doc_id, tag in self.ctx.kv.map_items(self._by_doc)
-            if ring.owner(doc_id.decode()) != origin
-        ]
+    def _import_entry(self, key: bytes, tag: bytes) -> None:
+        self.insert(key.decode(), tag)
 
-    def shard_import(self, entries: list) -> None:
-        for doc_id, tag in entries:
-            self.insert(doc_id, tag)
-
-    def shard_evict(self, spec: dict[str, Any]) -> None:
-        ring, origin = export_ring(spec)
-        for doc_id, tag in self.ctx.kv.map_items(self._by_doc):
-            decoded = doc_id.decode()
-            if ring.owner(decoded) != origin:
-                self.delete(decoded, tag)
+    def _evict_entry(self, key: bytes, tag: bytes) -> None:
+        self.delete(key.decode(), tag)

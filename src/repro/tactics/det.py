@@ -20,12 +20,7 @@ from repro.crypto.encoding import Value, encode_value
 from repro.crypto.symmetric import Deterministic, open_value, seal_value
 from repro.errors import DocumentNotFound, TacticError
 from repro.spi import interfaces as spi
-from repro.tactics.base import (
-    CloudTactic,
-    GatewayTactic,
-    export_ring,
-    random_doc_id,
-)
+from repro.tactics.base import CloudTactic, GatewayTactic, random_doc_id
 
 
 class DetGateway(
@@ -146,7 +141,7 @@ class DetCloud(
     """
 
     def setup(self, **params: Any) -> None:
-        self._by_doc = self.ctx.state_key(b"by-doc")
+        self._map_name = self.ctx.state_key(b"by-doc")
 
     def _token_set(self, token: bytes) -> bytes:
         return self.ctx.state_key(b"token", token)
@@ -155,7 +150,7 @@ class DetCloud(
         if not isinstance(token, bytes):
             raise TacticError("DET insert expects a token blob")
         self.ctx.kv.set_add(self._token_set(token), doc_id.encode())
-        self.ctx.kv.map_put(self._by_doc, doc_id.encode(), token)
+        self.ctx.kv.map_put(self._map_name, doc_id.encode(), token)
 
     def update(self, doc_id: str, old_token: bytes,
                new_token: bytes) -> None:
@@ -164,10 +159,10 @@ class DetCloud(
 
     def delete(self, doc_id: str, token: bytes) -> None:
         self.ctx.kv.set_remove(self._token_set(token), doc_id.encode())
-        self.ctx.kv.map_delete(self._by_doc, doc_id.encode())
+        self.ctx.kv.map_delete(self._map_name, doc_id.encode())
 
     def retrieve(self, doc_id: str) -> bytes | None:
-        return self.ctx.kv.map_get(self._by_doc, doc_id.encode())
+        return self.ctx.kv.map_get(self._map_name, doc_id.encode())
 
     def eq_query(self, token: bytes) -> list[str]:
         return sorted(
@@ -175,23 +170,11 @@ class DetCloud(
             for member in self.ctx.kv.set_members(self._token_set(token))
         )
 
-    # -- shard migration SPI (doc-keyed) ---------------------------------------
+    # -- shard migration hooks (doc-keyed) -------------------------------------
+    # An entry of the ``doc_id -> token`` map carries its token set too.
 
-    def shard_export(self, spec: dict[str, Any]) -> list:
-        ring, origin = export_ring(spec)
-        return [
-            (doc_id.decode(), token)
-            for doc_id, token in self.ctx.kv.map_items(self._by_doc)
-            if ring.owner(doc_id.decode()) != origin
-        ]
+    def _import_entry(self, key: bytes, token: bytes) -> None:
+        self.insert(key.decode(), token)
 
-    def shard_import(self, entries: list) -> None:
-        for doc_id, token in entries:
-            self.insert(doc_id, token)
-
-    def shard_evict(self, spec: dict[str, Any]) -> None:
-        ring, origin = export_ring(spec)
-        for doc_id, token in self.ctx.kv.map_items(self._by_doc):
-            decoded = doc_id.decode()
-            if ring.owner(decoded) != origin:
-                self.delete(decoded, token)
+    def _evict_entry(self, key: bytes, token: bytes) -> None:
+        self.delete(key.decode(), token)

@@ -18,13 +18,12 @@ selects nothing here.
 from __future__ import annotations
 
 import time
-from typing import Any
 
 from repro.crypto import elgamal
 from repro.crypto.encoding import Value
 from repro.errors import TacticError
 from repro.spi import interfaces as spi
-from repro.tactics.base import CloudTactic, GatewayTactic, export_ring
+from repro.tactics.base import CloudTactic, GatewayTactic
 
 KEY_BITS = 256
 
@@ -146,23 +145,3 @@ class ElGamalCloud(
             product_c2 = product_c2 * c2 % p
         return [{"c1": product_c1, "c2": product_c2,
                  "count": len(selected)}]
-
-    # -- shard migration SPI (doc-keyed) ---------------------------------------
-
-    def shard_export(self, spec: dict[str, Any]) -> list:
-        ring, origin = export_ring(spec)
-        return [
-            (key.decode(), blob)
-            for key, blob in self.ctx.kv.map_items(self._map_name)
-            if ring.owner(key.decode()) != origin
-        ]
-
-    def shard_import(self, entries: list) -> None:
-        for doc_id, blob in entries:
-            self.ctx.kv.map_put(self._map_name, doc_id.encode(), blob)
-
-    def shard_evict(self, spec: dict[str, Any]) -> None:
-        ring, origin = export_ring(spec)
-        for key, _ in self.ctx.kv.map_items(self._map_name):
-            if ring.owner(key.decode()) != origin:
-                self.ctx.kv.map_delete(self._map_name, key)

@@ -29,7 +29,6 @@ from repro.spi import interfaces as spi
 from repro.tactics.base import (
     CloudTactic,
     GatewayTactic,
-    export_ring,
     keyword_key,
     random_doc_id,
 )
@@ -174,25 +173,3 @@ class MitraCloud(
             self.ctx.kv.map_get(self._map_name, address)
             for address in addresses
         ]
-
-    # -- shard migration SPI (address-keyed) -----------------------------------
-    # Each address slot lives on exactly one shard; the router's
-    # elementwise first-non-None merge reassembles a search.
-
-    def shard_export(self, spec: dict[str, Any]) -> list:
-        ring, origin = export_ring(spec)
-        return [
-            (address, payload)
-            for address, payload in self.ctx.kv.map_items(self._map_name)
-            if ring.owner(address) != origin
-        ]
-
-    def shard_import(self, entries: list) -> None:
-        for address, payload in entries:
-            self.ctx.kv.map_put(self._map_name, address, payload)
-
-    def shard_evict(self, spec: dict[str, Any]) -> None:
-        ring, origin = export_ring(spec)
-        for address, _ in self.ctx.kv.map_items(self._map_name):
-            if ring.owner(address) != origin:
-                self.ctx.kv.map_delete(self._map_name, address)

@@ -17,13 +17,12 @@ Insertion, AggFunctionResolution // Setup, Insertion, AggFunction.
 from __future__ import annotations
 
 import time
-from typing import Any
 
 from repro.crypto import paillier
 from repro.crypto.encoding import Value
 from repro.errors import TacticError
 from repro.spi import interfaces as spi
-from repro.tactics.base import CloudTactic, GatewayTactic, export_ring
+from repro.tactics.base import CloudTactic, GatewayTactic
 
 KEY_BITS = 1024
 FIXED_POINT_SCALE = 6
@@ -43,10 +42,10 @@ class PaillierGateway(
         )
         self._codec = paillier.FixedPointCodec(FIXED_POINT_SCALE)
         #: Fixed-base mask generation (CryptoConfig.precompute): one cold
-        #: mask β at setup, fresh masks as β^k mod p² and q² on OpenSSL's
-        #: constant-time powmod — half-width and with half-length
-        #: exponents, where a cold r^n is full-width on the builtin pow.
-        #: Masks are always computed inline, on the thread that encrypts.
+        #: mask β at setup, fresh masks as β^k mod p² and q² — half-length
+        #: exponents where a uniform r^n reduces n mod p(p−1) and q(q−1).
+        #: Both run on OpenSSL's constant-time powmod in the half-width
+        #: groups, inline, on the thread that encrypts.
         self._fixed_base = (
             paillier.FixedBaseObfuscator(self._private)
             if self.crypto.precompute else None
@@ -64,7 +63,8 @@ class PaillierGateway(
     def _encrypt(self, encoded: int) -> paillier.Ciphertext:
         if self._fixed_base is not None:
             return self._fixed_base.encrypt(encoded)
-        return paillier.encrypt(self._private.public, encoded)
+        return paillier.encrypt_with_mask(self._private.public, encoded,
+                                          paillier.mask(self._private))
 
     def insert(self, doc_id: str, value: Value) -> None:
         ciphertext = self._encrypt(self._encode(value))
@@ -169,23 +169,3 @@ class PaillierCloud(
         for ciphertext in selected:
             product = product * ciphertext % n_squared
         return [{"ct": product, "count": len(selected)}]
-
-    # -- shard migration SPI (doc-keyed) ---------------------------------------
-
-    def shard_export(self, spec: dict[str, Any]) -> list:
-        ring, origin = export_ring(spec)
-        return [
-            (key.decode(), int.from_bytes(blob, "big"))
-            for key, blob in self.ctx.kv.map_items(self._map_name)
-            if ring.owner(key.decode()) != origin
-        ]
-
-    def shard_import(self, entries: list) -> None:
-        for doc_id, ciphertext in entries:
-            self.insert(doc_id, ciphertext)
-
-    def shard_evict(self, spec: dict[str, Any]) -> None:
-        ring, origin = export_ring(spec)
-        for key, _ in self.ctx.kv.map_items(self._map_name):
-            if ring.owner(key.decode()) != origin:
-                self.ctx.kv.map_delete(self._map_name, key)

@@ -20,7 +20,7 @@ from repro.crypto.encoding import Value
 from repro.crypto.symmetric import Aead, open_value, seal_value
 from repro.errors import DocumentNotFound, TacticError
 from repro.spi import interfaces as spi
-from repro.tactics.base import CloudTactic, GatewayTactic, export_ring
+from repro.tactics.base import CloudTactic, GatewayTactic
 
 
 class RndGateway(
@@ -109,23 +109,3 @@ class RndCloud(
             (field.decode(), blob)
             for field, blob in self.ctx.kv.map_items(self._map_name)
         ]
-
-    # -- shard migration SPI (doc-keyed) ---------------------------------------
-
-    def shard_export(self, spec: dict[str, Any]) -> list:
-        ring, origin = export_ring(spec)
-        return [
-            (field.decode(), blob)
-            for field, blob in self.ctx.kv.map_items(self._map_name)
-            if ring.owner(field.decode()) != origin
-        ]
-
-    def shard_import(self, entries: list) -> None:
-        for doc_id, blob in entries:
-            self.insert(doc_id, blob)
-
-    def shard_evict(self, spec: dict[str, Any]) -> None:
-        ring, origin = export_ring(spec)
-        for field, _ in self.ctx.kv.map_items(self._map_name):
-            if ring.owner(field.decode()) != origin:
-                self.ctx.kv.map_delete(self._map_name, field)

@@ -34,7 +34,6 @@ from repro.spi import interfaces as spi
 from repro.tactics.base import (
     CloudTactic,
     GatewayTactic,
-    export_ring,
     keyword_key,
     random_doc_id,
 )
@@ -157,7 +156,12 @@ class SophosCloud(
     spi.CloudUpdate,
     spi.CloudEqQuery,
 ):
-    """Untrusted-zone half: public-key forward walking."""
+    """Untrusted-zone half: public-key forward walking.
+
+    The walk skips missing addresses, so the entries of one keyword
+    chain may scatter across shards and the router's union-merge stays
+    correct.
+    """
 
     def setup(self, n: int, e: int) -> None:
         self._n = n
@@ -186,25 +190,3 @@ class SophosCloud(
                 ids.append(_unmask_id(k_w, token_bytes, masked))
             current = pow(current, self._e, self._n)
         return ids
-
-    # -- shard migration SPI (address-keyed) -----------------------------------
-    # The search walk skips missing addresses, so entries of one keyword
-    # chain may scatter across shards and the union-merge stays correct.
-
-    def shard_export(self, spec: dict[str, Any]) -> list:
-        ring, origin = export_ring(spec)
-        return [
-            (address, payload)
-            for address, payload in self.ctx.kv.map_items(self._map_name)
-            if ring.owner(address) != origin
-        ]
-
-    def shard_import(self, entries: list) -> None:
-        for address, payload in entries:
-            self.ctx.kv.map_put(self._map_name, address, payload)
-
-    def shard_evict(self, spec: dict[str, Any]) -> None:
-        ring, origin = export_ring(spec)
-        for address, _ in self.ctx.kv.map_items(self._map_name):
-            if ring.owner(address) != origin:
-                self.ctx.kv.map_delete(self._map_name, address)

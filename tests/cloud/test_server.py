@@ -72,13 +72,15 @@ class TestDocumentService:
     def test_crud_over_rpc(self, docs):
         docs("insert", document={"_id": "d1", "schema": "s",
                                  "body": b"\x01", "plain": {"n": 1}})
-        assert docs("get", doc_id="d1")["plain"]["n"] == 1
+        assert docs("get_many", doc_ids=["d1"])[0]["plain"]["n"] == 1
         docs("replace", document={"_id": "d1", "schema": "s",
                                   "body": b"\x02", "plain": {"n": 2}})
-        assert docs("get", doc_id="d1")["body"] == b"\x02"
+        assert docs("get_many", doc_ids=["d1"])[0]["body"] == b"\x02"
         assert docs("delete", doc_id="d1") is True
+        assert docs("get_many", doc_ids=["d1"]) == []
         with pytest.raises(RemoteError):
-            docs("get", doc_id="d1")
+            docs("replace", document={"_id": "d1", "schema": "s",
+                                      "body": b"", "plain": {}})
 
     def test_insert_many(self, docs):
         ids = docs("insert_many", documents=[

@@ -91,6 +91,37 @@ class TestMaskBitIdentity:
             assert textbook_decrypt(key, ciphertext) == -k % 997
 
 
+class TestUniformMask:
+    """The key holder's mask — r^(n mod p(p−1)) mod p² and
+    r^(n mod q(q−1)) mod q², recombined — is ``pow(r, n, n²)`` for the
+    same ``r``, so the default path's ciphertexts are those of the
+    public-key formula."""
+
+    def test_edge_units(self, key):
+        n = key.public.n
+        for r in (1, 2, key.p - 1, key.q + 1, n - 1):
+            assert paillier.mask(key, ReplayCoins(r, []).randbelow) == pow(
+                r, n, key.public.n_squared
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_units(self, data):
+        key = keypair(data.draw(st.sampled_from(PROPERTY_BITS)))
+        r = data.draw(st.integers(1, key.public.n - 1))
+        assert paillier.mask(key, ReplayCoins(r, []).randbelow) \
+            == paillier.obfuscator(key.public, ReplayCoins(r, []).randbelow)
+
+    def test_1024_bit_key(self):
+        key = keypair(1024)
+        coins = DeterministicRandom(b"paillier-crt/1024/uniform")
+        for _ in range(3):
+            r = coins.randbelow(key.public.n - 1) + 1
+            assert paillier.mask(key, ReplayCoins(r, []).randbelow) == pow(
+                r, key.public.n, key.public.n_squared
+            )
+
+
 class TestDecryptEquivalence:
     """§7 decryption returns what the textbook formula returns."""
 

@@ -30,12 +30,10 @@ from repro.core.registry import TacticRegistry
 from repro.errors import TransportError
 from repro.fhir.model import observation_schema
 from repro.net.faults import FaultInjectingTransport, FaultPlan
-from repro.net.multicloud import MultiCloudTransport
 from repro.net.resilience import (
     MUTATING_METHODS,
     BreakerConfig,
     ResilienceConfig,
-    ResilientTransport,
     RetryPolicy,
 )
 from repro.net.rpc import Request
@@ -227,38 +225,6 @@ class TestChaosScenarios:
                         retry=RetryPolicy.no_retry()
                     ),
                 )
-
-
-class TestMultiCloudFailoverEndToEnd:
-    def test_open_primary_fails_over_and_stays_correct(self):
-        registry = fresh_registry()
-        cloud = CloudZone(registry)
-        primary = ResilientTransport(
-            InProcTransport(cloud.host), RetryPolicy.no_retry(),
-            breaker=BreakerConfig(failure_threshold=1,
-                                  reset_timeout=10 ** 9),
-            seed=0,
-        )
-        secondary = InProcTransport(cloud.host)
-        transport = MultiCloudTransport([
-            (lambda service: True, primary, secondary),
-        ])
-        blinder = DataBlinder(APP, transport, registry=registry)
-        blinder.register_schema(observation_schema())
-        observations = blinder.entities("observation")
-        ids = [observations.insert(make_doc(i)) for i in range(3)]
-
-        # Provider outage: the primary's breaker opens, so every call
-        # for its routes fails over to the secondary.
-        primary.breaker.record_failure()
-        ids += [observations.insert(make_doc(i)) for i in range(3, 6)]
-        assert observations.count() == 6
-        assert sorted(
-            observations.get(d)["identifier"]
-            for d in observations.find_ids(Eq("status", "final"))
-        ) == [0, 2, 4]
-        assert observations.average("value") == pytest.approx(2.5)
-        assert transport.stats().failovers > 0
 
 
 class RecordingTransport(TransportLayer):

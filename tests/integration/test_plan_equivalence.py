@@ -1,15 +1,25 @@
-"""Plan-vs-seed equivalence: every read operation answered through the
-query planner must match the pre-planner executor read path byte for
-byte.  ``LegacyReadPath`` is a verbatim port of the seed's monolithic
-``SchemaExecutor`` read methods, kept as the oracle."""
+"""Plan-vs-oracle equivalence: every read operation answered through
+the query planner must equal what plain evaluation over the documents
+the test inserted answers — ``evaluate_plain`` for predicates, plain
+sum/avg/min/max for aggregates, a plain sort for ``find_sorted`` — on
+the defaults, the pipelined path and the production stack.  The seed's
+read path answered exactly these plain semantics, hence the
+``*_seed_path`` test names."""
 
 import pytest
 
 from repro.cloud.cluster import CloudCluster
 from repro.cloud.server import CloudZone
-from repro.core.legacy import LegacyReadPath
 from repro.core.middleware import DataBlinder
-from repro.core.query import AggregateQuery, And, Eq, Not, Or, Range
+from repro.core.query import (
+    AggregateQuery,
+    And,
+    Eq,
+    Not,
+    Or,
+    Range,
+    evaluate_plain,
+)
 from repro.core.registry import TacticRegistry
 from repro.core.schema import FieldAnnotation, Schema
 from repro.net.batch import PipelineConfig
@@ -38,7 +48,7 @@ def build(pipeline=None):
     )
     blinder.register_schema(schema)
     entities = blinder.entities("obs")
-    entities.insert_many([
+    documents = [
         {
             "status": ["final", "draft", "amended"][i % 3],
             "kind": ["hr", "bp"][i % 2],
@@ -48,9 +58,11 @@ def build(pipeline=None):
             "note": f"note {i}",
         }
         for i in range(36)
-    ])
-    executor = blinder._executor("obs")
-    return executor, entities, blinder
+    ]
+    for doc_id, document in zip(entities.insert_many(documents),
+                                documents):
+        document["_id"] = doc_id
+    return entities, documents
 
 
 PREDICATES = [
@@ -72,8 +84,26 @@ PREDICATES = [
 ]
 
 
-def doc_key(doc):
-    return doc["_id"] if "_id" in doc else tuple(sorted(doc.items()))
+def matching(documents, predicate):
+    """The plaintext oracle: the inserted documents ``predicate`` selects."""
+    return [d for d in documents
+            if predicate is None or evaluate_plain(predicate, d)]
+
+
+def by_id(documents):
+    return sorted(documents, key=lambda d: d["_id"])
+
+
+def plain_aggregate(documents, query):
+    values = [d[query.field] for d in matching(documents, query.where)]
+    if query.function is Aggregate.COUNT:
+        return len(values)
+    if not values:
+        return None
+    return {
+        Aggregate.SUM: sum, Aggregate.MIN: min, Aggregate.MAX: max,
+        Aggregate.AVG: lambda vs: sum(vs) / len(vs),
+    }[query.function](values)
 
 
 @pytest.fixture(scope="module", params=[
@@ -92,39 +122,34 @@ def deployment(request):
 class TestReadEquivalence:
     @pytest.mark.parametrize("idx", range(len(PREDICATES)))
     def test_find_matches_seed_path(self, deployment, idx):
-        executor, entities, _ = deployment
+        entities, documents = deployment
         predicate = PREDICATES[idx]
-        legacy = LegacyReadPath(executor)
-        new = entities.find(predicate)
-        old = legacy.find(predicate)
-        assert sorted(map(doc_key, new)) == sorted(map(doc_key, old))
+        assert by_id(entities.find(predicate)) == by_id(
+            matching(documents, predicate)
+        )
 
     @pytest.mark.parametrize("idx", range(len(PREDICATES)))
     def test_find_ids_and_count_match_seed_path(self, deployment, idx):
-        executor, entities, _ = deployment
+        entities, documents = deployment
         predicate = PREDICATES[idx]
-        legacy = LegacyReadPath(executor)
-        assert entities.find_ids(predicate) == legacy.find_ids(predicate)
-        assert entities.count(predicate) == legacy.count(predicate)
+        expected = {d["_id"] for d in matching(documents, predicate)}
+        assert entities.find_ids(predicate) == expected
+        assert entities.count(predicate) == len(expected)
 
     def test_limit_matches_seed_path(self, deployment):
-        executor, entities, _ = deployment
-        legacy = LegacyReadPath(executor)
+        entities, documents = deployment
+        expected = {d["_id"] for d in matching(documents, Eq("kind", "hr"))}
         for limit in (1, 5, 100):
             new = entities.find(Eq("kind", "hr"), limit=limit)
-            old = legacy.find(Eq("kind", "hr"), limit=limit)
-            assert len(new) == len(old)
-            assert {doc_key(d) for d in new} <= {
-                doc_key(d) for d in legacy.find(Eq("kind", "hr"))
-            }
+            assert len(new) == min(limit, len(expected))
+            assert {d["_id"] for d in new} <= expected
 
     def test_unverified_find_matches_seed_path(self, deployment):
-        executor, entities, _ = deployment
-        legacy = LegacyReadPath(executor)
+        entities, documents = deployment
         predicate = Range("effective", 12, 33)
-        new = entities.find(predicate, verify=False)
-        old = legacy.find(predicate, verify=False)
-        assert sorted(map(doc_key, new)) == sorted(map(doc_key, old))
+        assert by_id(entities.find(predicate, verify=False)) == by_id(
+            matching(documents, predicate)
+        )
 
     @pytest.mark.parametrize("function,field,where", [
         (Aggregate.SUM, "value", None),
@@ -135,44 +160,41 @@ class TestReadEquivalence:
         (Aggregate.MIN, "effective", Eq("status", "missing-value")),
     ])
     def test_aggregates_match_seed_path(self, deployment, function,
-                                        field, where):
-        executor, entities, _ = deployment
-        legacy = LegacyReadPath(executor)
+                                         field, where):
+        entities, documents = deployment
         query = AggregateQuery(function, field, where)
         assert entities.aggregate(query) == pytest.approx(
-            legacy.aggregate(query)
+            plain_aggregate(documents, query)
         )
 
     @pytest.mark.parametrize("limit,descending", [
         (None, False), (None, True), (10, False), (3, True),
     ])
     def test_find_sorted_matches_seed_path(self, deployment, limit,
-                                           descending):
-        executor, entities, _ = deployment
-        legacy = LegacyReadPath(executor)
+                                            descending):
+        entities, documents = deployment
         new = entities.find_sorted("effective", limit=limit,
                                    descending=descending)
-        old = legacy.find_sorted("effective", limit=limit,
-                                 descending=descending)
-        assert [d["effective"] for d in new] == [
-            d["effective"] for d in old
-        ]
-        assert len(new) == len(old)
+        expected = sorted((d["effective"] for d in documents),
+                          reverse=descending)[:limit]
+        assert [d["effective"] for d in new] == expected
+        assert len(new) == len(expected)
 
     def test_equivalence_survives_mutation(self, deployment):
-        executor, entities, _ = deployment
-        legacy = LegacyReadPath(executor)
-        doc_id = entities.insert({
+        entities, documents = deployment
+        mutant = {
             "status": "final", "kind": "hr", "patient": "p9",
             "effective": 49, "value": 2.5, "note": "mutant",
-        })
+        }
+        doc_id = entities.insert(mutant)
         entities.update(doc_id, {"status": "amended", "effective": 48})
+        current = documents + [
+            {**mutant, "_id": doc_id, "status": "amended", "effective": 48}
+        ]
         for predicate in (Eq("status", "amended"), Eq("patient", "p9"),
                           Range("effective", 45, 49)):
-            assert entities.find_ids(predicate) == legacy.find_ids(
-                predicate
-            )
+            assert entities.find_ids(predicate) == {
+                d["_id"] for d in matching(current, predicate)
+            }
         entities.delete(doc_id)
-        assert entities.find_ids(Eq("patient", "p9")) == legacy.find_ids(
-            Eq("patient", "p9")
-        )
+        assert entities.find_ids(Eq("patient", "p9")) == set()

@@ -7,10 +7,8 @@ import pytest
 from repro.errors import RemoteError
 from repro.net.batch import BatchCollector
 from repro.net.latency import NetworkModel
-from repro.net.multicloud import MultiCloudTransport, prefix_rule
 from repro.net.rpc import (
     Request,
-    Response,
     ServiceHost,
     batch_request_payload,
     is_batch_payload,
@@ -149,32 +147,6 @@ class TestBaseFallback:
         assert responses[2].result == 3
         # Fallback pays one wire frame per request.
         assert transport.stats().messages_sent == 3
-
-
-class TestMultiCloudBatch:
-    def test_batch_splits_by_provider_and_reorders(self):
-        host_a, host_b = ServiceHost(), ServiceHost()
-        service_a, service_b = CounterService(), CounterService()
-        host_a.register("a/counter", service_a)
-        host_b.register("b/counter", service_b)
-        transport_a = InProcTransport(host_a)
-        transport_b = InProcTransport(host_b)
-        multi = MultiCloudTransport([
-            (prefix_rule("a/"), transport_a),
-            (prefix_rule("b/"), transport_b),
-        ])
-        responses = multi.call_batch([
-            Request("a/counter", "bump", {"amount": 1}),
-            Request("b/counter", "bump", {"amount": 10}),
-            Request("a/counter", "bump", {"amount": 2}),
-        ])
-        # Results come back in original request order...
-        assert [r.result for r in responses] == [2, 11, 3]
-        # ...from one batch frame per provider.
-        assert transport_a.stats().messages_sent == 1
-        assert transport_b.stats().messages_sent == 1
-        assert service_a.calls == [("bump", 1), ("bump", 2)]
-        assert service_b.calls == [("bump", 10)]
 
 
 class TestTcpBatch:

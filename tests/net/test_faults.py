@@ -9,18 +9,16 @@ from repro.errors import (
     DeadlineExceeded,
     RemoteError,
     RetryExhausted,
-    TransportError,
     TransportFault,
 )
 from repro.net.faults import FaultInjectingTransport, FaultPlan
-from repro.net.multicloud import MultiCloudTransport, prefix_rule
 from repro.net.resilience import (
     BreakerConfig,
     CircuitBreaker,
     ResilientTransport,
     RetryPolicy,
 )
-from repro.net.rpc import Request, Response, ServiceHost
+from repro.net.rpc import Request, ServiceHost
 from repro.net.transport import DirectTransport, InProcTransport, Transport
 
 
@@ -440,88 +438,6 @@ class TestServiceHostDedup:
 
     def test_unkeyed_payload_omits_idem(self):
         assert "idem" not in Request("s", "m", {}).to_payload()
-
-
-class ShortBatchTransport(Transport):
-    """Buggy provider answering fewer responses than requests."""
-
-    def call(self, service, method, **kwargs):
-        return None
-
-    def call_batch(self, requests):
-        return [Response(ok=True, result=None)
-                for _ in range(len(requests) - 1)]
-
-    def stats(self):
-        from repro.net.latency import NetworkStats
-
-        return NetworkStats()
-
-
-class TestMultiCloudResilience:
-    def test_incomplete_batch_raises_instead_of_shifting_slots(self):
-        transport = MultiCloudTransport([
-            (prefix_rule(""), ShortBatchTransport()),
-        ])
-        with pytest.raises(TransportError, match="incomplete"):
-            transport.call_batch([
-                Request("a", "m", {}), Request("a", "m", {}),
-            ])
-
-    def test_failover_engages_when_breaker_opens(self, host, service):
-        primary_inner = FlakyTransport(InProcTransport(host), failures=99)
-        primary = ResilientTransport(
-            primary_inner, fast_policy(max_attempts=1),
-            breaker=BreakerConfig(failure_threshold=1,
-                                  reset_timeout=1000.0),
-            seed=0,
-        )
-        secondary = InProcTransport(host)
-        transport = MultiCloudTransport([
-            (prefix_rule("svc"), primary, secondary),
-        ])
-        # First call trips the primary's breaker (counted as a failure).
-        with pytest.raises(RetryExhausted):
-            transport.call("svc", "read", value=1)
-        # Breaker now open: traffic fails over to the secondary.
-        assert transport.call("svc", "read", value=2) == 2
-        assert transport.stats().failovers == 1
-
-    def test_failover_batch(self, host, service):
-        primary_inner = FlakyTransport(InProcTransport(host), failures=99)
-        primary = ResilientTransport(
-            primary_inner, fast_policy(max_attempts=1),
-            breaker=BreakerConfig(failure_threshold=1,
-                                  reset_timeout=1000.0),
-            seed=0,
-        )
-        secondary = InProcTransport(host)
-        transport = MultiCloudTransport([
-            (prefix_rule("svc"), primary, secondary),
-        ])
-        with pytest.raises(RetryExhausted):
-            transport.call("svc", "read", value=1)
-        responses = transport.call_batch([
-            Request("svc", "insert", {"value": 1}),
-            Request("svc", "insert", {"value": 2}),
-        ])
-        assert [r.ok for r in responses] == [True, True]
-        assert service.applied == [1, 2]
-        assert transport.stats().failovers >= 1
-
-    def test_no_secondary_propagates_circuit_open(self, host):
-        primary = ResilientTransport(
-            FlakyTransport(InProcTransport(host), failures=99),
-            fast_policy(max_attempts=1),
-            breaker=BreakerConfig(failure_threshold=1,
-                                  reset_timeout=1000.0),
-            seed=0,
-        )
-        transport = MultiCloudTransport([(prefix_rule("svc"), primary)])
-        with pytest.raises(RetryExhausted):
-            transport.call("svc", "read", value=1)
-        with pytest.raises(CircuitOpenError):
-            transport.call("svc", "read", value=2)
 
 
 class CallOnlyTransport(Transport):

@@ -7,7 +7,6 @@ import threading
 import pytest
 
 from repro.errors import TransportError
-from repro.net.multicloud import MultiCloudTransport
 from repro.net.rpc import Request, ServiceHost
 from repro.net.tcp import TcpRpcServer, TcpTransport, recv_frame
 from repro.net.transport import (
@@ -15,6 +14,7 @@ from repro.net.transport import (
     InProcTransport,
     TransportLayer,
 )
+from repro.shard.router import ShardedTransport
 
 
 class Echo:
@@ -75,22 +75,18 @@ def test_direct_transport_counts_zero_byte_slots(host):
 
 def test_wrappers_label_cells_like_labeled_stats(host):
     """Cells surface through wrappers under the ``labeled_stats``
-    endpoint labels: provider-prefixed by the multi-cloud router,
-    passed through by a plain layer."""
+    endpoint labels: node-prefixed by the shard router, passed through
+    by a plain layer."""
     other = ServiceHost()
-    other.register("docs/x", Echo())
-    split = MultiCloudTransport([
-        (lambda service: service.startswith("docs/"),
-         InProcTransport(other)),
-        (lambda service: True, InProcTransport(host)),
-    ])
+    other.register("echo", Echo())
+    split = ShardedTransport([("a", InProcTransport(host)),
+                              ("b", InProcTransport(other))])
     stack = TransportLayer(split)
-    stack.call("docs/x", "ping", x=1)
-    stack.call("echo", "ping", x=2)
+    stack.call("echo", "ping", x=1)
     cells = stack.wire_cells()
-    assert set(cells) == set(stack.labeled_stats()) - {"multicloud"}
-    assert list(cells["provider0:endpoint"]) == [("docs/x", "ping")]
-    assert list(cells["provider1:endpoint"]) == [("echo", "ping")]
+    assert set(cells) == set(stack.labeled_stats()) - {"router"}
+    assert list(cells["shard:a"]) == [("echo", "ping")]
+    assert list(cells["shard:b"]) == [("echo", "ping")]
 
 
 def test_lost_reply_still_counts_the_frame_that_left():

@@ -52,11 +52,14 @@ class RecordingNode(Transport):
 
     def call_request(self, request):
         self._gate()
-        if request.kwargs.get("doc_id") in self.remote_fail_ids:
-            raise RemoteError("DocumentNotFound",
-                              str(request.kwargs["doc_id"]))
+        keys = request.kwargs.get("doc_ids") or [request.kwargs.get("doc_id")]
+        failing = self.remote_fail_ids.intersection(keys)
+        if failing:
+            raise RemoteError("DocumentNotFound", str(min(failing)))
         with self.lock:
             self.requests.append(request)
+        if "doc_ids" in request.kwargs:
+            return [{"_id": doc_id} for doc_id in keys]
         return None
 
     def call_batch(self, requests):
@@ -222,14 +225,14 @@ class TestLooseSlots:
     def test_read_slots_fan_out_concurrently(self):
         nodes, router = build(4, delay=0.05)
         ring = HashRing.from_spec(router.ring_spec())
-        # One get per node so the loose fan-out has 4 distinct targets.
+        # One read per node so the loose fan-out has 4 distinct targets.
         picks: dict[str, str] = {}
         for i in range(256):
             picks.setdefault(ring.owner(f"d{i}"), f"d{i}")
             if len(picks) == 4:
                 break
         requests = [
-            Request(DOCS, "get", {"doc_id": doc_id})
+            Request(DOCS, "get_many", {"doc_ids": [doc_id]})
             for doc_id in picks.values()
         ]
         started = time.perf_counter()
@@ -249,7 +252,7 @@ class TestLooseSlots:
         bad = doc_ids[3]
         nodes[ring.owner(bad)].remote_fail_ids.add(bad)
         requests = [
-            Request(DOCS, "get", {"doc_id": doc_id})
+            Request(DOCS, "get_many", {"doc_ids": [doc_id]})
             for doc_id in doc_ids
         ]
         responses = router.call_batch(requests)

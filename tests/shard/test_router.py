@@ -94,7 +94,7 @@ class TestPlacement:
                                                           "det")
             stored = {
                 key.decode()
-                for key, _ in instance.ctx.kv.map_items(instance._by_doc)
+                for key, _ in instance.ctx.kv.map_items(instance._map_name)
             }
             expected = {d for d in ids if ring.owner(d) == name}
             assert stored == expected

@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from repro.errors import RemoteError, TacticError
+from repro.tactics.base import CloudTactic
 
 
 @pytest.mark.parametrize("tactic", ["ope", "ore"])
@@ -49,9 +50,9 @@ class TestRangeTactics:
 
     def test_eviction_holds_off_a_concurrent_insert(self, range_gw, harness,
                                                      tactic, monkeypatch):
-        """Shard eviction walks the cloud half's in-memory view while
-        other dispatch threads may insert into it; an insert arriving
-        mid-walk waits instead of resizing the dict under the walk."""
+        """Shard eviction walks the cloud half's entries while other
+        dispatch threads may insert; an insert arriving mid-walk neither
+        breaks the walk nor is lost from the sorted view."""
         cloud = harness.cloud_instance(tactic)
         code = range_gw.token(42)
         workers: list[threading.Thread] = []
@@ -65,7 +66,7 @@ class TestRangeTactics:
                     workers[0].join(0.2)
                 return "here"
 
-        module = importlib.import_module(type(cloud).__module__)
+        module = importlib.import_module(CloudTactic.__module__)
         monkeypatch.setattr(module, "export_ring",
                             lambda spec: (Ring(), "here"))
         cloud.shard_evict({})
