@@ -106,6 +106,13 @@ TABLE2_SPI = {
     "paillier": (3, 3),
 }
 
+# The two extension tactics beyond Table 2: the blind index sits at DET's
+# class without DocIDGen/SecureEnc/Retrieval, ElGamal at Paillier's shape.
+EXTENSION_SPI = {
+    "blind-index": (6, 5),
+    "elgamal": (3, 3),
+}
+
 # The paper's Table 2 protection classes.
 TABLE2_CLASSES = {
     "det": 4, "mitra": 2, "sophos": 2, "rnd": 1,
@@ -117,6 +124,11 @@ TABLE2_CLASSES = {
 class TestTable2Fidelity:
     @pytest.mark.parametrize("name,expected", sorted(TABLE2_SPI.items()))
     def test_spi_counts_match_table2(self, name, expected):
+        row = next(r for r in BUILTIN_TACTICS if r[0].name == name)
+        assert spi_counts(row[1], row[2]) == expected
+
+    @pytest.mark.parametrize("name,expected", sorted(EXTENSION_SPI.items()))
+    def test_extension_spi_counts(self, name, expected):
         row = next(r for r in BUILTIN_TACTICS if r[0].name == name)
         assert spi_counts(row[1], row[2]) == expected
 
