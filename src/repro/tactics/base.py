@@ -18,6 +18,8 @@ construction.  This module adds the pieces nearly every tactic needs:
   batch frame.
 * :class:`IdCipher` — encryption of document identifiers stored inside
   secure indexes (AEAD, so index values are IND-CPA blobs).
+* :func:`residue` — the range check the aggregate cloud halves apply
+  to every ciphertext component before storing it.
 * :func:`canonical_term` — the ``field=value`` keyword encoding used by
   the SSE tactics, built on the canonical value codec.
 * :func:`random_doc_id` — the DocIDGen implementation shared by tactics
@@ -198,6 +200,14 @@ class IdCipher:
 
     def open(self, blob: bytes) -> str:
         return self._aead.decrypt(blob).decode("utf-8")
+
+
+def residue(value: Any, modulus: int) -> int:
+    """A ciphertext component off the wire, checked: an ``int`` in
+    ``[0, modulus)`` or :class:`TacticError`."""
+    if type(value) is not int or not 0 <= value < modulus:
+        raise TacticError("ciphertext component out of range")
+    return value
 
 
 def canonical_term(field: str, value: Value) -> bytes:

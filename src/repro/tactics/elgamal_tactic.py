@@ -23,7 +23,7 @@ from repro.crypto import elgamal
 from repro.crypto.encoding import Value
 from repro.errors import TacticError
 from repro.spi import interfaces as spi
-from repro.tactics.base import CloudTactic, GatewayTactic
+from repro.tactics.base import CloudTactic, GatewayTactic, residue
 
 KEY_BITS = 256
 
@@ -117,8 +117,9 @@ class ElGamalCloud(
         self._element_bytes = (p.bit_length() + 7) // 8
 
     def insert(self, doc_id: str, c1: int, c2: int) -> None:
-        blob = (c1.to_bytes(self._element_bytes, "big")
-                + c2.to_bytes(self._element_bytes, "big"))
+        p = self._public.p
+        blob = (residue(c1, p).to_bytes(self._element_bytes, "big")
+                + residue(c2, p).to_bytes(self._element_bytes, "big"))
         self.ctx.kv.map_put(self._map_name, doc_id.encode(), blob)
 
     def _decode(self, blob: bytes) -> tuple[int, int]:

@@ -22,7 +22,7 @@ from repro.crypto import paillier
 from repro.crypto.encoding import Value
 from repro.errors import TacticError
 from repro.spi import interfaces as spi
-from repro.tactics.base import CloudTactic, GatewayTactic
+from repro.tactics.base import CloudTactic, GatewayTactic, residue
 
 KEY_BITS = 1024
 FIXED_POINT_SCALE = 6
@@ -133,8 +133,7 @@ class PaillierCloud(
         self._map_name = self.ctx.state_key(b"ct")
 
     def insert(self, doc_id: str, ciphertext: int) -> None:
-        if not isinstance(ciphertext, int):
-            raise TacticError("Paillier ciphertext must be an integer")
+        residue(ciphertext, self._public.n_squared)
         length = (ciphertext.bit_length() + 7) // 8 or 1
         self.ctx.kv.map_put(
             self._map_name, doc_id.encode(),

@@ -167,3 +167,56 @@ class TestElGamalTactic:
     def test_unsupported_aggregate(self, elgamal_gw):
         with pytest.raises(TacticError):
             elgamal_gw.resolve_aggregate("sum", [{"c1": 1, "c2": 1}], 2)
+
+
+class TestCiphertextValidation:
+    """The aggregate cloud halves check every ciphertext component
+    before storing it: a non-integer or out-of-range value would
+    otherwise crash the handler or, worse, be stored and turn the next
+    aggregate into garbage."""
+
+    BAD = [pytest.param(value, id=name) for name, value in [
+        ("str", "a"), ("none", None), ("float", 2.0), ("bool", True),
+        ("negative", -1), ("huge", 1 << 4096),
+    ]]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_elgamal_rejects_a_bad_component(self, harness, bad):
+        gateway = harness.gateway("elgamal")
+        gateway.insert("d1", 3)
+        cloud = harness.cloud_instance("elgamal")
+        for components in ({"c1": bad, "c2": 1}, {"c1": 1, "c2": bad}):
+            with pytest.raises(TacticError):
+                cloud.insert("dx", **components)
+        assert gateway.aggregate("product") == 3
+
+    def test_elgamal_rejects_the_modulus(self, harness):
+        harness.gateway("elgamal")
+        cloud = harness.cloud_instance("elgamal")
+        with pytest.raises(TacticError):
+            cloud.insert("dx", c1=cloud._public.p, c2=1)
+        cloud.insert("dy", c1=cloud._public.p - 1, c2=0)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_paillier_rejects_a_bad_ciphertext(self, harness, bad):
+        gateway = harness.gateway("paillier")
+        gateway.insert("d1", 6.3)
+        cloud = harness.cloud_instance("paillier")
+        with pytest.raises(TacticError):
+            cloud.insert("dx", ciphertext=bad)
+        assert gateway.aggregate("sum") == pytest.approx(6.3)
+
+    def test_paillier_rejects_the_modulus(self, harness):
+        gateway = harness.gateway("paillier")
+        gateway.insert("d1", 6.3)
+        cloud = harness.cloud_instance("paillier")
+        n_squared = cloud._public.n_squared
+        for bad in (n_squared, n_squared + 5):
+            with pytest.raises(TacticError):
+                cloud.insert("dx", ciphertext=bad)
+        assert gateway.aggregate("sum") == pytest.approx(6.3)
+
+    def test_a_bad_ciphertext_over_the_wire_is_refused(self, harness):
+        gateway = harness.gateway("paillier")
+        with pytest.raises(RemoteError):
+            gateway.ctx.call("insert", doc_id="dx", ciphertext=-1)
