@@ -113,7 +113,7 @@ def test_plan_cache_hit_rate(registry):
 def test_compile_overhead(registry):
     """Price of one compile pass, i.e. of a cache miss."""
     blinder, _ = deploy(registry)
-    planner = blinder._executor("obs").planner
+    executor = blinder._executor("obs")
     predicate = And([
         Eq("status", "final"),
         Eq("kind", "hr"),
@@ -123,7 +123,7 @@ def test_compile_overhead(registry):
     for _ in range(200):
         start = time.perf_counter()
         parameterized, values, _ = parameterize(predicate)
-        planner.compiler.compile_find(
+        executor.compiler.compile_find(
             parameterized, True, False, len(values)
         )
         samples.append(time.perf_counter() - start)

@@ -18,17 +18,17 @@ from repro.cache.config import PLAINTEXT_FLOOR
 from repro.core.planner import ir
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.planner.planner import QueryPlanner
+    from repro.core.executor import SchemaExecutor
 
 
-def _static_metrics(planner: "QueryPlanner", node: ir.PlanNode) -> str:
+def _static_metrics(executor: "SchemaExecutor", node: ir.PlanNode) -> str:
     # A co-located fetch rides its lookup's round and adds FetchDocs'
     # leakage: which ids the gateway reads.
     colocated = isinstance(node, ir.ColocatedFetch)
     tactic = node.lookup.tactic if colocated else getattr(node, "tactic",
                                                           None)
     if isinstance(tactic, str):
-        descriptor = planner.engine._x.runtime.registry.descriptor(tactic)
+        descriptor = executor.runtime.registry.descriptor(tactic)
         rounds = descriptor.performance.rounds_per_query
         leaks = descriptor.leakage.level.label.lower()
         return (f"leaks {leaks}{' + identifiers' if colocated else ''}; "
@@ -43,32 +43,32 @@ def _static_metrics(planner: "QueryPlanner", node: ir.PlanNode) -> str:
     return ""
 
 
-def render_plan(plan: ir.Plan, planner: "QueryPlanner") -> str:
+def render_plan(plan: ir.Plan, executor: "SchemaExecutor") -> str:
     """Multi-line EXPLAIN text for one compiled plan."""
     lines = [
         f"plan: {plan.operation} on {plan.schema}"
         f" (verify={'on' if plan.verify else 'off'},"
         f" params={plan.param_count})",
-        "  Stack: " + " > ".join(planner.engine._x.runtime.stack()),
+        "  Stack: " + " > ".join(executor.runtime.stack()),
     ]
     for node, depth in ir.walk(plan.root):
         detail = node.detail()
-        metrics = _static_metrics(planner, node)
+        metrics = _static_metrics(executor, node)
         lines.append("  " * (depth + 1) + node.kind
                      + (f"({detail})" if detail else "")
                      + (f"  [{metrics}]" if metrics else ""))
-    lines.extend(_crypto_wire_footer(plan, planner))
-    lines.extend(_integrity_footer(planner))
-    lines.extend(_cache_footer(plan, planner))
+    lines.extend(_crypto_wire_footer(plan, executor))
+    lines.extend(_integrity_footer(executor))
+    lines.extend(_cache_footer(plan, executor))
     return "\n".join(lines)
 
 
-def _cache_footer(plan: ir.Plan, planner: "QueryPlanner") -> list[str]:
+def _cache_footer(plan: ir.Plan, executor: "SchemaExecutor") -> list[str]:
     """``Cache:`` lines when the runtime has a read-cache tier: the
     per-level state (entries and observed hit rate), the schema's
     leakage-admission verdict for the plaintext-bearing levels, and how
     cache hits were validated."""
-    tier = planner.engine._x.runtime.cache_tier
+    tier = executor.runtime.cache_tier
     if tier is None:
         return []
     snapshot = tier.snapshot()
@@ -99,11 +99,11 @@ def _cache_footer(plan: ir.Plan, planner: "QueryPlanner") -> list[str]:
     return lines
 
 
-def _integrity_footer(planner: "QueryPlanner") -> list[str]:
+def _integrity_footer(executor: "SchemaExecutor") -> list[str]:
     """One ``Integrity:`` line when the runtime has a verifier: every
     document fetch above is proof-checked once a registered schema
     carries a sensitive field."""
-    verifier = planner.engine._x.runtime.verifier
+    verifier = executor.runtime.verifier
     if verifier is None:
         return []
     if not verifier.active:
@@ -112,7 +112,8 @@ def _integrity_footer(planner: "QueryPlanner") -> list[str]:
     return ["  Integrity: proof-on-fetch active"]
 
 
-def _crypto_wire_footer(plan: ir.Plan, planner: "QueryPlanner") -> list[str]:
+def _crypto_wire_footer(plan: ir.Plan,
+                        executor: "SchemaExecutor") -> list[str]:
     """Observed crypto-vs-wire split for write plans.
 
     The bulk-insert loop records its two phases (and a per-kernel
@@ -123,7 +124,7 @@ def _crypto_wire_footer(plan: ir.Plan, planner: "QueryPlanner") -> list[str]:
     """
     if plan.operation not in ("insert", "update", "delete"):
         return []
-    timings = planner.stats.snapshot()["node_timings"]
+    timings = executor.stats.snapshot()["node_timings"]
     rows = [
         (kind, cost) for kind, cost in timings.items()
         if kind.startswith(("Crypto:", "Wire:"))

@@ -1,12 +1,23 @@
-"""Schema binding and the execution façade over the query planner.
+"""Schema binding, plan cache and execution for one schema.
 
 The executor is the middleware-core's "abstract execution of the
-persistence logic" (§4.1).  Since the planner refactor it is a thin
-façade: it binds a schema's field plans to live tactic instances, owns
-the body cipher and the write-batch/fan-out plumbing, and delegates
-every operation to its :class:`repro.core.planner.QueryPlanner`, which
-compiles the operation to plan IR, caches it by predicate shape, and
-executes it on the plan engine.
+persistence logic" (§4.1).  It binds a schema's field plans to live
+tactic instances, owns the body cipher and the write-batch/fan-out
+plumbing, and runs every operation: compiled to plan IR
+(:mod:`repro.core.planner.compile`), cached by predicate shape, and
+executed on the plan engine (:mod:`repro.core.planner.engine`).
+
+The plan cache keys compiled plans by ``(operation, predicate shape,
+flags)``, where the shape comes from
+:func:`~repro.core.planner.compile.parameterize`.  It is pure
+gateway-side memoisation: values are bound at execution time, so a hit
+performs the same RPCs a fresh compile would.  ``migrate_schema``
+invalidates it (the new executor starts with an empty cache and carries
+the counter forward).  Nothing in a plan depends on the untrusted
+zone's topology, so a reshard leaves the cache alone.  An operation
+becomes a ``(key, compile thunk, bindings)`` triple in exactly one
+place, :meth:`SchemaExecutor._operation`; the live entry points and
+EXPLAIN both read it, so EXPLAIN prints the plan the live call uses.
 
 Verification still makes the whole pipeline sound under the
 approximations the tactics are allowed: BIEX-ZMF false positives, stale
@@ -28,9 +39,13 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from typing import Any, ContextManager
+from functools import partial
+from typing import Any, Callable, ContextManager
 
-from repro.core.planner import QueryPlanner
+from repro.cache.tier import MISS, NEGATIVE
+from repro.core.planner.compile import PlanCompiler, parameterize
+from repro.core.planner.engine import PlanEngine, PlannerStats, Run
+from repro.core.planner.ir import Plan
 from repro.core.query import AggregateQuery, Predicate
 from repro.core.schema import Schema
 from repro.core.selection import FieldPlan
@@ -39,7 +54,6 @@ from repro.crypto.symmetric import Aead
 from repro.errors import DocumentNotFound
 from repro.gateway.service import GatewayRuntime
 from repro.net import message
-from repro.net.batch import PipelineConfig
 from repro.spi.interfaces import GatewayDocIDGen
 from repro.tactics.base import random_doc_id
 from repro.tactics.biex import BiexGateway
@@ -52,8 +66,7 @@ class SchemaExecutor:
 
     def __init__(self, runtime: GatewayRuntime, schema: Schema,
                  plans: dict[str, FieldPlan], verify_results: bool = True,
-                 pad_bucket: int = 0,
-                 pipeline: PipelineConfig | None = None):
+                 pad_bucket: int = 0):
         self.runtime = runtime
         self.schema = schema
         self.plans = plans
@@ -63,9 +76,9 @@ class SchemaExecutor:
         #: from a snapshot adversary (the taxonomy's "things which can be
         #: hidden by padding").
         self.pad_bucket = pad_bucket
-        self.pipeline = pipeline or runtime.pipeline
         self._collector = (
-            runtime.batch_collector if self.pipeline.batch_writes else None
+            runtime.batch_collector if runtime.pipeline.batch_writes
+            else None
         )
         self._fanout_pool: ThreadPoolExecutor | None = None
         self._fanout_lock = threading.Lock()
@@ -75,7 +88,14 @@ class SchemaExecutor:
         self._instances: dict[str, dict[str, Any]] = {}
         self._bool_instance: BiexGateway | None = None
         self._load_instances()
-        self.planner = QueryPlanner(self)
+        self.compiler = PlanCompiler(self)
+        #: Plan-cache counters and measured per-node times — what
+        #: ``DataBlinder.planner_stats()`` reports.
+        self.stats = PlannerStats()
+        self.engine = PlanEngine(self, self.stats)
+        #: The plan cache: compiled plans by their ``_operation`` key.
+        self._cache: dict[Any, Plan] = {}
+        self._cache_lock = threading.Lock()
 
     # -- instance wiring ---------------------------------------------------------
 
@@ -150,9 +170,10 @@ class SchemaExecutor:
 
     def _pool(self) -> ThreadPoolExecutor | None:
         """Bounded worker pool for read-side fan-out (lazy, shared)."""
+        pipeline = self.runtime.pipeline
         workers = max(
-            self.pipeline.fanout_workers,
-            2 if self.pipeline.prefetch else 0,
+            pipeline.fanout_workers,
+            2 if pipeline.prefetch else 0,
         )
         if workers < 2:
             return None
@@ -201,13 +222,14 @@ class SchemaExecutor:
     # -- CRUD --------------------------------------------------------------------------
 
     def insert(self, document: dict[str, Value]) -> str:
-        return self.planner.insert_bulk([document])[0]
+        return self.insert_many([document])[0]
 
     def insert_many(self, documents: list[dict[str, Value]]) -> list[str]:
         """Bulk insert: tactic protocols run field by field through the
         batch SPI, and all the encrypted bodies ship to the document
         store in one round trip."""
-        return self.planner.insert_bulk(documents)
+        self._write("insert")
+        return self.engine.insert_bulk(documents)
 
     def _generate_doc_id(self) -> str:
         for by_role in self._instances.values():
@@ -240,8 +262,6 @@ class SchemaExecutor:
         scope = self.cache_read_scope()
         if scope is None:
             return self.get_uncached(doc_id)
-        from repro.cache.tier import MISS, NEGATIVE
-
         hit = scope.lookup(doc_id)
         if hit is NEGATIVE:
             raise DocumentNotFound(
@@ -269,10 +289,12 @@ class SchemaExecutor:
         return document
 
     def update(self, doc_id: str, changes: dict[str, Value]) -> None:
-        self.planner.update(doc_id, changes)
+        self._write("update")
+        self.engine.update(doc_id, changes)
 
     def delete(self, doc_id: str) -> bool:
-        return self.planner.delete(doc_id)
+        self._write("delete")
+        return self.engine.delete(doc_id)
 
     def _bool_terms(self, sensitive: dict[str, Value]) -> list[bytes]:
         terms = []
@@ -288,32 +310,175 @@ class SchemaExecutor:
                 terms.append(self._bool_instance.term(field, value))
         return terms
 
+    # -- plan cache ------------------------------------------------------------------
+
+    def _plan(self, key: Any, build: Callable[[], Plan]) -> Plan:
+        with self._cache_lock:
+            cached = self._cache.get(key)
+        if cached is not None:
+            self.stats.bump("cache_hits")
+            return cached
+        self.stats.bump("cache_misses")
+        self.stats.bump("compiles")
+        plan = build()
+        with self._cache_lock:
+            self._cache[key] = plan
+        return plan
+
+    def invalidate(self) -> None:
+        """Drop every cached plan (schema migration / registry change)."""
+        with self._cache_lock:
+            self._cache.clear()
+        self.stats.bump("invalidations")
+
+    def absorb(self, predecessor: "SchemaExecutor") -> None:
+        """Carry a migrated-away executor's counters into this one."""
+        predecessor.invalidate()
+        self.stats.bump("invalidations",
+                        predecessor.stats.snapshot()["invalidations"])
+
+    def cached_plans(self) -> int:
+        with self._cache_lock:
+            return len(self._cache)
+
+    def _operation(self, operation: str = "find",
+                   predicate: Predicate | None = None,
+                   verify: bool | None = None, limit: int | None = None,
+                   field: str | None = None, function: str | None = None,
+                   descending: bool = False
+                   ) -> tuple[Any, Callable[[], Plan], list]:
+        """The operation table: ``(plan-cache key, compile thunk,
+        binding vector)`` for one operation.
+
+        The only place an operation becomes a plan — the live entry
+        points and ``explain_plan`` both read it, so EXPLAIN cannot
+        print a plan the live call would not use.
+        """
+        compiler = self.compiler
+        verify = self.verify_results if verify is None else verify
+        bounded = limit is not None
+        parameterized, values, shape = parameterize(predicate)
+        slots = len(values)
+        if operation == "find":
+            key = ("find", shape, verify, bounded)
+            build = partial(compiler.compile_find, parameterized, verify,
+                            bounded, slots)
+        elif operation == "find_ids":
+            key = ("find_ids", shape, verify)
+            build = partial(compiler.compile_find_ids, parameterized,
+                            verify, slots)
+        elif operation == "count":
+            key = ("count", shape)
+            build = partial(compiler.compile_count, parameterized, slots)
+        elif operation == "aggregate":
+            if function is None or field is None:
+                raise ValueError("aggregate needs function= and field=")
+            key = ("aggregate", function, field, shape)
+            build = partial(compiler.compile_aggregate, function, field,
+                            parameterized, slots)
+        elif operation == "find_sorted":
+            if field is None:
+                raise ValueError("find_sorted needs field=")
+            key = ("find_sorted", field, descending, bounded)
+            build = partial(compiler.compile_find_sorted, field,
+                            descending, bounded)
+        elif operation in ("insert", "update", "delete"):
+            key = ("write", operation)
+            build = partial(compiler.compile_write, operation)
+        else:
+            raise ValueError(f"unknown operation {operation!r}")
+        return key, build, values
+
+    def _write(self, operation: str) -> None:
+        """Book one write: its plan (what EXPLAIN shows) and execution."""
+        key, build, _ = self._operation(operation)
+        self._plan(key, build)
+        self.stats.bump("executions")
+
+    # The search-result cache composes with (not replaces) the plan
+    # cache: the plan cache skips the compile, the result cache skips the
+    # whole engine execution.  Keys are the plan-cache key plus the bound
+    # parameter values (and the actual limit, which the plan key only
+    # carries as a flag); coherence validation lives in the tier.
+    # ``plaintext`` marks document-bearing results, which are subject to
+    # leakage admission; id/count results always cache.
+
+    def _read(self, execute: Callable[[Plan, Run], Any], plaintext: bool,
+              operation: str, predicate: Predicate | None = None,
+              limit: int | None = None, **spec: Any) -> Any:
+        """Plan one read, then run it under the search-result cache."""
+        key, build, values = self._operation(operation, predicate,
+                                             limit=limit, **spec)
+        plan = self._plan(key, build)
+
+        def run() -> Any:
+            self.stats.bump("executions")
+            return execute(plan, Run(values, predicate, limit))
+
+        tier = self.runtime.cache_tier
+        schema = self.schema.name
+        # A plaintext result on a schema the tier does not admit is never
+        # stored, so don't take a fill token (after a write, a ledger
+        # re-sync) for it.
+        if tier is None or (plaintext and not tier.admits_plaintext(schema)):
+            return run()
+        extra = (limit, values)
+        hit = tier.result_lookup(schema, key, extra, plaintext)
+        if hit is not MISS:
+            self.stats.bump("result_hits")
+            return hit
+        self.stats.bump("result_misses")
+        fill_token = tier.result_fill_token(schema)
+        result = run()
+        tier.result_store(schema, key, extra, result, fill_token,
+                          plaintext)
+        return result
+
     # -- search ------------------------------------------------------------------------
 
     def find(self, predicate: Predicate | None = None,
              verify: bool | None = None,
              limit: int | None = None) -> list[dict[str, Value]]:
-        return self.planner.find(predicate, verify, limit)
+        return self._read(self.engine.find, True, "find", predicate, limit,
+                          verify=verify)
 
     def find_ids(self, predicate: Predicate | None = None,
                  verify: bool | None = None) -> set[str]:
-        return self.planner.find_ids(predicate, verify)
+        return self._read(self.engine.find_ids, False, "find_ids",
+                          predicate, verify=verify)
 
     def count(self, predicate: Predicate | None = None) -> int:
-        return self.planner.count(predicate)
-
-    # -- aggregates ---------------------------------------------------------------------------
+        return self._read(self.engine.count, False, "count", predicate)
 
     def aggregate(self, query: AggregateQuery) -> Value:
-        return self.planner.aggregate(query)
+        return self._read(
+            self.engine.aggregate, True, "aggregate", query.where,
+            field=query.field, function=query.function.value,
+        )
 
     def find_sorted(self, field: str, limit: int | None = None,
                     descending: bool = False) -> list[dict[str, Value]]:
         """Documents ordered by a range-annotated field (ORDER BY)."""
-        return self.planner.find_sorted(field, limit, descending)
+        return self._read(
+            self.engine.find, True, "find_sorted", limit=limit, field=field,
+            descending=descending,
+        )
 
     # -- EXPLAIN ------------------------------------------------------------------------------
 
-    def explain(self, **kwargs: Any) -> str:
+    def explain_plan(self, **operation: Any) -> Plan:
+        """Compile without executing, caching, or counting.
+
+        EXPLAIN deliberately bypasses the cache in both directions: it
+        never warms it (a later query still records its true miss) and
+        never reads it (the rendered plan reflects the current compiler
+        output).  Takes the keywords of :meth:`_operation`.
+        """
+        _, build, _ = self._operation(**operation)
+        return build()
+
+    def explain(self, **operation: Any) -> str:
         """Rendered plan (nodes, leakage, rounds) without executing."""
-        return self.planner.explain(**kwargs)
+        from repro.analysis.planview import render_plan
+
+        return render_plan(self.explain_plan(**operation), self)

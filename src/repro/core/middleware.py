@@ -36,7 +36,7 @@ from repro.core.policy import (
 )
 from repro.core.registry import TacticRegistry, default_registry
 from repro.core.schema import Schema
-from repro.core.selection import TacticSelector
+from repro.core.selection import FieldPlan, TacticSelector
 from repro.errors import SchemaError
 from repro.gateway.service import GatewayRuntime
 from repro.keys.keystore import KeyStore
@@ -84,7 +84,7 @@ class DataBlinder:
         self._async_runtime = None
         self._lock = threading.RLock()
         self.runtime.obs.collect("planner", lambda: {
-            name: executor.planner.stats.snapshot()
+            name: executor.stats.snapshot()
             for name, executor in list(self._executors.items())
         }, ("schema",))
 
@@ -108,12 +108,7 @@ class DataBlinder:
                 )
             plans = self.selector.plan_schema(schema)
             reports = audit_plans(plans, self.registry)
-            executor = SchemaExecutor(
-                self.runtime, schema, plans,
-                verify_results=self.verify_results,
-                pad_bucket=self.pad_bucket,
-                pipeline=self.pipeline,
-            )
+            executor = self._build_executor(schema, plans)
             self.metadata.save_schema(schema, plans)
             self._executors[schema.name] = executor
             self.runtime.schema_registered(schema)
@@ -127,12 +122,7 @@ class DataBlinder:
             schema = self.metadata.load_schema(name)
             plans = self.metadata.load_plans(name)
             reports = audit_plans(plans, self.registry)
-            self._executors[name] = SchemaExecutor(
-                self.runtime, schema, plans,
-                verify_results=self.verify_results,
-                pad_bucket=self.pad_bucket,
-                pipeline=self.pipeline,
-            )
+            self._executors[name] = self._build_executor(schema, plans)
             self.runtime.schema_registered(schema)
             return reports
 
@@ -170,12 +160,7 @@ class DataBlinder:
                 )
             plans = self.selector.plan_schema(schema)
             reports = audit_plans(plans, self.registry)
-            new_executor = SchemaExecutor(
-                self.runtime, schema, plans,
-                verify_results=self.verify_results,
-                pad_bucket=self.pad_bucket,
-                pipeline=self.pipeline,
-            )
+            new_executor = self._build_executor(schema, plans)
             doc_ids = self.runtime.docs("all_ids", schema=schema_name)
             for doc_id in doc_ids:
                 document = old_executor.get(doc_id)
@@ -185,7 +170,7 @@ class DataBlinder:
             # Migration invalidates compiled plans: the old executor's
             # cache is dropped and its invalidation count carries over,
             # so planner stats stay continuous across the swap.
-            new_executor.planner.absorb(old_executor.planner)
+            new_executor.absorb(old_executor)
             self.metadata.save_schema(schema, plans)
             self._executors[schema_name] = new_executor
             self.runtime.schema_registered(schema)
@@ -234,6 +219,12 @@ class DataBlinder:
 
         return SyncGateway(self.async_runtime(**kwargs),
                            principal=principal, deadline_s=deadline_s)
+
+    def _build_executor(self, schema: Schema,
+                        plans: dict[str, FieldPlan]) -> SchemaExecutor:
+        return SchemaExecutor(self.runtime, schema, plans,
+                              verify_results=self.verify_results,
+                              pad_bucket=self.pad_bucket)
 
     def _executor(self, schema_name: str) -> SchemaExecutor:
         with self._lock:
@@ -307,8 +298,8 @@ class DataBlinder:
 
     def planner_stats(self, schema_name: str) -> dict:
         """Plan-cache and node-timing counters for one schema."""
-        return self._executor(schema_name).planner.stats.snapshot()
+        return self._executor(schema_name).stats.snapshot()
 
     def planner_report(self, schema_name: str) -> str:
         """Human-readable planner statistics for one schema."""
-        return self._executor(schema_name).planner.stats.render()
+        return self._executor(schema_name).stats.render()

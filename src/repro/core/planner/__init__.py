@@ -17,19 +17,18 @@ into three layers:
   existing batch/fan-out/prefetch machinery, recording measured
   per-node timings into :class:`PlannerStats`.
 
-:class:`QueryPlanner` glues the layers together and owns the plan cache
-(keyed by (schema, operation, predicate shape), invalidated on schema
-migration) plus the planner statistics surfaced by
-``DataBlinder.planner_report``.
+:class:`repro.core.executor.SchemaExecutor` glues the layers together:
+it owns the plan cache (keyed by operation and predicate shape,
+invalidated on schema migration) plus the planner statistics surfaced
+by ``DataBlinder.planner_report``.
 """
 
+from repro.core.planner.engine import PlannerStats
 from repro.core.planner.ir import Plan, PlanNode, walk
-from repro.core.planner.planner import PlannerStats, QueryPlanner
 
 __all__ = [
     "Plan",
     "PlanNode",
     "PlannerStats",
-    "QueryPlanner",
     "walk",
 ]

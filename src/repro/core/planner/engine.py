@@ -13,10 +13,9 @@ next-chunk prefetch follows from the read, not from which loop it
 reached.  Bulk inserts likewise have one loop, field-major through the
 tactic batch SPI inside one batch collection scope.
 
-Every executed node's wall time lands once, in the planner's
-:class:`~repro.core.planner.planner.PlannerStats` row for its
-``kind:tactic`` — the one store of measured per-node time
-(``planner_report()``).
+Every executed node's wall time lands once, in the executor's
+:class:`PlannerStats` row for its ``kind:tactic`` — the one store of
+measured per-node time (``planner_report()``).
 """
 
 from __future__ import annotations
@@ -42,7 +41,83 @@ from repro.spi.interfaces import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.executor import SchemaExecutor
-    from repro.core.planner.planner import PlannerStats
+
+
+class PlannerStats:
+    """Thread-safe planner counters and per-node-kind timings."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.compiles = 0
+        self.cache_hits = 0
+        self.cache_misses = 0
+        self.invalidations = 0
+        self.executions = 0
+        #: Search-result cache traffic (only counted when the cache
+        #: tier's result level is on): validated hits vs executions
+        #: that went to the engine.
+        self.result_hits = 0
+        self.result_misses = 0
+        #: node-kind (e.g. ``"IndexLookup:det"``) -> [calls, seconds]
+        self.node_timings: dict[str, list] = {}
+
+    def bump(self, counter: str, amount: int = 1) -> None:
+        with self._lock:
+            setattr(self, counter, getattr(self, counter) + amount)
+
+    def record_node(self, kind: str, seconds: float) -> None:
+        with self._lock:
+            entry = self.node_timings.setdefault(kind, [0, 0.0])
+            entry[0] += 1
+            entry[1] += seconds
+
+    def snapshot(self) -> dict[str, Any]:
+        with self._lock:
+            return {
+                "compiles": self.compiles,
+                "cache_hits": self.cache_hits,
+                "cache_misses": self.cache_misses,
+                "invalidations": self.invalidations,
+                "executions": self.executions,
+                "result_hits": self.result_hits,
+                "result_misses": self.result_misses,
+                "node_timings": {
+                    kind: {"calls": calls, "seconds": seconds}
+                    for kind, (calls, seconds) in sorted(
+                        self.node_timings.items()
+                    )
+                },
+            }
+
+    def render(self) -> str:
+        snap = self.snapshot()
+        lines = [
+            "Query planner statistics",
+            (
+                f"  plans: {snap['compiles']} compiled, "
+                f"{snap['cache_hits']} cache hits, "
+                f"{snap['cache_misses']} misses, "
+                f"{snap['invalidations']} invalidations"
+            ),
+            f"  executions: {snap['executions']}",
+        ]
+        if snap["result_hits"] or snap["result_misses"]:
+            lines.append(
+                f"  result cache: {snap['result_hits']} hits, "
+                f"{snap['result_misses']} misses"
+            )
+        if snap["node_timings"]:
+            lines.append("  node timings:")
+            for kind, cost in snap["node_timings"].items():
+                mean_ms = (
+                    1000.0 * cost["seconds"] / cost["calls"]
+                    if cost["calls"] else 0.0
+                )
+                lines.append(
+                    f"    {kind:<24}{cost['calls']:>7} calls"
+                    f"{mean_ms:>10.2f} ms mean"
+                )
+        return "\n".join(lines)
 
 
 class Run:
@@ -73,7 +148,7 @@ class Run:
 
 
 class PlanEngine:
-    def __init__(self, executor: "SchemaExecutor", stats: "PlannerStats"):
+    def __init__(self, executor: "SchemaExecutor", stats: PlannerStats):
         self._x = executor
         self._stats = stats
 
@@ -210,7 +285,7 @@ class PlanEngine:
 
         literal_count = sum(len(leaf_nodes(part)) for part in rest)
         pool = x._pool()
-        if (pool is not None and x.pipeline.fanout_workers > 1
+        if (pool is not None and x.runtime.pipeline.fanout_workers > 1
                 and literal_count > 1):
             futures = [
                 [pool.submit(self.eval_ids, leaf, run)
@@ -269,7 +344,7 @@ class PlanEngine:
         """
         x = self._x
         filled = filled or {}
-        pool = x._pool() if overlap and x.pipeline.prefetch else None
+        pool = x._pool() if overlap and x.runtime.pipeline.prefetch else None
         answers = (
             (doc_id, MISS if scope is None else scope.lookup(doc_id))
             for doc_id in ids

@@ -167,14 +167,14 @@ class TestPlanCache:
         entities.find(Eq("status", "draft"))
         entities.find(Eq("status", "active"))
         executor = blinder._executor("rec")
-        assert executor.planner.cached_plans() > 0
+        assert executor.cached_plans() > 0
         blinder.migrate_schema("rec")
         new_executor = blinder._executor("rec")
         assert new_executor is not executor
         stats = blinder.planner_stats("rec")
         assert stats["invalidations"] >= 1
         # The old executor's find plans are gone: the same shape misses
-        # again on the new planner, recompiles, and still answers.
+        # again on the new executor, recompiles, and still answers.
         # (The migration itself may have cached write plans — only the
         # read-path shapes matter here.)
         docs = blinder.entities("rec").find(Eq("status", "draft"))
@@ -190,7 +190,7 @@ class TestExplain:
         blinder, entities = deploy(n_docs=6)
         predicate = And([Eq("status", "draft"), Range("when", 1, 4)])
         before = blinder.planner_stats("rec")
-        cached_before = blinder._executor("rec").planner.cached_plans()
+        cached_before = blinder._executor("rec").cached_plans()
         one = blinder.explain("rec", predicate)
         two = blinder.explain("rec", predicate)
         assert one == two
@@ -198,7 +198,7 @@ class TestExplain:
         assert after["compiles"] == before["compiles"]
         assert after["cache_hits"] == before["cache_hits"]
         assert after["cache_misses"] == before["cache_misses"]
-        assert blinder._executor("rec").planner.cached_plans() == (
+        assert blinder._executor("rec").cached_plans() == (
             cached_before
         )
 
@@ -238,11 +238,11 @@ class TestExplain:
 
     def test_tactic_nodes_print_their_descriptor_metrics(self):
         blinder, _ = deploy(n_docs=0)
-        planner = blinder._executor("rec").planner
+        executor = blinder._executor("rec")
         registry = blinder.runtime.registry
         tactic_nodes = 0
         for spec in EXPLAIN_FORMS.values():
-            plan = planner.explain_plan(**spec)
+            plan = executor.explain_plan(**spec)
             lines = plan_lines(blinder.explain("rec", **spec))[2:]
             nodes = [node for node, _ in walk(plan.root)]
             assert len(lines) == len(nodes)
@@ -284,11 +284,11 @@ class TestExplain:
         """One operation table: the plan EXPLAIN prints is the plan the
         live entry point cached, under the key EXPLAIN looks up."""
         blinder, entities = deploy(n_docs=6)
-        planner = blinder._executor("rec").planner
+        executor = blinder._executor("rec")
         live(entities)
-        key, _, _ = planner._operation(operation=operation, **spec)
+        key, _, _ = executor._operation(operation=operation, **spec)
         assert key[0] == ("write" if spec == {} else operation)
-        assert planner._cache[key] == planner.explain_plan(
+        assert executor._cache[key] == executor.explain_plan(
             operation=operation, **spec
         )
 
@@ -296,7 +296,7 @@ class TestExplain:
 class TestPlanShape:
     def test_count_plan_is_decrypt_free_for_exact_indexes(self):
         blinder, _ = deploy(n_docs=0)
-        plan = blinder._executor("rec").planner.explain_plan(
+        plan = blinder._executor("rec").explain_plan(
             operation="count", predicate=Eq("status", "draft")
         )
         kinds = [node.kind for node, _ in walk(plan.root)]
@@ -304,7 +304,7 @@ class TestPlanShape:
 
     def test_count_plan_keeps_verify_for_approximate_indexes(self):
         blinder, _ = deploy(n_docs=0)
-        plan = blinder._executor("rec").planner.explain_plan(
+        plan = blinder._executor("rec").explain_plan(
             operation="count", predicate=Range("when", 1, 4)
         )
         kinds = [node.kind for node, _ in walk(plan.root)]
@@ -312,7 +312,7 @@ class TestPlanShape:
 
     def test_boolean_clauses_compile_to_one_bool_query(self):
         blinder, _ = deploy(n_docs=0)
-        plan = blinder._executor("rec").planner.explain_plan(
+        plan = blinder._executor("rec").explain_plan(
             predicate=And([Eq("status", "draft"), Eq("code", "a")])
         )
         bool_nodes = [

@@ -67,7 +67,7 @@ def deploy(config: PipelineConfig, shards: int = 0,
 
 
 def insert_timings(blinder) -> dict[str, list]:
-    return blinder._executor("observation").planner.stats.node_timings
+    return blinder._executor("observation").stats.node_timings
 
 
 class TestOverlapSignature:

@@ -114,7 +114,7 @@ def assert_matches_oracle(entities, documents) -> None:
 
 
 def colocated_nodes(blinder, predicate) -> list[str]:
-    plan = blinder._executor("rec").planner.explain_plan(
+    plan = blinder._executor("rec").explain_plan(
         operation="find", predicate=predicate)
     return [node.kind for node, _ in ir.walk(plan.root)]
 
@@ -281,7 +281,7 @@ class TestDocumentCache:
             wide = Range("effective", 0, 29)
             assert "ColocatedFetch" in [
                 node.kind for node, _ in ir.walk(
-                    blinder._executor("obs").planner.explain_plan(
+                    blinder._executor("obs").explain_plan(
                         operation="find", predicate=wide).root)]
             assert sorted(d["_id"] for d in entities.find(wide)) \
                 == oracle(documents, wide)
@@ -321,12 +321,12 @@ class TestWhatTheCloudLearns:
             entities.insert_many(corpus())
             entities.find(Eq("tag", "t0"))  # settles the ledger sync
             predicate = Eq("status", "final")
-            planner = blinder._executor("rec").planner
-            plan = planner.explain_plan(operation="find",
+            executor = blinder._executor("rec")
+            plan = executor.explain_plan(operation="find",
                                         predicate=predicate)
             composite = next(node for node, _ in ir.walk(plan.root)
                              if isinstance(node, ir.ColocatedFetch))
-            _, _, values = planner._operation("find", predicate)
+            _, _, values = executor._operation("find", predicate)
             two_trip = ir.Decrypt(ir.FetchDocs(composite.lookup, 64))
 
             def transcript(run) -> list[tuple[frozenset, frozenset]]:
@@ -345,7 +345,7 @@ class TestWhatTheCloudLearns:
                 return seen
 
             one = transcript(lambda: entities.find(predicate))
-            two = transcript(lambda: planner.engine._docs(
+            two = transcript(lambda: executor.engine._docs(
                 two_trip, Run(values, predicate), None))
             assert one == two
             assert any(ids for _, ids in one)
@@ -380,7 +380,7 @@ class TestPlanShape:
         try:
             entities = blinder.entities("rec")
             entities.insert_many(corpus())
-            planner = blinder._executor("rec").planner
+            executor = blinder._executor("rec")
             cases = [
                 (Eq("status", "final"), ["ColocatedFetch"]),
                 (Eq("tag", "t1"), ["FetchDocs", "IndexLookup"]),
@@ -388,11 +388,11 @@ class TestPlanShape:
                  ["FetchDocs", "SetOp", "IndexLookup", "IndexLookup"]),
             ]
             for predicate, fetch_kinds in cases:
-                key, build, _ = planner._operation("find", predicate)
-                explained = planner.explain_plan(operation="find",
+                key, build, _ = executor._operation("find", predicate)
+                explained = executor.explain_plan(operation="find",
                                                  predicate=predicate)
                 entities.find(predicate)
-                live = planner._cache[key]
+                live = executor._cache[key]
                 assert live.root == explained.root
                 kinds = [node.kind for node, _ in ir.walk(live.root)]
                 assert kinds[kinds.index("Decrypt") + 1:] == fetch_kinds
