@@ -3,7 +3,7 @@ against a live cloud zone."""
 
 import pytest
 
-from repro.errors import DocumentNotFound
+from repro.errors import DocumentNotFound, TacticError
 
 
 def eq_ids(gateway, value):
@@ -63,6 +63,28 @@ class TestDet:
             for k, v in kv.map_items(name)
         )
         assert b"super-secret-value" not in all_bytes
+
+
+@pytest.mark.parametrize("tactic,arg", [("det", "token"),
+                                         ("blind-index", "tag")])
+def test_equality_index_refuses_malformed_tokens(harness, tactic, arg):
+    """Both equality-token tactics share one cloud half, which checks
+    every token argument before it touches the index."""
+    harness.gateway(tactic).insert("d1", "v")
+    cloud = harness.cloud_instance(tactic)
+    malformed = [
+        ("insert", {arg: "not-bytes"}),
+        ("insert", {}),
+        ("insert", {arg: b"t", "extra": b"x"}),
+        ("update", {"old_" + arg: b"t", "new_" + arg: 5}),
+        ("delete", {"token" if arg == "tag" else "tag": b"t"}),
+    ]
+    for method, args in malformed:
+        with pytest.raises(TacticError):
+            getattr(cloud, method)("d1", **args)
+    with pytest.raises(TacticError):
+        cloud.eq_query(**{arg: None})
+    assert eq_ids(harness.gateway(tactic), "v") == {"d1"}
 
 
 class TestRnd:
