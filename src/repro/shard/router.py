@@ -168,9 +168,8 @@ class ShardedTransport(Transport):
         # Per-operation timing sink.  Context-local (not thread-local) so
         # an operation that hops onto ``asyncio.to_thread`` workers keeps
         # appending to its own list — the copied context shares the list
-        # object — while scatter-pool workers (plain threads, no context
-        # copy) still accumulate their own rows for the drain in
-        # ``_dispatch_loose``.
+        # object.  Scatter legs return their times to the calling thread,
+        # which records them here.
         self._timings_var: contextvars.ContextVar[
             list[tuple[str, float]] | None
         ] = contextvars.ContextVar(f"shard_timings_{id(self):x}",
@@ -783,70 +782,18 @@ class ShardedTransport(Transport):
     def _dispatch_loose(self, requests: Sequence[Request],
                         loose: Sequence[int],
                         responses: list[Response | None]) -> None:
-        """Route the slots that need the full router, one at a time.
+        """Route the slots that need the full router, one at a time, in
+        slot order — base-class semantics: per-slot isolation of
+        everything but link-level failures.
 
-        Read-only slots fan out concurrently (each task degrades to the
-        serial router paths on its scatter worker); anything that may
-        mutate state — and every slot while a migration's forwarding
-        table is active — stays sequential so per-shard write order is
-        exactly the frame's slot order.
+        A gateway frame is some deferred writes plus at most one final
+        call, so it brings at most one loose read; the full router
+        already scatters that one across the shards.
         """
-        _, forward, _ = self._topology()
-        concurrent = (
-            self._may_fan_out() and len(loose) > 1
-            and forward is None
-            and not any(self._mutating_slot(requests[i]) for i in loose)
-        )
-        if not concurrent:
-            for index in loose:
-                # Base-class semantics: per-slot isolation of everything
-                # but link-level failures.
-                responses[index] = Transport.call_batch(
-                    self, [requests[index]]
-                )[0]
-            return
-
-        def one(index: int) -> tuple[int, Response | None,
-                                     list[tuple[str, float]],
-                                     Exception | None]:
-            # Timings land in the worker's thread-local; drain them so
-            # the caller can max-merge the scatter's wall clock.
-            try:
-                response = Transport.call_batch(
-                    self, [requests[index]]
-                )[0]
-                return index, response, self.drain_shard_timings(), None
-            except TransportError as exc:
-                return index, None, self.drain_shard_timings(), exc
-
-        rows: list[tuple[str, float]] = []
-        first_error: Exception | None = None
-        futures = [self._submit(one, index) for index in loose]
-        for index, response, timing_rows, error in (
-                future.result() for future in futures):
-            rows.extend(timing_rows)
-            if error is not None:
-                if first_error is None:
-                    first_error = error
-                continue
-            responses[index] = response
-        self._record_parallel_timings(rows)
-        if first_error is not None:
-            raise first_error
-
-    @staticmethod
-    def _mutating_slot(request: Request) -> bool:
-        """Conservatively, whether a loose slot may mutate state."""
-        service, method = request.service, request.method
-        if service.startswith("docs/"):
-            return method not in (
-                "get_many", "get_many_proven",
-                "count", "all_ids", "find_plain", "find_text",
-            )
-        if service.startswith("tactic/"):
-            return (method in MUTATING_METHODS
-                    or method == "setup")
-        return True
+        for index in loose:
+            responses[index] = Transport.call_batch(
+                self, [requests[index]]
+            )[0]
 
     def _chain_route(self, request: Request,
                      ring: HashRing) -> tuple[str, ...] | None:

@@ -40,6 +40,7 @@ from repro.gateway.frontdoor import AuditLog, FrontDoor
 from repro.gateway.runtime import SyncGateway
 from repro.net.batch import PipelineConfig
 from repro.net.resilience import ResilienceConfig
+from repro.net.rpc import MUTATING_METHODS
 from repro.net.transport import InProcTransport, TransportLayer
 from repro.shard.config import ShardConfig
 from repro.shard.router import ShardedTransport
@@ -222,6 +223,19 @@ class TestReadEquivalence:
         assert entities.count(Eq("status", "async")) == 1
 
 
+def may_mutate(request) -> bool:
+    """Conservatively, whether a request may change zone state."""
+    service, method = request.service, request.method
+    if service.startswith("docs/"):
+        return method not in (
+            "get_many", "get_many_proven",
+            "count", "all_ids", "find_plain", "find_text",
+        )
+    if service.startswith("tactic/"):
+        return method in MUTATING_METHODS or method == "setup"
+    return True
+
+
 class RecordingTransport(TransportLayer):
     """Logs every state-changing frame that reaches the router.
 
@@ -237,7 +251,7 @@ class RecordingTransport(TransportLayer):
         self.log = []
 
     def call_request(self, request):
-        if not ShardedTransport._mutating_slot(request):
+        if not may_mutate(request):
             return self._inner.call_request(request)
         with self._lock:
             self.log.append(("call", request))
@@ -245,7 +259,7 @@ class RecordingTransport(TransportLayer):
 
     def call_batch(self, requests):
         requests = list(requests)
-        if not any(map(ShardedTransport._mutating_slot, requests)):
+        if not any(map(may_mutate, requests)):
             return self._inner.call_batch(requests)
         with self._lock:
             self.log.append(("batch", requests))

@@ -222,29 +222,6 @@ class TestWriteQuorum:
 
 
 class TestLooseSlots:
-    def test_read_slots_fan_out_concurrently(self):
-        nodes, router = build(4, delay=0.05)
-        ring = HashRing.from_spec(router.ring_spec())
-        # One read per node so the loose fan-out has 4 distinct targets.
-        picks: dict[str, str] = {}
-        for i in range(256):
-            picks.setdefault(ring.owner(f"d{i}"), f"d{i}")
-            if len(picks) == 4:
-                break
-        requests = [
-            Request(DOCS, "get_many", {"doc_ids": [doc_id]})
-            for doc_id in picks.values()
-        ]
-        started = time.perf_counter()
-        responses = router.call_batch(requests)
-        elapsed = time.perf_counter() - started
-        try:
-            assert len(responses) == len(requests)
-            assert all(r.ok for r in responses)
-            assert elapsed < 0.05 * len(requests)
-        finally:
-            router.close()
-
     def test_per_slot_error_isolation_under_concurrency(self):
         nodes, router = build(4)
         ring = HashRing.from_spec(router.ring_spec())
