@@ -69,15 +69,22 @@ class FreshnessLedger:
         ``{"seq": int, "trees": {tree: {"root": hex, "digest": str}}}``.
         Raises :class:`StaleStateError` on sequence regression and
         :class:`IntegrityError` on a root change without a sequence
-        advance — the report itself travelled over the untrusted wire,
-        so it gets the same scrutiny as any fetched state.
+        advance or on any malformed shape — the report itself travelled
+        over the untrusted wire, so it gets the same scrutiny as any
+        fetched state.
         """
-        seq = int(report.get("seq", 0))
-        trees = report.get("trees", {}) or {}
+        try:
+            seq = int(report.get("seq", 0))
+            trees = [
+                (tree, str(state["root"]), int(str(state["digest"]), 16))
+                for tree, state in (report.get("trees") or {}).items()
+            ]
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise IntegrityError(
+                f"shard {label!r} sent a malformed state report: {exc!r}"
+            ) from exc
         with self._lock:
-            for tree, state in trees.items():
-                root = str(state["root"])
-                digest = int(str(state["digest"]), 16)
+            for tree, root, digest in trees:
                 key = (label, tree)
                 latest = self._latest.get(key)
                 if latest is not None:

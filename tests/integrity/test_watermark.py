@@ -6,7 +6,10 @@ import pytest
 
 from repro.errors import IntegrityError, StaleStateError
 from repro.integrity.merkle import digest_root, merge_digests
+from repro.integrity.verify import VerifyingTransport
 from repro.integrity.watermark import FreshnessLedger
+from repro.net.latency import NetworkStats
+from repro.net.transport import Transport
 
 
 def report(seq: int, **trees: tuple[str, int]) -> dict:
@@ -58,6 +61,54 @@ class TestAcceptReport:
         ledger.accept_report("shard:b", report(2, kv=("r2", 2)))
         assert ledger.labels() == ["shard:a", "shard:b"]
         assert ledger.trees() == ["docs", "kv"]
+
+
+#: Report shapes a hostile or broken shard can send, each of which
+#: escaped as an untyped ValueError / KeyError / AttributeError.
+MALFORMED = {
+    "seq-not-a-number": {"seq": "x"},
+    "digest-not-hex": {"seq": 1, "trees": {"docs": {"root": "r",
+                                                     "digest": "zz"}}},
+    "tree-without-root": {"seq": 1, "trees": {"docs": {"digest": "0a"}}},
+    "trees-a-list": {"seq": 1, "trees": ["docs"]},
+    "report-a-string": "not a report",
+}
+
+
+class StaticReports(Transport):
+    """Answers every labelled report round with ``reports``."""
+
+    def __init__(self, reports):
+        self.reports = reports
+
+    def call(self, service, method, **kwargs):
+        raise AssertionError(f"unexpected call {service}.{method}")
+
+    def call_labeled(self, service, method, **kwargs):
+        return self.reports
+
+    def stats(self):
+        return NetworkStats()
+
+
+class TestMalformedReports:
+    @pytest.mark.parametrize("bad", MALFORMED.values(), ids=MALFORMED)
+    def test_is_an_integrity_error_and_changes_nothing(self, bad):
+        ledger = FreshnessLedger()
+        ledger.accept_report("shard:a", report(3, docs=("r1", 10)))
+        with pytest.raises(IntegrityError):
+            ledger.accept_report("shard:a", bad)
+        assert ledger.snapshot() == {
+            "shard:a:docs": {"seq": 3, "root": "r1", "retired": 0}}
+
+    @pytest.mark.parametrize("bad", MALFORMED.values(), ids=MALFORMED)
+    def test_is_counted_by_the_verifier(self, bad):
+        verifier = VerifyingTransport(StaticReports({"endpoint": bad}),
+                                      "app")
+        with pytest.raises(IntegrityError):
+            verifier.coherence_stamp()
+        assert verifier.own_stats().integrity_failures == 1
+        assert verifier.resyncs == 0
 
 
 class TestClassify:
