@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import threading
 from collections import defaultdict
-from typing import Any
+from typing import Any, Iterable
 
 from repro.integrity.merkle import MerkleTree, leaf_key
 from repro.net import message
@@ -195,17 +195,21 @@ class IntegrityTracker:
         with self._lock:
             return self._seq
 
-    def report(self) -> dict:
-        """Incremental (root, digest) per tree plus the seq watermark."""
+    def report(self, trees: Iterable[str] | None = None) -> dict:
+        """Incremental (root, digest) per tree plus the seq watermark;
+        ``trees`` narrows it to those trees' roots and digests (the write
+        ack), leaving the other touched trees for the next full report."""
         with self._lock:
-            for name in self._touched:
+            names = set(self._touched if trees is None else
+                        self._touched.intersection(trees))
+            for name in names:
                 self._entries[name] = _entry(self._trees[name])
-            self._touched.clear()
-            return {
-                "seq": self._seq,
-                "trees": {name: dict(entry)
-                          for name, entry in self._entries.items()},
-            }
+            self._touched -= names
+            shown = {name: dict(entry) if trees is None else
+                     {"root": entry["root"], "digest": entry["digest"]}
+                     for name, entry in self._entries.items()
+                     if trees is None or name in trees}
+            return {"seq": self._seq, "trees": shown}
 
     def audit_report(self) -> dict:
         """Roots recomputed from the raw store state, bypassing the
@@ -314,8 +318,8 @@ class IntegrityService:
     def __init__(self, tracker: IntegrityTracker):
         self._tracker = tracker
 
-    def report(self) -> dict:
-        return self._tracker.report()
+    def report(self, trees: list[str] | None = None) -> dict:
+        return self._tracker.report(trees)
 
     def audit_report(self) -> dict:
         return self._tracker.audit_report()

@@ -11,11 +11,17 @@ is the on-demand sweep beside it: re-sync the ledger from incremental
 reports, then compare roots recomputed from raw store state against
 what the ledger accepted at write time.
 
-One freshness rule: each write passing through advances the HSM counter
-``writes/<app>`` (shared by every gateway holding the HSM) before it
-leaves and again once its reply is back, and the ledger pulls one
-``report()`` round per shard only when that counter moved since the
-last pull — a read with no write in between costs no round trip.
+One freshness rule: each write frame passing through advances the HSM
+counter ``writes/<app>`` (shared by every gateway holding the HSM)
+before it leaves and again once its reply is back, and the ledger pulls
+one ``report()`` round per shard only when that counter moved since the
+last sync — a read with no write in between costs no round trip.  A
+write's own reply can be that sync: an ``integrity/<app> report`` slot
+narrowed to the ``docs`` tree rides each leg of a write frame, and the
+ledger folds it in when the two advances are consecutive and the last
+sync recorded the value just before them: no other write, from any
+gateway, ran in between.  Otherwise the ack is dropped (or never sent,
+when the first advance rules the fold out) and the next read re-syncs.
 
 Detection semantics (see :mod:`repro.integrity.watermark` for the
 trust model):
@@ -100,6 +106,10 @@ class VerifyingTransport(TransportLayer):
         #: never synced, so a restarted gateway syncs before trusting).
         self._synced_at: int | None = None
         self.resyncs = 0
+        #: Shard reports that rode write frames, folded in or not.
+        self.acked = 0
+        self._ack = Request(self._integrity_service, "report",
+                            {"trees": ["docs"]})
         self._active = False
         self._refresh_lock = threading.Lock()
         self._stats_lock = threading.Lock()
@@ -124,18 +134,20 @@ class VerifyingTransport(TransportLayer):
             rewritten = self._rewrite(request)
             result = self._inner.call_request(rewritten)
             return self._check(request.method, result)
-        return self._send(request.method in MUTATING_METHODS,
-                          self._inner.call_request, request)
+        if request.method in MUTATING_METHODS:
+            # A lone write is a batch of one: the one write path.
+            return self.call_batch([request])[0].unwrap()
+        return self._inner.call_request(request)
 
     def call_batch(self, requests: Sequence[Request]) -> list[Response]:
         verified = {index for index, r in enumerate(requests)
                     if self._should_verify(r.service, r.method)}
-        responses = self._send(
-            any(r.method in MUTATING_METHODS for r in requests),
-            self._inner.call_batch,
-            [self._rewrite(r) if index in verified else r
-             for index, r in enumerate(requests)],
-        )
+        frame = [self._rewrite(r) if index in verified else r
+                 for index, r in enumerate(requests)]
+        if any(r.method in MUTATING_METHODS for r in requests):
+            responses = self._write(frame)
+        else:
+            responses = self._inner.call_batch(frame)
         checked: list[Response] = list(responses)
         for index in sorted(verified):
             response = responses[index]
@@ -166,18 +178,44 @@ class VerifyingTransport(TransportLayer):
             request.service, _PROVEN[request.method], request.kwargs
         )
 
-    def _send(self, writes: bool, call, payload):
-        """Deliver ``payload``; a write advances the HSM counter before
-        it leaves and again after its reply returns (or is lost), so a
-        sync overlapping it — from any gateway — never records a value
-        the write has not superseded."""
-        if not writes:
-            return call(payload)
-        self.hsm.advance(self._counter)
+    def _write(self, frame: list[Request]) -> list[Response]:
+        """Ship a write frame: the HSM counter advances before it leaves
+        and again after its reply returns (or is lost), so a sync
+        overlapping it — from any gateway — never records a value the
+        write has not superseded.  The ack rides as the last slot
+        unless ``before`` already rules out its fold (a write since the
+        last sync, or no sync yet: a bulk load, overlapping writers)."""
+        resyncs = self.resyncs
+        before = self.hsm.advance(self._counter)
+        rides = self._active and self._synced_at == before - 1
+        if rides:
+            frame = [*frame, self._ack]
         try:
-            return call(payload)
+            responses = list(self._inner.call_batch(frame))
         finally:
-            self.hsm.advance(self._counter)
+            after = self.hsm.advance(self._counter)
+        if rides:
+            self._fold(responses.pop(), before, after, resyncs)
+        return responses
+
+    def _fold(self, ack: Response, before: int, after: int,
+              resyncs: int) -> None:
+        """Fold a write's ack and mark the ledger synced at ``after`` —
+        only when its two advances are consecutive, the last sync
+        recorded the value just before them, and no report round (whose
+        reports may be newer than the ack) completed meanwhile."""
+        if not ack.ok:
+            return
+        reports = self._inner.labeled_reply(ack.result)
+        with self._stats_lock:
+            self.acked += len(reports)
+        if after != before + 1:
+            return
+        with self._refresh_lock:
+            if self._synced_at != before - 1 or self.resyncs != resyncs:
+                return
+            self._accept(reports)
+            self._synced_at = after
 
     def _check(self, original_method: str, result: Any) -> Any:
         """Verify proven-read envelopes, returning plain documents."""
@@ -278,18 +316,20 @@ class VerifyingTransport(TransportLayer):
             counter = self.write_counter()
             if moved_only and counter == self._synced_at:
                 return False
-            reports = self._inner.call_labeled(
+            self._accept(self._inner.call_labeled(
                 self._integrity_service, "report"
-            )
-            try:
-                for label, report in sorted(reports.items()):
-                    self.ledger.accept_report(label, report)
-            except IntegrityError as exc:
-                self._failed(exc)
-                raise
+            ))
             self._synced_at = counter
             self.resyncs += 1
             return True
+
+    def _accept(self, reports: dict[str, Any]) -> None:
+        try:
+            for label, report in sorted(reports.items()):
+                self.ledger.accept_report(label, report)
+        except IntegrityError as exc:
+            self._failed(exc)
+            raise
 
     def coherence_stamp(self) -> tuple[tuple, bool]:
         """``(ledger stamp, re-synced)`` — the cache tier's one check,

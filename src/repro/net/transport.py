@@ -110,6 +110,11 @@ class Transport(ABC):
         """
         return {"endpoint": self.call(service, method, **kwargs)}
 
+    def labeled_reply(self, result: Any) -> dict[str, Any]:
+        """A write frame's ride-along ``report`` reply keyed like
+        :meth:`call_labeled` (the sharded router keys it per leg)."""
+        return {"endpoint": result}
+
     def topology_epoch(self) -> int:
         """Monotonic counter of untrusted-zone membership changes.
 
@@ -191,6 +196,9 @@ class TransportLayer(Transport):
     def call_labeled(self, service: str, method: str,
                      **kwargs: Any) -> dict[str, Any]:
         return self._inner.call_labeled(service, method, **kwargs)
+
+    def labeled_reply(self, result: Any) -> dict[str, Any]:
+        return self._inner.labeled_reply(result)
 
     def topology_epoch(self) -> int:
         return self._inner.topology_epoch()

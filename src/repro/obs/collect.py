@@ -41,6 +41,7 @@ def _integrity(verifier: Any) -> dict:
     return {"failures": own.integrity_failures,
             "stale": own.stale_detected,
             "resyncs": verifier.resyncs,
+            "acked": verifier.acked,
             "write_counter": verifier.write_counter(),
             "ledger": verifier.ledger.snapshot()}
 

@@ -135,6 +135,25 @@ def _freeze(value: Any) -> Any:
     return value
 
 
+def _ride_slot(requests: Sequence[Request]) -> int | None:
+    """The slot of the verifier's ``report`` riding a write frame."""
+    if not any(r.method in MUTATING_METHODS for r in requests):
+        return None
+    return next((index for index, r in enumerate(requests)
+                 if r.service.startswith("integrity/")
+                 and r.method == "report"), None)
+
+
+def _report_seq(report: Any) -> int:
+    seq = report.get("seq") if isinstance(report, dict) else None
+    return seq if isinstance(seq, int) else -1
+
+
+#: A ride-along report that did not cover every leg: no ack.
+_NO_RIDE = Response(ok=False, error_type="TransportError",
+                    error_message="report slot did not ride every leg")
+
+
 def _first_seen(results: Iterable[tuple[str, Any]]) -> list:
     """The per-shard lists of a gather, concatenated in node order with
     every repeat (a replica's copy) dropped."""
@@ -359,6 +378,9 @@ class ShardedTransport(Transport):
                                                 skip_broken=False)
         }
 
+    def labeled_reply(self, result: Any) -> dict[str, Any]:
+        return result  # keyed per leg by :meth:`_route_writes`
+
     def scatter_count(self) -> int:
         with self._lock:
             return self._scatters
@@ -451,10 +473,11 @@ class ShardedTransport(Transport):
     # -- chain delivery ----------------------------------------------------------
 
     def _write_chains(self, groups: Sequence[tuple[tuple[str, ...], Any]],
-                      framed: bool) -> list[Any]:
+                      framed: bool) -> tuple[list[Any], list[tuple]]:
         """Deliver each ``(owner chain, payload)`` group to every member
         of its chain — all legs of the call in one :meth:`_overlap`
-        scatter — and return the groups' results in order.
+        scatter — and return the groups' results in order, plus every
+        leg's ``(node, result, seconds, error)`` row.
 
         Per chain the best-placed (lowest position) success is the
         result.  An open breaker on the primary fails over to the
@@ -497,7 +520,7 @@ class ShardedTransport(Transport):
             for index in sorted(failed):
                 if index in aborted or values[index] is unset:
                     raise aborted.get(index, failed[index])
-        return values
+        return values, rows
 
     def _broadcast(self, request: Request,
                    nodes: Sequence[str] | None = None,
@@ -640,7 +663,12 @@ class ShardedTransport(Transport):
     def call_batch(self, requests: Sequence[Request]) -> list[Response]:
         _, forward, order = self._topology()
         if len(order) == 1 and forward is None:
-            return self._timed_batch(order[0], requests)
+            responses = self._timed_batch(order[0], requests)
+            ride = _ride_slot(requests)
+            if ride is not None and responses[ride].ok:
+                responses[ride] = Response(ok=True, result={
+                    f"shard:{order[0]}": responses[ride].result})
+            return responses
         responses, loose = self._route_writes(requests, framed=True)
         if loose:
             self._dispatch_loose(requests, loose, responses)
@@ -666,16 +694,31 @@ class ShardedTransport(Transport):
         sub-batch frame per owner chain when ``framed``, the lone
         request as a plain call otherwise (where a failure raises
         instead of filling its slot) — and return the responses so far
-        plus the loose slots left for the full router."""
+        plus the loose slots left for the full router.
+
+        A write frame's ride-along ``report`` joins every leg, replicas
+        included, and is answered ``{"shard:<node>": report}`` (a node
+        with several legs keeps its newest), or :data:`_NO_RIDE` when a
+        leg failed or a mutating slot is loose (mid-reshard)."""
         responses: list[Response | None] = [None] * len(requests)
         grouped, loose, splits = self._group_slots(requests, walking)
+        ride = _ride_slot(requests)
+        if ride is not None:
+            loose.remove(ride)
+            responses[ride] = _NO_RIDE
+            if grouped and not any(requests[index].method
+                                   in MUTATING_METHODS for index in loose):
+                for _, subrequests in grouped.values():
+                    subrequests.append(requests[ride])
+            else:
+                ride = None
         if not grouped and not splits:
             return responses, loose  # nothing to route: reads end here
         assign, finish_splits = self._split_merger(responses, splits)
         if grouped:
             # Every per-chain sub-batch travels together: a write frame
             # touching K shards costs one round trip.
-            answers = self._write_chains(
+            answers, rows = self._write_chains(
                 [(chain, subrequests if framed else subrequests[0])
                  for chain, (_, subrequests) in grouped.items()], framed,
             )
@@ -684,8 +727,24 @@ class ShardedTransport(Transport):
                     answered = [Response(ok=True, result=answered)]
                 for tag, response in zip(tags, answered):
                     assign(tag, response)
+            if ride is not None:
+                responses[ride] = self._ride_answer(rows)
         finish_splits()
         return responses, loose
+
+    @staticmethod
+    def _ride_answer(rows: Sequence[tuple]) -> Response:
+        """The ride-along report slot's answer from the legs' rows."""
+        labeled: dict[str, Any] = {}
+        for name, result, _, error in rows:
+            reply = result[-1] if error is None and result else None
+            if reply is None or not reply.ok:
+                return _NO_RIDE
+            label = f"shard:{name}"
+            if label not in labeled or (_report_seq(reply.result)
+                                        > _report_seq(labeled[label])):
+                labeled[label] = reply.result
+        return Response(ok=True, result=labeled)
 
     def _group_slots(
         self, requests: Sequence[Request], walking: bool = False

@@ -88,6 +88,22 @@ class TestIncrementalVsRecomputed:
         assert live["trees"] == recomputed["trees"]
         assert live["trees"]["docs"]["leaves"] == 7
 
+    def test_docs_only_report_leaves_the_other_trees_marked(self):
+        """The write ack's narrowed report re-hashes only ``docs``; the
+        tactic trees the same writes touched still reach the next full
+        report."""
+        cloud, blinder = integrity_deployment()
+        observations = blinder.entities("observation")
+        for i in range(4):
+            observations.insert(make_doc(i))
+        tracker = cloud.integrity_tracker(APP)
+        narrowed = tracker.report(trees=["docs"])
+        recomputed = tracker.audit_report()
+        docs = recomputed["trees"]["docs"]
+        assert narrowed == {"seq": recomputed["seq"], "trees": {
+            "docs": {"root": docs["root"], "digest": docs["digest"]}}}
+        assert tracker.report()["trees"] == recomputed["trees"]
+
     def test_rebuilt_tracker_reproduces_the_roots(self):
         """A tracker re-attached to existing stores (restart) rebuilds
         the exact same per-domain state from the raw stores."""

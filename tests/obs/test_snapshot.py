@@ -57,18 +57,20 @@ def test_snapshot_has_every_section_and_is_json(production):
         "validations": {"local": 0, "resynced": 0}, "stamp_mismatches": 0}
     assert snapshot["tokens"]["caches"] >= 1
     integrity = snapshot["integrity"]
-    assert set(integrity) == {"failures", "stale", "resyncs",
+    assert set(integrity) == {"failures", "stale", "resyncs", "acked",
                               "write_counter", "ledger"}
     assert integrity["failures"] == 0
     assert any(key.endswith(":docs") for key in integrity["ledger"])
     # Every write frame advanced the HSM counter twice; every re-sync
-    # pulled one report per shard.
+    # pulled one report per shard, and every other report slot rode a
+    # write frame's leg.
     assert integrity["write_counter"] > 0
     assert integrity["write_counter"] % 2 == 0
     assert integrity["resyncs"] >= 1
     assert sum(row["slots"] for row in wire
                if row["service"] == "integrity/obsapp"
-               and row["method"] == "report") == 4 * integrity["resyncs"]
+               and row["method"] == "report") == (
+        4 * integrity["resyncs"] + integrity["acked"])
     # shard: the router's own counters — 4 nodes, unreplicated, no
     # faults, and the inserts and reads above all scattered.
     shard = snapshot["shard"]
