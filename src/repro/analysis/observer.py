@@ -90,8 +90,11 @@ class TranscriptAnalysis:
                 if c.method in methods]
 
     def updates(self, suffix: str,
-                methods: tuple[str, ...] = ("insert", "update", "delete")
+                methods: tuple[str, ...] = ("insert", "insert_many",
+                                            "update", "delete")
                 ) -> list[ObservedCall]:
+        """Update calls; an ``insert_many`` slot carries the artifacts
+        of every entry it holds."""
         return [c for c in self.for_service(suffix)
                 if c.method in methods]
 

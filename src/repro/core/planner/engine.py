@@ -564,10 +564,11 @@ class PlanEngine:
         encryption — or, for a tactic without a batch kernel, nothing:
         its default ``index_many_begin`` leaves the per-entry protocol
         loop to *finish*) and seal the document bodies.  Phase 2 (wire):
-        finish each batch inside one write-batch scope — under
-        ``batch_writes`` every index RPC *and* the document-store write
-        leave the gateway in a single frame; without it, one frame per
-        index entry plus one.  The two phases land in separate
+        finish each batch inside one write-batch scope.  A batch finish
+        sends one ``insert_many`` slot per tactic service; under
+        ``batch_writes`` those slots *and* the document-store write
+        leave the gateway in a single frame, without it one frame per
+        slot.  The two phases land in separate
         ``Crypto:insert`` / ``Wire:insert`` stat rows, with per-kernel
         breakdown rows drained from the executor, so ``explain()`` shows
         where a bulk write spends its time.

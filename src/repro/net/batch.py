@@ -2,9 +2,11 @@
 
 The executor's write paths fan out over every protected field of a
 document — one ``insert``/``update``/``delete`` per (field, tactic)
-cloud half plus the document-store write.  Unbatched, each of those is a
-blocking round trip across the gateway/cloud link; a 5-protected-field
-insert pays ~6 sequential latency charges.  :class:`BatchCollector`
+cloud half plus the document-store write; a bulk insert sends one
+``insert_many`` slot per tactic service, carrying every entry, plus the
+document-store ``insert_many``.  Unbatched, each of those is a blocking
+round trip across the gateway/cloud link; a 5-protected-field insert
+pays ~6 sequential latency charges.  :class:`BatchCollector`
 wraps the deployment's transport so that, inside a *collection scope*,
 fire-and-forget writes are enqueued instead of shipped, and the whole
 queue crosses the wire as **one** batch frame

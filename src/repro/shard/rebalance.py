@@ -37,12 +37,7 @@ from typing import Any, Iterable
 from repro.errors import IntegrityError, RemoteError, TransportError
 from repro.net.transport import Transport
 from repro.shard.ring import HashRing
-from repro.shard.router import (
-    ADDRESS_KEYED,
-    DOC_KEYED,
-    TAG_KEYED,
-    ShardedTransport,
-)
+from repro.shard.router import KEYED, ShardedTransport
 
 
 @dataclass
@@ -279,4 +274,4 @@ class Resharder:
 
 
 def _migratable(tactic: str) -> bool:
-    return tactic in (DOC_KEYED | ADDRESS_KEYED | TAG_KEYED)
+    return tactic in KEYED

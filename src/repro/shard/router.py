@@ -36,10 +36,12 @@ the previous ring as a *forwarding table*: reads that miss on the new
 owner fall back to the previous owner, so a migration in flight never
 makes a document or index entry unreachable.
 
-**One write path.**  :meth:`ShardedTransport._chain_route` is the only
-place a write's owner chain is derived, and a routed single write is a
-batch of one: :meth:`ShardedTransport._route_writes` groups the slots
-per owner chain and :meth:`ShardedTransport._write_chains` sends every
+**One write path.**  :meth:`ShardedTransport._shard_key` is the only
+place a write's shard key is derived — for a single write and for each
+item of a document or index ``insert_many``, which splits into one piece
+per owner chain — and a routed single write is a batch of one:
+:meth:`ShardedTransport._route_writes` groups the slots per owner chain
+and :meth:`ShardedTransport._write_chains` sends every
 (chain, member) leg of the call in one :meth:`ShardedTransport._overlap`
 scatter — the primitive the reads use — so a write touching K shards
 (or R replicas) costs one round trip, not K.  Per chain the best-placed
@@ -71,6 +73,7 @@ from repro.crypto.ore import OreCiphertext
 from repro.errors import (
     CircuitOpenError,
     RemoteError,
+    TacticError,
     TransportError,
     UnsupportedOperation,
 )
@@ -90,6 +93,8 @@ DOC_KEYED = frozenset({
 ADDRESS_KEYED = frozenset({"sophos", "mitra"})
 #: Tactics keyed by keyword tag (append-only posting lists).
 TAG_KEYED = frozenset({"sse-stateless"})
+#: Tactics whose writes route by a shard key of their own.
+KEYED = DOC_KEYED | ADDRESS_KEYED | TAG_KEYED
 #: Tactics needing cross-entry state on one node (BIEX cross-anchor tag
 #: dedup, ZMF counting filter).  Unknown tactic names are pinned too —
 #: the conservative default for third-party registrations.
@@ -760,7 +765,7 @@ class ShardedTransport(Transport):
         the full router — every slot of a one-node ring, and every
         document slot while a forwarding table is up unless the caller
         is the mid-migration walk itself (``walking``); ``splits``
-        records each split slot's document count.
+        records each split slot's item count.
         """
         grouped: dict[tuple[str, ...], tuple[list, list[Request]]] = {}
         loose: list[int] = []
@@ -771,16 +776,26 @@ class ShardedTransport(Transport):
             # request through as it came.
             return grouped, list(range(len(requests))), splits
         hold_docs = forward is not None and not walking
+        replication = self._replication()
+        chains: dict[Any, tuple[str, ...]] = {}
+
+        def chain_of(key: Any) -> tuple[str, ...]:
+            # Once per key per frame: a bulk write's ids recur in the
+            # slot of every tactic service.
+            chain = chains.get(key)
+            if chain is None:
+                chain = chains[key] = tuple(ring.owners(key, replication))
+            return chain
+
         for index, request in enumerate(requests):
             if hold_docs and request.service.startswith("docs/"):
                 loose.append(index)
                 continue
-            split = self._split_insert_many(request, ring)
+            split = self._split_insert_many(request, chain_of)
             if split is not None:
-                # A ``docs insert_many`` slot rides the same scatter as
-                # the index writes it travels with: one piece per owner
-                # chain, in slot order, instead of a second sequential
-                # round trip through the loose path.
+                # An ``insert_many`` slot rides the same scatter as the
+                # writes it travels with: one piece per owner chain, in
+                # slot order, instead of a sequential loose round trip.
                 total, pieces = split
                 splits[index] = total
                 for chain, (positions, sub) in pieces.items():
@@ -790,7 +805,7 @@ class ShardedTransport(Transport):
                     tags.append((index, tuple(positions)))
                     subrequests.append(sub)
                 continue
-            chain = self._chain_route(request, ring)
+            chain = self._chain_route(request, chain_of)
             if chain is None:
                 loose.append(index)
             else:
@@ -855,74 +870,83 @@ class ShardedTransport(Transport):
             )[0]
 
     def _chain_route(self, request: Request,
-                     ring: HashRing) -> tuple[str, ...] | None:
-        """The owner chain on ``ring`` of a write that is a pure chain
-        delivery — the one place a write's owners are derived; ``None``
-        sends the request through the full router (reads, scatters,
-        ``setup``, a write without its shard key)."""
-        service, method, kwargs = (request.service, request.method,
-                                   request.kwargs)
-        key: Any = None
+                     chain_of) -> tuple[str, ...] | None:
+        """The owner chain of a write that is a pure chain delivery —
+        ``chain_of`` maps a shard key to its ring owners; ``None`` sends
+        the request through the full router (reads, scatters, ``setup``,
+        a write without its shard key)."""
+        service, method = request.service, request.method
+        if (service.startswith("tactic/") and method in MUTATING_METHODS
+                and _tactic_of(service) not in KEYED):
+            # PINNED, and unknown tactics (pinned conservatively).
+            return tuple(self._pin_nodes(service))
+        key = self._shard_key(service, method, request.kwargs)
+        return None if key is None else chain_of(key)
+
+    def _shard_key(self, service: str, method: str,
+                   kwargs: dict[str, Any]) -> Any:
+        """The shard key of one write — the one place it is derived,
+        for a single write and for each item of an ``insert_many`` —
+        or ``None`` when it has none."""
         if service.startswith("docs/"):
             if method in ("insert", "replace"):
-                key = (kwargs.get("document") or {}).get("_id") or None
-            elif method == "delete":
-                key = kwargs.get("doc_id") or None
-        elif (service.startswith("tactic/")
-                and method in MUTATING_METHODS):
+                return (kwargs.get("document") or {}).get("_id") or None
+            if method == "delete":
+                return kwargs.get("doc_id") or None
+        elif service.startswith("tactic/") and method in MUTATING_METHODS:
             tactic = _tactic_of(service)
             if tactic in DOC_KEYED:
-                key = kwargs.get("doc_id")
-            elif tactic in ADDRESS_KEYED or tactic in TAG_KEYED:
-                field = "address" if tactic in ADDRESS_KEYED else "tag"
-                if field in kwargs:
-                    key = self._address_key(kwargs[field])
-            else:
-                # PINNED, and unknown tactics (pinned conservatively).
-                return tuple(self._pin_nodes(service))
-        if key is None:
-            return None
-        return tuple(ring.owners(key, self._replication()))
+                return kwargs.get("doc_id")
+            field = "address" if tactic in ADDRESS_KEYED else "tag"
+            if field in kwargs:
+                return self._address_key(kwargs[field])
+        return None
 
     def _split_insert_many(
-        self, request: Request, ring: HashRing
+        self, request: Request, chain_of
     ) -> tuple[int, dict[tuple[str, ...],
                          tuple[list[int], Request]]] | None:
-        """Per-chain pieces of a ``docs insert_many``, or ``None`` for
-        any other request and for a document without an id.
+        """Per-chain pieces of an ``insert_many`` — a document batch or a
+        keyed tactic's index entries — or ``None`` for any other request
+        and for an item without its shard key.
 
-        Each piece carries the positions its documents occupy in the
-        original batch, so the per-chain id lists can be merged back
-        into one response in document order.  The derived idempotency
-        key is deterministic across retries of the same logical
-        insert_many, so the per-host dedup window still applies
-        at-most-once per piece (and per chain member — two chains
-        sharing a replica must not collide).
+        Each item routes as the single ``insert`` it stands for.  Each
+        piece carries the positions its items occupy in the original
+        batch, so the per-chain id lists can be merged back into one
+        response in document order.  The derived idempotency key is
+        deterministic across retries of the same logical insert_many,
+        so the per-host dedup window still applies at-most-once per
+        piece (and per chain member — two chains sharing a replica must
+        not collide).
         """
-        if (request.method != "insert_many"
-                or not request.service.startswith("docs/")):
+        service = request.service
+        docs = service.startswith("docs/")
+        if request.method != "insert_many" or not (
+                docs or (service.startswith("tactic/")
+                         and _tactic_of(service) in KEYED)):
             return None
-        documents = list(request.kwargs.get("documents") or [])
-        replication = self._replication()
-        groups: dict[tuple[str, ...], tuple[list[int], list[dict]]] = {}
-        for position, document in enumerate(documents):
-            doc_id = (document or {}).get("_id")
-            if not doc_id:
+        field = "documents" if docs else "entries"
+        items = list(request.kwargs.get(field) or [])
+        groups: dict[tuple[str, ...], tuple[list[int], list[Any]]] = {}
+        for position, item in enumerate(items):
+            single = {"document": item} if docs else item
+            key = (self._shard_key(service, "insert", single)
+                   if isinstance(item, dict) else None)
+            if key is None:
                 return None
-            chain = tuple(ring.owners(doc_id, replication))
-            positions, docs = groups.setdefault(chain, ([], []))
+            positions, members = groups.setdefault(chain_of(key), ([], []))
             positions.append(position)
-            docs.append(document)
+            members.append(item)
         pieces: dict[tuple[str, ...], tuple[list[int], Request]] = {}
         for chain in sorted(groups):
-            positions, docs = groups[chain]
+            positions, members = groups[chain]
             idem = (f"{request.idem}.{'+'.join(chain)}"
                     if request.idem else "")
             pieces[chain] = (positions, Request(
-                request.service, "insert_many",
-                {**request.kwargs, "documents": docs}, idem=idem,
+                service, "insert_many",
+                {**request.kwargs, field: members}, idem=idem,
             ))
-        return len(documents), pieces
+        return len(items), pieces
 
     # -- admin -----------------------------------------------------------------
 
@@ -1148,7 +1172,9 @@ class ShardedTransport(Transport):
         _, forward, order = self._topology()
         if len(order) == 1 and forward is None:
             return self._timed_call(order[0], request)
-
+        if method == "insert_many":
+            # A caller's mistake, not a link failure: never retried.
+            raise TacticError("sharded index writes need a key per entry")
         if tactic in DOC_KEYED:
             return self._doc_keyed(tactic, request)
         if tactic in ADDRESS_KEYED:

@@ -13,9 +13,10 @@ construction.  This module adds the pieces nearly every tactic needs:
   (dedup/LRU token maps, fixed-base Paillier masks).
   ``index_many_begin`` splits a batch insertion into a *begin* phase
   (all the crypto) and a *finish* callable (network: emit the index
-  RPCs), which is what lets the plan engine's one bulk-insert loop book
-  crypto and wire time separately and finish every field into a single
-  batch frame.
+  entries), which is what lets the plan engine's one bulk-insert loop
+  book crypto and wire time separately and finish every field into a
+  single batch frame.  A batch finish sends its entries as one
+  ``insert_many`` slot, which every cloud half inherits.
 * :class:`IdCipher` — encryption of document identifiers stored inside
   secure indexes (AEAD, so index values are IND-CPA blobs).
 * :func:`residue` — the range check the aggregate cloud halves apply
@@ -106,6 +107,12 @@ class GatewayTactic:
 
         return finish
 
+    def _insert_many(self, rows: list[dict[str, Any]]) -> None:
+        """A batch finish's send: one ``insert_many`` slot, each row the
+        keyword arguments of the per-entry ``insert``."""
+        if rows:
+            self.ctx.call("insert_many", entries=rows)
+
 
 class CloudTactic:
     """Base for cloud-side tactic halves.
@@ -127,6 +134,12 @@ class CloudTactic:
 
     def __init__(self, ctx: CloudTacticContext):
         self.ctx = ctx
+
+    def insert_many(self, entries: list[dict[str, Any]]) -> None:
+        """Batch Insertion: the per-entry ``insert`` (and its checks)
+        over each entry's keyword arguments, in order."""
+        for entry in entries:
+            self.insert(**entry)  # type: ignore[attr-defined]
 
     def shard_dump(self) -> dict[str, Any]:
         """Everything this instance stores, as a wire-shippable blob."""

@@ -61,7 +61,7 @@ class ElGamalGateway(
 
     def index_many_begin(self, entries: list[tuple[str, Value]]):
         """Begin: validate and encrypt every value (booked as the
-        ``elgamal_encrypt`` kernel).  Finish: emit the insert RPCs."""
+        ``elgamal_encrypt`` kernel).  Finish: send them in one slot."""
         for _, value in entries:
             self._validate(value)
         started = time.perf_counter()
@@ -69,13 +69,10 @@ class ElGamalGateway(
         ciphertexts = [elgamal.encrypt(public, value) for _, value in entries]
         self.kernels.record("elgamal_encrypt",
                             time.perf_counter() - started)
-
-        def finish() -> None:
-            for (doc_id, _), ciphertext in zip(entries, ciphertexts):
-                self.ctx.call("insert", doc_id=doc_id,
-                              c1=ciphertext.c1, c2=ciphertext.c2)
-
-        return finish
+        return lambda: self._insert_many([
+            {"doc_id": doc_id, "c1": ciphertext.c1, "c2": ciphertext.c2}
+            for (doc_id, _), ciphertext in zip(entries, ciphertexts)
+        ])
 
     def aggregate(self, function: str,
                   doc_ids: list[str] | None = None) -> Value:

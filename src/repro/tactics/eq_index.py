@@ -66,12 +66,10 @@ class EqIndexGateway(
 
     def index_many_begin(self, entries: list[tuple[str, Value]]):
         tokens = self.tokens_many([value for _, value in entries])
-
-        def finish() -> None:
-            for (doc_id, _), token in zip(entries, tokens):
-                self.ctx.call("insert", doc_id=doc_id, **{self.ARG: token})
-
-        return finish
+        return lambda: self._insert_many([
+            {"doc_id": doc_id, self.ARG: token}
+            for (doc_id, _), token in zip(entries, tokens)
+        ])
 
     def insert(self, doc_id: str, value: Value) -> None:
         self.ctx.call("insert", doc_id=doc_id, **self.eq_args(value))

@@ -82,7 +82,8 @@ class MitraGateway(
 
     # -- update protocol ----------------------------------------------------------
 
-    def _append(self, op: int, doc_id: str, value: Value) -> None:
+    def _entry(self, op: int, doc_id: str, value: Value) -> dict[str, bytes]:
+        """Reserve the keyword's next counter and build its entry."""
         keyword = self._keyword(value)
         k_w = keyword_key(self._master, keyword)
         count = self.ctx.local_kv.counter_increment(
@@ -91,14 +92,21 @@ class MitraGateway(
         counter_bytes = count.to_bytes(8, "big")
         address = prf(k_w, b"addr", counter_bytes)
         pad_seed = prf(k_w, b"pad", counter_bytes)
-        self.ctx.call(
-            "insert",
-            address=address,
-            payload=_mask_payload(pad_seed, op, doc_id),
-        )
+        return {"address": address,
+                "payload": _mask_payload(pad_seed, op, doc_id)}
+
+    def _append(self, op: int, doc_id: str, value: Value) -> None:
+        self.ctx.call("insert", **self._entry(op, doc_id, value))
 
     def insert(self, doc_id: str, value: Value) -> None:
         self._append(_ADD, doc_id, value)
+
+    def index_many_begin(self, entries: list[tuple[str, Value]]):
+        # The counters are reserved in finish, right before the entries
+        # leave, as the per-entry protocol does.
+        return lambda: self._insert_many([
+            self._entry(_ADD, doc_id, value) for doc_id, value in entries
+        ])
 
     def delete(self, doc_id: str, value: Value) -> None:
         self._append(_DELETE, doc_id, value)

@@ -74,20 +74,17 @@ class PaillierGateway(
 
     def index_many_begin(self, entries: list[tuple[str, Value]]):
         """Begin: encode and encrypt every plaintext (booked as the
-        ``paillier_encrypt`` kernel).  Finish: emit the insert RPCs."""
+        ``paillier_encrypt`` kernel).  Finish: send them in one slot."""
         started = time.perf_counter()
         ciphertexts = [
             self._encrypt(self._encode(value)) for _, value in entries
         ]
         self.kernels.record("paillier_encrypt",
                             time.perf_counter() - started)
-
-        def finish() -> None:
-            for (doc_id, _), ciphertext in zip(entries, ciphertexts):
-                self.ctx.call("insert", doc_id=doc_id,
-                              ciphertext=ciphertext.value)
-
-        return finish
+        return lambda: self._insert_many([
+            {"doc_id": doc_id, "ciphertext": ciphertext.value}
+            for (doc_id, _), ciphertext in zip(entries, ciphertexts)
+        ])
 
     # -- aggregate protocol -------------------------------------------------------
 

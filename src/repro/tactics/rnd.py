@@ -55,12 +55,10 @@ class RndGateway(
         # Probabilistic seals cannot dedup; sealing in the begin phase
         # keeps all crypto ahead of the first emitted RPC.
         blobs = self.seal_many([value for _, value in entries])
-
-        def finish() -> None:
-            for (doc_id, _), blob in zip(entries, blobs):
-                self.ctx.call("insert", doc_id=doc_id, blob=blob)
-
-        return finish
+        return lambda: self._insert_many([
+            {"doc_id": doc_id, "blob": blob}
+            for (doc_id, _), blob in zip(entries, blobs)
+        ])
 
     def retrieve(self, doc_id: str) -> Value:
         blob = self.ctx.call("retrieve", doc_id=doc_id)

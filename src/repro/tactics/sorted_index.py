@@ -78,12 +78,10 @@ class SortedIndexGateway(
 
     def index_many_begin(self, entries: list[tuple[str, Value]]):
         codes = self.tokens_many([value for _, value in entries])
-
-        def finish() -> None:
-            for (doc_id, _), code in zip(entries, codes):
-                self.ctx.call("insert", doc_id=doc_id, ciphertext=code)
-
-        return finish
+        return lambda: self._insert_many([
+            {"doc_id": doc_id, "ciphertext": code}
+            for (doc_id, _), code in zip(entries, codes)
+        ])
 
     def range_args(self, low: Value, high: Value) -> dict[str, Any]:
         """The cloud ``range_query`` arguments for ``[low, high]`` — sent

@@ -86,6 +86,32 @@ class TestForwardPrivacyObserved:
         )
         assert collisions >= 1
 
+    def test_bulk_insert_entries_count_as_updates(self, observed):
+        """A bulk Mitra insert sends its entries in one ``insert_many``
+        slot, and the statistic checks their addresses.  Fresh counters
+        give no collision; with the counters rolled back, the next bulk
+        insert reissues the two addresses the search sent, and the
+        statistic sees both."""
+        transport, runtime = observed
+        mitra = runtime.tactic("d.f", "mitra")
+        transcript = transport.transcript
+        mitra.index_many([("d1", "kw"), ("d2", "kw")])
+        assert search(mitra, "kw") == {"d1", "d2"}
+        checkpoint = transport.last_sequence
+        mitra.index_many([("d3", "kw"), ("d4", "kw")])
+        assert [c.method for c in transcript.updates("/mitra")
+                if c.sequence > checkpoint] == ["insert_many"]
+        assert transcript.update_artifacts_predictable_from(
+            "/mitra", checkpoint) == 0
+
+        local_kv = mitra.ctx.local_kv
+        for name in local_kv.counter_names():
+            local_kv.counter_set(name, 0)
+        checkpoint = transport.last_sequence
+        mitra.index_many([("d5", "kw"), ("d6", "kw")])
+        assert transcript.update_artifacts_predictable_from(
+            "/mitra", checkpoint) == 2
+
     def test_new_search_reaches_post_search_inserts(self, observed):
         """Forward privacy hides future inserts from *old* tokens; a
         fresh search still finds everything."""

@@ -28,7 +28,9 @@ from repro.core.middleware import DataBlinder
 from repro.core.query import And, Eq, Range
 from repro.core.registry import TacticRegistry
 from repro.errors import TransportError
-from repro.fhir.model import observation_schema
+from repro.fhir.generator import MedicalDataGenerator
+from repro.fhir.model import benchmark_observation_schema, observation_schema
+from repro.net.batch import PipelineConfig
 from repro.net.faults import FaultInjectingTransport, FaultPlan
 from repro.net.resilience import (
     MUTATING_METHODS,
@@ -302,3 +304,39 @@ class TestIdempotencyProperties:
             cloud.host.dispatch(request)
         after = cloud.host.dedup_stats()["hits"]
         assert after - before == len(keyed)
+
+
+class TestDedupWindowAcrossBulkWrites:
+    def test_late_retry_of_a_bulk_write_is_deduplicated(self):
+        """A 50-document bulk write of the §5.2 schema is delivered
+        again after three later bulk writes.  Each bulk write keys one
+        slot per tactic service plus one for the documents, so the late
+        retry is still inside the 1,024-entry dedup window: every slot
+        hits it and the zone does not change.  One keyed slot per index
+        entry (400 per write) would have pushed it out."""
+        cloud = CloudZone(fresh_registry())
+        recording = RecordingTransport(InProcTransport(cloud.host))
+        blinder = DataBlinder(
+            "windowapp", recording, registry=cloud.registry,
+            pipeline=PipelineConfig(batch_writes=True),
+            resilience=ResilienceConfig(),
+        )
+        blinder.register_schema(benchmark_observation_schema())
+        entities = blinder.entities("observation")
+        generator = MedicalDataGenerator(CHAOS_SEED)
+        start = len(recording.requests)
+        entities.insert_many([o.to_document()
+                              for o in generator.observations(50)])
+        frame = recording.requests[start:]
+        assert frame and all(request.idem for request in frame)
+        for _ in range(3):
+            entities.insert_many([o.to_document()
+                                  for o in generator.observations(50)])
+        fingerprint = zone_fingerprint(cloud, "windowapp")
+        hits = cloud.host.dedup_stats()["hits"]
+
+        responses = cloud.host.dispatch_batch(frame)
+        assert all(response.ok for response in responses)
+        assert cloud.host.dedup_stats()["hits"] - hits == len(frame)
+        assert zone_fingerprint(cloud, "windowapp") == fingerprint
+        assert entities.count() == 200

@@ -95,8 +95,12 @@ def test_shipped_ciphertexts_are_bit_identical(deployment):
         tactic.insert(doc_id, value)
     blinder.runtime.transport.flush()
 
-    shipped = [request.kwargs["ciphertext"] for request in wire.log
-               if request.method == "insert"]
+    # The batch leaves as one ``insert_many`` slot, the rest one by one.
+    shipped = [entry["ciphertext"] for request in wire.log
+               for entry in (request.kwargs.get("entries", [])
+                             if request.method == "insert_many"
+                             else [request.kwargs])
+               if request.method in ("insert", "insert_many")]
     assert len(shipped) == 12
     assert hashlib.sha256(
         b"".join(c.to_bytes(256, "big") for c in shipped)

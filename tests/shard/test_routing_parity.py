@@ -4,6 +4,11 @@ For every chain-routed write family, ``call_request(r)`` and
 ``call_batch([r])`` must put the same requests (idempotency keys
 included) on the same nodes, and those nodes are the ring owners of the
 write's shard key — whatever the replication factor or fan-out mode.
+
+A multi-entry ``insert_many`` — documents, or a keyed tactic's index
+entries — splits into one piece per owner chain, each item routed as
+the single ``insert`` it stands for, and leaves every node with the
+state the per-entry ``insert`` slots leave.
 """
 
 from __future__ import annotations
@@ -12,9 +17,22 @@ import time
 
 import pytest
 
+from repro.analysis.snapshot import zone_fingerprint
+from repro.cloud.cluster import CloudCluster
+from repro.core.middleware import DataBlinder
+from repro.core.registry import TacticRegistry
+from repro.errors import TacticError
+from repro.fhir.generator import MedicalDataGenerator
+from repro.fhir.model import benchmark_observation_schema
+from repro.net.batch import PipelineConfig
+from repro.net.resilience import ResilienceConfig
 from repro.net.rpc import Request
+from repro.net.transport import TransportLayer
 from repro.shard.config import ShardConfig
 from repro.shard.ring import HashRing
+from repro.shard.router import ShardedTransport
+from repro.spi.context import service_name
+from repro.tactics import register_builtin_tactics
 
 from tests.shard.test_parallel_writes import build
 
@@ -58,7 +76,23 @@ FAMILIES = {
     "biex-pinned": (Request(BIEX, "insert_terms",
                             {"doc_id": "doc-7", "pairs": []}, idem="bx"),
                     [BIEX]),
+    **{
+        f"{name}-insert_many": (
+            Request(tactic(name), "insert_many", {"entries": [
+                {"doc_id": f"doc-{i}", "token": b"t"} for i in range(12)
+            ]}, idem=f"{name}-many"),
+            [f"doc-{i}" for i in range(12)])
+        for name in ("det", "paillier")
+    },
+    "mitra-insert_many": (
+        Request(tactic("mitra"), "insert_many", {"entries": [
+            {"address": bytes([i]) * 8, "payload": b"p"} for i in range(12)
+        ]}, idem="mitra-many"),
+        [bytes([i]) * 8 for i in range(12)]),
 }
+
+#: The items an ``insert_many`` family carries, by service kind.
+ITEMS = {"docs": "documents", "tactic": "entries"}
 
 
 def node_logs(nodes) -> dict[str, list[Request]]:
@@ -86,19 +120,20 @@ def test_single_write_is_a_batch_of_one(family, replication, parallel):
         ring = HashRing.from_spec(single.ring_spec())
         chains = {tuple(ring.owners(key, replication)) for key in keys}
         assert set(logs) == {name for chain in chains for name in chain}
-        if family == "docs-insert_many":
+        if request.method == "insert_many":
             # One piece per owner chain, keyed by that chain, on every
-            # member of it; the pieces cover the documents exactly once
-            # per replica.
+            # member of it; the pieces cover the items exactly once per
+            # replica.
+            field = ITEMS[request.service.split("/")[0]]
+            items = request.kwargs[field]
             for chain in chains:
-                piece = Request(DOCS, "insert_many", {"documents": [
-                    document for document in request.kwargs["documents"]
-                    if tuple(ring.owners(document["_id"], replication))
-                    == chain
-                ]}, idem=f"k4.{'+'.join(chain)}")
+                piece = Request(request.service, "insert_many", {field: [
+                    item for item, key in zip(items, keys)
+                    if tuple(ring.owners(key, replication)) == chain
+                ]}, idem=f"{request.idem}.{'+'.join(chain)}")
                 for name in chain:
                     assert piece in logs[name]
-            assert sum(len(r.kwargs["documents"])
+            assert sum(len(r.kwargs[field])
                        for log in logs.values() for r in log) == (
                 12 * replication)
         else:
@@ -129,3 +164,145 @@ def test_returned_insert_is_on_both_replicas(parallel):
         assert router.replica_error_count() == 0
     finally:
         router.close()
+
+
+@pytest.mark.parametrize("name", ["det", "mitra"])
+def test_insert_many_entry_without_its_key_is_refused(name):
+    """An entry without its shard key is never broadcast: the whole slot
+    is refused before any node sees it, as a keyless document is."""
+    nodes, router = build(4)
+    request = Request(tactic(name), "insert_many", {"entries": [
+        {"doc_id": "doc-1", "address": b"\x01addr", "token": b"t"},
+        {"token": b"t"},
+    ]}, idem="keyless")
+    try:
+        with pytest.raises(TacticError):
+            router.call_request(request)
+        (response,) = router.call_batch([request])
+        assert not response.ok
+        assert node_logs(nodes) == {}
+    finally:
+        router.close()
+
+
+#: Real cloud halves of every key kind, with the entries of one bulk
+#: insert: doc-keyed (DET, RND, OPE), address-keyed (Mitra) and
+#: tag-keyed (stateless SSE, whose per-tag counter makes order count).
+ENTRIES = {
+    "det": [{"doc_id": f"doc-{i}", "token": bytes([i % 3])}
+            for i in range(24)],
+    "rnd": [{"doc_id": f"doc-{i}", "blob": bytes([i]) * 4}
+            for i in range(24)],
+    "ope": [{"doc_id": f"doc-{i}", "ciphertext": 1000 - i}
+            for i in range(24)],
+    "mitra": [{"address": bytes([i]) * 16, "payload": bytes([i])}
+              for i in range(24)],
+    "sse-stateless": [{"tag": bytes([i % 5]) * 8, "salt": bytes([i]),
+                       "payload": bytes([i, i])} for i in range(24)],
+}
+
+
+def provisioned(replication: int) -> tuple[CloudCluster,
+                                           ShardedTransport]:
+    registry = TacticRegistry()
+    register_builtin_tactics(registry)
+    cluster = CloudCluster(4, registry=registry)
+    router = ShardedTransport(cluster.nodes(),
+                              ShardConfig(replication=replication))
+    router.call("admin", "provision_application", application="app")
+    for name in ENTRIES:
+        router.call("admin", "provision_tactic", application="app",
+                    field="f", tactic=name)
+        router.call(service_name("app", "f", name), "setup")
+    return cluster, router
+
+
+def bulk_frame(many: bool) -> list[Request]:
+    """:data:`ENTRIES` as one ``insert_many`` slot per service, or as
+    one ``insert`` slot per entry."""
+    frame = []
+    for name, entries in ENTRIES.items():
+        service = service_name("app", "f", name)
+        if many:
+            frame.append(Request(service, "insert_many",
+                                 {"entries": entries}, idem=f"{name}-many"))
+        else:
+            frame.extend(Request(service, "insert", entry,
+                                 idem=f"{name}-{index}")
+                         for index, entry in enumerate(entries))
+    return frame
+
+
+@pytest.mark.parametrize("resharding", [False, True],
+                         ids=["steady", "mid-reshard"])
+@pytest.mark.parametrize("replication", [1, 2])
+def test_insert_many_leaves_the_per_entry_state(replication, resharding):
+    """One frame of per-entry ``insert`` slots and one frame of one
+    ``insert_many`` slot per service leave every node byte-identical —
+    also while a joining node's forwarding table is up."""
+    runs = []
+    for many in (False, True):
+        cluster, router = provisioned(replication)
+        if resharding:
+            router.begin_join(*cluster.add_zone("zone-4"))
+        assert all(response.ok
+                   for response in router.call_batch(bulk_frame(many)))
+        runs.append({name: zone_fingerprint(cluster.zone(name), "app")
+                     for name in cluster.names()})
+        router.close()
+        cluster.close()
+    per_entry, batched = runs
+    assert batched == per_entry
+    assert len(set(batched.values())) == len(batched)
+
+
+class SlotCounter(TransportLayer):
+    """Counts the sub-slots a node leg carries."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.slots: list[Request] = []
+
+    def call_request(self, request):
+        self.slots.append(request)
+        return self._inner.call_request(request)
+
+    def call_batch(self, requests):
+        self.slots.extend(requests)
+        return self._inner.call_batch(requests)
+
+
+def test_bulk_insert_sends_one_slot_per_service_and_shard():
+    """A 50-document ``insert_many`` of the §5.2 schema on a 4-node
+    ring, production profile: at most (tactic services + 1) x 4
+    sub-slots, plus the ride-along report on each leg."""
+    registry = TacticRegistry()
+    register_builtin_tactics(registry)
+    resilience = ResilienceConfig()
+    cluster = CloudCluster(4, registry=registry, resilience=resilience)
+    legs = {name: SlotCounter(transport)
+            for name, transport in cluster.nodes()}
+    blinder = DataBlinder(
+        "obsapp", list(legs.items()), registry=registry,
+        verify_results=False, pipeline=PipelineConfig.production(),
+        resilience=resilience,
+    )
+    try:
+        blinder.register_schema(benchmark_observation_schema())
+        entities = blinder.entities("observation")
+        documents = [o.to_document() for o in
+                     MedicalDataGenerator(5).observations(50)]
+        for leg in legs.values():
+            leg.slots.clear()
+        assert len(entities.insert_many(documents)) == 50
+        slots = [slot for leg in legs.values() for slot in leg.slots]
+        services = blinder.runtime.loaded_tactics()
+        writes = [slot for slot in slots
+                  if not slot.service.startswith("integrity/")]
+        assert len(services) == 8
+        assert {slot.method for slot in writes} == {"insert_many"}
+        assert len(writes) <= (len(services) + 1) * 4
+        assert len(slots) - len(writes) <= 4
+    finally:
+        blinder.runtime.transport.close()
+        cluster.close()
