@@ -73,6 +73,7 @@ from repro.cache.config import (
     RESULT_TTL_S,
 )
 from repro.cache.lru import TtlLruCache
+from repro.errors import TransportError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gateway.service import GatewayRuntime
@@ -103,11 +104,11 @@ def current_principal() -> str:
 
 def _approx_size(document: Any) -> int:
     """Cheap plaintext-size estimate for the byte budget."""
-    try:
-        from repro.net import message
+    from repro.net import message
 
+    try:
         return len(message.encode(document))
-    except Exception:
+    except TransportError:
         return 256
 
 

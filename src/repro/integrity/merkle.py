@@ -261,8 +261,8 @@ def verify_inclusion(root_hex: str, key: bytes, value: bytes,
     """Check that (key, value) is a leaf of the tree with root
     ``root_hex`` using an inclusion proof from :meth:`MerkleTree.proof`.
 
-    Accepts the proof as tuples or lists (the wire codec round-trips
-    tuples, but callers may hand decoded JSON lists).
+    Accepts the proof as tuples or lists (a proof that crossed the wire
+    arrives as lists).
     """
     if proof is None:
         return False

@@ -1,10 +1,11 @@
-"""Canonical wire encoding for gateway <-> cloud messages.
+"""The one JSON-with-bytes codec of the middleware.
 
-Payloads are JSON objects extended with tagged ``bytes`` values (hex) and
-tagged tuples, so that ciphertext blobs and PRF labels survive a real
-network hop unchanged.  Both the in-process transport (which measures
-message sizes for the network performance metrics) and the TCP transport
-(which actually frames them onto a socket) use this codec.
+Payloads are JSON values in which ``bytes`` travel as ``{"__b__": hex}``,
+so that ciphertext blobs and PRF labels survive a real network hop
+unchanged.  RPC frames, encrypted document bodies, Merkle leaves, the
+snapshot census and the write-ahead log all use this codec.  Tuples go
+out as JSON lists (and so arrive as lists); any other non-JSON type, a
+set included, is rejected with :class:`TransportError`.
 """
 
 from __future__ import annotations
@@ -14,49 +15,40 @@ from typing import Any, Iterable
 
 from repro.errors import TransportError
 
+_BYTES_TAG = "__b__"
 
-def _to_wire(obj: Any) -> Any:
+
+def _tag_bytes(obj: Any) -> dict[str, str]:
     if isinstance(obj, (bytes, bytearray)):
-        return {"__b__": bytes(obj).hex()}
-    if isinstance(obj, tuple):
-        return {"__t__": [_to_wire(v) for v in obj]}
-    if isinstance(obj, set):
-        return {"__s__": sorted(_to_wire(v) for v in obj)}  # type: ignore[type-var]
-    if isinstance(obj, dict):
-        return {str(k): _to_wire(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_to_wire(v) for v in obj]
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return {_BYTES_TAG: obj.hex()}
+    raise TypeError(f"value of type {type(obj).__name__} is not "
+                    "wire-encodable")
+
+
+def _untag_bytes(obj: dict[str, Any]) -> Any:
+    if len(obj) != 1 or _BYTES_TAG not in obj:
         return obj
-    raise TransportError(
-        f"value of type {type(obj).__name__} is not wire-encodable"
-    )
-
-
-def _from_wire(obj: Any) -> Any:
-    if isinstance(obj, dict):
-        if set(obj) == {"__b__"}:
-            return bytes.fromhex(obj["__b__"])
-        if set(obj) == {"__t__"}:
-            return tuple(_from_wire(v) for v in obj["__t__"])
-        if set(obj) == {"__s__"}:
-            return {_from_wire(v) for v in obj["__s__"]}
-        return {k: _from_wire(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_from_wire(v) for v in obj]
-    return obj
+    value = obj[_BYTES_TAG]
+    if not isinstance(value, str):
+        raise TransportError(f"bytes tag carries a {type(value).__name__}")
+    try:
+        return bytes.fromhex(value)
+    except ValueError as exc:
+        raise TransportError(f"bytes tag is not hex: {exc}") from exc
 
 
 #: The canonical form: compact separators, sorted keys, ASCII-only (so
 #: an encoded item's length in characters is its length in bytes).
-_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True,
+                            default=_tag_bytes)
+_DECODER = json.JSONDecoder(object_hook=_untag_bytes)
 
 
 def encode(payload: Any) -> bytes:
     """Serialize a payload to canonical wire bytes."""
     try:
-        return _ENCODER.encode(_to_wire(payload)).encode("utf-8")
-    except (TypeError, ValueError) as exc:
+        return _ENCODER.encode(payload).encode("utf-8")
+    except (TypeError, ValueError, RecursionError) as exc:
         raise TransportError(f"cannot encode payload: {exc}") from exc
 
 
@@ -67,20 +59,16 @@ def encode_items(key: str, payloads: Iterable[Any]
     compositional, so the frame is byte-identical and per-item
     accounting costs no second encoding."""
     try:
-        items = [_ENCODER.encode(_to_wire(payload)) for payload in payloads]
-    except (TypeError, ValueError) as exc:
+        items = [_ENCODER.encode(payload) for payload in payloads]
+    except (TypeError, ValueError, RecursionError) as exc:
         raise TransportError(f"cannot encode payload: {exc}") from exc
     frame = "{%s:[%s]}" % (_ENCODER.encode(key), ",".join(items))
     return frame.encode("utf-8"), [len(item) for item in items]
 
 
 def decode(data: bytes) -> Any:
+    """Parse wire bytes; malformed input raises only :class:`TransportError`."""
     try:
-        return _from_wire(json.loads(data.decode("utf-8")))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return _DECODER.decode(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise TransportError(f"cannot decode payload: {exc}") from exc
-
-
-def wire_size(payload: Any) -> int:
-    """Size in bytes of a payload on the wire (network metric input)."""
-    return len(encode(payload))

@@ -130,7 +130,7 @@ def _tactic_of(service: str) -> str:
 
 
 def _freeze(value: Any) -> Any:
-    """A hashable key for wire values (lists arrive un-tupled)."""
+    """A hashable key for wire values (tuples arrive as lists)."""
     if isinstance(value, list):
         return tuple(_freeze(item) for item in value)
     if isinstance(value, dict):

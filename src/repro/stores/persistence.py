@@ -3,7 +3,8 @@
 The paper deploys Redis "in a semi-persistent durability mode" on both the
 gateway and the cloud to hold custom secure indexes.  This module provides
 the equivalent durability substrate for :mod:`repro.stores.kv` and
-:mod:`repro.stores.docstore`: mutations are appended to a JSON-lines log,
+:mod:`repro.stores.docstore`: mutations are appended to a JSON-lines log
+in the wire codec of :mod:`repro.net.message` (bytes tagged ``__b__``),
 and a snapshot compacts the log when it grows past a threshold.  Stores
 replay snapshot + log on open.
 
@@ -14,35 +15,14 @@ every ``flush_every`` records — a crash may lose the tail.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
-from repro.errors import StoreError
+from repro.errors import StoreError, TransportError
+from repro.net.message import decode, encode
 
 Record = dict[str, Any]
-
-
-def _encode_bytes(obj: Any) -> Any:
-    """Make a record JSON-safe: bytes become tagged hex strings."""
-    if isinstance(obj, bytes):
-        return {"__bytes__": obj.hex()}
-    if isinstance(obj, dict):
-        return {k: _encode_bytes(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode_bytes(v) for v in obj]
-    return obj
-
-
-def _decode_bytes(obj: Any) -> Any:
-    if isinstance(obj, dict):
-        if set(obj) == {"__bytes__"}:
-            return bytes.fromhex(obj["__bytes__"])
-        return {k: _decode_bytes(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_decode_bytes(v) for v in obj]
-    return obj
 
 
 #: Magic key marking a snapshot file that carries its log high-water
@@ -82,13 +62,11 @@ class WriteAheadLog:
 
     def append(self, record: Record) -> None:
         if self._handle is None:
-            self._handle = open(self.log_path, "a", encoding="utf-8")
+            self._handle = open(self.log_path, "ab")
         self._seq += 1
         stamped = dict(record)
         stamped["_seq"] = self._seq
-        json.dump(_encode_bytes(stamped), self._handle,
-                  separators=(",", ":"))
-        self._handle.write("\n")
+        self._handle.write(encode(stamped) + b"\n")
         self._pending += 1
         self._records_since_snapshot += 1
         if self._pending >= self.flush_every:
@@ -122,14 +100,14 @@ class WriteAheadLog:
         """
         if not self.log_path.exists():
             return
-        with open(self.log_path, encoding="utf-8") as handle:
+        with open(self.log_path, "rb") as handle:
             for line in handle:
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    record = _decode_bytes(json.loads(line))
-                except json.JSONDecodeError:
+                    record = decode(line)
+                except TransportError:
                     # A torn tail write is the expected crash artifact in
                     # semi-durable mode; everything before it is intact.
                     break
@@ -144,9 +122,8 @@ class WriteAheadLog:
         if not self.snapshot_path.exists():
             return None
         try:
-            with open(self.snapshot_path, encoding="utf-8") as handle:
-                raw = _decode_bytes(json.load(handle))
-        except (json.JSONDecodeError, OSError) as exc:
+            raw = decode(self.snapshot_path.read_bytes())
+        except (TransportError, OSError) as exc:
             raise StoreError(f"corrupt snapshot: {exc}") from exc
         if isinstance(raw, dict) and _SEQ_KEY in raw and "state" in raw:
             seq = int(raw[_SEQ_KEY])
@@ -162,9 +139,8 @@ class WriteAheadLog:
         self.close()
         temp_path = self.snapshot_path.with_suffix(".tmp")
         wrapped = {_SEQ_KEY: self._seq, "state": state}
-        with open(temp_path, "w", encoding="utf-8") as handle:
-            json.dump(_encode_bytes(wrapped), handle,
-                      separators=(",", ":"))
+        with open(temp_path, "wb") as handle:
+            handle.write(encode(wrapped))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp_path, self.snapshot_path)

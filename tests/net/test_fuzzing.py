@@ -1,5 +1,6 @@
 """Protocol robustness: malformed frames and adversarial payloads."""
 
+import json
 import socket
 import struct
 
@@ -85,12 +86,45 @@ class TestTcpRobustness:
             transport.close()
 
 
+#: Recursive JSON values with ``__b__`` dicts mixed in, well-formed or
+#: not: what a hostile cloud can put on the wire.
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=12),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+        st.builds(lambda value: {"__b__": value},
+                  st.one_of(children, st.binary(max_size=8).map(bytes.hex))),
+    ),
+    max_leaves=16,
+)
+
+
 class TestCodecRobustness:
     @given(junk=st.binary(max_size=80))
     @settings(max_examples=50)
     def test_decode_never_crashes_unexpectedly(self, junk):
         try:
             decode(junk)
+        except TransportError:
+            pass  # the only acceptable failure mode
+
+    @given(value=_json_values, cut=st.integers(min_value=0))
+    @settings(max_examples=200)
+    def test_decode_json_shaped_text_raises_only_transport_error(
+            self, value, cut):
+        text = json.dumps(value)
+        if cut % 3 == 0:  # a torn frame, one time in three
+            text = text[:cut % (len(text) + 1)]
+        try:
+            decode(text.encode("utf-8"))
         except TransportError:
             pass  # the only acceptable failure mode
 
@@ -101,9 +135,10 @@ class TestCodecRobustness:
         assert decode(encode(payload)) == payload
 
     def test_spoofed_tag_collisions(self):
-        # Dicts that *look* like codec tags but carry extra keys must not
-        # be misinterpreted as bytes/tuples.
+        # A dict that *looks* like the bytes tag but carries extra keys
+        # must not be misinterpreted as bytes; ``__b__`` is the only tag,
+        # so one-key ``__t__``/``__s__`` dicts are plain dicts.
         payload = {"__b__": "00", "extra": 1}
         assert decode(encode(payload)) == payload
-        payload2 = {"__t__": [1, 2], "extra": 1}
-        assert decode(encode(payload2)) == payload2
+        for payload2 in ({"__t__": [1, 2]}, {"__s__": [[1]]}):
+            assert decode(encode(payload2)) == payload2

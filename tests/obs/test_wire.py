@@ -154,8 +154,6 @@ wire_values = st.recursive(
     lambda children: (
         st.lists(children, max_size=3)
         | st.tuples(children, children)
-        | st.sets(st.integers(), max_size=3)
-        | st.sets(st.text(max_size=4), max_size=3)
         | st.dictionaries(st.text(max_size=4), children, max_size=3)),
     max_leaves=8,
 )
@@ -205,7 +203,7 @@ class TestWireUnchanged:
                             lambda nbytes: charged.append(nbytes) or 0.0)
         batch = [Request("echo", "ping", {"x": b"\x00\x01"}, idem="k-1"),
                  Request("echo", "fail", {}),
-                 Request("echo", "ping", {"x": (1, {"a", "b"})})]
+                 Request("echo", "ping", {"x": [1, ["a", "b"]]})]
         replies = transport.call_batch(batch)
         assert [r.ok for r in replies] == [True, False, True]
         assert charged == [

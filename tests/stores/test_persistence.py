@@ -6,17 +6,28 @@ import pytest
 
 from repro.errors import StoreError
 from repro.stores.kv import KeyValueStore
-from repro.stores.persistence import WriteAheadLog, _decode_bytes, _encode_bytes
+from repro.stores.persistence import WriteAheadLog
+
+
+def _through_wal(tmp_path, record):
+    """``record`` after a log append/replay and a snapshot write/load."""
+    wal = WriteAheadLog(tmp_path, "codec")
+    wal.append(record)
+    wal.close()
+    [replayed] = WriteAheadLog(tmp_path, "codec").replay()
+    wal.write_snapshot(record)
+    assert WriteAheadLog(tmp_path, "codec").load_snapshot() == record
+    return replayed
 
 
 class TestCodec:
-    def test_bytes_roundtrip(self):
+    def test_bytes_roundtrip(self, tmp_path):
         record = {"op": "put", "k": b"\x00\xff", "nested": [b"a", {"v": b"b"}]}
-        assert _decode_bytes(_encode_bytes(record)) == record
+        assert _through_wal(tmp_path, record) == record
 
-    def test_plain_values_untouched(self):
+    def test_plain_values_untouched(self, tmp_path):
         record = {"n": 1, "f": 2.5, "s": "text", "b": True, "x": None}
-        assert _decode_bytes(_encode_bytes(record)) == record
+        assert _through_wal(tmp_path, record) == record
 
 
 class TestWal:
