@@ -162,14 +162,6 @@ class ObservedTransport(TransportLayer):
                                       | _identifiers(result)),
             ))
 
-    def call_request(self, request: Request) -> Any:
-        result = None
-        try:
-            result = self._inner.call_request(request)
-            return result
-        finally:
-            self._observe(request, result)
-
     def call_batch(self, requests: Sequence[Request]) -> list[Response]:
         responses: list[Response] = []
         try:

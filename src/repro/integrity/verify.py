@@ -131,13 +131,11 @@ class VerifyingTransport(TransportLayer):
 
     def call_request(self, request: Request) -> Any:
         if self._should_verify(request.service, request.method):
-            rewritten = self._rewrite(request)
-            result = self._inner.call_request(rewritten)
+            # A lone verified read raises a typed IntegrityError, where
+            # a batch slot can only carry its name.
+            result = self._inner.call_request(self._rewrite(request))
             return self._check(request.method, result)
-        if request.method in MUTATING_METHODS:
-            # A lone write is a batch of one: the one write path.
-            return self.call_batch([request])[0].unwrap()
-        return self._inner.call_request(request)
+        return super().call_request(request)
 
     def call_batch(self, requests: Sequence[Request]) -> list[Response]:
         verified = {index for index, r in enumerate(requests)

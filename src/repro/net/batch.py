@@ -213,7 +213,8 @@ class BatchCollector(TransportLayer):
             scope.pending.append(request)
             return None
         if not scope.pending:
-            # Nothing queued: a plain call is cheaper than a 1-batch.
+            # Nothing queued: the lone call goes down as a lone call, so
+            # the verifier below can raise its typed IntegrityError.
             return self._inner.call_request(request)
         # Join the queue as the final element and flush now: reads (and
         # result-bearing writes) must observe every queued write, and the

@@ -5,9 +5,10 @@ providers; a production gateway therefore has to survive dropped frames,
 slow links, broken connections, duplicated deliveries and corrupt
 replies.  :class:`FaultInjectingTransport` wraps any inner
 :class:`repro.net.transport.Transport` and injects exactly those faults,
-*deterministically* from a seed, for both single calls and batch frames
-— so a failing chaos run is reproducible from its seed and fault log
-alone.
+*deterministically* from a seed — so a failing chaos run is reproducible
+from its seed and fault log alone.  Every delivery is one batch frame (a
+lone call is a frame of one), so the injector has one send path to
+fault.
 
 Fault taxonomy (at most one fault per delivery, chosen by one seeded
 draw so schedules are stable under refactoring):
@@ -123,12 +124,12 @@ class FaultEvent:
 
     seq: int          #: delivery index on this transport (0-based)
     kind: str         #: one of :data:`FAULT_KINDS`
-    op: str           #: ``"call"`` or ``"batch"``
-    target: str       #: ``service.method`` or ``batch[n]``
+    #: ``batch[n]``, plus ``[i]=service.method`` for the slot a
+    #: ``tamper``/``rollback`` mutated
+    target: str
 
     def to_payload(self) -> dict[str, Any]:
-        return {"seq": self.seq, "kind": self.kind, "op": self.op,
-                "target": self.target}
+        return {"seq": self.seq, "kind": self.kind, "target": self.target}
 
 
 class FaultInjectingTransport(TransportLayer):
@@ -169,7 +170,7 @@ class FaultInjectingTransport(TransportLayer):
 
     # -- schedule ----------------------------------------------------------
 
-    def _next_fault(self, op: str, target: str) -> tuple[int, str | None]:
+    def _next_fault(self, target: str) -> tuple[int, str | None]:
         """One seeded draw decides this delivery's fault (or none).
 
         Returns ``(seq, kind)``.  Link faults are recorded immediately;
@@ -185,15 +186,15 @@ class FaultInjectingTransport(TransportLayer):
                 if draw < probability:
                     if kind not in APPLY_TIME_KINDS:
                         self._events.append(
-                            FaultEvent(seq, kind, op, target)
+                            FaultEvent(seq, kind, target)
                         )
                     return seq, kind
                 draw -= probability
             return seq, None
 
-    def _record(self, seq: int, kind: str, op: str, target: str) -> None:
+    def _record(self, seq: int, kind: str, target: str) -> None:
         with self._lock:
-            self._events.append(FaultEvent(seq, kind, op, target))
+            self._events.append(FaultEvent(seq, kind, target))
 
     def events(self) -> list[FaultEvent]:
         """Every fault injected so far (for assertions and artifacts)."""
@@ -246,11 +247,6 @@ class FaultInjectingTransport(TransportLayer):
             if signature not in self._captures:
                 self._captures[signature] = copy.deepcopy(result)
 
-    def _dispatch(self, request: Request) -> Any:
-        result = self._inner.call_request(request)
-        self._capture(request, result)
-        return result
-
     def _dispatch_batch(self,
                         requests: Sequence[Request]) -> list[Response]:
         responses = self._inner.call_batch(requests)
@@ -286,27 +282,31 @@ class FaultInjectingTransport(TransportLayer):
                 return True
         return False
 
-    @classmethod
-    def _apply_tamper(cls, result: Any) -> bool:
-        """Mutate one proven-read envelope in place; True when applied.
+    def _apply_tamper(self, request: Request,
+                      result: Any) -> tuple[Any, bool]:
+        """A copy of a proven read's reply with one envelope mutated,
+        and whether one was.
 
         Prefers flipping a bit inside the document payload (defeated by
         the inclusion proof); falls back to the reported root (defeated
         by the freshness ledger).  Tuple/set-only documents fall through
         to the root flip, so an applied tamper is always detectable.
         """
-        envelopes = _envelopes(result)
+        if not self._eligible(request):
+            return result, False
+        tampered = copy.deepcopy(result)
+        envelopes = _envelopes(tampered)
         for envelope in envelopes if isinstance(envelopes, list) else []:
             if not isinstance(envelope, dict):
                 continue
             document = envelope.get("document")
-            if isinstance(document, dict) and cls._flip_leaf(document):
-                return True
+            if isinstance(document, dict) and self._flip_leaf(document):
+                return tampered, True
             root = envelope.get("root")
             if isinstance(root, str) and root:
                 envelope["root"] = chr(ord(root[0]) ^ 1) + root[1:]
-                return True
-        return False
+                return tampered, True
+        return result, False
 
     def _apply_rollback(self, request: Request,
                         result: Any) -> tuple[Any, bool]:
@@ -328,46 +328,11 @@ class FaultInjectingTransport(TransportLayer):
 
     # -- Transport interface -----------------------------------------------
 
-    def call_request(self, request: Request) -> Any:
-        target = f"{request.service}.{request.method}"
-        seq, kind = self._next_fault("call", target)
-        if kind == "drop":
-            raise TransportFault(f"injected fault: request {target} "
-                                 f"dropped in flight")
-        if kind == "corrupt":
-            raise TransportFault(f"injected fault: request {target} "
-                                 f"frame corrupt, rejected by peer")
-        if kind == "delay":
-            self._delay()
-            return self._dispatch(request)
-        if kind == "duplicate":
-            self._dispatch(request)
-            return self._dispatch(request)
-        if kind == "disconnect":
-            self._dispatch(request)
-            raise TransportFault(f"injected fault: connection lost after "
-                                 f"{target} was delivered; reply lost")
-        if kind == "tamper":
-            result = self._dispatch(request)
-            if self._eligible(request):
-                tampered = copy.deepcopy(result)
-                if self._apply_tamper(tampered):
-                    self._record(seq, "tamper", "call", target)
-                    return tampered
-            return result
-        if kind == "rollback":
-            result = self._dispatch(request)
-            replayed, applied = self._apply_rollback(request, result)
-            if applied:
-                self._record(seq, "rollback", "call", target)
-            return replayed
-        return self._dispatch(request)
-
     def call_batch(self, requests: Sequence[Request]) -> list[Response]:
         if not requests:
             return []
         target = f"batch[{len(requests)}]"
-        seq, kind = self._next_fault("batch", target)
+        seq, kind = self._next_fault(target)
         if kind == "drop":
             raise TransportFault(f"injected fault: {target} frame "
                                  f"dropped in flight")
@@ -376,53 +341,30 @@ class FaultInjectingTransport(TransportLayer):
                                  f"corrupt, rejected by peer")
         if kind == "delay":
             self._delay()
-            return self._dispatch_batch(requests)
-        if kind == "duplicate":
-            self._dispatch_batch(requests)
-            return self._dispatch_batch(requests)
+        if kind in ("duplicate", "disconnect"):
+            self._dispatch_batch(requests)  # the first delivery
         if kind == "disconnect":
-            self._dispatch_batch(requests)
             raise TransportFault(f"injected fault: connection lost after "
                                  f"{target} was delivered; reply lost")
-        if kind == "tamper":
-            responses = self._dispatch_batch(requests)
-            for index, (request, response) in enumerate(
-                zip(requests, responses)
-            ):
-                if not response.ok or not self._eligible(request):
-                    continue
-                tampered = copy.deepcopy(response.result)
-                if self._apply_tamper(tampered):
-                    self._record(
-                        seq, "tamper", "batch",
-                        f"{target}[{index}]="
-                        f"{request.service}.{request.method}",
-                    )
-                    responses = list(responses)
-                    responses[index] = Response(ok=True, result=tampered)
-                    break
-            return responses
-        if kind == "rollback":
-            responses = self._dispatch_batch(requests)
+        responses = self._dispatch_batch(requests)
+        if kind in APPLY_TIME_KINDS:
+            # The adversary rewrites the first slot it can.
+            mutate = (self._apply_tamper if kind == "tamper"
+                      else self._apply_rollback)
             for index, (request, response) in enumerate(
                 zip(requests, responses)
             ):
                 if not response.ok:
                     continue
-                replayed, applied = self._apply_rollback(
-                    request, response.result
-                )
+                result, applied = mutate(request, response.result)
                 if applied:
-                    self._record(
-                        seq, "rollback", "batch",
-                        f"{target}[{index}]="
-                        f"{request.service}.{request.method}",
-                    )
+                    self._record(seq, kind,
+                                 f"{target}[{index}]="
+                                 f"{request.service}.{request.method}")
                     responses = list(responses)
-                    responses[index] = Response(ok=True, result=replayed)
+                    responses[index] = Response(ok=True, result=result)
                     break
-            return responses
-        return self._dispatch_batch(requests)
+        return responses
 
     def own_stats(self) -> NetworkStats:
         with self._lock:

@@ -278,13 +278,6 @@ class ResilientTransport(TransportLayer):
 
     # -- Transport interface -----------------------------------------------
 
-    def call_request(self, request: Request) -> Any:
-        request = self._keyed(request)
-        label = f"{request.service}.{request.method}"
-        return self._execute(
-            lambda: self._inner.call_request(request), label
-        )
-
     def call_batch(self, requests: Sequence[Request]) -> list[Response]:
         if not requests:
             return []

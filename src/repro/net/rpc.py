@@ -7,11 +7,14 @@ and carry ``Response`` frames back; remote exceptions are re-raised at the
 caller as :class:`repro.errors.RemoteError` with the remote type name
 preserved.
 
-Besides single-request frames, hosts dispatch *batch* frames: N requests
-shipped as one wire payload (``{"batch": [...]}``) and answered with N
-responses in order.  Each sub-request is dispatched independently, so a
-failing one yields an error response in its slot without poisoning the
-rest of the batch.
+Every wire frame is a *batch* frame: N requests shipped as one payload
+(``{"batch": [...]}``) and answered with N responses in order; a lone
+call travels as a batch of one.  Each sub-request is dispatched
+independently, so a failing one yields an error response in its slot
+without poisoning the rest of the batch.  The frame parsers read input
+from the untrusted zone: a payload that is not a batch of objects, or a
+reply whose slot count differs from the request count, raises
+:class:`repro.errors.TransportError` and nothing else.
 
 Requests may carry an *idempotency key* (``idem``, a short unique string
 minted by :class:`repro.net.resilience.ResilientTransport` for mutating
@@ -34,7 +37,7 @@ from typing import Any, Sequence
 from repro.errors import DataBlinderError, RemoteError, TransportError
 from repro.net.message import encode_items
 
-#: Key marking a wire payload as a batch frame rather than a single call.
+#: The one key of a wire frame: its list of request or response slots.
 BATCH_KEY = "batch"
 
 #: RPC method names that mutate cloud state — every write the executor,
@@ -82,7 +85,7 @@ class Request:
             return cls(payload["service"], payload["method"],
                        dict(payload["kwargs"]),
                        idem=str(payload.get("idem", "")))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise TransportError(f"malformed request frame: {exc}") from exc
 
 
@@ -117,21 +120,31 @@ def batch_request_payload(requests: list[Request]) -> dict[str, Any]:
     return {BATCH_KEY: [request.to_payload() for request in requests]}
 
 
-def requests_from_batch(payload: dict[str, Any]) -> list[Request]:
-    items = payload.get(BATCH_KEY)
-    if not isinstance(items, list):
-        raise TransportError("malformed batch request frame")
-    return [Request.from_payload(item) for item in items]
+def _slots(payload: Any, kind: str) -> list[dict[str, Any]]:
+    """The slot objects of a batch frame read off the wire."""
+    items = payload.get(BATCH_KEY) if isinstance(payload, dict) else None
+    if not isinstance(items, list) or not all(
+        isinstance(item, dict) for item in items
+    ):
+        raise TransportError(f"malformed batch {kind} frame")
+    return items
+
+
+def requests_from_batch(payload: Any) -> list[Request]:
+    return [Request.from_payload(item)
+            for item in _slots(payload, "request")]
 
 
 def batch_response_payload(responses: list[Response]) -> dict[str, Any]:
     return {BATCH_KEY: [response.to_payload() for response in responses]}
 
 
-def responses_from_batch(payload: dict[str, Any]) -> list[Response]:
-    items = payload.get(BATCH_KEY)
-    if not isinstance(items, list):
-        raise TransportError("malformed batch response frame")
+def responses_from_batch(payload: Any, count: int) -> list[Response]:
+    """The replies to a frame of ``count`` requests, one per slot."""
+    items = _slots(payload, "response")
+    if len(items) != count:
+        raise TransportError(f"batch reply carries {len(items)} slots "
+                             f"for {count} requests")
     return [Response.from_payload(item) for item in items]
 
 
@@ -140,10 +153,6 @@ def encode_batch(items: "Sequence[Request] | Sequence[Response]"
     """The batch frame of ``items`` — byte for byte
     ``encode(batch_*_payload(items))`` — and the size of each slot."""
     return encode_items(BATCH_KEY, [item.to_payload() for item in items])
-
-
-def is_batch_payload(payload: Any) -> bool:
-    return isinstance(payload, dict) and BATCH_KEY in payload
 
 
 class ServiceHost:

@@ -1,13 +1,17 @@
 """TCP transport: a real two-process gateway/cloud deployment.
 
-Frames are length-prefixed (4-byte big-endian) wire-codec payloads; a
-payload is either a single request or a ``batch`` frame carrying several
-requests answered with one batch reply (per-request error isolation).
-The server hosts a :class:`repro.net.rpc.ServiceHost` behind a threading
-TCP server; the client implements
-:class:`repro.net.transport.Transport` with one pooled connection per
-thread.  ``examples/distributed_deployment.py`` uses this pair to run the
-cloud zone as an actual separate process.
+Frames are length-prefixed (4-byte big-endian) wire-codec payloads, and
+every request payload is a ``batch`` frame: N requests (one for a lone
+call) answered with one batch reply of N slots (per-request error
+isolation).  A frame the server cannot read as a batch — a retired
+single-request frame included — is refused with one bare error
+response, which the client's reply parser in turn refuses as a
+:class:`~repro.errors.TransportError`; the connection serves the next
+frame.  The server hosts a :class:`repro.net.rpc.ServiceHost` behind a
+threading TCP server; the client is a
+:class:`repro.net.transport.BatchTransport` with one pooled connection
+per thread.  ``examples/distributed_deployment.py`` uses this pair to
+run the cloud zone as an actual separate process.
 """
 
 from __future__ import annotations
@@ -16,18 +20,17 @@ import socket
 import socketserver
 import struct
 import threading
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.errors import TransportError
 from repro.net.latency import NetworkStats, TrafficMeter
 from repro.net.message import decode, encode
-from repro.net.transport import Transport
+from repro.net.transport import BatchTransport
 from repro.net.rpc import (
     Request,
     Response,
     ServiceHost,
     encode_batch,
-    is_batch_payload,
     requests_from_batch,
     responses_from_batch,
 )
@@ -71,22 +74,15 @@ class _RpcHandler(socketserver.BaseRequestHandler):
             except TransportError:
                 return  # client went away
             try:
-                payload = decode(frame)
-                if is_batch_payload(payload):
-                    # Batch frame: dispatch every sub-request (error
-                    # isolation lives in dispatch_batch) and answer with
-                    # one batch reply frame.
-                    responses = host.dispatch_batch(
-                        requests_from_batch(payload)
-                    )
-                    reply, _ = encode_batch(responses)
-                else:
-                    response = host.dispatch(Request.from_payload(payload))
-                    reply = encode(response.to_payload())
+                # Error isolation per sub-request lives in dispatch_batch.
+                reply, _ = encode_batch(host.dispatch_batch(
+                    requests_from_batch(decode(frame))
+                ))
             except Exception as exc:  # noqa: BLE001 - keep the server alive
-                response = Response(ok=False, error_type=type(exc).__name__,
-                                    error_message=str(exc))
-                reply = encode(response.to_payload())
+                reply = encode(Response(
+                    ok=False, error_type=type(exc).__name__,
+                    error_message=str(exc),
+                ).to_payload())
             send_frame(self.request, reply)
 
 
@@ -110,7 +106,7 @@ class TcpRpcServer(socketserver.ThreadingTCPServer):
         return thread
 
 
-class TcpTransport(Transport):
+class TcpTransport(BatchTransport):
     """Client side: one pooled connection per calling thread."""
 
     def __init__(self, address: tuple[str, int], timeout: float = 30.0):
@@ -128,23 +124,17 @@ class TcpTransport(Transport):
             self._local.sock = sock
         return sock
 
-    def call(self, service: str, method: str, **kwargs: Any) -> Any:
-        return self.call_request(Request(service, method, kwargs))
-
-    def call_request(self, request: Request) -> Any:
-        frame = encode(request.to_payload())
-        reply = self._roundtrip(frame, (request,), (len(frame),))
-        self._meter.record_receive(len(reply), 0.0, (request,),
-                                   (len(reply),))
-        return Response.from_payload(decode(reply)).unwrap()
-
     def call_batch(self, requests: Sequence[Request]) -> list[Response]:
         """Ship the whole batch as one frame over the pooled socket."""
         if not requests:
             return []
         frame, sizes = encode_batch(requests)
         reply = self._roundtrip(frame, requests, sizes)
-        responses = responses_from_batch(decode(reply))
+        try:
+            responses = responses_from_batch(decode(reply), len(requests))
+        except TransportError:
+            self._meter.record_receive(len(reply))  # it still arrived
+            raise
         # The reply arrives as one frame; its slot sizes are recovered
         # by re-encoding the (small, mostly ``null``) write replies.
         self._meter.record_receive(len(reply), 0.0, requests,

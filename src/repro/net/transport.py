@@ -6,6 +6,10 @@ path, so message counts, byte counts and (optionally slept) delays match a
 two-host deployment.  :class:`repro.net.tcp.TcpTransport` swaps the middle
 for a real socket.  Application code never sees the difference: both
 implement :class:`Transport`.
+
+Every endpoint and every wrapper layer is a :class:`BatchTransport`: its
+one send path is :meth:`~Transport.call_batch`, and a lone call travels
+as a batch of one, so each delivery is one frame whatever its size.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Any, Sequence
 
 from repro.errors import RemoteError, TransportError
 from repro.net.latency import NetworkModel, NetworkStats, TrafficMeter
-from repro.net.message import decode, encode
+from repro.net.message import decode
 from repro.net.rpc import (
     Request,
     Response,
@@ -38,11 +42,12 @@ class Transport(ABC):
         """Dispatch one prepared :class:`Request`.
 
         The resilience layer builds requests up front so an idempotency
-        key survives every retry of the same logical call.  Transports
-        that put requests on a wire override this to preserve the key;
-        the base implementation degrades to :meth:`call` (dropping
-        ``idem``, which is only a loss of dedup, never of correctness —
-        unkeyed requests are applied on every delivery).
+        key survives every retry of the same logical call.  A
+        :class:`BatchTransport` sends it as a batch of one, which keeps
+        the key; this base implementation degrades to :meth:`call`
+        (dropping ``idem``, which is only a loss of dedup, never of
+        correctness — unkeyed requests are applied on every delivery),
+        so a transport that implements only :meth:`call` still works.
         """
         return self.call(request.service, request.method, **request.kwargs)
 
@@ -133,7 +138,22 @@ class Transport(ABC):
         """Release any underlying resources (default: none)."""
 
 
-class TransportLayer(Transport):
+class BatchTransport(Transport):
+    """A transport whose one send path is :meth:`call_batch`: a lone
+    call is a batch of one, and its one response is unwrapped."""
+
+    def call(self, service: str, method: str, **kwargs: Any) -> Any:
+        return self.call_request(Request(service, method, kwargs))
+
+    def call_request(self, request: Request) -> Any:
+        return self.call_batch([request])[0].unwrap()
+
+    @abstractmethod
+    def call_batch(self, requests: Sequence[Request]) -> list[Response]:
+        """Ship ``requests`` as one frame; one response per request."""
+
+
+class TransportLayer(BatchTransport):
     """A transport that wraps exactly one ``inner`` transport.
 
     The base of every wrapper in the gateway stack (batch collector,
@@ -157,12 +177,6 @@ class TransportLayer(Transport):
     @property
     def inner(self) -> Transport:
         return self._inner
-
-    def call(self, service: str, method: str, **kwargs: Any) -> Any:
-        return self.call_request(Request(service, method, kwargs))
-
-    def call_request(self, request: Request) -> Any:
-        return self._inner.call_request(request)
 
     def call_batch(self, requests: Sequence[Request]) -> list[Response]:
         return self._inner.call_batch(requests)
@@ -210,7 +224,7 @@ class TransportLayer(Transport):
         self._inner.close()
 
 
-class InProcTransport(Transport):
+class InProcTransport(BatchTransport):
     """Gateway->cloud channel within one process.
 
     Every request and response is round-tripped through the wire codec so
@@ -224,23 +238,6 @@ class InProcTransport(Transport):
         self._network = network or NetworkModel(sleep=False)
         self._meter = TrafficMeter()
         self._dedup_base = 0
-
-    def call(self, service: str, method: str, **kwargs: Any) -> Any:
-        return self.call_request(Request(service, method, kwargs))
-
-    def call_request(self, request: Request) -> Any:
-        frame = encode(request.to_payload())
-        delay_up = self._network.apply(len(frame))
-        self._meter.record_send(len(frame), delay_up,
-                                (request,), (len(frame),))
-
-        response = self._host.dispatch(Request.from_payload(decode(frame)))
-
-        reply = encode(response.to_payload())
-        delay_down = self._network.apply(len(reply))
-        self._meter.record_receive(len(reply), delay_down,
-                                   (request,), (len(reply),))
-        return Response.from_payload(decode(reply)).unwrap()
 
     def call_batch(self, requests: Sequence[Request]) -> list[Response]:
         """N requests in one wire frame: one latency charge per direction."""
@@ -257,7 +254,7 @@ class InProcTransport(Transport):
         reply, sizes = encode_batch(responses)
         delay_down = self._network.apply(len(reply))
         self._meter.record_receive(len(reply), delay_down, requests, sizes)
-        return responses_from_batch(decode(reply))
+        return responses_from_batch(decode(reply), len(requests))
 
     def stats(self) -> NetworkStats:
         stats = self._meter.snapshot()
@@ -277,7 +274,7 @@ class InProcTransport(Transport):
         self._dedup_base = self._host.dedup_stats()["evictions"]
 
 
-class DirectTransport(Transport):
+class DirectTransport(BatchTransport):
     """Zero-copy dispatch without serialization or latency accounting.
 
     Used by the S_A baseline scenario (no protection, no middleware cost
@@ -287,15 +284,6 @@ class DirectTransport(Transport):
     def __init__(self, host: ServiceHost):
         self._host = host
         self._meter = TrafficMeter()
-
-    def call(self, service: str, method: str, **kwargs: Any) -> Any:
-        return self.call_request(Request(service, method, kwargs))
-
-    def call_request(self, request: Request) -> Any:
-        response = self._host.dispatch(request)
-        self._meter.record_send(0, 0.0, (request,), (0,))
-        self._meter.record_receive(0)
-        return response.unwrap()
 
     def call_batch(self, requests: Sequence[Request]) -> list[Response]:
         if not requests:

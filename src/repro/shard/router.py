@@ -67,7 +67,8 @@ import functools
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Iterable, Sequence
+from operator import methodcaller
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.crypto.ore import OreCiphertext
 from repro.errors import (
@@ -462,24 +463,24 @@ class ShardedTransport(Transport):
         futures = [self._submit(one, item) for item in items[1:]]
         return [one(items[0]), *(future.result() for future in futures)]
 
-    def _leg(self, name: str, payload: Any, framed: bool = False
+    def _leg(self, name: str, send: Callable[[Transport], Any]
              ) -> tuple[str, Any, float, Exception | None]:
-        """One scatter leg — a request, or a batch frame of them when
-        ``framed``: ``(node, result, seconds, link error)``."""
-        node = self._nodes[name]
+        """One scatter leg, ``send(node)`` — a ``methodcaller`` of
+        ``call_request`` for a read, of ``call_batch`` for a write
+        frame: ``(node, result, seconds, link error)``."""
         started = time.perf_counter()
         try:
-            result = (node.call_batch(list(payload)) if framed
-                      else node.call_request(payload))
+            result = send(self._nodes[name])
             return name, result, time.perf_counter() - started, None
         except TransportError as exc:
             return name, None, time.perf_counter() - started, exc
 
     # -- chain delivery ----------------------------------------------------------
 
-    def _write_chains(self, groups: Sequence[tuple[tuple[str, ...], Any]],
-                      framed: bool) -> tuple[list[Any], list[tuple]]:
-        """Deliver each ``(owner chain, payload)`` group to every member
+    def _write_chains(
+        self, groups: Sequence[tuple[tuple[str, ...], list[Request]]]
+    ) -> tuple[list[Any], list[tuple]]:
+        """Deliver each ``(owner chain, frame)`` group to every member
         of its chain — all legs of the call in one :meth:`_overlap`
         scatter — and return the groups' results in order, plus every
         leg's ``(node, result, seconds, error)`` row.
@@ -496,7 +497,9 @@ class ShardedTransport(Transport):
                 for index, (chain, _) in enumerate(groups)
                 for position, name in enumerate(chain)]
         rows = self._overlap(
-            lambda leg: self._leg(leg[2], groups[leg[0]][1], framed), legs
+            lambda leg: self._leg(
+                leg[2], methodcaller("call_batch", groups[leg[0]][1])),
+            legs,
         )
         self._record_parallel_timings(
             (name, seconds) for name, _, seconds, _ in rows
@@ -543,7 +546,8 @@ class ShardedTransport(Transport):
         if skip_broken is None:
             skip_broken = self._replication() > 1
 
-        rows = self._overlap(lambda name: self._leg(name, request), targets)
+        send = methodcaller("call_request", request)
+        rows = self._overlap(lambda name: self._leg(name, send), targets)
         gathered: list[tuple[str, Any]] = []
         last_error: Exception | None = None
         for name, result, seconds, error in rows:
@@ -604,10 +608,11 @@ class ShardedTransport(Transport):
             if not groups:
                 break
             rows = self._overlap(
-                lambda name: self._leg(name, Request(
-                    request.service, request.method,
-                    {**request.kwargs, "doc_ids": groups[name]},
-                )),
+                lambda name: self._leg(name, methodcaller(
+                    "call_request", Request(
+                        request.service, request.method,
+                        {**request.kwargs, "doc_ids": groups[name]},
+                    ))),
                 sorted(groups),
             )
             self._record_parallel_timings(
@@ -657,7 +662,7 @@ class ShardedTransport(Transport):
             return self._admin(request)
         routed = self._routed(request)
         if routed is not None:
-            return routed.result
+            return routed.unwrap()
         if service.startswith("docs/"):
             return self._docs(request)
         if service.startswith("tactic/"):
@@ -674,7 +679,7 @@ class ShardedTransport(Transport):
                 responses[ride] = Response(ok=True, result={
                     f"shard:{order[0]}": responses[ride].result})
             return responses
-        responses, loose = self._route_writes(requests, framed=True)
+        responses, loose = self._route_writes(requests)
         if loose:
             self._dispatch_loose(requests, loose, responses)
         missing = [i for i, r in enumerate(responses) if r is None]
@@ -688,18 +693,15 @@ class ShardedTransport(Transport):
                 walking: bool = False) -> Response | None:
         """A chain-routed write is a batch of one: its response, or
         ``None`` when the request needs the full router."""
-        responses, loose = self._route_writes([request], framed=False,
-                                              walking=walking)
+        responses, loose = self._route_writes([request], walking=walking)
         return None if loose else responses[0]
 
-    def _route_writes(self, requests: Sequence[Request], framed: bool,
+    def _route_writes(self, requests: Sequence[Request],
                       walking: bool = False
                       ) -> tuple[list[Response | None], list[int]]:
         """Deliver every chain-routed slot of ``requests`` — one
-        sub-batch frame per owner chain when ``framed``, the lone
-        request as a plain call otherwise (where a failure raises
-        instead of filling its slot) — and return the responses so far
-        plus the loose slots left for the full router.
+        sub-batch frame per owner chain — and return the responses so
+        far plus the loose slots left for the full router.
 
         A write frame's ride-along ``report`` joins every leg, replicas
         included, and is answered ``{"shard:<node>": report}`` (a node
@@ -724,12 +726,10 @@ class ShardedTransport(Transport):
             # Every per-chain sub-batch travels together: a write frame
             # touching K shards costs one round trip.
             answers, rows = self._write_chains(
-                [(chain, subrequests if framed else subrequests[0])
-                 for chain, (_, subrequests) in grouped.items()], framed,
+                [(chain, subrequests)
+                 for chain, (_, subrequests) in grouped.items()]
             )
             for (tags, _), answered in zip(grouped.values(), answers):
-                if not framed:
-                    answered = [Response(ok=True, result=answered)]
                 for tag, response in zip(tags, answered):
                     assign(tag, response)
             if ride is not None:
@@ -1032,7 +1032,7 @@ class ShardedTransport(Transport):
             raise TransportError(
                 "sharded document writes require an explicit _id"
             )
-        return routed.result
+        return routed.unwrap()
 
     def _docs_replace(self, request: Request) -> Any:
         """A document replace that stays correct mid-migration.

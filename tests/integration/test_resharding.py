@@ -95,10 +95,11 @@ class MoveOnProbe(TransportLayer):
     def arm(self, service, doc_id, source):
         self.pending = (service, doc_id, source)
 
-    def call_request(self, request):
-        armed = self.pending is not None and request.method == self.method
+    def call_batch(self, requests):
+        armed = self.pending is not None and any(
+            request.method == self.method for request in requests)
         try:
-            return self._inner.call_request(request)
+            return self._inner.call_batch(requests)
         finally:
             if armed:
                 service, doc_id, source = self.pending

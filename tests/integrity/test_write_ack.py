@@ -66,7 +66,9 @@ class Gate(TransportLayer):
     """The link under one gateway's verifier.  Once armed it holds the
     next write frame (``writes``) or report round (``reports``) after
     the gateway sent it and before it reaches the zone, until the test
-    releases it; ``forge`` rewrites the next ack's report in place."""
+    releases it; ``forge`` rewrites the next ack's report in place, and
+    only a frame that carries an ack consumes it (lone reads are frames
+    too)."""
 
     def __init__(self, inner):
         super().__init__(inner)
@@ -85,9 +87,9 @@ class Gate(TransportLayer):
         if any(r.method in MUTATING_METHODS for r in requests):
             self._hold("writes")
         responses = self._inner.call_batch(requests)
-        forge, self.forge = self.forge, None
         for index, request in enumerate(requests):
-            if forge is not None and is_ack(request):
+            if self.forge is not None and is_ack(request):
+                forge, self.forge = self.forge, None
                 report = dict(responses[index].result)
                 forge(report)
                 responses[index] = Response(ok=True, result=report)

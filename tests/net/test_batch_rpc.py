@@ -4,15 +4,15 @@ import threading
 
 import pytest
 
-from repro.errors import RemoteError
+from repro.errors import RemoteError, TransportError
 from repro.net.batch import BatchCollector
 from repro.net.latency import NetworkModel
 from repro.net.rpc import (
     Request,
     ServiceHost,
     batch_request_payload,
-    is_batch_payload,
     requests_from_batch,
+    responses_from_batch,
 )
 from repro.net.tcp import TcpRpcServer, TcpTransport
 from repro.net.transport import DirectTransport, InProcTransport, Transport
@@ -53,11 +53,42 @@ class TestBatchPayload:
     def test_roundtrip(self):
         requests = _requests(1, 2, 3)
         payload = batch_request_payload(requests)
-        assert is_batch_payload(payload)
+        assert list(payload) == ["batch"]
         assert requests_from_batch(payload) == requests
 
     def test_single_request_payload_is_not_batch(self):
-        assert not is_batch_payload(Request("s", "m", {}).to_payload())
+        with pytest.raises(TransportError):
+            requests_from_batch(Request("s", "m", {}).to_payload())
+
+
+#: Frames a hostile peer can send: not a dict, a ``batch`` that is not
+#: a list, a slot that is not an object.
+MALFORMED_FRAMES = [[1], {"batch": 1}, {"batch": [1]}, {"batch": [{}, 2]},
+                    "batch", None]
+
+
+class TestMalformedFrames:
+    @pytest.mark.parametrize("payload", MALFORMED_FRAMES)
+    def test_request_parser_raises_only_transport_error(self, payload):
+        with pytest.raises(TransportError):
+            requests_from_batch(payload)
+
+    @pytest.mark.parametrize("payload", MALFORMED_FRAMES)
+    def test_response_parser_raises_only_transport_error(self, payload):
+        with pytest.raises(TransportError):
+            responses_from_batch(payload, 1)
+
+    @pytest.mark.parametrize("slots,count", [(0, 2), (1, 2), (3, 2)])
+    def test_reply_slot_count_must_match_the_request_count(self, slots,
+                                                            count):
+        payload = {"batch": [{"ok": True, "result": None}] * slots}
+        with pytest.raises(TransportError):
+            responses_from_batch(payload, count)
+
+    def test_request_slot_with_bad_kwargs_raises_transport_error(self):
+        with pytest.raises(TransportError):
+            requests_from_batch({"batch": [
+                {"service": "s", "method": "m", "kwargs": "ab"}]})
 
 
 class TestDispatchBatch:

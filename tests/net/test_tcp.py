@@ -1,12 +1,14 @@
 """TCP transport: a real socket between the two zones."""
 
+import socket
 import threading
 
 import pytest
 
 from repro.errors import RemoteError, TransportError
-from repro.net.rpc import ServiceHost
-from repro.net.tcp import TcpRpcServer, TcpTransport
+from repro.net.message import decode, encode
+from repro.net.rpc import Request, ServiceHost, encode_batch
+from repro.net.tcp import TcpRpcServer, TcpTransport, recv_frame, send_frame
 
 
 class MathService:
@@ -118,3 +120,69 @@ class TestTcpTransport:
             transport.close()
             server2.shutdown()
             server2.server_close()
+
+
+class StubPeer:
+    """A peer that answers every frame with one canned reply."""
+
+    def __init__(self, reply):
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.reply = encode(reply)
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        connection, _ = self.listener.accept()
+        with connection:
+            recv_frame(connection)
+            send_frame(connection, self.reply)
+
+    @property
+    def endpoint(self):
+        return self.listener.getsockname()
+
+    def close(self):
+        self.thread.join(timeout=10)
+        self.listener.close()
+        assert not self.thread.is_alive()
+
+
+class TestMalformedReplies:
+    @pytest.mark.parametrize("reply", [
+        [1],                                   # not a batch frame
+        {"batch": []},                         # no slot for either request
+        {"batch": [{"ok": True, "result": 1}]},  # one slot for two
+    ])
+    def test_client_raises_transport_error(self, reply):
+        peer = StubPeer(reply)
+        transport = TcpTransport(peer.endpoint, timeout=5.0)
+        try:
+            with pytest.raises(TransportError):
+                transport.call_batch([Request("math", "add", {"a": 1, "b": 2}),
+                                      Request("math", "add", {"a": 3, "b": 4})])
+            # The refused reply still crossed the wire.
+            stats = transport.stats()
+            assert (stats.messages_received, stats.bytes_received) == (
+                1, len(peer.reply))
+        finally:
+            transport.close()
+            peer.close()
+
+
+class TestRetiredSingleFrame:
+    def test_single_request_frame_is_refused_and_the_link_survives(
+            self, server):
+        sock = socket.create_connection(server.endpoint, timeout=5)
+        try:
+            single = {"service": "math", "method": "add",
+                      "kwargs": {"a": 1, "b": 2}}
+            send_frame(sock, encode(single))
+            refused = decode(recv_frame(sock))
+            assert refused["ok"] is False
+            assert refused["error_type"] == "TransportError"
+            frame, _ = encode_batch([Request("math", "add", {"a": 1, "b": 2})])
+            send_frame(sock, frame)
+            assert decode(recv_frame(sock)) == {
+                "batch": [{"ok": True, "result": 3}]}
+        finally:
+            sock.close()

@@ -116,7 +116,8 @@ def test_lost_reply_still_counts_the_frame_that_left():
     assert stats.messages_received == 0 and stats.bytes_received == 0
     cell = transport.wire_cells()["endpoint"]["echo", "ping"]
     assert (cell.slots, cell.frames) == (2, 2)
-    assert (cell.bytes_sent, cell.bytes_received) == (sum(seen), 0)
+    # Each attempt is a frame of one slot: 12 bytes of batch framing.
+    assert (cell.bytes_sent, cell.bytes_received) == (sum(seen) - 2 * 12, 0)
 
 
 def test_reset_stats_reports_a_delta_from_the_reset_point():

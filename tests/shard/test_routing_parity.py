@@ -21,12 +21,12 @@ from repro.analysis.snapshot import zone_fingerprint
 from repro.cloud.cluster import CloudCluster
 from repro.core.middleware import DataBlinder
 from repro.core.registry import TacticRegistry
-from repro.errors import TacticError
+from repro.errors import RemoteError, TacticError
 from repro.fhir.generator import MedicalDataGenerator
 from repro.fhir.model import benchmark_observation_schema
 from repro.net.batch import PipelineConfig
 from repro.net.resilience import ResilienceConfig
-from repro.net.rpc import Request
+from repro.net.rpc import Request, Response
 from repro.net.transport import TransportLayer
 from repro.shard.config import ShardConfig
 from repro.shard.ring import HashRing
@@ -34,7 +34,7 @@ from repro.shard.router import ShardedTransport
 from repro.spi.context import service_name
 from repro.tactics import register_builtin_tactics
 
-from tests.shard.test_parallel_writes import build
+from tests.shard.test_parallel_writes import RecordingNode, build
 
 DOCS = "docs/app"
 DOC = {"_id": "doc-7", "status": "final"}
@@ -162,6 +162,43 @@ def test_returned_insert_is_on_both_replicas(parallel):
         assert nodes[primary].requests == [request]
         assert nodes[replica].requests == [request]
         assert router.replica_error_count() == 0
+    finally:
+        router.close()
+
+
+class SlotRefusingNode(RecordingNode):
+    """Answers the frame slots of a refused document with an error."""
+
+    def call_batch(self, requests):
+        responses = super().call_batch(requests)
+        return [
+            Response(ok=False, error_type="StoreError",
+                     error_message="refused")
+            if self.remote_fail_ids & {
+                request.kwargs.get("doc_id"),
+                (request.kwargs.get("document") or {}).get("_id"),
+            } else response
+            for request, response in zip(requests, responses)
+        ]
+
+
+@pytest.mark.parametrize("replication", [1, 2])
+def test_single_write_raises_its_slot_error(replication):
+    """A routed lone write is a frame of one whose answer is unwrapped:
+    the error ``call_batch`` leaves in the slot raises from
+    ``call_request``."""
+    nodes = [SlotRefusingNode(f"zone-{i}") for i in range(4)]
+    for node in nodes:
+        node.remote_fail_ids.add("doc-7")
+    router = ShardedTransport([(node.name, node) for node in nodes],
+                              ShardConfig(replication=replication))
+    request, _ = FAMILIES["docs-insert"]
+    try:
+        with pytest.raises(RemoteError) as raised:
+            router.call_request(request)
+        assert raised.value.remote_type == "StoreError"
+        (response,) = router.call_batch([request])
+        assert (response.ok, response.error_type) == (False, "StoreError")
     finally:
         router.close()
 
