@@ -129,14 +129,6 @@ class VerifyingTransport(TransportLayer):
 
     # -- call path -----------------------------------------------------------
 
-    def call_request(self, request: Request) -> Any:
-        if self._should_verify(request.service, request.method):
-            # A lone verified read raises a typed IntegrityError, where
-            # a batch slot can only carry its name.
-            result = self._inner.call_request(self._rewrite(request))
-            return self._check(request.method, result)
-        return super().call_request(request)
-
     def call_batch(self, requests: Sequence[Request]) -> list[Response]:
         verified = {index for index, r in enumerate(requests)
                     if self._should_verify(r.service, r.method)}
@@ -156,10 +148,8 @@ class VerifyingTransport(TransportLayer):
                     requests[index].method, response.result
                 ))
             except IntegrityError as exc:
-                checked[index] = Response(
-                    ok=False, error_type=type(exc).__name__,
-                    error_message=str(exc),
-                )
+                # Typed: the slot's unwrap() re-raises this very error.
+                checked[index] = Response.failed(exc)
         return checked
 
     # -- rewrite / verify core -----------------------------------------------

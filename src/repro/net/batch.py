@@ -212,10 +212,6 @@ class BatchCollector(TransportLayer):
         if self._defers(request.service, request.method):
             scope.pending.append(request)
             return None
-        if not scope.pending:
-            # Nothing queued: the lone call goes down as a lone call, so
-            # the verifier below can raise its typed IntegrityError.
-            return self._inner.call_request(request)
         # Join the queue as the final element and flush now: reads (and
         # result-bearing writes) must observe every queued write, and the
         # whole group still costs one round trip.
@@ -235,5 +231,5 @@ class BatchCollector(TransportLayer):
         responses = self._inner.call_batch(pending)
         for response in responses:
             if not response.ok:
-                response.unwrap()  # raises RemoteError for the first failure
+                response.unwrap()  # raises the first failure
         return responses

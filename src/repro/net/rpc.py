@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro.errors import DataBlinderError, RemoteError, TransportError
@@ -95,6 +95,19 @@ class Response:
     result: Any = None
     error_type: str = ""
     error_message: str = ""
+    #: The exception a gateway-side layer raised for this slot: never
+    #: encoded, and :meth:`unwrap` re-raises it with its type.
+    raised: Exception | None = field(default=None, compare=False,
+                                     repr=False)
+
+    @classmethod
+    def failed(cls, exc: Exception) -> "Response":
+        """The error slot of a gateway-side failure."""
+        if isinstance(exc, RemoteError):
+            return cls(ok=False, error_type=exc.remote_type,
+                       error_message=exc.remote_message, raised=exc)
+        return cls(ok=False, error_type=type(exc).__name__,
+                   error_message=str(exc), raised=exc)
 
     def to_payload(self) -> dict[str, Any]:
         if self.ok:
@@ -112,6 +125,8 @@ class Response:
     def unwrap(self) -> Any:
         if self.ok:
             return self.result
+        if self.raised is not None:
+            raise self.raised
         raise RemoteError(self.error_type, self.error_message)
 
 

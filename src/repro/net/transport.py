@@ -15,7 +15,7 @@ as a batch of one, so each delivery is one frame whatever its size.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import RemoteError, TransportError
 from repro.net.latency import NetworkModel, NetworkStats, TrafficMeter
@@ -29,6 +29,22 @@ from repro.net.rpc import (
     responses_from_batch,
 )
 from repro.obs.wire import Key, WireCell
+
+
+def slot_response(call: Callable[[Request], Any],
+                  request: Request) -> Response:
+    """``call(request)`` as one batch slot: its result, or an error
+    :class:`Response` that re-raises what ``call`` raised.  Only a
+    link-level :class:`TransportError` (the frame never made it —
+    retryable above) propagates."""
+    try:
+        return Response(ok=True, result=call(request))
+    except RemoteError as exc:
+        return Response.failed(exc)
+    except TransportError:
+        raise  # link failure: the whole batch is undeliverable
+    except Exception as exc:  # noqa: BLE001 - isolation contract
+        return Response.failed(exc)
 
 
 class Transport(ABC):
@@ -62,24 +78,8 @@ class Transport(ABC):
         a link-level :class:`TransportError` (the frame never made it —
         retryable above) aborts the loop.
         """
-        responses: list[Response] = []
-        for request in requests:
-            try:
-                result = self.call_request(request)
-                responses.append(Response(ok=True, result=result))
-            except RemoteError as exc:
-                responses.append(Response(
-                    ok=False, error_type=exc.remote_type,
-                    error_message=exc.remote_message,
-                ))
-            except TransportError:
-                raise  # link failure: the whole batch is undeliverable
-            except Exception as exc:  # noqa: BLE001 - isolation contract
-                responses.append(Response(
-                    ok=False, error_type=type(exc).__name__,
-                    error_message=str(exc),
-                ))
-        return responses
+        return [slot_response(self.call_request, request)
+                for request in requests]
 
     @abstractmethod
     def stats(self) -> NetworkStats:

@@ -36,10 +36,14 @@ the previous ring as a *forwarding table*: reads that miss on the new
 owner fall back to the previous owner, so a migration in flight never
 makes a document or index entry unreachable.
 
-**One write path.**  :meth:`ShardedTransport._shard_key` is the only
-place a write's shard key is derived — for a single write and for each
-item of a document or index ``insert_many``, which splits into one piece
-per owner chain — and a routed single write is a batch of one:
+**One path.**  The router is a batch transport: a lone call is a frame
+of one, on every ring size, one node included.
+:meth:`ShardedTransport._route_writes` runs once per frame; each slot it
+leaves loose (reads, scatters, provisioning) goes to the full router
+once, and an error raised there keeps its type in that slot.
+:meth:`ShardedTransport._shard_key` is the only place a write's shard
+key is derived — for a single write and for each item of a document or
+index ``insert_many``, which splits into one piece per owner chain —
 :meth:`ShardedTransport._route_writes` groups the slots per owner chain
 and :meth:`ShardedTransport._write_chains` sends every
 (chain, member) leg of the call in one :meth:`ShardedTransport._overlap`
@@ -74,13 +78,14 @@ from repro.crypto.ore import OreCiphertext
 from repro.errors import (
     CircuitOpenError,
     RemoteError,
+    StoreError,
     TacticError,
     TransportError,
     UnsupportedOperation,
 )
 from repro.net.latency import NetworkStats, roll_up
 from repro.net.rpc import MUTATING_METHODS, Request, Response
-from repro.net.transport import Transport
+from repro.net.transport import BatchTransport, Transport, slot_response
 from repro.obs.wire import merged
 from repro.shard.config import ShardConfig
 from repro.shard.ring import HashRing
@@ -170,7 +175,7 @@ def _first_seen(results: Iterable[tuple[str, Any]]) -> list:
     return list(merged.values())
 
 
-class ShardedTransport(Transport):
+class ShardedTransport(BatchTransport):
     """Routes one gateway onto N named per-node transports."""
 
     def __init__(self, nodes: Iterable[tuple[str, Transport]],
@@ -416,15 +421,6 @@ class ShardedTransport(Transport):
         finally:
             self._record_timing(name, time.perf_counter() - started)
 
-    def _timed_batch(self, name: str,
-                     requests: Sequence[Request]) -> list[Response]:
-        node = self._nodes[name]
-        started = time.perf_counter()
-        try:
-            return node.call_batch(list(requests))
-        finally:
-            self._record_timing(name, time.perf_counter() - started)
-
     def _scatter_pool(self) -> ThreadPoolExecutor:
         """The leg pool: :data:`LEGS_PER_NODE` legs per node, threads
         spawned on demand."""
@@ -653,35 +649,15 @@ class ShardedTransport(Transport):
 
     # -- Transport interface ---------------------------------------------------
 
-    def call(self, service: str, method: str, **kwargs: Any) -> Any:
-        return self.call_request(Request(service, method, kwargs))
-
-    def call_request(self, request: Request) -> Any:
-        service = request.service
-        if service == "admin":
-            return self._admin(request)
-        routed = self._routed(request)
-        if routed is not None:
-            return routed.unwrap()
-        if service.startswith("docs/"):
-            return self._docs(request)
-        if service.startswith("tactic/"):
-            return self._tactic(request)
-        # Unknown service class: conservative broadcast, last result.
-        return self._broadcast_last(request)
-
     def call_batch(self, requests: Sequence[Request]) -> list[Response]:
-        _, forward, order = self._topology()
-        if len(order) == 1 and forward is None:
-            responses = self._timed_batch(order[0], requests)
-            ride = _ride_slot(requests)
-            if ride is not None and responses[ride].ok:
-                responses[ride] = Response(ok=True, result={
-                    f"shard:{order[0]}": responses[ride].result})
-            return responses
         responses, loose = self._route_writes(requests)
-        if loose:
-            self._dispatch_loose(requests, loose, responses)
+        # The slots that need the full router run one at a time, in slot
+        # order.  A gateway frame is some deferred writes plus at most
+        # one final call, so it brings at most one loose read; the full
+        # router already scatters that one across the shards.
+        for index in loose:
+            responses[index] = slot_response(self._dispatch,
+                                             requests[index])
         missing = [i for i, r in enumerate(responses) if r is None]
         if missing:
             raise TransportError(
@@ -689,12 +665,17 @@ class ShardedTransport(Transport):
             )
         return responses
 
-    def _routed(self, request: Request,
-                walking: bool = False) -> Response | None:
-        """A chain-routed write is a batch of one: its response, or
-        ``None`` when the request needs the full router."""
-        responses, loose = self._route_writes([request], walking=walking)
-        return None if loose else responses[0]
+    def _dispatch(self, request: Request) -> Any:
+        """The full router for one slot :meth:`_route_writes` left loose."""
+        service = request.service
+        if service == "admin":
+            return self._admin(request)
+        if service.startswith("docs/"):
+            return self._docs(request)
+        if service.startswith("tactic/"):
+            return self._tactic(request)
+        # Unknown service class: conservative broadcast, last result.
+        return self._broadcast_last(request)
 
     def _route_writes(self, requests: Sequence[Request],
                       walking: bool = False
@@ -762,7 +743,7 @@ class ShardedTransport(Transport):
         tag is either a plain slot index or, for a bulk-insert piece,
         ``(slot, positions)`` mapping the piece's returned ids back into
         the original document order; ``loose`` lists the slots that need
-        the full router — every slot of a one-node ring, and every
+        the full router — reads, scatters, provisioning, and every
         document slot while a forwarding table is up unless the caller
         is the mid-migration walk itself (``walking``); ``splits``
         records each split slot's item count.
@@ -770,11 +751,7 @@ class ShardedTransport(Transport):
         grouped: dict[tuple[str, ...], tuple[list, list[Request]]] = {}
         loose: list[int] = []
         splits: dict[int, int] = {}
-        ring, forward, order = self._topology()
-        if forward is None and len(order) == 1:
-            # A one-node ring routes nothing: the handlers pass every
-            # request through as it came.
-            return grouped, list(range(len(requests))), splits
+        ring, forward, _ = self._topology()
         hold_docs = forward is not None and not walking
         replication = self._replication()
         chains: dict[Any, tuple[str, ...]] = {}
@@ -852,22 +829,6 @@ class ShardedTransport(Transport):
                 )
 
         return assign, finish
-
-    def _dispatch_loose(self, requests: Sequence[Request],
-                        loose: Sequence[int],
-                        responses: list[Response | None]) -> None:
-        """Route the slots that need the full router, one at a time, in
-        slot order — base-class semantics: per-slot isolation of
-        everything but link-level failures.
-
-        A gateway frame is some deferred writes plus at most one final
-        call, so it brings at most one loose read; the full router
-        already scatters that one across the shards.
-        """
-        for index in loose:
-            responses[index] = Transport.call_batch(
-                self, [requests[index]]
-            )[0]
 
     def _chain_route(self, request: Request,
                      chain_of) -> tuple[str, ...] | None:
@@ -997,10 +958,7 @@ class ShardedTransport(Transport):
     # -- document store --------------------------------------------------------
 
     def _docs(self, request: Request) -> Any:
-        _, forward, order = self._topology()
         method, kwargs = request.method, request.kwargs
-        if len(order) == 1 and forward is None:
-            return self._timed_call(order[0], request)
         if method in ("insert", "insert_many"):
             return self._write(request)
         if method in ("get_many", "get_many_proven"):
@@ -1025,14 +983,12 @@ class ShardedTransport(Transport):
 
     def _write(self, request: Request) -> Any:
         """Chain-deliver one document write whatever the forwarding
-        state: what :meth:`call_request` held back for the
-        mid-migration walk (or for want of an ``_id``)."""
-        routed = self._routed(request, walking=True)
-        if routed is None:
-            raise TransportError(
-                "sharded document writes require an explicit _id"
-            )
-        return routed.unwrap()
+        state: what :meth:`call_batch` held back for the mid-migration
+        walk (or for want of an ``_id``)."""
+        responses, loose = self._route_writes([request], walking=True)
+        if loose:
+            raise StoreError("document requires a non-empty string _id")
+        return responses[0].unwrap()
 
     def _docs_replace(self, request: Request) -> Any:
         """A document replace that stays correct mid-migration.
@@ -1169,9 +1125,6 @@ class ShardedTransport(Transport):
             self._log_provision(request)
             results = self._broadcast(request, skip_broken=False)
             return results[-1][1]
-        _, forward, order = self._topology()
-        if len(order) == 1 and forward is None:
-            return self._timed_call(order[0], request)
         if method == "insert_many":
             # A caller's mistake, not a link failure: never retried.
             raise TacticError("sharded index writes need a key per entry")

@@ -14,6 +14,7 @@ from repro.core.query import Eq, Range
 from repro.core.registry import TacticRegistry
 from repro.errors import TransportError
 from repro.fhir.model import observation_schema
+from repro.net.batch import PipelineConfig
 from repro.net.resilience import (
     BreakerConfig,
     ResilienceConfig,
@@ -52,13 +53,15 @@ def make_doc(i: int) -> dict:
     }
 
 
-def deploy(n_nodes: int, config: ShardConfig | None = None):
+def deploy(n_nodes: int, config: ShardConfig | None = None,
+           pipeline: PipelineConfig | None = None):
     registry = fresh_registry()
     cluster = CloudCluster(n_nodes, registry=registry)
     router = ShardedTransport(
         cluster.nodes(), config or ShardConfig(parallel_fanout=False)
     )
-    blinder = DataBlinder(APP, router, registry=registry)
+    blinder = DataBlinder(APP, router, registry=registry,
+                          pipeline=pipeline)
     blinder.register_schema(observation_schema())
     return cluster, router, blinder
 
@@ -220,6 +223,30 @@ class TestNodeJoin:
         )
         assert after == before
         verify_workload(observations, ids)
+        cluster.close()
+
+
+class TestJoinFromOneNode:
+    """A one-node ring routes like any other: it records its pins and
+    logs its provisioning, so a join from it replays the services and
+    keeps every pinned service where its entries are."""
+
+    @pytest.mark.parametrize("pipeline", [None, PipelineConfig.production()],
+                             ids=["default", "production"])
+    def test_join_keeps_pins_and_answers(self, pipeline):
+        cluster, router, blinder = deploy(1, pipeline=pipeline)
+        observations = blinder.entities("observation")
+        ids = {i: observations.insert(make_doc(i)) for i in range(20)}
+        pins = router.pins()
+
+        report = Resharder(router).add_node(*cluster.add_zone("zone-1"))
+        ids[20] = observations.insert(make_doc(20))
+        verify_workload(observations, ids)
+        assert report.services_replayed > 0
+        assert report.documents_moved > 0
+        assert router.pins() == pins
+        assert any(service.endswith("/biex-2lev") for service in pins)
+        assert all(nodes == ["zone-0"] for nodes in pins.values())
         cluster.close()
 
 

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.errors import RemoteError, TransportError
+from repro.errors import RemoteError, TacticError, TransportError
 from repro.net.batch import BatchCollector
 from repro.net.latency import NetworkModel
 from repro.net.rpc import (
@@ -178,6 +178,32 @@ class TestBaseFallback:
         assert responses[2].result == 3
         # Fallback pays one wire frame per request.
         assert transport.stats().messages_sent == 3
+
+    def test_gateway_raised_slot_error_keeps_its_type(self, host):
+        """An error raised on the gateway side of a slot re-raises with
+        its own type; a cloud error stays remote; a link failure aborts
+        the frame."""
+        class Refusing(SequentialOnlyTransport):
+            def call(self, service, method, **kwargs):
+                if method == "refuse":
+                    raise TacticError("refused at the gateway")
+                if method == "cut":
+                    raise TransportError("link down")
+                return super().call(service, method, **kwargs)
+
+        transport = Refusing(host)
+        refused, failed = transport.call_batch([
+            Request("counter", "refuse", {}),
+            Request("counter", "fail", {"reason": "boom"}),
+        ])
+        assert refused.error_type == "TacticError"
+        with pytest.raises(TacticError):
+            refused.unwrap()
+        with pytest.raises(RemoteError):
+            failed.unwrap()
+        with pytest.raises(TransportError, match="link down"):
+            transport.call_batch([Request("counter", "bump", {"amount": 1}),
+                                  Request("counter", "cut", {})])
 
 
 class TestTcpBatch:

@@ -12,13 +12,14 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.observer import ObservedTransport
+from repro.errors import IntegrityError, RemoteError, StoreError
 from repro.integrity.verify import VerifyingTransport
 from repro.net.batch import BatchCollector
 from repro.net.faults import FaultInjectingTransport, FaultPlan
 from repro.net.latency import NetworkStats
 from repro.net.resilience import ResilientTransport
-from repro.net.rpc import Request, Response
-from repro.net.transport import Transport, TransportLayer
+from repro.net.rpc import Request, Response, ServiceHost
+from repro.net.transport import DirectTransport, Transport, TransportLayer
 
 
 class StubInner(Transport):
@@ -70,9 +71,8 @@ LAYERS = {
     "ObservedTransport": ObservedTransport,
 }
 
-#: The collector forwards a lone call as a lone call (so the verifier
-#: below keeps its typed IntegrityError on a verified read); every other
-#: layer sends an unverified lone call down as a frame of one.
+#: Outside a collection scope the collector forwards a lone call as it
+#: came; every other layer sends a lone call down as a frame of one.
 LONE_CALL_LAYERS = {"BatchCollector"}
 
 
@@ -147,3 +147,57 @@ class TestLayerContract:
             assert labeled[layer.label] == own
             assert set(labeled) == {"shard:a", "shard:b",
                                     layer.label}
+
+
+class TamperingInner(StubInner):
+    """Answers every proven read with a body no proof can cover."""
+
+    def call_batch(self, requests):
+        self.calls.append(("call_batch", list(requests)))
+        return [Response(ok=True, result="forged"
+                         if request.method.endswith("_proven") else None)
+                for request in requests]
+
+    def call_labeled(self, service, method, **kwargs):
+        return {}
+
+
+class Boom:
+    def fail(self):
+        raise StoreError("refused by the cloud")
+
+
+class TestTypedSlotErrors:
+    """A slot error raised by a gateway layer keeps its type through
+    every layer above it; an error the cloud raised stays remote."""
+
+    def stack(self):
+        verifier = VerifyingTransport(TamperingInner(), "app")
+        verifier.activate()
+        return BatchCollector(verifier)
+
+    def test_verified_read_ending_a_write_frame_raises_typed(self):
+        collector = self.stack()
+        with collector.collect():
+            collector.call("tactic/app.f/det", "insert", doc_id="d1")
+            with pytest.raises(IntegrityError):
+                collector.call("docs/app", "get_many", doc_ids=["d1"])
+
+    def test_lone_verified_read_in_a_scope_raises_typed(self):
+        collector = self.stack()
+        with collector.collect():
+            with pytest.raises(IntegrityError):
+                collector.call("docs/app", "get_many", doc_ids=["d1"])
+
+    def test_cloud_errors_stay_remote(self):
+        host = ServiceHost()
+        host.register("boom", Boom())
+        transport = DirectTransport(host)
+        (response,) = transport.call_batch([Request("boom", "fail", {})])
+        assert (response.error_type, response.raised) == ("StoreError",
+                                                          None)
+        collector = BatchCollector(transport)
+        with collector.collect():
+            with pytest.raises(RemoteError) as raised:
+                collector.call("boom", "fail")
+        assert raised.value.remote_type == "StoreError"

@@ -21,11 +21,16 @@ from repro.analysis.snapshot import zone_fingerprint
 from repro.cloud.cluster import CloudCluster
 from repro.core.middleware import DataBlinder
 from repro.core.registry import TacticRegistry
-from repro.errors import RemoteError, TacticError
+from repro.errors import RemoteError, StoreError, TacticError
 from repro.fhir.generator import MedicalDataGenerator
 from repro.fhir.model import benchmark_observation_schema
 from repro.net.batch import PipelineConfig
-from repro.net.resilience import ResilienceConfig
+from repro.net.resilience import (
+    BreakerConfig,
+    ResilienceConfig,
+    ResilientTransport,
+    RetryPolicy,
+)
 from repro.net.rpc import Request, Response
 from repro.net.transport import TransportLayer
 from repro.shard.config import ShardConfig
@@ -102,14 +107,17 @@ def node_logs(nodes) -> dict[str, list[Request]]:
 
 @pytest.mark.parametrize("parallel", [True, False],
                          ids=["parallel", "serial"])
-@pytest.mark.parametrize("replication", [1, 2])
+@pytest.mark.parametrize("replication,size", [(1, 4), (2, 4), (1, 1), (2, 1)],
+                         ids=["1", "2", "1-on-1-node", "2-on-1-node"])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_single_write_is_a_batch_of_one(family, replication, parallel):
+def test_single_write_is_a_batch_of_one(family, replication, size,
+                                        parallel):
+    """A one-node ring takes the same path: its writes route too."""
     request, keys = FAMILIES[family]
     config = ShardConfig(replication=replication,
                          parallel_fanout=parallel)
-    single_nodes, single = build(4, config)
-    batch_nodes, batch = build(4, config)
+    single_nodes, single = build(size, config)
+    batch_nodes, batch = build(size, config)
     try:
         single.call_request(request)
         (response,) = batch.call_batch([request])
@@ -135,7 +143,7 @@ def test_single_write_is_a_batch_of_one(family, replication, parallel):
                     assert piece in logs[name]
             assert sum(len(r.kwargs[field])
                        for log in logs.values() for r in log) == (
-                12 * replication)
+                12 * min(replication, size))
         else:
             assert all(log == [request] for log in logs.values())
     finally:
@@ -199,6 +207,52 @@ def test_single_write_raises_its_slot_error(replication):
         assert raised.value.remote_type == "StoreError"
         (response,) = router.call_batch([request])
         assert (response.ok, response.error_type) == (False, "StoreError")
+    finally:
+        router.close()
+
+
+def test_keyless_document_write_is_a_store_error_not_a_link_failure():
+    """A document write without its ``_id`` is the caller's mistake: the
+    retry layer above the router sees one slot error, raised as the
+    unsharded store raises it, and neither retries it nor counts it
+    against the breaker."""
+    nodes, router = build(4)
+    counter = SlotCounter(router)
+    resilient = ResilientTransport(
+        counter, RetryPolicy(sleep=False), BreakerConfig(failure_threshold=1),
+    )
+    request = Request(DOCS, "insert", {"document": {"status": "final"}})
+    try:
+        with pytest.raises(StoreError, match="non-empty string _id"):
+            resilient.call_request(request)
+        assert len(counter.slots) == 1
+        assert resilient.own_stats().retries == 0
+        assert resilient.breaker.state == "closed"
+        assert node_logs(nodes) == {}
+    finally:
+        router.close()
+
+
+@pytest.mark.parametrize("entry", ["call_request", "call_batch"])
+def test_lone_read_groups_its_frame_once(entry):
+    """A lone read is routed in one pass: ``_group_slots`` runs once for
+    it, whichever way it enters the router."""
+    _, router = build(4)
+    passes = []
+    group_slots = router._group_slots
+
+    def counted(*args, **kwargs):
+        passes.append(args)
+        return group_slots(*args, **kwargs)
+
+    router._group_slots = counted
+    request = Request(DOCS, "count", {})
+    try:
+        if entry == "call_request":
+            assert router.call_request(request) == 0
+        else:
+            assert router.call_batch([request])[0].result == 0
+        assert len(passes) == 1
     finally:
         router.close()
 
