@@ -49,6 +49,9 @@ class DocumentService:
         #: The zone's co-located id lookup (``CloudZone._index_lookup``).
         self._lookup = lookup
         self._text_index = InvertedIndex()
+        # A durable store comes back replayed; its text index with it.
+        for document in store.iter_documents():
+            self._index_text(document)
         self._integrity = None
 
     def attach_integrity(self, tracker) -> None:
@@ -132,12 +135,16 @@ class DocumentService:
         return [d["_id"] for d in self._store.find(query, limit=limit)]
 
     def find_text(self, query: str, limit: int = 10,
-                  require_all: bool = False) -> list[tuple[str, float]]:
-        """Ranked full-text search over plaintext string fields."""
+                  require_all: bool = False,
+                  schema: str | None = None) -> list[tuple[str, float]]:
+        """Ranked full-text search over plaintext string fields, of
+        ``schema``'s documents only when one is given."""
+        among = None if schema is None else set(self.all_ids(schema))
         return [
             (hit.doc_id, hit.score)
             for hit in self._text_index.search(query, limit=limit,
-                                               require_all=require_all)
+                                               require_all=require_all,
+                                               among=among)
         ]
 
 

@@ -118,20 +118,7 @@ class Entities:
         as an opaque encrypted body), so this searches exactly what the
         schema chose to leave public.
         """
-        hits = self._executor.runtime.docs(
-            "find_text", query=query, limit=limit,
-            require_all=require_all,
-        )
-        ids = [doc_id for doc_id, _ in hits]
-        stored = self._executor.runtime.docs("get_many", doc_ids=ids)
-        by_id = {item["_id"]: item for item in stored}
-        results = []
-        for doc_id in ids:
-            item = by_id.get(doc_id)
-            if item is None or item.get("schema") != self.schema_name:
-                continue
-            results.append(self._executor._decrypt_stored(item))
-        return results
+        return self._executor.text_search(query, limit, require_all)
 
     # -- query planning -----------------------------------------------------------
 
@@ -171,7 +158,7 @@ class AsyncEntities:
     path (the synchronous plan engine over the synchronous transport
     stack) and the event loop only interleaves whole operations.
     ``to_thread`` copies the caller's context, so the cache principal,
-    batch scope, op-verification scope and shard-timing sinks follow the
+    batch scope, op-verification scope and timing sink follow the
     operation onto its worker.  The façades share the executor, plan
     cache and write pipeline, so sync and async callers may be mixed
     freely on one application.

@@ -39,7 +39,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from functools import partial
+from functools import partial, wraps
 from typing import Any, Callable, ContextManager
 
 from repro.cache.tier import MISS, NEGATIVE
@@ -54,11 +54,22 @@ from repro.crypto.symmetric import Aead
 from repro.errors import DocumentNotFound
 from repro.gateway.service import GatewayRuntime
 from repro.net import message
+from repro.obs.timing import timing_sink
 from repro.spi.interfaces import GatewayDocIDGen
 from repro.tactics.base import random_doc_id
 from repro.tactics.biex import BiexGateway
 
 BOOL_SCOPE_SUFFIX = "._bool"
+
+
+def _timed(method):
+    """Run ``method`` as one operation on its schema: every timing the
+    layers below book meanwhile lands in the schema's planner stats."""
+    @wraps(method)
+    def operation(self, *args, **kwargs):
+        with timing_sink(self.stats.record_node):
+            return method(self, *args, **kwargs)
+    return operation
 
 
 class SchemaExecutor:
@@ -224,6 +235,7 @@ class SchemaExecutor:
     def insert(self, document: dict[str, Value]) -> str:
         return self.insert_many([document])[0]
 
+    @_timed
     def insert_many(self, documents: list[dict[str, Value]]) -> list[str]:
         """Bulk insert: tactic protocols run field by field through the
         batch SPI, and all the encrypted bodies ship to the document
@@ -258,6 +270,7 @@ class SchemaExecutor:
             raise DocumentNotFound(doc_id)
         return self._decrypt_stored(stored[0])
 
+    @_timed
     def get(self, doc_id: str) -> dict[str, Value]:
         scope = self.cache_read_scope()
         if scope is None:
@@ -288,10 +301,12 @@ class SchemaExecutor:
         document["_id"] = stored["_id"]
         return document
 
+    @_timed
     def update(self, doc_id: str, changes: dict[str, Value]) -> None:
         self._write("update")
         self.engine.update(doc_id, changes)
 
+    @_timed
     def delete(self, doc_id: str) -> bool:
         self._write("delete")
         return self.engine.delete(doc_id)
@@ -403,6 +418,7 @@ class SchemaExecutor:
     # ``plaintext`` marks document-bearing results, which are subject to
     # leakage admission; id/count results always cache.
 
+    @_timed
     def _read(self, execute: Callable[[Plan, Run], Any], plaintext: bool,
               operation: str, predicate: Predicate | None = None,
               limit: int | None = None, **spec: Any) -> Any:
@@ -463,6 +479,12 @@ class SchemaExecutor:
             self.engine.find, True, "find_sorted", limit=limit, field=field,
             descending=descending,
         )
+
+    @_timed
+    def text_search(self, query: str, limit: int,
+                    require_all: bool) -> list[dict[str, Value]]:
+        """Ranked full-text hits over this schema's plaintext fields."""
+        return self.engine.text_search(query, limit, require_all)
 
     # -- EXPLAIN ------------------------------------------------------------------------------
 

@@ -6,16 +6,19 @@ anything else, and independent literals fan out on the shared bounded
 pool (serial evaluation keeps the empty-intersection short circuit).
 
 Ids become documents in exactly one place, :meth:`PlanEngine._stream`:
-unordered ``find``, ``find_sorted``, ``min``/``max`` and the verifying
-``find_ids``/``count`` differ only in the id order, chunk size and stop
-rule they hand it, so whether a read uses the document cache and the
-next-chunk prefetch follows from the read, not from which loop it
-reached.  Bulk inserts likewise have one loop, field-major through the
-tactic batch SPI inside one batch collection scope.
+unordered ``find``, ``find_sorted``, ``min``/``max``, the verifying
+``find_ids``/``count`` and ``text_search`` differ only in the id order,
+chunk size and stop rule they hand it, so whether a read uses the
+document cache and the next-chunk prefetch follows from the read, not
+from which loop it reached.  Bulk inserts likewise have one loop,
+field-major through the tactic batch SPI inside one batch collection
+scope.
 
 Every executed node's wall time lands once, in the executor's
 :class:`PlannerStats` row for its ``kind:tactic`` — the one store of
-measured per-node time (``planner_report()``).
+measured per-node time (``planner_report()``), which the layers below
+reach through the operation's timing sink (:mod:`repro.obs.timing`);
+both pool submits (fan-out, prefetch) carry the operation's context.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 from concurrent.futures import Future
 from contextlib import closing
+from contextvars import copy_context
 from typing import TYPE_CHECKING, Any
 
 from repro.cache.tier import MISS, NEGATIVE
@@ -156,17 +160,6 @@ class PlanEngine:
 
     def _observe(self, kind: str, tactic: str, seconds: float) -> None:
         self._stats.record_node(f"{kind}:{tactic}", seconds)
-        self._drain_shard_timings()
-
-    def _drain_shard_timings(self) -> None:
-        """Attribute per-shard wire time to ``Shard:<node>`` stat rows.
-
-        The sharded router accumulates (node, seconds) pairs on the
-        calling thread; non-sharded transports return nothing and this
-        is a no-op.
-        """
-        for shard, seconds in self._x.runtime.drain_shard_timings():
-            self._stats.record_node(f"Shard:{shard}", seconds)
 
     def _timed_docs(self, kind: str, method: str, **kwargs: Any) -> Any:
         started = time.perf_counter()
@@ -288,7 +281,7 @@ class PlanEngine:
         if (pool is not None and x.runtime.pipeline.fanout_workers > 1
                 and literal_count > 1):
             futures = [
-                [pool.submit(self.eval_ids, leaf, run)
+                [pool.submit(copy_context().run, self.eval_ids, leaf, run)
                  for leaf in leaf_nodes(part)]
                 for part in rest
             ]
@@ -387,7 +380,8 @@ class PlanEngine:
                         # Overlap the next wire fetch with this chunk's
                         # decryption and verification.
                         chunk = next_chunk([]) if pool is not None else []
-                        pending = pool.submit(fetch, chunk) if chunk else None
+                        pending = (pool.submit(copy_context().run, fetch,
+                                               chunk) if chunk else None)
                     item = live[doc_id]
                     if item is None:
                         if scope is not None:
@@ -545,6 +539,20 @@ class PlanEngine:
                     return value
         return None
 
+    def text_search(self, query: str, limit: int,
+                    require_all: bool) -> list[dict[str, Value]]:
+        """The cloud text index's ranked hits among this schema's
+        documents, read in rank order through :meth:`_stream`."""
+        scope = self._x.cache_read_scope()
+        hits = self._timed_docs(
+            "TextSearch", "find_text", query=query, limit=limit,
+            require_all=require_all, schema=self._x.schema.name,
+        )
+        ids = [doc_id for doc_id, _ in hits]
+        with closing(self._stream(ids, max(len(ids), 1), False,
+                                  scope)) as stream:
+            return list(stream)
+
     # -- write entry points ----------------------------------------------------
 
     def _note_local_write(self, doc_ids: list[str]) -> None:
@@ -569,9 +577,10 @@ class PlanEngine:
         ``batch_writes`` those slots *and* the document-store write
         leave the gateway in a single frame, without it one frame per
         slot.  The two phases land in separate
-        ``Crypto:insert`` / ``Wire:insert`` stat rows, with per-kernel
-        breakdown rows drained from the executor, so ``explain()`` shows
-        where a bulk write spends its time.
+        ``Crypto:insert`` / ``Wire:insert`` stat rows, beside the
+        ``Crypto:<kernel>`` rows the kernels book into the operation's
+        timing sink, so ``explain()`` shows where a bulk write spends
+        its time.
 
         Index RPCs leave field by field, not document by document; no
         tactic orders its index entries by arrival.
@@ -634,12 +643,9 @@ class PlanEngine:
 
         self._stats.record_node("Crypto:insert", crypto_elapsed)
         self._stats.record_node("Wire:insert", wire_elapsed)
-        for name, seconds in x.runtime.kernels.drain_timings():
-            self._stats.record_node(f"Crypto:{name}", seconds)
         self._stats.record_node(
             "WritePipeline:insert", time.perf_counter() - started
         )
-        self._drain_shard_timings()
         doc_ids = [doc_id for doc_id, _, _ in prepared]
         self._note_local_write(doc_ids)
         return doc_ids
@@ -663,7 +669,6 @@ class PlanEngine:
         self._stats.record_node(
             "WritePipeline:update", time.perf_counter() - started
         )
-        self._drain_shard_timings()
         self._note_local_write([doc_id])
 
     def _apply_update(self, doc_id: str,
@@ -744,4 +749,3 @@ class PlanEngine:
             self._stats.record_node(
                 "WritePipeline:delete", time.perf_counter() - started
             )
-            self._drain_shard_timings()

@@ -10,9 +10,10 @@ batch SPI builds on:
   configuration, since the memoised functions are pure per instance
   key and no ciphertext or token depends on whether a memo served it.
 * **Kernel timings**: tactics :meth:`~CryptoExecutor.record` what their
-  batch kernels cost, and the plan engine's bulk insert drains the sink
-  into the ``Crypto:*`` rows of ``explain()`` — for every
-  configuration, so the sink never outgrows one insert.
+  batch kernels cost; each lands as a ``Crypto:<name>`` row of the
+  running operation's timing sink (:mod:`repro.obs.timing`), so a bulk
+  insert's kernel breakdown shows in its schema's ``explain()``.  The
+  executor keeps no timing state.
 
 Every kernel runs inline on the calling thread, so key material never
 leaves the gateway process.
@@ -28,6 +29,7 @@ from typing import Any, Callable, Iterable
 
 from repro.crypto.kernels.config import TOKEN_CACHE_CAPACITY, CryptoConfig
 from repro.errors import CryptoError
+from repro.obs.timing import record_timing
 
 
 class LruCache:
@@ -72,7 +74,6 @@ class CryptoExecutor:
 
     def __init__(self, config: CryptoConfig | None = None):
         self.config = config or CryptoConfig()
-        self._timings: list[tuple[str, float]] = []
         self._lock = threading.Lock()
         #: Held weakly: a tactic instance re-``setup()`` after a key
         #: rotation drops its old LRU, and with it the plaintext→token
@@ -137,16 +138,11 @@ class CryptoExecutor:
 
     # -- timing ----------------------------------------------------------------
 
-    def record(self, name: str, seconds: float) -> None:
-        """Book one kernel timing; the bulk-insert loop drains the sink."""
-        with self._lock:
-            self._timings.append((name, seconds))
-
-    def drain_timings(self) -> list[tuple[str, float]]:
-        """Kernel timings accumulated since the last drain."""
-        with self._lock:
-            timings, self._timings = self._timings, []
-        return timings
+    @staticmethod
+    def record(name: str, seconds: float) -> None:
+        """Book one kernel timing as the running operation's
+        ``Crypto:<name>`` row (dropped outside an operation)."""
+        record_timing(f"Crypto:{name}", seconds)
 
 
 _PENDING = object()

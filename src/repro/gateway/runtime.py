@@ -12,7 +12,7 @@ timer, the audit record and per-operation context isolation.
 Isolation comes from ``contextvars``: every admitted operation runs as
 its own asyncio task, task creation snapshots the context and
 ``to_thread`` copies it onto the worker, so one operation's cache
-principal, batch scope, op-verification scope and shard timings (all
+principal, batch scope, op-verification scope and timing sink (all
 ContextVar-held) can never bleed into another.
 
 A deadline *abandons* the worker, it does not interrupt it: the caller

@@ -22,6 +22,7 @@ from repro.net.resilience import ResilienceConfig, wrap_resilient
 from repro.net.transport import Transport
 from repro.obs import Registry
 from repro.obs.collect import attach
+from repro.shard.router import ShardedTransport
 from repro.spi.context import GatewayTacticContext
 from repro.spi.metrics import TacticMetrics
 from repro.stores.kv import KeyValueStore
@@ -42,8 +43,7 @@ class GatewayRuntime:
         self.application = application
         self.pipeline = pipeline or PipelineConfig()
         #: The crypto kernel config and the one executor every tactic
-        #: context of this runtime shares (one dedup/LRU namespace, one
-        #: timing sink).
+        #: context of this runtime shares (one dedup/LRU namespace).
         self.crypto = self.pipeline.crypto or CryptoConfig()
         self.kernels = CryptoExecutor(self.crypto)
         #: Built before the stack: the verifier keeps its write counter
@@ -54,10 +54,10 @@ class GatewayRuntime:
                 transport = build(transport)
         self.transport = transport
         #: The integrity verifier layer, when configured.
-        self.verifier = next(
-            (layer for layer in self._walk()
-             if isinstance(layer, VerifyingTransport)), None,
-        )
+        self.verifier = self._find(VerifyingTransport)
+        #: The sharded router at the bottom of the stack (None when
+        #: unsharded): the one way in to its topology and counters.
+        self.router = self._find(ShardedTransport)
         self.registry = registry
         self.local_kv = local_kv or KeyValueStore()
         #: The gateway read-cache tier (``PipelineConfig.cache``); None
@@ -113,6 +113,11 @@ class GatewayRuntime:
             (pipeline.batch_writes, BatchCollector),
         )
 
+    def _find(self, kind: type) -> Any:
+        """The first layer of the stack that is a ``kind``, or None."""
+        return next((layer for layer in self._walk()
+                     if isinstance(layer, kind)), None)
+
     def _walk(self):
         """Every transport of the stack, top-down, following ``inner``."""
         transport = self.transport
@@ -149,11 +154,7 @@ class GatewayRuntime:
 
     def topology_epoch(self) -> int:
         """The untrusted zone's membership epoch (0 when unsharded)."""
-        return self.transport.topology_epoch()
-
-    def drain_shard_timings(self) -> list[tuple[str, float]]:
-        """Per-shard timings accumulated by this thread's calls."""
-        return self.transport.drain_shard_timings()
+        return 0 if self.router is None else self.router.topology_epoch()
 
     @property
     def batch_collector(self) -> BatchCollector | None:

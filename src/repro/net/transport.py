@@ -10,6 +10,8 @@ implement :class:`Transport`.
 Every endpoint and every wrapper layer is a :class:`BatchTransport`: its
 one send path is :meth:`~Transport.call_batch`, and a lone call travels
 as a batch of one, so each delivery is one frame whatever its size.
+A layer carries frames and reports only: the runtime holds the router
+itself, and timings go to the operation's sink (:mod:`repro.obs.timing`).
 """
 
 from __future__ import annotations
@@ -120,20 +122,6 @@ class Transport(ABC):
         :meth:`call_labeled` (the sharded router keys it per leg)."""
         return {"endpoint": result}
 
-    def topology_epoch(self) -> int:
-        """Monotonic counter of untrusted-zone membership changes.
-
-        Non-sharded transports are a fixed topology (epoch 0); the
-        sharded router bumps the epoch on node join/leave so the planner
-        can invalidate shape-keyed plans.  Wrappers delegate inward.
-        """
-        return 0
-
-    def drain_shard_timings(self) -> list[tuple[str, float]]:
-        """Per-shard call timings accumulated on the calling thread
-        since the last drain (empty for non-sharded transports)."""
-        return []
-
     def close(self) -> None:
         """Release any underlying resources (default: none)."""
 
@@ -213,12 +201,6 @@ class TransportLayer(BatchTransport):
 
     def labeled_reply(self, result: Any) -> dict[str, Any]:
         return self._inner.labeled_reply(result)
-
-    def topology_epoch(self) -> int:
-        return self._inner.topology_epoch()
-
-    def drain_shard_timings(self) -> list[tuple[str, float]]:
-        return self._inner.drain_shard_timings()
 
     def close(self) -> None:
         self._inner.close()

@@ -60,8 +60,7 @@ def attach(runtime: Any) -> None:
         }, ("tier",))
     if verifier is not None:
         obs.collect("integrity", lambda: _integrity(verifier))
-    router = next((layer for layer in runtime._walk()
-                   if hasattr(layer, "scatter_count")), None)
+    router = runtime.router
     if router is not None:
         obs.collect("shard", lambda: {
             "failovers": router.failover_count(),

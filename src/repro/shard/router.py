@@ -61,12 +61,13 @@ document write) run sequentially so forwarding-epoch writes stay
 ordered per shard.
 
 Membership changes bump ``topology_epoch``, which the cache tier's
-coherence token carries; compiled plans do not depend on it.
+coherence token carries; compiled plans do not depend on it.  Legs are
+timed into the operation's sink (:mod:`repro.obs.timing`) as
+``Shard:<node>``, once per node per scatter; the router keeps none.
 """
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import threading
 import time
@@ -86,6 +87,7 @@ from repro.errors import (
 from repro.net.latency import NetworkStats, roll_up
 from repro.net.rpc import MUTATING_METHODS, Request, Response
 from repro.net.transport import BatchTransport, Transport, slot_response
+from repro.obs.timing import record_timing
 from repro.obs.wire import merged
 from repro.shard.config import ShardConfig
 from repro.shard.ring import HashRing
@@ -195,15 +197,6 @@ class ShardedTransport(BatchTransport):
         self._forward: HashRing | None = None
         self._epoch = 1
         self._lock = threading.RLock()
-        # Per-operation timing sink.  Context-local (not thread-local) so
-        # an operation that hops onto ``asyncio.to_thread`` workers keeps
-        # appending to its own list — the copied context shares the list
-        # object.  Scatter legs return their times to the calling thread,
-        # which records them here.
-        self._timings_var: contextvars.ContextVar[
-            list[tuple[str, float]] | None
-        ] = contextvars.ContextVar(f"shard_timings_{id(self):x}",
-                                   default=None)
         self._pool: ThreadPoolExecutor | None = None
         self._failovers = 0
         self._replica_errors = 0
@@ -321,19 +314,8 @@ class ShardedTransport(BatchTransport):
 
     # -- timing / stats --------------------------------------------------------
 
-    def _timings(self) -> list[tuple[str, float]]:
-        timings = self._timings_var.get()
-        if timings is None:
-            timings = []
-            self._timings_var.set(timings)
-        return timings
-
-    def _record_timing(self, name: str, seconds: float) -> None:
-        self._timings().append((name, seconds))
-
-    def _record_parallel_timings(
-        self, rows: Iterable[tuple[str, float]]
-    ) -> None:
+    @staticmethod
+    def _record_parallel_timings(rows: Iterable[tuple[str, float]]) -> None:
         """Attribute one parallel fan-out's wall clock per node.
 
         Concurrent frames to the same node overlap in time, so summing
@@ -346,16 +328,7 @@ class ShardedTransport(BatchTransport):
             if seconds > longest.get(name, -1.0):
                 longest[name] = seconds
         for name, seconds in longest.items():
-            self._record_timing(name, seconds)
-
-    def drain_shard_timings(self) -> list[tuple[str, float]]:
-        # Cleared in place: context copies (``to_thread`` hops) share the
-        # list object, so a drain from any of them must empty the sink
-        # every sharer sees, not just rebind its own context slot.
-        timings = self._timings()
-        drained = list(timings)
-        timings.clear()
-        return drained
+            record_timing(f"Shard:{name}", seconds)
 
     def stats(self) -> NetworkStats:
         return roll_up(self.labeled_stats())
@@ -419,7 +392,7 @@ class ShardedTransport(BatchTransport):
         try:
             return node.call_request(request)
         finally:
-            self._record_timing(name, time.perf_counter() - started)
+            record_timing(f"Shard:{name}", time.perf_counter() - started)
 
     def _scatter_pool(self) -> ThreadPoolExecutor:
         """The leg pool: :data:`LEGS_PER_NODE` legs per node, threads
@@ -547,7 +520,7 @@ class ShardedTransport(BatchTransport):
         gathered: list[tuple[str, Any]] = []
         last_error: Exception | None = None
         for name, result, seconds, error in rows:
-            self._record_timing(name, seconds)
+            record_timing(f"Shard:{name}", seconds)
             if error is not None:
                 if skip_broken and not isinstance(error, RemoteError):
                     with self._lock:

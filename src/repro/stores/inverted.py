@@ -19,6 +19,7 @@ import math
 import re
 import threading
 from dataclasses import dataclass
+from typing import Container
 
 _TOKEN_PATTERN = re.compile(r"[a-z0-9]+")
 
@@ -84,11 +85,13 @@ class InvertedIndex:
             return len(self._postings.get(term.lower(), {}))
 
     def search(self, query: str, limit: int = 10,
-               require_all: bool = False) -> list[SearchHit]:
+               require_all: bool = False,
+               among: Container[str] | None = None) -> list[SearchHit]:
         """TF-IDF ranked search.
 
         ``require_all`` turns the query conjunctive (every term must
-        appear); the default is disjunctive with ranking.
+        appear); the default is disjunctive with ranking.  ``among``
+        restricts the ranking to those ids, before the ``limit`` cut.
         """
         terms = tokenize(query)
         if not terms:
@@ -103,6 +106,8 @@ class InvertedIndex:
                     continue
                 idf = math.log(1 + total_docs / len(postings))
                 for doc_id, tf in postings.items():
+                    if among is not None and doc_id not in among:
+                        continue
                     weight = (tf / self._lengths[doc_id]) * idf
                     scores[doc_id] = scores.get(doc_id, 0.0) + weight
                     seen_terms.setdefault(doc_id, set()).add(term)

@@ -161,7 +161,8 @@ class TestWiretapOverShardedZone:
         ))
         Resharder(router).add_node(*cluster.add_zone("zone-4"))
 
-        assert observed.topology_epoch() == router.topology_epoch() > 0
+        assert blinder.runtime.router is router
+        assert blinder.runtime.topology_epoch() == router.topology_epoch() > 1
         shard_labels = {label for label in router.labeled_stats()
                         if label.startswith("shard:")}
         assert len(shard_labels) == 5

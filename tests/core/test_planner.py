@@ -459,41 +459,28 @@ class TestPlannerReport:
         assert "node timings" in report
 
 
-class EpochShiftingTransport(Transport):
-    """Wrapper whose topology epoch a test can move by hand."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.epoch = 1
-
-    def call(self, service, method, **kwargs):
-        return self.inner.call(service, method, **kwargs)
-
-    def stats(self):
-        return self.inner.stats()
-
-    def topology_epoch(self):
-        return self.epoch
-
-
 class TestPlanCacheAcrossTopology:
     """Plans do not depend on the untrusted zone's membership: a
     topology change keeps every cached plan, and answers stay right."""
 
     def test_epoch_move_keeps_cached_plans(self):
-        wrappers = []
+        from repro.shard.router import ShardedTransport
+
+        routers = []
 
         def wrap(inner):
-            wrapper = EpochShiftingTransport(inner)
-            wrappers.append(wrapper)
-            return wrapper
+            router = ShardedTransport([("n0", inner)])
+            routers.append(router)
+            return router
 
         blinder, entities = deploy(n_docs=12, transport_wrap=wrap)
-        (wrapper,) = wrappers
+        (router,) = routers
         expected = entities.find_ids(Eq("status", "active"))
         warm = blinder.planner_stats("rec")
 
-        wrapper.epoch = 2
+        epoch = blinder.runtime.topology_epoch()
+        router.finish_migration()  # a membership step: the epoch moves
+        assert blinder.runtime.topology_epoch() > epoch
         assert entities.find_ids(Eq("status", "active")) == expected
         stats = blinder.planner_stats("rec")
         assert stats["compiles"] == warm["compiles"]

@@ -20,6 +20,7 @@ from repro.crypto.kernels.config import CryptoConfig
 from repro.crypto.kernels.executor import CryptoExecutor, LruCache
 from repro.net.batch import PipelineConfig
 from repro.net.transport import InProcTransport
+from repro.obs.timing import timing_sink
 from repro.tactics import det, register_builtin_tactics
 
 
@@ -103,16 +104,19 @@ class TestCryptoExecutor:
         assert out == [-5, -6, -5]
         assert batches == [[5, 6]]
 
-    def test_timings_drain(self):
+    def test_timings_reach_the_operation_sink(self):
         executor = CryptoExecutor(CryptoConfig(precompute=True))
-        executor.record("paillier_encrypt", 0.25)
-        assert executor.drain_timings() == [("paillier_encrypt", 0.25)]
-        assert executor.drain_timings() == []
+        rows = []
+        with timing_sink(lambda kind, seconds: rows.append((kind, seconds))):
+            executor.record("paillier_encrypt", 0.25)
+        assert rows == [("Crypto:paillier_encrypt", 0.25)]
+        executor.record("paillier_encrypt", 0.25)  # no operation: dropped
+        assert rows == [("Crypto:paillier_encrypt", 0.25)]
 
     def test_inactive_executor_keeps_no_timings(self):
-        """The one bulk-insert loop drains the sink for every
-        configuration, so an inactive executor books kernel timings like
-        an active one and keeps none past the insert."""
+        """Every configuration books kernel timings into the running
+        operation's sink, so an inactive executor records them like an
+        active one and keeps none itself."""
         blinder = DataBlinder("kernels", InProcTransport(CloudZone().host))
         blinder.register_schema(Schema.define(
             "rec", value=("float", FieldAnnotation.parse("C4", "I", "sum")),
@@ -120,7 +124,13 @@ class TestCryptoExecutor:
         blinder.entities("rec").insert_many([{"value": 1.5}, {"value": 2.5}])
         timings = blinder.planner_stats("rec")["node_timings"]
         assert timings["Crypto:paillier_encrypt"]["calls"] == 1
-        assert blinder.runtime.kernels.drain_timings() == []
+        # Booked outside an operation: dropped, never carried into the
+        # next insert's rows.
+        blinder.runtime.kernels.record("paillier_encrypt", 9.0)
+        blinder.entities("rec").insert_many([{"value": 3.5}])
+        timings = blinder.planner_stats("rec")["node_timings"]
+        assert timings["Crypto:paillier_encrypt"]["calls"] == 2
+        assert timings["Crypto:paillier_encrypt"]["seconds"] < 9.0
 
 
 class TestEveryConfigMemoises:

@@ -2,19 +2,27 @@
 
 import pytest
 
+from repro.cloud.server import CloudZone
+from repro.core.middleware import DataBlinder
 from repro.core.schema import FieldAnnotation, Schema
+from repro.keys.keystore import KeyStore
+from repro.net.transport import InProcTransport
+from repro.stores.kv import KeyValueStore
 
 
-@pytest.fixture()
-def notes(blinder):
-    schema = Schema.define(
-        "note",
+def note_schema(name: str = "note") -> Schema:
+    return Schema.define(
+        name,
         title="string",                  # plaintext: text-searchable
         summary="string",                # plaintext: text-searchable
         author=("string", FieldAnnotation.parse("C2", "I,EQ")),
         body=("string", FieldAnnotation.parse("C1", "I")),
     )
-    blinder.register_schema(schema)
+
+
+@pytest.fixture()
+def notes(blinder):
+    blinder.register_schema(note_schema())
     entities = blinder.entities("note")
     entities.insert({
         "title": "Quarterly budget review",
@@ -74,3 +82,51 @@ class TestTextSearch:
         notes.delete(doc["_id"])
         assert notes.text_search("postmortem") == []
         assert notes.text_search("stuffing") == []
+
+    def test_limit_counts_only_this_schemas_hits(self, blinder, notes):
+        """Another schema's better-ranked hits do not eat the limit."""
+        blinder.register_schema(note_schema("memo"))
+        memos = blinder.entities("memo")
+        memos.insert_many([
+            {"title": f"memo {i}", "summary": "budget",
+             "author": "carol", "body": "x"}
+            for i in range(12)
+        ])
+        results = memos.text_search("budget", limit=5)
+        assert len(results) == 5
+        assert all(r["title"].startswith("memo") for r in results)
+        assert len(notes.text_search("budget", limit=5)) == 2
+
+    def test_reads_through_the_document_stream(self, blinder, notes):
+        notes.text_search("incident")
+        timings = blinder.planner_stats("note")["node_timings"]
+        assert timings["FetchDocs:docs"]["calls"] == 1
+
+
+class TestTextIndexAcrossRestarts:
+    def test_cloud_restart_keeps_documents_searchable(self, registry,
+                                                       tmp_path):
+        keystore = KeyStore("textapp")
+        cloud = CloudZone(registry, data_dir=tmp_path / "cloud")
+        blinder = DataBlinder(
+            "textapp", InProcTransport(cloud.host), registry=registry,
+            keystore=keystore, local_kv=KeyValueStore(tmp_path / "kv"),
+        )
+        blinder.register_schema(note_schema())
+        doc_id = blinder.entities("note").insert({
+            "title": "Quarterly budget review", "summary": "expenses",
+            "author": "alice", "body": "secret",
+        })
+        cloud.close()
+        blinder.runtime.local_kv.close()
+
+        cloud2 = CloudZone(registry, data_dir=tmp_path / "cloud")
+        blinder2 = DataBlinder(
+            "textapp", InProcTransport(cloud2.host), registry=registry,
+            keystore=keystore, local_kv=KeyValueStore(tmp_path / "kv"),
+        )
+        blinder2.restore_schema("note")
+        notes = blinder2.entities("note")
+        assert notes.count() == 1
+        assert [r["_id"] for r in notes.text_search("budget")] == [doc_id]
+        cloud2.close()

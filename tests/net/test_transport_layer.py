@@ -52,12 +52,6 @@ class StubInner(Transport):
         self.calls.append(("call_labeled", service, method, kwargs))
         return {label: "report" for label in self.labels}
 
-    def topology_epoch(self):
-        return 41
-
-    def drain_shard_timings(self):
-        return [("shard:a", 0.5)]
-
     def close(self):
         self.calls.append(("close",))
 
@@ -115,8 +109,6 @@ class TestLayerContract:
     def test_state_hooks_delegate_with_arguments(self, build):
         inner = StubInner()
         layer = build(inner)
-        assert layer.topology_epoch() == 41
-        assert layer.drain_shard_timings() == [("shard:a", 0.5)]
         assert layer.call_labeled("integrity/app", "report", since=4) == {
             "endpoint": "report"}
         assert inner.calls == [

@@ -19,6 +19,7 @@ from repro.fhir.model import observation_schema
 from repro.net.latency import NetworkModel, NetworkStats
 from repro.net.rpc import Request
 from repro.net.transport import Transport
+from repro.obs.timing import timing_sink
 from repro.shard.config import ShardConfig
 from repro.shard.ring import HashRing
 from repro.shard import router as router_module
@@ -274,13 +275,14 @@ class TestTimingRows:
     ):
         nodes, router = build(4, delay=0.03)
         doc_ids = spanning_ids(router)
-        router.drain_shard_timings()
+        rows = []
         started = time.perf_counter()
-        router.call_request(keyed_request(method, doc_ids))
+        with timing_sink(lambda kind, seconds: rows.append((kind, seconds))):
+            router.call_request(keyed_request(method, doc_ids))
         wall = time.perf_counter() - started
         try:
-            rows = router.drain_shard_timings()
-            assert sorted(name for name, _ in rows) == sorted(nodes)
+            assert sorted(name for name, _ in rows) == sorted(
+                f"Shard:{node}" for node in nodes)
             # Overlapped legs: summing them would claim 4x the wall
             # clock; the slowest one accounts for (most of) it.
             assert max(seconds for _, seconds in rows) > 0.5 * wall

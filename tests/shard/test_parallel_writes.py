@@ -14,6 +14,7 @@ from repro.errors import RemoteError, TransportError
 from repro.net.latency import NetworkStats
 from repro.net.rpc import Request, Response
 from repro.net.transport import Transport
+from repro.obs.timing import timing_sink
 from repro.shard.config import ShardConfig
 from repro.shard.ring import HashRing
 from repro.shard.router import ShardedTransport
@@ -262,16 +263,23 @@ class TestLooseSlots:
             router.close()
 
 
+def sunk(operation) -> list[tuple[str, float]]:
+    """The timing rows ``operation()`` books into the operation sink."""
+    rows: list[tuple[str, float]] = []
+    with timing_sink(lambda kind, seconds: rows.append((kind, seconds))):
+        operation()
+    return rows
+
+
 class TestTimingAttribution:
     def test_parallel_rows_max_merge_per_node(self):
         _, router = build(1)
         try:
-            router.drain_shard_timings()
-            router._record_parallel_timings(
+            rows = sunk(lambda: router._record_parallel_timings(
                 [("a", 0.2), ("a", 0.5), ("b", 0.1)]
-            )
-            assert sorted(router.drain_shard_timings()) == [
-                ("a", 0.5), ("b", 0.1)
+            ))
+            assert sorted(rows) == [
+                ("Shard:a", 0.5), ("Shard:b", 0.1)
             ]
         finally:
             router.close()
@@ -279,14 +287,13 @@ class TestTimingAttribution:
     def test_scatter_batch_records_each_node_once(self):
         nodes, router = build(4)
         requests = [insert_request(i) for i in range(16)]
-        router.drain_shard_timings()
-        router.call_batch(requests)
+        rows = sunk(lambda: router.call_batch(requests))
         try:
-            rows = router.drain_shard_timings()
             names = [name for name, _ in rows]
             assert len(names) == len(set(names))
             ring = HashRing.from_spec(router.ring_spec())
-            assert set(names) == {ring.owner(f"d{i}") for i in range(16)}
+            assert set(names) == {f"Shard:{ring.owner(f'd{i}')}"
+                                  for i in range(16)}
         finally:
             router.close()
 
