@@ -222,9 +222,12 @@ class DataBlinder:
 
     def _build_executor(self, schema: Schema,
                         plans: dict[str, FieldPlan]) -> SchemaExecutor:
-        return SchemaExecutor(self.runtime, schema, plans,
-                              verify_results=self.verify_results,
-                              pad_bucket=self.pad_bucket)
+        """Wire ``schema``'s tactic instances; the ones it provisions
+        cross the wire as one frame."""
+        with self.runtime.provisioning():
+            return SchemaExecutor(self.runtime, schema, plans,
+                                  verify_results=self.verify_results,
+                                  pad_bucket=self.pad_bucket)
 
     def _executor(self, schema_name: str) -> SchemaExecutor:
         with self._lock:

@@ -5,13 +5,16 @@ store, the transport into the untrusted zone — and instantiates gateway
 tactic halves on demand (the trusted side of the strategy pattern's
 runtime loading).  Instances are cached per ``(field-scope, tactic)``;
 provisioning is idempotent and drives the cloud admin service first so
-the RPC peer exists before ``setup`` runs.
+the RPC peer exists before ``setup`` runs.  With batching configured, a
+:meth:`GatewayRuntime.provisioning` scope ships a whole registration's
+provisioning as one frame.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any
+from contextlib import contextmanager, nullcontext
+from typing import Any, Iterator
 
 from repro.crypto.kernels.config import CryptoConfig
 from repro.crypto.kernels.executor import CryptoExecutor
@@ -76,13 +79,14 @@ class GatewayRuntime:
         self._instances: dict[tuple[str, str], Any] = {}
         self._lock = threading.RLock()
         attach(self)
-        self.transport.call(
-            "admin", "provision_application", application=application
-        )
-        if self.verifier is not None:
+        with self.provisioning():
             self.transport.call(
-                "admin", "enable_integrity", application=application
+                "admin", "provision_application", application=application
             )
+            if self.verifier is not None:
+                self.transport.call(
+                    "admin", "enable_integrity", application=application
+                )
 
     def _layers(self, resilience: ResilienceConfig | None):
         """The gateway's transport layers as ``(enabled, build)`` rows,
@@ -162,39 +166,63 @@ class GatewayRuntime:
         transport = self.transport
         return transport if isinstance(transport, BatchCollector) else None
 
+    @contextmanager
+    def provisioning(self) -> Iterator[None]:
+        """Scope in which every provisioning call — the admin service's
+        and each new tactic's ``setup`` — is queued and shipped as one
+        frame when the outermost scope closes (with batching configured;
+        otherwise each call stands alone).
+
+        A failed frame leaves none of the scope's gateway halves cached,
+        so provisioning them again starts clean.
+        """
+        collector = self.batch_collector
+        with self._lock:
+            before = set(self._instances)
+            try:
+                with (nullcontext() if collector is None
+                      else collector.collect()):
+                    yield
+            except BaseException:
+                for key in self._instances.keys() - before:
+                    del self._instances[key]
+                raise
+
     def tactic(self, field_scope: str, tactic_name: str) -> Any:
         """Get-or-create the gateway half of one tactic instance.
 
         ``field_scope`` is the instance key: usually ``<schema>.<field>``,
         or ``<schema>._bool`` for the schema-wide boolean tactic shared
-        across its BL-annotated fields.
+        across its BL-annotated fields.  Its ``provision_tactic`` and
+        ``setup`` calls join the caller's :meth:`provisioning` scope.
         """
         key = (field_scope, tactic_name)
         with self._lock:
             instance = self._instances.get(key)
             if instance is not None:
                 return instance
-            registration = self.registry.get(tactic_name)
-            self.transport.call(
-                "admin",
-                "provision_tactic",
-                application=self.application,
-                field=field_scope,
-                tactic=tactic_name,
-            )
-            context = GatewayTacticContext(
-                application=self.application,
-                field=field_scope,
-                tactic=tactic_name,
-                keystore=self.keystore,
-                transport=self.transport,
-                local_kv=self.local_kv,
-                metrics=self.metrics,
-                kernels=self.kernels,
-            )
-            instance = registration.gateway_cls(context)
-            instance.setup()
-            self._instances[key] = instance
+            with self.provisioning():
+                registration = self.registry.get(tactic_name)
+                self.transport.call(
+                    "admin",
+                    "provision_tactic",
+                    application=self.application,
+                    field=field_scope,
+                    tactic=tactic_name,
+                )
+                context = GatewayTacticContext(
+                    application=self.application,
+                    field=field_scope,
+                    tactic=tactic_name,
+                    keystore=self.keystore,
+                    transport=self.transport,
+                    local_kv=self.local_kv,
+                    metrics=self.metrics,
+                    kernels=self.kernels,
+                )
+                instance = registration.gateway_cls(context)
+                instance.setup()
+                self._instances[key] = instance
             return instance
 
     def loaded_tactics(self) -> list[tuple[str, str]]:

@@ -15,8 +15,9 @@ closes.
 
 Semantics inside a scope:
 
-* *Deferrable* calls (index writes whose results the gateway ignores)
-  return ``None`` immediately and are queued in order.
+* *Deferrable* calls (index writes and provisioning calls, whose
+  results the gateway ignores) return ``None`` immediately and are
+  queued in order.
 * Any other call joins the queue as its final element and flushes the
   whole batch at once, returning that call's result — so e.g. the
   executor's document-store ``delete`` (whose boolean result is needed)
@@ -45,7 +46,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.net.rpc import MUTATING_METHODS, Request, Response
+from repro.net.rpc import (
+    MUTATING_METHODS,
+    PROVISIONING_METHODS,
+    Request,
+    Response,
+)
 from repro.net.transport import Transport, TransportLayer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -193,6 +199,8 @@ class BatchCollector(TransportLayer):
                     self._ship(scope.pending)
 
     def _defers(self, service: str, method: str) -> bool:
+        if method in PROVISIONING_METHODS:
+            return True
         if method not in MUTATING_METHODS:
             return False
         if service.startswith(_DOCS_PREFIX):

@@ -61,6 +61,18 @@ MUTATING_METHODS = frozenset({
     "remove",
 })
 
+#: RPC method names that stand a deployment up: the admin service's
+#: provisioning calls and each tactic cloud half's ``setup``.  Their
+#: results are ignored, so a collection scope queues them
+#: (:mod:`repro.net.batch`); every node runs them in the order sent, and
+#: a joining node replays them (:mod:`repro.shard.router`).
+PROVISIONING_METHODS = frozenset({
+    "provision_application",
+    "enable_integrity",
+    "provision_tactic",
+    "setup",
+})
+
 
 @dataclass(frozen=True)
 class Request:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cloud.server import CloudZone
 from repro.errors import DocumentNotFound, RemoteError, TransportError
 from repro.spi.context import service_name
 
@@ -97,6 +98,30 @@ class TestDocumentService:
                                  "body": b"", "plain": {}})
         assert docs("all_ids", schema="s1") == ["a"]
         assert sorted(docs("all_ids")) == ["a", "b"]
+
+    @pytest.mark.parametrize("snapshot", [True, False])
+    def test_schema_index_survives_restart(self, registry, tmp_path,
+                                           snapshot):
+        """A durable zone answers ``all_ids(schema)`` from its ``schema``
+        index; reopening rebuilds it from the snapshot (``close``) or
+        from the log replay alone (``sync``)."""
+        zone = CloudZone(registry, data_dir=tmp_path)
+        _, documents = zone.application_stores("app1")
+        for i, schema in enumerate(["s1", "s2", "s1", "s2"]):
+            documents.insert({"_id": f"d{i}", "schema": schema})
+        documents.replace({"_id": "d1", "schema": "s1"})
+        documents.delete("d2")
+        assert zone.host.get("docs/app1").all_ids("s1") == ["d0", "d1"]
+        if snapshot:
+            zone.close()
+        else:
+            documents.sync()
+        reopened = CloudZone(registry, data_dir=tmp_path)
+        reopened.application_stores("app1")
+        service = reopened.host.get("docs/app1")
+        assert service.all_ids("s1") == ["d0", "d1"]
+        assert service.all_ids("s2") == ["d3"]
+        reopened.close()
 
     def test_find_plain(self, docs):
         docs("insert", document={"_id": "a", "schema": "s",

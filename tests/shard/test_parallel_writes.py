@@ -246,19 +246,31 @@ class TestLooseSlots:
 
     def test_mutating_loose_slots_stay_sequential(self):
         # ``setup`` slots are loose (no shard key) and mutating; they
-        # must not race each other even under parallel fan-out.
+        # must not race each other even under parallel fan-out: each
+        # node runs the frame's setups as one sub-frame, in slot order.
         nodes, router = build(2, delay=0.02)
         requests = [
             Request(SERVICE, "setup", {"round": i}) for i in range(3)
         ]
-        started = time.perf_counter()
         responses = router.call_batch(requests)
-        elapsed = time.perf_counter() - started
         try:
             assert all(r.ok for r in responses)
-            # Each setup broadcast costs one (parallel) 20 ms round
-            # trip; racing the slots would overlap those windows.
-            assert elapsed >= 0.02 * len(requests)
+            for node in nodes.values():
+                assert node.frames == [requests]
+            assert router.provision_log == requests
+        finally:
+            router.close()
+
+    def test_provisioning_reaches_nodes_before_the_frames_writes(self):
+        nodes, router = build(2)
+        setup = Request(SERVICE, "setup", {})
+        try:
+            responses = router.call_batch([setup, insert_request(0)])
+            assert all(r.ok for r in responses)
+            for node in nodes.values():
+                assert node.frames[0] == [setup]
+            assert sum(node.frames[1:] == [[insert_request(0)]]
+                       for node in nodes.values()) == 1
         finally:
             router.close()
 
