@@ -52,15 +52,15 @@ class GatewayRuntime:
         #: Built before the stack: the verifier keeps its write counter
         #: in this keystore's HSM.
         self.keystore = keystore or KeyStore(application)
-        for enabled, build in self._layers(resilience):
-            if enabled:
-                transport = build(transport)
         self.transport = transport
-        #: The integrity verifier layer, when configured.
-        self.verifier = self._find(VerifyingTransport)
         #: The sharded router at the bottom of the stack (None when
         #: unsharded): the one way in to its topology and counters.
         self.router = self._find(ShardedTransport)
+        for enabled, build in self._layers(resilience):
+            if enabled:
+                self.transport = build(self.transport)
+        #: The integrity verifier layer, when configured.
+        self.verifier = self._find(VerifyingTransport)
         self.registry = registry
         self.local_kv = local_kv or KeyValueStore()
         #: The gateway read-cache tier (``PipelineConfig.cache``); None
@@ -112,8 +112,9 @@ class GatewayRuntime:
             (resilience is not None,
              lambda inner: wrap_resilient(inner, resilience)),
             (pipeline.integrity is not None,
-             lambda inner: VerifyingTransport(inner, self.application,
-                                              self.keystore.hsm)),
+             lambda inner: VerifyingTransport(
+                 inner, self.application, self.keystore.hsm,
+                 sharded=self.router is not None)),
             (pipeline.batch_writes, BatchCollector),
         )
 

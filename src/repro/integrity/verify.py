@@ -94,9 +94,11 @@ class VerifyingTransport(TransportLayer):
     label = "integrity"
 
     def __init__(self, inner: Transport, application: str,
-                 hsm: SimulatedHsm | None = None):
+                 hsm: SimulatedHsm | None = None, sharded: bool = False):
         super().__init__(inner)
         self.application = application
+        #: Whether a sharded router below keys each report per shard.
+        self._sharded = sharded
         self._docs_service = f"docs/{application}"
         self._integrity_service = f"integrity/{application}"
         self.ledger = FreshnessLedger()
@@ -194,7 +196,7 @@ class VerifyingTransport(TransportLayer):
         reports may be newer than the ack) completed meanwhile."""
         if not ack.ok:
             return
-        reports = self._inner.labeled_reply(ack.result)
+        reports = self._labeled(ack.result)
         with self._stats_lock:
             self.acked += len(reports)
         if after != before + 1:
@@ -304,12 +306,17 @@ class VerifyingTransport(TransportLayer):
             counter = self.write_counter()
             if moved_only and counter == self._synced_at:
                 return False
-            self._accept(self._inner.call_labeled(
-                self._integrity_service, "report"
-            ))
+            self._accept(self._labeled(self._inner.call_request(
+                Request(self._integrity_service, "report", {})
+            )))
             self._synced_at = counter
             self.resyncs += 1
             return True
+
+    def _labeled(self, reply: Any) -> dict[str, Any]:
+        """A report reply keyed per endpoint: the sharded router keys
+        it ``shard:<node>`` already, a lone endpoint is ``endpoint``."""
+        return reply if self._sharded else {"endpoint": reply}
 
     def _accept(self, reports: dict[str, Any]) -> None:
         try:
@@ -337,9 +344,9 @@ class VerifyingTransport(TransportLayer):
         contradicts what the ledger accepted at write time.
         """
         self._refresh()
-        audits = self._inner.call_labeled(
-            self._integrity_service, "audit_report"
-        )
+        audits = self._labeled(self._inner.call_request(
+            Request(self._integrity_service, "audit_report", {})
+        ))
         checked = 0
         for label, audit in sorted(audits.items()):
             for tree, state in (audit.get("trees") or {}).items():

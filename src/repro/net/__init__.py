@@ -19,7 +19,6 @@ from repro.net.resilience import (
 from repro.net.rpc import Request, Response, ServiceHost
 from repro.net.tcp import TcpRpcServer, TcpTransport
 from repro.net.transport import (
-    BatchTransport,
     DirectTransport,
     InProcTransport,
     Transport,
@@ -28,7 +27,6 @@ from repro.net.transport import (
 
 __all__ = [
     "BatchCollector",
-    "BatchTransport",
     "BreakerConfig",
     "CircuitBreaker",
     "PipelineConfig",

@@ -142,10 +142,9 @@ class FaultInjectingTransport(TransportLayer):
     twice.  Works identically over :class:`~repro.net.transport.InProcTransport`
     and :class:`~repro.net.tcp.TcpTransport`.
 
-    Labeled broadcasts (integrity state reports) bypass fault
-    injection: the chaos schedules target the data path, and a dropped
-    report would only retry — the detection experiments tamper with
-    fetched state, not with the report channel.
+    Integrity state reports are frames like any other, so they meet
+    the same faults and a dropped one retries above; ``tamper`` and
+    ``rollback`` still touch only fetched documents.
     """
 
     label = "faults"

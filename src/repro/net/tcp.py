@@ -9,7 +9,7 @@ response, which the client's reply parser in turn refuses as a
 :class:`~repro.errors.TransportError`; the connection serves the next
 frame.  The server hosts a :class:`repro.net.rpc.ServiceHost` behind a
 threading TCP server; the client is a
-:class:`repro.net.transport.BatchTransport` with one pooled connection
+:class:`repro.net.transport.Transport` with one pooled connection
 per thread.  ``examples/distributed_deployment.py`` uses this pair to
 run the cloud zone as an actual separate process.
 """
@@ -25,7 +25,7 @@ from typing import Sequence
 from repro.errors import TransportError
 from repro.net.latency import NetworkStats, TrafficMeter
 from repro.net.message import decode, encode
-from repro.net.transport import BatchTransport
+from repro.net.transport import Transport
 from repro.net.rpc import (
     Request,
     Response,
@@ -106,7 +106,7 @@ class TcpRpcServer(socketserver.ThreadingTCPServer):
         return thread
 
 
-class TcpTransport(BatchTransport):
+class TcpTransport(Transport):
     """Client side: one pooled connection per calling thread."""
 
     def __init__(self, address: tuple[str, int], timeout: float = 30.0):

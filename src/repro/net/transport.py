@@ -7,9 +7,9 @@ two-host deployment.  :class:`repro.net.tcp.TcpTransport` swaps the middle
 for a real socket.  Application code never sees the difference: both
 implement :class:`Transport`.
 
-Every endpoint and every wrapper layer is a :class:`BatchTransport`: its
-one send path is :meth:`~Transport.call_batch`, and a lone call travels
-as a batch of one, so each delivery is one frame whatever its size.
+Every endpoint and every wrapper layer has one send path,
+:meth:`~Transport.call_batch`, and a lone call travels as a batch of
+one, so each delivery is one frame whatever its size.
 A layer carries frames and reports only: the runtime holds the router
 itself, and timings go to the operation's sink (:mod:`repro.obs.timing`).
 """
@@ -50,38 +50,33 @@ def slot_response(call: Callable[[Request], Any],
 
 
 class Transport(ABC):
-    """A channel from the trusted zone to one untrusted endpoint."""
+    """A channel from the trusted zone to one untrusted endpoint.
 
-    @abstractmethod
+    Its one send path is :meth:`call_batch`: a lone call travels as a
+    batch of one, and its one response is unwrapped.
+    """
+
     def call(self, service: str, method: str, **kwargs: Any) -> Any:
         """Invoke ``service.method(**kwargs)`` remotely, return its result."""
+        return self.call_request(Request(service, method, kwargs))
 
     def call_request(self, request: Request) -> Any:
-        """Dispatch one prepared :class:`Request`.
+        """Dispatch one prepared :class:`Request` as a frame of one.
 
         The resilience layer builds requests up front so an idempotency
-        key survives every retry of the same logical call.  A
-        :class:`BatchTransport` sends it as a batch of one, which keeps
-        the key; this base implementation degrades to :meth:`call`
-        (dropping ``idem``, which is only a loss of dedup, never of
-        correctness — unkeyed requests are applied on every delivery),
-        so a transport that implements only :meth:`call` still works.
+        key survives every retry of the same logical call.
         """
-        return self.call(request.service, request.method, **request.kwargs)
+        return self.call_batch([request])[0].unwrap()
 
+    @abstractmethod
     def call_batch(self, requests: Sequence[Request]) -> list[Response]:
-        """Ship several requests, returning one response per request.
+        """Ship ``requests`` as one frame; one response per request.
 
-        Transports that speak batch frames override this to put the whole
-        batch in a single wire frame (one latency-model charge); the base
-        implementation degrades to sequential calls while keeping the
-        per-request error-isolation contract: a failing sub-call becomes
-        an error :class:`Response` in its slot, never an exception.  Only
-        a link-level :class:`TransportError` (the frame never made it —
-        retryable above) aborts the loop.
+        A failing sub-call becomes an error :class:`Response` in its
+        slot, never an exception; only a link-level
+        :class:`TransportError` (the frame never made it — retryable
+        above) raises.
         """
-        return [slot_response(self.call_request, request)
-                for request in requests]
 
     @abstractmethod
     def stats(self) -> NetworkStats:
@@ -104,44 +99,11 @@ class Transport(ABC):
         frames count them at the source; wrappers delegate inward."""
         return {}
 
-    def call_labeled(self, service: str, method: str,
-                     **kwargs: Any) -> dict[str, Any]:
-        """Invoke ``service.method`` on every labelled endpoint and
-        return the results keyed by the same labels
-        :meth:`labeled_stats` uses.
-
-        The integrity subsystem pulls per-shard state reports with
-        this: the sharded router broadcasts and returns one result per
-        shard, wrappers delegate inward, and a plain single-endpoint
-        transport returns ``{"endpoint": result}``.
-        """
-        return {"endpoint": self.call(service, method, **kwargs)}
-
-    def labeled_reply(self, result: Any) -> dict[str, Any]:
-        """A write frame's ride-along ``report`` reply keyed like
-        :meth:`call_labeled` (the sharded router keys it per leg)."""
-        return {"endpoint": result}
-
     def close(self) -> None:
         """Release any underlying resources (default: none)."""
 
 
-class BatchTransport(Transport):
-    """A transport whose one send path is :meth:`call_batch`: a lone
-    call is a batch of one, and its one response is unwrapped."""
-
-    def call(self, service: str, method: str, **kwargs: Any) -> Any:
-        return self.call_request(Request(service, method, kwargs))
-
-    def call_request(self, request: Request) -> Any:
-        return self.call_batch([request])[0].unwrap()
-
-    @abstractmethod
-    def call_batch(self, requests: Sequence[Request]) -> list[Response]:
-        """Ship ``requests`` as one frame; one response per request."""
-
-
-class TransportLayer(BatchTransport):
+class TransportLayer(Transport):
     """A transport that wraps exactly one ``inner`` transport.
 
     The base of every wrapper in the gateway stack (batch collector,
@@ -195,18 +157,11 @@ class TransportLayer(BatchTransport):
     def wire_cells(self) -> dict[str, dict[Key, WireCell]]:
         return self._inner.wire_cells()
 
-    def call_labeled(self, service: str, method: str,
-                     **kwargs: Any) -> dict[str, Any]:
-        return self._inner.call_labeled(service, method, **kwargs)
-
-    def labeled_reply(self, result: Any) -> dict[str, Any]:
-        return self._inner.labeled_reply(result)
-
     def close(self) -> None:
         self._inner.close()
 
 
-class InProcTransport(BatchTransport):
+class InProcTransport(Transport):
     """Gateway->cloud channel within one process.
 
     Every request and response is round-tripped through the wire codec so
@@ -256,7 +211,7 @@ class InProcTransport(BatchTransport):
         self._dedup_base = self._host.dedup_stats()["evictions"]
 
 
-class DirectTransport(BatchTransport):
+class DirectTransport(Transport):
     """Zero-copy dispatch without serialization or latency accounting.
 
     Used by the S_A baseline scenario (no protection, no middleware cost

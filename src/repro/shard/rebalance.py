@@ -160,8 +160,10 @@ class Resharder:
     # -- integrity invariance --------------------------------------------------
 
     def _cluster_digests(self) -> dict[str, dict[str, int]] | None:
-        """Per-application additive cluster digests, or None when the
-        zones do not run integrity tracking.
+        """Per-application additive cluster digests, or None when no
+        application enabled integrity tracking (the router's
+        provisioning log says which did).  A failed report round
+        raises: a digest check that cannot run is no pass.
 
         The additive (AdHash-style) digest of a tree is the sum of its
         shard digests, and relocating leaves between shards preserves
@@ -170,14 +172,15 @@ class Resharder:
         """
         from repro.integrity.merkle import merge_digests
 
+        enabled = dict.fromkeys(
+            request.kwargs["application"]
+            for request in self._router.provision_log
+            if request.method == "enable_integrity"
+        )
         digests: dict[str, dict[str, int]] = {}
-        for application in self._router.applications:
-            try:
-                labeled = self._router.call_labeled(
-                    f"integrity/{application}", "report"
-                )
-            except (RemoteError, TransportError):
-                continue  # integrity not enabled on this application
+        for application in enabled:
+            labeled = self._router.call(f"integrity/{application}",
+                                        "report")
             per_tree: dict[str, list[int]] = {}
             for state in labeled.values():
                 for tree, entry in state["trees"].items():

@@ -13,7 +13,8 @@ every tactic protocol above it) stays oblivious to the topology:
   router merges per tactic semantics (set union, elementwise
   first-non-None for Mitra address slots, an order-merge for OPE/ORE
   scans; Paillier/ElGamal partials go back to the gateway tactic, which
-  folds them under the public key it holds).
+  folds them under the public key it holds).  An ``integrity/<app>``
+  report comes back unmerged, keyed ``{"shard:<node>": result}``.
 * **Co-located finds** — ``lookup_fetch`` broadcasts like an id lookup:
   each shard answers its DET/blind-index/OPE/ORE matches *and* the
   documents of its first chunk of them, since doc-keyed entries sit on
@@ -94,7 +95,7 @@ from repro.net.rpc import (
     Request,
     Response,
 )
-from repro.net.transport import BatchTransport, Transport, slot_response
+from repro.net.transport import Transport, slot_response
 from repro.obs.timing import record_timing
 from repro.obs.wire import merged
 from repro.shard.config import ShardConfig
@@ -186,7 +187,7 @@ def _first_seen(results: Iterable[tuple[str, Any]]) -> list:
     return list(merged.values())
 
 
-class ShardedTransport(BatchTransport):
+class ShardedTransport(Transport):
     """Routes one gateway onto N named per-node transports."""
 
     def __init__(self, nodes: Iterable[tuple[str, Transport]],
@@ -274,13 +275,15 @@ class ShardedTransport(BatchTransport):
     # -- membership (driven by repro.shard.rebalance.Resharder) ----------------
 
     def begin_join(self, name: str, transport: Transport) -> None:
-        """Admit a node: replay provisioning, then extend the ring.
+        """Admit a node: replay provisioning as one frame, then extend
+        the ring.  The first failed slot's error raises before the node
+        joins.
 
         The previous ring becomes the forwarding table until
         :meth:`finish_migration`, so reads stay correct while keys move.
         """
-        for request in self.provision_log:
-            transport.call_request(request)
+        for response in transport.call_batch(self.provision_log):
+            response.unwrap()
         with self._lock:
             if name in self._nodes:
                 raise TransportError(f"shard node {name!r} already joined")
@@ -357,22 +360,6 @@ class ShardedTransport(BatchTransport):
             nodes = list(self._nodes.items())
         return {f"shard:{name}": merged(transport.wire_cells().values())
                 for name, transport in nodes}
-
-    def call_labeled(self, service: str, method: str,
-                     **kwargs: Any) -> dict[str, Any]:
-        """Broadcast to every shard, results keyed ``shard:<name>`` —
-        the labels match :meth:`labeled_stats`, so the integrity
-        ledger's per-shard watermarks line up with the per-shard
-        traffic counters."""
-        request = Request(service, method, kwargs)
-        return {
-            f"shard:{name}": result
-            for name, result in self._broadcast(request,
-                                                skip_broken=False)
-        }
-
-    def labeled_reply(self, result: Any) -> dict[str, Any]:
-        return result  # keyed per leg by :meth:`_route_writes`
 
     def scatter_count(self) -> int:
         with self._lock:
@@ -663,6 +650,11 @@ class ShardedTransport(BatchTransport):
             return self._docs(request)
         if service.startswith("tactic/"):
             return self._tactic(request)
+        if service.startswith("integrity/"):
+            # Per-shard state reports, keyed like :meth:`labeled_stats`
+            # so the ledger's watermarks line up with the traffic rows.
+            return {f"shard:{name}": result for name, result
+                    in self._broadcast(request, skip_broken=False)}
         # Unknown service class: conservative broadcast, last result.
         return self._broadcast_last(request)
 

@@ -43,10 +43,17 @@ def _mask_payload(pad_seed: bytes, op: int, doc_id: str) -> bytes:
     return bytes(a ^ b for a, b in zip(body, pad))
 
 
-def _unmask_payload(pad_seed: bytes, masked: bytes) -> tuple[int, str]:
+def _unmask_payload(pad_seed: bytes, masked: Any) -> tuple[int, str]:
+    """``(op, doc_id)`` of one cloud entry, or :class:`TacticError` when
+    the cloud sent something no gateway ever masked."""
+    if not isinstance(masked, bytes) or not masked:
+        raise TacticError("malformed Mitra payload")
     pad = prg(pad_seed, len(masked), label=b"mitra-pad")
     body = bytes(a ^ b for a, b in zip(masked, pad))
-    return body[0], body[1:].decode("utf-8")
+    try:
+        return body[0], body[1:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TacticError("Mitra payload holds no document id") from exc
 
 
 class MitraGateway(

@@ -6,10 +6,14 @@ from repro.analysis.observer import ObservedTransport
 from repro.cloud.cluster import CloudCluster
 from repro.cloud.server import CloudZone
 from repro.core.middleware import DataBlinder
+from repro.core.query import Eq
 from repro.core.schema import FieldAnnotation, Schema
+from repro.fhir.model import observation_schema
 from repro.gateway.service import GatewayRuntime
+from repro.integrity.config import IntegrityConfig
 from repro.net.batch import PipelineConfig
 from repro.net.resilience import ResilienceConfig
+from repro.net.rpc import Request
 from repro.net.transport import InProcTransport
 from repro.shard.config import ShardConfig
 from repro.shard.rebalance import Resharder
@@ -167,7 +171,10 @@ class TestWiretapOverShardedZone:
                         if label.startswith("shard:")}
         assert len(shard_labels) == 5
         assert shard_labels <= set(observed.labeled_stats())
-        assert set(observed.call_labeled("admin", "list_services")) == shard_labels
+        (listed,) = observed.call_batch([Request("admin", "list_services",
+                                                 {})])
+        assert "docs/obsapp" in listed.result
+        assert observed.transcript.calls[-1].service == "admin"
 
         frames = []
         call_batch = router.call_batch
@@ -184,4 +191,26 @@ class TestWiretapOverShardedZone:
         assert [(call.service, call.method) for call in seen] == [
             (request.service, request.method) for request in frame
         ]
+        cluster.close()
+
+    def test_transcript_holds_the_report_rounds(self, registry):
+        """The verifier's report and audit rounds are frames like any
+        other, so the wiretap above the router records them."""
+        cluster = CloudCluster(4, registry=registry)
+        observed = ObservedTransport(
+            ShardedTransport(cluster.nodes(), ShardConfig()))
+        blinder = DataBlinder(
+            "obsapp", observed, registry=registry,
+            pipeline=PipelineConfig(integrity=IntegrityConfig()),
+        )
+        blinder.register_schema(observation_schema())
+        observations = blinder.entities("observation")
+        observations.insert({"status": "final", "code": "glucose",
+                             "subject": "Patient 1", "value": 1.0})
+        assert len(observations.find_ids(Eq("status", "final"))) == 1
+        blinder.integrity_audit()
+        rounds = [call.method for call in observed.transcript.calls
+                  if call.service == "integrity/obsapp"]
+        assert rounds.count("report") >= 2
+        assert rounds.count("audit_report") == 1
         cluster.close()

@@ -48,14 +48,6 @@ class ReportCountingTransport(CountingTransport):
                 if service == f"integrity/{APP}" and method == "report"
             )
 
-    def call(self, service, method, **kwargs):
-        self._note_requests([(service, method)])
-        return super().call(service, method, **kwargs)
-
-    def call_request(self, request):
-        self._note_requests([(request.service, request.method)])
-        return super().call_request(request)
-
     def call_batch(self, requests):
         self._note_requests([(r.service, r.method) for r in requests])
         return super().call_batch(requests)
@@ -77,10 +69,6 @@ class GatedTransport(ReportCountingTransport):
             self.armed = False
             self.held.set()
             assert self.release.wait(timeout=30)
-
-    def call_request(self, request):
-        self._hold([request])
-        return super().call_request(request)
 
     def call_batch(self, requests):
         self._hold(requests)

@@ -43,14 +43,6 @@ class CountingTransport(Transport):
         with self._lock:
             self.calls += 1
 
-    def call(self, service, method, **kwargs):
-        self._note()
-        return self.inner.call(service, method, **kwargs)
-
-    def call_request(self, request):
-        self._note()
-        return self.inner.call_request(request)
-
     def call_batch(self, requests):
         self._note()
         return self.inner.call_batch(requests)

@@ -15,8 +15,7 @@ from repro.core.registry import TacticRegistry
 from repro.fhir.generator import MedicalDataGenerator
 from repro.fhir.model import benchmark_observation_schema, observation_schema
 from repro.net.batch import PipelineConfig
-from repro.net.latency import NetworkStats
-from repro.net.transport import InProcTransport, Transport
+from repro.net.transport import InProcTransport, TransportLayer
 from repro.tactics import register_builtin_tactics
 
 FULL_PIPELINE = PipelineConfig(batch_writes=True, fanout_workers=4,
@@ -167,23 +166,16 @@ class TestEquivalence:
                 {d["id"] for d in pipelined.find(predicate)})
 
 
-class SpyTransport(Transport):
+class SpyTransport(TransportLayer):
     """Counts (service, method) pairs crossing the zone boundary."""
 
     def __init__(self, inner):
-        self._inner = inner
+        super().__init__(inner)
         self.methods = []
-
-    def call(self, service, method, **kwargs):
-        self.methods.append((service, method))
-        return self._inner.call(service, method, **kwargs)
 
     def call_batch(self, requests):
         self.methods.extend((r.service, r.method) for r in requests)
         return self._inner.call_batch(requests)
-
-    def stats(self) -> NetworkStats:
-        return self._inner.stats()
 
     def count(self, method):
         return sum(1 for _, m in self.methods if m == method)

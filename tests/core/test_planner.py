@@ -15,7 +15,7 @@ from repro.core.query import And, Eq, Not, Or, Range
 from repro.core.registry import TacticRegistry
 from repro.core.schema import FieldAnnotation, Schema
 from repro.net.batch import PipelineConfig
-from repro.net.transport import InProcTransport, Transport
+from repro.net.transport import InProcTransport, TransportLayer
 from repro.tactics import register_builtin_tactics
 
 
@@ -89,25 +89,23 @@ def plan_lines(text):
     return lines[:end]
 
 
-class CountingTransport(Transport):
+class CountingTransport(TransportLayer):
     """Counts (service-suffix, method) call pairs."""
 
     def __init__(self, inner):
-        self.inner = inner
+        super().__init__(inner)
         self.calls = {}
 
-    def call(self, service, method, **kwargs):
-        key = (service.rsplit("/", 1)[-1], method)
-        self.calls[key] = self.calls.get(key, 0) + 1
-        return self.inner.call(service, method, **kwargs)
+    def call_batch(self, requests):
+        for request in requests:
+            key = (request.service.rsplit("/", 1)[-1], request.method)
+            self.calls[key] = self.calls.get(key, 0) + 1
+        return self._inner.call_batch(requests)
 
     def method_calls(self, method):
         return sum(
             count for (_, m), count in self.calls.items() if m == method
         )
-
-    def stats(self):
-        return self.inner.stats()
 
 
 class TestParameterize:
@@ -393,11 +391,11 @@ class TestFetchChunkKnob:
         assert self._get_many_calls(None, head) == 1
 
 
-class SlowGetMany(Transport):
+class SlowGetMany(TransportLayer):
     """Delays get_many and tracks in-flight fetches."""
 
     def __init__(self, inner, delay=0.03):
-        self.inner = inner
+        super().__init__(inner)
         self.delay = delay
         self.in_flight = 0
         self.total = 0
@@ -405,21 +403,18 @@ class SlowGetMany(Transport):
 
         self._lock = threading.Lock()
 
-    def call(self, service, method, **kwargs):
-        if method == "get_many":
+    def call_batch(self, requests):
+        if not any(r.method == "get_many" for r in requests):
+            return self._inner.call_batch(requests)
+        with self._lock:
+            self.in_flight += 1
+            self.total += 1
+        try:
+            time.sleep(self.delay)
+            return self._inner.call_batch(requests)
+        finally:
             with self._lock:
-                self.in_flight += 1
-                self.total += 1
-            try:
-                time.sleep(self.delay)
-                return self.inner.call(service, method, **kwargs)
-            finally:
-                with self._lock:
-                    self.in_flight -= 1
-        return self.inner.call(service, method, **kwargs)
-
-    def stats(self):
-        return self.inner.stats()
+                self.in_flight -= 1
 
 
 class TestPrefetchDrain:

@@ -25,13 +25,13 @@ from repro.cloud.server import CloudZone
 from repro.core.middleware import DataBlinder
 from repro.core.query import Eq
 from repro.core.registry import TacticRegistry
-from repro.errors import IntegrityError, StaleStateError
+from repro.errors import IntegrityError, StaleStateError, TransportFault
 from repro.fhir.model import benchmark_observation_schema, observation_schema
 from repro.integrity import IntegrityConfig
 from repro.net.batch import PipelineConfig
 from repro.net.faults import FaultInjectingTransport, FaultPlan
 from repro.net.tcp import TcpRpcServer, TcpTransport
-from repro.net.transport import InProcTransport, Transport
+from repro.net.transport import InProcTransport, Transport, TransportLayer
 from repro.shard.config import ShardConfig
 from repro.shard.rebalance import Resharder
 from repro.shard.router import ShardedTransport
@@ -357,12 +357,29 @@ class TestIntegrityIsReadSideOnly:
         assert on.kv_entries == off.kv_entries
 
 
+class LoseReport(TransportLayer):
+    """A shard link that loses its ``countdown``-th lone report frame
+    from now (0: none)."""
+
+    countdown = 0
+
+    def call_batch(self, requests):
+        if (self.countdown and len(requests) == 1
+                and requests[0].method == "report"):
+            self.countdown -= 1
+            if not self.countdown:
+                raise TransportFault("injected fault: report frame lost")
+        return self._inner.call_batch(requests)
+
+
 class TestReshardingInvariance:
-    def _deploy(self, pipeline: PipelineConfig):
+    def _deploy(self, pipeline: PipelineConfig, link=None):
         registry = fresh_registry()
         cluster = CloudCluster(3, registry=registry)
-        router = ShardedTransport(cluster.nodes(),
-                                  ShardConfig(parallel_fanout=False))
+        nodes = cluster.nodes()
+        if link is not None:
+            nodes[0] = (nodes[0][0], link(nodes[0][1]))
+        router = ShardedTransport(nodes, ShardConfig(parallel_fanout=False))
         blinder = DataBlinder(APP, router, registry=registry,
                               pipeline=pipeline)
         blinder.register_schema(observation_schema())
@@ -389,6 +406,20 @@ class TestReshardingInvariance:
         report = Resharder(router, chunk_size=8).remove_node("zone-2")
         assert report.integrity_verified is True
         self._verify_all(observations, ids)
+
+    @pytest.mark.parametrize("lost", [1, 2], ids=["before", "after"])
+    def test_a_lost_report_fails_the_move_not_the_check(self, lost):
+        """A report the resharder cannot pull raises its link error: it
+        neither skips the digest check (the snapshot before the move)
+        nor reads as lost entries (the snapshot after it)."""
+        cluster, router, blinder = self._deploy(FETCH, LoseReport)
+        observations = blinder.entities("observation")
+        for i in range(8):
+            observations.insert(make_doc(i))
+        router.node_transport(router.node_names()[0]).countdown = lost
+        with pytest.raises(TransportFault):
+            Resharder(router, chunk_size=8).add_node(
+                *cluster.add_zone("zone-3"))
 
     def test_without_integrity_the_check_is_skipped_not_failed(self):
         cluster, router, blinder = self._deploy(PipelineConfig())

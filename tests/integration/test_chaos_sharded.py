@@ -1,5 +1,6 @@
 """Sharded chaos: the chaos scenario matrix over a 4-shard ring with
-per-shard fault injection (10% dropped frames, 5% duplicated).
+per-shard fault injection (10% dropped frames, 5% duplicated), and
+integrity report frames lost on one shard link.
 
 Each shard link gets its own seeded
 :class:`repro.net.faults.FaultInjectingTransport`; the resilience layer
@@ -22,13 +23,16 @@ from repro.cloud.cluster import CloudCluster
 from repro.core.middleware import DataBlinder
 from repro.core.query import And, Eq, Range
 from repro.core.registry import TacticRegistry
+from repro.errors import TransportFault
 from repro.fhir.model import observation_schema
+from repro.net.batch import PipelineConfig
 from repro.net.faults import FaultInjectingTransport, FaultPlan
 from repro.net.resilience import (
     BreakerConfig,
     ResilienceConfig,
     RetryPolicy,
 )
+from repro.net.transport import TransportLayer
 from repro.shard.config import ShardConfig
 from repro.shard.router import ShardedTransport
 from repro.tactics import register_builtin_tactics
@@ -217,3 +221,52 @@ class TestShardedChaos:
                 ]
                 assert sum(counts) == 24
                 assert max(counts) < 24
+
+
+class DropFirstReports(TransportLayer):
+    """A shard link that loses the first lone frame of each
+    ``integrity/*`` method: the read's report round, then the audit's."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.dropped: list[str] = []
+
+    def call_batch(self, requests):
+        if len(requests) == 1:
+            (request,) = requests
+            if (request.service.startswith("integrity/")
+                    and request.method not in self.dropped):
+                self.dropped.append(request.method)
+                raise TransportFault(
+                    f"injected fault: {request.method} frame dropped")
+        return self._inner.call_batch(requests)
+
+
+class TestReportDrops:
+    def test_a_dropped_report_frame_is_retried_above_the_router(self):
+        """Report rounds are ordinary frames: one lost on a shard link
+        is retried by the layer above the router like any other frame,
+        so the verified read and the audit both answer."""
+        registry = fresh_registry()
+        cluster = CloudCluster(SHARDS, registry=registry)
+        lossy = cluster.names()[CHAOS_SEED % SHARDS]
+        link = DropFirstReports(cluster.transport(lossy))
+        nodes = [(name, link if name == lossy else cluster.transport(name))
+                 for name in cluster.names()]
+        try:
+            blinder = DataBlinder(APP, nodes, registry=registry,
+                                  pipeline=PipelineConfig.production(),
+                                  resilience=RESILIENCE)
+            blinder.register_schema(observation_schema())
+            observations = blinder.entities("observation")
+            observations.insert_many([make_doc(i) for i in range(8)])
+            found = observations.find_ids(Eq("status", "final"))
+            assert sorted(observations.get(doc_id)["identifier"]
+                          for doc_id in found) == EXPECTED["eq"]
+            summary = blinder.integrity_audit()
+            assert summary["shards"] == SHARDS
+            assert summary["roots_checked"] > 0
+            assert link.dropped == ["report", "audit_report"]
+            assert blinder.runtime.transport.stats().retries == 2
+        finally:
+            cluster.close()

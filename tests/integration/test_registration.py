@@ -140,6 +140,40 @@ class TestRegistrationFrames:
         cluster.close()
         per_call.close()
 
+    def test_join_replays_provisioning_as_one_frame(self):
+        registry = fresh_registry()
+        cluster = CloudCluster(NODES, registry=registry)
+        blinder = deploy(cluster.nodes(), PipelineConfig.production(),
+                         registry)
+        blinder.register_schema(hot_schema())
+        router = blinder.runtime.router
+        assert len(router.provision_log) > 1
+        name, transport = cluster.add_zone("zone-4")
+        router.begin_join(name, transport)
+        router.finish_migration()
+        assert transport.stats().messages_sent == 1
+        assert services(cluster, name) == services(cluster, "zone-0")
+        blinder.runtime.transport.close()
+        cluster.close()
+
+    def test_failed_replay_slot_raises_and_keeps_the_node_out(self):
+        registry = fresh_registry()
+        cluster = CloudCluster(NODES, registry=registry)
+        blinder = deploy(cluster.nodes(), PipelineConfig.production(),
+                         registry)
+        blinder.register_schema(hot_schema())
+        router = blinder.runtime.router
+        epoch, members = router.topology_epoch(), router.node_names()
+        name, transport = cluster.add_zone("zone-4")
+        with pytest.raises(RemoteError) as failure:
+            router.begin_join(name, FailSetupOnce(transport, "ope", True))
+        assert failure.value.remote_type == "TacticError"
+        assert router.node_names() == members
+        assert router.topology_epoch() == epoch
+        assert not router.forwarding_active()
+        blinder.runtime.transport.close()
+        cluster.close()
+
     @pytest.mark.parametrize("failing", ["first", "last", "every"])
     @pytest.mark.parametrize("tactic", ["det", "ope", "paillier"])
     def test_failed_slot_is_typed_caches_nothing_and_retry_works(

@@ -21,7 +21,6 @@ from repro.net.resilience import (
     ResilientTransport,
     RetryPolicy,
 )
-from repro.net.rpc import Request
 from repro.net.transport import Transport, TransportLayer
 from repro.shard.config import ShardConfig
 from repro.shard.rebalance import Resharder
@@ -282,30 +281,17 @@ class TestReplicationGuard:
         cluster.close()
 
 
-class KillSwitch(Transport):
+class KillSwitch(TransportLayer):
     """A shard link that can be cut dead mid-test."""
 
     def __init__(self, inner: Transport):
-        self._inner = inner
+        super().__init__(inner)
         self.dead = False
 
-    def _check(self) -> None:
+    def call_batch(self, requests):
         if self.dead:
             raise TransportError("shard is down")
-
-    def call(self, service, method, **kwargs):
-        return self.call_request(Request(service, method, kwargs))
-
-    def call_request(self, request):
-        self._check()
-        return self._inner.call_request(request)
-
-    def call_batch(self, requests):
-        self._check()
         return self._inner.call_batch(requests)
-
-    def stats(self):
-        return self._inner.stats()
 
 
 class TestShardKillFailover:

@@ -9,6 +9,7 @@ from repro.integrity.merkle import digest_root, merge_digests
 from repro.integrity.verify import VerifyingTransport
 from repro.integrity.watermark import FreshnessLedger
 from repro.net.latency import NetworkStats
+from repro.net.rpc import Response
 from repro.net.transport import Transport
 
 
@@ -76,16 +77,15 @@ MALFORMED = {
 
 
 class StaticReports(Transport):
-    """Answers every labelled report round with ``reports``."""
+    """Answers every report round with ``report``."""
 
-    def __init__(self, reports):
-        self.reports = reports
+    def __init__(self, report):
+        self.report = report
 
-    def call(self, service, method, **kwargs):
-        raise AssertionError(f"unexpected call {service}.{method}")
-
-    def call_labeled(self, service, method, **kwargs):
-        return self.reports
+    def call_batch(self, requests):
+        for request in requests:
+            assert request.method == "report", f"unexpected {request}"
+        return [Response(ok=True, result=self.report) for _ in requests]
 
     def stats(self):
         return NetworkStats()
@@ -103,8 +103,7 @@ class TestMalformedReports:
 
     @pytest.mark.parametrize("bad", MALFORMED.values(), ids=MALFORMED)
     def test_is_counted_by_the_verifier(self, bad):
-        verifier = VerifyingTransport(StaticReports({"endpoint": bad}),
-                                      "app")
+        verifier = VerifyingTransport(StaticReports(bad), "app")
         with pytest.raises(IntegrityError):
             verifier.coherence_stamp()
         assert verifier.own_stats().integrity_failures == 1

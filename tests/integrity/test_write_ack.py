@@ -86,6 +86,8 @@ class Gate(TransportLayer):
     def call_batch(self, requests):
         if any(r.method in MUTATING_METHODS for r in requests):
             self._hold("writes")
+        elif any(map(is_ack, requests)):
+            self._hold("reports")
         responses = self._inner.call_batch(requests)
         for index, request in enumerate(requests):
             if self.forge is not None and is_ack(request):
@@ -94,10 +96,6 @@ class Gate(TransportLayer):
                 forge(report)
                 responses[index] = Response(ok=True, result=report)
         return responses
-
-    def call_labeled(self, service, method, **kwargs):
-        self._hold("reports")
-        return self._inner.call_labeled(service, method, **kwargs)
 
 
 def gateway(transport, registry, hsm=None, batch_writes=True):

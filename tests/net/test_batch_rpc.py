@@ -15,7 +15,11 @@ from repro.net.rpc import (
     responses_from_batch,
 )
 from repro.net.tcp import TcpRpcServer, TcpTransport
-from repro.net.transport import DirectTransport, InProcTransport, Transport
+from repro.net.transport import (
+    DirectTransport,
+    InProcTransport,
+    slot_response,
+)
 
 
 class CounterService:
@@ -153,57 +157,46 @@ class TestDirectBatch:
         assert transport.stats().messages_sent == 1
 
 
-class SequentialOnlyTransport(Transport):
-    """A transport without a batch frame: exercises the base fallback."""
-
-    def __init__(self, host):
-        self._inner = InProcTransport(host)
-
-    def call(self, service, method, **kwargs):
-        return self._inner.call(service, method, **kwargs)
-
-    def stats(self):
-        return self._inner.stats()
-
-
 class TestBaseFallback:
-    def test_sequential_calls_keep_error_isolation(self, host):
-        transport = SequentialOnlyTransport(host)
-        responses = transport.call_batch([
-            Request("counter", "bump", {"amount": 1}),
-            Request("counter", "fail", {"reason": "boom"}),
-            Request("counter", "bump", {"amount": 2}),
-        ])
-        assert [r.ok for r in responses] == [True, False, True]
-        assert responses[2].result == 3
-        # Fallback pays one wire frame per request.
-        assert transport.stats().messages_sent == 3
+    """``slot_response``: the per-slot isolation that a transport without
+    its own batch frame (here, the sharded router's loose slots) falls
+    back on."""
 
     def test_gateway_raised_slot_error_keeps_its_type(self, host):
         """An error raised on the gateway side of a slot re-raises with
-        its own type; a cloud error stays remote; a link failure aborts
-        the frame."""
-        class Refusing(SequentialOnlyTransport):
-            def call(self, service, method, **kwargs):
-                if method == "refuse":
-                    raise TacticError("refused at the gateway")
-                if method == "cut":
-                    raise TransportError("link down")
-                return super().call(service, method, **kwargs)
+        its own type; a cloud error stays remote; the other slots still
+        run; a link failure propagates, since the frame is lost."""
+        inproc = InProcTransport(host)
 
-        transport = Refusing(host)
-        refused, failed = transport.call_batch([
-            Request("counter", "refuse", {}),
-            Request("counter", "fail", {"reason": "boom"}),
-        ])
+        def call(request):
+            if request.method == "refuse":
+                raise TacticError("refused at the gateway")
+            if request.method == "explode":
+                raise ValueError("local failure")
+            if request.method == "cut":
+                raise TransportError("link down")
+            return inproc.call_request(request)
+
+        refused, exploded, failed, bumped = [
+            slot_response(call, request) for request in [
+                Request("counter", "refuse", {}),
+                Request("counter", "explode", {}),
+                Request("counter", "fail", {"reason": "boom"}),
+                Request("counter", "bump", {"amount": 2}),
+            ]
+        ]
         assert refused.error_type == "TacticError"
         with pytest.raises(TacticError):
             refused.unwrap()
-        with pytest.raises(RemoteError):
+        assert exploded.error_type == "ValueError"
+        with pytest.raises(ValueError, match="local failure"):
+            exploded.unwrap()
+        with pytest.raises(RemoteError) as raised:
             failed.unwrap()
+        assert raised.value.remote_type == "ValueError"
+        assert bumped.result == 3
         with pytest.raises(TransportError, match="link down"):
-            transport.call_batch([Request("counter", "bump", {"amount": 1}),
-                                  Request("counter", "cut", {})])
+            slot_response(call, Request("counter", "cut", {}))
 
 
 class TestTcpBatch:

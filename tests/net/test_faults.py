@@ -19,7 +19,12 @@ from repro.net.resilience import (
     RetryPolicy,
 )
 from repro.net.rpc import Request, ServiceHost
-from repro.net.transport import DirectTransport, InProcTransport, Transport
+from repro.net.transport import (
+    DirectTransport,
+    InProcTransport,
+    Transport,
+    slot_response,
+)
 
 
 class CounterService:
@@ -186,16 +191,6 @@ class FlakyTransport(Transport):
         self.failures = failures
         self.seen_requests = []
 
-    def call(self, service, method, **kwargs):
-        return self.call_request(Request(service, method, kwargs))
-
-    def call_request(self, request):
-        self.seen_requests.append(request)
-        if self.failures > 0:
-            self.failures -= 1
-            raise TransportFault("flaky")
-        return self.inner.call_request(request)
-
     def call_batch(self, requests):
         self.seen_requests.extend(requests)
         if self.failures > 0:
@@ -241,17 +236,11 @@ class TestResilientTransport:
         calls = {"n": 0}
 
         class OneDisconnect(Transport):
-            def call(self, service, method, **kwargs):
-                return self.call_request(Request(service, method, kwargs))
-
-            def call_request(self, request):
+            def call_batch(self, requests):
                 calls["n"] += 1
                 if calls["n"] == 1:
-                    inproc.call_request(request)
+                    inproc.call_batch(requests)
                     raise TransportFault("reply lost")
-                return inproc.call_request(request)
-
-            def call_batch(self, requests):
                 return inproc.call_batch(requests)
 
             def stats(self):
@@ -299,9 +288,6 @@ class TestResilientTransport:
         class DisconnectOnce(Transport):
             def __init__(self):
                 self.first = True
-
-            def call(self, service_, method, **kwargs):
-                return inproc.call(service_, method, **kwargs)
 
             def call_batch(self, requests):
                 if self.first:
@@ -440,30 +426,28 @@ class TestServiceHostDedup:
         assert "idem" not in Request("s", "m", {}).to_payload()
 
 
-class CallOnlyTransport(Transport):
-    """A minimal transport using the base call_batch fallback."""
+def call_only(host):
+    """One call per slot through ``slot_response``: the fallback for
+    slots that travel without a batch frame of their own."""
+    direct = DirectTransport(host)
 
-    def __init__(self, host):
-        self._direct = DirectTransport(host)
-
-    def call(self, service, method, **kwargs):
-        if method == "explode":
+    def call(request):
+        if request.method == "explode":
             raise ValueError("local failure")  # not a RemoteError
-        if method == "linkdown":
+        if request.method == "linkdown":
             raise TransportFault("link down")
-        return self._direct.call(service, method, **kwargs)
+        return direct.call_request(request)
 
-    def stats(self):
-        return self._direct.stats()
+    return lambda requests: [slot_response(call, r) for r in requests]
 
 
 class TestBaseCallBatchFallback:
-    """Regression: the documented error-isolation contract of the base
-    ``Transport.call_batch`` (transport.py) held only for RemoteError."""
+    """Regression: the error-isolation contract of a per-slot fallback
+    once held only for RemoteError."""
 
     def test_non_remote_errors_become_error_slots(self, host, service):
-        transport = CallOnlyTransport(host)
-        responses = transport.call_batch([
+        call_batch = call_only(host)
+        responses = call_batch([
             Request("svc", "insert", {"value": 1}),
             Request("svc", "explode", {}),
             Request("svc", "insert", {"value": 2}),
@@ -473,12 +457,16 @@ class TestBaseCallBatchFallback:
         assert service.applied == [1, 2]  # isolation: batch completed
 
     def test_remote_error_type_preserved(self, host):
-        transport = CallOnlyTransport(host)
-        responses = transport.call_batch([Request("svc", "fail",
-                                                  {"reason": "r"})])
+        call_batch = call_only(host)
+        responses = call_batch([Request("svc", "fail", {"reason": "r"})])
         assert responses[0].error_type == "ValueError"
+        with pytest.raises(RemoteError) as raised:
+            responses[0].unwrap()
+        assert raised.value.remote_type == "ValueError"
 
-    def test_link_failures_still_abort_the_batch(self, host):
-        transport = CallOnlyTransport(host)
+    def test_link_failures_still_abort_the_batch(self, host, service):
+        call_batch = call_only(host)
         with pytest.raises(TransportFault):
-            transport.call_batch([Request("svc", "linkdown", {})])
+            call_batch([Request("svc", "linkdown", {}),
+                        Request("svc", "insert", {"value": 1})])
+        assert service.applied == []

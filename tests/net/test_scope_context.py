@@ -32,9 +32,6 @@ class RecordingInner(Transport):
         self.calls: list[Request] = []
         self.frames: list[list[Request]] = []
 
-    def call(self, service, method, **kwargs):
-        return self.call_request(Request(service, method, kwargs))
-
     def call_request(self, request):
         self.calls.append(request)
         return "direct"

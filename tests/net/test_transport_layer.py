@@ -48,10 +48,6 @@ class StubInner(Transport):
         return {label: NetworkStats(messages_sent=7)
                 for label in self.labels}
 
-    def call_labeled(self, service, method, **kwargs):
-        self.calls.append(("call_labeled", service, method, kwargs))
-        return {label: "report" for label in self.labels}
-
     def close(self):
         self.calls.append(("close",))
 
@@ -106,14 +102,21 @@ class TestLayerContract:
         assert [response.result for response in responses] == [0, 1]
         assert inner.calls[-1] == ("call_batch", frame)
 
-    def test_state_hooks_delegate_with_arguments(self, build):
+    def test_state_hooks_delegate_with_arguments(self, build, layer_name):
+        """A state report round is an ordinary frame at every layer: it
+        reaches the inner with its arguments, and its answer comes
+        back."""
         inner = StubInner()
         layer = build(inner)
-        assert layer.call_labeled("integrity/app", "report", since=4) == {
-            "endpoint": "report"}
-        assert inner.calls == [
-            ("call_labeled", "integrity/app", "report", {"since": 4}),
-        ]
+        answer = layer.call("integrity/app", "report", since=4)
+        (kind, sent), = inner.calls
+        if layer_name in LONE_CALL_LAYERS:
+            assert (kind, answer) == ("call_request", "reply")
+        else:
+            assert (kind, len(sent), answer) == ("call_batch", 1, 0)
+            sent = sent[0]
+        assert (sent.service, sent.method, sent.kwargs) == (
+            "integrity/app", "report", {"since": 4})
 
     def test_close_closes_the_inner_once(self, build):
         inner = StubInner()
@@ -142,16 +145,21 @@ class TestLayerContract:
 
 
 class TamperingInner(StubInner):
-    """Answers every proven read with a body no proof can cover."""
+    """Answers every proven read with a body no proof can cover, and
+    every report round with an empty report."""
 
     def call_batch(self, requests):
         self.calls.append(("call_batch", list(requests)))
-        return [Response(ok=True, result="forged"
-                         if request.method.endswith("_proven") else None)
+        return [Response(ok=True, result=self.answer(request))
                 for request in requests]
 
-    def call_labeled(self, service, method, **kwargs):
-        return {}
+    @staticmethod
+    def answer(request):
+        if request.method.endswith("_proven"):
+            return "forged"
+        if request.method == "report":
+            return {"seq": 0, "trees": {}}
+        return None
 
 
 class Boom:

@@ -18,7 +18,7 @@ from repro.errors import RemoteError, TransportError, TransportFault
 from repro.fhir.model import observation_schema
 from repro.net.latency import NetworkModel, NetworkStats
 from repro.net.rpc import Request
-from repro.net.transport import Transport
+from repro.net.transport import Transport, slot_response
 from repro.obs.timing import timing_sink
 from repro.shard.config import ShardConfig
 from repro.shard.ring import HashRing
@@ -48,10 +48,10 @@ class StubNode(Transport):
         self.lock = threading.Lock()
         self.slices: list[list[str]] = []
 
-    def call(self, service, method, **kwargs):
-        return self.call_request(Request(service, method, kwargs))
+    def call_batch(self, requests):
+        return [slot_response(self._answer, r) for r in requests]
 
-    def call_request(self, request):
+    def _answer(self, request):
         if self.rendezvous is not None:
             self.rendezvous.wait()
         if self.delay:
@@ -134,8 +134,8 @@ class TestLegsTravelTogether:
         # Mid-migration the new owner misses what still sits on the
         # previous one; the misses go back out together.
         class Empty(StubNode):
-            def call_request(self, request):
-                super().call_request(request)
+            def _answer(self, request):
+                super()._answer(request)
                 return []
 
         nodes, router = build(4)

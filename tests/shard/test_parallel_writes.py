@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from repro.errors import RemoteError, TransportError
 from repro.net.latency import NetworkStats
-from repro.net.rpc import Request, Response
-from repro.net.transport import Transport
+from repro.net.rpc import Request
+from repro.net.transport import Transport, slot_response
 from repro.obs.timing import timing_sink
 from repro.shard.config import ShardConfig
 from repro.shard.ring import HashRing
@@ -48,11 +48,7 @@ class RecordingNode(Transport):
                 self.fail_times -= 1
                 raise TransportError(f"{self.name} flaked")
 
-    def call(self, service, method, **kwargs):
-        return self.call_request(Request(service, method, kwargs))
-
-    def call_request(self, request):
-        self._gate()
+    def _answer(self, request):
         keys = request.kwargs.get("doc_ids") or [request.kwargs.get("doc_id")]
         failing = self.remote_fail_ids.intersection(keys)
         if failing:
@@ -68,8 +64,7 @@ class RecordingNode(Transport):
         self._gate()
         with self.lock:
             self.frames.append(requests)
-            self.requests.extend(requests)
-        return [Response(ok=True, result=None) for _ in requests]
+        return [slot_response(self._answer, r) for r in requests]
 
     def stats(self):
         return NetworkStats()

@@ -172,6 +172,19 @@ class TestMitra:
         assert len(set(addresses)) == 5
         assert all(len(a) == 32 for a in addresses)
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda masked: b"",
+        lambda masked: masked.hex(),
+        # The first doc-id byte unmasks to 0xff: no UTF-8 text.
+        lambda masked: masked[:1] + bytes([masked[1] ^ 0x9B]) + masked[2:],
+    ], ids=["empty", "not-bytes", "not-utf8"])
+    def test_malformed_payload_is_a_tactic_error(self, mitra, corrupt):
+        mitra.insert("d1", "w")
+        raw = mitra.eq_query("w")
+        raw["masked"] = [corrupt(raw["masked"][0])]
+        with pytest.raises(TacticError):
+            mitra.resolve_eq(raw)
+
 
 class TestSophos:
     @pytest.fixture()
