@@ -7,18 +7,22 @@ key always defines the same function.  The binary-search recursion splits
 the range and samples a hypergeometric variate to decide how many domain
 points land in each half.
 
-For moderate parameters the sampler takes the exact hypergeometric
-quantile: the smallest ``k`` whose cdf reaches the coin, read off a
-mode-centred pmf recurrence (:func:`_quantile`).  scipy's
-``hypergeom.ppf`` is the reference it must match split for split; it
-decides the rare nodes the recurrence does not (a coin within rounding
-of a cdf step, a spread wider than :data:`_SPREAD_LIMIT`).  Beyond
-that comfort zone the sampler falls back to a clamped normal
-approximation.  Order preservation only requires that the
-split point be deterministic and within the hypergeometric support — which
-both samplers guarantee — so the approximation does not affect
-correctness, only how closely the sampled function matches a uniform
-random order-preserving function.
+The contract is that every split is a deterministic function of the key
+and the node, and lies within the hypergeometric support: that alone
+makes the function order-preserving, and lets the key re-derive every
+stored ciphertext.  For populations up to :data:`_EXACT_LIMIT` the sampler
+takes the hypergeometric quantile itself, read off a mode-centred pmf
+recurrence (:func:`_quantile`) under one tie rule: the smallest ``k``
+whose accumulated weight reaches ``coin · fsum(weights)``.  SciPy's
+``hypergeom`` is a test oracle only; the runtime imports nothing
+outside the standard library.  Above the limit the sampler takes a
+clamped normal approximation through Acklam's probit (:func:`_probit`).
+It stays rather than ``statistics.NormalDist.inv_cdf``: the two differ
+by ~1e-9, which at a standard deviation of 2^26 rounds ~4 % of
+top-of-tree splits differently and so would move every ciphertext
+already stored.  The approximation does not affect correctness, only
+how closely the sampled function matches a uniform random
+order-preserving function.
 
 Leakage: ciphertext order equals plaintext order (class 5 / *order* in the
 paper's taxonomy).
@@ -30,8 +34,6 @@ import bisect
 import itertools
 import math
 
-from scipy.stats import hypergeom
-
 from repro.crypto.kernels.executor import LruCache
 from repro.crypto.primitives.hmac_prf import prf
 from repro.errors import CryptoError
@@ -40,14 +42,8 @@ DEFAULT_DOMAIN_BITS = 32
 DEFAULT_RANGE_BITS = 48
 
 _EXACT_LIMIT = 1 << 24  # use the exact quantile below this population
-#: Widest spread (standard deviation) the recurrence sums itself.  It
-#: sums ~19 terms per unit of spread before they turn negligible; past
-#: 24, scipy's ppf is as fast or faster (EXPERIMENTS.md EXP-SETUP).
-_SPREAD_LIMIT = 24
-#: A coin this close (as a share of the total mass) to a cdf step is
-#: left to scipy: the two cdfs may round to opposite sides of it.
-_GUARD = 1e-9
-#: Pmf terms below this share of the mode's weigh nothing at ``_GUARD``.
+#: Pmf terms below this share of the mode's are dropped: the total mass
+#: is at least the mode's, so they vanish below a double's rounding.
 _NEGLIGIBLE = 1e-20
 
 
@@ -65,40 +61,34 @@ def _hypergeom_sample(coin: float, population: int, marked: int,
     if low == high:
         return low
     if population <= _EXACT_LIMIT:
-        value = _quantile(coin, population, marked, draws, low, high)
-        if value is None:
-            value = int(hypergeom.ppf(coin, population, marked, draws))
-    else:
-        mean = draws * marked / population
-        var = (
-            draws
-            * (marked / population)
-            * (1 - marked / population)
-            * (population - draws)
-            / max(population - 1, 1)
-        )
-        std = math.sqrt(max(var, 0.0))
-        # Inverse-normal via erfinv-free approximation: use the probit of
-        # the coin computed from math.erf inversion by bisection-free
-        # rational approximation (Acklam). Good to ~1e-9, ample here.
-        value = round(mean + std * _probit(coin))
+        return _quantile(coin, population, marked, draws, low, high)
+    mean = draws * marked / population
+    var = (
+        draws
+        * (marked / population)
+        * (1 - marked / population)
+        * (population - draws)
+        / max(population - 1, 1)
+    )
+    std = math.sqrt(max(var, 0.0))
+    # The inverse normal cdf by Acklam's rational approximation (good to
+    # ~1e-9, ample for a split); see the module docstring for why it is
+    # not ``statistics.NormalDist``.
+    value = round(mean + std * _probit(coin))
     return min(max(value, low), high)
 
 
 def _quantile(coin: float, population: int, marked: int, draws: int,
-              low: int, high: int) -> int | None:
-    """The smallest ``k`` in ``[low, high]`` with ``cdf(k) >= coin``, or
-    None when scipy must decide (see :data:`_GUARD` and
-    :data:`_SPREAD_LIMIT`).
+              low: int, high: int) -> int:
+    """The smallest ``k`` in ``[low, high]`` whose accumulated weight
+    reaches ``coin · fsum(weights)``.
 
     Weights run outward from the mode by the pmf ratio recurrence, so
     every term is relative to ``pmf(mode) = 1`` and none under- or
-    overflows; each side stops once its terms turn negligible.
+    overflows; each side stops once its terms turn negligible.  The
+    index is clamped to the last retained term, so a coin just below 1
+    (whose target can round past the running sum) stays in the support.
     """
-    if (draws * marked * (population - marked) * (population - draws)
-            > _SPREAD_LIMIT ** 2 * population ** 2 * (population - 1)
-            or not 0.0 < coin < 1.0):
-        return None
     rest = population - marked - draws
     mode = min(max((draws + 1) * (marked + 1) // (population + 2), low),
                high)
@@ -116,15 +106,9 @@ def _quantile(coin: float, population: int, marked: int, draws: int,
         below.append(weight)
     below.reverse()
     weights = [*below, 1.0, *above]
-    total = math.fsum(weights)
-    target = coin * total
-    band = _GUARD * total
     steps = list(itertools.accumulate(weights))
-    index = bisect.bisect_left(steps, target)
-    if (index == len(steps) or steps[index] - target < band
-            or (index and target - steps[index - 1] < band)):
-        return None
-    return mode - len(below) + index
+    index = bisect.bisect_left(steps, coin * math.fsum(weights))
+    return mode - len(below) + min(index, len(steps) - 1)
 
 
 def _probit(u: float) -> float:
