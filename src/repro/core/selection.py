@@ -52,9 +52,6 @@ class FieldPlan:
                 seen.append(name)
         return seen
 
-    def tactic_for(self, role: str) -> str | None:
-        return self.roles.get(role)
-
     def describe(self) -> str:
         tactics = ", ".join(self.tactic_names)
         return f"{self.field}: {tactics}"

@@ -142,9 +142,6 @@ class Ciphertext:
 
     __rmul__ = __mul__
 
-    def to_int(self) -> int:
-        return self.value
-
 
 def generate_keypair(bits: int = DEFAULT_KEY_BITS,
                      randbelow: RandBelow | None = None) -> PaillierPrivateKey:

@@ -4,17 +4,20 @@ The router implements the standard :class:`~repro.net.transport.Transport`
 interface over a set of named per-node transports, so the gateway (and
 every tactic protocol above it) stays oblivious to the topology:
 
-* **Key-routed operations** — document CRUD by ``_id``, DET/RND/OPE/ORE
-  token and ciphertext writes by ``doc_id``, Sophos/Mitra index writes by
-  ``address``, stateless-SSE postings by ``tag`` — go to the ring owner
-  of their shard key (plus replicas when ``replication > 1``).
-* **Scatter/gather operations** — Sophos search, boolean BIEX queries,
-  range scans, ``count``, ``all_ids`` — broadcast to every node and the
-  router merges per tactic semantics (set union, elementwise
-  first-non-None for Mitra address slots, an order-merge for OPE/ORE
-  scans; Paillier/ElGamal partials go back to the gateway tactic, which
-  folds them under the public key it holds).  An ``integrity/<app>``
-  report comes back unmerged, keyed ``{"shard:<node>": result}``.
+* **Key-routed operations** — document CRUD by ``_id``, and a keyed
+  tactic's writes by the key argument they carry: ``doc_id``, else
+  ``address``, else ``tag`` — go to the ring owner of that shard key
+  (plus replicas when ``replication > 1``).  :data:`KEYED` is the one
+  tactic-name set: every other tactic is pinned.
+* **Scatter/gather operations** — keyed searches, range scans,
+  ``count``, ``all_ids`` — broadcast to every node and the router merges
+  by method and reply shape, never by tactic name: an ``eq_query`` or
+  ``range_query`` reply is a union (sorted when it holds only ids), or
+  first-non-None per slot when the request carries ``addresses``; an
+  ``ordered_range`` is an order-merge of ``(key, doc_id)`` pairs; an
+  ``aggregate``'s partials go back to the gateway tactic, which folds
+  them under the public key it holds.  An ``integrity/<app>`` report
+  comes back unmerged, keyed ``{"shard:<node>": result}``.
 * **Co-located finds** — ``lookup_fetch`` broadcasts like an id lookup:
   each shard answers its DET/blind-index/OPE/ORE matches *and* the
   documents of its first chunk of them, since doc-keyed entries sit on
@@ -23,8 +26,9 @@ every tactic protocol above it) stays oblivious to the topology:
   ``aggregate`` carry many ``doc_ids``: the router slices them per ring
   owner and sends the slices together (:meth:`_keyed_scatter`), so a
   fetch or an aggregate spanning K shards costs one round trip, not K.
-* **Pinned services** — BIEX two-level / ZMF (whose cross-anchor tag
-  dedup needs all pairs on one node) and unknown tactics — live whole on
+* **Pinned services** — every tactic not in :data:`KEYED`: BIEX
+  two-level / ZMF (whose cross-anchor tag dedup needs all pairs on one
+  node) and unknown tactics — live whole on
   ``replication`` ring-chosen nodes and move only via the generic
   namespace dump/load protocol during node removal.
 
@@ -102,28 +106,14 @@ from repro.shard.config import ShardConfig
 from repro.shard.ring import HashRing
 from repro.spi.context import service_name
 
-#: Tactics whose cloud entries are keyed by document id: every index
-#: entry of a document co-locates with the document itself.
-DOC_KEYED = frozenset({
-    "det", "rnd", "blind-index", "ope", "ore", "paillier", "elgamal",
-})
-#: Tactics keyed by opaque index address (forward-private SSE chains).
-ADDRESS_KEYED = frozenset({"sophos", "mitra"})
-#: Tactics keyed by keyword tag (append-only posting lists).
-TAG_KEYED = frozenset({"sse-stateless"})
-#: Tactics whose writes route by a shard key of their own.
-KEYED = DOC_KEYED | ADDRESS_KEYED | TAG_KEYED
-#: Tactics needing cross-entry state on one node (BIEX cross-anchor tag
-#: dedup, ZMF counting filter).  Unknown tactic names are pinned too —
-#: the conservative default for third-party registrations.
-PINNED = frozenset({"biex-2lev", "biex-zmf"})
-#: Order-revealing tactics: ``ordered_range`` scatters are rewritten to
-#: ``ordered_range_keyed`` so the router can merge by ciphertext order.
-ORDERED = frozenset({"ope", "ore"})
-#: Aggregating tactics: the per-shard partials return to the gateway
-#: tactic's ``resolve_aggregate``, which folds them (the router never
-#: touches the homomorphic math, and no shard sees another's partial).
-AGGREGATE = frozenset({"paillier", "elgamal"})
+#: Tactics whose entries are independent of one another: each write
+#: routes by the key it carries.  Every other tactic is pinned — BIEX,
+#: whose tag dedup and counting filter need one node, and any unknown
+#: registration, the conservative default for third-party tactics.
+KEYED = frozenset((
+    "det rnd blind-index ope ore paillier elgamal sophos mitra "
+    "sse-stateless"
+).split())
 
 #: Concurrent scatter legs **per node**: the leg pool holds
 #: ``LEGS_PER_NODE x len(nodes)`` threads (spawned on demand, resized
@@ -213,8 +203,6 @@ class ShardedTransport(Transport):
         self._scatters = 0
         #: Provisioning calls replayed onto every joining node.
         self._provision_log: list[Request] = []
-        self._applications: list[str] = []
-        self._tactic_services: dict[str, str] = {}
         self._pins: dict[str, list[str]] = {}
 
     # -- topology --------------------------------------------------------------
@@ -240,13 +228,24 @@ class ShardedTransport(Transport):
 
     @property
     def applications(self) -> list[str]:
-        with self._lock:
-            return list(self._applications)
+        """Provisioned applications, read off the provision log."""
+        return list(dict.fromkeys(
+            request.kwargs["application"]
+            for request in self.provision_log
+            if request.method == "provision_application"
+            and request.kwargs.get("application")
+        ))
 
     def tactic_services(self) -> dict[str, str]:
-        """Provisioned tactic service name -> tactic name."""
-        with self._lock:
-            return dict(self._tactic_services)
+        """Provisioned tactic service name -> tactic name, read off the
+        provision log."""
+        return {
+            service_name(request.kwargs.get("application"),
+                         request.kwargs["field"],
+                         request.kwargs["tactic"]): request.kwargs["tactic"]
+            for request in self.provision_log
+            if request.method == "provision_tactic"
+        }
 
     @property
     def provision_log(self) -> list[Request]:
@@ -820,7 +819,6 @@ class ShardedTransport(Transport):
         service, method = request.service, request.method
         if (service.startswith("tactic/") and method in MUTATING_METHODS
                 and _tactic_of(service) not in KEYED):
-            # PINNED, and unknown tactics (pinned conservatively).
             return tuple(self._pin_nodes(service))
         key = self._shard_key(service, method, request.kwargs)
         return None if key is None else chain_of(key)
@@ -836,12 +834,11 @@ class ShardedTransport(Transport):
             if method == "delete":
                 return kwargs.get("doc_id") or None
         elif service.startswith("tactic/") and method in MUTATING_METHODS:
-            tactic = _tactic_of(service)
-            if tactic in DOC_KEYED:
-                return kwargs.get("doc_id")
-            field = "address" if tactic in ADDRESS_KEYED else "tag"
-            if field in kwargs:
-                return self._address_key(kwargs[field])
+            if "doc_id" in kwargs:
+                return kwargs["doc_id"]
+            for field in ("address", "tag"):
+                if field in kwargs:
+                    return self._address_key(kwargs[field])
         return None
 
     def _split_insert_many(
@@ -905,19 +902,11 @@ class ShardedTransport(Transport):
         """
         frame = [requests[index] for index in slots]
         with self._lock:
-            for request in frame:
-                kwargs = request.kwargs
-                self._provision_log.append(
-                    Request(request.service, request.method, dict(kwargs)))
-                application = kwargs.get("application")
-                if request.method == "provision_tactic":
-                    self._tactic_services[service_name(
-                        application, kwargs["field"], kwargs["tactic"],
-                    )] = kwargs["tactic"]
-                elif (request.method == "provision_application"
-                        and application
-                        and application not in self._applications):
-                    self._applications.append(application)
+            self._provision_log.extend(
+                Request(request.service, request.method,
+                        dict(request.kwargs))
+                for request in frame
+            )
         send = methodcaller("call_batch", frame)
         rows = self._overlap(lambda name: self._leg(name, send),
                              self.node_names())
@@ -1110,21 +1099,15 @@ class ShardedTransport(Transport):
             return list(pins)
 
     def _tactic(self, request: Request) -> Any:
-        service, method = request.service, request.method
-        tactic = _tactic_of(service)
+        """A loose tactic slot: a pinned service's chain, else a keyed
+        read routed by its method and what the request carries."""
+        service, method, kwargs = (request.service, request.method,
+                                   request.kwargs)
         if method == "insert_many":
             # A caller's mistake, not a link failure: never retried.
             raise TacticError("sharded index writes need a key per entry")
-        if tactic in DOC_KEYED:
-            return self._doc_keyed(tactic, request)
-        if tactic in ADDRESS_KEYED:
-            return self._address_keyed(tactic, request)
-        if tactic in TAG_KEYED:
-            return self._tag_keyed(request)
-        return self._attempt_chain(self._pin_nodes(service), request)
-
-    def _doc_keyed(self, tactic: str, request: Request) -> Any:
-        method, kwargs = request.method, request.kwargs
+        if _tactic_of(service) not in KEYED:
+            return self._attempt_chain(self._pin_nodes(service), request)
         if method == "retrieve" and "doc_id" in kwargs:
             result = self._routed_read(kwargs["doc_id"], request)
             if result is None:
@@ -1133,17 +1116,8 @@ class ShardedTransport(Transport):
                     result = self._timed_call(prev, request)
             return result
         if method in ("eq_query", "range_query"):
-            return self._merge_concat(self._broadcast(request))
-        if method == "ordered_range" and tactic in ORDERED:
-            return self._ordered_range(tactic, request)
-        if method == "aggregate" and tactic in AGGREGATE:
-            return self._aggregate(request)
-        return self._broadcast_last(request)
-
-    def _address_keyed(self, tactic: str, request: Request) -> Any:
-        if request.method == "eq_query":
             results = self._broadcast(request)
-            if tactic == "mitra":
+            if "addresses" in kwargs:
                 # Address slots align across shards: the owning shard
                 # answers its slot, the rest return None.
                 merged: list[Any] = []
@@ -1156,14 +1130,10 @@ class ShardedTransport(Transport):
                             merged[index] = payload
                 return merged
             return self._merge_concat(results)
-        return self._broadcast_last(request)
-
-    def _tag_keyed(self, request: Request) -> Any:
-        if request.method == "eq_query":
-            # Node order puts older nodes first, so entries still on a
-            # migration source precede entries written to the new owner:
-            # the gateway's tombstone scan sees causal order.
-            return _first_seen(self._broadcast(request))
+        if method == "ordered_range":
+            return self._ordered_range(request)
+        if method == "aggregate":
+            return self._aggregate(request)
         return self._broadcast_last(request)
 
     # -- scatter merges --------------------------------------------------------
@@ -1173,14 +1143,18 @@ class ShardedTransport(Transport):
 
         Pure-string results (DET/blind-index/OPE/ORE id sets, Sophos
         chains) come back sorted — the answer a single node holding all
-        entries would give; mixed payloads keep node-order concat.
+        entries would give; other payloads (RND's id/blob pairs, the
+        stateless SSE's posting pairs) keep node-order concat.  Node
+        order puts older nodes first, so entries still on a migration
+        source precede entries written to the new owner: a gateway's
+        tombstone scan over a posting list sees causal order.
         """
         merged = _first_seen(results)
         if all(isinstance(item, str) for item in merged):
             return sorted(merged)
         return merged
 
-    def _ordered_range(self, tactic: str, request: Request) -> list[str]:
+    def _ordered_range(self, request: Request) -> list[str]:
         kwargs = request.kwargs
         limit = kwargs.get("limit")
         descending = bool(kwargs.get("descending", False))
@@ -1196,10 +1170,11 @@ class ShardedTransport(Transport):
         keyed = Request(request.service, "ordered_range_keyed",
                         keyed_kwargs)
         # The ``(key, doc_id)`` order each shard's sorted index keeps;
-        # ORE keys travel as bytes and compare once parsed.
-        parse = OreCiphertext.from_bytes if tactic == "ore" else None
+        # ORE keys travel as bytes and compare once parsed, OPE keys are
+        # ints.
         pairs = sorted(
-            (key if parse is None else parse(key), doc_id)
+            (OreCiphertext.from_bytes(key) if isinstance(key, bytes)
+             else key, doc_id)
             for _, part in self._broadcast(keyed)
             for key, doc_id in part or []
         )

@@ -48,10 +48,6 @@ class TwoLevClient:
     def open_item(self, label: bytes, blob: bytes) -> bytes:
         return self._value_aead(label).decrypt(blob)
 
-    def open_items(self, label: bytes, blobs: list[bytes]) -> list[bytes]:
-        aead = self._value_aead(label)
-        return [aead.decrypt(blob) for blob in blobs]
-
 
 def _pack(count: int, enc_item: bytes) -> bytes:
     return count.to_bytes(4, "big", signed=True) + enc_item

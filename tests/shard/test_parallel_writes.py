@@ -19,7 +19,7 @@ from repro.shard.config import ShardConfig
 from repro.shard.ring import HashRing
 from repro.shard.router import ShardedTransport
 
-#: A DOC_KEYED tactic service: ``insert`` slots chain-route by doc_id.
+#: A keyed tactic service: ``insert`` slots chain-route by doc_id.
 SERVICE = "tactic/app.field/det"
 DOCS = "docs/app"
 

@@ -38,16 +38,52 @@ def make_doc(i: int) -> dict:
     }
 
 
-@pytest.fixture()
-def deployment():
-    registry = fresh_registry()
+def deploy(registry: TacticRegistry):
     cluster = CloudCluster(4, registry=registry)
     router = ShardedTransport(cluster.nodes(),
                               ShardConfig(parallel_fanout=False))
     blinder = DataBlinder(APP, router, registry=registry)
     blinder.register_schema(observation_schema())
+    return cluster, router, blinder
+
+
+@pytest.fixture()
+def deployment():
+    cluster, router, blinder = deploy(fresh_registry())
     yield cluster, router, blinder
     cluster.close()
+
+
+#: Each tactic declaring ``colocated_lookup`` -> the tactics unregistered
+#: so that the selector picks it for the ``effective`` field.
+COLOCATED = {"det": (), "blind-index": ("det",), "ope": (), "ore": ("ope",)}
+
+
+def assert_index_entries_colocate(tactic: str) -> None:
+    """On a 4-node cluster, ``tactic``'s entries for the ``effective``
+    field on every shard are exactly the documents that shard holds."""
+    registry = fresh_registry()
+    for name in COLOCATED[tactic]:
+        registry.unregister(name)
+    cluster, router, blinder = deploy(registry)
+    try:
+        observations = blinder.entities("observation")
+        ids = [observations.insert(make_doc(i)) for i in range(12)]
+        ring = HashRing.from_spec(router.ring_spec())
+        for name in cluster.names():
+            instance = cluster.zone(name).tactic_instance(
+                APP, "observation.effective", tactic
+            )
+            stored = {
+                key.decode()
+                for key, _ in instance.ctx.kv.map_items(instance._map_name)
+            }
+            _, documents = cluster.zone(name).application_stores(APP)
+            held = set(documents.all_ids())
+            assert held == {d for d in ids if ring.owner(d) == name}
+            assert stored == held
+    finally:
+        cluster.close()
 
 
 class TestConstruction:
@@ -81,23 +117,9 @@ class TestPlacement:
                 present = doc_id in documents.all_ids()
                 assert present == (name == owner)
 
-    def test_doc_keyed_index_entries_colocate(self, deployment):
-        cluster, router, blinder = deployment
-        observations = blinder.entities("observation")
-        ids = [observations.insert(make_doc(i)) for i in range(12)]
-        ring = HashRing.from_spec(router.ring_spec())
-
-        # DET entries for the effective field sit beside their documents.
-        field = "observation.effective"
-        for name in cluster.names():
-            instance = cluster.zone(name).tactic_instance(APP, field,
-                                                          "det")
-            stored = {
-                key.decode()
-                for key, _ in instance.ctx.kv.map_items(instance._map_name)
-            }
-            expected = {d for d in ids if ring.owner(d) == name}
-            assert stored == expected
+    @pytest.mark.parametrize("tactic", list(COLOCATED))
+    def test_doc_keyed_index_entries_colocate(self, tactic):
+        assert_index_entries_colocate(tactic)
 
     def test_every_shard_holds_some_rows(self, deployment):
         cluster, router, blinder = deployment

@@ -9,10 +9,14 @@ A multi-entry ``insert_many`` — documents, or a keyed tactic's index
 entries — splits into one piece per owner chain, each item routed as
 the single ``insert`` it stands for, and leaves every node with the
 state the per-entry ``insert`` slots leave.
+
+Every read a keyed tactic's gateway half issues answers on a 4-node
+ring exactly as on one node (:class:`TestReadParity`).
 """
 
 from __future__ import annotations
 
+import functools
 import time
 
 import pytest
@@ -21,7 +25,12 @@ from repro.analysis.snapshot import zone_fingerprint
 from repro.cloud.cluster import CloudCluster
 from repro.core.middleware import DataBlinder
 from repro.core.registry import TacticRegistry
-from repro.errors import RemoteError, StoreError, TacticError
+from repro.errors import (
+    DocumentNotFound,
+    RemoteError,
+    StoreError,
+    TacticError,
+)
 from repro.fhir.generator import MedicalDataGenerator
 from repro.fhir.model import benchmark_observation_schema
 from repro.net.batch import PipelineConfig
@@ -35,7 +44,7 @@ from repro.net.rpc import Request, Response
 from repro.net.transport import TransportLayer
 from repro.shard.config import ShardConfig
 from repro.shard.ring import HashRing
-from repro.shard.router import ShardedTransport
+from repro.shard.router import KEYED, ShardedTransport
 from repro.spi.context import service_name
 from repro.tactics import register_builtin_tactics
 
@@ -397,3 +406,115 @@ def test_bulk_insert_sends_one_slot_per_service_and_shard():
     finally:
         blinder.runtime.transport.close()
         cluster.close()
+
+
+LABELS = [f"v{i % 4}" for i in range(16)]
+NUMBERS = [float(i % 7) * 2.5 - 4.0 for i in range(16)]
+FACTORS = [i % 5 + 1 for i in range(16)]
+DOC_IDS = [f"doc-{i:02d}" for i in range(16)]
+
+
+def write(tactic, values, changes: bool) -> None:
+    """Half the entries through the batch SPI, half through ``insert``;
+    then an update and a delete where the tactic has them."""
+    entries = list(zip(DOC_IDS, values))
+    tactic.index_many(entries[:8])
+    for doc_id, value in entries[8:]:
+        tactic.insert(doc_id, value)
+    if changes:
+        tactic.update("doc-01", values[1], "moved")
+        if hasattr(tactic, "delete"):
+            tactic.delete("doc-02", values[2])
+
+
+def equality_reads(tactic, replication: int) -> dict:
+    answers = {
+        value: tactic.resolve_eq(tactic.eq_query(value))
+        for value in [*sorted(set(LABELS)), "moved", "absent"]
+    }
+    if hasattr(tactic, "retrieve"):
+        answers["retrieve"] = [retrieved(tactic, doc_id)
+                               for doc_id in [*DOC_IDS, "doc-99"]]
+    return answers
+
+
+def retrieved(tactic, doc_id: str):
+    """The stored value, or the name of the error a miss raises."""
+    try:
+        return tactic.retrieve(doc_id)
+    except DocumentNotFound as exc:
+        return type(exc).__name__
+
+
+def order_reads(tactic, replication: int) -> dict:
+    answers: dict = {
+        (low, high): tactic.range_query(low, high)
+        for low, high in [(-1.5, 6.0), (None, 0.0), (5.0, None),
+                          (100.0, 200.0)]
+    }
+    for low, high in [(None, None), (-1.5, 6.0)]:
+        for limit in (None, 3):
+            for descending in (False, True):
+                answers[low, high, limit, descending] = tactic.ordered_ids(
+                    low, high, limit=limit, descending=descending)
+    return answers
+
+
+def aggregate_reads(function: str, tactic, replication: int) -> dict:
+    # Without ``doc_ids`` a replicated ring would count every copy.
+    selections = [DOC_IDS[::3], DOC_IDS, ["doc-99"]]
+    if replication == 1:
+        selections.append(None)
+    return {
+        (fn, None if ids is None else tuple(ids)): tactic.aggregate(fn, ids)
+        for ids in selections for fn in (function, "count")
+    }
+
+
+#: Keyed tactic -> (values, update/delete?, reads(tactic, replication)).
+READS = {
+    **{name: (LABELS, True, equality_reads)
+       for name in ("det", "blind-index", "sophos", "mitra",
+                    "sse-stateless")},
+    "rnd": (LABELS, False, equality_reads),
+    "ope": (NUMBERS, False, order_reads),
+    "ore": (NUMBERS, False, order_reads),
+    "paillier": (NUMBERS, False, functools.partial(aggregate_reads, "sum")),
+    "elgamal": (FACTORS, False,
+                functools.partial(aggregate_reads, "product")),
+}
+
+
+class TestReadParity:
+    """Every read a keyed tactic's gateway half issues — ``eq_query``
+    through ``resolve_eq``, ``range_query``, ``ordered_range`` with and
+    without a limit in both directions, ``retrieve`` and ``aggregate``
+    — answers on a 4-node ring as on one node, after the same writes."""
+
+    def test_every_keyed_tactic_is_covered(self):
+        assert set(READS) == KEYED
+
+    @staticmethod
+    def answers(name: str, size: int, replication: int) -> dict:
+        values, changes, reads = READS[name]
+        registry = TacticRegistry()
+        register_builtin_tactics(registry)
+        cluster = CloudCluster(size, registry=registry)
+        router = ShardedTransport(cluster.nodes(),
+                                  ShardConfig(replication=replication))
+        try:
+            blinder = DataBlinder("app", router, registry=registry)
+            tactic = blinder.runtime.tactic("obs.value", name)
+            write(tactic, values, changes)
+            return reads(tactic, replication)
+        finally:
+            router.close()
+            cluster.close()
+
+    @pytest.mark.parametrize("replication", [1, 2])
+    @pytest.mark.parametrize("name", sorted(READS))
+    def test_four_nodes_answer_as_one(self, name, replication):
+        one = self.answers(name, 1, replication)
+        four = self.answers(name, 4, replication)
+        assert four == one
+        assert any(one.values())
