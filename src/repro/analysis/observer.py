@@ -10,8 +10,8 @@ the opaque artifacts they carry (addresses, tokens, tags).
 adversary actually exploits:
 
 * **query linkability** — do two searches reuse identical artifacts?
-  (Mitra re-sends the same PRF addresses for a repeated keyword: equal
-  queries are linkable, a known property of most SSE.)
+  (Mitra re-sends the same PRF addresses for a keyword its gateway has
+  no memo of: equal queries are linkable, a known property of most SSE.)
 * **forward privacy, observed** — do the artifacts of an *update* ever
   collide with artifacts seen in earlier *searches*?  For Mitra/Sophos
   they must not (fresh counters / token-chain steps); for the stateless

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.errors import IntegrityError, RemoteError, TransportError
+from repro.net.resilience import ResilientTransport
 from repro.net.transport import Transport
 from repro.shard.ring import HashRing
 from repro.shard.router import KEYED, ShardedTransport
@@ -162,8 +163,9 @@ class Resharder:
     def _cluster_digests(self) -> dict[str, dict[str, int]] | None:
         """Per-application additive cluster digests, or None when no
         application enabled integrity tracking (the router's
-        provisioning log says which did).  A failed report round
-        raises: a digest check that cannot run is no pass.
+        provisioning log says which did).  A report is a read, so each
+        round goes through the default retry policy; a round that fails
+        every attempt raises: a digest check that cannot run is no pass.
 
         The additive (AdHash-style) digest of a tree is the sum of its
         shard digests, and relocating leaves between shards preserves
@@ -178,9 +180,9 @@ class Resharder:
             if request.method == "enable_integrity"
         )
         digests: dict[str, dict[str, int]] = {}
+        reports = ResilientTransport(self._router)
         for application in enabled:
-            labeled = self._router.call(f"integrity/{application}",
-                                        "report")
+            labeled = reports.call(f"integrity/{application}", "report")
             per_tree: dict[str, list[int]] = {}
             for state in labeled.values():
                 for tree, entry in state["trees"].items():

@@ -12,6 +12,10 @@ cancelled out (backward privacy of type II).
 
 Search sends the ``c`` addresses; the cloud returns the masked payloads
 and the gateway unmasks, replays tombstones and yields the surviving ids.
+Entries are append-only and the counter names every one, so the gateway
+memoises each keyword's surviving ids up to the count it folded: a
+repeat with no write since sends nothing, and one after ``k`` writes
+sends only the ``k`` new addresses.
 
 SPI surface (Table 2 row: 7 gateway / 5 cloud): Setup, Insertion,
 DocIDGen, Update, Deletion, EqQuery, EqResolution // Setup, Insertion,
@@ -37,10 +41,14 @@ _ADD = 0
 _DELETE = 1
 
 
+def _xor_pad(pad_seed: bytes, data: bytes) -> bytes:
+    pad = prg(pad_seed, len(data), label=b"mitra-pad")
+    return (int.from_bytes(data, "big")
+            ^ int.from_bytes(pad, "big")).to_bytes(len(data), "big")
+
+
 def _mask_payload(pad_seed: bytes, op: int, doc_id: str) -> bytes:
-    body = bytes([op]) + doc_id.encode("utf-8")
-    pad = prg(pad_seed, len(body), label=b"mitra-pad")
-    return bytes(a ^ b for a, b in zip(body, pad))
+    return _xor_pad(pad_seed, bytes([op]) + doc_id.encode("utf-8"))
 
 
 def _unmask_payload(pad_seed: bytes, masked: Any) -> tuple[int, str]:
@@ -48,8 +56,7 @@ def _unmask_payload(pad_seed: bytes, masked: Any) -> tuple[int, str]:
     the cloud sent something no gateway ever masked."""
     if not isinstance(masked, bytes) or not masked:
         raise TacticError("malformed Mitra payload")
-    pad = prg(pad_seed, len(masked), label=b"mitra-pad")
-    body = bytes(a ^ b for a, b in zip(masked, pad))
+    body = _xor_pad(pad_seed, masked)
     try:
         return body[0], body[1:].decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -70,6 +77,13 @@ class MitraGateway(
 
     def setup(self) -> None:
         self._master = self.ctx.derive_key("index")
+        #: Keyword memo: counter key -> ``(count, frozenset(alive ids))``
+        #: folded over entries ``1..count``.  Taken per ``setup()``, so
+        #: a re-key starts cold; keyed by the hashed keyword, never the
+        #: plaintext.  At most ``TOKEN_CACHE_CAPACITY`` (4,096) keywords
+        #: of ~450 B each plus ~115 B per id held; a keyword holds the
+        #: ids its last search returned.
+        self._memo = self.kernels.cache()
         self.ctx.call("setup")
 
     def generate_doc_id(self) -> str:
@@ -83,9 +97,6 @@ class MitraGateway(
     def _counter_key(self, keyword: bytes) -> bytes:
         # Hash the keyword so plaintext values never sit in gateway state.
         return self.ctx.state_key(b"cnt", prf(self._master, b"cnt", keyword))
-
-    def _count(self, keyword: bytes) -> int:
-        return self.ctx.local_kv.counter_get(self._counter_key(keyword))
 
     # -- update protocol ----------------------------------------------------------
 
@@ -126,21 +137,34 @@ class MitraGateway(
     # -- search protocol -------------------------------------------------------------
 
     def eq_query(self, value: Value) -> Any:
+        """Fetch the entries past the keyword's memo: none when the
+        counter has not moved, all ``1..c`` without a usable memo (cold,
+        or a counter rolled back below it)."""
         keyword = self._keyword(value)
-        k_w = keyword_key(self._master, keyword)
-        count = self._count(keyword)
-        addresses = [
-            prf(k_w, b"addr", c.to_bytes(8, "big"))
-            for c in range(1, count + 1)
-        ]
-        masked = self.ctx.call("eq_query", addresses=addresses)
-        return {"keyword": keyword, "masked": masked}
+        key = self._counter_key(keyword)
+        count = self.ctx.local_kv.counter_get(key)
+        memo = self._memo.get(key)
+        cold = memo is None or memo[0] > count
+        if cold:
+            memo = (0, frozenset())
+        masked: list = []
+        if cold or count > memo[0]:
+            k_w = keyword_key(self._master, keyword)
+            masked = self.ctx.call("eq_query", addresses=[
+                prf(k_w, b"addr", c.to_bytes(8, "big"))
+                for c in range(memo[0] + 1, count + 1)
+            ])
+        return {"keyword": keyword, "key": key, "count": count,
+                "memo": memo, "masked": masked}
 
     def resolve_eq(self, raw: Any) -> set[str]:
         keyword = raw["keyword"]
         k_w = keyword_key(self._master, keyword)
-        alive: set[str] = set()
-        for index, masked in enumerate(raw["masked"], start=1):
+        base, alive_before = raw["memo"]
+        if base + len(raw["masked"]) != raw["count"]:
+            raise TacticError("cloud lost a Mitra index entry")
+        alive = set(alive_before)
+        for index, masked in enumerate(raw["masked"], start=base + 1):
             if masked is None:
                 raise TacticError("cloud lost a Mitra index entry")
             pad_seed = prf(k_w, b"pad", index.to_bytes(8, "big"))
@@ -151,6 +175,8 @@ class MitraGateway(
                 alive.discard(doc_id)
             else:
                 raise TacticError(f"invalid Mitra op byte {op}")
+        # Stored only once every entry up to the count has unmasked.
+        self._memo.put(raw["key"], (raw["count"], frozenset(alive)))
         return alive
 
 

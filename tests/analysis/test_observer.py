@@ -34,14 +34,56 @@ def search(gateway, value):
 
 class TestQueryLinkability:
     def test_repeated_searches_are_linkable(self, observed):
-        """Equal Mitra queries resend the same addresses — the standard
-        query-equality leakage of the persistent model."""
+        """Equal Mitra queries resend the same addresses once the
+        keyword memo is gone (a re-``setup()``, as a gateway restart
+        does) — the standard query-equality leakage of the persistent
+        model."""
         transport, runtime = observed
         mitra = runtime.tactic("d.f", "mitra")
         mitra.insert("d1", "kw")
         search(mitra, "kw")
+        mitra.setup()
         search(mitra, "kw")
         assert transport.transcript.linkable_query_pairs("/mitra") >= 1
+
+    def test_warm_repeat_sends_no_address(self, observed):
+        """Within one memo lifetime a repeat with no write since sends
+        no Mitra query at all, so there is no pair to link."""
+        transport, runtime = observed
+        mitra = runtime.tactic("d.f", "mitra")
+        mitra.insert("d1", "kw")
+        assert search(mitra, "kw") == {"d1"}
+        assert search(mitra, "kw") == {"d1"}
+        transcript = transport.transcript
+        assert len(transcript.queries("/mitra")) == 1
+        assert transcript.linkable_query_pairs("/mitra") == 0
+
+    def test_repeated_find_fetches_the_same_documents(self, registry):
+        """Query equality stays visible through the access pattern: a
+        repeated Mitra-filtered find sends no address, but its document
+        fetch names the same ids as the first."""
+        transport = ObservedTransport(InProcTransport(
+            CloudZone(registry).host))
+        blinder = DataBlinder("obsapp", transport, registry=registry)
+        blinder.register_schema(observation_schema())
+        observations = blinder.entities("observation")
+        for i in range(6):
+            observations.insert({"identifier": i, "status": "final",
+                                 "subject": f"p{i % 2}", "value": 1.0})
+        transcript = transport.transcript
+
+        def fetched() -> tuple[int, frozenset[str]]:
+            mark = transport.last_sequence
+            assert len(observations.find(Eq("subject", "p0"))) == 3
+            calls = [c for c in transcript.calls if c.sequence > mark]
+            return (sum(c.service.endswith("/mitra") for c in calls),
+                    frozenset().union(*(c.identifiers for c in calls
+                                         if c.service.startswith("docs/"))))
+
+        (first_lookups, first_ids) = fetched()
+        (second_lookups, second_ids) = fetched()
+        assert (first_lookups, second_lookups) == (1, 0)
+        assert len(first_ids) == 3 and second_ids == first_ids
 
     def test_distinct_keywords_are_not_linkable(self, observed):
         transport, runtime = observed

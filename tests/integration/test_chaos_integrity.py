@@ -25,7 +25,12 @@ from repro.cloud.server import CloudZone
 from repro.core.middleware import DataBlinder
 from repro.core.query import Eq
 from repro.core.registry import TacticRegistry
-from repro.errors import IntegrityError, StaleStateError, TransportFault
+from repro.errors import (
+    IntegrityError,
+    RetryExhausted,
+    StaleStateError,
+    TransportFault,
+)
 from repro.fhir.model import benchmark_observation_schema, observation_schema
 from repro.integrity import IntegrityConfig
 from repro.net.batch import PipelineConfig
@@ -358,16 +363,21 @@ class TestIntegrityIsReadSideOnly:
 
 
 class LoseReport(TransportLayer):
-    """A shard link that loses its ``countdown``-th lone report frame
-    from now (0: none)."""
+    """A shard link that loses ``losses`` lone report frames in a row
+    (None: every one), starting at its ``countdown``-th from now (0:
+    none)."""
 
     countdown = 0
+    losses: int | None = None
 
     def call_batch(self, requests):
         if (self.countdown and len(requests) == 1
                 and requests[0].method == "report"):
-            self.countdown -= 1
-            if not self.countdown:
+            if self.countdown > 1:
+                self.countdown -= 1
+            elif self.losses is None or self.losses > 0:
+                if self.losses is not None:
+                    self.losses -= 1
                 raise TransportFault("injected fault: report frame lost")
         return self._inner.call_batch(requests)
 
@@ -409,17 +419,34 @@ class TestReshardingInvariance:
 
     @pytest.mark.parametrize("lost", [1, 2], ids=["before", "after"])
     def test_a_lost_report_fails_the_move_not_the_check(self, lost):
-        """A report the resharder cannot pull raises its link error: it
-        neither skips the digest check (the snapshot before the move)
-        nor reads as lost entries (the snapshot after it)."""
+        """A report the resharder cannot pull on any retry raises its
+        link error: it neither skips the digest check (the snapshot
+        before the move) nor reads as lost entries (the snapshot after
+        it)."""
         cluster, router, blinder = self._deploy(FETCH, LoseReport)
         observations = blinder.entities("observation")
         for i in range(8):
             observations.insert(make_doc(i))
         router.node_transport(router.node_names()[0]).countdown = lost
-        with pytest.raises(TransportFault):
+        with pytest.raises(RetryExhausted) as raised:
             Resharder(router, chunk_size=8).add_node(
                 *cluster.add_zone("zone-3"))
+        assert isinstance(raised.value.last_error, TransportFault)
+
+    @pytest.mark.parametrize("lost", [1, 2], ids=["before", "after"])
+    def test_one_lost_report_is_retried(self, lost):
+        """A report is a read: one lost frame is re-sent, the move
+        completes and its digest check passes."""
+        cluster, router, blinder = self._deploy(FETCH, LoseReport)
+        observations = blinder.entities("observation")
+        ids = [observations.insert(make_doc(i)) for i in range(8)]
+        link = router.node_transport(router.node_names()[0])
+        link.countdown, link.losses = lost, 1
+        report = Resharder(router, chunk_size=8).add_node(
+            *cluster.add_zone("zone-3"))
+        assert link.losses == 0
+        assert report.integrity_verified is True
+        self._verify_all(observations, ids)
 
     def test_without_integrity_the_check_is_skipped_not_failed(self):
         cluster, router, blinder = self._deploy(PipelineConfig())

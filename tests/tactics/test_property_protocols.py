@@ -140,3 +140,35 @@ class TestBiexDocumentLevel:
                     if first in ks and second in ks
                 }
                 assert found == expected, (first, second)
+
+
+class TestMitraPayloadMask:
+    """The integer XOR is byte-identical to the per-byte form every
+    stored entry and wire pin was masked with."""
+
+    @staticmethod
+    def bytewise(pad_seed: bytes, data: bytes) -> bytes:
+        from repro.crypto.primitives.hmac_prf import prg
+
+        pad = prg(pad_seed, len(data), label=b"mitra-pad")
+        return bytes(a ^ b for a, b in zip(data, pad))
+
+    @settings(max_examples=200, deadline=None)
+    @given(pad_seed=st.binary(min_size=1, max_size=32),
+           op=st.sampled_from([0, 1]),
+           doc_id=st.text(max_size=80))
+    def test_mask_matches_the_bytewise_form(self, pad_seed, op, doc_id):
+        from repro.tactics.mitra import _mask_payload, _unmask_payload
+
+        masked = _mask_payload(pad_seed, op, doc_id)
+        assert masked == self.bytewise(
+            pad_seed, bytes([op]) + doc_id.encode("utf-8"))
+        assert _unmask_payload(pad_seed, masked) == (op, doc_id)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pad_seed=st.binary(min_size=1, max_size=32),
+           masked=st.binary(min_size=1, max_size=300))
+    def test_unmask_matches_the_bytewise_form(self, pad_seed, masked):
+        from repro.tactics.mitra import _xor_pad
+
+        assert _xor_pad(pad_seed, masked) == self.bytewise(pad_seed, masked)
