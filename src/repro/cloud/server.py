@@ -129,14 +129,13 @@ class DocumentService:
         return self._store.count(query)
 
     def all_ids(self, schema: str | None = None) -> list[str]:
-        if schema is None:
-            return self._store.all_ids()
-        return [d["_id"] for d in self._store.find({"schema": schema})]
+        return self._store.find_ids(None if schema is None
+                                    else {"schema": schema})
 
     def find_plain(self, query: Document,
                    limit: int | None = None) -> list[str]:
         """Filter scan over plaintext (non-sensitive) sub-fields."""
-        return [d["_id"] for d in self._store.find(query, limit=limit)]
+        return self._store.find_ids(query, limit=limit)
 
     def find_text(self, query: str, limit: int = 10,
                   require_all: bool = False,

@@ -58,7 +58,15 @@ class LruCache:
             return value
 
     def put(self, key: Any, value: Any) -> None:
+        self.update(key, lambda _: value)
+
+    def update(self, key: Any, fn: Callable[[Any | None], Any]) -> None:
+        """Store ``fn(value or None)`` under ``key`` in one locked step
+        (``None`` stores nothing), counting neither a hit nor a miss."""
         with self._lock:
+            value = fn(self._entries.get(key))
+            if value is None:
+                return
             self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self._capacity:

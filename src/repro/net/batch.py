@@ -44,7 +44,7 @@ from __future__ import annotations
 import contextvars
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.net.rpc import (
     MUTATING_METHODS,
@@ -133,11 +133,13 @@ _DOCS_PREFIX = "docs/"
 class _Scope:
     """One operation's open collection scope (supports nesting)."""
 
-    __slots__ = ("depth", "pending")
+    __slots__ = ("depth", "pending", "acks", "failed")
 
     def __init__(self) -> None:
         self.depth = 1
         self.pending: list[Request] = []
+        self.acks: list[Callable[[], None]] = []
+        self.failed = False
 
 
 class BatchCollector(TransportLayer):
@@ -168,7 +170,9 @@ class BatchCollector(TransportLayer):
         The scope lives in a :class:`~contextvars.ContextVar`, so it is
         visible exactly to the opening thread/task and to work it runs
         under a copy of its context (``asyncio.to_thread``), never to an
-        unrelated operation scheduled onto the same pooled thread.
+        unrelated operation scheduled onto the same pooled thread.  The
+        :meth:`after_ack` callbacks run after the last frame, and only
+        when no level of the scope raised and every frame shipped ok.
         """
         scope = self._scope()
         token = None
@@ -179,6 +183,9 @@ class BatchCollector(TransportLayer):
             scope.depth += 1
         try:
             yield self
+        except BaseException:
+            scope.failed = True
+            raise
         finally:
             scope.depth -= 1
             if scope.depth == 0:
@@ -196,7 +203,18 @@ class BatchCollector(TransportLayer):
                 else:  # pragma: no cover - outermost always holds the token
                     self._scope_var.set(None)
                 if scope.pending:
-                    self._ship(scope.pending)
+                    self._ship(scope.pending, scope)
+        if scope.depth == 0 and not scope.failed:
+            for fn in scope.acks:
+                fn()
+
+    def after_ack(self, fn: Callable[[], None]) -> None:
+        """Run ``fn`` now outside a scope, else at its successful exit."""
+        scope = self._scope()
+        if scope is None:
+            fn()
+        else:
+            scope.acks.append(fn)
 
     def _defers(self, service: str, method: str) -> bool:
         if method in PROVISIONING_METHODS:
@@ -225,7 +243,7 @@ class BatchCollector(TransportLayer):
         # whole group still costs one round trip.
         scope.pending.append(request)
         pending, scope.pending = scope.pending, []
-        responses = self._ship(pending)
+        responses = self._ship(pending, scope)
         return responses[-1].result
 
     def flush(self) -> None:
@@ -233,11 +251,14 @@ class BatchCollector(TransportLayer):
         scope = self._scope()
         if scope is not None and scope.pending:
             pending, scope.pending = scope.pending, []
-            self._ship(pending)
+            self._ship(pending, scope)
 
-    def _ship(self, pending: list[Request]) -> list[Response]:
+    def _ship(self, pending: list[Request], scope: _Scope) -> list[Response]:
+        # The scope counts as failed until every response is ok.
+        scope.failed, failed = True, scope.failed
         responses = self._inner.call_batch(pending)
         for response in responses:
             if not response.ok:
                 response.unwrap()  # raises the first failure
+        scope.failed = failed
         return responses

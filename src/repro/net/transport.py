@@ -102,6 +102,11 @@ class Transport(ABC):
     def close(self) -> None:
         """Release any underlying resources (default: none)."""
 
+    def after_ack(self, fn: Callable[[], None]) -> None:
+        """Run ``fn`` once the calling context's calls are acknowledged:
+        now, as each returned its reply; a deferring layer defers it."""
+        fn()
+
 
 class TransportLayer(Transport):
     """A transport that wraps exactly one ``inner`` transport.
@@ -130,6 +135,9 @@ class TransportLayer(Transport):
 
     def call_batch(self, requests: Sequence[Request]) -> list[Response]:
         return self._inner.call_batch(requests)
+
+    def after_ack(self, fn: Callable[[], None]) -> None:
+        self._inner.after_ack(fn)
 
     def own_stats(self) -> NetworkStats | None:
         """Counters this layer itself accumulated (None: it keeps none)."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.keys.keystore import KeyStore
 from repro.net.transport import Transport
@@ -72,6 +72,11 @@ class GatewayTacticContext:
         self.metrics.record_call(service, method,
                                  time.perf_counter() - start)
         return result
+
+    def after_ack(self, fn: Callable[[], None]) -> None:
+        """Run ``fn`` once the calls made so far are acknowledged, never
+        after a failed frame (:meth:`Transport.after_ack`)."""
+        self.transport.after_ack(fn)
 
     def derive_key(self, purpose: str, length: int = 32) -> bytes:
         return self.keystore.derive(self.field, self.tactic, purpose, length)

@@ -166,26 +166,26 @@ class DocumentStore(SnapshotStore):
 
     def find(self, query: Document | None = None,
              limit: int | None = None) -> list[Document]:
-        """Filter scan, accelerated by a secondary index when the query has
-        a top-level equality on an indexed field."""
+        """Copies of the documents :meth:`find_ids` names, in its order."""
         with self._lock:
-            candidates = self._candidate_ids(query or {})
+            return [dict(self._documents[doc_id])
+                    for doc_id in self.find_ids(query, limit)]
+
+    def find_ids(self, query: Document | None = None,
+                 limit: int | None = None) -> list[str]:
+        """Filter scan for ids only, accelerated by a secondary index
+        when the query has a top-level equality on an indexed field."""
+        with self._lock:
             results = []
-            for doc_id in candidates:
-                document = self._documents[doc_id]
-                if query is None or matches(document, query):
-                    results.append(dict(document))
+            for doc_id in self._candidate_ids(query or {}):
+                if query is None or matches(self._documents[doc_id], query):
+                    results.append(doc_id)
                     if limit is not None and len(results) >= limit:
                         break
             return results
 
     def count(self, query: Document | None = None) -> int:
-        if query is None:
-            return len(self)
-        with self._lock:
-            return sum(
-                1 for d in self._documents.values() if matches(d, query)
-            )
+        return len(self.find_ids(query))
 
     def all_ids(self) -> list[str]:
         with self._lock:

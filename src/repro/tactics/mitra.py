@@ -13,9 +13,10 @@ cancelled out (backward privacy of type II).
 Search sends the ``c`` addresses; the cloud returns the masked payloads
 and the gateway unmasks, replays tombstones and yields the surviving ids.
 Entries are append-only and the counter names every one, so the gateway
-memoises each keyword's surviving ids up to the count it folded: a
-repeat with no write since sends nothing, and one after ``k`` writes
-sends only the ``k`` new addresses.
+memoises each keyword's surviving ids up to the count it folded, from
+searches and from its own acknowledged writes: a search after this
+gateway's own writes sends nothing, and one after ``k`` entries it did
+not fold (another writer's) sends only those ``k`` addresses.
 
 SPI surface (Table 2 row: 7 gateway / 5 cloud): Setup, Insertion,
 DocIDGen, Update, Deletion, EqQuery, EqResolution // Setup, Insertion,
@@ -24,9 +25,11 @@ Update, Deletion, EqQuery.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any
 
 from repro.crypto.encoding import Value, encode_value
+from repro.crypto.kernels.executor import LruCache
 from repro.crypto.primitives.hmac_prf import prf, prg
 from repro.errors import TacticError
 from repro.spi import interfaces as spi
@@ -49,6 +52,36 @@ def _xor_pad(pad_seed: bytes, data: bytes) -> bytes:
 
 def _mask_payload(pad_seed: bytes, op: int, doc_id: str) -> bytes:
     return _xor_pad(pad_seed, bytes([op]) + doc_id.encode("utf-8"))
+
+
+def _fold(alive: set[str], op: int, doc_id: str) -> None:
+    """Replay one entry onto a keyword's surviving ids."""
+    if op == _ADD:
+        alive.add(doc_id)
+    elif op == _DELETE:
+        alive.discard(doc_id)
+    else:
+        raise TacticError(f"invalid Mitra op byte {op}")
+
+
+def _extend(entries: list[tuple], memo: tuple | None) -> tuple | None:
+    """``memo`` advanced by the ``(n, op, doc_id)`` entries (sorted by
+    ``n``) that continue it without a gap; ``memo`` itself when none
+    does.  No memo continues only from the keyword's first entry."""
+    base, alive = memo or (0, frozenset())
+    count, ids = base, set(alive)
+    for n, op, doc_id in entries:
+        if n > count + 1:
+            break
+        if n == count + 1:
+            _fold(ids, op, doc_id)
+            count = n
+    return (count, frozenset(ids)) if count > base else memo
+
+
+def _advance(memo: LruCache, by_key: dict[bytes, list[tuple]]) -> None:
+    for key, entries in by_key.items():
+        memo.update(key, partial(_extend, entries))
 
 
 def _unmask_payload(pad_seed: bytes, masked: Any) -> tuple[int, str]:
@@ -80,9 +113,10 @@ class MitraGateway(
         #: Keyword memo: counter key -> ``(count, frozenset(alive ids))``
         #: folded over entries ``1..count``.  Taken per ``setup()``, so
         #: a re-key starts cold; keyed by the hashed keyword, never the
-        #: plaintext.  At most ``TOKEN_CACHE_CAPACITY`` (4,096) keywords
-        #: of ~450 B each plus ~115 B per id held; a keyword holds the
-        #: ids its last search returned.
+        #: plaintext.  Searches and acknowledged own writes fill it, so
+        #: a keyword holds every live id written under it: at most
+        #: ``TOKEN_CACHE_CAPACITY`` (4,096) keywords of ~450 B each plus
+        #: ~115 B per live document of those keywords.
         self._memo = self.kernels.cache()
         self.ctx.call("setup")
 
@@ -100,13 +134,15 @@ class MitraGateway(
 
     # -- update protocol ----------------------------------------------------------
 
-    def _entry(self, op: int, doc_id: str, value: Value) -> dict[str, bytes]:
-        """Reserve the keyword's next counter and build its entry."""
+    def _entry(self, op: int, doc_id: str, value: Value,
+               wrote: list[tuple]) -> dict[str, bytes]:
+        """Reserve the keyword's next counter, note the entry in
+        ``wrote`` for :meth:`_on_ack`, and build it."""
         keyword = self._keyword(value)
         k_w = keyword_key(self._master, keyword)
-        count = self.ctx.local_kv.counter_increment(
-            self._counter_key(keyword)
-        )
+        key = self._counter_key(keyword)
+        count = self.ctx.local_kv.counter_increment(key)
+        wrote.append((key, count, op, doc_id))
         counter_bytes = count.to_bytes(8, "big")
         address = prf(k_w, b"addr", counter_bytes)
         pad_seed = prf(k_w, b"pad", counter_bytes)
@@ -114,7 +150,19 @@ class MitraGateway(
                 "payload": _mask_payload(pad_seed, op, doc_id)}
 
     def _append(self, op: int, doc_id: str, value: Value) -> None:
-        self.ctx.call("insert", **self._entry(op, doc_id, value))
+        wrote: list[tuple] = []
+        self.ctx.call("insert", **self._entry(op, doc_id, value, wrote))
+        self._on_ack(wrote)
+
+    def _on_ack(self, wrote: list[tuple]) -> None:
+        """Once the cloud acknowledges ``wrote``, fold it onto the memo
+        of the key it was written under: one atomic update per keyword,
+        in counter order, stopping at the first gap (an entry still in
+        flight, or another writer's), which the next search fetches."""
+        by_key: dict[bytes, list[tuple]] = {}
+        for key, count, op, doc_id in sorted(wrote):
+            by_key.setdefault(key, []).append((count, op, doc_id))
+        self.ctx.after_ack(partial(_advance, self._memo, by_key))
 
     def insert(self, doc_id: str, value: Value) -> None:
         self._append(_ADD, doc_id, value)
@@ -122,9 +170,13 @@ class MitraGateway(
     def index_many_begin(self, entries: list[tuple[str, Value]]):
         # The counters are reserved in finish, right before the entries
         # leave, as the per-entry protocol does.
-        return lambda: self._insert_many([
-            self._entry(_ADD, doc_id, value) for doc_id, value in entries
-        ])
+        def finish() -> None:
+            wrote: list[tuple] = []
+            self._insert_many([self._entry(_ADD, doc_id, value, wrote)
+                               for doc_id, value in entries])
+            self._on_ack(wrote)
+
+        return finish
 
     def delete(self, doc_id: str, value: Value) -> None:
         self._append(_DELETE, doc_id, value)
@@ -143,10 +195,9 @@ class MitraGateway(
         keyword = self._keyword(value)
         key = self._counter_key(keyword)
         count = self.ctx.local_kv.counter_get(key)
-        memo = self._memo.get(key)
-        cold = memo is None or memo[0] > count
-        if cold:
-            memo = (0, frozenset())
+        held = self._memo.get(key)
+        cold = held is None or held[0] > count
+        memo = (0, frozenset()) if cold else held
         masked: list = []
         if cold or count > memo[0]:
             k_w = keyword_key(self._master, keyword)
@@ -155,7 +206,7 @@ class MitraGateway(
                 for c in range(memo[0] + 1, count + 1)
             ])
         return {"keyword": keyword, "key": key, "count": count,
-                "memo": memo, "masked": masked}
+                "memo": memo, "held": held, "masked": masked}
 
     def resolve_eq(self, raw: Any) -> set[str]:
         keyword = raw["keyword"]
@@ -168,15 +219,14 @@ class MitraGateway(
             if masked is None:
                 raise TacticError("cloud lost a Mitra index entry")
             pad_seed = prf(k_w, b"pad", index.to_bytes(8, "big"))
-            op, doc_id = _unmask_payload(pad_seed, masked)
-            if op == _ADD:
-                alive.add(doc_id)
-            elif op == _DELETE:
-                alive.discard(doc_id)
-            else:
-                raise TacticError(f"invalid Mitra op byte {op}")
-        # Stored only once every entry up to the count has unmasked.
-        self._memo.put(raw["key"], (raw["count"], frozenset(alive)))
+            _fold(alive, *_unmask_payload(pad_seed, masked))
+        # Stored once every entry up to the count unmasked, over a lower
+        # count or the memo this search began from (so one a rolled-back
+        # counter left ahead): a late fold never moves the memo back.
+        fold = (raw["count"], frozenset(alive))
+        self._memo.update(raw["key"], lambda old: (
+            fold if old is None or old[0] < fold[0] or old is raw["held"]
+            else old))
         return alive
 
 

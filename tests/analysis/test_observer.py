@@ -41,6 +41,7 @@ class TestQueryLinkability:
         transport, runtime = observed
         mitra = runtime.tactic("d.f", "mitra")
         mitra.insert("d1", "kw")
+        mitra.setup()
         search(mitra, "kw")
         mitra.setup()
         search(mitra, "kw")
@@ -48,10 +49,12 @@ class TestQueryLinkability:
 
     def test_warm_repeat_sends_no_address(self, observed):
         """Within one memo lifetime a repeat with no write since sends
-        no Mitra query at all, so there is no pair to link."""
+        no Mitra query at all, so there is no pair to link.  The first
+        search starts cold (after a restart) and sends the one address."""
         transport, runtime = observed
         mitra = runtime.tactic("d.f", "mitra")
         mitra.insert("d1", "kw")
+        mitra.setup()
         assert search(mitra, "kw") == {"d1"}
         assert search(mitra, "kw") == {"d1"}
         transcript = transport.transcript
@@ -59,9 +62,10 @@ class TestQueryLinkability:
         assert transcript.linkable_query_pairs("/mitra") == 0
 
     def test_repeated_find_fetches_the_same_documents(self, registry):
-        """Query equality stays visible through the access pattern: a
-        repeated Mitra-filtered find sends no address, but its document
-        fetch names the same ids as the first."""
+        """Query equality stays visible through the access pattern: from
+        a cold memo (a restart after the writes), a repeated
+        Mitra-filtered find sends no address, but its document fetch
+        names the same ids as the first."""
         transport = ObservedTransport(InProcTransport(
             CloudZone(registry).host))
         blinder = DataBlinder("obsapp", transport, registry=registry)
@@ -70,6 +74,7 @@ class TestQueryLinkability:
         for i in range(6):
             observations.insert({"identifier": i, "status": "final",
                                  "subject": f"p{i % 2}", "value": 1.0})
+        blinder.runtime.tactic("observation.subject", "mitra").setup()
         transcript = transport.transcript
 
         def fetched() -> tuple[int, frozenset[str]]:

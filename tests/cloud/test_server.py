@@ -130,6 +130,31 @@ class TestDocumentService:
                                  "body": b"", "plain": {"x": 9}})
         assert docs("find_plain", query={"plain.x": {"$gt": 6}}) == ["b"]
 
+    def test_id_scans_keep_the_copying_scans_order(self, cloud, docs):
+        """``all_ids(schema)`` and ``find_plain`` read ids only, in the
+        order (and under the limit) of a scan that copies documents."""
+        for i in range(12):
+            docs("insert", document={"_id": f"d{(i * 7) % 12:02d}",
+                                     "schema": f"s{i % 3}", "body": b"",
+                                     "plain": {"x": i}})
+        _, store = cloud.application_stores("app1")
+
+        def copied(query, limit=None):
+            return [d["_id"] for d in store.find(query, limit=limit)]
+
+        assert docs("all_ids", schema="s1") == copied({"schema": "s1"})
+        assert docs("all_ids", schema="s1") == ["d01", "d04", "d07",
+                                                "d10"]
+        assert docs("all_ids") == copied(None) == store.all_ids()
+        indexed = {"schema": "s2", "plain.x": {"$gte": 5}}
+        assert docs("find_plain", query=indexed, limit=2) \
+            == copied(indexed, 2) == ["d05", "d08"]
+        scanned = {"plain.x": {"$gte": 5}}
+        assert docs("find_plain", query=scanned, limit=3) \
+            == copied(scanned, 3) == ["d11", "d06", "d01"]
+        assert store.count({"schema": "s0"}) == 4
+        assert store.count(scanned) == 7
+
 
 class TestGatewayRuntime:
     def test_loaded_tactics_listing(self, harness):

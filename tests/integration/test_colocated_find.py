@@ -9,7 +9,7 @@ mid-reshard in both move orders), that a bounded read still completes
 through ``get_many`` when verification drops the first chunk, that
 document-cache hits keep their meaning, that the cloud learns the same
 token and ids per shard as on the two-trip path, and that a DET find
-costs one scatter while a Mitra find still costs two.
+costs one scatter while a cold Mitra find still costs two.
 """
 
 from __future__ import annotations
@@ -369,8 +369,15 @@ class TestMetering:
             before = router.scatter_count()
             assert entities.find(Range("score", 3, 9))
             assert router.scatter_count() - before == 1
+            # A Mitra find after this gateway's own writes: the keyword
+            # memo is current, so only the document fetch scatters.
             before = router.scatter_count()
             assert entities.find(Eq("tag", "t1"))
+            assert router.scatter_count() - before == 1
+            # Cold (a restart of the Mitra half): addresses, then fetch.
+            blinder.runtime.tactic("rec.tag", "mitra").setup()
+            before = router.scatter_count()
+            assert entities.find(Eq("tag", "t3"))
             assert router.scatter_count() - before == 2
         finally:
             router.close()

@@ -180,6 +180,7 @@ class TestMitra:
     ], ids=["empty", "not-bytes", "not-utf8"])
     def test_malformed_payload_is_a_tactic_error(self, mitra, corrupt):
         mitra.insert("d1", "w")
+        mitra.setup()  # a cold memo: the search fetches the entry
         raw = mitra.eq_query("w")
         raw["masked"] = [corrupt(raw["masked"][0])]
         with pytest.raises(TacticError):
